@@ -11,6 +11,7 @@
 //
 // Usage: fault_study [tracesPerClass=8] [threads=0]
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -97,8 +98,14 @@ int main(int argc, char** argv) {
 
   // Campaign-wide tallies from the instrumentation layer (obs/metrics.h):
   // the same numbers the per-style rows aggregated, but read back from the
-  // global registry the campaign runner counts into.
+  // global registry the campaign runner counts into. Simulator events are
+  // summed over the engines: faulted traces run on the batch engine unless
+  // they need the reference one.
   const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
+  const std::uint64_t simEvents =
+      snap.counterOr("sim.events_processed", 0) +
+      snap.counterOr("sim.compiled.events_processed", 0) +
+      snap.counterOr("sim.batch.events_processed", 0);
   std::printf(
       "\ninstrumentation totals (obs::MetricsRegistry):\n"
       "  campaigns %llu, faults run %llu, sim events %llu, traces sampled "
@@ -107,8 +114,7 @@ int main(int argc, char** argv) {
       "diverged\n",
       static_cast<unsigned long long>(snap.counterOr("fault.campaigns", 0)),
       static_cast<unsigned long long>(snap.counterOr("fault.faults_run", 0)),
-      static_cast<unsigned long long>(
-          snap.counterOr("sim.events_processed", 0)),
+      static_cast<unsigned long long>(simEvents),
       static_cast<unsigned long long>(
           snap.counterOr("power.traces_sampled", 0)),
       static_cast<unsigned long long>(

@@ -1,13 +1,16 @@
 #include "fault/campaign.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "netlist/validate.h"
 #include "obs/event_journal.h"
 #include "obs/metrics.h"
 #include "obs/trace_span.h"
+#include "sim/batch_sim.h"
 #include "trace/sharded_pool.h"
 
 namespace lpa {
@@ -157,69 +160,116 @@ FaultCampaignResult runFaultCampaign(const MaskedSbox& sbox,
     outcome.faultsRun = registry->counter("fault.faults_run");
   }
 
+  const std::uint32_t numSamples = power.options().numSamples;
+  // Fault-free design, shared read-only by the workers: the batch path
+  // evaluates a lane group's reference outputs on it in one pass.
+  const CompiledDesign baseDesign(base, delays, power);
   const auto runOneFault = [&](std::uint32_t, std::size_t j) {
     const FaultSpec& spec = faults[j];
     FaultReport report;
     report.fault = spec;
     report.description = describeFault(spec, base);
 
-    FaultedDesign design = injector.apply(spec);
-    EventSim sim(design.netlist, design.delays, simOpts);
-    sim.attachMetrics(registry);
+    const FaultedDesign design = injector.apply(spec);
 
-    // Everything below depends only on (cfg.seed, j, i): per-fault seed,
-    // its schedule stream, and per-trace streams.
+    // Fault j runs acquire()'s fixed-class protocol under its own seed, so
+    // everything below depends only on (cfg.seed, j, i).
     const std::uint64_t faultSeed = deriveStreamSeed(faultDomain, j);
     const std::vector<std::uint8_t> schedule =
         balancedClassSchedule(cfg.tracesPerClass, faultSeed);
+    const StimulusFn stimulus = [&](std::size_t i) {
+      return classStimulus(sbox, faultSeed, cfg.initialValue, schedule[i],
+                           i);
+    };
 
-    TraceSet traces(power.options().numSamples);
+    TraceSet traces(numSamples);
     traces.reserve(schedule.size());
-    for (std::size_t i = 0; i < schedule.size(); ++i) {
-      const std::uint8_t cls = schedule[i];
-      Prng rng(deriveStreamSeed(faultSeed, i));
-      const std::vector<std::uint8_t> init =
-          sbox.encode(cfg.initialValue, rng);
-      const std::vector<std::uint8_t> fin = sbox.encode(cls, rng);
 
-      // Fault-free zero-delay reference for this exact stimulus.
-      const std::vector<std::uint8_t> refOut = base.evaluateOutputs(fin);
-
-      std::vector<Transition> transitions;
-      try {
-        sim.settle(init);
-        transitions = sim.run(fin);
-      } catch (const SimDiverged& d) {
-        ++report.counts.diverged;
-        if (d.eventsProcessed() > report.maxWatchdogEvents) {
-          report.maxWatchdogEvents = d.eventsProcessed();
-        }
-        obs::EventJournal::global().warn(
-            "watchdog-trip",
-            {{"fault", std::to_string(j)},
-             {"trace", std::to_string(i)},
-             {"events", std::to_string(d.eventsProcessed())}});
-        continue;  // graceful degradation: next trace
-      }
-
-      const std::vector<std::uint8_t> faultedOut = sim.outputValues();
+    // Per-trace outcome against the fault-free zero-delay outputs
+    // `refOut` for the trace's final inputs `fin`.
+    const auto classify = [&](const std::vector<std::uint8_t>& faultedOut,
+                              const std::vector<std::uint8_t>& refOut,
+                              const std::vector<std::uint8_t>& fin) {
       if (faultedOut == refOut) {
         ++report.counts.maskedOut;
+        return;
+      }
+      bool decodeMatches = false;
+      try {
+        decodeMatches =
+            sbox.decode(faultedOut, fin) == sbox.decode(refOut, fin);
+      } catch (const std::exception&) {
+        decodeMatches = false;  // decode refused the corrupted shares
+      }
+      if (decodeMatches) {
+        ++report.counts.silentCorruption;
       } else {
-        bool decodeMatches = false;
+        ++report.counts.detectedByDecode;
+      }
+    };
+
+    // Reference engine, trace by trace: serves overlays the fast engines
+    // refuse (a forward bridge) and lane groups in which a lane tripped
+    // the watchdog, so diverged traces get their exact per-trace payload.
+    std::optional<EventSim> sim;
+    const auto runReference = [&](std::size_t begin, std::size_t end) {
+      if (!sim) {
+        sim.emplace(design.netlist, design.delays, simOpts);
+        sim->attachMetrics(registry);
+      }
+      for (std::size_t i = begin; i < end; ++i) {
+        const TraceStimulus s = stimulus(i);
+        std::vector<Transition> transitions;
         try {
-          decodeMatches =
-              sbox.decode(faultedOut, fin) == sbox.decode(refOut, fin);
-        } catch (const std::exception&) {
-          decodeMatches = false;  // decode refused the corrupted shares
+          sim->settle(s.init);
+          transitions = sim->run(s.fin);
+        } catch (const SimDiverged& d) {
+          ++report.counts.diverged;
+          if (d.eventsProcessed() > report.maxWatchdogEvents) {
+            report.maxWatchdogEvents = d.eventsProcessed();
+          }
+          obs::EventJournal::global().warn(
+              "watchdog-trip",
+              {{"fault", std::to_string(j)},
+               {"trace", std::to_string(i)},
+               {"events", std::to_string(d.eventsProcessed())}});
+          continue;  // graceful degradation: next trace
         }
-        if (decodeMatches) {
-          ++report.counts.silentCorruption;
-        } else {
-          ++report.counts.detectedByDecode;
+        classify(sim->outputValues(), base.evaluateOutputs(s.fin), s.fin);
+        traces.add(s.label, power.sample(transitions, s.noiseSeed));
+      }
+    };
+
+    if (!design.netlist.isIndexOrdered()) {
+      runReference(0, schedule.size());
+    } else {
+      // Batch engine: 64-lane groups with fused deposition, each lane
+      // bit-identical to the reference run of its trace.
+      const CompiledDesign compiled(design.netlist, design.delays, power);
+      BatchSim bsim(compiled, simOpts);
+      bsim.attachMetrics(registry);
+      for (std::size_t g = 0; g < schedule.size(); g += BatchSim::kLanes) {
+        const std::size_t lanes =
+            std::min<std::size_t>(BatchSim::kLanes, schedule.size() - g);
+        std::vector<TraceStimulus> group;
+        try {
+          group = runLaneGroup(bsim, stimulus, g, lanes);
+        } catch (const SimDiverged&) {
+          runReference(g, g + lanes);
+          continue;
+        }
+        std::vector<std::vector<std::uint8_t>> fins(lanes);
+        for (std::size_t l = 0; l < lanes; ++l) fins[l] = group[l].fin;
+        const std::vector<std::vector<std::uint8_t>> refOuts =
+            BatchSim::evaluateOutputs(baseDesign, fins);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          const std::uint32_t lane = static_cast<std::uint32_t>(l);
+          classify(bsim.outputValues(lane), refOuts[l], fins[l]);
+          const double* trace = bsim.laneTrace(lane);
+          traces.add(group[l].label,
+                     std::vector<double>(trace, trace + numSamples));
         }
       }
-      traces.add(cls, power.sample(transitions, rng.next() | 1ULL));
     }
 
     report.classification = worstOf(report.counts);

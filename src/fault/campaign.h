@@ -21,6 +21,16 @@
 // stream derivation, so campaign results are bit-identical for every
 // worker-thread count, and with an empty fault list the baseline TraceSet
 // is bit-identical to plain acquire() with the same parameters.
+//
+// Engines: fault j runs acquire()'s per-trace protocol (classStimulus)
+// under its own seed. A fault whose overlay keeps the netlist index-
+// ordered (Netlist::isIndexOrdered — every kind but a bridge to a later
+// net) runs as 64-lane BatchSim groups through acquire()'s lane-group
+// function (runLaneGroup), with fused power deposition. A forward bridge,
+// and any lane group in which a lane trips the watchdog, re-runs trace by
+// trace on the reference EventSim. Every engine is bit-identical per
+// trace, so the reports, diverged counts and traces do not depend on
+// which engine served a trace.
 
 #include <cstdint>
 #include <string>

@@ -52,7 +52,16 @@ void Netlist::replaceGate(NetId id, GateType type,
   }
   gates_[id] = g;
   fanoutCache_.clear();
-  overlaid_ = true;
+}
+
+bool Netlist::isIndexOrdered() const {
+  for (NetId id = 0; id < gates_.size(); ++id) {
+    const Gate& g = gates_[id];
+    for (int i = 0; i < g.numFanin; ++i) {
+      if (g.fanin[static_cast<std::size_t>(i)] >= id) return false;
+    }
+  }
+  return true;
 }
 
 NetId Netlist::addInput(std::string name) {

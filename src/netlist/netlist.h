@@ -30,20 +30,24 @@ class Netlist {
   /// Overlay hook for fault injection: rewrites gate `id` in place to
   /// `type` with `fanins`. Unlike addGate, fanins may reference *any*
   /// existing net — including `id` itself or later gates — so an overlay
-  /// can express bridging/rewire faults. This can break the topological
-  /// invariant: run validate() (which detects combinational cycles) to
-  /// diagnose, and simulate with a watchdog budget (SimOptions::maxEvents)
-  /// since feedback may oscillate. Replacing a primary input's gate with a
-  /// constant models a stuck input (the simulator then ignores stimulus on
-  /// it); `type` must not be GateType::Input.
+  /// can express bridging/rewire faults. A fanin at or after `id` breaks
+  /// the index order (see isIndexOrdered): run validate() (which detects
+  /// combinational cycles) to diagnose, and simulate with a watchdog budget
+  /// (SimOptions::maxEvents) since feedback may oscillate. Replacing a
+  /// primary input's gate with a constant models a stuck input (the
+  /// simulator then ignores stimulus on it); `type` must not be
+  /// GateType::Input.
   void replaceGate(NetId id, GateType type, const std::vector<NetId>& fanins);
 
-  /// True once any gate has been rewritten via replaceGate. A conservative
-  /// marker: an overlaid netlist may violate the topological invariant and
-  /// must be simulated by the reference EventSim engine; the compiled fast
-  /// path (sim/compiled_sim.h) refuses it and acquire() falls back
-  /// automatically.
-  bool hasFaultOverlay() const { return overlaid_; }
+  /// True when every gate's fanins come before it in index order — the
+  /// invariant addGate enforces. Overlays that rewrite a gate's function
+  /// or make it constant (stuck-at, bit-flip), delay faults and bridges to
+  /// an earlier net keep it; a bridge to the gate itself or a later net
+  /// breaks it and can close a loop. The compiled and batch engines need
+  /// it (their settle is the single index-order pass of evaluate()), so
+  /// they refuse a netlist without it and acquire() falls back to the
+  /// reference EventSim. O(gates) per call.
+  bool isIndexOrdered() const;
 
   std::size_t numGates() const { return gates_.size(); }
   const Gate& gate(NetId id) const { return gates_[id]; }
@@ -91,7 +95,6 @@ class Netlist {
   std::unordered_map<std::string, NetId> inputIndex_;
   std::unordered_map<std::string, NetId> outputIndex_;
   mutable std::vector<std::uint32_t> fanoutCache_;
-  bool overlaid_ = false;
 };
 
 }  // namespace lpa

@@ -127,7 +127,9 @@ BatchSim::BatchSim(const CompiledDesign& design, const SimOptions& options)
   stateW_.assign(n, 0);
   pendMask_.assign(n, 0);
   pendValueW_.assign(n, 0);
-  pendPushId_.assign(n * kLanes, 0);
+  // Per-(net, lane) push ids are read only by the inertial branches; the
+  // transport engine skips the numGates x 64 x 8 B array.
+  if (options.kind == DelayKind::Inertial) pendPushId_.assign(n * kLanes, 0);
   lastCommit_.assign(n * kLanes, CommitStamp{0.0, 0});
   inputWords_.assign(design.inputNets.size(), 0);
   if (quantized_) {
@@ -344,11 +346,15 @@ void BatchSim::recordRun() {
   }
 }
 
-void BatchSim::packInputWords(
-    const std::vector<std::vector<std::uint8_t>>& laneInputs) {
-  const CompiledDesign& d = *design_;
+namespace {
+
+/// Packs 1..kLanes input vectors (inputs() order) into one word per input:
+/// bit l of words[i] is laneInputs[l][i].
+void packLaneInputs(const CompiledDesign& d,
+                    const std::vector<std::vector<std::uint8_t>>& laneInputs,
+                    std::vector<std::uint64_t>& words) {
   const std::size_t lanes = laneInputs.size();
-  if (lanes == 0 || lanes > kLanes) {
+  if (lanes == 0 || lanes > BatchSim::kLanes) {
     throw std::invalid_argument(
         "BatchSim: lane count must be between 1 and 64");
   }
@@ -357,40 +363,65 @@ void BatchSim::packInputWords(
       throw std::invalid_argument("wrong number of input values");
     }
   }
-  std::fill(inputWords_.begin(), inputWords_.end(), 0);
+  words.assign(d.inputNets.size(), 0);
   for (std::size_t l = 0; l < lanes; ++l) {
     const std::uint8_t* in = laneInputs[l].data();
-    for (std::size_t i = 0; i < inputWords_.size(); ++i) {
-      inputWords_[i] |= std::uint64_t(in[i] & 1u) << l;
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      words[i] |= std::uint64_t(in[i] & 1u) << l;
     }
   }
 }
 
+/// Word-parallel twin of CompiledSim::settle: assign the packed inputs,
+/// then one blanket re-evaluation pass in index (== topological) order.
+/// Input gates carry identity truth tables over their own state, so the
+/// pass needs no per-gate type branch; unused lanes settle on all-zero
+/// stimuli.
+void settleWords(const CompiledDesign& d,
+                 const std::vector<std::uint64_t>& inputWords,
+                 std::vector<std::uint64_t>& stateW) {
+  stateW.assign(d.numGates, 0);
+  for (std::size_t i = 0; i < d.inputNets.size(); ++i) {
+    stateW[d.inputNets[i]] = inputWords[i];
+  }
+  const std::uint32_t* faninArr = d.fanin.data();
+  const std::uint16_t* ttArr = d.truthTable.data();
+  std::uint64_t* state = stateW.data();
+  for (std::uint32_t id = 0; id < d.numGates; ++id) {
+    state[id] =
+        evalTable64(faninArr + std::size_t(id) * kMaxFanin, ttArr[id], state);
+  }
+}
+
+}  // namespace
+
 void BatchSim::settle(
     const std::vector<std::vector<std::uint8_t>>& laneInputs) {
-  const CompiledDesign& d = *design_;
-  packInputWords(laneInputs);
+  packLaneInputs(*design_, laneInputs, inputWords_);
   activeLanes_ = static_cast<std::uint32_t>(laneInputs.size());
   activeMask_ = activeLanes_ == kLanes
                     ? ~std::uint64_t(0)
                     : (std::uint64_t(1) << activeLanes_) - 1;
-  // Word-parallel twin of CompiledSim::settle: assign the packed inputs,
-  // then one blanket re-evaluation pass in index (== topological) order.
-  // Input gates carry identity truth tables over their own state, so the
-  // pass needs no per-gate type branch; lanes above activeLanes_ settle on
-  // all-zero stimuli and are masked out of every observable.
-  std::fill(stateW_.begin(), stateW_.end(), 0);
-  for (std::size_t i = 0; i < d.inputNets.size(); ++i) {
-    stateW_[d.inputNets[i]] = inputWords_[i];
-  }
-  const std::uint32_t* faninArr = d.fanin.data();
-  const std::uint16_t* ttArr = d.truthTable.data();
-  std::uint64_t* stateW = stateW_.data();
-  for (std::uint32_t id = 0; id < d.numGates; ++id) {
-    stateW[id] = evalTable64(faninArr + std::size_t(id) * kMaxFanin,
-                             ttArr[id], stateW);
-  }
+  // Lanes above activeLanes_ are masked out of every observable.
+  settleWords(*design_, inputWords_, stateW_);
   std::fill(pendMask_.begin(), pendMask_.end(), 0);
+}
+
+std::vector<std::vector<std::uint8_t>> BatchSim::evaluateOutputs(
+    const CompiledDesign& design,
+    const std::vector<std::vector<std::uint8_t>>& laneInputs) {
+  std::vector<std::uint64_t> inputWords, stateW;
+  packLaneInputs(design, laneInputs, inputWords);
+  settleWords(design, inputWords, stateW);
+  std::vector<std::vector<std::uint8_t>> out(
+      laneInputs.size(), std::vector<std::uint8_t>(design.outputNets.size()));
+  for (std::size_t l = 0; l < out.size(); ++l) {
+    for (std::size_t i = 0; i < design.outputNets.size(); ++i) {
+      out[l][i] =
+          static_cast<std::uint8_t>((stateW[design.outputNets[i]] >> l) & 1u);
+    }
+  }
+  return out;
 }
 
 std::vector<std::uint8_t> BatchSim::outputValues(std::uint32_t lane) const {
@@ -468,7 +499,7 @@ void BatchSim::runCore(
     throw std::invalid_argument(
         "BatchSim: run lane count does not match the settled lane count");
   }
-  packInputWords(laneInputs);
+  packLaneInputs(d, laneInputs, inputWords_);
 
   dirtyBuckets_.clear();
   bucketCursor_ = 0;

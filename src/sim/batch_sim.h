@@ -95,15 +95,16 @@
 //
 // ## Eligibility
 //
-// Same design-level eligibility as CompiledSim (no fault overlay, matching
-// power model, < 2^24 gates; acquisition's resolveEngine enforces this);
-// any active lane count 1..64 is supported, so partial trailing groups of
-// a trace budget need no special casing. Quantized mode additionally
-// requires a configured sample grid (samplePeriodPs > 0) and a step
-// horizon numLevels x (floor(maxDelayPs / samplePeriodPs) + 1) + 2 inside
-// the calendar capacity; the constructor throws std::invalid_argument
-// otherwise. Instrumentation lands in "sim.batch.*" (and the shared
-// "power.*") instruments in both modes.
+// Same design-level eligibility as CompiledSim (an index-ordered netlist —
+// fault overlays included, except a forward bridge — matching power model,
+// < 2^24 gates; CompiledDesign and acquisition's resolveEngine enforce
+// this); any active lane count 1..64 is supported, so partial trailing
+// groups of a trace budget need no special casing. Quantized mode
+// additionally requires a configured sample grid (samplePeriodPs > 0) and
+// a step horizon numLevels x (floor(maxDelayPs / samplePeriodPs) + 1) + 2
+// inside the calendar capacity; the constructor throws
+// std::invalid_argument otherwise. Instrumentation lands in "sim.batch.*"
+// (and the shared "power.*") instruments in both modes.
 
 #include <array>
 #include <cstdint>
@@ -154,6 +155,15 @@ class BatchSim {
   /// until the next run/runFused/reset on this instance.
   void runFused(const std::vector<std::vector<std::uint8_t>>& laneInputs,
                 const std::vector<std::uint64_t>& noiseSeeds);
+
+  /// Zero-delay outputs of 1..kLanes input vectors at once: element l is
+  /// `design`'s primary outputs (outputs() order) for laneInputs[l]. This
+  /// is settle()'s word-parallel pass without an engine's arenas —
+  /// bit-identical per lane to Netlist::evaluateOutputs on an index-
+  /// ordered netlist.
+  static std::vector<std::vector<std::uint8_t>> evaluateOutputs(
+      const CompiledDesign& design,
+      const std::vector<std::vector<std::uint8_t>>& laneInputs);
 
   /// Lanes configured by the last settle().
   std::uint32_t activeLanes() const { return activeLanes_; }
@@ -282,8 +292,6 @@ class BatchSim {
   template <typename CommitSink>
   void runCore(const std::vector<std::vector<std::uint8_t>>& laneInputs,
                CommitSink&& commit);
-  void packInputWords(
-      const std::vector<std::vector<std::uint8_t>>& laneInputs);
   void recordRun();
   void queuePush(double time, std::uint64_t key, std::uint64_t mask,
                  std::uint64_t value);
@@ -312,7 +320,8 @@ class BatchSim {
   std::vector<std::uint64_t> stateW_;
   std::vector<std::uint64_t> pendMask_;    ///< per net: lanes with a pending
   std::vector<std::uint64_t> pendValueW_;  ///< per net: pending lane values
-  std::vector<std::uint64_t> pendPushId_;  ///< per (net, lane): pending id
+  /// Per (net, lane): pending id. Allocated only for DelayKind::Inertial.
+  std::vector<std::uint64_t> pendPushId_;
   /// Per-(net, lane) time of the net's previous commit in the current run,
   /// valid only where `epoch` equals runEpoch_ — the epoch stamp makes
   /// "no commit yet this run" a lazy default instead of an 8-byte-per-slot

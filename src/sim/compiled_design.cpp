@@ -7,10 +7,10 @@ namespace lpa {
 
 CompiledDesign::CompiledDesign(const Netlist& nl, const DelayModel& delays,
                                const PowerModel& power) {
-  if (nl.hasFaultOverlay()) {
+  if (!nl.isIndexOrdered()) {
     throw std::invalid_argument(
-        "CompiledDesign: netlist carries a fault overlay; use the reference "
-        "EventSim engine for faulted designs");
+        "CompiledDesign: a gate reads a fanin that does not precede it (a "
+        "forward bridge overlay); use the reference EventSim engine");
   }
   if (power.numGates() != nl.numGates() ||
       delays.delays().size() != nl.numGates()) {

@@ -48,10 +48,13 @@ namespace lpa {
 
 struct CompiledDesign {
   /// Builds every table. `delays` and `power` must be built for `nl`;
-  /// throws std::invalid_argument on a size mismatch and refuses a netlist
-  /// carrying a fault overlay (overlays may break the topological
-  /// invariant the flat settle pass relies on; the reference engine is the
-  /// oracle for faulted designs).
+  /// throws std::invalid_argument on a size mismatch and on a netlist that
+  /// is not index-ordered (Netlist::isIndexOrdered — a forward bridge
+  /// overlay; the flat settle pass and the levelization below rely on
+  /// fanins preceding their gates). Every other fault overlay lowers like
+  /// a fresh design: a stuck input gets inputLive = 0, a stuck gate a
+  /// constant truth table, a bit-flip the complemented one, and a delay
+  /// fault or backward bridge only changes the snapshot and fanout tables.
   CompiledDesign(const Netlist& nl, const DelayModel& delays,
                  const PowerModel& power);
 

@@ -24,14 +24,15 @@ constexpr std::uint64_t kScheduleStream = ~0ULL;
 
 /// Resolves the requested engine against the design's eligibility for the
 /// flat-table fast paths (compiled and batch share the same design-level
-/// eligibility). Auto never throws: an ineligible design falls back to the
-/// reference engine, and below one full lane group the batch engine's
-/// clustering cannot pay off, so Auto serves small budgets with the
-/// compiled scalar path. Forcing Compiled or Batch on an ineligible design
-/// throws; a forced Batch below the lane width runs a partial group.
+/// eligibility: an index-ordered netlist, which every fault overlay but a
+/// forward bridge keeps). Auto never throws: an ineligible design falls
+/// back to the reference engine, and below one full lane group the batch
+/// engine's clustering cannot pay off, so Auto serves small budgets with
+/// the compiled scalar path. Forcing Compiled or Batch on an ineligible
+/// design throws; a forced Batch below the lane width runs a partial group.
 SimEngine resolveEngine(SimEngine requested, const EventSim& sim,
                         const PowerModel& power, std::size_t traceCount) {
-  const bool eligible = !sim.netlist().hasFaultOverlay() &&
+  const bool eligible = sim.netlist().isIndexOrdered() &&
                         power.numGates() == sim.netlist().numGates() &&
                         sim.netlist().numGates() < (std::size_t(1) << 24);
   switch (requested) {
@@ -41,16 +42,16 @@ SimEngine resolveEngine(SimEngine requested, const EventSim& sim,
       if (!eligible) {
         throw std::invalid_argument(
             "acquisition: compiled engine requested but the design is "
-            "ineligible (fault overlay present or power model size "
-            "mismatch)");
+            "ineligible (a fanin rewired forward by a bridge overlay, or a "
+            "power model size mismatch)");
       }
       return SimEngine::Compiled;
     case SimEngine::Batch:
       if (!eligible) {
         throw std::invalid_argument(
             "acquisition: batch engine requested but the design is "
-            "ineligible (fault overlay present or power model size "
-            "mismatch)");
+            "ineligible (a fanin rewired forward by a bridge overlay, or a "
+            "power model size mismatch)");
       }
       return SimEngine::Batch;
     case SimEngine::Auto:
@@ -247,136 +248,179 @@ std::vector<std::uint8_t> balancedClassSchedule(std::uint32_t tracesPerClass,
   return schedule;
 }
 
+TraceStimulus classStimulus(const MaskedSbox& sbox, std::uint64_t seed,
+                            std::uint8_t initialValue, std::uint8_t cls,
+                            std::size_t i) {
+  // All randomness of trace i — masks, gadget bits, noise seed — comes
+  // from this stream and hence depends only on (seed, i).
+  Prng rng(deriveStreamSeed(seed, i));
+  TraceStimulus s;
+  s.init = sbox.encode(initialValue, rng);
+  s.fin = sbox.encode(cls, rng);
+  s.noiseSeed = rng.next() | 1ULL;
+  s.label = cls;
+  s.expected = kPresentSbox[cls];
+  return s;
+}
+
+std::vector<TraceStimulus> runLaneGroup(BatchSim& sim,
+                                        const StimulusFn& stimulus,
+                                        std::size_t base, std::size_t lanes) {
+  std::vector<TraceStimulus> group;
+  group.reserve(lanes);
+  std::vector<std::vector<std::uint8_t>> inits(lanes), fins(lanes);
+  std::vector<std::uint64_t> seeds(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    group.push_back(stimulus(base + l));
+    inits[l] = group[l].init;
+    fins[l] = group[l].fin;
+    seeds[l] = group[l].noiseSeed;
+  }
+  sim.settle(inits);
+  sim.runFused(fins, seeds);
+  return group;
+}
+
 namespace {
 
-/// Collects schedule slice [begin, end): the shared engine-dispatch body of
-/// acquire() (the full range) and acquireRange() (a checkpoint group).
-/// Every per-trace stream is derived from the trace's *global* index, so
-/// slicing is invisible in the result bits.
+/// One acquisition protocol: how trace i is stimulated, and how its traces
+/// are named in failures, spans, the journal and progress.
+struct Protocol {
+  StimulusFn stimulus;
+  const char* noun;       ///< "<noun> trace i" in failure descriptions
+  const char* labelName;  ///< what the trace label is ("class", ...)
+  const char* spanLabel;  ///< span / journal / progress label
+};
+
+/// The functional sanity check every engine runs on every trace: the
+/// netlist must produce the unmasked value the stimulus expects.
+void checkDecode(const MaskedSbox& sbox,
+                 const std::vector<std::uint8_t>& outputs,
+                 const TraceStimulus& s, std::size_t i) {
+  if (sbox.decode(outputs, s.fin) != s.expected) {
+    throw std::logic_error("acquisition: decode mismatch at trace " +
+                           std::to_string(i));
+  }
+}
+
+/// Collects traces [begin, end) of `protocol`: the one engine-dispatch body
+/// behind acquire() (the full schedule), acquireRange() (a checkpoint
+/// group) and acquireKeyed(). Every engine runs the same per-trace
+/// protocol — stimulus of the trace's *global* index, settle, run, decode
+/// check — so the TraceSet is bit-identical across engines, and slicing is
+/// invisible in the result bits.
 TraceSet acquireSlice(const MaskedSbox& sbox, EventSim& sim,
-                      const PowerModel& power, const AcquisitionConfig& cfg,
-                      const std::vector<std::uint8_t>& schedule,
-                      std::size_t begin, std::size_t end) {
+                      const PowerModel& power, const Protocol& protocol,
+                      std::size_t begin, std::size_t end,
+                      SimEngine requested, TimeQuantization quantization,
+                      std::uint32_t numThreads,
+                      const obs::ProgressFn& progress,
+                      obs::Profiler* profiler) {
   const std::size_t n = end - begin;
+  const std::string style(sbox.name());
   const auto describe = [&](std::size_t j) {
     const std::size_t i = begin + j;
-    return "acquire trace " + std::to_string(i) + " (class " +
-           std::to_string(static_cast<int>(schedule[i])) + ", style " +
-           std::string(sbox.name()) + ")";
+    return std::string(protocol.noun) + " trace " + std::to_string(i) +
+           " (" + protocol.labelName + " " +
+           std::to_string(static_cast<int>(protocol.stimulus(i).label)) +
+           ", style " + style + ")";
   };
-  const std::uint32_t threads = resolveWorkerThreads(cfg.numThreads, n);
-  const SimEngine engine = resolveEngine(cfg.engine, sim, power, n);
-  const TimeQuantization quantization =
-      resolveQuantization(cfg.engine, cfg.timeQuantization);
+  const std::uint32_t threads = resolveWorkerThreads(numThreads, n);
+  const SimEngine engine = resolveEngine(requested, sim, power, n);
+  const TimeQuantization quant = resolveQuantization(requested, quantization);
 
   if (engine == SimEngine::Batch) {
     // Bit-parallel path: lane l of group g is trace begin + 64*g + l, and
-    // each lane draws its masks and noise seed from the trace's own stream
-    // — the per-trace protocol is the reference body's verbatim, so the
-    // TraceSet is bit-identical to the scalar engines' regardless of how
-    // traces fall into groups. Under the quantized-grid opt-in (only ever
-    // reached with a forced Batch engine) the per-lane stream derivation
-    // is unchanged, so the quantized result stays deterministic in seed,
-    // thread-count invariant and slice-concatenation safe — just not
-    // bit-identical to the exact engines.
+    // each lane runs its trace's own stimulus, so the TraceSet is
+    // bit-identical to the scalar engines' regardless of how traces fall
+    // into groups. Under the quantized-grid opt-in (only ever reached with
+    // a forced Batch engine) the stimuli are unchanged, so the quantized
+    // result stays deterministic in seed, thread-count invariant and
+    // slice-concatenation safe — just not bit-identical to the exact
+    // engines.
     const CompiledDesign design(sim.netlist(), sim.delayModel(), power);
     SimOptions bopts = sim.options();
-    bopts.timeQuantization = quantization;
+    bopts.timeQuantization = quant;
     BatchSim bsim(design, bopts);
     bsim.attachMetrics(sim.metricsRegistry());
-    bsim.attachProfiler(cfg.profiler);
+    bsim.attachProfiler(profiler);
     const auto describeGroup = [&](std::size_t g) {
       const std::size_t base = begin + g * BatchSim::kLanes;
-      return "acquire traces [" + std::to_string(base) + ", " +
+      return std::string(protocol.noun) + " traces [" +
+             std::to_string(base) + ", " +
              std::to_string(std::min<std::size_t>(base + BatchSim::kLanes,
                                                   end)) +
-             ") (style " + std::string(sbox.name()) + ", batch engine)";
+             ") (style " + style + ", batch engine)";
     };
     const auto body = [&](BatchSim& worker, std::size_t g, TraceSet& out) {
       const std::size_t base = begin + g * BatchSim::kLanes;
       const std::size_t lanes =
           std::min<std::size_t>(BatchSim::kLanes, end - base);
-      std::vector<std::vector<std::uint8_t>> inits(lanes), fins(lanes);
-      std::vector<std::uint64_t> seeds(lanes);
+      const std::vector<TraceStimulus> group =
+          runLaneGroup(worker, protocol.stimulus, base, lanes);
       for (std::size_t l = 0; l < lanes; ++l) {
-        Prng rng(deriveStreamSeed(cfg.seed, base + l));
-        inits[l] = sbox.encode(cfg.initialValue, rng);
-        fins[l] = sbox.encode(schedule[base + l], rng);
-        seeds[l] = rng.next() | 1ULL;
-      }
-      worker.settle(inits);
-      worker.runFused(fins, seeds);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const std::uint8_t cls = schedule[base + l];
         const std::uint32_t lane = static_cast<std::uint32_t>(l);
-        const std::uint8_t decoded =
-            sbox.decode(worker.outputValues(lane), fins[l]);
-        if (decoded != kPresentSbox[cls]) {
-          throw std::logic_error("acquisition: decode mismatch at trace " +
-                                 std::to_string(base + l));
-        }
+        checkDecode(sbox, worker.outputValues(lane), group[l], base + l);
         const double* trace = worker.laneTrace(lane);
-        out.add(cls, std::vector<double>(trace, trace + design.numSamples));
+        out.add(group[l].label,
+                std::vector<double>(trace, trace + design.numSamples));
       }
     };
     return shardedBatchAcquire(bsim, power.options().numSamples, n,
-                               cfg.numThreads, body, describeGroup,
-                               cfg.progress, "acquire");
+                               numThreads, body, describeGroup, progress,
+                               protocol.spanLabel);
   }
 
   if (engine == SimEngine::Compiled) {
-    // Fast path: fused deposition, no Transition list materialized. The
-    // per-trace protocol — stream derivation, encode order, the decode
-    // sanity check, the noise-seed draw — is the reference body's verbatim;
+    // Fast path: fused deposition, no Transition list materialized;
     // runFused(fin, s) == power.sample(run(fin), s) bit-for-bit.
     const CompiledDesign design(sim.netlist(), sim.delayModel(), power);
     CompiledSim csim(design, sim.options());
     csim.attachMetrics(sim.metricsRegistry());
-    csim.attachProfiler(cfg.profiler);
+    csim.attachProfiler(profiler);
     const auto body = [&](CompiledSim& worker, std::size_t j, TraceSet& out) {
       const std::size_t i = begin + j;
-      const std::uint8_t cls = schedule[i];
-      Prng rng(deriveStreamSeed(cfg.seed, i));
-      const std::vector<std::uint8_t> init =
-          sbox.encode(cfg.initialValue, rng);
-      worker.settle(init);
-      const std::vector<std::uint8_t> fin = sbox.encode(cls, rng);
-      const std::uint64_t noiseSeed = rng.next() | 1ULL;
-      const std::vector<double>& trace = worker.runFused(fin, noiseSeed);
-      const std::uint8_t decoded = sbox.decode(worker.outputValues(), fin);
-      if (decoded != kPresentSbox[cls]) {
-        throw std::logic_error("acquisition: decode mismatch");
-      }
-      out.add(cls, trace);
+      const TraceStimulus s = protocol.stimulus(i);
+      worker.settle(s.init);
+      const std::vector<double>& trace = worker.runFused(s.fin, s.noiseSeed);
+      checkDecode(sbox, worker.outputValues(), s, i);
+      out.add(s.label, trace);
     };
     return shardedAcquire(csim, power.options().numSamples, n, threads, body,
-                          describe, cfg.progress, "acquire");
+                          describe, progress, protocol.spanLabel);
   }
 
   // Reference path: workers clone `sim`, so attaching here propagates to
   // every worker. Only attach when requested — a null re-attach would
   // clobber an attachment the caller installed on the prototype.
-  if (cfg.profiler != nullptr) sim.attachProfiler(cfg.profiler);
+  if (profiler != nullptr) sim.attachProfiler(profiler);
   const auto body = [&](EventSim& worker, std::size_t j, TraceSet& out) {
     const std::size_t i = begin + j;
-    const std::uint8_t cls = schedule[i];
-    // All randomness of trace i — masks, gadget bits, noise seed — comes
-    // from this stream and hence depends only on (cfg.seed, i).
-    Prng rng(deriveStreamSeed(cfg.seed, i));
-    const std::vector<std::uint8_t> init = sbox.encode(cfg.initialValue, rng);
-    worker.settle(init);
-    const std::vector<std::uint8_t> fin = sbox.encode(cls, rng);
-    const std::vector<Transition> transitions = worker.run(fin);
-    // Functional sanity: the netlist must produce the right unmasked value.
-    const std::uint8_t decoded = sbox.decode(worker.outputValues(), fin);
-    if (decoded != kPresentSbox[cls]) {
-      throw std::logic_error("acquisition: decode mismatch");
-    }
-    out.add(cls, power.sample(transitions, rng.next() | 1ULL));
+    const TraceStimulus s = protocol.stimulus(i);
+    worker.settle(s.init);
+    const std::vector<Transition> transitions = worker.run(s.fin);
+    checkDecode(sbox, worker.outputValues(), s, i);
+    out.add(s.label, power.sample(transitions, s.noiseSeed));
   };
-
   return shardedAcquire(sim, power.options().numSamples, n, threads, body,
-                        describe, cfg.progress, "acquire");
+                        describe, progress, protocol.spanLabel);
+}
+
+/// Slice [begin, end) of the fixed-class protocol acquire() runs for `cfg`.
+TraceSet acquireClassSlice(const MaskedSbox& sbox, EventSim& sim,
+                           const PowerModel& power,
+                           const AcquisitionConfig& cfg,
+                           const std::vector<std::uint8_t>& schedule,
+                           std::size_t begin, std::size_t end) {
+  const Protocol protocol{[&](std::size_t i) {
+                            return classStimulus(sbox, cfg.seed,
+                                                 cfg.initialValue,
+                                                 schedule[i], i);
+                          },
+                          "acquire", "class", "acquire"};
+  return acquireSlice(sbox, sim, power, protocol, begin, end, cfg.engine,
+                      cfg.timeQuantization, cfg.numThreads, cfg.progress,
+                      cfg.profiler);
 }
 
 }  // namespace
@@ -388,7 +432,8 @@ TraceSet acquire(const MaskedSbox& sbox, EventSim& sim,
   }
   const std::vector<std::uint8_t> schedule =
       balancedClassSchedule(cfg.tracesPerClass, cfg.seed);
-  return acquireSlice(sbox, sim, power, cfg, schedule, 0, schedule.size());
+  return acquireClassSlice(sbox, sim, power, cfg, schedule, 0,
+                           schedule.size());
 }
 
 TraceSet acquireRange(const MaskedSbox& sbox, EventSim& sim,
@@ -408,7 +453,7 @@ TraceSet acquireRange(const MaskedSbox& sbox, EventSim& sim,
         " traces");
   }
   if (begin == end) return TraceSet(power.options().numSamples);
-  return acquireSlice(sbox, sim, power, cfg, schedule, begin, end);
+  return acquireClassSlice(sbox, sim, power, cfg, schedule, begin, end);
 }
 
 TraceSet acquireKeyed(const MaskedSbox& sbox, EventSim& sim,
@@ -416,93 +461,23 @@ TraceSet acquireKeyed(const MaskedSbox& sbox, EventSim& sim,
                       std::uint32_t numTraces, std::uint64_t seed,
                       std::uint32_t numThreads, SimEngine engine,
                       TimeQuantization quantization) {
-  const auto describe = [&](std::size_t i) {
-    // The plaintext is the first draw of the trace's stream; re-derive it
-    // so the error names the stimulus, not just the index.
-    const std::uint8_t plain = Prng(deriveStreamSeed(seed, i)).nibble();
-    return "keyed trace " + std::to_string(i) + " (plaintext " +
-           std::to_string(static_cast<int>(plain)) + ", style " +
-           std::string(sbox.name()) + ")";
-  };
-  const std::uint32_t threads = resolveWorkerThreads(numThreads, numTraces);
-  const SimEngine resolved = resolveEngine(engine, sim, power, numTraces);
-  const TimeQuantization resolvedQuant =
-      resolveQuantization(engine, quantization);
-
-  if (resolved == SimEngine::Batch) {
-    const CompiledDesign design(sim.netlist(), sim.delayModel(), power);
-    SimOptions bopts = sim.options();
-    bopts.timeQuantization = resolvedQuant;
-    BatchSim bsim(design, bopts);
-    bsim.attachMetrics(sim.metricsRegistry());
-    const auto describeGroup = [&](std::size_t g) {
-      const std::size_t base = g * BatchSim::kLanes;
-      return "keyed traces [" + std::to_string(base) + ", " +
-             std::to_string(std::min<std::size_t>(base + BatchSim::kLanes,
-                                                  numTraces)) +
-             ") (style " + std::string(sbox.name()) + ", batch engine)";
-    };
-    const auto body = [&](BatchSim& worker, std::size_t g, TraceSet& out) {
-      const std::size_t base = g * BatchSim::kLanes;
-      const std::size_t lanes =
-          std::min<std::size_t>(BatchSim::kLanes, numTraces - base);
-      std::vector<std::vector<std::uint8_t>> inits(lanes), fins(lanes);
-      std::vector<std::uint64_t> seeds(lanes);
-      std::vector<std::uint8_t> plains(lanes);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        Prng rng(deriveStreamSeed(seed, base + l));
-        plains[l] = rng.nibble();
-        inits[l] = sbox.encode(0, rng);
-        fins[l] = sbox.encode(static_cast<std::uint8_t>(plains[l] ^ key),
-                              rng);
-        seeds[l] = rng.next() | 1ULL;
-      }
-      worker.settle(inits);
-      worker.runFused(fins, seeds);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const double* trace =
-            worker.laneTrace(static_cast<std::uint32_t>(l));
-        out.add(plains[l],
-                std::vector<double>(trace, trace + design.numSamples));
-      }
-    };
-    return shardedBatchAcquire(bsim, power.options().numSamples, numTraces,
-                               numThreads, body, describeGroup,
-                               obs::ProgressFn(), "acquire-keyed");
-  }
-
-  if (resolved == SimEngine::Compiled) {
-    const CompiledDesign design(sim.netlist(), sim.delayModel(), power);
-    CompiledSim csim(design, sim.options());
-    csim.attachMetrics(sim.metricsRegistry());
-    const auto body = [&](CompiledSim& worker, std::size_t i, TraceSet& out) {
-      Prng rng(deriveStreamSeed(seed, i));
-      const std::uint8_t plain = rng.nibble();
-      const std::vector<std::uint8_t> init = sbox.encode(0, rng);
-      worker.settle(init);
-      const std::vector<std::uint8_t> fin =
-          sbox.encode(static_cast<std::uint8_t>(plain ^ key), rng);
-      out.add(plain, worker.runFused(fin, rng.next() | 1ULL));
-    };
-    return shardedAcquire(csim, power.options().numSamples, numTraces,
-                          threads, body, describe, obs::ProgressFn(),
-                          "acquire-keyed");
-  }
-
-  const auto body = [&](EventSim& worker, std::size_t i, TraceSet& out) {
-    Prng rng(deriveStreamSeed(seed, i));
-    const std::uint8_t plain = rng.nibble();
-    const std::vector<std::uint8_t> init = sbox.encode(0, rng);
-    worker.settle(init);
-    const std::vector<std::uint8_t> fin =
-        sbox.encode(static_cast<std::uint8_t>(plain ^ key), rng);
-    const std::vector<Transition> transitions = worker.run(fin);
-    out.add(plain, power.sample(transitions, rng.next() | 1ULL));
-  };
-
-  return shardedAcquire(sim, power.options().numSamples, numTraces,
-                        resolveWorkerThreads(numThreads, numTraces), body,
-                        describe, obs::ProgressFn(), "acquire-keyed");
+  // The plaintext is the first draw of the trace's stream, then the fixed
+  // protocol's draws with initial value 0 and final value plain ^ key.
+  const Protocol protocol{[&](std::size_t i) {
+                            Prng rng(deriveStreamSeed(seed, i));
+                            TraceStimulus s;
+                            s.label = rng.nibble();
+                            const std::uint8_t x =
+                                static_cast<std::uint8_t>(s.label ^ key);
+                            s.init = sbox.encode(0, rng);
+                            s.fin = sbox.encode(x, rng);
+                            s.noiseSeed = rng.next() | 1ULL;
+                            s.expected = kPresentSbox[x];
+                            return s;
+                          },
+                          "keyed", "plaintext", "acquire-keyed"};
+  return acquireSlice(sbox, sim, power, protocol, 0, numTraces, engine,
+                      quantization, numThreads, obs::ProgressFn(), nullptr);
 }
 
 }  // namespace lpa

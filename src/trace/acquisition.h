@@ -44,6 +44,8 @@
 // index wins, so the reported failure does not depend on thread timing.
 
 #include <cstdint>
+#include <functional>
+#include <vector>
 
 #include "obs/progress.h"
 #include "power/power_model.h"
@@ -53,17 +55,21 @@
 
 namespace lpa {
 
+class BatchSim;
+
 /// Which simulation engine serves an acquisition.
 ///
 /// `Auto` (the default) picks the fastest eligible engine. Eligibility is
-/// purely a property of the design — no fault overlay on the netlist and a
-/// power model built for it (acquisition never needs the recorded
-/// transition list; power deposition is fused into the commit step). On an
-/// eligible design, Auto serves the run with the bit-parallel batch engine
-/// (sim/batch_sim.h, 64 traces per gate operation) when the trace budget
-/// reaches one full lane group (BatchSim::kLanes), and with the compiled
-/// scalar fast path (sim/compiled_sim.h) below that; an ineligible design
-/// falls back to the reference EventSim — Auto never throws. All three
+/// purely a property of the design — an index-ordered netlist
+/// (Netlist::isIndexOrdered: every fault overlay keeps it except a bridge
+/// to a later net, which may close a loop) and a power model built for it
+/// (acquisition never needs the recorded transition list; power deposition
+/// is fused into the commit step). On an eligible design, Auto serves the
+/// run with the bit-parallel batch engine (sim/batch_sim.h, 64 traces per
+/// gate operation) when the trace budget reaches one full lane group
+/// (BatchSim::kLanes), and with the compiled scalar fast path
+/// (sim/compiled_sim.h) below that; an ineligible design falls back to
+/// the reference EventSim — Auto never throws. All three
 /// engines are bit-identical (same traces, same determinism digest, same
 /// per-trace event tallies; enforced by tests/test_compiled_sim.cpp,
 /// tests/test_batch_sim.cpp and the differential fuzzer), so `Auto` is
@@ -168,6 +174,39 @@ struct AcquisitionConfig {
 std::vector<std::uint8_t> balancedClassSchedule(std::uint32_t tracesPerClass,
                                                 std::uint64_t seed);
 
+/// Everything one trace consumes. Trace i draws it from its own stream
+/// Prng(deriveStreamSeed(seed, i)), so it depends only on (seed, i) and
+/// the protocol's parameters — never on the engine or the worker.
+struct TraceStimulus {
+  std::vector<std::uint8_t> init;  ///< encoding the circuit settles on
+  std::vector<std::uint8_t> fin;   ///< encoding applied at t = 0
+  std::uint64_t noiseSeed = 0;     ///< measurement-noise seed
+  std::uint8_t label = 0;          ///< TraceSet label: class or plaintext
+  std::uint8_t expected = 0;       ///< S-box output the decode must give
+};
+
+/// Maps a trace index to its stimulus.
+using StimulusFn = std::function<TraceStimulus(std::size_t)>;
+
+/// Trace `i` of acquire()'s fixed-class protocol under `seed`: settle on a
+/// random encoding of `initialValue`, then apply a random encoding of
+/// `cls`; labelled `cls`, expecting kPresentSbox[cls].
+TraceStimulus classStimulus(const MaskedSbox& sbox, std::uint64_t seed,
+                            std::uint8_t initialValue, std::uint8_t cls,
+                            std::size_t i);
+
+/// Simulates traces [base, base + lanes) as one BatchSim lane group (lane
+/// l is trace base + l; 1 <= lanes <= BatchSim::kLanes): settles every lane
+/// on its stimulus' `init`, then runs its `fin` with fused deposition and
+/// its noise seed. Lane l's outputs and trace are then read from `sim`
+/// (outputValues(l), laneTrace(l)); returns the lanes' stimuli. A lane
+/// tripping the watchdog propagates SimDiverged. This is acquire()'s
+/// batch-engine body, and the fault campaign runs eligible faults
+/// through it.
+std::vector<TraceStimulus> runLaneGroup(BatchSim& sim,
+                                        const StimulusFn& stimulus,
+                                        std::size_t base, std::size_t lanes);
+
 /// Collects a balanced, labelled trace set from `sbox` using the simulator
 /// and power model (both must be built for sbox.netlist()). `sim` is used
 /// as the prototype for per-worker clones (netlist, delay model, options,
@@ -191,7 +230,10 @@ TraceSet acquireRange(const MaskedSbox& sbox, EventSim& sim,
 /// Variant for attack studies (CPA): the final value is `plain ^ key` with
 /// uniformly random `plain`; the trace label is the *plaintext* nibble.
 /// Follows the same determinism contract: trace i depends only on
-/// (seed, i), so results are invariant in `numThreads` (0 = auto).
+/// (seed, i), so results are invariant in `numThreads` (0 = auto). Runs
+/// the same engine bodies as acquire(), decode check included: a netlist
+/// that does not compute kPresentSbox[plain ^ key] fails with a
+/// WorkerError.
 /// `quantization` follows the AcquisitionConfig::timeQuantization rules:
 /// honored only with an explicitly forced Batch engine, ignored by Auto,
 /// throws with a forced scalar engine.

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "fault/fault_spec.h"
+#include "fault_fixtures.h"
 #include "obs/metrics.h"
 #include "sim/compiled_sim.h"
 #include "trace/acquisition.h"
@@ -423,6 +424,56 @@ TEST(BatchSim, WatchdogDivergenceMatchesReferencePerLane) {
   EXPECT_EQ(lane, bat.divergedLane());
 }
 
+TEST(BatchSim, GroupAfterDivergenceMatchesAFreshInstance) {
+  // The fault campaign keeps one BatchSim per fault and runs the next lane
+  // group on it after a group tripped the watchdog: that group's traces
+  // and outputs must equal a fresh instance's.
+  const auto sbox = makeSbox(SboxStyle::Glut);
+  const DelayModel dm(sbox->netlist());
+  const PowerModel pm(sbox->netlist());
+  const CompiledDesign design(sbox->netlist(), dm, pm);
+  Prng rng(17);
+  const auto st = drawStimuli(*sbox, BatchSim::kLanes, rng);
+
+  // Budget at the median lane's event count: about half the lanes trip.
+  BatchSim probe(design, SimOptions{});
+  probe.settle(inits(st));
+  probe.run(fins(st));
+  std::vector<std::uint64_t> events;
+  for (std::uint32_t l = 0; l < BatchSim::kLanes; ++l) {
+    events.push_back(probe.laneStats(l).eventsProcessed);
+  }
+  std::vector<std::uint64_t> sorted = events;
+  std::sort(sorted.begin(), sorted.end());
+  SimOptions opts;
+  opts.maxEvents = sorted[sorted.size() / 2];
+  std::vector<LaneStimulus> quiet;
+  for (std::size_t l = 0; l < st.size(); ++l) {
+    if (events[l] <= opts.maxEvents) quiet.push_back(st[l]);
+  }
+  ASSERT_GT(quiet.size(), 1u);
+  ASSERT_LT(quiet.size(), st.size());
+
+  BatchSim reused(design, opts);
+  reused.settle(inits(st));
+  EXPECT_THROW(reused.runFused(fins(st), seeds(st)), SimDiverged);
+
+  BatchSim fresh(design, opts);
+  for (BatchSim* sim : {&reused, &fresh}) {
+    sim->settle(inits(quiet));
+    sim->runFused(fins(quiet), seeds(quiet));
+  }
+  for (std::uint32_t l = 0; l < quiet.size(); ++l) {
+    SCOPED_TRACE("lane " + std::to_string(l));
+    EXPECT_EQ(reused.outputValues(l), fresh.outputValues(l));
+    const std::vector<double> a(reused.laneTrace(l),
+                                reused.laneTrace(l) + design.numSamples);
+    const std::vector<double> b(fresh.laneTrace(l),
+                                fresh.laneTrace(l) + design.numSamples);
+    EXPECT_EQ(a, b);
+  }
+}
+
 TEST(BatchSim, RejectsBadLaneConfigurations) {
   const auto sbox = makeSbox(SboxStyle::Lut);
   const DelayModel dm(sbox->netlist());
@@ -445,6 +496,25 @@ TEST(BatchSim, RejectsBadLaneConfigurations) {
   const auto two = drawStimuli(*sbox, 2, rng);
   EXPECT_THROW(bat.run(fins(two)), std::invalid_argument);
   EXPECT_THROW(bat.runFused(fins(st), {1, 2}), std::invalid_argument);
+}
+
+TEST(BatchSim, EvaluateOutputsMatchesNetlistPerLane) {
+  for (SboxStyle style : allSboxStyles()) {
+    const auto sbox = makeSbox(style);
+    const DelayModel dm(sbox->netlist());
+    const PowerModel pm(sbox->netlist());
+    const CompiledDesign design(sbox->netlist(), dm, pm);
+    Prng rng(21);
+    for (std::size_t lanes : {std::size_t(1), std::size_t(64)}) {
+      const auto st = drawStimuli(*sbox, lanes, rng);
+      const auto got = BatchSim::evaluateOutputs(design, fins(st));
+      ASSERT_EQ(got.size(), lanes);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        EXPECT_EQ(got[l], sbox->netlist().evaluateOutputs(st[l].fin))
+            << sbox->name() << " lane " << l;
+      }
+    }
+  }
 }
 
 TEST(BatchAcquire, AutoPicksBatchAtLaneWidthAndCompiledBelow) {
@@ -521,9 +591,9 @@ TEST(BatchAcquire, KeyedAcquisitionEnginesAgree) {
 TEST(BatchAcquire, FaultedDesignFallsBackAndForcedBatchThrows) {
   const auto sbox = makeSbox(SboxStyle::Lut);
   const DelayModel dm(sbox->netlist());
-  const NetId victim = sbox->netlist().inputs().back();
-  const FaultedDesign faulted =
-      FaultInjector(sbox->netlist(), dm).apply({FaultKind::StuckAt0, victim});
+  const FaultedDesign faulted = FaultInjector(sbox->netlist(), dm)
+                                    .apply(fixtures::acyclicForwardBridge(
+                                        sbox->netlist()));
   const PowerModel pm(faulted.netlist);
   EventSim sim(faulted.netlist, dm);
 
@@ -531,7 +601,7 @@ TEST(BatchAcquire, FaultedDesignFallsBackAndForcedBatchThrows) {
   cfg.tracesPerClass = 4;  // 64 traces: Auto would pick Batch if eligible
   cfg.numThreads = 1;
 
-  // Regression: Auto must *fall back* on the overlaid netlist, never
+  // Regression: Auto must *fall back* on a forward-bridged netlist, never
   // throw — it reproduces the reference outcome exactly (a trace set, or
   // a decode-mismatch worker error for a logic-corrupting fault).
   const auto outcome = [&](SimEngine engine) {
@@ -547,7 +617,7 @@ TEST(BatchAcquire, FaultedDesignFallsBackAndForcedBatchThrows) {
   EXPECT_EQ(ref.first, aut.first);
   expectIdenticalTraceSets(ref.second, aut.second);
 
-  // Forcing the batch engine on an overlaid netlist is an immediate
+  // Forcing the batch engine on a forward bridge is an immediate
   // configuration error, before any worker runs.
   cfg.engine = SimEngine::Batch;
   EXPECT_THROW(acquire(*sbox, sim, pm, cfg), std::invalid_argument);

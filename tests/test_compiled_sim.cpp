@@ -4,9 +4,9 @@
 // reference EventSim on the same design: same transitions, same settled
 // states, same fused traces, same instrumentation tallies, same divergence
 // behaviour. These tests pin the contract down across every implementation
-// style, both delay kinds, fresh and aged devices, and the acquisition
-// engine-selection logic (Auto fallback for faulted designs, forced-engine
-// errors, thread invariance).
+// style, both delay kinds, fresh and aged devices, fault overlays that keep
+// index order, and the acquisition engine-selection logic (Auto fallback
+// for forward bridges, forced-engine errors, thread invariance).
 
 #include "sim/compiled_sim.h"
 
@@ -17,8 +17,11 @@
 
 #include "core/experiment.h"
 #include "fault/fault_spec.h"
+#include "fault_fixtures.h"
+#include "obs/metrics.h"
 #include "trace/acquisition.h"
 #include "trace/prng.h"
+#include "trace/sharded_pool.h"
 
 namespace lpa {
 namespace {
@@ -266,14 +269,23 @@ TEST(CompiledSim, RejectsWrongInputCountLikeReference) {
   EXPECT_THROW(cmp.runFused({1, 0}, 1), std::invalid_argument);
 }
 
-TEST(CompiledDesign, RejectsFaultOverlayAndSizeMismatch) {
+TEST(CompiledDesign, RejectsForwardBridgeAndSizeMismatch) {
   const auto sbox = makeSbox(SboxStyle::Lut);
   const DelayModel dm(sbox->netlist());
   const PowerModel pm(sbox->netlist());
-  const NetId victim = sbox->netlist().inputs().front();
-  const FaultedDesign faulted = FaultInjector(sbox->netlist(), dm)
-                                    .apply({FaultKind::StuckAt1, victim});
-  EXPECT_THROW(CompiledDesign(faulted.netlist, dm, pm),
+  const FaultInjector injector(sbox->netlist(), dm);
+
+  // Overlays that keep index order lower like a fresh design; a bridge to
+  // a later net does not keep it and is refused.
+  for (const FaultSpec& f : fixtures::indexOrderedFaults(sbox->netlist())) {
+    const FaultedDesign faulted = injector.apply(f);
+    EXPECT_NO_THROW(CompiledDesign(faulted.netlist, faulted.delays, pm))
+        << describeFault(f, sbox->netlist());
+  }
+  const FaultedDesign bridged =
+      injector.apply(fixtures::acyclicForwardBridge(sbox->netlist()));
+  EXPECT_FALSE(bridged.netlist.isIndexOrdered());
+  EXPECT_THROW(CompiledDesign(bridged.netlist, dm, pm),
                std::invalid_argument);
 
   // Size mismatch: models built for a different netlist.
@@ -321,9 +333,9 @@ TEST(AcquireEngine, KeyedAcquisitionEnginesAgree) {
 TEST(AcquireEngine, FaultedDesignFallsBackAndForcedCompiledThrows) {
   const auto sbox = makeSbox(SboxStyle::Lut);
   const DelayModel dm(sbox->netlist());
-  const NetId victim = sbox->netlist().inputs().back();
-  const FaultedDesign faulted =
-      FaultInjector(sbox->netlist(), dm).apply({FaultKind::StuckAt0, victim});
+  const FaultedDesign faulted = FaultInjector(sbox->netlist(), dm)
+                                    .apply(fixtures::acyclicForwardBridge(
+                                        sbox->netlist()));
   const PowerModel pm(faulted.netlist);
   EventSim sim(faulted.netlist, dm);
 
@@ -331,9 +343,9 @@ TEST(AcquireEngine, FaultedDesignFallsBackAndForcedCompiledThrows) {
   cfg.tracesPerClass = 1;
   cfg.numThreads = 1;
 
-  // Auto must serve the faulted design with the reference engine: whatever
-  // the reference produces — a trace set, or a decode-mismatch worker
-  // error for a logic-corrupting fault — Auto reproduces it exactly.
+  // Auto must serve the forward-bridged design with the reference engine:
+  // whatever the reference produces — a trace set, or a decode-mismatch
+  // worker error for a logic-corrupting fault — Auto reproduces it exactly.
   const auto outcome = [&](SimEngine engine) {
     cfg.engine = engine;
     try {
@@ -347,10 +359,150 @@ TEST(AcquireEngine, FaultedDesignFallsBackAndForcedCompiledThrows) {
   EXPECT_EQ(ref.first, aut.first);
   expectIdenticalTraceSets(ref.second, aut.second);
 
-  // Forcing the compiled engine on an overlaid netlist is an immediate
+  // Forcing the compiled engine on a forward bridge is an immediate
   // configuration error, before any worker runs.
   cfg.engine = SimEngine::Compiled;
   EXPECT_THROW(acquire(*sbox, sim, pm, cfg), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Fault overlays on the fast engines: every overlay that keeps index order
+// runs on all three engines with bit-identical traces and tallies.
+
+/// Engine-summed event tallies of one acquisition, read from a private
+/// registry under the serving engine's counter prefix.
+struct EngineTallies {
+  std::uint64_t runs, events, committed, cancelled, filtered;
+  bool operator==(const EngineTallies&) const = default;
+};
+
+EngineTallies talliesOf(const obs::MetricsRegistry& reg,
+                        const std::string& prefix) {
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  return {snap.counterOr(prefix + "runs", 0),
+          snap.counterOr(prefix + "events_processed", 0),
+          snap.counterOr(prefix + "transitions_committed", 0),
+          snap.counterOr(prefix + "events_cancelled", 0),
+          snap.counterOr(prefix + "glitches_inertial_filtered", 0)};
+}
+
+const char* prefixOf(SimEngine engine) {
+  switch (engine) {
+    case SimEngine::Compiled:
+      return "sim.compiled.";
+    case SimEngine::Batch:
+      return "sim.batch.";
+    default:
+      return "sim.";
+  }
+}
+
+TEST(FaultOverlayEngines, IndexOrderedOverlaysBitIdenticalOnEveryEngine) {
+  for (SboxStyle style : {SboxStyle::Glut, SboxStyle::RsmRom, SboxStyle::Ti}) {
+    // Decodes the fault-free outputs, so the faulted acquisitions complete.
+    const fixtures::FaultFreeDecodeSbox sbox(makeSbox(style));
+    const DelayModel dm(sbox.netlist());
+    const PowerModel pm(sbox.netlist());
+    for (const FaultSpec& f : fixtures::indexOrderedFaults(sbox.netlist())) {
+      const FaultedDesign design =
+          FaultInjector(sbox.netlist(), dm).apply(f);
+      ASSERT_TRUE(design.netlist.isIndexOrdered());
+      for (DelayKind kind : {DelayKind::Transport, DelayKind::Inertial}) {
+        const std::string what = std::string(sbox.name()) + ", " +
+                                 describeFault(f, sbox.netlist()) +
+                                 (kind == DelayKind::Transport
+                                      ? ", transport"
+                                      : ", inertial");
+        const auto run = [&](SimEngine engine, EngineTallies& tallies) {
+          obs::MetricsRegistry reg;
+          SimOptions opts;
+          opts.kind = kind;
+          EventSim sim(design.netlist, design.delays, opts);
+          sim.attachMetrics(&reg);
+          AcquisitionConfig cfg;
+          cfg.tracesPerClass = 4;  // one full lane group
+          cfg.numThreads = 2;
+          cfg.engine = engine;
+          TraceSet traces = acquire(sbox, sim, pm, cfg);
+          tallies = talliesOf(reg, prefixOf(engine));
+          return traces;
+        };
+        EngineTallies ref{}, cmp{}, bat{};
+        const TraceSet refTraces = run(SimEngine::Reference, ref);
+        ASSERT_EQ(ref.runs, 64u) << what;
+        SCOPED_TRACE(what);
+        expectIdenticalTraceSets(refTraces, run(SimEngine::Compiled, cmp));
+        expectIdenticalTraceSets(refTraces, run(SimEngine::Batch, bat));
+        EXPECT_TRUE(ref == cmp) << "compiled tallies";
+        EXPECT_TRUE(ref == bat) << "batch tallies";
+      }
+    }
+  }
+}
+
+TEST(FaultOverlayEngines, ForwardBridgeRefusedByFastEnginesServedByReference) {
+  const fixtures::FaultFreeDecodeSbox sbox(makeSbox(SboxStyle::Glut));
+  const DelayModel dm(sbox.netlist());
+  const PowerModel pm(sbox.netlist());
+  const FaultedDesign design = FaultInjector(sbox.netlist(), dm)
+                                   .apply(fixtures::acyclicForwardBridge(
+                                       sbox.netlist()));
+  ASSERT_FALSE(design.netlist.isIndexOrdered());
+  EXPECT_THROW(CompiledDesign(design.netlist, design.delays, pm),
+               std::invalid_argument);
+
+  AcquisitionConfig cfg;
+  cfg.tracesPerClass = 4;  // Auto would pick Batch on an eligible design
+  cfg.numThreads = 2;
+  for (SimEngine forced : {SimEngine::Compiled, SimEngine::Batch}) {
+    EventSim sim(design.netlist, design.delays);
+    cfg.engine = forced;
+    EXPECT_THROW(acquire(sbox, sim, pm, cfg), std::invalid_argument);
+  }
+
+  const auto run = [&](SimEngine engine, obs::MetricsRegistry& reg) {
+    EventSim sim(design.netlist, design.delays);
+    sim.attachMetrics(&reg);
+    cfg.engine = engine;
+    return acquire(sbox, sim, pm, cfg);
+  };
+  obs::MetricsRegistry refReg, autoReg;
+  const TraceSet ref = run(SimEngine::Reference, refReg);
+  expectIdenticalTraceSets(ref, run(SimEngine::Auto, autoReg));
+  EXPECT_EQ(talliesOf(autoReg, "sim.").runs, 64u);
+  EXPECT_EQ(talliesOf(autoReg, "sim.compiled.").runs, 0u);
+  EXPECT_EQ(talliesOf(autoReg, "sim.batch.").runs, 0u);
+  EXPECT_TRUE(talliesOf(refReg, "sim.") == talliesOf(autoReg, "sim."));
+}
+
+TEST(FaultOverlayEngines, KeyedAcquisitionChecksTheDecodeOnEveryEngine) {
+  // A stuck input corrupts half of the S-box inputs, so some trace of a
+  // 64-trace keyed run decodes wrong on every engine.
+  const auto sbox = makeSbox(SboxStyle::Lut);
+  const DelayModel dm(sbox->netlist());
+  const PowerModel pm(sbox->netlist());
+  const FaultedDesign design = FaultInjector(sbox->netlist(), dm)
+                                   .apply({FaultKind::StuckAt1,
+                                           sbox->netlist().inputs().front()});
+  for (SimEngine engine :
+       {SimEngine::Reference, SimEngine::Compiled, SimEngine::Batch}) {
+    EventSim sim(design.netlist, design.delays);
+    try {
+      (void)acquireKeyed(*sbox, sim, pm, /*key=*/0x3, 64, /*seed=*/5,
+                         /*numThreads=*/2, engine);
+      ADD_FAILURE() << "keyed run on a corrupting fault must throw, engine "
+                    << prefixOf(engine);
+    } catch (const WorkerError& e) {
+      bool sawDecode = false;
+      try {
+        std::rethrow_if_nested(e);
+      } catch (const std::exception& nested) {
+        sawDecode = std::string(nested.what()).find("decode mismatch") !=
+                    std::string::npos;
+      }
+      EXPECT_TRUE(sawDecode) << e.what();
+    }
+  }
 }
 
 }  // namespace

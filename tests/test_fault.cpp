@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
+#include "core/experiment.h"
 #include "crypto/present.h"
+#include "fault_fixtures.h"
 #include "netlist/builder.h"
 #include "netlist/validate.h"
 #include "sboxes/encoding.h"
@@ -377,6 +380,208 @@ TEST(FaultCampaign, OscillatingFaultIsClassifiedDivergedAndTerminates) {
   EXPECT_EQ(rep.counts.diverged, 8u * cfg.tracesPerClass);
   EXPECT_EQ(rep.counts.total(), 16u * cfg.tracesPerClass);
   EXPECT_GT(rep.maxWatchdogEvents, cfg.maxEventsPerRun);
+}
+
+// ---------------------------------------------------------------------------
+// Campaign vs a per-trace reference oracle. The campaign runs index-ordered
+// faults on the batch engine and falls back to EventSim for forward
+// bridges and for lane groups with a watchdog trip; the oracle below is the
+// campaign protocol written out trace by trace on EventSim alone.
+
+struct OracleFault {
+  FaultTraceCounts counts;
+  std::uint64_t maxWatchdogEvents = 0;
+  TraceSet traces;
+  std::vector<std::uint64_t> eventsPerTrace;  ///< popped events, per trace
+};
+
+/// The campaign protocol on `design` under `seed`: trace i draws init,
+/// final encoding and noise seed from derive(seed, i), runs on EventSim
+/// under the campaign's watchdog budget, and is classified against the
+/// fault-free zero-delay outputs.
+OracleFault oracleRun(const MaskedSbox& sbox, const FaultedDesign& design,
+                      const PowerModel& power, const FaultCampaignConfig& cfg,
+                      std::uint64_t seed) {
+  SimOptions opts = cfg.sim;
+  if (opts.maxEvents == 0) opts.maxEvents = cfg.maxEventsPerRun;
+  EventSim sim(design.netlist, design.delays, opts);
+  const std::vector<std::uint8_t> schedule =
+      balancedClassSchedule(cfg.tracesPerClass, seed);
+  OracleFault o{{}, 0, TraceSet(power.options().numSamples), {}};
+  for (std::size_t i = 0; i < schedule.size(); ++i) {
+    Prng rng(deriveStreamSeed(seed, i));
+    const auto init = sbox.encode(cfg.initialValue, rng);
+    const auto fin = sbox.encode(schedule[i], rng);
+    const auto refOut = sbox.netlist().evaluateOutputs(fin);
+    const std::uint64_t before = sim.stats().eventsProcessed;
+    std::vector<Transition> transitions;
+    try {
+      sim.settle(init);
+      transitions = sim.run(fin);
+    } catch (const SimDiverged& d) {
+      ++o.counts.diverged;
+      o.maxWatchdogEvents = std::max(o.maxWatchdogEvents, d.eventsProcessed());
+      o.eventsPerTrace.push_back(sim.stats().eventsProcessed - before);
+      continue;
+    }
+    o.eventsPerTrace.push_back(sim.stats().eventsProcessed - before);
+    const auto out = sim.outputValues();
+    if (out == refOut) {
+      ++o.counts.maskedOut;
+    } else {
+      bool same = false;
+      try {
+        same = sbox.decode(out, fin) == sbox.decode(refOut, fin);
+      } catch (const std::exception&) {
+      }
+      ++(same ? o.counts.silentCorruption : o.counts.detectedByDecode);
+    }
+    o.traces.add(schedule[i], power.sample(transitions, rng.next() | 1ULL));
+  }
+  return o;
+}
+
+/// Fault j of a campaign: the protocol under derive(derive(seed, ~1), j).
+OracleFault oracleFault(const MaskedSbox& sbox, const DelayModel& dm,
+                        const PowerModel& power, const FaultSpec& spec,
+                        const FaultCampaignConfig& cfg, std::size_t j) {
+  return oracleRun(sbox, FaultInjector(sbox.netlist(), dm).apply(spec), power,
+                   cfg, deriveStreamSeed(deriveStreamSeed(cfg.seed, ~1ULL), j));
+}
+
+void expectCampaignMatchesOracle(const MaskedSbox& sbox, const DelayModel& dm,
+                                 const PowerModel& power,
+                                 const std::vector<FaultSpec>& faults,
+                                 FaultCampaignConfig cfg) {
+  cfg.keepFaultTraces = true;
+  cfg.analyzeLeakage = false;
+  std::vector<OracleFault> oracle;
+  for (std::size_t j = 0; j < faults.size(); ++j) {
+    oracle.push_back(oracleFault(sbox, dm, power, faults[j], cfg, j));
+  }
+  for (std::uint32_t threads : {1u, 4u}) {
+    cfg.numThreads = threads;
+    const FaultCampaignResult res =
+        runFaultCampaign(sbox, dm, power, faults, cfg);
+    ASSERT_EQ(res.reports.size(), faults.size());
+    for (std::size_t j = 0; j < faults.size(); ++j) {
+      const FaultReport& r = res.reports[j];
+      const OracleFault& o = oracle[j];
+      SCOPED_TRACE(r.description + ", " + std::to_string(threads) +
+                   " threads");
+      EXPECT_EQ(r.counts.maskedOut, o.counts.maskedOut);
+      EXPECT_EQ(r.counts.detectedByDecode, o.counts.detectedByDecode);
+      EXPECT_EQ(r.counts.silentCorruption, o.counts.silentCorruption);
+      EXPECT_EQ(r.counts.diverged, o.counts.diverged);
+      EXPECT_EQ(r.maxWatchdogEvents, o.maxWatchdogEvents);
+      EXPECT_TRUE(sameTraceSet(res.faultTraces[j], o.traces));
+    }
+  }
+}
+
+TEST(FaultCampaign, MatchesReferenceOracleForEveryFaultKind) {
+  const auto sbox = makeSbox(SboxStyle::Glut);
+  const DelayModel dm(sbox->netlist());
+  const PowerModel power(sbox->netlist());
+  // Every index-ordered kind runs on the batch engine; the forward bridge
+  // stays on EventSim.
+  std::vector<FaultSpec> faults = fixtures::indexOrderedFaults(sbox->netlist());
+  faults.push_back(fixtures::acyclicForwardBridge(sbox->netlist()));
+
+  FaultCampaignConfig cfg;
+  cfg.tracesPerClass = 5;  // 80 traces: one full and one partial lane group
+  cfg.sim = ExperimentConfig().sim;
+  expectCampaignMatchesOracle(*sbox, dm, power, faults, cfg);
+
+  // The ring bridge closes a loop: EventSim only, half its traces diverge.
+  const RingSbox ring;
+  const DelayModel ringDm(ring.netlist(), noJitter());
+  const PowerModel ringPower(ring.netlist());
+  FaultSpec bridge;
+  bridge.kind = FaultKind::Bridge;
+  bridge.net = ring.feed();
+  bridge.pin = 0;
+  bridge.bridgeTo = ring.fb();
+  cfg.maxEventsPerRun = 5000;
+  expectCampaignMatchesOracle(ring, ringDm, ringPower, {bridge}, cfg);
+}
+
+// A quiet design with a loud fault: x0 drives a 64-buffer chain through
+// AND(x0, en) with en = 0, so fault-free runs stay short; stuck-at-1 on en
+// (an index-ordered overlay) lets every x0 toggle ripple down the chain.
+// Outputs are buffered inputs plus the chain end; decode reads the inputs.
+class GatedChainSbox final : public MaskedSbox {
+ public:
+  GatedChainSbox() {
+    NetlistBuilder b;
+    std::vector<NetId> x;
+    for (int i = 0; i < 4; ++i) x.push_back(b.input("x" + std::to_string(i)));
+    en_ = b.const0();
+    NetId chain = b.andGate({x[0], en_});
+    for (int i = 0; i < 64; ++i) chain = b.buf(chain);
+    b.output(chain, "chain");
+    for (int i = 0; i < 4; ++i) {
+      b.output(b.buf(x[static_cast<std::size_t>(i)]),
+               "y" + std::to_string(i));
+    }
+    nl_ = b.take();
+  }
+  SboxStyle style() const override { return SboxStyle::Lut; }
+  int randomBits() const override { return 0; }
+  std::vector<std::uint8_t> encode(std::uint8_t plain,
+                                   Prng&) const override {
+    std::vector<std::uint8_t> bits;
+    appendNibbleBits(bits, plain);
+    return bits;
+  }
+  std::uint8_t decode(const std::vector<std::uint8_t>&,
+                      const std::vector<std::uint8_t>& inputs) const override {
+    return kPresentSbox[readNibbleBits(inputs, 0)];
+  }
+
+  NetId en() const { return en_; }
+
+ private:
+  NetId en_ = kInvalidNet;
+};
+
+TEST(FaultCampaign, WatchdogTripsInALaneGroupFallBackToReference) {
+  const GatedChainSbox sbox;
+  const DelayModel dm(sbox.netlist());
+  const PowerModel power(sbox.netlist());
+  FaultCampaignConfig cfg;
+  cfg.tracesPerClass = 5;  // 80 traces: one full and one partial lane group
+  cfg.sim = ExperimentConfig().sim;
+
+  // Fault 0 is loud (x0 toggles ripple down the chain) and eligible for
+  // the batch engine; fault 1 only slows an output buffer.
+  const std::vector<FaultSpec> faults = {
+      {FaultKind::StuckAt1, sbox.en(), 0.0, 0, kInvalidNet},
+      {FaultKind::DelayInflation, sbox.netlist().outputs().back(), 4.0, 0,
+       kInvalidNet}};
+  ASSERT_TRUE(
+      FaultInjector(sbox.netlist(), dm).apply(faults[0]).netlist
+          .isIndexOrdered());
+
+  // A budget above every fault-free run (the baseline acquisition runs
+  // under it too) and below the loud fault's chain runs.
+  const OracleFault baseline = oracleRun(
+      sbox, FaultedDesign{sbox.netlist(), dm}, power, cfg, cfg.seed);
+  const OracleFault loud = oracleFault(sbox, dm, power, faults[0], cfg, 0);
+  const std::uint64_t quietMax = *std::max_element(
+      baseline.eventsPerTrace.begin(), baseline.eventsPerTrace.end());
+  const std::uint64_t loudMax =
+      *std::max_element(loud.eventsPerTrace.begin(), loud.eventsPerTrace.end());
+  ASSERT_GT(loudMax, quietMax + 32);
+  cfg.maxEventsPerRun = quietMax + 16;
+
+  // Traces whose x0 toggles trip in every lane group; the rest of each
+  // group completes on the reference engine.
+  const OracleFault tripped = oracleFault(sbox, dm, power, faults[0], cfg, 0);
+  EXPECT_GT(tripped.counts.diverged, 0u);
+  EXPECT_LT(tripped.counts.diverged, 80u);
+  EXPECT_GT(tripped.maxWatchdogEvents, cfg.maxEventsPerRun);
+  expectCampaignMatchesOracle(sbox, dm, power, faults, cfg);
 }
 
 TEST(FaultCampaign, MaskWireHeuristicMatchesDeclaredRandomness) {
