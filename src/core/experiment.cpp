@@ -105,11 +105,16 @@ void SboxExperiment::attachProfiler(obs::Profiler* profiler) {
 
 stats::LeakageEstimate SboxExperiment::estimateAt(double months,
                                                   EstimatorMode mode) {
-  const TraceSet traces = acquireAt(months);
+  applyAge(months);
   stats::StreamingLeakage::Options opt;
   opt.mode = mode;
-  stats::StreamingLeakage stream(traces.numSamples(), opt);
-  stream.addTraceSet(traces);
+  stats::StreamingLeakage stream(power_.options().numSamples, opt);
+  // Traces arrive in index order, so folding them as they come is
+  // bit-identical to folding acquireAt()'s TraceSet; none is kept.
+  acquire(*sbox_, sim_, power_, cfg_.acquisition,
+          [&stream](std::uint8_t label, const double* samples) {
+            stream.addTrace(label, samples);
+          });
   return stream.estimate();
 }
 

@@ -93,6 +93,7 @@ class SboxExperiment {
 
   /// Acquire + streaming interval estimate in one step — the estimate's
   /// point values are bit-identical to analyzeAt(months, mode) aggregates.
+  /// Holds no traces: each one is folded as acquisition delivers it.
   stats::LeakageEstimate estimateAt(
       double months, EstimatorMode mode = EstimatorMode::Debiased);
 

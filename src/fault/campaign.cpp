@@ -265,9 +265,7 @@ FaultCampaignResult runFaultCampaign(const MaskedSbox& sbox,
         for (std::size_t l = 0; l < lanes; ++l) {
           const std::uint32_t lane = static_cast<std::uint32_t>(l);
           classify(bsim.outputValues(lane), refOuts[l], fins[l]);
-          const double* trace = bsim.laneTrace(lane);
-          traces.add(group[l].label,
-                     std::vector<double>(trace, trace + numSamples));
+          traces.add(group[l].label, bsim.laneTrace(lane));
         }
       }
     }

@@ -91,7 +91,8 @@ struct FaultCampaignConfig {
   /// Defaults to the calibrated acquisition seed so an empty-fault-list
   /// campaign reproduces AcquisitionConfig{} bit-identically.
   std::uint64_t seed = 0xCAFE0003ULL;
-  /// Worker threads, sharded across faults (0 = hardware concurrency).
+  /// Worker threads; each claims the next unstarted fault (0 = hardware
+  /// concurrency).
   std::uint32_t numThreads = 0;
   /// Simulator options for baseline and faulted runs; the watchdog budget
   /// below is applied on top when the options leave maxEvents at 0.
@@ -114,7 +115,8 @@ struct FaultCampaignConfig {
   /// baseline acquisition is not bounded — a partial campaign without a
   /// baseline would be useless). On expiry the campaign cancels
   /// cooperatively through the progress-abort path and returns the
-  /// completed prefix with `truncated` set instead of throwing; per-fault
+  /// completed prefix (faults are claimed in list order and every claimed
+  /// fault finishes) with `truncated` set instead of throwing; per-fault
   /// FaultReport::completed flags say which reports are real.
   std::uint64_t deadlineMs = 0;
 };

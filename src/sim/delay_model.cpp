@@ -35,7 +35,11 @@ double baseDelayPs(GateType t, int fanin) {
 DelayModel::DelayModel(const Netlist& nl, const DelayOptions& opts) {
   const std::vector<std::uint32_t>& fanout = nl.fanoutCounts();
   std::mt19937_64 rng(opts.deviceSeed);
-  std::normal_distribution<double> jitter(1.0, opts.jitterSigma);
+  // normal(1, 0) would return exactly 1.0 but violates the distribution's
+  // sigma > 0 precondition, so a jitter-free model skips the draw.
+  const bool jittered = opts.jitterSigma > 0.0;
+  std::normal_distribution<double> jitter(1.0,
+                                          jittered ? opts.jitterSigma : 1.0);
   fresh_.resize(nl.numGates());
   for (NetId id = 0; id < nl.numGates(); ++id) {
     const Gate& g = nl.gate(id);
@@ -46,7 +50,7 @@ DelayModel::DelayModel(const Netlist& nl, const DelayOptions& opts) {
     const double base = baseDelayPs(g.type, g.numFanin);
     const double loadExtra =
         fanout[id] > 1 ? opts.loadFactorPerFanout * (fanout[id] - 1) : 0.0;
-    double j = jitter(rng);
+    double j = jittered ? jitter(rng) : 1.0;
     if (j < 0.5) j = 0.5;  // clamp pathological draws
     fresh_[id] = base * (1.0 + loadExtra) * j;
   }

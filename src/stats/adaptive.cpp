@@ -84,22 +84,23 @@ AdaptiveResult adaptiveAcquire(const MaskedSbox& sbox, EventSim& sim,
       };
     }
 
-    TraceSet batch(power.options().numSamples);
     try {
-      batch = acquire(sbox, sim, power, bcfg);
+      acquire(sbox, sim, power, bcfg,
+              [&](std::uint8_t label, const double* samples) {
+                res.traces.add(label, samples);
+                stream.addTrace(label, samples);
+              });
     } catch (const obs::ProgressAborted& e) {
       throw obs::ProgressAborted("adaptive-acquire", acquired + e.done(),
                                  maxTraces);
     }
-    res.traces.append(batch);
-    stream.addTraceSet(batch);
-    acquired += batch.size();
+    acquired += thisBatch;
     ++res.batches;
 
     res.estimate = stream.estimate();
     monitor.observe(res.estimate);
     reg.counter("adaptive.batches").add(1);
-    reg.counter("adaptive.traces").add(batch.size());
+    reg.counter("adaptive.traces").add(thisBatch);
 
     if (monitor.converged()) {
       res.stop = AdaptiveStop::CiTarget;

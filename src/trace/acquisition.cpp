@@ -102,133 +102,6 @@ struct JournalAcquireScope {
   }
 };
 
-/// Runs `body(sim, i, shard)` for every trace index in [0, n), sharded over
-/// `threads` workers in contiguous index blocks, and concatenates the
-/// per-worker shards in index order. `body` must depend only on the trace
-/// index (the determinism contract), which is what makes the sharding
-/// invisible in the result. `Sim` is EventSim or CompiledSim (same
-/// clone()-for-worker-pools contract). Failures carry the trace identity
-/// rendered by `describe(i)` and abort the remaining workers (see
-/// trace/sharded_pool.h).
-template <typename Sim, typename TraceBody, typename Describe>
-TraceSet shardedAcquire(Sim& sim, std::uint32_t numSamples,
-                        std::size_t n, std::uint32_t threads,
-                        const TraceBody& body, const Describe& describe,
-                        const obs::ProgressFn& progress,
-                        const char* spanLabel) {
-  obs::Span span(std::string(spanLabel) + " (" + std::to_string(n) +
-                 " traces, " + std::to_string(threads) + " threads)");
-  obs::ProgressMeter meter(spanLabel, n, progress);
-  obs::MetricsRegistry::global().counter("acquire.traces_total").add(n);
-  obs::EventJournal::global().info(
-      "acquire-start", {{"label", spanLabel},
-                        {"traces", std::to_string(n)},
-                        {"threads", std::to_string(threads)}});
-  JournalAcquireScope journalScope{spanLabel};
-
-  TraceSet traces(numSamples);
-  traces.reserve(n);
-  if (threads <= 1) {
-    detail::shardedFor(
-        n, 1, [&](std::uint32_t, std::size_t i) { body(sim, i, traces); },
-        describe, &meter, spanLabel);
-    meter.finish();
-    return traces;
-  }
-
-  std::vector<Sim> sims;
-  sims.reserve(threads);
-  std::vector<TraceSet> shards(threads, TraceSet(numSamples));
-  for (std::uint32_t w = 0; w < threads; ++w) {
-    sims.push_back(sim.clone());
-    shards[w].reserve(n * (w + 1) / threads - n * w / threads);
-  }
-  detail::shardedFor(
-      n, threads,
-      [&](std::uint32_t w, std::size_t i) { body(sims[w], i, shards[w]); },
-      describe, &meter, spanLabel);
-  meter.finish();
-  {
-    obs::Span mergeSpan(std::string(spanLabel) + " merge shards");
-    for (const TraceSet& shard : shards) traces.append(shard);
-  }
-  return traces;
-}
-
-/// Batch-engine twin of shardedAcquire: the sharded work item is a *lane
-/// group* of up to BatchSim::kLanes consecutive trace indices, so trace
-/// grouping is a global function of the index — which keeps the result
-/// thread-count invariant (worker shards cover contiguous group ranges and
-/// are concatenated in group order). `body(worker, g, out)` simulates
-/// group g's lanes and appends its traces to `out` in lane order. Progress
-/// stays trace-denominated: the body's groups step the meter by their lane
-/// count (shardedFor contributes the final step of each group).
-template <typename GroupBody, typename Describe>
-TraceSet shardedBatchAcquire(BatchSim& proto, std::uint32_t numSamples,
-                             std::size_t numTraces,
-                             std::uint32_t requestedThreads,
-                             const GroupBody& body, const Describe& describe,
-                             const obs::ProgressFn& progress,
-                             const char* spanLabel) {
-  const std::size_t numGroups =
-      (numTraces + BatchSim::kLanes - 1) / BatchSim::kLanes;
-  const std::uint32_t threads =
-      resolveWorkerThreads(requestedThreads, numGroups);
-  obs::Span span(std::string(spanLabel) + " (" + std::to_string(numTraces) +
-                 " traces, " + std::to_string(threads) +
-                 " threads, batch engine)");
-  obs::ProgressMeter meter(spanLabel, numTraces, progress);
-  obs::MetricsRegistry::global().counter("acquire.traces_total")
-      .add(numTraces);
-  obs::EventJournal::global().info(
-      "acquire-start", {{"label", spanLabel},
-                        {"traces", std::to_string(numTraces)},
-                        {"threads", std::to_string(threads)},
-                        {"engine", "batch"}});
-  JournalAcquireScope journalScope{spanLabel};
-  const auto lanesOf = [&](std::size_t g) {
-    return std::min<std::size_t>(BatchSim::kLanes,
-                                 numTraces - g * BatchSim::kLanes);
-  };
-
-  TraceSet traces(numSamples);
-  traces.reserve(numTraces);
-  if (threads <= 1) {
-    detail::shardedFor(
-        numGroups, 1,
-        [&](std::uint32_t, std::size_t g) {
-          body(proto, g, traces);
-          meter.step(lanesOf(g) - 1);
-        },
-        describe, &meter, spanLabel);
-    meter.finish();
-    return traces;
-  }
-
-  std::vector<BatchSim> sims;
-  sims.reserve(threads);
-  std::vector<TraceSet> shards(threads, TraceSet(numSamples));
-  for (std::uint32_t w = 0; w < threads; ++w) {
-    sims.push_back(proto.clone());
-    shards[w].reserve((numGroups * (w + 1) / threads -
-                       numGroups * w / threads) *
-                      BatchSim::kLanes);
-  }
-  detail::shardedFor(
-      numGroups, threads,
-      [&](std::uint32_t w, std::size_t g) {
-        body(sims[w], g, shards[w]);
-        meter.step(lanesOf(g) - 1);
-      },
-      describe, &meter, spanLabel);
-  meter.finish();
-  {
-    obs::Span mergeSpan(std::string(spanLabel) + " merge shards");
-    for (const TraceSet& shard : shards) traces.append(shard);
-  }
-  return traces;
-}
-
 }  // namespace
 
 std::vector<std::uint8_t> balancedClassSchedule(std::uint32_t tracesPerClass,
@@ -303,73 +176,156 @@ void checkDecode(const MaskedSbox& sbox,
   }
 }
 
-/// Collects traces [begin, end) of `protocol`: the one engine-dispatch body
-/// behind acquire() (the full schedule), acquireRange() (a checkpoint
-/// group) and acquireKeyed(). Every engine runs the same per-trace
-/// protocol — stimulus of the trace's *global* index, settle, run, decode
-/// check — so the TraceSet is bit-identical across engines, and slicing is
-/// invisible in the result bits.
-TraceSet acquireSlice(const MaskedSbox& sbox, EventSim& sim,
-                      const PowerModel& power, const Protocol& protocol,
-                      std::size_t begin, std::size_t end,
-                      SimEngine requested, TimeQuantization quantization,
-                      std::uint32_t numThreads,
-                      const obs::ProgressFn& progress,
-                      obs::Profiler* profiler) {
+/// Streams traces [begin, end) of `protocol` to `sink` in index order: the
+/// one engine-dispatch body behind acquire(), acquireRange() and
+/// acquireKeyed(). Every engine runs the same per-trace protocol —
+/// stimulus of the trace's *global* index, settle, run, decode check — so
+/// the sequence is bit-identical across engines, and slicing is invisible
+/// in the result bits.
+void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
+                  const PowerModel& power, const Protocol& protocol,
+                  std::size_t begin, std::size_t end, SimEngine requested,
+                  TimeQuantization quantization, std::uint32_t numThreads,
+                  const obs::ProgressFn& progress, obs::Profiler* profiler,
+                  const TraceSink& sink) {
   const std::size_t n = end - begin;
+  const std::uint32_t numSamples = power.options().numSamples;
   const std::string style(sbox.name());
-  const auto describe = [&](std::size_t j) {
-    const std::size_t i = begin + j;
-    return std::string(protocol.noun) + " trace " + std::to_string(i) +
-           " (" + protocol.labelName + " " +
-           std::to_string(static_cast<int>(protocol.stimulus(i).label)) +
-           ", style " + style + ")";
-  };
-  const std::uint32_t threads = resolveWorkerThreads(numThreads, n);
   const SimEngine engine = resolveEngine(requested, sim, power, n);
   const TimeQuantization quant = resolveQuantization(requested, quantization);
+  // Runs fn(), naming trace i in any failure.
+  const auto onTrace = [&](std::size_t i, const auto& fn) {
+    try {
+      fn();
+    } catch (...) {
+      detail::rethrowAsWorkerError(std::current_exception(), i, [&] {
+        return std::string(protocol.noun) + " trace " + std::to_string(i) +
+               " (" + protocol.labelName + " " +
+               std::to_string(static_cast<int>(protocol.stimulus(i).label)) +
+               ", style " + style + ")";
+      });
+    }
+  };
 
-  if (engine == SimEngine::Batch) {
-    // Bit-parallel path: lane l of group g is trace begin + 64*g + l, and
-    // each lane runs its trace's own stimulus, so the TraceSet is
-    // bit-identical to the scalar engines' regardless of how traces fall
-    // into groups. Under the quantized-grid opt-in (only ever reached with
-    // a forced Batch engine) the stimuli are unchanged, so the quantized
-    // result stays deterministic in seed, thread-count invariant and
-    // slice-concatenation safe — just not bit-identical to the exact
-    // engines.
+  // A work item is one lane group on the batch engine, and on the scalar
+  // engines a block of consecutive traces sized to give each worker a few.
+  const auto itemsOf = [](std::size_t traces, std::size_t per) {
+    return (traces + per - 1) / per;
+  };
+  const bool batch = engine == SimEngine::Batch;
+  const std::uint32_t threads = resolveWorkerThreads(
+      numThreads, batch ? itemsOf(n, BatchSim::kLanes) : n);
+  const std::size_t itemTraces =
+      batch ? BatchSim::kLanes
+            : std::clamp<std::size_t>(
+                  itemsOf(n, detail::reorderWindow(threads)), 1,
+                  BatchSim::kLanes);
+
+  // Runs the pool on `proto` (worker 0) and clones of it. fill(worker,
+  // first, count, labels, samples) simulates traces [first, first + count)
+  // into one reorder slot — trace first + t's label at labels[t], its
+  // samples at samples + t * numSamples — which is then handed to the sink.
+  const auto stream = [&](auto& proto, const char* engineName,
+                          const auto& fill) {
+    obs::Span span(std::string(protocol.spanLabel) + " (" +
+                   std::to_string(n) + " traces, " + std::to_string(threads) +
+                   " threads, " + engineName + " engine)");
+    obs::ProgressMeter meter(protocol.spanLabel, n, progress);
+    obs::MetricsRegistry::global().counter("acquire.traces_total").add(n);
+    obs::EventJournal::global().info(
+        "acquire-start", {{"label", protocol.spanLabel},
+                          {"traces", std::to_string(n)},
+                          {"threads", std::to_string(threads)},
+                          {"engine", engineName}});
+    JournalAcquireScope journalScope{protocol.spanLabel};
+
+    std::vector<std::remove_reference_t<decltype(proto)>> clones;
+    clones.reserve(threads - 1);
+    while (clones.size() + 1 < threads) clones.push_back(proto.clone());
+    const std::size_t window = detail::reorderWindow(threads);
+    std::vector<std::uint8_t> labels(window * itemTraces);
+    std::vector<double> samples(labels.size() * numSamples);
+    const auto firstOf = [&](std::size_t item) {
+      return begin + item * itemTraces;
+    };
+    const auto countOf = [&](std::size_t item) {
+      return std::min(itemTraces, end - firstOf(item));
+    };
+    detail::orderedFor(
+        itemsOf(n, itemTraces), threads, window,
+        [&](std::uint32_t w, std::size_t item) {
+          const std::size_t slot = item % window * itemTraces;
+          fill(w == 0 ? proto : clones[w - 1], firstOf(item), countOf(item),
+               &labels[slot], &samples[slot * numSamples]);
+        },
+        [&](std::size_t item) {
+          const std::size_t slot = item % window * itemTraces;
+          for (std::size_t t = 0; t < countOf(item); ++t) {
+            onTrace(firstOf(item) + t, [&] {
+              sink(labels[slot + t], &samples[(slot + t) * numSamples]);
+            });
+            meter.step();
+          }
+        },
+        [&](std::size_t item) {
+          return std::string(protocol.noun) + " traces [" +
+                 std::to_string(firstOf(item)) + ", " +
+                 std::to_string(firstOf(item) + countOf(item)) +
+                 ") (style " + style + ", " + engineName + " engine)";
+        },
+        &meter, protocol.spanLabel);
+    meter.finish();
+  };
+
+  if (batch) {
+    // Bit-parallel path: lane l of a group is trace first + l and runs its
+    // trace's own stimulus, so the traces are bit-identical to the scalar
+    // engines' however traces fall into groups. Under the quantized-grid
+    // opt-in (only ever reached with a forced Batch engine) the stimuli are
+    // unchanged, so the quantized result stays deterministic in seed,
+    // thread-count invariant and slice-concatenation safe — just not
+    // bit-identical to the exact engines. A group that fails as a whole
+    // (a lane tripping the watchdog) is named by its trace range.
     const CompiledDesign design(sim.netlist(), sim.delayModel(), power);
     SimOptions bopts = sim.options();
     bopts.timeQuantization = quant;
     BatchSim bsim(design, bopts);
     bsim.attachMetrics(sim.metricsRegistry());
     bsim.attachProfiler(profiler);
-    const auto describeGroup = [&](std::size_t g) {
-      const std::size_t base = begin + g * BatchSim::kLanes;
-      return std::string(protocol.noun) + " traces [" +
-             std::to_string(base) + ", " +
-             std::to_string(std::min<std::size_t>(base + BatchSim::kLanes,
-                                                  end)) +
-             ") (style " + style + ", batch engine)";
-    };
-    const auto body = [&](BatchSim& worker, std::size_t g, TraceSet& out) {
-      const std::size_t base = begin + g * BatchSim::kLanes;
-      const std::size_t lanes =
-          std::min<std::size_t>(BatchSim::kLanes, end - base);
-      const std::vector<TraceStimulus> group =
-          runLaneGroup(worker, protocol.stimulus, base, lanes);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const std::uint32_t lane = static_cast<std::uint32_t>(l);
-        checkDecode(sbox, worker.outputValues(lane), group[l], base + l);
-        const double* trace = worker.laneTrace(lane);
-        out.add(group[l].label,
-                std::vector<double>(trace, trace + design.numSamples));
+    stream(bsim, "batch",
+           [&](BatchSim& worker, std::size_t first, std::size_t lanes,
+               std::uint8_t* labels, double* samples) {
+             const std::vector<TraceStimulus> group =
+                 runLaneGroup(worker, protocol.stimulus, first, lanes);
+             for (std::uint32_t l = 0; l < lanes; ++l) {
+               onTrace(first + l, [&] {
+                 checkDecode(sbox, worker.outputValues(l), group[l],
+                             first + l);
+               });
+               labels[l] = group[l].label;
+               std::copy_n(worker.laneTrace(l), numSamples,
+                           samples + l * numSamples);
+             }
+           });
+    return;
+  }
+
+  // Scalar engines: simulate(worker, s, i) runs stimulus s, checks the
+  // decode and returns the trace's samples.
+  const auto scalarFill = [&](const auto& simulate) {
+    return [&, simulate](auto& worker, std::size_t first, std::size_t count,
+                         std::uint8_t* labels, double* samples) {
+      for (std::size_t t = 0; t < count; ++t) {
+        onTrace(first + t, [&] {
+          const TraceStimulus s = protocol.stimulus(first + t);
+          worker.settle(s.init);
+          const auto& trace = simulate(worker, s, first + t);
+          labels[t] = s.label;
+          std::copy_n(trace.data(), numSamples, samples + t * numSamples);
+        });
       }
     };
-    return shardedBatchAcquire(bsim, power.options().numSamples, n,
-                               numThreads, body, describeGroup, progress,
-                               protocol.spanLabel);
-  }
+  };
 
   if (engine == SimEngine::Compiled) {
     // Fast path: fused deposition, no Transition list materialized;
@@ -378,62 +334,82 @@ TraceSet acquireSlice(const MaskedSbox& sbox, EventSim& sim,
     CompiledSim csim(design, sim.options());
     csim.attachMetrics(sim.metricsRegistry());
     csim.attachProfiler(profiler);
-    const auto body = [&](CompiledSim& worker, std::size_t j, TraceSet& out) {
-      const std::size_t i = begin + j;
-      const TraceStimulus s = protocol.stimulus(i);
-      worker.settle(s.init);
-      const std::vector<double>& trace = worker.runFused(s.fin, s.noiseSeed);
-      checkDecode(sbox, worker.outputValues(), s, i);
-      out.add(s.label, trace);
-    };
-    return shardedAcquire(csim, power.options().numSamples, n, threads, body,
-                          describe, progress, protocol.spanLabel);
+    stream(csim, "compiled",
+           scalarFill([&](CompiledSim& worker, const TraceStimulus& s,
+                          std::size_t i) -> const std::vector<double>& {
+             const std::vector<double>& trace =
+                 worker.runFused(s.fin, s.noiseSeed);
+             checkDecode(sbox, worker.outputValues(), s, i);
+             return trace;
+           }));
+    return;
   }
 
   // Reference path: workers clone `sim`, so attaching here propagates to
   // every worker. Only attach when requested — a null re-attach would
   // clobber an attachment the caller installed on the prototype.
   if (profiler != nullptr) sim.attachProfiler(profiler);
-  const auto body = [&](EventSim& worker, std::size_t j, TraceSet& out) {
-    const std::size_t i = begin + j;
-    const TraceStimulus s = protocol.stimulus(i);
-    worker.settle(s.init);
-    const std::vector<Transition> transitions = worker.run(s.fin);
-    checkDecode(sbox, worker.outputValues(), s, i);
-    out.add(s.label, power.sample(transitions, s.noiseSeed));
-  };
-  return shardedAcquire(sim, power.options().numSamples, n, threads, body,
-                        describe, progress, protocol.spanLabel);
+  stream(sim, "reference",
+         scalarFill([&](EventSim& worker, const TraceStimulus& s,
+                        std::size_t i) {
+           const std::vector<Transition> transitions = worker.run(s.fin);
+           checkDecode(sbox, worker.outputValues(), s, i);
+           return power.sample(transitions, s.noiseSeed);
+         }));
 }
 
 /// Slice [begin, end) of the fixed-class protocol acquire() runs for `cfg`.
-TraceSet acquireClassSlice(const MaskedSbox& sbox, EventSim& sim,
-                           const PowerModel& power,
-                           const AcquisitionConfig& cfg,
-                           const std::vector<std::uint8_t>& schedule,
-                           std::size_t begin, std::size_t end) {
+void acquireClassSlice(const MaskedSbox& sbox, EventSim& sim,
+                       const PowerModel& power, const AcquisitionConfig& cfg,
+                       std::size_t begin, std::size_t end,
+                       const TraceSink& sink) {
+  const std::vector<std::uint8_t> schedule =
+      balancedClassSchedule(cfg.tracesPerClass, cfg.seed);
   const Protocol protocol{[&](std::size_t i) {
                             return classStimulus(sbox, cfg.seed,
                                                  cfg.initialValue,
                                                  schedule[i], i);
                           },
                           "acquire", "class", "acquire"};
-  return acquireSlice(sbox, sim, power, protocol, begin, end, cfg.engine,
-                      cfg.timeQuantization, cfg.numThreads, cfg.progress,
-                      cfg.profiler);
+  acquireSlice(sbox, sim, power, protocol, begin, end, cfg.engine,
+               cfg.timeQuantization, cfg.numThreads, cfg.progress,
+               cfg.profiler, sink);
+}
+
+/// A TraceSet of `n` reserved traces, filled by run(sink).
+template <typename Run>
+TraceSet collect(const PowerModel& power, std::size_t n, const Run& run) {
+  TraceSet traces(power.options().numSamples);
+  traces.reserve(n);
+  run([&traces](std::uint8_t label, const double* samples) {
+    traces.add(label, samples);
+  });
+  return traces;
 }
 
 }  // namespace
+
+void acquire(const MaskedSbox& sbox, EventSim& sim, const PowerModel& power,
+             const AcquisitionConfig& cfg, const TraceSink& sink) {
+  if (cfg.adaptive) {
+    const TraceSet traces = stats::adaptiveAcquire(sbox, sim, power, cfg).traces;
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+      sink(traces.label(i), traces.trace(i));
+    }
+    return;
+  }
+  acquireClassSlice(sbox, sim, power, cfg, 0, 16u * cfg.tracesPerClass,
+                    sink);
+}
 
 TraceSet acquire(const MaskedSbox& sbox, EventSim& sim,
                  const PowerModel& power, const AcquisitionConfig& cfg) {
   if (cfg.adaptive) {
     return stats::adaptiveAcquire(sbox, sim, power, cfg).traces;
   }
-  const std::vector<std::uint8_t> schedule =
-      balancedClassSchedule(cfg.tracesPerClass, cfg.seed);
-  return acquireClassSlice(sbox, sim, power, cfg, schedule, 0,
-                           schedule.size());
+  return collect(power, 16u * cfg.tracesPerClass, [&](const TraceSink& s) {
+    acquire(sbox, sim, power, cfg, s);
+  });
 }
 
 TraceSet acquireRange(const MaskedSbox& sbox, EventSim& sim,
@@ -444,16 +420,16 @@ TraceSet acquireRange(const MaskedSbox& sbox, EventSim& sim,
         "acquireRange: cfg.adaptive must be false (adaptive runs are "
         "sliced by batch, not by schedule index)");
   }
-  const std::vector<std::uint8_t> schedule =
-      balancedClassSchedule(cfg.tracesPerClass, cfg.seed);
-  if (begin > end || end > schedule.size()) {
+  const std::size_t total = 16u * cfg.tracesPerClass;
+  if (begin > end || end > total) {
     throw std::invalid_argument(
         "acquireRange: invalid slice [" + std::to_string(begin) + ", " +
-        std::to_string(end) + ") of " + std::to_string(schedule.size()) +
-        " traces");
+        std::to_string(end) + ") of " + std::to_string(total) + " traces");
   }
   if (begin == end) return TraceSet(power.options().numSamples);
-  return acquireClassSlice(sbox, sim, power, cfg, schedule, begin, end);
+  return collect(power, end - begin, [&](const TraceSink& s) {
+    acquireClassSlice(sbox, sim, power, cfg, begin, end, s);
+  });
 }
 
 TraceSet acquireKeyed(const MaskedSbox& sbox, EventSim& sim,
@@ -476,8 +452,10 @@ TraceSet acquireKeyed(const MaskedSbox& sbox, EventSim& sim,
                             return s;
                           },
                           "keyed", "plaintext", "acquire-keyed"};
-  return acquireSlice(sbox, sim, power, protocol, 0, numTraces, engine,
-                      quantization, numThreads, obs::ProgressFn(), nullptr);
+  return collect(power, numTraces, [&](const TraceSink& s) {
+    acquireSlice(sbox, sim, power, protocol, 0, numTraces, engine,
+                 quantization, numThreads, obs::ProgressFn(), nullptr, s);
+  });
 }
 
 }  // namespace lpa

@@ -28,20 +28,22 @@
 //
 // In particular the noise seed passed to PowerModel::sample is a function
 // of (seed, i), i.e. of the trace's *identity*, never of schedule position
-// in some shared generator or of which worker ran the trace. Workers each
-// own a cloned EventSim (sharing the netlist and the DelayModel, so
-// per-instance process jitter is shared, not re-rolled), fill private
-// TraceSets over contiguous index ranges, and the shards are concatenated
-// in index order.
+// in some shared generator or of which worker ran the trace. Worker 0 runs
+// the prototype engine, the others clones of it (sharing the netlist and
+// DelayModel, so process jitter is shared, not re-rolled). Workers claim
+// items — a 64-lane group on the batch engine, a block of traces on the
+// scalar engines — from the pool of trace/sharded_pool.h, which hands the
+// traces to the consumer (a TraceSink, or the TraceSet being filled) in
+// trace-index order, so a streaming fold equals a fold over the TraceSet.
 //
 // ## Failure semantics
 //
-// A trace that throws (decode mismatch, SimDiverged from the watchdog,
-// out-of-memory, ...) aborts the remaining workers via an atomic flag and
-// is rethrown as a WorkerError (trace/sharded_pool.h) that names the trace
-// index, its class/plaintext, and the implementation style, with the
-// original exception nested. Among concurrent failures the lowest trace
-// index wins, so the reported failure does not depend on thread timing.
+// A trace that throws (decode mismatch, SimDiverged, an exception from the
+// TraceSink, ...) stops the remaining workers and is rethrown as a
+// WorkerError (trace/sharded_pool.h) naming the trace index, its
+// class/plaintext and the style, with the original exception nested (a
+// lane group failing as a whole is named by its trace range and indexed by
+// group). The lowest failing index wins, whatever the thread timing.
 
 #include <cstdint>
 #include <functional>
@@ -206,6 +208,16 @@ TraceStimulus classStimulus(const MaskedSbox& sbox, std::uint64_t seed,
 std::vector<TraceStimulus> runLaneGroup(BatchSim& sim,
                                         const StimulusFn& stimulus,
                                         std::size_t base, std::size_t lanes);
+
+/// Consumer of traces: called once per trace in trace-index order, on one
+/// thread at a time; `samples` (numSamples values) is valid for the call.
+using TraceSink = std::function<void(std::uint8_t label, const double*)>;
+
+/// acquire() that hands each trace to `sink` instead of storing it, in the
+/// order acquire() would return them. An adaptive `cfg` replays
+/// stats::adaptiveAcquire's traces.
+void acquire(const MaskedSbox& sbox, EventSim& sim, const PowerModel& power,
+             const AcquisitionConfig& cfg, const TraceSink& sink);
 
 /// Collects a balanced, labelled trace set from `sbox` using the simulator
 /// and power model (both must be built for sbox.netlist()). `sim` is used

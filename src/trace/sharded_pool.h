@@ -1,35 +1,38 @@
 #pragma once
-// Fail-safe sharded worker pool shared by the acquisition engine and the
-// fault-injection campaign runner.
+// Fail-safe work-stealing worker pool shared by the acquisition engine and
+// the fault-injection campaign runner.
 //
-// Work items [0, n) are split into contiguous index blocks, one per worker
-// thread (the PR 1 sharding scheme: results concatenated in index order are
-// invariant in the thread count as long as item i depends only on i).
+// Workers claim work items [0, n) one at a time, in increasing index order,
+// so a worker that finishes early takes the next item instead of idling.
+// Finished items are *delivered* in index order, on one thread at a time:
+// whichever worker finishes the lowest undelivered item delivers it and
+// every finished item after it. A consumer of deliveries therefore sees the
+// same sequence at every thread count, as long as item i depends only on i.
+// Items finished early wait in a reorder buffer bounded by a window of a
+// few items per worker; a worker that would start past it waits.
 //
 // Failure semantics ("fail-safe acquisition"):
-//   * the first item that throws sets an atomic abort flag; every worker
-//     checks it before starting its next item, so doomed shards stop early
-//     instead of running to completion;
-//   * among all failures that occurred before the abort propagated, the one
-//     with the LOWEST item index wins (not first-by-worker-order, which
-//     would depend on thread timing);
-//   * the winning failure is rethrown as a WorkerError carrying the item
-//     index and a caller-supplied description of the item's identity, with
-//     the original exception nested (std::throw_with_nested) for callers
-//     that need the root cause.
+//   * the first item (or delivery) that throws stops all claiming, so
+//     doomed runs stop early;
+//   * the LOWEST failing item index wins, whatever the timing: every item
+//     below a failing one was claimed earlier, so it still runs and is
+//     delivered, and its own failure would be seen;
+//   * the winner is rethrown as a WorkerError carrying the item index and a
+//     caller-supplied description of the item, with the original exception
+//     nested (std::throw_with_nested). A WorkerError thrown by the item
+//     itself (naming a finer identity, e.g. one trace of a block) passes
+//     unchanged.
 //
-// Observability (obs/): an optional ProgressMeter is stepped once per
-// finished item (relaxed atomic; the render callback is rate-limited inside
-// the meter) and doubles as a cooperative abort channel — a sink returning
-// false makes every worker stop before its next item and the pool throw
-// ProgressAborted. An optional span label wraps each worker's shard in a
-// Chrome-trace span on that worker's own track, so chrome://tracing shows
-// one row per worker with its shard extent. Both hooks are pure sinks: the
-// work a finished item computed is never altered (zero-perturbation).
+// Observability (obs/): an optional ProgressMeter, stepped by the delivery
+// callback, doubles as a cooperative abort channel — a sink returning false
+// stops delivery and claiming, wakes waiting workers and makes the pool
+// throw ProgressAborted. An optional span label wraps each worker in a
+// Chrome-trace span on its own track. Both hooks are pure sinks: the work a
+// finished item computed is never altered (zero-perturbation).
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <mutex>
@@ -114,99 +117,156 @@ inline std::uint32_t resolveWorkerThreads(std::uint32_t requested,
 
 namespace detail {
 
-/// Runs body(w, i) for every i in [0, n), sharded over `threads` workers in
-/// contiguous blocks (worker w covers [n*w/threads, n*(w+1)/threads)).
-/// `describe(i)` renders the item's identity for error reporting and is
-/// only called on failure. `progress`, if given, is stepped per finished
-/// item and consulted for cooperative abort (throws obs::ProgressAborted);
-/// `spanLabel`, if given, wraps each worker's shard in a Chrome-trace span.
-/// See the header comment for failure semantics.
+/// Reorder window of a run on `threads` workers: a few items per worker.
+inline std::size_t reorderWindow(std::uint32_t threads) {
+  return 4 * std::size_t{std::max(threads, 1u)};
+}
+
+/// Rethrows `error` as a WorkerError for item `index`, described by
+/// `describe()`, with `error` nested; a WorkerError passes unchanged.
+template <typename Describe>
+[[noreturn]] void rethrowAsWorkerError(std::exception_ptr error,
+                                       std::size_t index,
+                                       const Describe& describe) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const WorkerError&) {
+    throw;
+  } catch (const std::exception& e) {
+    std::throw_with_nested(WorkerError(index, describe() + ": " + e.what()));
+  } catch (...) {
+    std::throw_with_nested(WorkerError(index, describe()));
+  }
+}
+
+/// Runs body(w, i) for every i in [0, n) on `threads` workers and
+/// deliver(i) for each finished item in index order. Item i starts only
+/// once i < (lowest undelivered) + `window`, so results fit in `window`
+/// slots (slot i % window). `describe(i)` names a failing item; `progress`
+/// (stepped by `deliver`) may abort; `spanLabel` names per-worker spans.
+template <typename Body, typename Deliver, typename Describe>
+void orderedFor(std::size_t n, std::uint32_t threads, std::size_t window,
+                const Body& body, const Deliver& deliver,
+                const Describe& describe,
+                obs::ProgressMeter* progress = nullptr,
+                const char* spanLabel = nullptr) {
+  if (n == 0) return;
+  threads = static_cast<std::uint32_t>(std::clamp<std::size_t>(threads, 1, n));
+  window = std::max<std::size_t>(window, 1);
+  const auto aborted = [&] {
+    return progress != nullptr && progress->abortRequested();
+  };
+
+  // Guarded by mu: the claim and delivery cursors, a finished flag per
+  // window slot, the delivery token and the lowest failure (n = none).
+  std::mutex mu;
+  std::condition_variable moved;
+  std::size_t nextClaim = 0, nextDeliver = 0, failIndex = n;
+  std::vector<char> finished(window, 0);
+  bool delivering = false;
+  std::exception_ptr failError;
+  const auto fail = [&](std::size_t i, std::exception_ptr e) {
+    if (i < failIndex) {
+      failIndex = i;
+      failError = std::move(e);
+    }
+  };
+
+  const auto work = [&](std::uint32_t w) {
+    if (spanLabel != nullptr && threads > 1) {
+      obs::TraceCollector::global().nameThisThreadTrack(
+          "worker-" + std::to_string(w));
+    }
+    obs::Span span(
+        spanLabel ? std::string(spanLabel) + " worker w" + std::to_string(w)
+                  : std::string(),
+        spanLabel ? &obs::TraceCollector::global() : nullptr);
+    std::unique_lock<std::mutex> lk(mu);
+    while (nextClaim < n && failIndex == n && !aborted()) {
+      // Every item below i was claimed earlier, so the next one to deliver
+      // is running and the window moves on. Items past a failure are
+      // skipped, and so are items still outside the window after an abort,
+      // so the items an aborted run finished are a prefix.
+      const std::size_t i = nextClaim++;
+      moved.wait(lk, [&] {
+        return i < nextDeliver + window || i > failIndex || aborted();
+      });
+      if (i > failIndex || i >= nextDeliver + window) break;
+      std::exception_ptr error;
+      lk.unlock();
+      try {
+        body(w, i);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      lk.lock();
+      if (error) {
+        fail(i, std::move(error));
+        break;
+      }
+      finished[i % window] = 1;
+      if (delivering || i != nextDeliver) continue;
+      // Deliver the finished run from here on; a failed item ends it.
+      delivering = true;
+      while (nextDeliver < failIndex && finished[nextDeliver % window] &&
+             !aborted()) {
+        const std::size_t d = nextDeliver;
+        lk.unlock();
+        try {
+          deliver(d);
+        } catch (...) {
+          error = std::current_exception();
+        }
+        lk.lock();
+        if (error) {
+          fail(d, std::move(error));
+          break;
+        }
+        finished[d % window] = 0;
+        ++nextDeliver;
+        moved.notify_all();
+      }
+      delivering = false;
+    }
+    moved.notify_all();  // a failure or an abort wakes the waiting workers
+  };
+
+  if (threads == 1) {
+    work(0);
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(threads);
+    for (std::uint32_t w = 0; w < threads; ++w) pool.emplace_back(work, w);
+    for (std::thread& t : pool) t.join();
+  }
+
+  if (failError) {
+    rethrowAsWorkerError(failError, failIndex,
+                         [&] { return describe(failIndex); });
+  }
+  if (aborted()) {
+    // Denominated in the meter's units, not the pool's item count: an item
+    // may cover several meter units (a lane group of traces), and the
+    // payload must match what the aborting sink was shown.
+    throw obs::ProgressAborted(spanLabel ? spanLabel : "sharded work",
+                               progress->done(), progress->total());
+  }
+}
+
+/// orderedFor for items that store their own results: `progress` is
+/// stepped once per delivered item. The window still bounds how far a
+/// failure or abort can be overrun.
 template <typename Body, typename Describe>
 void shardedFor(std::size_t n, std::uint32_t threads, const Body& body,
                 const Describe& describe,
                 obs::ProgressMeter* progress = nullptr,
                 const char* spanLabel = nullptr) {
-  if (n == 0) return;
-
-  std::exception_ptr failError;
-  std::size_t failIndex = 0;
-  bool failed = false;
-  const auto aborted = [&] {
-    return progress != nullptr && progress->abortRequested();
-  };
-  const auto shardSpanName = [&](std::uint32_t w, std::size_t begin,
-                                 std::size_t end) {
-    return std::string(spanLabel) + " shard w" + std::to_string(w) + " [" +
-           std::to_string(begin) + ", " + std::to_string(end) + ")";
-  };
-
-  if (threads <= 1) {
-    obs::Span span(spanLabel ? shardSpanName(0, 0, n) : std::string(),
-                   spanLabel ? &obs::TraceCollector::global() : nullptr);
-    for (std::size_t i = 0; i < n && !failed && !aborted(); ++i) {
-      try {
-        body(0u, i);
+  orderedFor(
+      n, threads, reorderWindow(threads), body,
+      [&](std::size_t) {
         if (progress) progress->step();
-      } catch (...) {
-        failError = std::current_exception();
-        failIndex = i;
-        failed = true;
-      }
-    }
-  } else {
-    std::atomic<bool> abort{false};
-    std::mutex mu;
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::uint32_t w = 0; w < threads; ++w) {
-      pool.emplace_back([&, w] {
-        const std::size_t begin = n * w / threads;
-        const std::size_t end = n * (w + 1) / threads;
-        if (spanLabel) {
-          obs::TraceCollector::global().nameThisThreadTrack(
-              "worker-" + std::to_string(w));
-        }
-        obs::Span span(spanLabel ? shardSpanName(w, begin, end)
-                                 : std::string(),
-                       spanLabel ? &obs::TraceCollector::global() : nullptr);
-        for (std::size_t i = begin; i < end; ++i) {
-          if (abort.load(std::memory_order_relaxed) || aborted()) return;
-          try {
-            body(w, i);
-            if (progress) progress->step();
-          } catch (...) {
-            std::lock_guard<std::mutex> lk(mu);
-            if (!failed || i < failIndex) {
-              failError = std::current_exception();
-              failIndex = i;
-              failed = true;
-            }
-            abort.store(true, std::memory_order_relaxed);
-            return;
-          }
-        }
-      });
-    }
-    for (std::thread& t : pool) t.join();
-  }
-
-  if (failed) {
-    try {
-      std::rethrow_exception(failError);
-    } catch (const std::exception& e) {
-      std::throw_with_nested(
-          WorkerError(failIndex, describe(failIndex) + ": " + e.what()));
-    } catch (...) {
-      std::throw_with_nested(WorkerError(failIndex, describe(failIndex)));
-    }
-  }
-  if (aborted()) {
-    // Denominate in the meter's units, not the pool's item count — a work
-    // item may cover several meter units (the batch engine's lane groups),
-    // and the payload must match what the aborting sink was shown.
-    throw obs::ProgressAborted(spanLabel ? spanLabel : "sharded work",
-                               progress->done(), progress->total());
-  }
+      },
+      describe, progress, spanLabel);
 }
 
 }  // namespace detail

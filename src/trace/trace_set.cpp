@@ -5,12 +5,16 @@
 namespace lpa {
 
 void TraceSet::add(std::uint8_t cls, std::vector<double> trace) {
-  if (cls >= numClasses_) throw std::invalid_argument("class out of range");
   if (trace.size() != numSamples_) {
     throw std::invalid_argument("trace length mismatch");
   }
+  add(cls, trace.data());
+}
+
+void TraceSet::add(std::uint8_t cls, const double* samples) {
+  if (cls >= numClasses_) throw std::invalid_argument("class out of range");
   labels_.push_back(cls);
-  samples_.insert(samples_.end(), trace.begin(), trace.end());
+  samples_.insert(samples_.end(), samples, samples + numSamples_);
 }
 
 void TraceSet::reserve(std::size_t n) {

@@ -14,13 +14,14 @@ class TraceSet {
       : numSamples_(numSamples), numClasses_(numClasses) {}
 
   void add(std::uint8_t cls, std::vector<double> trace);
+  /// Appends one trace of numSamples() samples read from `samples`.
+  void add(std::uint8_t cls, const double* samples);
 
   /// Pre-allocates storage for `n` traces (acquisition knows its size).
   void reserve(std::size_t n);
 
   /// Concatenates `other`'s traces after this set's, preserving order.
-  /// Shapes (numSamples, numClasses) must match. This is how the parallel
-  /// acquisition engine merges per-worker shards in index order.
+  /// Shapes (numSamples, numClasses) must match.
   void append(const TraceSet& other);
 
   std::uint32_t numSamples() const { return numSamples_; }

@@ -150,6 +150,13 @@ TEST(AdaptiveAcquire, AcquireRoutesTheAdaptiveFlag) {
   SboxExperiment routed(SboxStyle::Isw, cfg);
   const TraceSet traces = routed.acquireAt(0.0);
   EXPECT_TRUE(traceSetsEqual(traces, res.traces));
+
+  // The streaming entry point replays the same traces into its sink.
+  stats::StreamingLeakage folded(res.traces.numSamples());
+  folded.addTraceSet(res.traces);
+  const stats::LeakageEstimate streamed = routed.estimateAt(0.0);
+  EXPECT_EQ(streamed.traces, res.traces.size());
+  EXPECT_EQ(streamed.total, folded.estimate().total);
 }
 
 TEST(AdaptiveAcquire, RejectsMalformedConfig) {

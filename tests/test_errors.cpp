@@ -5,13 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "crypto/present.h"
 #include "netlist/builder.h"
 #include "netlist/netlist.h"
 #include "netlist/validate.h"
+#include "power/power_model.h"
 #include "sboxes/encoding.h"
 #include "sboxes/isw_any_order.h"
 #include "sboxes/masked_sbox.h"
@@ -218,13 +222,126 @@ TEST(AcquisitionErrors, ParallelFailurePrefersLowestIndex) {
     (void)acquire(sbox, sim, power, cfg);
     FAIL() << "decode mismatch must abort acquisition";
   } catch (const WorkerError& e) {
-    // Every trace fails, so each worker that gets to run fails on the FIRST
-    // item of its contiguous 8-trace block before the abort flag stops the
-    // rest. Which workers got that far depends on scheduling, but the
-    // winning index must be a block start — never an interior item, which
-    // would mean a worker kept going past a failure.
-    EXPECT_LT(e.index(), 32u);
-    EXPECT_EQ(e.index() % 8, 0u) << "index " << e.index();
+    // Every trace fails. Workers claim items in index order, so the item
+    // holding trace 0 is claimed first and always runs to its failure,
+    // whichever worker fails first: trace 0 wins at any timing.
+    EXPECT_EQ(e.index(), 0u);
+    EXPECT_NE(std::string(e.what()).find("trace 0 "), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(AcquisitionErrors, SinkFailureNamesItsTrace) {
+  // An exception from the trace consumer fails its trace the way a decode
+  // mismatch does: a WorkerError with the trace's index and identity, the
+  // cause nested, after every earlier trace was delivered in order.
+  const auto sbox = makeSbox(SboxStyle::Glut);
+  const DelayModel dm(sbox->netlist());
+  const PowerModel power(sbox->netlist());
+  AcquisitionConfig cfg;
+  cfg.tracesPerClass = 12;  // 192 traces: three lane groups
+  for (SimEngine engine : {SimEngine::Compiled, SimEngine::Batch}) {
+    for (std::uint32_t threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      cfg.engine = engine;
+      cfg.numThreads = threads;
+      EventSim sim(sbox->netlist(), dm);
+      std::size_t delivered = 0;
+      try {
+        acquire(*sbox, sim, power, cfg, [&](std::uint8_t, const double*) {
+          if (delivered == 100) throw std::runtime_error("sink full");
+          ++delivered;
+        });
+        ADD_FAILURE() << "a throwing sink must fail the acquisition";
+      } catch (const WorkerError& e) {
+        EXPECT_EQ(e.index(), 100u);
+        EXPECT_EQ(delivered, 100u);
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("acquire trace 100 (class"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("sink full"), std::string::npos) << msg;
+        bool sawNested = false;
+        try {
+          std::rethrow_if_nested(e);
+        } catch (const std::runtime_error& nested) {
+          sawNested = std::string(nested.what()) == "sink full";
+        }
+        EXPECT_TRUE(sawNested);
+      }
+    }
+  }
+}
+
+/// Deterministic per-item pause in [0, 300) µs, every 7th item 2 ms, so
+/// items finish far out of index order.
+void pauseFor(std::size_t i) {
+  std::uint64_t h = (i + 1) * 0x9E3779B97F4A7C15ULL;
+  h ^= h >> 29;
+  const auto us = i % 7 == 3 ? 2000 : static_cast<int>(h % 300);
+  std::this_thread::sleep_for(std::chrono::microseconds(us));
+}
+
+TEST(ShardedPool, DeliversInIndexOrderWithinTheReorderWindow) {
+  constexpr std::size_t n = 120;
+  for (std::uint32_t threads = 1; threads <= 8; ++threads) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const std::size_t window = detail::reorderWindow(threads);
+    std::vector<std::size_t> order;
+    std::atomic<std::size_t> delivered{0};
+    std::atomic<std::size_t> pending{0};  // started, not yet delivered
+    std::atomic<std::size_t> maxPending{0};
+    std::atomic<bool> startedPastWindow{false};
+    detail::orderedFor(
+        n, threads, window,
+        [&](std::uint32_t, std::size_t i) {
+          if (i >= delivered.load() + window) startedPastWindow = true;
+          const std::size_t now = ++pending;
+          std::size_t seen = maxPending.load();
+          while (now > seen && !maxPending.compare_exchange_weak(seen, now)) {
+          }
+          pauseFor(i);
+        },
+        [&](std::size_t i) {
+          order.push_back(i);
+          --pending;
+          ++delivered;
+        },
+        [](std::size_t i) { return "item " + std::to_string(i); });
+    ASSERT_EQ(order.size(), n);
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(order[i], i);
+    EXPECT_FALSE(startedPastWindow.load());
+    EXPECT_LE(maxPending.load(), window);
+  }
+}
+
+TEST(ShardedPool, LowerOfTwoFailuresAlwaysWins) {
+  // Item 9 fails at once; item 5 fails only after a pause, long after
+  // item 9's failure has stopped the pool. Item 5 was claimed first, so it
+  // still runs, and its failure wins at every thread count.
+  for (std::uint32_t threads = 1; threads <= 8; ++threads) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    std::vector<std::size_t> delivered;
+    try {
+      detail::orderedFor(
+          40, threads, detail::reorderWindow(threads),
+          [&](std::uint32_t, std::size_t i) {
+            if (i == 5) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(5));
+              throw std::runtime_error("slow failure");
+            }
+            if (i == 9) throw std::runtime_error("fast failure");
+          },
+          [&](std::size_t i) { delivered.push_back(i); },
+          [](std::size_t i) { return "item " + std::to_string(i); });
+      ADD_FAILURE() << "failure must propagate";
+    } catch (const WorkerError& e) {
+      EXPECT_EQ(e.index(), 5u);
+      EXPECT_NE(std::string(e.what()).find("item 5: slow failure"),
+                std::string::npos)
+          << e.what();
+    }
+    // Everything below the failure was delivered, nothing at or past it.
+    EXPECT_EQ(delivered, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
   }
 }
 

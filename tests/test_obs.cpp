@@ -366,6 +366,41 @@ TEST(Progress, SinkReturningFalseAbortsBatchAcquisition) {
   }
 }
 
+TEST(Progress, AbortMidStreamCountsDeliveredTraces) {
+  // Several workers, items finishing out of order: the abort still lands
+  // between delivered items, and the payload counts exactly the traces the
+  // consumer received — trace-denominated on both engines (the batch
+  // engine delivers whole 64-trace groups, so the first one completes).
+  const auto sbox = makeSbox(SboxStyle::Glut);
+  const DelayModel dm(sbox->netlist());
+  const PowerModel pm(sbox->netlist());
+  for (SimEngine engine : {SimEngine::Compiled, SimEngine::Batch}) {
+    for (std::uint32_t threads : {2u, 4u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      EventSim sim(sbox->netlist(), dm);
+      AcquisitionConfig cfg;
+      cfg.tracesPerClass = 16;
+      cfg.numThreads = threads;
+      cfg.engine = engine;
+      cfg.progress = [](const obs::ProgressUpdate&) { return false; };
+      std::uint64_t received = 0;
+      try {
+        acquire(*sbox, sim, pm, cfg,
+                [&](std::uint8_t, const double*) { ++received; });
+        FAIL() << "expected ProgressAborted";
+      } catch (const obs::ProgressAborted& e) {
+        EXPECT_EQ(e.total(), 256u);
+        EXPECT_EQ(e.done(), received);
+        EXPECT_GE(e.done(), 1u);
+        EXPECT_LT(e.done(), e.total());
+        if (engine == SimEngine::Batch) {
+          EXPECT_EQ(e.done(), 64u);
+        }
+      }
+    }
+  }
+}
+
 TEST(Progress, StderrLineSinkNeverAborts) {
   const obs::ProgressFn sink = obs::stderrProgressLine();
   obs::ProgressUpdate u;

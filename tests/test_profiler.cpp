@@ -388,7 +388,8 @@ TEST(ProfilerReset, ClearsTalliesKeepsSizing) {
   EXPECT_EQ(profiler.numNets(), 8u);  // sizing survives
   // Labels survive too: a fresh tally on the same net keeps its name.
   profiler.addNetEvents(2, 1, 1, 0, 0);
-  const obs::Json* rows = profiler.toJson().find("nets")->find("rows");
+  const obs::Json report = profiler.toJson();
+  const obs::Json* rows = report.find("nets")->find("rows");
   ASSERT_EQ(rows->elements().size(), 1u);
   EXPECT_EQ(rows->elements()[0].find("label")->asString(), "AND2_X1");
 }
