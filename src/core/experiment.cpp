@@ -1,7 +1,5 @@
 #include "core/experiment.h"
 
-#include <cstring>
-
 #include "obs/metrics.h"
 #include "obs/trace_span.h"
 #include "trace/prng.h"
@@ -79,22 +77,28 @@ SpectralAnalysis SboxExperiment::analyzeAt(double months,
 
 stats::AdaptiveResult SboxExperiment::adaptiveAcquireAt(
     double months, const stats::StreamingLeakage::Options& statsOpt) {
+  // The resilient group loop with durability off: no checkpoint, one
+  // attempt per group, no spot-checks, no deadline.
+  AcquisitionConfig cfg = cfg_.acquisition;
+  cfg.adaptive = true;
+  cfg.deadlineMs = 0;
+  jobs::JobConfig job;
+  job.retry.maxAttempts = 1;
+  job.statsOpt = statsOpt;
   applyAge(months);
-  return stats::adaptiveAcquire(*sbox_, sim_, power_, cfg_.acquisition,
-                                statsOpt);
+  jobs::ResilientResult r =
+      jobs::resilientAcquire(*sbox_, sim_, power_, cfg, job);
+  return {std::move(r.traces), r.estimate, std::move(r.history),
+          static_cast<std::uint32_t>(r.resilience.groupsCompleted),
+          r.resilience.stopReason == "ci-target"
+              ? stats::AdaptiveStop::CiTarget
+              : stats::AdaptiveStop::MaxTraces};
 }
 
 jobs::ResilientResult SboxExperiment::resilientAcquireAt(
     double months, const jobs::JobConfig& job) {
   applyAge(months);
-  jobs::JobConfig j = job;
-  // Fold the age into the fingerprint: a checkpoint taken at one age must
-  // not resume a run at another (aging rescales the power model, so the
-  // result bits differ even though AcquisitionConfig is identical).
-  std::uint64_t monthsBits = 0;
-  std::memcpy(&monthsBits, &months, sizeof(monthsBits));
-  j.fingerprintExtra = mix64(j.fingerprintExtra ^ monthsBits);
-  return jobs::resilientAcquire(*sbox_, sim_, power_, cfg_.acquisition, j);
+  return jobs::resilientAcquire(*sbox_, sim_, power_, cfg_.acquisition, job);
 }
 
 void SboxExperiment::attachProfiler(obs::Profiler* profiler) {

@@ -79,15 +79,18 @@ class SboxExperiment {
   /// of `acquisition.batchSize` traces until the total-leakage CI meets
   /// `acquisition.targetCiRel` or `acquisition.maxTraces` is reached.
   /// Returns the traces together with the final interval estimate and the
-  /// per-batch convergence history.
+  /// per-batch convergence history. Runs resilientAcquireAt's group loop
+  /// with durability off: no checkpoint, no retry, no spot-checks, and
+  /// `acquisition.deadlineMs` ignored.
   stats::AdaptiveResult adaptiveAcquireAt(
       double months, const stats::StreamingLeakage::Options& statsOpt = {});
 
   /// Durable acquisition at `months` (jobs/resilient.h): checkpoint/
   /// resume, deadline-bounded execution, per-group retry and engine
   /// quarantine, honoring `acquisition.{adaptive, deadlineMs, trapBudget}`.
-  /// The device age is folded into the checkpoint fingerprint, so runs at
-  /// different ages can never cross-resume from one checkpoint file.
+  /// The checkpoint fingerprint folds the aged delay and power model, so
+  /// runs at different ages can never cross-resume from one checkpoint
+  /// file.
   jobs::ResilientResult resilientAcquireAt(double months,
                                            const jobs::JobConfig& job = {});
 

@@ -89,19 +89,34 @@ bool causedByDivergence(std::exception_ptr eptr) {
 }  // namespace
 
 std::uint64_t acquisitionFingerprint(const MaskedSbox& sbox,
+                                     const EventSim& sim,
                                      const PowerModel& power,
                                      const AcquisitionConfig& cfg,
                                      const JobConfig& job) {
   std::uint64_t h = 0xCBF29CE484222325ULL;
   fnvU64(h, netlistDigest(sbox.netlist()));
   fnvU64(h, static_cast<std::uint64_t>(sbox.style()));
-  fnvU64(h, power.options().numSamples);
   fnvU64(h, cfg.seed);
   fnvU64(h, cfg.tracesPerClass);
   fnvU64(h, cfg.initialValue);
+  // The physical model as the engines lower it (CompiledDesign): delay kind
+  // and swing weighting, every gate's delay (load, jitter, aging, delay
+  // faults), the power options and every gate's aged pulse energy.
+  fnvU64(h, static_cast<std::uint64_t>(sim.options().kind));
+  fnvF64(h, sim.options().fullSwingFactor);
+  for (double d : sim.delayModel().delays()) fnvF64(h, d);
+  const PowerOptions& po = power.options();
+  fnvF64(h, po.samplePeriodPs);
+  fnvU64(h, po.numSamples);
+  fnvF64(h, po.pulseWidthPs);
+  fnvF64(h, po.inputCapFf);
+  fnvF64(h, po.outputLoadFf);
+  fnvF64(h, po.noiseSigma);
+  for (std::size_t g = 0; g < power.numGates(); ++g) {
+    fnvF64(h, power.effectiveCapFf(static_cast<NetId>(g)));
+  }
   // Quantized-grid traces are not bit-compatible with exact-mode traces, so
-  // their checkpoints must not cross-adopt. Exact folds nothing, keeping
-  // every pre-existing exact checkpoint's fingerprint unchanged.
+  // their checkpoints must not cross-adopt.
   if (cfg.timeQuantization != TimeQuantization::Exact) {
     fnvU64(h, 0x71756E7467726964ULL);  // "quntgrid"
     fnvU64(h, static_cast<std::uint64_t>(cfg.timeQuantization));
@@ -118,7 +133,6 @@ std::uint64_t acquisitionFingerprint(const MaskedSbox& sbox,
   fnvU64(h, static_cast<std::uint64_t>(job.statsOpt.mode));
   fnvU64(h, job.statsOpt.numFolds);
   fnvF64(h, job.statsOpt.confidence);
-  fnvU64(h, job.fingerprintExtra);
   return h;
 }
 
@@ -164,7 +178,7 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
   };
 
   const std::uint64_t fingerprint =
-      acquisitionFingerprint(sbox, power, cfg, job);
+      acquisitionFingerprint(sbox, sim, power, cfg, job);
   auto& reg = obs::MetricsRegistry::global();
   obs::Span span("jobs.resilient-acquire (" + std::string(sbox.name()) +
                  ", " + std::to_string(groupsTotal) + " groups)");
@@ -234,6 +248,22 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
       }
     }
   }
+  res.traces.reserve(totalTraces);
+
+  // ---- Streaming: each group's traces reach the result and the estimator
+  // as the pool delivers them. keepTraces(n) rolls a discarded group back:
+  // it truncates to the first n traces and re-folds the estimator from
+  // them — bit-identical, since the fold is a pure function of the traces
+  // in index order.
+  const TraceSink commit = [&](std::uint8_t label, const double* samples) {
+    res.traces.add(label, samples);
+    stream.addTrace(label, samples);
+  };
+  const auto keepTraces = [&](std::size_t n) {
+    res.traces.truncate(n);
+    stream = stats::StreamingLeakage(numSamples, job.statsOpt);
+    stream.addTraceSet(res.traces);
+  };
 
   // ---- Clock and deadline (override makes tests deterministic: the
   // virtual clock advances only at group boundaries).
@@ -279,18 +309,20 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
         {{"group", std::to_string(g)}, {"reason", reason}});
   };
 
-  /// One group under one engine: a plain acquireRange slice (fixed) or
-  /// one adaptive batch under its derived substream — identical bits to
-  /// what the uninterrupted non-resilient run collects at those indices.
-  const auto runGroup = [&](std::uint64_t g, SimEngine eng) {
+  /// Streams group g under `eng` into `sink`: a plain acquireRange slice
+  /// (fixed) or one adaptive batch under its derived substream — identical
+  /// bits to what the uninterrupted run collects at those indices. With
+  /// `report`, progress is re-reported against the whole run and the
+  /// deadline can trip mid-group.
+  const auto runGroup = [&](std::uint64_t g, SimEngine eng,
+                            const TraceSink& sink, bool report) {
     AcquisitionConfig bcfg = cfg;
     bcfg.adaptive = false;
     bcfg.engine = eng;
     bcfg.progress = {};
     const auto [begin, end] = groupSpan(g);
-    if (cfg.progress || cfg.deadlineMs > 0) {
-      bcfg.progress = [&, base = res.traces.size()](
-                          const obs::ProgressUpdate& u) {
+    if (report && (cfg.progress || cfg.deadlineMs > 0)) {
+      bcfg.progress = [&, base = begin](const obs::ProgressUpdate& u) {
         if (outOfTime()) {
           deadlineTripped.store(true, std::memory_order_relaxed);
           return false;
@@ -313,14 +345,82 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
     if (cfg.adaptive) {
       bcfg.tracesPerClass = static_cast<std::uint32_t>((end - begin) / 16);
       bcfg.seed = deriveStreamSeed(domainSeed, g);
-      return acquire(sbox, sim, power, bcfg);
+      acquire(sbox, sim, power, bcfg, sink);
+    } else {
+      acquireRange(sbox, sim, power, bcfg, begin, end, sink);
     }
-    return acquireRange(sbox, sim, power, bcfg, begin, end);
+  };
+
+  /// Streams group g into the result under the current engine, retrying
+  /// transient failures (each attempt first rolls back the traces a failed
+  /// one streamed). Returns false when the deadline tripped mid-group; the
+  /// partial group is rolled back.
+  SimEngine ranWith = engine;
+  const auto acquireGroup = [&](std::uint64_t g) -> bool {
+    const std::size_t begin = groupSpan(g).first;
+    deadlineTripped.store(false, std::memory_order_relaxed);
+    try {
+      retryWithBackoff(
+          job.retry,
+          [&](std::uint32_t attempt) {
+            if (res.traces.size() > begin) keepTraces(begin);
+            ranWith = engine;
+            if (job.beforeGroupHook) job.beforeGroupHook(g, attempt, engine);
+            runGroup(g, engine, commit, /*report=*/true);
+          },
+          [&](std::uint32_t attempt, std::exception_ptr eptr) {
+            // Aborts — user or deadline — are not failures; never retry.
+            try {
+              std::rethrow_exception(eptr);
+            } catch (const obs::ProgressAborted&) {
+              return false;
+            } catch (...) {
+            }
+            const bool diverged = causedByDivergence(eptr);
+            if (diverged) {
+              ++divergences;
+              if (divergences >= job.quarantineAfterDivergences) {
+                quarantine(g, "sim-diverged");
+              }
+            }
+            // The last attempt escalates; it is not a retry.
+            if (attempt + 1 >= job.retry.maxAttempts) return false;
+            ++info.retries;
+            reg.counter("jobs.retries").add(1);
+            obs::EventJournal::global().warn(
+                "group-retry",
+                {{"group", std::to_string(g)},
+                 {"retries", std::to_string(info.retries)},
+                 {"diverged", diverged ? "true" : "false"},
+                 {"error", describeError(eptr)}});
+            return info.retries <= cfg.trapBudget;
+          });
+    } catch (const obs::ProgressAborted& e) {
+      if (deadlineTripped.load(std::memory_order_relaxed)) {
+        keepTraces(begin);
+        return false;
+      }
+      // A user abort propagates, denominated in the overall run.
+      throw obs::ProgressAborted("resilient-acquire", begin + e.done(),
+                                 totalTraces);
+    } catch (const std::exception& e) {
+      std::throw_with_nested(WorkerError(
+          static_cast<std::size_t>(g),
+          "resilient group " + std::to_string(g) + "/" +
+              std::to_string(groupsTotal) + " (style " +
+              std::string(sbox.name()) + "): " + e.what()));
+    }
+    return true;
   };
 
   std::uint64_t lastCheckpointed = g0;
   const auto writeCheckpoint = [&] {
     if (job.checkpointPath.empty()) return;
+    // Digest the groups committed since the last checkpoint.
+    while (groupDigests.size() < info.groupsCompleted) {
+      const auto [b, e] = groupSpan(groupDigests.size());
+      groupDigests.push_back(digestOfRange(res.traces, b, e));
+    }
     Checkpoint cp;
     cp.fingerprint = fingerprint;
     cp.seed = cfg.seed;
@@ -351,6 +451,14 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
                               {"lineage", info.lineage.back()}});
   };
 
+  const auto stopEarly = [&](const char* reason) {
+    info.truncated = true;
+    info.stopReason = reason;
+    obs::EventJournal::global().warn(
+        "run-truncated", {{"reason", reason},
+                          {"groups", std::to_string(info.groupsCompleted)}});
+  };
+
   info.groupsCompleted = g0;
   stats::ConvergenceMonitor monitor({cfg.targetCiRel, /*minTraces=*/0});
   bool stopped = false;
@@ -368,112 +476,54 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
   std::uint64_t g = g0;
   while (!stopped && g < groupsTotal) {
     if (job.stopAfterGroups > 0 && committedThisRun >= job.stopAfterGroups) {
-      info.truncated = true;
-      info.stopReason = "drain";
-      obs::EventJournal::global().warn(
-          "run-truncated", {{"reason", "drain"},
-                            {"groups", std::to_string(info.groupsCompleted)}});
+      stopEarly("drain");
       break;
     }
-    if (outOfTime()) {
-      info.truncated = true;
-      info.stopReason = "deadline";
-      obs::EventJournal::global().warn(
-          "run-truncated", {{"reason", "deadline"},
-                            {"groups", std::to_string(info.groupsCompleted)}});
+    if (outOfTime() || !acquireGroup(g)) {
+      stopEarly("deadline");
       break;
     }
-
-    deadlineTripped.store(false, std::memory_order_relaxed);
-    TraceSet group(numSamples);
-    SimEngine ranWith = engine;
-    try {
-      group = retryWithBackoff(
-          job.retry,
-          [&](std::uint32_t attempt) {
-            ranWith = engine;
-            if (job.beforeGroupHook) job.beforeGroupHook(g, attempt, engine);
-            return runGroup(g, engine);
-          },
-          [&](std::uint32_t, std::exception_ptr eptr) {
-            // Aborts — user or deadline — are not failures; never retry.
-            try {
-              std::rethrow_exception(eptr);
-            } catch (const obs::ProgressAborted&) {
-              return false;
-            } catch (...) {
-            }
-            const bool diverged = causedByDivergence(eptr);
-            if (diverged) {
-              ++divergences;
-              if (divergences >= job.quarantineAfterDivergences) {
-                quarantine(g, "sim-diverged");
-              }
-            }
-            ++info.retries;
-            reg.counter("jobs.retries").add(1);
-            obs::EventJournal::global().warn(
-                "group-retry",
-                {{"group", std::to_string(g)},
-                 {"retries", std::to_string(info.retries)},
-                 {"diverged", diverged ? "true" : "false"},
-                 {"error", describeError(eptr)}});
-            return info.retries <= cfg.trapBudget;
-          });
-    } catch (const obs::ProgressAborted& e) {
-      if (deadlineTripped.load(std::memory_order_relaxed)) {
-        info.truncated = true;
-        info.stopReason = "deadline";
-        break;
-      }
-      // A user abort propagates, denominated in the overall run.
-      throw obs::ProgressAborted("resilient-acquire",
-                                 res.traces.size() + e.done(), totalTraces);
-    } catch (const std::exception& e) {
-      std::throw_with_nested(WorkerError(
-          static_cast<std::size_t>(g),
-          "resilient group " + std::to_string(g) + "/" +
-              std::to_string(groupsTotal) + " (style " +
-              std::string(sbox.name()) + "): " + e.what()));
+    const auto [begin, end] = groupSpan(g);
+    if (job.perturbHook) {
+      job.perturbHook(res.traces, begin, ranWith);
+      keepTraces(res.traces.size());
     }
-
-    if (job.perturbHook) job.perturbHook(group, g, ranWith);
 
     // Online spot-check: re-run a deterministic sample of fast-engine
-    // groups under Reference; a digest mismatch quarantines the fast
-    // engine and commits the reference bits.
+    // groups under Reference, digesting the re-run as it streams; a
+    // mismatch quarantines the fast engine and re-acquires the group
+    // under Reference.
     if (spotEvery > 0 && ranWith != SimEngine::Reference &&
         g % spotEvery == spotOffset) {
       ++info.spotChecks;
       reg.counter("jobs.spot_checks").add(1);
-      if (quantized) {
-        TraceSet again = runGroup(g, ranWith);
-        if (digestOfTraceSet(again) != digestOfTraceSet(group)) {
-          obs::EventJournal::global().error(
-              "spot-check", {{"group", std::to_string(g)},
-                             {"result", "self-consistency-mismatch"}});
-          throw std::runtime_error(
-              "resilientAcquire: quantized-grid spot-check mismatch on group " +
-              std::to_string(g) + " (style " + std::string(sbox.name()) +
-              "): the batch engine is nondeterministic; aborting (quantized "
-              "runs have no exact-engine fallback)");
-        }
+      DigestAccumulator again;
+      runGroup(g, quantized ? ranWith : SimEngine::Reference,
+               [&](std::uint8_t label, const double* samples) {
+                 again.addTrace(label, samples, numSamples);
+               },
+               /*report=*/false);
+      if (again.value() == digestOfRange(res.traces, begin, end)) {
+        obs::EventJournal::global().info(
+            "spot-check", {{"group", std::to_string(g)}, {"result", "ok"}});
+      } else if (quantized) {
+        obs::EventJournal::global().error(
+            "spot-check", {{"group", std::to_string(g)},
+                           {"result", "self-consistency-mismatch"}});
+        throw std::runtime_error(
+            "resilientAcquire: quantized-grid spot-check mismatch on group " +
+            std::to_string(g) + " (style " + std::string(sbox.name()) +
+            "): the batch engine is nondeterministic; aborting (quantized "
+            "runs have no exact-engine fallback)");
       } else {
-        TraceSet ref = runGroup(g, SimEngine::Reference);
-        if (digestOfTraceSet(ref) != digestOfTraceSet(group)) {
-          quarantine(g, "spot-check-mismatch");
-          group = std::move(ref);
-        } else {
-          obs::EventJournal::global().info(
-              "spot-check",
-              {{"group", std::to_string(g)}, {"result", "ok"}});
+        quarantine(g, "spot-check-mismatch");
+        if (!acquireGroup(g)) {
+          stopEarly("deadline");
+          break;
         }
       }
     }
 
-    res.traces.append(group);
-    stream.addTraceSet(group);
-    groupDigests.push_back(digestOfTraceSet(group));
     info.groupsCompleted = g + 1;
     ++committedThisRun;
     ++g;
@@ -504,6 +554,7 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
                          {"of", std::to_string(groupsTotal)}});
   if (info.groupsCompleted != lastCheckpointed) writeCheckpoint();
   if (stream.traces() > 0 && !cfg.adaptive) res.estimate = stream.estimate();
+  res.history = monitor.history();
   reg.gauge("jobs.groups_completed")
       .set(static_cast<double>(info.groupsCompleted));
   return res;

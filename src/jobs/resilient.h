@@ -6,7 +6,10 @@
 // schedule or convergence-gated — group by group, committing each group
 // to a crash-safe checkpoint (jobs/checkpoint.h), so a long campaign
 // survives SIGKILL, node preemption, and transient worker failures
-// without losing committed work or its determinism guarantees.
+// without losing committed work or its determinism guarantees. It is the
+// one adaptive loop: convergence-gated acquisition is its stop rule
+// (cfg.adaptive), and SboxExperiment::adaptiveAcquireAt is this loop run
+// with durability off.
 //
 // ## Resume invariant
 //
@@ -15,24 +18,31 @@
 // adaptive run is batch g under the adaptive substream
 // deriveStreamSeed(deriveStreamSeed(seed, kAdaptiveBatchStream), g) — in
 // both cases a pure function of (seed, g), never of wall clock, engine,
-// thread count, or earlier groups. Hence a resumed run's final TraceSet,
-// leakage estimate, and determinism digest are bit-identical to the
-// uninterrupted run's, for any interleaving of kills, engines, and
-// thread counts across sessions. The config fingerprint stored in the
-// checkpoint deliberately EXCLUDES engine and thread count — resuming a
-// Batch-engine run under Reference on a single thread is legal and
-// bit-identical; it INCLUDES everything that determines result bits
-// (netlist structure, seed, protocol knobs, estimator options).
+// thread count, or earlier groups. A group's traces reach the result and
+// the estimator as the pool delivers them; a discarded group (failed
+// attempt, deadline, spot-check repair) is truncated away and the
+// estimator re-folded from the committed traces — bit-identical, as the
+// fold is a pure function of the traces in index order. Hence a resumed
+// run's final TraceSet, leakage estimate, and determinism digest are
+// bit-identical to the uninterrupted run's, for any interleaving of
+// kills, engines, and thread counts across sessions. The config
+// fingerprint stored in the checkpoint deliberately EXCLUDES engine and
+// thread count — resuming a Batch-engine run under Reference on a single
+// thread is legal and bit-identical; it INCLUDES everything that
+// determines result bits (netlist structure, seed, protocol knobs, the
+// delay and power model the engines lower — device age included — and
+// estimator options).
 //
 // ## Failure handling
 //
 // Transient per-group failures retry with bounded exponential backoff
 // (RetryPolicy, trace/sharded_pool.h); a retried group re-derives the
 // same substreams so a retry is invisible in the result bits. Budget
-// exhaustion (cfg.trapBudget) escalates as a WorkerError naming the
-// group. A deadline (cfg.deadlineMs) cancels cooperatively through the
-// progress-abort path and returns the committed prefix with `truncated`
-// set instead of throwing. Engine quarantine guards the fast engines: a
+// exhaustion (cfg.trapBudget, or retry.maxAttempts for one group)
+// escalates as a WorkerError naming the group. A deadline
+// (cfg.deadlineMs) cancels cooperatively through the progress-abort path
+// and returns the committed prefix with `truncated` set instead of
+// throwing. Engine quarantine guards the fast engines: a
 // deterministic random sample of committed groups is re-run under
 // Reference and digest-compared (spot-check); a mismatch or repeated
 // SimDiverged demotes the run to the Reference engine and records a
@@ -58,6 +68,7 @@
 #include "power/power_model.h"
 #include "sboxes/masked_sbox.h"
 #include "sim/event_sim.h"
+#include "stats/convergence.h"
 #include "stats/streaming_leakage.h"
 #include "trace/acquisition.h"
 #include "trace/sharded_pool.h"
@@ -118,9 +129,6 @@ struct JobConfig {
   std::uint64_t stopAfterGroups = 0;
   /// Estimator options; part of the checkpoint fingerprint.
   stats::StreamingLeakage::Options statsOpt;
-  /// Extra bits folded into the fingerprint (e.g. device age) so runs
-  /// that differ outside AcquisitionConfig cannot cross-resume.
-  std::uint64_t fingerprintExtra = 0;
 
   // ## Test hooks (all default-empty; pure observers unless they throw)
 
@@ -129,9 +137,11 @@ struct JobConfig {
   std::function<void(std::uint64_t group, std::uint32_t attempt,
                      SimEngine engine)>
       beforeGroupHook;
-  /// May corrupt a freshly acquired group (before the spot-check sees
-  /// it) to exercise quarantine; `engine` is the engine that ran it.
-  std::function<void(TraceSet& group, std::uint64_t groupIndex,
+  /// May corrupt a freshly acquired group — traces [groupBegin, size())
+  /// of `traces` — before the spot-check sees it, to exercise quarantine;
+  /// `engine` is the engine that ran it. The estimator is re-folded from
+  /// the traces afterwards.
+  std::function<void(TraceSet& traces, std::size_t groupBegin,
                      SimEngine engine)>
       perturbHook;
   /// Deterministic clock for deadline tests: elapsed ms as a function of
@@ -143,16 +153,23 @@ struct JobConfig {
 struct ResilientResult {
   TraceSet traces{0};
   stats::LeakageEstimate estimate;
+  /// Adaptive runs: one convergence point per group observed in this
+  /// session (a resumed run starts at the point re-derived from the
+  /// checkpoint); empty for fixed runs.
+  std::vector<stats::ConvergencePoint> history;
   ResilienceInfo resilience;
 };
 
 /// Fingerprint binding a checkpoint to one logical run: netlist digest +
-/// style + protocol/estimator knobs + job.fingerprintExtra. Engine,
-/// thread count, deadline, cadence and retry knobs are excluded by
-/// design (see the resume invariant above); time quantization IS folded
-/// (only when non-Exact) because quantized traces are not bit-compatible
-/// with exact ones.
+/// style + protocol/estimator knobs + the physical model the engines
+/// lower (simulator kind and swing factor, gate delays, power options,
+/// aged pulse energies — so jitter, aging and delay faults count).
+/// Engine, thread count, deadline, cadence and retry knobs are excluded
+/// by design (see the resume invariant above); time quantization IS
+/// folded (only when non-Exact) because quantized traces are not
+/// bit-compatible with exact ones.
 std::uint64_t acquisitionFingerprint(const MaskedSbox& sbox,
+                                     const EventSim& sim,
                                      const PowerModel& power,
                                      const AcquisitionConfig& cfg,
                                      const JobConfig& job);
@@ -160,9 +177,10 @@ std::uint64_t acquisitionFingerprint(const MaskedSbox& sbox,
 /// Runs the durable acquisition described above. Honors cfg.adaptive
 /// (convergence-gated groups), cfg.deadlineMs and cfg.trapBudget; `sim`
 /// is the per-worker clone prototype exactly as in acquire(). Throws
-/// WorkerError on retry-budget exhaustion and obs::ProgressAborted on a
-/// user abort; a deadline or drain stop returns normally with
-/// resilience.truncated set.
+/// std::invalid_argument on a malformed config, WorkerError on
+/// retry-budget exhaustion and obs::ProgressAborted on a user abort; a
+/// deadline or drain stop returns normally with resilience.truncated set.
+/// cfg.progress sees "resilient-acquire" against the whole run's budget.
 ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
                                  const PowerModel& power,
                                  const AcquisitionConfig& cfg,

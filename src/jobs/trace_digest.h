@@ -37,13 +37,17 @@ class DigestAccumulator {
       hash_ *= 0x100000001B3ULL;
     }
   }
-  /// Folds traces [begin, end) of `ts`: per trace the label (as a double,
-  /// the historical bench encoding) then every sample.
+  /// Folds one trace: its label (as a double, the historical bench
+  /// encoding) then its `numSamples` samples.
+  void addTrace(std::uint8_t label, const double* x,
+                std::uint32_t numSamples) {
+    add(static_cast<double>(label));
+    for (std::uint32_t s = 0; s < numSamples; ++s) add(x[s]);
+  }
+  /// Folds traces [begin, end) of `ts` in index order.
   void addRange(const TraceSet& ts, std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      add(static_cast<double>(ts.label(i)));
-      const double* x = ts.trace(i);
-      for (std::uint32_t s = 0; s < ts.numSamples(); ++s) add(x[s]);
+      addTrace(ts.label(i), ts.trace(i), ts.numSamples());
     }
   }
   void addTraceSet(const TraceSet& ts) { addRange(ts, 0, ts.size()); }

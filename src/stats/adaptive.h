@@ -1,11 +1,15 @@
 #pragma once
-// Convergence-gated trace acquisition (DESIGN.md §10).
+// Convergence-gated trace acquisition (DESIGN.md §10): its result type and
+// stop reasons.
 //
-// `adaptiveAcquire` collects traces in deterministic class-balanced batches,
-// folds each batch into a StreamingLeakage estimator, and stops as soon as
-// the relative half-width of the total-leakage confidence interval meets
-// the target — typically well before the fixed-count budget on styles whose
-// estimate converges quickly.
+// Adaptive acquisition is a stop rule on the durable group loop
+// (jobs::resilientAcquire, cfg.adaptive = true): group b collects one
+// class-balanced batch, folds it into a StreamingLeakage estimator as its
+// traces arrive, and the run stops as soon as the relative half-width of
+// the total-leakage confidence interval meets the target — typically well
+// before the fixed-count budget on styles whose estimate converges
+// quickly. SboxExperiment::adaptiveAcquireAt runs that loop with
+// durability off and returns an AdaptiveResult.
 //
 // ## Determinism contract
 //
@@ -27,12 +31,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "power/power_model.h"
-#include "sboxes/masked_sbox.h"
-#include "sim/event_sim.h"
 #include "stats/convergence.h"
 #include "stats/streaming_leakage.h"
-#include "trace/acquisition.h"
 #include "trace/trace_set.h"
 
 namespace lpa::stats {
@@ -55,16 +55,5 @@ struct AdaptiveResult {
   std::uint32_t batches = 0;
   AdaptiveStop stop = AdaptiveStop::MaxTraces;
 };
-
-/// Runs convergence-gated acquisition per `cfg` (see AcquisitionConfig's
-/// adaptive block; cfg.adaptive itself is ignored — calling this *is*
-/// opting in). `statsOpt` controls the estimator (mode, folds, confidence).
-/// Progress is reported against the maxTraces budget through cfg.progress;
-/// metrics land in the global registry (adaptive.batches, adaptive.traces,
-/// stats.ci_rel, ...).
-AdaptiveResult adaptiveAcquire(const MaskedSbox& sbox, EventSim& sim,
-                               const PowerModel& power,
-                               const AcquisitionConfig& cfg,
-                               const StreamingLeakage::Options& statsOpt = {});
 
 }  // namespace lpa::stats

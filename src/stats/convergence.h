@@ -5,9 +5,10 @@
 // (one per acquisition batch), keeps the history of CI half-widths, and
 // decides when the relative half-width of the total-leakage interval has
 // met a target — the stop condition of convergence-gated acquisition
-// (stats/adaptive.h). Purely an observer: it never feeds anything back into
-// trace generation, so the traces a converged run acquired are a prefix of
-// the traces the un-gated run would have acquired.
+// (stats/adaptive.h, the adaptive mode of jobs/resilient.h). Purely an
+// observer: it never feeds anything back into trace generation, so the
+// traces a converged run acquired are a prefix of the traces the un-gated
+// run would have acquired.
 
 #include <cstdint>
 #include <vector>

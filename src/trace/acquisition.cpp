@@ -12,7 +12,6 @@
 #include "obs/trace_span.h"
 #include "sim/batch_sim.h"
 #include "sim/compiled_sim.h"
-#include "stats/adaptive.h"
 #include "trace/sharded_pool.h"
 
 namespace lpa {
@@ -358,24 +357,6 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
          }));
 }
 
-/// Slice [begin, end) of the fixed-class protocol acquire() runs for `cfg`.
-void acquireClassSlice(const MaskedSbox& sbox, EventSim& sim,
-                       const PowerModel& power, const AcquisitionConfig& cfg,
-                       std::size_t begin, std::size_t end,
-                       const TraceSink& sink) {
-  const std::vector<std::uint8_t> schedule =
-      balancedClassSchedule(cfg.tracesPerClass, cfg.seed);
-  const Protocol protocol{[&](std::size_t i) {
-                            return classStimulus(sbox, cfg.seed,
-                                                 cfg.initialValue,
-                                                 schedule[i], i);
-                          },
-                          "acquire", "class", "acquire"};
-  acquireSlice(sbox, sim, power, protocol, begin, end, cfg.engine,
-               cfg.timeQuantization, cfg.numThreads, cfg.progress,
-               cfg.profiler, sink);
-}
-
 /// A TraceSet of `n` reserved traces, filled by run(sink).
 template <typename Run>
 TraceSet collect(const PowerModel& power, std::size_t n, const Run& run) {
@@ -389,24 +370,40 @@ TraceSet collect(const PowerModel& power, std::size_t n, const Run& run) {
 
 }  // namespace
 
+void acquireRange(const MaskedSbox& sbox, EventSim& sim,
+                  const PowerModel& power, const AcquisitionConfig& cfg,
+                  std::size_t begin, std::size_t end, const TraceSink& sink) {
+  if (cfg.adaptive) {
+    throw std::invalid_argument(
+        "acquisition: cfg.adaptive must be false (adaptive runs go batch by "
+        "batch through jobs::resilientAcquire)");
+  }
+  const std::size_t total = 16u * cfg.tracesPerClass;
+  if (begin > end || end > total) {
+    throw std::invalid_argument(
+        "acquireRange: invalid slice [" + std::to_string(begin) + ", " +
+        std::to_string(end) + ") of " + std::to_string(total) + " traces");
+  }
+  const std::vector<std::uint8_t> schedule =
+      balancedClassSchedule(cfg.tracesPerClass, cfg.seed);
+  const Protocol protocol{[&](std::size_t i) {
+                            return classStimulus(sbox, cfg.seed,
+                                                 cfg.initialValue,
+                                                 schedule[i], i);
+                          },
+                          "acquire", "class", "acquire"};
+  acquireSlice(sbox, sim, power, protocol, begin, end, cfg.engine,
+               cfg.timeQuantization, cfg.numThreads, cfg.progress,
+               cfg.profiler, sink);
+}
+
 void acquire(const MaskedSbox& sbox, EventSim& sim, const PowerModel& power,
              const AcquisitionConfig& cfg, const TraceSink& sink) {
-  if (cfg.adaptive) {
-    const TraceSet traces = stats::adaptiveAcquire(sbox, sim, power, cfg).traces;
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-      sink(traces.label(i), traces.trace(i));
-    }
-    return;
-  }
-  acquireClassSlice(sbox, sim, power, cfg, 0, 16u * cfg.tracesPerClass,
-                    sink);
+  acquireRange(sbox, sim, power, cfg, 0, 16u * cfg.tracesPerClass, sink);
 }
 
 TraceSet acquire(const MaskedSbox& sbox, EventSim& sim,
                  const PowerModel& power, const AcquisitionConfig& cfg) {
-  if (cfg.adaptive) {
-    return stats::adaptiveAcquire(sbox, sim, power, cfg).traces;
-  }
   return collect(power, 16u * cfg.tracesPerClass, [&](const TraceSink& s) {
     acquire(sbox, sim, power, cfg, s);
   });
@@ -415,21 +412,10 @@ TraceSet acquire(const MaskedSbox& sbox, EventSim& sim,
 TraceSet acquireRange(const MaskedSbox& sbox, EventSim& sim,
                       const PowerModel& power, const AcquisitionConfig& cfg,
                       std::size_t begin, std::size_t end) {
-  if (cfg.adaptive) {
-    throw std::invalid_argument(
-        "acquireRange: cfg.adaptive must be false (adaptive runs are "
-        "sliced by batch, not by schedule index)");
-  }
-  const std::size_t total = 16u * cfg.tracesPerClass;
-  if (begin > end || end > total) {
-    throw std::invalid_argument(
-        "acquireRange: invalid slice [" + std::to_string(begin) + ", " +
-        std::to_string(end) + ") of " + std::to_string(total) + " traces");
-  }
-  if (begin == end) return TraceSet(power.options().numSamples);
-  return collect(power, end - begin, [&](const TraceSink& s) {
-    acquireClassSlice(sbox, sim, power, cfg, begin, end, s);
-  });
+  return collect(power, end > begin ? end - begin : 0,
+                 [&](const TraceSink& s) {
+                   acquireRange(sbox, sim, power, cfg, begin, end, s);
+                 });
 }
 
 TraceSet acquireKeyed(const MaskedSbox& sbox, EventSim& sim,

@@ -132,16 +132,15 @@ struct AcquisitionConfig {
 
   // ## Convergence-gated (adaptive) acquisition
   //
-  // With `adaptive` set, acquire() delegates to stats::adaptiveAcquire
-  // (stats/adaptive.h): traces arrive in deterministic batches of
-  // `batchSize` — batch b is a balanced mini-schedule run under the derived
-  // substream deriveStreamSeed(deriveStreamSeed(seed, kAdaptiveBatchStream),
-  // b), so batch contents depend only on (seed, b, batchSize) — and the run
-  // stops as soon as the relative half-width of the streaming total-leakage
-  // CI reaches `targetCiRel`, or at `maxTraces`. The collected TraceSet is
-  // bit-reproducible given (seed, batchSize) and thread-count invariant,
-  // and a converged run's traces are a prefix of the maxTraces run's.
-  // `tracesPerClass` only serves as the default for maxTraces.
+  // Read by the group loop of the resilience layer (jobs/resilient.h),
+  // whose stop rule they set; acquire() and acquireRange() reject
+  // `adaptive`. An adaptive run collects batches of `batchSize` traces —
+  // batch b is a balanced mini-schedule run under the derived substream
+  // deriveStreamSeed(deriveStreamSeed(seed, kAdaptiveBatchStream), b), so
+  // batch contents depend only on (seed, b, batchSize) — and stops as soon
+  // as the relative half-width of the streaming total-leakage CI reaches
+  // `targetCiRel`, or at `maxTraces`. `tracesPerClass` only serves as the
+  // default for maxTraces.
   bool adaptive = false;
   /// Stop once halfWidth(total-leakage CI) / total <= this.
   double targetCiRel = 0.10;
@@ -214,8 +213,8 @@ std::vector<TraceStimulus> runLaneGroup(BatchSim& sim,
 using TraceSink = std::function<void(std::uint8_t label, const double*)>;
 
 /// acquire() that hands each trace to `sink` instead of storing it, in the
-/// order acquire() would return them. An adaptive `cfg` replays
-/// stats::adaptiveAcquire's traces.
+/// order acquire() would return them: the acquireRange() sink form over
+/// the whole run.
 void acquire(const MaskedSbox& sbox, EventSim& sim, const PowerModel& power,
              const AcquisitionConfig& cfg, const TraceSink& sink);
 
@@ -223,7 +222,7 @@ void acquire(const MaskedSbox& sbox, EventSim& sim, const PowerModel& power,
 /// and power model (both must be built for sbox.netlist()). `sim` is used
 /// as the prototype for per-worker clones (netlist, delay model, options,
 /// metrics attachment — also when the compiled engine serves the run); its
-/// state after the call is unspecified.
+/// state after the call is unspecified. cfg.adaptive must be false.
 TraceSet acquire(const MaskedSbox& sbox, EventSim& sim,
                  const PowerModel& power,
                  const AcquisitionConfig& cfg = {});
@@ -234,10 +233,18 @@ TraceSet acquire(const MaskedSbox& sbox, EventSim& sim,
 /// concatenating slices in index order is bit-identical to one full
 /// acquire() — the property the checkpoint/resume layer (jobs/resilient.h)
 /// is built on. Engine and thread count are free per slice. cfg.adaptive
-/// must be false (adaptive runs are sliced by batch, not by index).
+/// must be false (adaptive runs are sliced by batch, not by index); a bad
+/// slice or an adaptive `cfg` throws std::invalid_argument.
 TraceSet acquireRange(const MaskedSbox& sbox, EventSim& sim,
                       const PowerModel& power, const AcquisitionConfig& cfg,
                       std::size_t begin, std::size_t end);
+
+/// acquireRange() that hands each trace to `sink` in index order instead
+/// of storing it — the one streaming entry point of the fixed-class
+/// protocol.
+void acquireRange(const MaskedSbox& sbox, EventSim& sim,
+                  const PowerModel& power, const AcquisitionConfig& cfg,
+                  std::size_t begin, std::size_t end, const TraceSink& sink);
 
 /// Variant for attack studies (CPA): the final value is `plain ^ key` with
 /// uniformly random `plain`; the trace label is the *plaintext* nibble.

@@ -31,6 +31,12 @@ void TraceSet::append(const TraceSet& other) {
                   other.samples_.end());
 }
 
+void TraceSet::truncate(std::size_t n) {
+  if (n > size()) throw std::invalid_argument("truncate past the end");
+  labels_.resize(n);
+  samples_.resize(n * numSamples_);
+}
+
 std::vector<std::vector<double>> TraceSet::classMeans(
     std::size_t firstN) const {
   const std::size_t n =

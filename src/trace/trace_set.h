@@ -24,6 +24,9 @@ class TraceSet {
   /// Shapes (numSamples, numClasses) must match.
   void append(const TraceSet& other);
 
+  /// Keeps the first `n` traces (n <= size()) and drops the rest.
+  void truncate(std::size_t n);
+
   std::uint32_t numSamples() const { return numSamples_; }
   std::uint32_t numClasses() const { return numClasses_; }
   std::size_t size() const { return labels_.size(); }

@@ -1,6 +1,6 @@
 // Slow-tier tests for convergence-gated acquisition (stats/adaptive.h):
 // determinism across thread counts and engines, the early-stop-is-a-prefix
-// contract, stop semantics, and the AcquisitionConfig::adaptive routing.
+// contract, stop semantics, and config validation.
 
 #include <gtest/gtest.h>
 
@@ -137,26 +137,6 @@ TEST(AdaptiveAcquire, StopSemanticsAndHistory) {
   for (std::size_t i = 0; i + 1 < res.history.size(); ++i) {
     EXPECT_GT(res.history[i].ciRel, 0.45);
   }
-}
-
-TEST(AdaptiveAcquire, AcquireRoutesTheAdaptiveFlag) {
-  // acquire()/acquireAt() with cfg.adaptive = true must return exactly the
-  // traces of the explicit adaptiveAcquire call.
-  ExperimentConfig cfg = adaptiveConfig();
-  SboxExperiment exp(SboxStyle::Isw, cfg);
-  const stats::AdaptiveResult res = exp.adaptiveAcquireAt(0.0);
-
-  cfg.acquisition.adaptive = true;
-  SboxExperiment routed(SboxStyle::Isw, cfg);
-  const TraceSet traces = routed.acquireAt(0.0);
-  EXPECT_TRUE(traceSetsEqual(traces, res.traces));
-
-  // The streaming entry point replays the same traces into its sink.
-  stats::StreamingLeakage folded(res.traces.numSamples());
-  folded.addTraceSet(res.traces);
-  const stats::LeakageEstimate streamed = routed.estimateAt(0.0);
-  EXPECT_EQ(streamed.traces, res.traces.size());
-  EXPECT_EQ(streamed.total, folded.estimate().total);
 }
 
 TEST(AdaptiveAcquire, RejectsMalformedConfig) {

@@ -11,10 +11,12 @@
 #include <thread>
 #include <vector>
 
+#include "core/experiment.h"
 #include "crypto/present.h"
 #include "netlist/builder.h"
 #include "netlist/netlist.h"
 #include "netlist/validate.h"
+#include "obs/event_journal.h"
 #include "power/power_model.h"
 #include "sboxes/encoding.h"
 #include "sboxes/isw_any_order.h"
@@ -270,6 +272,49 @@ TEST(AcquisitionErrors, SinkFailureNamesItsTrace) {
       }
     }
   }
+}
+
+/// True when `e` nests a SimDiverged at any depth.
+bool nestsSimDiverged(const std::exception& e) {
+  try {
+    std::rethrow_if_nested(e);
+  } catch (const SimDiverged&) {
+    return true;
+  } catch (const std::exception& inner) {
+    return nestsSimDiverged(inner);
+  }
+  return false;
+}
+
+TEST(AcquisitionErrors, AdaptiveWatchdogTripFailsGroupZeroOnce) {
+  // adaptiveAcquireAt runs one attempt per group: a tripped watchdog fails
+  // the run at once, as one WorkerError naming group 0 with the
+  // SimDiverged nested, and is never retried.
+  ExperimentConfig cfg;
+  cfg.sim.maxEvents = 1;
+  cfg.acquisition.tracesPerClass = 8;
+  cfg.acquisition.batchSize = 64;
+  cfg.acquisition.numThreads = 1;
+  SboxExperiment exp(SboxStyle::Rsm, cfg);
+  obs::EventJournal& journal = obs::EventJournal::global();
+  const std::uint64_t before = journal.emitted();
+  try {
+    (void)exp.adaptiveAcquireAt(0.0);
+    FAIL() << "a tripped watchdog must fail the adaptive run";
+  } catch (const WorkerError& e) {
+    EXPECT_EQ(e.index(), 0u);
+    EXPECT_NE(std::string(e.what()).find("resilient group 0/2"),
+              std::string::npos)
+        << e.what();
+    EXPECT_TRUE(nestsSimDiverged(e)) << e.what();
+  }
+  int starts = 0;
+  for (const obs::JournalEvent& ev :
+       journal.tail(journal.emitted() - before)) {
+    EXPECT_NE(ev.kind, "group-retry");
+    if (ev.kind == "acquire-start") ++starts;
+  }
+  EXPECT_EQ(starts, 1);
 }
 
 /// Deterministic per-item pause in [0, 300) µs, every 7th item 2 ms, so

@@ -175,21 +175,24 @@ TEST(QuantAcquire, FingerprintSeparatesQuantizedFromExact) {
   ExperimentConfig ecfg;
   ecfg.acquisition.tracesPerClass = 8;
   SboxExperiment exp(SboxStyle::Opt, ecfg);
-  const PowerModel power(exp.sbox().netlist(), ecfg.power);
+  const Netlist& nl = exp.sbox().netlist();
+  const DelayModel delays(nl, ecfg.delay);
+  const PowerModel power(nl, ecfg.power);
+  const EventSim sim(nl, delays, ecfg.sim);
   jobs::JobConfig job;
 
   AcquisitionConfig exact = ecfg.acquisition;
   AcquisitionConfig quant = exact;
   quant.engine = SimEngine::Batch;
   quant.timeQuantization = TimeQuantization::SampleGrid;
-  EXPECT_NE(jobs::acquisitionFingerprint(exp.sbox(), power, exact, job),
-            jobs::acquisitionFingerprint(exp.sbox(), power, quant, job));
+  EXPECT_NE(jobs::acquisitionFingerprint(exp.sbox(), sim, power, exact, job),
+            jobs::acquisitionFingerprint(exp.sbox(), sim, power, quant, job));
 
   // Within quantized mode the engine/thread exclusions still apply.
   AcquisitionConfig quant2 = quant;
   quant2.numThreads = 7;
-  EXPECT_EQ(jobs::acquisitionFingerprint(exp.sbox(), power, quant, job),
-            jobs::acquisitionFingerprint(exp.sbox(), power, quant2, job));
+  EXPECT_EQ(jobs::acquisitionFingerprint(exp.sbox(), sim, power, quant, job),
+            jobs::acquisitionFingerprint(exp.sbox(), sim, power, quant2, job));
 
   // An exact checkpoint must not be adopted by a quantized run: the
   // quantized run restarts from scratch and stays self-consistent.

@@ -1,7 +1,9 @@
 // Tier-1 tests for the durability layer (jobs/): checkpoint file format,
 // estimator state serialization, acquireRange slicing, crash-safe
 // checkpoint/resume (including a real SIGKILL kill-harness), deadlines,
-// retry/escalation, and engine quarantine.
+// retry/escalation, engine quarantine, the rollback of the streamed fold,
+// and the pinned bits of adaptiveAcquireAt (the group loop in adaptive
+// mode).
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include "jobs/resilient.h"
 #include "jobs/trace_digest.h"
 #include "obs/run_report.h"
+#include "stats/adaptive.h"
 #include "stats/report.h"
 #include "trace/acquisition.h"
 
@@ -56,6 +59,31 @@ ExperimentConfig smallConfig() {
 constexpr stats::StreamingLeakage::Options kFourFolds{
     EstimatorMode::Debiased, /*numFolds=*/4, 0.95};
 
+/// Adaptive operating point: RSM (masked, so the CI resolves), a
+/// 512-trace budget in batches of 128, one thread.
+ExperimentConfig rsmAdaptiveConfig(double targetCiRel) {
+  ExperimentConfig cfg;
+  cfg.acquisition.tracesPerClass = 32;
+  cfg.acquisition.batchSize = 128;
+  cfg.acquisition.targetCiRel = targetCiRel;
+  cfg.acquisition.numThreads = 1;
+  return cfg;
+}
+
+/// The estimate a fresh streaming fold of `traces` gives.
+stats::LeakageEstimate foldOf(const TraceSet& traces,
+                              const stats::StreamingLeakage::Options& opt) {
+  stats::StreamingLeakage stream(traces.numSamples(), opt);
+  stream.addTraceSet(traces);
+  return stream.estimate();
+}
+
+std::uint64_t bitsOf(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
 // ---------------------------------------------------------------- slicing
 
 TEST(AcquireRange, SlicesConcatenateToFullAcquire) {
@@ -90,6 +118,11 @@ TEST(AcquireRange, SlicesConcatenateToFullAcquire) {
   AcquisitionConfig bad = cfg;
   bad.adaptive = true;
   EXPECT_THROW(acquireRange(exp.sbox(), sim, power, bad, 0, 16),
+               std::invalid_argument);
+  // Adaptive runs go through the resilient group loop, never acquire().
+  EXPECT_THROW(acquire(exp.sbox(), sim, power, bad), std::invalid_argument);
+  EXPECT_THROW(acquire(exp.sbox(), sim, power, bad,
+                       [](std::uint8_t, const double*) {}),
                std::invalid_argument);
 }
 
@@ -327,7 +360,10 @@ TEST(ResilientAcquire, ForeignCheckpointIsIgnored) {
 TEST(ResilientAcquire, FingerprintExcludesEngineAndThreads) {
   ExperimentConfig ecfg = smallConfig();
   SboxExperiment exp(SboxStyle::Opt, ecfg);
-  const PowerModel power(exp.sbox().netlist(), ecfg.power);
+  const Netlist& nl = exp.sbox().netlist();
+  const DelayModel delays(nl, ecfg.delay);
+  const PowerModel power(nl, ecfg.power);
+  const EventSim sim(nl, delays, ecfg.sim);
   jobs::JobConfig job;
 
   AcquisitionConfig a = ecfg.acquisition;
@@ -336,17 +372,17 @@ TEST(ResilientAcquire, FingerprintExcludesEngineAndThreads) {
   b.numThreads = 7;
   b.deadlineMs = 1234;
   b.trapBudget = 1;
-  EXPECT_EQ(jobs::acquisitionFingerprint(exp.sbox(), power, a, job),
-            jobs::acquisitionFingerprint(exp.sbox(), power, b, job));
+  EXPECT_EQ(jobs::acquisitionFingerprint(exp.sbox(), sim, power, a, job),
+            jobs::acquisitionFingerprint(exp.sbox(), sim, power, b, job));
 
   AcquisitionConfig c = a;
   c.seed ^= 1;
-  EXPECT_NE(jobs::acquisitionFingerprint(exp.sbox(), power, a, job),
-            jobs::acquisitionFingerprint(exp.sbox(), power, c, job));
+  EXPECT_NE(jobs::acquisitionFingerprint(exp.sbox(), sim, power, a, job),
+            jobs::acquisitionFingerprint(exp.sbox(), sim, power, c, job));
   jobs::JobConfig job2;
   job2.groupTraces = job.groupTraces + 16;
-  EXPECT_NE(jobs::acquisitionFingerprint(exp.sbox(), power, a, job),
-            jobs::acquisitionFingerprint(exp.sbox(), power, a, job2));
+  EXPECT_NE(jobs::acquisitionFingerprint(exp.sbox(), sim, power, a, job),
+            jobs::acquisitionFingerprint(exp.sbox(), sim, power, a, job2));
 }
 
 TEST(ResilientAcquire, DeadlineReturnsValidatedPartialReport) {
@@ -376,10 +412,12 @@ TEST(ResilientAcquire, DeadlineReturnsValidatedPartialReport) {
     ASSERT_EQ(res.traces.label(i), full.label(i));
   }
 
-  // Partial statistics are real: finite CIs from the committed prefix.
+  // Partial statistics are real: finite CIs from the committed prefix,
+  // the streaming fold of exactly the returned traces.
   EXPECT_EQ(res.estimate.traces, 256u);
   EXPECT_TRUE(std::isfinite(res.estimate.totalCi.halfWidth));
   EXPECT_GT(res.estimate.total, 0.0);
+  EXPECT_EQ(res.estimate.total, foldOf(res.traces, kFourFolds).total);
 
   // And the run report carrying both blocks validates against /3.
   obs::RunReport report("deadline-partial");
@@ -472,16 +510,17 @@ TEST(ResilientAcquire, SpotCheckMismatchQuarantinesAndRepairs) {
   job.spotCheckEveryGroups = 1;  // sample every fast-engine group
   // Model a silently-wrong fast engine: corrupt one sample of every group
   // it produces (the hook sees which engine ran the group).
-  job.perturbHook = [](TraceSet& group, std::uint64_t, SimEngine ranWith) {
+  job.perturbHook = [](TraceSet& traces, std::size_t groupBegin,
+                       SimEngine ranWith) {
     if (ranWith == SimEngine::Reference) return;
-    TraceSet corrupted(group.numSamples());
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      std::vector<double> samples(group.trace(i),
-                                  group.trace(i) + group.numSamples());
-      if (i == 0) samples[0] += 1.0;
-      corrupted.add(group.label(i), std::move(samples));
+    TraceSet corrupted(traces.numSamples());
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+      std::vector<double> samples(traces.trace(i),
+                                  traces.trace(i) + traces.numSamples());
+      if (i == groupBegin) samples[0] += 1.0;
+      corrupted.add(traces.label(i), std::move(samples));
     }
-    group = std::move(corrupted);
+    traces = std::move(corrupted);
   };
   SboxExperiment exp(SboxStyle::Opt, cfg);
   const jobs::ResilientResult res = exp.resilientAcquireAt(0.0, job);
@@ -495,6 +534,10 @@ TEST(ResilientAcquire, SpotCheckMismatchQuarantinesAndRepairs) {
   EXPECT_EQ(res.resilience.events[0].reason, "spot-check-mismatch");
   EXPECT_EQ(res.resilience.spotChecks, 1u);
   EXPECT_EQ(jobs::digestOfTraceSet(res.traces), expected);
+  // The repair rolled the corrupted group out of the estimator too.
+  const stats::LeakageEstimate fold = foldOf(res.traces, job.statsOpt);
+  EXPECT_EQ(res.estimate.total, fold.total);
+  EXPECT_EQ(res.estimate.totalCi.halfWidth, fold.totalCi.halfWidth);
 }
 
 TEST(ResilientAcquire, RepeatedDivergenceQuarantinesEngine) {
@@ -523,6 +566,164 @@ TEST(ResilientAcquire, RepeatedDivergenceQuarantinesEngine) {
   EXPECT_EQ(res.resilience.events[0].reason, "sim-diverged");
   EXPECT_EQ(res.resilience.retries, 2u);
   EXPECT_EQ(jobs::digestOfTraceSet(res.traces), expected);
+}
+
+TEST(ResilientAcquire, MidGroupFailureRetriesFromTheCommittedTraces) {
+  // A progress sink that throws once, on its first call inside group 1:
+  // the meter emits on its first step, so group 1 has already streamed one
+  // trace into the result and the estimator. The retry must drop it and
+  // re-fold, leaving the uninterrupted run's bits — in fixed and in
+  // adaptive mode.
+  struct Mode {
+    const char* name;
+    SboxStyle style;
+    ExperimentConfig cfg;
+    jobs::JobConfig job;
+    std::uint64_t groupTraces;
+  };
+  Mode modes[] = {{"fixed", SboxStyle::Opt, smallConfig(), {}, 32},
+                  {"adaptive", SboxStyle::Rsm, rsmAdaptiveConfig(1e-6), {},
+                   128}};
+  modes[0].job.groupTraces = 32;
+  modes[1].cfg.acquisition.adaptive = true;
+  for (Mode& mode : modes) {
+    SCOPED_TRACE(mode.name);
+    mode.job.statsOpt = kFourFolds;
+    mode.job.retry.baseBackoffMs = 0;
+    SboxExperiment clean(mode.style, mode.cfg);
+    const jobs::ResilientResult expected =
+        clean.resilientAcquireAt(0.0, mode.job);
+
+    std::uint64_t failedAt = 0;
+    ExperimentConfig cfg = mode.cfg;
+    cfg.acquisition.progress = [&](const obs::ProgressUpdate& u) {
+      if (failedAt == 0 && u.done > mode.groupTraces) {
+        failedAt = u.done;
+        throw std::runtime_error("progress sink failed");
+      }
+      return true;
+    };
+    SboxExperiment exp(mode.style, cfg);
+    const jobs::ResilientResult res = exp.resilientAcquireAt(0.0, mode.job);
+
+    EXPECT_EQ(failedAt, mode.groupTraces + 1);
+    EXPECT_EQ(res.resilience.retries, 1u);
+    EXPECT_EQ(jobs::digestOfTraceSet(res.traces),
+              jobs::digestOfTraceSet(expected.traces));
+    EXPECT_EQ(res.estimate.total, expected.estimate.total);
+    EXPECT_EQ(res.estimate.totalCi.halfWidth,
+              expected.estimate.totalCi.halfWidth);
+    const stats::LeakageEstimate fold = foldOf(res.traces, kFourFolds);
+    EXPECT_EQ(res.estimate.total, fold.total);
+    EXPECT_EQ(res.estimate.totalCi.halfWidth, fold.totalCi.halfWidth);
+  }
+}
+
+TEST(ResilientAcquire, MidGroupDeadlineDropsThePartialGroup) {
+  ExperimentConfig ecfg = smallConfig();
+  ecfg.acquisition.deadlineMs = 500;
+  jobs::JobConfig job;
+  job.groupTraces = 32;
+  job.statsOpt = kFourFolds;
+  // Virtual clock: the deadline passes on the second reading after two
+  // committed groups — the first is the group-boundary check, the second
+  // the progress update of group 2's first trace, so the deadline trips
+  // inside group 2.
+  int readingsInGroup2 = 0;
+  job.elapsedMsOverride = [&](std::uint64_t committed) {
+    return committed >= 2 && ++readingsInGroup2 >= 2 ? 1000.0 : 0.0;
+  };
+  SboxExperiment exp(SboxStyle::Opt, ecfg);
+  const jobs::ResilientResult res = exp.resilientAcquireAt(0.0, job);
+
+  EXPECT_GE(readingsInGroup2, 2);
+  EXPECT_TRUE(res.resilience.truncated);
+  EXPECT_EQ(res.resilience.stopReason, "deadline");
+  EXPECT_EQ(res.resilience.groupsCompleted, 2u);
+  ASSERT_EQ(res.traces.size(), 64u);
+  SboxExperiment plain(SboxStyle::Opt, smallConfig());
+  EXPECT_EQ(jobs::digestOfTraceSet(res.traces),
+            jobs::digestOfRange(plain.acquireAt(0.0), 0, 64));
+  const stats::LeakageEstimate fold = foldOf(res.traces, kFourFolds);
+  EXPECT_EQ(res.estimate.total, fold.total);
+  EXPECT_EQ(res.estimate.traces, 64u);
+}
+
+TEST(ResilientAcquire, FingerprintFoldsThePhysicalModel) {
+  // A checkpoint drained under one delay, power or simulator setting is
+  // not adopted by a run under another: that run starts fresh and gives
+  // the bits of a clean run of its own model.
+  ExperimentConfig base;
+  base.acquisition.tracesPerClass = 8;  // 128 traces: 8 groups of 16
+  base.acquisition.numThreads = 1;
+  jobs::JobConfig job;
+  job.groupTraces = 16;
+  job.stopAfterGroups = 2;
+
+  std::vector<std::pair<std::string, ExperimentConfig>> variants;
+  variants.emplace_back("sim.kind", base);
+  variants.back().second.sim.kind = DelayKind::Inertial;
+  variants.emplace_back("delay.jitterSigma", base);
+  variants.back().second.delay.jitterSigma = 0.10;
+  variants.emplace_back("power.noiseSigma", base);
+  variants.back().second.power.noiseSigma = 0.5;
+  variants.emplace_back("sim.fullSwingFactor", base);
+  variants.back().second.sim.fullSwingFactor = 1.0;
+
+  const auto resumeUnder = [&](const std::string& name,
+                               const ExperimentConfig& cfg, double months) {
+    SCOPED_TRACE(name);
+    jobs::JobConfig first = job;
+    first.checkpointPath = tmpPath("lpa_model_" + name + ".ckpt");
+    SboxExperiment drained(SboxStyle::Glut, base);
+    const jobs::ResilientResult half = drained.resilientAcquireAt(0.0, first);
+    ASSERT_EQ(half.resilience.groupsCompleted, 2u);
+
+    jobs::JobConfig rest = first;
+    rest.stopAfterGroups = 0;
+    SboxExperiment other(SboxStyle::Glut, cfg);
+    const jobs::ResilientResult res = other.resilientAcquireAt(months, rest);
+    EXPECT_FALSE(res.resilience.resumed);
+    EXPECT_EQ(res.resilience.groupsCompleted, 8u);
+    SboxExperiment clean(SboxStyle::Glut, cfg);
+    EXPECT_EQ(jobs::digestOfTraceSet(res.traces),
+              jobs::digestOfTraceSet(clean.acquireAt(months)));
+    std::remove(first.checkpointPath.c_str());
+  };
+  for (const auto& [name, cfg] : variants) resumeUnder(name, cfg, 0.0);
+  // Aging rescales the delays and pulse energies, so ages never
+  // cross-resume either.
+  resumeUnder("age48", base, 48.0);
+}
+
+TEST(ResilientAcquire, AdaptiveAcquireAtBitsArePinned) {
+  // adaptiveAcquireAt is the group loop with durability off. The traces,
+  // estimate, batch count and stop reason of both stop paths are pinned:
+  // a change to the loop must not move any adaptive result bit.
+  struct Pin {
+    double target;
+    std::uint64_t digest;
+    std::uint64_t totalBits;
+    std::uint32_t batches;
+    stats::AdaptiveStop stop;
+  };
+  const Pin pins[] = {
+      {0.5, 0x9c7b4907d1370714ULL, 0x40acdbe7d71f4861ULL, 3,
+       stats::AdaptiveStop::CiTarget},
+      {1e-6, 0x1d89920d3eafd866ULL, 0x4099103688c9b491ULL, 4,
+       stats::AdaptiveStop::MaxTraces},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.target);
+    SboxExperiment exp(SboxStyle::Rsm, rsmAdaptiveConfig(pin.target));
+    const stats::AdaptiveResult res = exp.adaptiveAcquireAt(0.0, kFourFolds);
+    EXPECT_EQ(jobs::digestOfTraceSet(res.traces), pin.digest);
+    EXPECT_EQ(bitsOf(res.estimate.total), pin.totalBits);
+    EXPECT_EQ(res.batches, pin.batches);
+    EXPECT_EQ(res.stop, pin.stop);
+    EXPECT_EQ(res.traces.size(), 128u * pin.batches);
+    EXPECT_EQ(res.history.size(), pin.batches);
+  }
 }
 
 // ------------------------------------------------------- SIGKILL harness

@@ -1,8 +1,9 @@
-// Slow-tier property tests: the durable runner in adaptive mode is an
-// exact re-implementation of stats::adaptiveAcquire — same batches, same
-// stop rule, same bits — and a drained + resumed adaptive run is a strict
-// prefix-identical continuation, across engines, thread counts and batch
-// sizes.
+// Slow-tier property tests: adaptiveAcquireAt is the durable runner's
+// group loop with durability off, so turning durability on (a checkpoint
+// written after every group, every fast-engine group spot-checked) changes
+// no batch, stop decision or bit; and a drained + resumed adaptive run is
+// a strict prefix-identical continuation, across engines, thread counts
+// and batch sizes.
 
 #include <gtest/gtest.h>
 
@@ -57,9 +58,10 @@ const char* stopName(stats::AdaptiveStop stop) {
 TEST(AdaptiveResilience, MatchesAdaptiveAcquireBitExactly) {
   const SimEngine engines[] = {SimEngine::Reference, SimEngine::Compiled,
                                SimEngine::Batch};
-  // 0.45 stops on the CI target well inside the budget; 1e-6 exhausts it —
-  // both stop paths must agree with stats::adaptiveAcquire.
-  const double targets[] = {0.45, 1e-6};
+  // 0.5 stops on the CI target after three 128-trace batches; every other
+  // cell exhausts the budget — both stop paths must agree with and without
+  // durability.
+  const double targets[] = {0.5, 0.45, 1e-6};
   for (SimEngine engine : engines) {
     for (std::uint32_t batchSize : {128u, 256u}) {
       for (double target : targets) {
@@ -69,7 +71,13 @@ TEST(AdaptiveResilience, MatchesAdaptiveAcquireBitExactly) {
         SboxExperiment plain(SboxStyle::Rsm, cfg);
         const stats::AdaptiveResult ar = plain.adaptiveAcquireAt(0.0, kFourFolds);
 
+        const std::string path = tmpPath(
+            "lpa_adaptive_durable_" +
+            std::to_string(static_cast<int>(engine)) + "_" +
+            std::to_string(batchSize) + ".ckpt");
         jobs::JobConfig job;
+        job.checkpointPath = path;
+        job.spotCheckEveryGroups = 1;
         job.statsOpt = kFourFolds;
         SboxExperiment exp(SboxStyle::Rsm, cfg);
         const jobs::ResilientResult res = exp.resilientAcquireAt(0.0, job);
@@ -82,7 +90,12 @@ TEST(AdaptiveResilience, MatchesAdaptiveAcquireBitExactly) {
                   ar.estimate.totalCi.halfWidth);
         EXPECT_EQ(res.resilience.groupsCompleted, ar.batches);
         EXPECT_EQ(res.resilience.stopReason, stopName(ar.stop));
+        EXPECT_EQ(res.history.size(), ar.history.size());
         EXPECT_FALSE(res.resilience.truncated);
+        EXPECT_FALSE(res.resilience.quarantined);
+        EXPECT_EQ(res.resilience.spotChecks,
+                  engine == SimEngine::Reference ? 0u : ar.batches);
+        std::remove(path.c_str());
       }
     }
   }
@@ -130,6 +143,13 @@ TEST(AdaptiveResilience, DrainAndResumeIsPrefixIdenticalContinuation) {
       EXPECT_EQ(res.estimate.total, full.estimate.total);
       EXPECT_EQ(res.resilience.groupsCompleted, full.batches);
       EXPECT_EQ(res.resilience.stopReason, stopName(full.stop));
+      // The resumed history starts at the point re-derived from the
+      // checkpoint, then follows the uninterrupted run's.
+      ASSERT_EQ(res.history.size() + 1, full.history.size());
+      for (std::size_t i = 0; i < res.history.size(); ++i) {
+        EXPECT_EQ(res.history[i].traces, full.history[i + 1].traces);
+        EXPECT_EQ(res.history[i].total, full.history[i + 1].total);
+      }
       std::remove(path.c_str());
     }
   }
