@@ -83,11 +83,18 @@ int main() {
       preserved ? "YES" : "NO");
 
   // What the study cost, from the instrumentation layer (obs/metrics.h).
+  // Acquisition simulates each distinct stimulus of a call once, so the
+  // sim.* and power.* counters count simulations, not traces.
   const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
   std::printf(
-      "\ninstrumentation totals: %llu sim runs, %llu events (%llu committed, "
-      "%llu glitch-filtered),\n"
+      "\ninstrumentation totals: %llu traces acquired from %llu distinct "
+      "stimuli,\n"
+      "%llu sim runs, %llu events (%llu committed, %llu glitch-filtered),\n"
       "%llu traces sampled, %llu WHT analyses, peak queue depth %.0f\n",
+      static_cast<unsigned long long>(
+          snap.counterOr("acquire.traces_total", 0)),
+      static_cast<unsigned long long>(
+          snap.counterOr("acquire.distinct_total", 0)),
       static_cast<unsigned long long>(snap.counterOr("sim.runs", 0)),
       static_cast<unsigned long long>(
           snap.counterOr("sim.events_processed", 0)),

@@ -100,7 +100,9 @@ int main(int argc, char** argv) {
   // the same numbers the per-style rows aggregated, but read back from the
   // global registry the campaign runner counts into. Simulator events are
   // summed over the engines: faulted traces run on the batch engine unless
-  // they need the reference one.
+  // they need the reference one. The fault-free baselines are acquisitions,
+  // which simulate each distinct stimulus once, so "traces sampled" counts
+  // their simulations, not their traces.
   const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
   const std::uint64_t simEvents =
       snap.counterOr("sim.events_processed", 0) +
@@ -110,6 +112,7 @@ int main(int argc, char** argv) {
       "\ninstrumentation totals (obs::MetricsRegistry):\n"
       "  campaigns %llu, faults run %llu, sim events %llu, traces sampled "
       "%llu\n"
+      "  baseline traces acquired %llu from %llu distinct stimuli\n"
       "  outcomes: %llu masked-out, %llu detected, %llu silent, %llu "
       "diverged\n",
       static_cast<unsigned long long>(snap.counterOr("fault.campaigns", 0)),
@@ -117,6 +120,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(simEvents),
       static_cast<unsigned long long>(
           snap.counterOr("power.traces_sampled", 0)),
+      static_cast<unsigned long long>(
+          snap.counterOr("acquire.traces_total", 0)),
+      static_cast<unsigned long long>(
+          snap.counterOr("acquire.distinct_total", 0)),
       static_cast<unsigned long long>(
           snap.counterOr("fault.outcome.masked_out", 0)),
       static_cast<unsigned long long>(

@@ -80,6 +80,7 @@ class GlutSbox final : public MaskedSbox {
     const std::uint8_t maskIn = rng.nibble();
     const std::uint8_t maskOut = rng.nibble();
     std::vector<std::uint8_t> in;
+    in.reserve(nl_.inputs().size());
     appendNibbleBits(in, static_cast<std::uint8_t>(plain ^ maskIn));  // A
     appendNibbleBits(in, maskIn);
     appendNibbleBits(in, maskOut);

@@ -145,6 +145,7 @@ class IswAnyOrderSbox final : public MaskedSbox {
                                    Prng& rng) const override {
     const int n = order_ + 1;
     std::vector<std::uint8_t> in;
+    in.reserve(nl_.inputs().size());
     std::uint8_t acc = plain;
     std::vector<std::uint8_t> masks;
     for (int j = 1; j < n; ++j) {

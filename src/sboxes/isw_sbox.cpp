@@ -107,6 +107,7 @@ class IswSbox final : public MaskedSbox {
                                    Prng& rng) const override {
     const std::uint8_t mask = rng.nibble();
     std::vector<std::uint8_t> in;
+    in.reserve(nl_.inputs().size());
     appendNibbleBits(in, mask);                                      // m
     appendNibbleBits(in, static_cast<std::uint8_t>(plain ^ mask));   // am
     for (int i = 0; i < numRandom_; ++i) in.push_back(rng.bit());    // r

@@ -41,6 +41,7 @@ class LutSbox final : public MaskedSbox {
                                    Prng& rng) const override {
     (void)rng;
     std::vector<std::uint8_t> in;
+    in.reserve(nl_.inputs().size());
     appendNibbleBits(in, plain);
     return in;
   }

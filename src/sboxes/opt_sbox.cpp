@@ -67,6 +67,7 @@ class OptSbox final : public MaskedSbox {
                                    Prng& rng) const override {
     (void)rng;
     std::vector<std::uint8_t> in;
+    in.reserve(nl_.inputs().size());
     appendNibbleBits(in, plain);
     return in;
   }

@@ -102,6 +102,7 @@ class RsmRomSbox final : public MaskedSbox {
                                    Prng& rng) const override {
     const std::uint8_t maskIn = rng.nibble();
     std::vector<std::uint8_t> in;
+    in.reserve(nl_.inputs().size());
     appendNibbleBits(in, static_cast<std::uint8_t>(plain ^ maskIn));
     appendNibbleBits(in, maskIn);
     return in;

@@ -113,6 +113,7 @@ class TiSbox final : public MaskedSbox {
     const std::uint8_t m2 = rng.nibble();
     const std::uint8_t m3 = rng.nibble();
     std::vector<std::uint8_t> in;
+    in.reserve(nl_.inputs().size());
     appendNibbleBits(in, static_cast<std::uint8_t>(plain ^ m1 ^ m2 ^ m3));
     appendNibbleBits(in, m1);
     appendNibbleBits(in, m2);

@@ -130,7 +130,8 @@ BatchSim::BatchSim(const CompiledDesign& design, const SimOptions& options)
   // Per-(net, lane) push ids are read only by the inertial branches; the
   // transport engine skips the numGates x 64 x 8 B array.
   if (options.kind == DelayKind::Inertial) pendPushId_.assign(n * kLanes, 0);
-  lastCommit_.assign(n * kLanes, CommitStamp{0.0, 0});
+  lastCommitPs_.assign(n * kLanes, 0.0);
+  commitLanes_.assign(n, CommitLanes{0, 0});
   inputWords_.assign(design.inputNets.size(), 0);
   if (quantized_) {
     // Open-wave table: tag 0 never matches a live run (runEpoch_ starts
@@ -152,8 +153,9 @@ BatchSim BatchSim::clone() const {
 void BatchSim::reset() {
   std::fill(stateW_.begin(), stateW_.end(), 0);
   std::fill(pendMask_.begin(), pendMask_.end(), 0);
-  // lastCommit_ needs no fill: slots are valid only where their epoch
-  // matches runEpoch_, and runEpoch_ is bumped at every run.
+  // lastCommitPs_ needs no fill: a slot is valid only for a lane in its
+  // net's commit mask of the current epoch, and runEpoch_ is bumped at
+  // every run.
   scrubQueue();
   pushCounter_ = 0;
   activeLanes_ = 0;
@@ -278,7 +280,8 @@ std::uint64_t BatchSim::arenaBytes() const {
             pendValueW_.capacity() + pendPushId_.capacity() +
             inputWords_.capacity()) *
            sizeof(std::uint64_t);
-  bytes += lastCommit_.capacity() * sizeof(CommitStamp);
+  bytes += lastCommitPs_.capacity() * sizeof(double);
+  bytes += commitLanes_.capacity() * sizeof(CommitLanes);
   bytes += openTag_.capacity() * sizeof(std::uint64_t);
   bytes += (openBucket_.capacity() + openIdx_.capacity()) *
            sizeof(std::uint32_t);
@@ -536,11 +539,11 @@ void BatchSim::runCore(
   std::chrono::steady_clock::time_point profLastSample;
   if (prof) profLastSample = std::chrono::steady_clock::now();
 
-  // lastCommit_ slots are valid only where they carry this run's epoch;
-  // bumping it invalidates every slot in O(1) instead of refilling
-  // numGates x 64 stamps per run (a 64-bit epoch never wraps). A stale
-  // slot reads as "never committed" (weight 1.0), exactly what the scalar
-  // engines' -1e30 sentinel encodes.
+  // A net's commit mask is valid only while it carries this run's epoch;
+  // bumping it invalidates every lastCommitPs_ slot in O(1) instead of
+  // refilling numGates x 64 times per run (a 64-bit epoch never wraps). A
+  // stale slot reads as "never committed" (weight 1.0), exactly what the
+  // scalar engines' -1e30 sentinel encodes.
   ++runEpoch_;
   // With no watchdog armed (the acquisition default) per-lane event
   // tallies move to bit-sliced vertical counters (a few word ops per wave
@@ -565,7 +568,8 @@ void BatchSim::runCore(
   const double* delayArr = d.delayPs.data();
   const std::uint32_t* levelArr = d.level.data();
   std::uint64_t* stateW = stateW_.data();
-  CommitStamp* lastCommit = lastCommit_.data();
+  double* lastCommitPs = lastCommitPs_.data();
+  CommitLanes* commitLanes = commitLanes_.data();
   const bool quant = quantized_;  // loop-invariant mode select
 
   // Depth bookkeeping for one pushed wave. Fast path: the peak sample
@@ -740,10 +744,13 @@ void BatchSim::runCore(
     const std::uint64_t cm = (stateW[net] ^ nvW) & activeMask_;
     if (cm == 0) continue;
     stateW[net] = (stateW[net] & ~cm) | (nvW & cm);
-    CommitStamp* lc = lastCommit + std::size_t(net) * kLanes;
+    CommitLanes& cl = commitLanes[net];
+    if (cl.epoch != runEpoch_) cl = CommitLanes{runEpoch_, 0};
+    cl.mask |= cm;
+    double* lc = lastCommitPs + std::size_t(net) * kLanes;
     for (std::uint64_t m = cm; m != 0; m &= m - 1) {
       const int l = ctz64(m);
-      lc[l] = CommitStamp{0.0, runEpoch_};
+      lc[l] = 0.0;
       weightL_[static_cast<std::size_t>(l)] = 1.0;
     }
     if (fastTallies_) {
@@ -873,19 +880,23 @@ void BatchSim::runCore(
     stateW[eNet] = (stateW[eNet] & ~commitM) | (e.value & commitM);
     // Partial-swing weighting per lane, the reference expression shapes
     // verbatim (the gap is lane-local, the swing window design-global).
-    // A stale lastCommit slot (epoch mismatch) means no commit yet this
-    // run: gap >= swingPs for any reachable eTime, so weight stays 1.0 —
+    // A lane outside the net's commit mask of this run has not committed
+    // yet: gap >= swingPs for any reachable eTime, so weight stays 1.0 —
     // same result the -1e30 sentinel produced.
     const double swingPs = opts_.fullSwingFactor * delayArr[eNet];
-    CommitStamp* lc = lastCommit + std::size_t(eNet) * kLanes;
+    CommitLanes& cl = commitLanes[eNet];
+    if (cl.epoch != runEpoch_) cl = CommitLanes{runEpoch_, 0};
+    const std::uint64_t seen = cl.mask;
+    cl.mask |= commitM;
+    double* lc = lastCommitPs + std::size_t(eNet) * kLanes;
     for (std::uint64_t m = commitM; m != 0; m &= m - 1) {
       const std::size_t l = static_cast<std::size_t>(ctz64(m));
       double weight = 1.0;
-      if (swingPs > 0.0 && lc[l].epoch == runEpoch_) {
-        const double gap = eTime - lc[l].ps;
+      if (swingPs > 0.0 && ((seen >> l) & 1u) != 0) {
+        const double gap = eTime - lc[l];
         if (gap < swingPs) weight = gap / swingPs;
       }
-      lc[l] = CommitStamp{eTime, runEpoch_};
+      lc[l] = eTime;
       weightL_[l] = weight;
     }
     if (fastTallies_) {

@@ -323,19 +323,20 @@ class BatchSim {
   /// Per (net, lane): pending id. Allocated only for DelayKind::Inertial.
   std::vector<std::uint64_t> pendPushId_;
   /// Per-(net, lane) time of the net's previous commit in the current run,
-  /// valid only where `epoch` equals runEpoch_ — the epoch stamp makes
-  /// "no commit yet this run" a lazy default instead of an 8-byte-per-slot
-  /// fill of the whole array on every run (the array is numGates x 64 and
-  /// the hot loop touches only the committing slots). Time and stamp share
-  /// one 16-byte slot so a commit's validity check and gap read cost one
-  /// cache line touch, not two. A stale slot yields weight 1.0 — exactly
-  /// what the scalar engines' -1e30 sentinel produces.
-  struct CommitStamp {
-    double ps;
+  /// valid only for the lanes in the net's CommitLanes mask, and only while
+  /// its epoch equals runEpoch_. The per-net pair makes "no commit yet this
+  /// run" a lazy default instead of a fill of the numGates x 64 time array
+  /// on every run (the hot loop touches only the committing slots): a net's
+  /// first commit of a run resets its pair, so the time slot needs no stamp
+  /// of its own and stays 8 bytes. A lane outside the mask yields weight
+  /// 1.0 — exactly what the scalar engines' -1e30 sentinel produces.
+  struct CommitLanes {
     std::uint64_t epoch;
+    std::uint64_t mask;
   };
-  std::vector<CommitStamp> lastCommit_;  ///< per (net, lane)
-  std::uint64_t runEpoch_ = 0;           ///< bumped at every runCore
+  std::vector<double> lastCommitPs_;      ///< per (net, lane)
+  std::vector<CommitLanes> commitLanes_;  ///< per net
+  std::uint64_t runEpoch_ = 0;            ///< bumped at every runCore
   std::vector<std::uint64_t> inputWords_;  ///< packed stimulus per input
   std::vector<std::uint32_t> changedNets_;
   std::vector<std::uint64_t> changedMasks_;

@@ -1,6 +1,7 @@
 #include "trace/acquisition.h"
 
 #include <algorithm>
+#include <cstring>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -164,8 +165,8 @@ struct Protocol {
   const char* spanLabel;  ///< span / journal / progress label
 };
 
-/// The functional sanity check every engine runs on every trace: the
-/// netlist must produce the unmasked value the stimulus expects.
+/// The functional sanity check every engine runs on every simulated
+/// stimulus: the netlist must produce the unmasked value it expects.
 void checkDecode(const MaskedSbox& sbox,
                  const std::vector<std::uint8_t>& outputs,
                  const TraceStimulus& s, std::size_t i) {
@@ -175,12 +176,169 @@ void checkDecode(const MaskedSbox& sbox,
   }
 }
 
+/// Plan::row of a triple only one trace uses (its samples wait in the
+/// pool's reorder slot, not in the store), and an empty slot of makePlan's
+/// table.
+constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+/// The plan of one acquisition call over traces [begin, begin + n): every
+/// trace's stimulus triple (init, fin, expected), label and noise seed.
+/// The distinct triples are numbered in first-occurrence order, so triple
+/// d first occurs at slice-local trace first[d], first is increasing, and
+/// first[distinct()] = n. A trace's samples are a function of its triple
+/// alone, plus its own noise.
+struct Plan {
+  std::size_t width = 0;                 ///< values per encoding
+  std::vector<std::uint8_t> triples;     ///< per triple: init, fin, expected
+  std::vector<std::uint32_t> first;      ///< per triple, then n
+  std::vector<std::uint32_t> row;        ///< per triple: store row or kNone
+  std::size_t rows = 0;                  ///< triples used by several traces
+  std::vector<std::uint32_t> id;         ///< per trace: its triple
+  std::vector<std::uint8_t> label;       ///< per trace
+  std::vector<std::uint64_t> noiseSeed;  ///< per trace, if noise is on
+
+  std::size_t distinct() const { return first.size() - 1; }
+
+  /// Triple d as a stimulus with noise seed 0.
+  TraceStimulus stimulus(std::size_t d) const {
+    const std::uint8_t* key = &triples[d * (2 * width + 1)];
+    TraceStimulus s;
+    s.init.assign(key, key + width);
+    s.fin.assign(key + width, key + 2 * width);
+    s.expected = key[2 * width];
+    return s;
+  }
+};
+
+/// Hash of a `stride`-byte key.
+std::size_t hashKey(const std::uint8_t* key, std::size_t stride) {
+  std::uint64_t h = 0;
+  for (std::size_t k = 0; k < stride; k += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, key + k, std::min<std::size_t>(8, stride - k));
+    h = mix64(h ^ word);
+  }
+  return static_cast<std::size_t>(h);
+}
+
+/// Derives every stimulus of traces [begin, end) and numbers the distinct
+/// triples. Workers derive blocks of stimuli and their keys in parallel;
+/// delivery numbers each block's keys in trace order through an
+/// open-addressing table kept at most half full. A stimulus that cannot be
+/// derived, or whose encodings do not match the netlist's `width` inputs,
+/// fails the call before any trace is simulated. Noise seeds are kept only
+/// for a `noisy` call.
+Plan makePlan(const Protocol& protocol, std::size_t begin, std::size_t end,
+              std::size_t width, bool noisy, std::uint32_t numThreads,
+              const std::string& style) {
+  const std::size_t n = end - begin;
+  if (n >= kNone) {
+    throw std::invalid_argument(
+        "acquisition: at most 2^32 - 2 traces per call");
+  }
+  Plan plan;
+  plan.width = width;
+  plan.id.resize(n);
+  plan.label.resize(n);
+  if (noisy) plan.noiseSeed.resize(n);
+  const std::size_t stride = 2 * width + 1;
+  std::vector<std::uint32_t> table(16, kNone);
+  // The slot of `key` (hash h) in `table`: its triple's, or the empty one.
+  const auto slotOf = [&](const std::uint8_t* key, std::size_t h) {
+    std::size_t s = h & (table.size() - 1);
+    while (table[s] != kNone &&
+           std::memcmp(&plan.triples[table[s] * stride], key, stride) != 0) {
+      s = (s + 1) & (table.size() - 1);
+    }
+    return s;
+  };
+
+  constexpr std::size_t kBlock = 256;  // traces per derivation item
+  const std::size_t blocks = (n + kBlock - 1) / kBlock;
+  const std::uint32_t threads = resolveWorkerThreads(numThreads, blocks);
+  const std::size_t window = detail::reorderWindow(threads);
+  // Per slot: each of its block's keys and their hashes.
+  std::vector<std::uint8_t> keys(window * kBlock * stride);
+  std::vector<std::size_t> hashes(window * kBlock);
+  const auto blockEnd = [&](std::size_t b) {
+    return std::min(n, (b + 1) * kBlock);
+  };
+  detail::orderedFor(
+      blocks, threads, window,
+      [&](std::uint32_t, std::size_t b) {
+        for (std::size_t t = b * kBlock; t < blockEnd(b); ++t) {
+          TraceStimulus s;
+          try {
+            s = protocol.stimulus(begin + t);
+            if (s.init.size() != width || s.fin.size() != width) {
+              throw std::invalid_argument(
+                  "acquisition: a stimulus encoding does not match the "
+                  "netlist's " +
+                  std::to_string(width) + " inputs");
+            }
+          } catch (...) {
+            detail::rethrowAsWorkerError(
+                std::current_exception(), begin + t, [&] {
+                  return std::string(protocol.noun) + " trace " +
+                         std::to_string(begin + t) + " (style " + style +
+                         ")";
+                });
+          }
+          const std::size_t k = b % window * kBlock + t % kBlock;
+          std::uint8_t* key = &keys[k * stride];
+          std::copy(s.init.begin(), s.init.end(), key);
+          std::copy(s.fin.begin(), s.fin.end(), key + width);
+          key[2 * width] = s.expected;
+          hashes[k] = hashKey(key, stride);
+          plan.label[t] = s.label;
+          if (noisy) plan.noiseSeed[t] = s.noiseSeed;
+        }
+      },
+      [&](std::size_t b) {
+        for (std::size_t t = b * kBlock; t < blockEnd(b); ++t) {
+          const std::size_t k = b % window * kBlock + t % kBlock;
+          const std::uint8_t* key = &keys[k * stride];
+          std::size_t slot = slotOf(key, hashes[k]);
+          if (table[slot] == kNone) {
+            if (2 * (plan.first.size() + 1) > table.size()) {
+              table.assign(2 * table.size(), kNone);
+              for (std::uint32_t d = 0; d < plan.first.size(); ++d) {
+                const std::uint8_t* old = &plan.triples[d * stride];
+                table[slotOf(old, hashKey(old, stride))] = d;
+              }
+              slot = slotOf(key, hashes[k]);
+            }
+            table[slot] = static_cast<std::uint32_t>(plan.first.size());
+            plan.triples.insert(plan.triples.end(), key, key + stride);
+            plan.first.push_back(static_cast<std::uint32_t>(t));
+            plan.row.push_back(kNone);
+          } else {
+            plan.row[table[slot]] = 0;  // used again: numbered below
+          }
+          plan.id[t] = table[slot];
+        }
+      },
+      [&](std::size_t b) {
+        return std::string(protocol.noun) + " traces [" +
+               std::to_string(begin + b * kBlock) + ", " +
+               std::to_string(begin + blockEnd(b)) + ") (style " + style +
+               ")";
+      });
+  plan.first.push_back(static_cast<std::uint32_t>(n));
+  for (std::uint32_t& r : plan.row) {
+    if (r != kNone) r = static_cast<std::uint32_t>(plan.rows++);
+  }
+  return plan;
+}
+
 /// Streams traces [begin, end) of `protocol` to `sink` in index order: the
 /// one engine-dispatch body behind acquire(), acquireRange() and
-/// acquireKeyed(). Every engine runs the same per-trace protocol —
-/// stimulus of the trace's *global* index, settle, run, decode check — so
-/// the sequence is bit-identical across engines, and slicing is invisible
-/// in the result bits.
+/// acquireKeyed(). A plan pass derives every trace's stimulus; the pool
+/// then simulates each distinct (init, fin, expected) triple once, without
+/// noise, and delivery hands trace i its triple's samples plus its own
+/// noise — the last step every engine would have run — so the sequence is
+/// bit-identical across engines and to simulating every trace, and slicing
+/// is invisible in the result bits.
 void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
                   const PowerModel& power, const Protocol& protocol,
                   std::size_t begin, std::size_t end, SimEngine requested,
@@ -189,51 +347,85 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
                   const TraceSink& sink) {
   const std::size_t n = end - begin;
   const std::uint32_t numSamples = power.options().numSamples;
+  const double sigma = power.options().noiseSigma;
   const std::string style(sbox.name());
-  const SimEngine engine = resolveEngine(requested, sim, power, n);
+  const Plan plan =
+      makePlan(protocol, begin, end, sim.netlist().inputs().size(),
+               sigma > 0.0, numThreads, style);
+  const std::size_t m = plan.distinct();
+  const SimEngine engine = resolveEngine(requested, sim, power, m);
   const TimeQuantization quant = resolveQuantization(requested, quantization);
-  // Runs fn(), naming trace i in any failure.
-  const auto onTrace = [&](std::size_t i, const auto& fn) {
+  // Runs fn(), naming slice-local trace t in any failure.
+  const auto onTrace = [&](std::size_t t, const auto& fn) {
     try {
       fn();
     } catch (...) {
-      detail::rethrowAsWorkerError(std::current_exception(), i, [&] {
-        return std::string(protocol.noun) + " trace " + std::to_string(i) +
-               " (" + protocol.labelName + " " +
-               std::to_string(static_cast<int>(protocol.stimulus(i).label)) +
+      detail::rethrowAsWorkerError(std::current_exception(), begin + t, [&] {
+        return std::string(protocol.noun) + " trace " +
+               std::to_string(begin + t) + " (" + protocol.labelName + " " +
+               std::to_string(static_cast<int>(plan.label[t])) +
                ", style " + style + ")";
       });
     }
   };
 
-  // A work item is one lane group on the batch engine, and on the scalar
-  // engines a block of consecutive traces sized to give each worker a few.
-  const auto itemsOf = [](std::size_t traces, std::size_t per) {
-    return (traces + per - 1) / per;
+  // A work item is one lane group of triples on the batch engine, and on
+  // the scalar engines a block of consecutive triples sized to give each
+  // worker a few.
+  const auto itemsOf = [](std::size_t count, std::size_t per) {
+    return (count + per - 1) / per;
   };
   const bool batch = engine == SimEngine::Batch;
   const std::uint32_t threads = resolveWorkerThreads(
-      numThreads, batch ? itemsOf(n, BatchSim::kLanes) : n);
-  const std::size_t itemTraces =
+      numThreads, batch ? itemsOf(m, BatchSim::kLanes) : m);
+  const std::size_t itemTriples =
       batch ? BatchSim::kLanes
             : std::clamp<std::size_t>(
-                  itemsOf(n, detail::reorderWindow(threads)), 1,
+                  itemsOf(m, detail::reorderWindow(threads)), 1,
                   BatchSim::kLanes);
+  const std::size_t window = detail::reorderWindow(threads);
+  const auto firstOf = [&](std::size_t item) { return item * itemTriples; };
+  const auto endOf = [&](std::size_t item) {
+    return std::min(m, firstOf(item) + itemTriples);
+  };
+  // Noiseless samples: a triple used again later keeps its row of the
+  // store for the whole call, the others wait in their item's slot until
+  // delivered. Workers write both; the delivering thread reads them.
+  std::vector<double> slots(window * itemTriples * numSamples);
+  std::vector<double> store(plan.rows * numSamples);
+  const auto samplesOf = [&](std::size_t d) {
+    return plan.row[d] != kNone
+               ? &store[std::size_t(plan.row[d]) * numSamples]
+               : &slots[(d / itemTriples % window * itemTriples +
+                         d % itemTriples) *
+                        numSamples];
+  };
+  const auto describeTraces = [&](std::size_t item,
+                                  const char* engineName) {
+    return std::string(protocol.noun) + " traces [" +
+           std::to_string(begin + plan.first[firstOf(item)]) + ", " +
+           std::to_string(begin + plan.first[endOf(item)]) + ") (style " +
+           style + ", " + engineName + " engine)";
+  };
 
-  // Runs the pool on `proto` (worker 0) and clones of it. fill(worker,
-  // first, count, labels, samples) simulates traces [first, first + count)
-  // into one reorder slot — trace first + t's label at labels[t], its
-  // samples at samples + t * numSamples — which is then handed to the sink.
+  // Runs the pool on `proto` (worker 0) and clones of it. fill(worker, a,
+  // count) simulates triples [a, a + count) into samplesOf(d); a failure
+  // throws the WorkerError of the first trace it loses. Delivery hands the
+  // item's traces — every trace before the next item's first triple — to
+  // the sink, and a recorded failure after the traces before it.
   const auto stream = [&](auto& proto, const char* engineName,
                           const auto& fill) {
     obs::Span span(std::string(protocol.spanLabel) + " (" +
-                   std::to_string(n) + " traces, " + std::to_string(threads) +
-                   " threads, " + engineName + " engine)");
+                   std::to_string(n) + " traces, " + std::to_string(m) +
+                   " distinct, " + std::to_string(threads) + " threads, " +
+                   engineName + " engine)");
     obs::ProgressMeter meter(protocol.spanLabel, n, progress);
     obs::MetricsRegistry::global().counter("acquire.traces_total").add(n);
+    obs::MetricsRegistry::global().counter("acquire.distinct_total").add(m);
     obs::EventJournal::global().info(
         "acquire-start", {{"label", protocol.spanLabel},
                           {"traces", std::to_string(n)},
+                          {"distinct", std::to_string(m)},
                           {"threads", std::to_string(threads)},
                           {"engine", engineName}});
     JournalAcquireScope journalScope{protocol.spanLabel};
@@ -241,86 +433,99 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
     std::vector<std::remove_reference_t<decltype(proto)>> clones;
     clones.reserve(threads - 1);
     while (clones.size() + 1 < threads) clones.push_back(proto.clone());
-    const std::size_t window = detail::reorderWindow(threads);
-    std::vector<std::uint8_t> labels(window * itemTraces);
-    std::vector<double> samples(labels.size() * numSamples);
-    const auto firstOf = [&](std::size_t item) {
-      return begin + item * itemTraces;
-    };
-    const auto countOf = [&](std::size_t item) {
-      return std::min(itemTraces, end - firstOf(item));
-    };
+    // Per slot: the failure of its item, if any, and the slice-local trace
+    // delivery stops at (n = none).
+    std::vector<std::exception_ptr> failure(window);
+    std::vector<std::size_t> failAt(window, n);
+    std::vector<double> noisy(numSamples);
     detail::orderedFor(
-        itemsOf(n, itemTraces), threads, window,
+        itemsOf(m, itemTriples), threads, window,
         [&](std::uint32_t w, std::size_t item) {
-          const std::size_t slot = item % window * itemTraces;
-          fill(w == 0 ? proto : clones[w - 1], firstOf(item), countOf(item),
-               &labels[slot], &samples[slot * numSamples]);
-        },
-        [&](std::size_t item) {
-          const std::size_t slot = item % window * itemTraces;
-          for (std::size_t t = 0; t < countOf(item); ++t) {
-            onTrace(firstOf(item) + t, [&] {
-              sink(labels[slot + t], &samples[(slot + t) * numSamples]);
-            });
-            meter.step();
+          const std::size_t slot = item % window;
+          failure[slot] = nullptr;
+          failAt[slot] = n;
+          try {
+            fill(w == 0 ? proto : clones[w - 1], firstOf(item),
+                 endOf(item) - firstOf(item));
+          } catch (const WorkerError& e) {
+            failure[slot] = std::current_exception();
+            failAt[slot] = e.index() - begin;
           }
         },
         [&](std::size_t item) {
-          return std::string(protocol.noun) + " traces [" +
-                 std::to_string(firstOf(item)) + ", " +
-                 std::to_string(firstOf(item) + countOf(item)) +
-                 ") (style " + style + ", " + engineName + " engine)";
+          const std::size_t slot = item % window;
+          const std::size_t stop =
+              std::min<std::size_t>(plan.first[endOf(item)], failAt[slot]);
+          for (std::size_t t = plan.first[firstOf(item)]; t < stop; ++t) {
+            const double* samples = samplesOf(plan.id[t]);
+            if (sigma > 0.0) {
+              std::copy_n(samples, numSamples, noisy.data());
+              power_detail::addGaussianNoise(noisy.data(), numSamples, sigma,
+                                             plan.noiseSeed[t]);
+              samples = noisy.data();
+            }
+            onTrace(t, [&] { sink(plan.label[t], samples); });
+            meter.step();
+          }
+          if (failure[slot]) std::rethrow_exception(failure[slot]);
         },
+        [&](std::size_t item) { return describeTraces(item, engineName); },
         &meter, protocol.spanLabel);
     meter.finish();
   };
 
   if (batch) {
-    // Bit-parallel path: lane l of a group is trace first + l and runs its
-    // trace's own stimulus, so the traces are bit-identical to the scalar
-    // engines' however traces fall into groups. Under the quantized-grid
-    // opt-in (only ever reached with a forced Batch engine) the stimuli are
-    // unchanged, so the quantized result stays deterministic in seed,
-    // thread-count invariant and slice-concatenation safe — just not
-    // bit-identical to the exact engines. A group that fails as a whole
-    // (a lane tripping the watchdog) is named by its trace range.
+    // Bit-parallel path: lane l of a group is triple a + l, so each lane
+    // runs one trace's stimulus and the traces are bit-identical to the
+    // scalar engines' however triples fall into groups. Under the
+    // quantized-grid opt-in (only ever reached with a forced Batch engine)
+    // lanes stay independent, so the quantized result stays deterministic
+    // in seed, thread-count invariant and slice-concatenation safe — just
+    // not bit-identical to the exact engines. A group that fails as a whole
+    // (a lane tripping the watchdog) loses every trace its delivery covers
+    // and is named by that trace range.
     const CompiledDesign design(sim.netlist(), sim.delayModel(), power);
     SimOptions bopts = sim.options();
     bopts.timeQuantization = quant;
     BatchSim bsim(design, bopts);
     bsim.attachMetrics(sim.metricsRegistry());
     bsim.attachProfiler(profiler);
+    const StimulusFn tripleStimulus = [&](std::size_t d) {
+      return plan.stimulus(d);
+    };
     stream(bsim, "batch",
-           [&](BatchSim& worker, std::size_t first, std::size_t lanes,
-               std::uint8_t* labels, double* samples) {
-             const std::vector<TraceStimulus> group =
-                 runLaneGroup(worker, protocol.stimulus, first, lanes);
+           [&](BatchSim& worker, std::size_t a, std::size_t lanes) {
+             std::vector<TraceStimulus> group;
+             try {
+               group = runLaneGroup(worker, tripleStimulus, a, lanes);
+             } catch (...) {
+               detail::rethrowAsWorkerError(
+                   std::current_exception(), begin + plan.first[a], [&] {
+                     return describeTraces(a / BatchSim::kLanes, "batch");
+                   });
+             }
              for (std::uint32_t l = 0; l < lanes; ++l) {
-               onTrace(first + l, [&] {
+               onTrace(plan.first[a + l], [&] {
                  checkDecode(sbox, worker.outputValues(l), group[l],
-                             first + l);
+                             begin + plan.first[a + l]);
                });
-               labels[l] = group[l].label;
                std::copy_n(worker.laneTrace(l), numSamples,
-                           samples + l * numSamples);
+                           samplesOf(a + l));
              }
            });
     return;
   }
 
-  // Scalar engines: simulate(worker, s, i) runs stimulus s, checks the
-  // decode and returns the trace's samples.
+  // Scalar engines: simulate(worker, s, i) runs stimulus s without noise,
+  // checks the decode against trace i and returns the samples.
   const auto scalarFill = [&](const auto& simulate) {
-    return [&, simulate](auto& worker, std::size_t first, std::size_t count,
-                         std::uint8_t* labels, double* samples) {
-      for (std::size_t t = 0; t < count; ++t) {
-        onTrace(first + t, [&] {
-          const TraceStimulus s = protocol.stimulus(first + t);
+    return [&, simulate](auto& worker, std::size_t a, std::size_t count) {
+      for (std::size_t d = a; d < a + count; ++d) {
+        onTrace(plan.first[d], [&] {
+          const TraceStimulus s = plan.stimulus(d);
           worker.settle(s.init);
-          const auto& trace = simulate(worker, s, first + t);
-          labels[t] = s.label;
-          std::copy_n(trace.data(), numSamples, samples + t * numSamples);
+          const auto& trace = simulate(worker, s, begin + plan.first[d]);
+          std::copy_n(trace.data(), numSamples, samplesOf(d));
         });
       }
     };
@@ -328,7 +533,7 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
 
   if (engine == SimEngine::Compiled) {
     // Fast path: fused deposition, no Transition list materialized;
-    // runFused(fin, s) == power.sample(run(fin), s) bit-for-bit.
+    // runFused(fin, 0) == power.sample(run(fin), 0) bit-for-bit.
     const CompiledDesign design(sim.netlist(), sim.delayModel(), power);
     CompiledSim csim(design, sim.options());
     csim.attachMetrics(sim.metricsRegistry());
@@ -336,8 +541,7 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
     stream(csim, "compiled",
            scalarFill([&](CompiledSim& worker, const TraceStimulus& s,
                           std::size_t i) -> const std::vector<double>& {
-             const std::vector<double>& trace =
-                 worker.runFused(s.fin, s.noiseSeed);
+             const std::vector<double>& trace = worker.runFused(s.fin, 0);
              checkDecode(sbox, worker.outputValues(), s, i);
              return trace;
            }));
@@ -353,7 +557,7 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
                         std::size_t i) {
            const std::vector<Transition> transitions = worker.run(s.fin);
            checkDecode(sbox, worker.outputValues(), s, i);
-           return power.sample(transitions, s.noiseSeed);
+           return power.sample(transitions, 0);
          }));
 }
 

@@ -28,22 +28,53 @@
 //
 // In particular the noise seed passed to PowerModel::sample is a function
 // of (seed, i), i.e. of the trace's *identity*, never of schedule position
-// in some shared generator or of which worker ran the trace. Worker 0 runs
-// the prototype engine, the others clones of it (sharing the netlist and
-// DelayModel, so process jitter is shared, not re-rolled). Workers claim
-// items — a 64-lane group on the batch engine, a block of traces on the
-// scalar engines — from the pool of trace/sharded_pool.h, which hands the
-// traces to the consumer (a TraceSink, or the TraceSet being filled) in
-// trace-index order, so a streaming fold equals a fold over the TraceSet.
+// in some shared generator or of which worker ran the trace.
+//
+// ## One simulation per distinct stimulus
+//
+// The masked styles draw their encodings from tiny mask spaces (0 to 12
+// random bits), so a call's traces repeat a few distinct stimuli many
+// times: at 2048 traces per class, LUT/OPT have 16 distinct stimuli and
+// RSM/RSM-ROM 4095 among 32768 traces. Each call therefore runs in three
+// steps:
+//
+//   1. a plan pass derives every trace's stimulus (in parallel blocks) and
+//      numbers the distinct (init, fin, expected) triples in first-
+//      occurrence order;
+//   2. the pool simulates each distinct triple once, with noise seed 0;
+//   3. delivery hands trace i its triple's noiseless samples plus
+//      power_detail::addGaussianNoise(..., trace i's noise seed), the last
+//      step every engine runs — so every trace is bit-identical to
+//      simulating it on its own.
+//
+// Noiseless samples of a triple used again later stay in a store for the
+// rest of the call (at 2048 traces per class: 4085 rows of numSamples
+// doubles for RSM/RSM-ROM, about 500 for GLUT/ISW, 16 for LUT/OPT); the
+// others wait in the pool's reorder slots. The engines' counters
+// (sim.*.runs, power.traces_sampled, ...) and a profiler therefore count
+// simulations; "acquire.traces_total" counts traces and
+// "acquire.distinct_total" the simulated stimuli.
+//
+// Worker 0 runs the prototype engine, the others clones of it (sharing the
+// netlist and DelayModel, so process jitter is shared, not re-rolled).
+// Workers claim items — a 64-lane group of distinct triples on the batch
+// engine, a block of them on the scalar engines — from the pool of
+// trace/sharded_pool.h, which delivers them in order; delivering an item
+// hands the consumer (a TraceSink, or the TraceSet being filled) every
+// trace before the next item's first triple, in trace-index order, so a
+// streaming fold equals a fold over the TraceSet.
 //
 // ## Failure semantics
 //
-// A trace that throws (decode mismatch, SimDiverged, an exception from the
-// TraceSink, ...) stops the remaining workers and is rethrown as a
-// WorkerError (trace/sharded_pool.h) naming the trace index, its
-// class/plaintext and the style, with the original exception nested (a
-// lane group failing as a whole is named by its trace range and indexed by
-// group). The lowest failing index wins, whatever the thread timing.
+// A failure (decode mismatch, SimDiverged, an exception from the
+// TraceSink, ...) is a WorkerError (trace/sharded_pool.h) indexed by the
+// lowest trace it affects, with the original exception nested: a failing
+// triple is named by its first trace, class/plaintext and style; a lane
+// group failing as a whole by the trace range its delivery covers. Every
+// earlier trace is delivered first, then the remaining workers stop and
+// the error is rethrown. The lowest failing index wins, whatever the
+// thread timing. A stimulus that cannot be derived fails the call in the
+// plan pass, before any trace is delivered.
 
 #include <cstdint>
 #include <functional>
@@ -68,9 +99,10 @@ class BatchSim;
 /// (acquisition never needs the recorded transition list; power deposition
 /// is fused into the commit step). On an eligible design, Auto serves the
 /// run with the bit-parallel batch engine (sim/batch_sim.h, 64 traces per
-/// gate operation) when the trace budget reaches one full lane group
-/// (BatchSim::kLanes), and with the compiled scalar fast path
-/// (sim/compiled_sim.h) below that; an ineligible design falls back to
+/// gate operation) when the call's distinct stimuli fill at least one lane
+/// group (BatchSim::kLanes), and with the compiled scalar fast path
+/// (sim/compiled_sim.h) below that — 64 LUT traces are 16 distinct
+/// stimuli, so they run compiled; an ineligible design falls back to
 /// the reference EventSim — Auto never throws. All three
 /// engines are bit-identical (same traces, same determinism digest, same
 /// per-trace event tallies; enforced by tests/test_compiled_sim.cpp,

@@ -518,30 +518,43 @@ TEST(BatchSim, EvaluateOutputsMatchesNetlistPerLane) {
 }
 
 TEST(BatchAcquire, AutoPicksBatchAtLaneWidthAndCompiledBelow) {
-  // Regression for the Auto selection rule: a trace budget below the lane
-  // width must fall back to the compiled engine (not throw, not batch);
-  // from one full lane group on, the batch engine serves the run. Engine
-  // counters in a private registry make the choice observable.
-  const auto sbox = makeSbox(SboxStyle::Lut);
-  const DelayModel dm(sbox->netlist());
-  const PowerModel pm(sbox->netlist());
-  EventSim sim(sbox->netlist(), dm);
-  obs::MetricsRegistry registry;
-  sim.attachMetrics(&registry);
+  // Regression for the Auto selection rule, which counts the distinct
+  // stimuli of a call: below the lane width Auto falls back to the compiled
+  // engine (not throw, not batch); from one full lane group on, the batch
+  // engine serves the run. GLUT's 8 random bits make 32 and 64 traces all
+  // distinct, so both sides of the rule show there. LUT has no random bits:
+  // its 64 traces are 16 distinct stimuli, which the compiled engine runs
+  // once each. Engine counters in a private registry make the choice
+  // observable.
+  const auto acquireOn = [](SboxStyle style, std::uint32_t tracesPerClass,
+                            obs::MetricsRegistry& registry) {
+    const auto sbox = makeSbox(style);
+    const DelayModel dm(sbox->netlist());
+    const PowerModel pm(sbox->netlist());
+    EventSim sim(sbox->netlist(), dm);
+    sim.attachMetrics(&registry);
+    AcquisitionConfig cfg;
+    cfg.tracesPerClass = tracesPerClass;
+    cfg.numThreads = 1;
+    cfg.engine = SimEngine::Auto;
+    acquire(*sbox, sim, pm, cfg);
+  };
 
-  AcquisitionConfig cfg;
-  cfg.numThreads = 1;
-  cfg.engine = SimEngine::Auto;
+  obs::MetricsRegistry below;
+  acquireOn(SboxStyle::Glut, 2, below);  // 32 traces < 64 lanes
+  EXPECT_EQ(below.counter("sim.batch.batches").value(), 0u);
+  EXPECT_EQ(below.counter("sim.compiled.runs").value(), 32u);
 
-  cfg.tracesPerClass = 2;  // 32 traces < 64 lanes
-  acquire(*sbox, sim, pm, cfg);
-  EXPECT_EQ(registry.counter("sim.batch.batches").value(), 0u);
-  EXPECT_GT(registry.counter("sim.compiled.runs").value(), 0u);
+  obs::MetricsRegistry full;
+  acquireOn(SboxStyle::Glut, 4, full);  // 64 traces = one full lane group
+  EXPECT_EQ(full.counter("sim.batch.batches").value(), 1u);
+  EXPECT_EQ(full.counter("sim.batch.runs").value(), 64u);
+  EXPECT_EQ(full.counter("sim.compiled.runs").value(), 0u);
 
-  cfg.tracesPerClass = 4;  // 64 traces = one full lane group
-  acquire(*sbox, sim, pm, cfg);
-  EXPECT_GT(registry.counter("sim.batch.batches").value(), 0u);
-  EXPECT_EQ(registry.counter("sim.batch.runs").value(), 64u);
+  obs::MetricsRegistry lut;
+  acquireOn(SboxStyle::Lut, 4, lut);  // 64 traces, 16 distinct stimuli
+  EXPECT_EQ(lut.counter("sim.batch.batches").value(), 0u);
+  EXPECT_EQ(lut.counter("sim.compiled.runs").value(), 16u);
 }
 
 TEST(BatchAcquire, ForcedEnginesAreBitIdenticalAcrossThreads) {
