@@ -39,14 +39,18 @@ inline std::uint64_t plane64(unsigned nib, std::uint64_t a, std::uint64_t b) {
 /// fanin words (unused slots alias slot 0) and evaluates the gate's
 /// 16-entry truth table for all 64 lanes at once. Lane l of the result is
 /// bit (a_l | b_l<<1 | c_l<<2 | d_l<<3) of tt — boolean-identical to the
-/// scalar gather by construction.
-inline std::uint64_t evalTable64(const std::uint32_t* fan, std::uint16_t tt,
+/// scalar gather by construction. A gate with at most two fanins has a
+/// table that ignores index bits 2-3 (CompiledDesign), so its low nibble
+/// over the first two fanin words is the whole evaluation.
+inline std::uint64_t evalTable64(const std::uint32_t* fan, unsigned numFanin,
+                                 std::uint16_t tt,
                                  const std::uint64_t* stateW) {
   const std::uint64_t a = stateW[fan[0]];
   const std::uint64_t b = stateW[fan[1]];
+  const std::uint64_t r0 = plane64(tt & 0xFu, a, b);
+  if (numFanin <= 2) return r0;
   const std::uint64_t c = stateW[fan[2]];
   const std::uint64_t d = stateW[fan[3]];
-  const std::uint64_t r0 = plane64(tt & 0xFu, a, b);
   const std::uint64_t r1 = plane64((tt >> 4) & 0xFu, a, b);
   const std::uint64_t r2 = plane64((tt >> 8) & 0xFu, a, b);
   const std::uint64_t r3 = plane64((tt >> 12) & 0xFu, a, b);
@@ -128,18 +132,19 @@ BatchSim::BatchSim(const CompiledDesign& design, const SimOptions& options)
   pendMask_.assign(n, 0);
   pendValueW_.assign(n, 0);
   // Per-(net, lane) push ids are read only by the inertial branches; the
-  // transport engine skips the numGates x 64 x 8 B array.
-  if (options.kind == DelayKind::Inertial) pendPushId_.assign(n * kLanes, 0);
+  // transport engine skips the numGates x 64 x 8 B array and instead keeps
+  // the per-net last-scheduled word of its push-time no-op filter.
+  if (options.kind == DelayKind::Inertial) {
+    pendPushId_.assign(n * kLanes, 0);
+  } else {
+    lastSchedW_.assign(n, 0);
+  }
   lastCommitPs_.assign(n * kLanes, 0.0);
   commitLanes_.assign(n, CommitLanes{0, 0});
   inputWords_.assign(design.inputNets.size(), 0);
-  if (quantized_) {
-    // Open-wave table: tag 0 never matches a live run (runEpoch_ starts
-    // its first run at 1), so no per-run clearing is needed.
-    openTag_.assign(n, 0);
-    openBucket_.assign(n, 0);
-    openIdx_.assign(n, 0);
-  }
+  // Open-wave table: epoch 0 never matches a live run (runEpoch_ starts
+  // its first run at 1), so no per-run clearing is needed.
+  openWave_.assign(n, OpenWave{0, 0, 0});
 }
 
 BatchSim BatchSim::clone() const {
@@ -183,6 +188,7 @@ void BatchSim::attachMetrics(obs::MetricsRegistry* registry) {
   }
   metrics_.runs = registry->counter("sim.batch.runs");
   metrics_.batches = registry->counter("sim.batch.batches");
+  metrics_.waves = registry->counter("sim.batch.waves");
   metrics_.events = registry->counter("sim.batch.events_processed");
   metrics_.committed = registry->counter("sim.batch.transitions_committed");
   metrics_.cancelled = registry->counter("sim.batch.events_cancelled");
@@ -192,7 +198,6 @@ void BatchSim::attachMetrics(obs::MetricsRegistry* registry) {
   // "power.*" cells — trace/pulse tallies stay engine-agnostic.
   metrics_.tracesSampled = registry->counter("power.traces_sampled");
   metrics_.pulsesDeposited = registry->counter("power.pulses_deposited");
-  metrics_.peakQueueDepth = registry->gauge("sim.batch.peak_queue_depth");
   metrics_.watchdogMaxEventsUsed =
       registry->gauge("sim.batch.watchdog_max_events_used");
   metrics_.watchdogBudget = registry->gauge("sim.batch.watchdog_budget");
@@ -282,9 +287,8 @@ std::uint64_t BatchSim::arenaBytes() const {
            sizeof(std::uint64_t);
   bytes += lastCommitPs_.capacity() * sizeof(double);
   bytes += commitLanes_.capacity() * sizeof(CommitLanes);
-  bytes += openTag_.capacity() * sizeof(std::uint64_t);
-  bytes += (openBucket_.capacity() + openIdx_.capacity()) *
-           sizeof(std::uint32_t);
+  bytes += lastSchedW_.capacity() * sizeof(std::uint64_t);
+  bytes += openWave_.capacity() * sizeof(OpenWave);
   bytes += changedNets_.capacity() * sizeof(std::uint32_t);
   bytes += changedMasks_.capacity() * sizeof(std::uint64_t);
   bytes += (grid_.capacity() + laneTraces_.capacity()) * sizeof(double);
@@ -297,49 +301,40 @@ std::uint64_t BatchSim::arenaBytes() const {
 /// quiescence and right before a SimDiverged throw (after which only the
 /// diverged lane's stats are contractually meaningful).
 void BatchSim::recordRun() {
-  if (fastTallies_) {
-    // The no-watchdog fast path tallied per-lane events bit-sliced;
-    // materialize the per-lane counters the fold below expects.
-    for (std::uint64_t m = activeMask_; m != 0; m &= m - 1) {
-      const std::uint32_t l = static_cast<std::uint32_t>(ctz64(m));
-      poppedL_[l] = poppedBS_.laneCount(l);
-      committedL_[l] = committedBS_.laneCount(l);
-      cancelledL_[l] = cancelledBS_.laneCount(l);
-      filteredL_[l] = filteredBS_.laneCount(l);
-    }
-  }
   std::uint64_t sumPopped = 0, sumCommitted = 0, sumCancelled = 0,
                 sumFiltered = 0;
-  std::uint64_t maxPopped = 0, maxPeak = 0;
+  std::uint64_t maxPopped = 0;
   for (std::uint64_t m = activeMask_; m != 0; m &= m - 1) {
-    const int l = ctz64(m);
-    SimStats& s = laneStats_[static_cast<std::size_t>(l)];
-    const std::uint64_t popped = poppedL_[static_cast<std::size_t>(l)];
+    const std::size_t l = static_cast<std::size_t>(ctz64(m));
+    SimStats& s = laneStats_[l];
+    const std::uint64_t popped = poppedL_[l];
+    const std::uint64_t committed = committedL_[l] + inputCommitsL_[l];
+    // Every popped event commits or is cancelled, except the one that
+    // trips the watchdog; the t = 0 input commits are never popped.
+    const std::uint64_t tripped = static_cast<int>(l) == divergedLane_;
+    const std::uint64_t cancelled = popped - committedL_[l] - tripped;
     s.runs += 1;
     s.eventsProcessed += popped;
-    s.committedTransitions += committedL_[static_cast<std::size_t>(l)];
-    s.cancelledEvents += cancelledL_[static_cast<std::size_t>(l)];
-    s.inertialFiltered += filteredL_[static_cast<std::size_t>(l)];
-    const std::uint64_t peak = peakL_[static_cast<std::size_t>(l)];
-    if (peak > s.peakQueueDepth) s.peakQueueDepth = peak;
+    s.committedTransitions += committed;
+    s.cancelledEvents += cancelled;
+    s.inertialFiltered += filteredL_[l];
     if (opts_.maxEvents != 0 && popped <= opts_.maxEvents) {
       const std::uint64_t headroom = opts_.maxEvents - popped;
       if (headroom < s.watchdogMinHeadroom) s.watchdogMinHeadroom = headroom;
     }
     sumPopped += popped;
-    sumCommitted += committedL_[static_cast<std::size_t>(l)];
-    sumCancelled += cancelledL_[static_cast<std::size_t>(l)];
-    sumFiltered += filteredL_[static_cast<std::size_t>(l)];
+    sumCommitted += committed;
+    sumCancelled += cancelled;
+    sumFiltered += filteredL_[l];
     maxPopped = std::max(maxPopped, popped);
-    maxPeak = std::max(maxPeak, peak);
   }
   metrics_.batches.add(1);
+  metrics_.waves.add(waves_);
   metrics_.runs.add(popcount64(activeMask_));
   metrics_.events.add(sumPopped);
   metrics_.committed.add(sumCommitted);
   metrics_.cancelled.add(sumCancelled);
   metrics_.inertialFiltered.add(sumFiltered);
-  metrics_.peakQueueDepth.recordMax(static_cast<double>(maxPeak));
   if (opts_.maxEvents != 0) {
     metrics_.watchdogMaxEventsUsed.recordMax(static_cast<double>(maxPopped));
   }
@@ -391,8 +386,8 @@ void settleWords(const CompiledDesign& d,
   const std::uint16_t* ttArr = d.truthTable.data();
   std::uint64_t* state = stateW.data();
   for (std::uint32_t id = 0; id < d.numGates; ++id) {
-    state[id] =
-        evalTable64(faninArr + std::size_t(id) * kMaxFanin, ttArr[id], state);
+    state[id] = evalTable64(faninArr + std::size_t(id) * kMaxFanin,
+                            d.numFanin[id], ttArr[id], state);
   }
 }
 
@@ -437,10 +432,7 @@ std::vector<std::uint8_t> BatchSim::outputValues(std::uint32_t lane) const {
   return out;
 }
 
-void BatchSim::queuePush(double time, std::uint64_t key, std::uint64_t mask,
-                         std::uint64_t value) {
-  std::size_t idx = static_cast<std::size_t>(time * invBucketWidth_);
-  if (idx >= kMaxBuckets) idx = kMaxBuckets - 1;  // open-ended last bucket
+std::uint32_t BatchSim::queuePush(std::size_t idx, const QueueEvent& e) {
   if (idx >= buckets_.size()) {
     const std::size_t grow = std::max(idx + 1, buckets_.size() * 2);
     buckets_.resize(std::min(grow, kMaxBuckets));
@@ -449,14 +441,13 @@ void BatchSim::queuePush(double time, std::uint64_t key, std::uint64_t mask,
   }
   std::vector<QueueEvent>& b = buckets_[idx];
   if (b.empty()) dirtyBuckets_.push_back(static_cast<std::uint32_t>(idx));
-  const QueueEvent e{key, timeToBits(time), mask, value};
   b.push_back(e);
+  std::size_t j = b.size() - 1;
   if (bucketSorted_[idx]) {
     // Rare: an arrival into the bucket currently being drained. Sorted
     // insert into the unpopped tail (entries before bucketHead_ stay put).
     const std::size_t head = bucketHead_[idx];
     const unsigned __int128 ord = orderBits(&e);
-    std::size_t j = b.size() - 1;
     while (j > head && ord < orderBits(&b[j - 1])) {
       b[j] = b[j - 1];
       --j;
@@ -464,6 +455,7 @@ void BatchSim::queuePush(double time, std::uint64_t key, std::uint64_t mask,
     b[j] = e;
   }
   ++eventsInQueue_;
+  return static_cast<std::uint32_t>(j);
 }
 
 BatchSim::QueueEvent BatchSim::queuePop() {
@@ -512,13 +504,12 @@ void BatchSim::runCore(
   // counter far inside the 39 packed bits.
   pushCounter_ = 0;
   divergedLane_ = -1;
+  waves_ = 0;
 
   poppedL_.fill(0);
   committedL_.fill(0);
-  cancelledL_.fill(0);
+  inputCommitsL_.fill(0);
   filteredL_.fill(0);
-  depthL_.fill(0);
-  peakL_.fill(0);
 
   // Attribution profiling (opt-in, loop-invariant branch). The pop loop
   // is tight enough that even a handful of unconditional tally
@@ -539,85 +530,88 @@ void BatchSim::runCore(
   std::chrono::steady_clock::time_point profLastSample;
   if (prof) profLastSample = std::chrono::steady_clock::now();
 
-  // A net's commit mask is valid only while it carries this run's epoch;
-  // bumping it invalidates every lastCommitPs_ slot in O(1) instead of
-  // refilling numGates x 64 times per run (a 64-bit epoch never wraps). A
-  // stale slot reads as "never committed" (weight 1.0), exactly what the
-  // scalar engines' -1e30 sentinel encodes.
+  // A net's commit mask and open wave are valid only while they carry this
+  // run's epoch; bumping it invalidates every lastCommitPs_ slot and every
+  // open-wave entry in O(1) instead of refilling per run (a 64-bit epoch
+  // never wraps). A stale commit slot reads as "never committed" (weight
+  // 1.0), exactly what the scalar engines' -1e30 sentinel encodes.
   ++runEpoch_;
-  // With no watchdog armed (the acquisition default) per-lane event
-  // tallies move to bit-sliced vertical counters (a few word ops per wave
-  // instead of a loop over set lanes) and peak-depth sampling moves to the
-  // push side — provably the same maximum for runs that drain the queue.
-  // An armed watchdog keeps the exact scalar pop-order accounting so
-  // SimDiverged payloads stay bit-identical.
+  // An armed watchdog counts pops lane by lane in the reference's order,
+  // so SimDiverged payloads stay bit-identical. Without one (the
+  // acquisition default) the per-lane event counts are derived from
+  // commits and pushes ("Derived tallies" in batch_sim.h), and exact
+  // transport no-ops are dropped at push instead of being queued.
   const bool watchdogArmed = opts_.maxEvents != 0 || opts_.maxTimePs > 0.0;
-  fastTallies_ = !watchdogArmed;
-  if (fastTallies_) {
-    poppedBS_.clear();
-    committedBS_.clear();
-    cancelledBS_.clear();
-    filteredBS_.clear();
+  const bool transport = opts_.kind == DelayKind::Transport;
+  const bool suppressNoOps = transport && !watchdogArmed && !quantized_;
+  if (suppressNoOps) {
+    std::copy(stateW_.begin(), stateW_.end(), lastSchedW_.begin());
   }
+  // Derived event increments: a transport commit adds one event per fanout
+  // edge of its net (source gates take no fanin, so every edge schedules a
+  // reference event, queued or suppressed); an inertial push adds one.
+  const std::uint64_t countFanout = !watchdogArmed && transport ? 1 : 0;
+  const std::uint64_t countPush = !watchdogArmed && !transport ? 1 : 0;
 
   const std::uint8_t* typeArr = d.type.data();
   const std::uint32_t* faninArr = d.fanin.data();
+  const std::uint8_t* numFaninArr = d.numFanin.data();
   const std::uint16_t* ttArr = d.truthTable.data();
   const std::uint32_t* foOff = d.fanoutOffsets.data();
   const std::uint32_t* foEdge = d.fanoutEdges.data();
   const double* delayArr = d.delayPs.data();
   const std::uint32_t* levelArr = d.level.data();
   std::uint64_t* stateW = stateW_.data();
+  std::uint64_t* lastSchedW = lastSchedW_.data();
   double* lastCommitPs = lastCommitPs_.data();
   CommitLanes* commitLanes = commitLanes_.data();
+  OpenWave* openWave = openWave_.data();
   const bool quant = quantized_;  // loop-invariant mode select
 
-  // Depth bookkeeping for one pushed wave. Fast path: the peak sample
-  // moves here (push side) — a drained queue reaches the same maximum at
-  // pushes as the scalar pop-side sample, see the pop loop comment. Armed
-  // path: pop-side sampling keeps SimDiverged payloads exact, so only the
-  // increment happens here. Push masks average ~1-2 set lanes on real
-  // workloads, so a scalar loop beats bit-sliced planes here.
-  const auto pushDepth = [&](std::uint64_t pushM) {
-    for (std::uint64_t m = pushM; m != 0; m &= m - 1) {
-      const std::size_t l = static_cast<std::size_t>(ctz64(m));
-      const std::uint64_t dNew = ++depthL_[l];
-      if (fastTallies_ && dNew > peakL_[l]) peakL_[l] = dNew;
+  // Exact merge test for a push of lanes `pushM` at `tBits` into the open
+  // wave b[idx] of an undrained bucket: same time, disjoint lanes, and no
+  // wave pushed after it at that time shares a lane with the push — then
+  // every lane keeps its pop order ("Wave merging" in batch_sim.h).
+  const auto keepsLaneOrder = [](const std::vector<QueueEvent>& b,
+                                 std::size_t idx, std::uint64_t tBits,
+                                 std::uint64_t pushM) {
+    if (b[idx].timeBits != tBits || (b[idx].mask & pushM) != 0) return false;
+    for (std::size_t i = idx + 1; i < b.size(); ++i) {
+      if (b[i].timeBits == tBits && (b[i].mask & pushM) != 0) return false;
     }
+    return true;
   };
 
   // Word-parallel twin of the reference scheduleGate: evaluates the gate
   // over all lanes at once, then splits the triggering lane set `trig`
   // into the reference algorithm's branch sets with word ops. At most one
-  // wave is pushed per call, covering every lane that scalar semantics
-  // would have pushed for. `nowStep` is the trigger's grid step, consumed
-  // only by the quantized push stage (0 for the step-0 input commits).
+  // wave is pushed or joined per call, covering every lane that scalar
+  // semantics would have pushed for. `nowStep` is the trigger's grid step,
+  // consumed only by the quantized push stage (0 for the step-0 input
+  // commits).
   const auto scheduleGate = [&](std::uint32_t gateId, double now,
                                 std::size_t nowStep, std::uint64_t trig) {
     if (isSourceGate(static_cast<GateType>(typeArr[gateId]))) return;
-    const std::uint64_t nvW = evalTable64(
-        faninArr + std::size_t(gateId) * kMaxFanin, ttArr[gateId], stateW);
+    const std::uint64_t nvW =
+        evalTable64(faninArr + std::size_t(gateId) * kMaxFanin,
+                    numFaninArr[gateId], ttArr[gateId], stateW);
     const double eta = now + delayArr[gateId];
-    // Quantized target: ceil-exclusive to the NEXT grid boundary,
-    // step(eta) = floor(eta / dt) + 1 — strictly advancing, so chains of
-    // sub-period delays still move time forward and a commit can never
-    // trigger arrivals into its own (draining) step. The clamp is pure FP
-    // defense: eta > nowStep * dt numerically guarantees floor >= nowStep
-    // for physical delays, but a rounding surprise must not move time
-    // backwards.
-    std::size_t step = 0;
-    if (quant) {
-      step = static_cast<std::size_t>(eta * invQuantPs_) + 1;
-      if (step <= nowStep) step = nowStep + 1;
-    }
 
     std::uint64_t pushM;
-    std::uint64_t pushV;
-    if (opts_.kind == DelayKind::Transport) {
+    if (transport) {
       // Transport delay: every triggered lane gets an independent
-      // in-flight wavefront; no-op events are filtered at commit time.
+      // in-flight wavefront. A net's delay is fixed and `now` never falls,
+      // so its events pop in push order and one that repeats the lane's
+      // last scheduled value could never commit. Exact mode without a
+      // watchdog drops it here; with one it is queued and cancelled at
+      // pop, so a trip lands on the reference's event. Quantized mode
+      // queues it too: its (net, step) waves take the last evaluation's
+      // value, which this argument does not cover.
       pushM = trig;
-      pushV = nvW & trig;
+      if (suppressNoOps) {
+        pushM &= nvW ^ lastSchedW[gateId];
+        lastSchedW[gateId] ^= pushM;
+      }
     } else {
       // Inertial delay: at most one pending event per (net, lane).
       const std::uint64_t pend = pendMask_[gateId];
@@ -630,92 +624,85 @@ void BatchSim::runCore(
       // Pending superseded by a new value (re-push) or no pending and a
       // real change (fresh push).
       pushM = (trig & pend & diffPend & diffState) | (trig & ~pend & diffState);
-      pushV = nvW & pushM;
       pendMask_[gateId] = (pend & ~swallow) | pushM;
-      pendValueW_[gateId] = (pendValueW_[gateId] & ~pushM) | pushV;
-      if (fastTallies_) {
-        filteredBS_.add(swallow);
-      } else {
-        for (std::uint64_t m = swallow; m != 0; m &= m - 1) {
-          ++filteredL_[static_cast<std::size_t>(ctz64(m))];
-        }
+      pendValueW_[gateId] = (pendValueW_[gateId] & ~pushM) | (nvW & pushM);
+      for (std::uint64_t m = swallow; m != 0; m &= m - 1) {
+        ++filteredL_[static_cast<std::size_t>(ctz64(m))];
       }
       if (prof && swallow != 0) {
         profTally_[gateId].filtered +=
             static_cast<std::uint32_t>(popcount64(swallow));
       }
-      if (pushM == 0) return;
     }
+    if (pushM == 0) return;
+    const std::uint64_t pushV = nvW & pushM;
     if (prof) {
       profTally_[gateId].scheduled +=
           static_cast<std::uint32_t>(popcount64(pushM));
     }
 
-    if (!quant) {
-      const std::uint64_t id = ++pushCounter_;
-      if (opts_.kind == DelayKind::Inertial) {
-        std::uint64_t* pendId =
-            pendPushId_.data() + std::size_t(gateId) * kLanes;
-        for (std::uint64_t m = pushM; m != 0; m &= m - 1) {
-          pendId[ctz64(m)] = id;
-        }
+    // Target bucket and wave time. Exact: the arrival time itself, in the
+    // calendar bucket it falls into. Quantized: ceil-exclusive to the NEXT
+    // grid boundary, step(eta) = floor(eta / dt) + 1 — strictly advancing,
+    // so chains of sub-period delays still move time forward and a commit
+    // can never trigger arrivals into its own (draining) step; the bucket
+    // index IS the step. The clamp is pure FP defense: eta > nowStep * dt
+    // numerically guarantees floor >= nowStep for physical delays, but a
+    // rounding surprise must not move time backwards.
+    std::size_t bucket;
+    std::uint64_t tBits;
+    if (quant) {
+      bucket = static_cast<std::size_t>(eta * invQuantPs_) + 1;
+      if (bucket <= nowStep) bucket = nowStep + 1;
+      if (bucket >= kMaxBuckets) {
+        // Unreachable by the ctor horizon check; a breach would corrupt the
+        // step<->bucket identity, so fail loudly instead of folding into an
+        // open-ended last bucket the way the exact calendar does.
+        scrubQueue();
+        throw std::logic_error(
+            "BatchSim: quantized step beyond the calendar capacity");
       }
-      pushDepth(pushM);
-      queuePush(eta, (id << 25) | (std::uint64_t(gateId) << 1), pushM, pushV);
-      return;
+      tBits = timeToBits(static_cast<double>(bucket) * quantPs_);
+    } else {
+      bucket = std::min(static_cast<std::size_t>(eta * invBucketWidth_),
+                        kMaxBuckets - 1);  // open-ended last bucket
+      tBits = timeToBits(eta);
     }
 
-    // Quantized push: one wave per (net, step). The pending-wave identity
-    // IS the step (the merge rule makes (net, step) unique), so the
-    // inertial liveness check at pop compares the pending slot against the
-    // popped wave's step instead of a push id.
-    if (opts_.kind == DelayKind::Inertial) {
-      std::uint64_t* pendId =
-          pendPushId_.data() + std::size_t(gateId) * kLanes;
+    // Join the net's open wave, or push a new one. Quantized waves are
+    // unique per (net, step): OR the lanes in, last evaluation wins on the
+    // values (the sample period's settled value — sub-period glitches
+    // collapse by design); the wave's bucket is strictly future, so its
+    // stored index can't have been drained or shifted. Exact waves join
+    // only under keepsLaneOrder. Either way the wave id is the inertial
+    // pending identity that the pop-side liveness check compares: the
+    // step (quantized) or the wave's push id (exact).
+    OpenWave& open = openWave[gateId];
+    std::uint64_t waveId;
+    if (open.epoch == runEpoch_ && open.bucket == bucket &&
+        !bucketSorted_[bucket] &&
+        (quant || keepsLaneOrder(buckets_[bucket], open.idx, tBits, pushM))) {
+      QueueEvent& w = buckets_[bucket][open.idx];
+      w.mask |= pushM;
+      w.value = (w.value & ~pushM) | pushV;
+      waveId = quant ? bucket : w.key >> 25;
+    } else {
+      waveId = quant ? bucket : ++pushCounter_;
+      const std::uint64_t key =
+          quant ? (std::uint64_t(levelArr[gateId]) << 44) |
+                      (std::uint64_t(gateId) << 20) | waveId
+                : (waveId << 25) | (std::uint64_t(gateId) << 1);
+      open = OpenWave{runEpoch_, static_cast<std::uint32_t>(bucket),
+                      queuePush(bucket, QueueEvent{key, tBits, pushM, pushV})};
+    }
+    if (!transport) {
+      std::uint64_t* pendId = pendPushId_.data() + std::size_t(gateId) * kLanes;
       for (std::uint64_t m = pushM; m != 0; m &= m - 1) {
-        pendId[ctz64(m)] = static_cast<std::uint64_t>(step);
+        const std::size_t l = static_cast<std::size_t>(ctz64(m));
+        pendId[l] = waveId;
+        poppedL_[l] += countPush;
       }
     }
-    const std::uint64_t tag =
-        (runEpoch_ << 20) | static_cast<std::uint64_t>(step);
-    if (openTag_[gateId] == tag) {
-      // Merge: OR the new lanes in, last evaluation wins on the values
-      // (the sample period's settled value — sub-period glitches collapse
-      // by design). Only genuinely new memberships count toward depth.
-      // The wave's bucket is strictly future (step > nowStep), so the
-      // stored index can't have been drained or shifted.
-      QueueEvent& wv = buckets_[openBucket_[gateId]][openIdx_[gateId]];
-      pushDepth(pushM & ~wv.mask);
-      wv.mask |= pushM;
-      wv.value = (wv.value & ~pushM) | pushV;
-      return;
-    }
-    if (step >= kMaxBuckets) {
-      // Unreachable by the ctor horizon check; a breach would corrupt the
-      // step<->bucket identity, so fail loudly instead of folding into an
-      // open-ended last bucket the way the exact calendar does.
-      scrubQueue();
-      throw std::logic_error(
-          "BatchSim: quantized step beyond the calendar capacity");
-    }
-    if (step >= buckets_.size()) {
-      const std::size_t grow = std::max(step + 1, buckets_.size() * 2);
-      buckets_.resize(std::min(grow, kMaxBuckets));
-      bucketHead_.resize(buckets_.size(), 0);
-      bucketSorted_.resize(buckets_.size(), 0);
-    }
-    std::vector<QueueEvent>& b = buckets_[step];
-    if (b.empty()) dirtyBuckets_.push_back(static_cast<std::uint32_t>(step));
-    b.push_back(QueueEvent{(std::uint64_t(levelArr[gateId]) << 44) |
-                               (std::uint64_t(gateId) << 20) |
-                               static_cast<std::uint64_t>(step),
-                           timeToBits(static_cast<double>(step) * quantPs_),
-                           pushM, pushV});
-    openTag_[gateId] = tag;
-    openBucket_[gateId] = static_cast<std::uint32_t>(step);
-    openIdx_[gateId] = static_cast<std::uint32_t>(b.size() - 1);
-    ++eventsInQueue_;
-    pushDepth(pushM);
   };
 
   // Diverging exit: one lane's watchdog fired while processing wave lanes
@@ -725,8 +712,8 @@ void BatchSim::runCore(
   // contractually meaningful afterwards.
   const auto diverge = [&](int lane, double eTime) {
     scrubQueue();
-    recordRun();
     divergedLane_ = lane;
+    recordRun();
     throw SimDiverged(poppedL_[static_cast<std::size_t>(lane)], eTime);
   };
 
@@ -748,17 +735,13 @@ void BatchSim::runCore(
     if (cl.epoch != runEpoch_) cl = CommitLanes{runEpoch_, 0};
     cl.mask |= cm;
     double* lc = lastCommitPs + std::size_t(net) * kLanes;
+    const std::uint64_t events = countFanout * (foOff[net + 1] - foOff[net]);
     for (std::uint64_t m = cm; m != 0; m &= m - 1) {
-      const int l = ctz64(m);
+      const std::size_t l = static_cast<std::size_t>(ctz64(m));
       lc[l] = 0.0;
-      weightL_[static_cast<std::size_t>(l)] = 1.0;
-    }
-    if (fastTallies_) {
-      committedBS_.add(cm);
-    } else {
-      for (std::uint64_t m = cm; m != 0; m &= m - 1) {
-        ++committedL_[static_cast<std::size_t>(ctz64(m))];
-      }
+      weightL_[l] = 1.0;
+      ++inputCommitsL_[l];
+      poppedL_[l] += events;
     }
     commit(net, 0.0, cm, nvW);
     if (prof) {
@@ -777,6 +760,7 @@ void BatchSim::runCore(
 
   while (eventsInQueue_ != 0) {
     const QueueEvent e = queuePop();
+    ++waves_;
     const double eTime = bitsToTime(e.timeBits);
     // Exact keys pack (pushId << 25) | (net << 1); quantized keys pack
     // (level << 44) | (net << 20) | step, where the step doubles as the
@@ -810,20 +794,13 @@ void BatchSim::runCore(
       }
     }
 
-    // Per-lane pop accounting. Armed path: the reference order — peak-
-    // depth check *before* the pop, then the popped counter, then the two
-    // watchdog checks — so per lane the tallies and any SimDiverged
-    // payload are exactly what that lane's scalar run would produce. Fast
-    // path: the popped tally is one bit-sliced add and the peak sample
-    // lives on the push side (a push to its maximum depth is always
-    // followed by a pop at that depth before the lane's next push, so the
-    // two maxima coincide when the queue drains — which the no-watchdog
-    // path guarantees); only the depth decrement remains per lane.
+    // Armed watchdog: the reference's pop accounting per lane — the popped
+    // counter, then the two watchdog checks — so per lane the tallies and
+    // any SimDiverged payload are exactly what that lane's scalar run would
+    // produce.
     if (watchdogArmed) {
       for (std::uint64_t m = e.mask; m != 0; m &= m - 1) {
         const std::size_t l = static_cast<std::size_t>(ctz64(m));
-        if (depthL_[l] > peakL_[l]) peakL_[l] = depthL_[l];
-        --depthL_[l];
         ++poppedL_[l];
         if (opts_.maxEvents != 0 && poppedL_[l] > opts_.maxEvents) {
           diverge(static_cast<int>(l), eTime);
@@ -832,20 +809,15 @@ void BatchSim::runCore(
           diverge(static_cast<int>(l), eTime);
         }
       }
-    } else {
-      poppedBS_.add(e.mask);
-      for (std::uint64_t m = e.mask; m != 0; m &= m - 1) {
-        --depthL_[static_cast<std::size_t>(ctz64(m))];
-      }
     }
 
     // Validity and no-op filtering, word-parallel. Inertial: a lane's wave
-    // is live iff its pending slot still points at this push id; live
+    // is live iff its pending slot still points at this wave's id; live
     // lanes clear their pending bit (before the no-op check, like the
     // reference). Then any lane whose committed state already equals the
     // scheduled value cancels.
     std::uint64_t commitM;
-    if (opts_.kind == DelayKind::Inertial) {
+    if (!transport) {
       std::uint64_t liveM = 0;
       const std::uint64_t pend = pendMask_[eNet] & e.mask;
       const std::uint64_t* pendId =
@@ -858,13 +830,6 @@ void BatchSim::runCore(
       commitM = liveM & (stateW[eNet] ^ e.value);
     } else {
       commitM = e.mask & (stateW[eNet] ^ e.value);
-    }
-    if (fastTallies_) {
-      cancelledBS_.add(e.mask & ~commitM);
-    } else {
-      for (std::uint64_t m = e.mask & ~commitM; m != 0; m &= m - 1) {
-        ++cancelledL_[static_cast<std::size_t>(ctz64(m))];
-      }
     }
     if (prof) {
       // The 0-commit bin is part of the committed-lanes histogram: it is
@@ -889,6 +854,7 @@ void BatchSim::runCore(
     const std::uint64_t seen = cl.mask;
     cl.mask |= commitM;
     double* lc = lastCommitPs + std::size_t(eNet) * kLanes;
+    const std::uint64_t events = countFanout * (foOff[eNet + 1] - foOff[eNet]);
     for (std::uint64_t m = commitM; m != 0; m &= m - 1) {
       const std::size_t l = static_cast<std::size_t>(ctz64(m));
       double weight = 1.0;
@@ -898,13 +864,8 @@ void BatchSim::runCore(
       }
       lc[l] = eTime;
       weightL_[l] = weight;
-    }
-    if (fastTallies_) {
-      committedBS_.add(commitM);
-    } else {
-      for (std::uint64_t m = commitM; m != 0; m &= m - 1) {
-        ++committedL_[static_cast<std::size_t>(ctz64(m))];
-      }
+      ++committedL_[l];
+      poppedL_[l] += events;
     }
     commit(eNet, eTime, commitM, e.value);
     if (prof) {

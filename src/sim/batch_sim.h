@@ -52,32 +52,75 @@
 // transport-mode total deposited energy never exceeds the exact run's.
 //
 // Each queue entry is one "wave": a (time, net, lane-mask, lane-values)
-// tuple covering every lane for which one scheduleGate call produced an
-// event. Per lane, the engine behaves exactly like a private scalar
-// EventSim:
+// tuple covering every lane that scheduled that net at that time, in one
+// scheduleGate call or in later calls that joined it ("Wave merging").
+// Per lane, the engine behaves exactly like a private scalar EventSim:
 //
 //   * scheduling splits the triggering lane set with word ops into the
 //     reference algorithm's branch sets (transport push; inertial
 //     same-value no-op / glitch swallow / superseding re-push / fresh
-//     push) and pushes at most one wave per call;
-//   * a popped wave is processed lane-ascending: per-lane watchdog
-//     accounting first (mirroring the reference pop/budget order), then
-//     word-parallel validity + no-op filtering, then the commit with the
-//     reference partial-swing weight expressions per lane.
+//     push) and pushes or joins at most one wave per call;
+//   * a popped wave is processed word-parallel — validity + no-op
+//     filtering, then the commit with the reference partial-swing weight
+//     expressions per lane — after an armed watchdog has walked its lanes
+//     in ascending order with the reference pop/budget accounting.
 //
 // ## Ordering (why no tie-break waiver is needed)
 //
 // The queue pops waves by (timeBits, pushId) where pushId increments once
-// per push call. Restricted to the entries covering one lane l, push-call
-// order equals lane l's scalar push order (both are the same traversal:
-// input order, then committed-event fanout walks in CSR edge order, and a
-// wave covers l only if it was triggered by an l-commit), and pushId is
-// monotone in call order. So for any two same-time waves covering l, the
-// pushId order equals the scalar per-lane (time, seq) order — the batch
-// engine realizes every lane's reference pop order *exactly*, with no
-// tie-break waiver. The same argument orders each lane's pulse deposition
-// (and hence the FP accumulation order into every sample bin) identically
-// to the scalar engines.
+// per new wave. Without merging, restricted to the entries covering one
+// lane l, push-call order equals lane l's scalar push order (both are the
+// same traversal: input order, then committed-event fanout walks in CSR
+// edge order, and a wave covers l only if it was triggered by an
+// l-commit), and pushId is monotone in call order. So for any two
+// same-time waves covering l, the pushId order equals the scalar per-lane
+// (time, seq) order — the batch engine realizes every lane's reference pop
+// order *exactly*, with no tie-break waiver. The same argument orders each
+// lane's pulse deposition (and hence the FP accumulation order into every
+// sample bin) identically to the scalar engines.
+//
+// ## Wave merging
+//
+// Lanes split into separate pushes often schedule the same net at the
+// same time again in a later call. A push of lanes P to (t, g) therefore
+// joins W, the last wave pushed on g in this run (the per-net open-wave
+// table, shared with quantized mode), when all four of these hold:
+//   1. W has the same time bits t;
+//   2. W's lanes are disjoint from P;
+//   3. W's bucket has not started draining (so W's slot is stable);
+//   4. no wave pushed into that bucket after W has time t and shares a
+//      lane with P.
+// Joined lanes pop with W's pushId instead of a fresh, larger one. For a
+// lane l in P, that changes only its order against waves at time t pushed
+// between W and this push; those sit after W in W's bucket, and condition
+// 4 says none covers l. Condition 2 keeps every wave at one event per
+// lane. So every lane keeps its reference pop order, and with it its
+// transitions, trace, stats and SimDiverged payload, with or without the
+// watchdog. In inertial mode a joined lane takes W's pushId as its pending
+// id. A 1-lane run can never merge, so it is the unmerged twin of each
+// lane of a merged run (tests/test_batch_sim.cpp, BatchMerge.*).
+//
+// ## Derived tallies and transport no-ops
+//
+// With transport delays a net's delay is fixed and time never falls, so a
+// net's events pop in push order, and an event that repeats the lane's
+// last scheduled value could never commit. Without a watchdog, exact mode
+// drops such lanes at push (lastSchedW_, copied from the settled state at
+// run start); an armed watchdog queues them, so a trip lands on the same
+// event as in the reference.
+//
+// Per-lane SimStats tallies are derived, not counted per popped lane:
+// committedTransitions counts the lane's commits, and cancelledEvents is
+// eventsProcessed minus the commits after t = 0 (and minus the tripping
+// event of a diverged lane). An armed watchdog counts eventsProcessed lane
+// by lane in pop order. Without one the queue drains, so it is derived too:
+//   * transport: per commit of the lane (t = 0 included), the committing
+//     net's fanout edges — each is exactly one reference event, queued or
+//     suppressed (source gates take no fanin);
+//   * inertial: one per push of the lane, fresh or joined.
+// Quantized mode derives them the same way, so there eventsProcessed
+// counts triggers, not per-lane wave memberships. BatchSim tracks no
+// per-lane queue depth: laneStats().peakQueueDepth stays 0.
 //
 // ## Bit-identity contract (Exact mode)
 //
@@ -86,7 +129,8 @@
 //   * identical committed values / outputs after settle()/run();
 //   * identical per-lane Transition lists (time, net, value, weight);
 //   * runFused() lane traces equal PowerModel::sample(run(...), seed);
-//   * identical per-lane SimStats tallies (laneStats());
+//   * identical per-lane SimStats tallies (laneStats()), every field but
+//     peakQueueDepth;
 //   * identical SimDiverged payload for the diverged lane (divergedLane());
 //     after a throw only that lane's stats are contractually meaningful —
 //     the other lanes stopped mid-flight. Call settle() before reuse.
@@ -104,7 +148,9 @@
 // a step horizon numLevels x (floor(maxDelayPs / samplePeriodPs) + 1) + 2
 // inside the calendar capacity; the constructor throws
 // std::invalid_argument otherwise. Instrumentation lands in "sim.batch.*"
-// (and the shared "power.*") instruments in both modes.
+// (and the shared "power.*") instruments in both modes; "sim.batch.waves"
+// counts queue pops, so events_processed / waves is the number of
+// reference events one wave stands for.
 
 #include <array>
 #include <cstdint>
@@ -189,7 +235,8 @@ class BatchSim {
   }
 
   /// Lane-local cumulative instrumentation, field-for-field comparable
-  /// with EventSim::stats() for that lane's stimuli.
+  /// with EventSim::stats() for that lane's stimuli, except that
+  /// peakQueueDepth stays 0 (see "Derived tallies and transport no-ops").
   const SimStats& laneStats(std::uint32_t lane) const {
     return laneStats_[lane];
   }
@@ -221,8 +268,8 @@ class BatchSim {
   /// numeric comparison — and `key` packs (pushId << 25) | (net << 1) with
   /// the per-run push counter in the high bits, so comparing
   /// (timeBits, key) realizes every lane's reference (time, seq) order
-  /// (see "Ordering" above). `mask` is the covered-lane set; `value` holds
-  /// the scheduled lane values on the mask bits.
+  /// (see "Ordering" and "Wave merging" above). `mask` is the covered-lane
+  /// set; `value` holds the scheduled lane values on the mask bits.
   ///
   /// Quantized mode repacks `key` as (level << 44) | (net << 20) | step:
   /// (net, step) is unique per wave (the merge rule), so sorts are tie-free
@@ -254,47 +301,13 @@ class BatchSim {
   /// them, so the width is a pure tuning knob.
   static constexpr std::size_t kMaxBuckets = std::size_t(1) << 20;
 
-  /// Bit-sliced per-lane event tally: lane l's count lives vertically in
-  /// bit l of the binary-weighted planes, so tallying a whole wave costs
-  /// an amortized ~2 word operations (carry-save add of its lane mask)
-  /// instead of a loop over set lanes. Used by the no-watchdog fast path
-  /// of runCore; extracted per lane once per run in recordRun. Capacity is
-  /// 2^kPlanes - 1 events per lane per run — far above any physical run
-  /// (the watchdog-armed path keeps exact uint64 counters).
-  struct LaneTallyPlanes {
-    static constexpr std::size_t kPlanes = 32;
-    std::array<std::uint64_t, kPlanes> plane{};
-    std::size_t hi = 0;  ///< planes touched since clear()
-    void clear() {
-      std::fill(plane.begin(), plane.begin() + hi, 0);
-      hi = 0;
-    }
-    void add(std::uint64_t mask) {
-      std::uint64_t carry = mask;
-      std::size_t i = 0;
-      while (carry != 0 && i < kPlanes) {
-        const std::uint64_t t = plane[i] & carry;
-        plane[i] ^= carry;
-        carry = t;
-        ++i;
-      }
-      if (i > hi) hi = i;
-    }
-    std::uint64_t laneCount(std::uint32_t l) const {
-      std::uint64_t v = 0;
-      for (std::size_t i = 0; i < hi; ++i) {
-        v |= ((plane[i] >> l) & std::uint64_t(1)) << i;
-      }
-      return v;
-    }
-  };
-
   template <typename CommitSink>
   void runCore(const std::vector<std::vector<std::uint8_t>>& laneInputs,
                CommitSink&& commit);
   void recordRun();
-  void queuePush(double time, std::uint64_t key, std::uint64_t mask,
-                 std::uint64_t value);
+  /// Appends `e` to calendar bucket `idx` (sorted insert if that bucket
+  /// is draining) and returns its index there.
+  std::uint32_t queuePush(std::size_t idx, const QueueEvent& e);
   QueueEvent queuePop();
   void scrubQueue();
 
@@ -302,18 +315,21 @@ class BatchSim {
   SimOptions opts_;
   double invBucketWidth_ = 2.0;
   // Quantized-grid mode (timeQuantization == SampleGrid; see the header
-  // doc). The open-wave table maps each net to its mergeable wave:
-  // openTag_[net] = (runEpoch_ << 20) | step is valid only for the current
-  // run, and (openBucket_, openIdx_) locate the wave in the calendar —
-  // offsets stay valid because quantized pushes only ever append to
-  // strictly future buckets (no same-step cascades, no draining-bucket
-  // inserts). Allocated only when quantized.
+  // doc).
   bool quantized_ = false;
   double quantPs_ = 0.0;     ///< sample period (step width), ps
   double invQuantPs_ = 0.0;  ///< 1 / quantPs_
-  std::vector<std::uint64_t> openTag_;     ///< per net: epoch/step tag
-  std::vector<std::uint32_t> openBucket_;  ///< per net: wave's bucket
-  std::vector<std::uint32_t> openIdx_;     ///< per net: index in bucket
+  /// Per net: the last wave pushed on it, the only one a later push may
+  /// join (see "Wave merging"). Valid only while `epoch` equals runEpoch_;
+  /// (bucket, idx) locate the wave in the calendar, and stay valid while
+  /// that bucket has not started draining, because until then pushes only
+  /// append to it.
+  struct OpenWave {
+    std::uint64_t epoch;
+    std::uint32_t bucket;
+    std::uint32_t idx;
+  };
+  std::vector<OpenWave> openWave_;
 
   // Reusable arenas (allocation-free after warm-up). Packed words hold
   // lane l in bit l; per-(net, lane) scalars are flat numGates x kLanes.
@@ -322,6 +338,10 @@ class BatchSim {
   std::vector<std::uint64_t> pendValueW_;  ///< per net: pending lane values
   /// Per (net, lane): pending id. Allocated only for DelayKind::Inertial.
   std::vector<std::uint64_t> pendPushId_;
+  /// Per net: each lane's last scheduled value, copied from the settled
+  /// state at run start (the transport no-op filter). Allocated only for
+  /// DelayKind::Transport.
+  std::vector<std::uint64_t> lastSchedW_;
   /// Per-(net, lane) time of the net's previous commit in the current run,
   /// valid only for the lanes in the net's CommitLanes mask, and only while
   /// its epoch equals runEpoch_. The per-net pair makes "no commit yet this
@@ -349,19 +369,13 @@ class BatchSim {
   std::uint64_t pushCounter_ = 0;
 
   // Per-lane run tallies (zeroed per run; the per-lane twins of the scalar
-  // engines' local counters) and scratch shared between pop and sink.
+  // engines' local counters, see "Derived tallies") and scratch shared
+  // between pop and sink.
   std::array<std::uint64_t, kLanes> poppedL_{};
-  std::array<std::uint64_t, kLanes> committedL_{};
-  std::array<std::uint64_t, kLanes> cancelledL_{};
+  std::array<std::uint64_t, kLanes> committedL_{};    ///< popped commits
+  std::array<std::uint64_t, kLanes> inputCommitsL_{}; ///< t = 0 commits
   std::array<std::uint64_t, kLanes> filteredL_{};
-  std::array<std::uint64_t, kLanes> depthL_{};  ///< lane's in-flight waves
-  std::array<std::uint64_t, kLanes> peakL_{};
-  // Bit-sliced twins of popped/committed/cancelled/filtered, used by the
-  // no-watchdog fast path (fastTallies_) and folded back into the arrays
-  // above by recordRun. Depth/peak stay scalar even on the fast path: push
-  // masks average only one or two set lanes, so per-lane loops win there.
-  LaneTallyPlanes poppedBS_, committedBS_, cancelledBS_, filteredBS_;
-  bool fastTallies_ = false;  ///< last run used the bit-sliced tallies
+  std::uint64_t waves_ = 0;  ///< queue pops of the current run
   std::array<double, kLanes> weightL_{};  ///< commit weights, sink scratch
   std::array<double, kLanes> energyL_{};  ///< deposition scratch
 
@@ -375,10 +389,10 @@ class BatchSim {
 
   std::array<SimStats, kLanes> laneStats_{};
   struct MetricHandles {
-    obs::Counter runs, batches, events, committed, cancelled,
+    obs::Counter runs, batches, waves, events, committed, cancelled,
         inertialFiltered;
     obs::Counter tracesSampled, pulsesDeposited;
-    obs::Gauge peakQueueDepth, watchdogMaxEventsUsed, watchdogBudget;
+    obs::Gauge watchdogMaxEventsUsed, watchdogBudget;
   } metrics_;
 
   // Cost-attribution profiling (obs/profiler.h): per-run local tallies —

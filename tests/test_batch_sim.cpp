@@ -20,8 +20,10 @@
 #include <utility>
 #include <vector>
 
+#include "core/experiment.h"
 #include "fault/fault_spec.h"
 #include "fault_fixtures.h"
+#include "netlist/builder.h"
 #include "obs/metrics.h"
 #include "sim/compiled_sim.h"
 #include "trace/acquisition.h"
@@ -38,6 +40,14 @@ void expectSameStats(const SimStats& a, const SimStats& b) {
   EXPECT_EQ(a.inertialFiltered, b.inertialFiltered);
   EXPECT_EQ(a.peakQueueDepth, b.peakQueueDepth);
   EXPECT_EQ(a.watchdogMinHeadroom, b.watchdogMinHeadroom);
+}
+
+/// A scalar engine's stats as a batch lane reports them: every field is
+/// kept except peakQueueDepth, which BatchSim does not track per lane and
+/// leaves at 0 (batch_sim.h, "Bit-identity contract").
+SimStats asBatchLane(SimStats s) {
+  s.peakQueueDepth = 0;
+  return s;
 }
 
 void expectSameTransitions(const std::vector<Transition>& a,
@@ -147,7 +157,7 @@ void expectLaneIdentity(const MaskedSbox& sbox, const DelayModel& dm,
     expectSameTransitions(refLog, bat.laneTransitions(lane));
     expectSameTransitions(cmp.run(st[l].fin), bat.laneTransitions(lane));
     EXPECT_EQ(ref.outputValues(), bat.outputValues(lane));
-    expectSameStats(ref.stats(), bat.laneStats(lane));
+    expectSameStats(asBatchLane(ref.stats()), bat.laneStats(lane));
 
     // Fused trace parity: lane trace == PowerModel::sample of the scalar
     // run, checked below after the batch fused pass.
@@ -407,7 +417,7 @@ TEST(BatchSim, WatchdogDivergenceMatchesReferencePerLane) {
   }
   EXPECT_EQ(refEvents, batEvents);
   EXPECT_EQ(refTime, batTime);
-  expectSameStats(ref.stats(),
+  expectSameStats(asBatchLane(ref.stats()),
                   bat.laneStats(static_cast<std::uint32_t>(lane)));
 
   // Recovery: after settle() the aborted run's calendar and pending words
@@ -515,6 +525,182 @@ TEST(BatchSim, EvaluateOutputsMatchesNetlistPerLane) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Wave merging (batch_sim.h, "Wave merging"): a push joins its net's open
+// wave only when every covered lane keeps its pop order. A 1-lane BatchSim
+// can never merge (a push always shares its one lane with the open wave),
+// so it is the unmerged twin each lane of a 64-lane run must equal.
+
+/// Runs `st` through one BatchSim (recorded and fused) and checks every
+/// lane's transitions, fused trace and stats against a 1-lane BatchSim and
+/// an EventSim run of the same stimulus.
+void expectMergedLanesMatchSingleLane(const Netlist& nl, const DelayModel& dm,
+                                      const PowerModel& pm,
+                                      const SimOptions& opts,
+                                      const std::vector<LaneStimulus>& st) {
+  const CompiledDesign design(nl, dm, pm);
+  BatchSim bat(design, opts);
+  bat.settle(inits(st));
+  bat.run(fins(st));
+  BatchSim fused(design, opts);
+  fused.settle(inits(st));
+  fused.runFused(fins(st), seeds(st));
+  for (std::uint32_t l = 0; l < st.size(); ++l) {
+    SCOPED_TRACE("lane " + std::to_string(l));
+    BatchSim one(design, opts);
+    one.settle({st[l].init});
+    one.run({st[l].fin});
+    EventSim ref(nl, dm, opts);
+    ref.settle(st[l].init);
+    const auto refLog = ref.run(st[l].fin);
+    expectSameTransitions(refLog, bat.laneTransitions(l));
+    expectSameTransitions(one.laneTransitions(0), bat.laneTransitions(l));
+    expectSameStats(asBatchLane(ref.stats()), bat.laneStats(l));
+    expectSameStats(one.laneStats(0), bat.laneStats(l));
+
+    BatchSim oneFused(design, opts);
+    oneFused.settle({st[l].init});
+    oneFused.runFused({st[l].fin}, {st[l].noiseSeed});
+    const auto expected = pm.sample(refLog, st[l].noiseSeed);
+    for (std::size_t s = 0; s < expected.size(); ++s) {
+      ASSERT_EQ(fused.laneTrace(l)[s], expected[s]) << "sample " << s;
+      ASSERT_EQ(fused.laneTrace(l)[s], oneFused.laneTrace(0)[s])
+          << "sample " << s;
+    }
+  }
+}
+
+/// Zero-jitter reconvergent netlist over inputs (a, c, b, k, e), in that
+/// input order: g = a^b and h = c^k reconverge in y = g^h, and f = b^e and
+/// y in v = f^y. Every XOR drives at most one gate, so all have the same
+/// delay and waves of different nets share times. At t = 0 the input walk
+/// pushes g (lanes toggling a), then h (lanes toggling c or k), then g
+/// again (lanes toggling b): the second g push may join the first only if
+/// none of its lanes also toggled a, c or k — the h wave pushed in between
+/// must pop before g for such a lane. One level later, y is pushed from
+/// g's commit and then from h's: a lane toggling a and c is in both pushes
+/// (a zero-width transport glitch on y), so they must stay separate waves.
+Netlist reconvergentXorNetlist() {
+  NetlistBuilder b;
+  const NetId a = b.input("a");
+  const NetId c = b.input("c");
+  const NetId bb = b.input("b");
+  const NetId k = b.input("k");
+  const NetId e = b.input("e");
+  const NetId g = b.xorGate(a, bb);
+  const NetId h = b.xorGate(c, k);
+  const NetId f = b.xorGate(bb, e);
+  const NetId y = b.xorGate(g, h);
+  b.output(b.xorGate(f, y), "v");
+  return b.take();
+}
+
+/// 64 lanes with random initial inputs, lane l toggling the input set
+/// toggles[l % toggles.size()] (bit i = input i in (a, c, b, k, e) order).
+std::vector<LaneStimulus> toggleStimuli(const std::vector<unsigned>& toggles,
+                                        Prng& rng) {
+  std::vector<LaneStimulus> out(BatchSim::kLanes);
+  for (std::size_t l = 0; l < out.size(); ++l) {
+    LaneStimulus& s = out[l];
+    const unsigned flip = toggles[l % toggles.size()];
+    for (unsigned i = 0; i < 5; ++i) {
+      s.init.push_back(rng.bit());
+      s.fin.push_back(static_cast<std::uint8_t>(s.init.back() ^
+                                                ((flip >> i) & 1u)));
+    }
+    s.noiseSeed = rng.next() | 1ULL;
+  }
+  return out;
+}
+
+TEST(BatchMerge, ReconvergentZeroJitterLanesMatchSingleLaneRuns) {
+  constexpr unsigned kA = 1, kC = 2, kB = 4, kK = 8, kE = 16;
+  // Toggle patterns, each a separate 64-lane run: one input per lane (all
+  // pushes disjoint: merges everywhere); a/c+b/b/k/e (the h wave refuses
+  // the second g push); a+c/a/c/e (the a+c lanes refuse the second y
+  // push); and every lane a different random set.
+  std::vector<std::vector<unsigned>> patterns = {
+      {kA, kC, kB, kK, kE},
+      {kA, kC | kB, kB, kK, kE},
+      {kA | kC, kA, kC, kE},
+      {}};
+  Prng pick(0x3E6E);
+  for (std::size_t l = 0; l < BatchSim::kLanes; ++l) {
+    patterns.back().push_back(pick.bits(5));
+  }
+
+  // Both delay kinds on both accounting paths: no watchdog (derived
+  // tallies, transport no-ops dropped at push) and an armed watchdog that
+  // never trips (no-ops queued, pops counted lane by lane).
+  std::vector<SimOptions> optionSets;
+  for (DelayKind kind : {DelayKind::Inertial, DelayKind::Transport}) {
+    for (std::uint64_t budget : {std::uint64_t(0), std::uint64_t(1) << 20}) {
+      SimOptions opts;
+      opts.kind = kind;
+      opts.maxEvents = budget;
+      optionSets.push_back(opts);
+    }
+  }
+  const auto describe = [](const SimOptions& opts) {
+    return "kind " + std::to_string(static_cast<int>(opts.kind)) +
+           " maxEvents " + std::to_string(opts.maxEvents);
+  };
+
+  const Netlist nl = reconvergentXorNetlist();
+  DelayOptions zeroJitter;
+  zeroJitter.jitterSigma = 0.0;
+  const DelayModel dm(nl, zeroJitter);
+  const PowerModel pm(nl);
+  for (const SimOptions& opts : optionSets) {
+    for (std::size_t p = 0; p < patterns.size(); ++p) {
+      SCOPED_TRACE(describe(opts) + " pattern " + std::to_string(p));
+      Prng rng(0x3E60 + p);
+      expectMergedLanesMatchSingleLane(nl, dm, pm, opts,
+                                       toggleStimuli(patterns[p], rng));
+    }
+  }
+
+  // The same contract on real S-box netlists without jitter, where the
+  // reconvergent share paths give many nets the same event times.
+  for (SboxStyle style : {SboxStyle::Isw, SboxStyle::Ti}) {
+    const auto sbox = makeSbox(style);
+    const DelayModel sdm(sbox->netlist(), zeroJitter);
+    const PowerModel spm(sbox->netlist());
+    for (const SimOptions& opts : optionSets) {
+      SCOPED_TRACE(std::string(sbox->name()) + " " + describe(opts));
+      Prng rng(0x3E61);
+      expectMergedLanesMatchSingleLane(sbox->netlist(), sdm, spm, opts,
+                                       drawStimuli(*sbox, BatchSim::kLanes,
+                                                   rng));
+    }
+  }
+}
+
+TEST(BatchMerge, TiWavesStayFewPerEvent) {
+  // Merging pays off most on TI. On one 64-lane TI group at the
+  // acquisition defaults, a popped wave stands for ~21 reference events
+  // with merging and ~8 without it (measured with the merge disabled), so
+  // the floor of 14 fails if merging silently stops.
+  const ExperimentConfig cfg;
+  const auto sbox = makeSbox(SboxStyle::Ti);
+  const DelayModel dm(sbox->netlist(), cfg.delay);
+  const PowerModel pm(sbox->netlist(), cfg.power);
+  const CompiledDesign design(sbox->netlist(), dm, pm);
+  obs::MetricsRegistry registry;
+  BatchSim bat(design, cfg.sim);
+  bat.attachMetrics(&registry);
+  Prng rng(0x7173);
+  const auto st = drawStimuli(*sbox, BatchSim::kLanes, rng);
+  bat.settle(inits(st));
+  bat.runFused(fins(st), seeds(st));
+  const std::uint64_t waves = registry.counter("sim.batch.waves").value();
+  const std::uint64_t events =
+      registry.counter("sim.batch.events_processed").value();
+  ASSERT_GT(waves, 0u);
+  EXPECT_LT(waves * 14, events)
+      << waves << " waves for " << events << " events";
 }
 
 TEST(BatchAcquire, AutoPicksBatchAtLaneWidthAndCompiledBelow) {

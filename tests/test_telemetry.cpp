@@ -408,10 +408,20 @@ TEST(TelemetryServer, ConcurrentScrapingKeepsAcquisitionBitIdentical) {
       }
     });
   }
+  // Start the acquisition only once a scrape has completed, so the
+  // scrapers are demonstrably live while it runs (a ~3 ms acquisition
+  // would otherwise race the first scrape under CPU load).
+  const auto scrapeDeadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (scrapes.load() == 0 &&
+         std::chrono::steady_clock::now() < scrapeDeadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool scraping = scrapes.load() > 0;
   const TraceSet scraped = acquireTraces();
   stop.store(true);
   for (std::thread& s : scrapers) s.join();
-  EXPECT_GT(scrapes.load(), 0u);
+  ASSERT_TRUE(scraping) << "no scrape completed within 10 s";
 
   ASSERT_EQ(baseline.size(), scraped.size());
   for (std::size_t i = 0; i < baseline.size(); ++i) {
