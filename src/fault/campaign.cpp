@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -177,13 +178,22 @@ FaultCampaignResult runFaultCampaign(const MaskedSbox& sbox,
     const std::uint64_t faultSeed = deriveStreamSeed(faultDomain, j);
     const std::vector<std::uint8_t> schedule =
         balancedClassSchedule(cfg.tracesPerClass, faultSeed);
-    const StimulusFn stimulus = [&](std::size_t i) {
-      return classStimulus(sbox, faultSeed, cfg.initialValue, schedule[i],
-                           i);
-    };
 
-    TraceSet traces(numSamples);
-    traces.reserve(schedule.size());
+    // Trace i's stimulus, label and samples; a diverged trace keeps no
+    // samples and is left out of the fault's TraceSet.
+    const std::size_t n = schedule.size();
+    std::vector<TraceStimulus> stimuli(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      stimuli[i] =
+          classStimulus(sbox, faultSeed, cfg.initialValue, schedule[i], i);
+    }
+    std::vector<std::uint8_t> labels(n);
+    std::vector<double> samples(n * numSamples);
+    std::vector<char> diverged(n, 0);
+    const auto keep = [&](std::size_t i, const double* trace) {
+      labels[i] = stimuli[i].label;
+      std::copy_n(trace, numSamples, &samples[i * numSamples]);
+    };
 
     // Per-trace outcome against the fault-free zero-delay outputs
     // `refOut` for the trace's final inputs `fin`.
@@ -212,18 +222,21 @@ FaultCampaignResult runFaultCampaign(const MaskedSbox& sbox,
     // refuse (a forward bridge) and lane groups in which a lane tripped
     // the watchdog, so diverged traces get their exact per-trace payload.
     std::optional<EventSim> sim;
-    const auto runReference = [&](std::size_t begin, std::size_t end) {
+    const auto runReference = [&](const std::uint32_t* ids,
+                                  std::size_t count) {
       if (!sim) {
         sim.emplace(design.netlist, design.delays, simOpts);
         sim->attachMetrics(registry);
       }
-      for (std::size_t i = begin; i < end; ++i) {
-        const TraceStimulus s = stimulus(i);
+      for (std::size_t k = 0; k < count; ++k) {
+        const std::size_t i = ids[k];
+        const TraceStimulus& s = stimuli[i];
         std::vector<Transition> transitions;
         try {
           sim->settle(s.init);
           transitions = sim->run(s.fin);
         } catch (const SimDiverged& d) {
+          diverged[i] = 1;
           ++report.counts.diverged;
           if (d.eventsProcessed() > report.maxWatchdogEvents) {
             report.maxWatchdogEvents = d.eventsProcessed();
@@ -236,26 +249,38 @@ FaultCampaignResult runFaultCampaign(const MaskedSbox& sbox,
           continue;  // graceful degradation: next trace
         }
         classify(sim->outputValues(), base.evaluateOutputs(s.fin), s.fin);
-        traces.add(s.label, power.sample(transitions, s.noiseSeed));
+        keep(i, power.sample(transitions, s.noiseSeed).data());
       }
     };
 
+    std::vector<std::uint32_t> order(n);
+    std::iota(order.begin(), order.end(), 0u);
     if (!design.netlist.isIndexOrdered()) {
-      runReference(0, schedule.size());
+      runReference(order.data(), n);
     } else {
       // Batch engine: 64-lane groups with fused deposition, each lane
-      // bit-identical to the reference run of its trace.
+      // bit-identical to the reference run of its trace. One worker runs
+      // every group of the fault, so the groups always take the traces
+      // sorted by final encoding, and the samples land at their trace.
+      sortByFinalEncoding(order.data(), n, base.inputs().size(),
+                          [&](std::uint32_t i) {
+                            return std::pair{stimuli[i].init.data(),
+                                             stimuli[i].fin.data()};
+                          });
+      const StimulusFn laneStimulus = [&](std::size_t p) {
+        return stimuli[order[p]];
+      };
       const CompiledDesign compiled(design.netlist, design.delays, power);
       BatchSim bsim(compiled, simOpts);
       bsim.attachMetrics(registry);
-      for (std::size_t g = 0; g < schedule.size(); g += BatchSim::kLanes) {
-        const std::size_t lanes =
-            std::min<std::size_t>(BatchSim::kLanes, schedule.size() - g);
+      for (std::size_t g = 0; g < n; g += BatchSim::kLanes) {
+        const std::size_t lanes = std::min<std::size_t>(BatchSim::kLanes,
+                                                        n - g);
         std::vector<TraceStimulus> group;
         try {
-          group = runLaneGroup(bsim, stimulus, g, lanes);
+          group = runLaneGroup(bsim, laneStimulus, g, lanes);
         } catch (const SimDiverged&) {
-          runReference(g, g + lanes);
+          runReference(&order[g], lanes);
           continue;
         }
         std::vector<std::vector<std::uint8_t>> fins(lanes);
@@ -265,10 +290,25 @@ FaultCampaignResult runFaultCampaign(const MaskedSbox& sbox,
         for (std::size_t l = 0; l < lanes; ++l) {
           const std::uint32_t lane = static_cast<std::uint32_t>(l);
           classify(bsim.outputValues(lane), refOuts[l], fins[l]);
-          traces.add(group[l].label, bsim.laneTrace(lane));
+          keep(order[g + l], bsim.laneTrace(lane));
         }
       }
     }
+
+    // The fault's TraceSet, in trace-index order without diverged traces.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (diverged[i]) continue;
+      if (kept != i) {
+        labels[kept] = labels[i];
+        std::copy_n(&samples[i * numSamples], numSamples,
+                    &samples[kept * numSamples]);
+      }
+      ++kept;
+    }
+    labels.resize(kept);
+    samples.resize(kept * numSamples);
+    TraceSet traces(numSamples, std::move(labels), std::move(samples));
 
     report.classification = worstOf(report.counts);
     report.completed = true;

@@ -41,6 +41,20 @@ double intrinsicCapFf(GateType t, int fanin) {
 
 PowerModel::PowerModel(const Netlist& nl, const PowerOptions& opts)
     : opts_(opts) {
+  // A zero period makes the bin index floor(t / dt) undefined, a zero width
+  // makes every pulse 0/0, and a NaN sigma reaches normal_distribution.
+  if (!(std::isfinite(opts.samplePeriodPs) && opts.samplePeriodPs > 0.0)) {
+    throw std::invalid_argument(
+        "PowerModel: samplePeriodPs must be positive and finite");
+  }
+  if (!(std::isfinite(opts.pulseWidthPs) && opts.pulseWidthPs > 0.0)) {
+    throw std::invalid_argument(
+        "PowerModel: pulseWidthPs must be positive and finite");
+  }
+  if (!(std::isfinite(opts.noiseSigma) && opts.noiseSigma >= 0.0)) {
+    throw std::invalid_argument(
+        "PowerModel: noiseSigma must be non-negative and finite");
+  }
   const std::vector<std::uint32_t>& fanout = nl.fanoutCounts();
   capFf_.resize(nl.numGates());
   for (NetId id = 0; id < nl.numGates(); ++id) {

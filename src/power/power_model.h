@@ -111,6 +111,8 @@ double intrinsicCapFf(GateType t, int fanin);
 
 class PowerModel {
  public:
+  /// Throws std::invalid_argument unless samplePeriodPs and pulseWidthPs
+  /// are positive and finite and noiseSigma is non-negative and finite.
   PowerModel(const Netlist& nl, const PowerOptions& opts = {});
 
   /// Per-gate aging amplitude factors in (0, 1]; 1 = fresh.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <exception>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -176,9 +177,9 @@ void checkDecode(const MaskedSbox& sbox,
   }
 }
 
-/// Plan::row of a triple only one trace uses (its samples wait in the
-/// pool's reorder slot, not in the store), and an empty slot of makePlan's
-/// table.
+/// Plan::row of a triple only one trace uses (its samples wait in its
+/// window's half of a double buffer, not in the store), and an empty slot
+/// of makePlan's table.
 constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
 /// The plan of one acquisition call over traces [begin, begin + n): every
@@ -199,9 +200,14 @@ struct Plan {
 
   std::size_t distinct() const { return first.size() - 1; }
 
+  /// Triple d's init, fin and expected values, in that order.
+  const std::uint8_t* key(std::size_t d) const {
+    return &triples[d * (2 * width + 1)];
+  }
+
   /// Triple d as a stimulus with noise seed 0.
   TraceStimulus stimulus(std::size_t d) const {
-    const std::uint8_t* key = &triples[d * (2 * width + 1)];
+    const std::uint8_t* key = this->key(d);
     TraceStimulus s;
     s.init.assign(key, key + width);
     s.fin.assign(key + width, key + 2 * width);
@@ -349,9 +355,9 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
   const std::uint32_t numSamples = power.options().numSamples;
   const double sigma = power.options().noiseSigma;
   const std::string style(sbox.name());
-  const Plan plan =
-      makePlan(protocol, begin, end, sim.netlist().inputs().size(),
-               sigma > 0.0, numThreads, style);
+  const std::size_t width = sim.netlist().inputs().size();
+  const Plan plan = makePlan(protocol, begin, end, width, sigma > 0.0,
+                             numThreads, style);
   const std::size_t m = plan.distinct();
   const SimEngine engine = resolveEngine(requested, sim, power, m);
   const TimeQuantization quant = resolveQuantization(requested, quantization);
@@ -369,50 +375,107 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
     }
   };
 
-  // A work item is one lane group of triples on the batch engine, and on
-  // the scalar engines a block of consecutive triples sized to give each
-  // worker a few.
+  // Windows and work items. Items are 64-lane groups on the batch engine,
+  // and on the scalar engines blocks sized to give each worker a few. The
+  // triples, in first-occurrence order, are cut into windows of whole items
+  // holding at most `windowRows` single-use triples each (a triple used
+  // again keeps a store row for the whole call, so it does not count); only
+  // the last window may end in a partial item. On the batch engine a window
+  // of at least `windowRows` triples — every window but the last — runs its
+  // lanes sorted by final encoding; a shorter one keeps first-occurrence
+  // order, because with few groups per worker the costliest sorted group
+  // would set the wall time. Item k runs the triples at positions [cut[k],
+  // cut[k + 1]) of `order`.
   const auto itemsOf = [](std::size_t count, std::size_t per) {
     return (count + per - 1) / per;
   };
   const bool batch = engine == SimEngine::Batch;
   const std::uint32_t threads = resolveWorkerThreads(
       numThreads, batch ? itemsOf(m, BatchSim::kLanes) : m);
+  const std::size_t windowRows =
+      detail::reorderWindow(threads) * BatchSim::kLanes;
   const std::size_t itemTriples =
       batch ? BatchSim::kLanes
             : std::clamp<std::size_t>(
                   itemsOf(m, detail::reorderWindow(threads)), 1,
                   BatchSim::kLanes);
-  const std::size_t window = detail::reorderWindow(threads);
-  const auto firstOf = [&](std::size_t item) { return item * itemTriples; };
-  const auto endOf = [&](std::size_t item) {
-    return std::min(m, firstOf(item) + itemTriples);
-  };
-  // Noiseless samples: a triple used again later keeps its row of the
-  // store for the whole call, the others wait in their item's slot until
-  // delivered. Workers write both; the delivering thread reads them.
-  std::vector<double> slots(window * itemTriples * numSamples);
-  std::vector<double> store(plan.rows * numSamples);
+  std::vector<std::uint32_t> order(m);
+  std::iota(order.begin(), order.end(), 0u);
+  std::vector<std::size_t> cut;          // per item, then m
+  std::vector<std::size_t> windowFirst;  // per window: first item; then items
+  std::vector<std::size_t> windowOf;     // per item
+  std::vector<char> sorted;              // per window
+  // Noiseless samples of triple d: row rowOf[d] of `rows` — its store row,
+  // or, single-use, a row of its window's half of a double buffer.
+  std::vector<std::uint32_t> rowOf(m);
+  std::size_t singleUse = 0;
+  for (std::size_t a = 0, b = 0; a < m; a = b) {
+    for (std::size_t fresh = 0; b < m && fresh < windowRows; ++b) {
+      if (plan.row[b] == kNone) ++fresh;
+    }
+    if (b < m) b = a + (b - a) / itemTriples * itemTriples;
+    for (std::size_t d = a; d < b; ++d) {
+      rowOf[d] = plan.row[d] != kNone
+                     ? plan.row[d]
+                     : static_cast<std::uint32_t>(
+                           plan.rows + singleUse++ % (2 * windowRows));
+    }
+    sorted.push_back(batch && b - a >= windowRows);
+    if (sorted.back()) {
+      sortByFinalEncoding(&order[a], b - a, width, [&](std::uint32_t d) {
+        const std::uint8_t* key = plan.key(d);
+        return std::pair{key, key + width};
+      });
+    }
+    windowFirst.push_back(cut.size());
+    for (std::size_t p = a; p < b; p += itemTriples) {
+      cut.push_back(p);
+      windowOf.push_back(sorted.size() - 1);
+    }
+  }
+  const std::size_t items = cut.size();
+  const std::size_t windows = sorted.size();
+  cut.push_back(m);
+  windowFirst.push_back(items);
+  std::vector<double> rows(
+      (plan.rows + std::min(singleUse, 2 * windowRows)) * numSamples);
   const auto samplesOf = [&](std::size_t d) {
-    return plan.row[d] != kNone
-               ? &store[std::size_t(plan.row[d]) * numSamples]
-               : &slots[(d / itemTriples % window * itemTriples +
-                         d % itemTriples) *
-                        numSamples];
+    return &rows[std::size_t(rowOf[d]) * numSamples];
   };
-  const auto describeTraces = [&](std::size_t item,
-                                  const char* engineName) {
-    return std::string(protocol.noun) + " traces [" +
-           std::to_string(begin + plan.first[firstOf(item)]) + ", " +
-           std::to_string(begin + plan.first[endOf(item)]) + ") (style " +
+  // Workers may run items of the two oldest undelivered windows, so a
+  // window's half of the buffer is free again once it is delivered, and
+  // `slots` per-item slots hold every item in flight.
+  const auto horizon = [&](std::size_t d) {
+    return windowFirst[std::min(windowOf[d] + 2, windows)];
+  };
+  std::size_t slots = 1;
+  for (std::size_t w = 0; w < windows; ++w) {
+    slots = std::max(slots, windowFirst[std::min(w + 2, windows)] -
+                                windowFirst[w]);
+  }
+  // The lowest first trace of the triples at positions [a, a + count).
+  const auto lowestFirst = [&](std::size_t a, std::size_t count) {
+    std::size_t t = n;
+    for (std::size_t p = a; p < a + count; ++p) {
+      t = std::min<std::size_t>(t, plan.first[order[p]]);
+    }
+    return t;
+  };
+  const auto describeTriples = [&](std::size_t a, std::size_t count,
+                                   const char* engineName) {
+    return std::string(protocol.noun) + " traces of " +
+           std::to_string(count) + " stimuli from trace " +
+           std::to_string(begin + lowestFirst(a, count)) + " (style " +
            style + ", " + engineName + " engine)";
   };
 
   // Runs the pool on `proto` (worker 0) and clones of it. fill(worker, a,
-  // count) simulates triples [a, a + count) into samplesOf(d); a failure
-  // throws the WorkerError of the first trace it loses. Delivery hands the
-  // item's traces — every trace before the next item's first triple — to
-  // the sink, and a recorded failure after the traces before it.
+  // count) simulates the triples at positions [a, a + count) into
+  // samplesOf(d); a failure throws the WorkerError of the lowest trace it
+  // loses. Delivery hands over chunk k — every trace before the first trace
+  // of triple cut[k + 1] — once chunk k's triples are done: with item k on
+  // an unsorted window, with the window's last item on a sorted one. A
+  // recorded failure among the delivered items stops delivery at its trace.
   const auto stream = [&](auto& proto, const char* engineName,
                           const auto& fill) {
     obs::Span span(std::string(protocol.spanLabel) + " (" +
@@ -434,84 +497,111 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
     clones.reserve(threads - 1);
     while (clones.size() + 1 < threads) clones.push_back(proto.clone());
     // Per slot: the failure of its item, if any, and the slice-local trace
-    // delivery stops at (n = none).
-    std::vector<std::exception_ptr> failure(window);
-    std::vector<std::size_t> failAt(window, n);
+    // it lands at (n = none).
+    std::vector<std::exception_ptr> failure(slots);
+    std::vector<std::size_t> failAt(slots, n);
     std::vector<double> noisy(numSamples);
-    detail::orderedFor(
-        itemsOf(m, itemTriples), threads, window,
+    detail::orderedForHorizon(
+        items, threads, slots, horizon,
         [&](std::uint32_t w, std::size_t item) {
-          const std::size_t slot = item % window;
+          const std::size_t slot = item % slots;
           failure[slot] = nullptr;
           failAt[slot] = n;
           try {
-            fill(w == 0 ? proto : clones[w - 1], firstOf(item),
-                 endOf(item) - firstOf(item));
+            fill(w == 0 ? proto : clones[w - 1], cut[item],
+                 cut[item + 1] - cut[item]);
           } catch (const WorkerError& e) {
             failure[slot] = std::current_exception();
             failAt[slot] = e.index() - begin;
           }
         },
         [&](std::size_t item) {
-          const std::size_t slot = item % window;
-          const std::size_t stop =
-              std::min<std::size_t>(plan.first[endOf(item)], failAt[slot]);
-          for (std::size_t t = plan.first[firstOf(item)]; t < stop; ++t) {
-            const double* samples = samplesOf(plan.id[t]);
-            if (sigma > 0.0) {
-              std::copy_n(samples, numSamples, noisy.data());
-              power_detail::addGaussianNoise(noisy.data(), numSamples, sigma,
-                                             plan.noiseSeed[t]);
-              samples = noisy.data();
+          const std::size_t w = windowOf[item];
+          if (sorted[w] && item + 1 != windowFirst[w + 1]) return;
+          const std::size_t from = sorted[w] ? windowFirst[w] : item;
+          std::size_t stop = n;
+          std::exception_ptr error;
+          for (std::size_t k = from; k <= item; ++k) {
+            if (failAt[k % slots] < stop) {
+              stop = failAt[k % slots];
+              error = failure[k % slots];
             }
-            onTrace(t, [&] { sink(plan.label[t], samples); });
-            meter.step();
           }
-          if (failure[slot]) std::rethrow_exception(failure[slot]);
+          for (std::size_t k = from; k <= item; ++k) {
+            if (meter.abortRequested()) return;  // the pool throws
+            const std::size_t last =
+                std::min<std::size_t>(plan.first[cut[k + 1]], stop);
+            for (std::size_t t = plan.first[cut[k]]; t < last; ++t) {
+              const double* samples = samplesOf(plan.id[t]);
+              if (sigma > 0.0) {
+                std::copy_n(samples, numSamples, noisy.data());
+                power_detail::addGaussianNoise(noisy.data(), numSamples,
+                                               sigma, plan.noiseSeed[t]);
+                samples = noisy.data();
+              }
+              onTrace(t, [&] { sink(plan.label[t], samples); });
+              meter.step();
+            }
+          }
+          if (error) std::rethrow_exception(error);
         },
-        [&](std::size_t item) { return describeTraces(item, engineName); },
+        [&](std::size_t item) {
+          return describeTriples(cut[item], cut[item + 1] - cut[item],
+                                 engineName);
+        },
         &meter, protocol.spanLabel);
     meter.finish();
   };
 
   if (batch) {
-    // Bit-parallel path: lane l of a group is triple a + l, so each lane
-    // runs one trace's stimulus and the traces are bit-identical to the
-    // scalar engines' however triples fall into groups. Under the
-    // quantized-grid opt-in (only ever reached with a forced Batch engine)
-    // lanes stay independent, so the quantized result stays deterministic
-    // in seed, thread-count invariant and slice-concatenation safe — just
-    // not bit-identical to the exact engines. A group that fails as a whole
-    // (a lane tripping the watchdog) loses every trace its delivery covers
-    // and is named by that trace range.
+    // Bit-parallel path: each lane runs one triple's stimulus, and no lane
+    // depends on the lanes that share its group, so the traces are
+    // bit-identical to the scalar engines' however triples fall into
+    // groups. Under the quantized-grid opt-in (only ever reached with a
+    // forced Batch engine) lanes stay independent, so the quantized result
+    // stays deterministic in seed, thread-count invariant and
+    // slice-concatenation safe — just not bit-identical to the exact
+    // engines. A group that fails as a whole (a lane tripping the
+    // watchdog) loses the traces of all its triples and is named by the
+    // lowest of their first traces; a decode mismatch by the lowest first
+    // trace among the failing lanes.
     const CompiledDesign design(sim.netlist(), sim.delayModel(), power);
     SimOptions bopts = sim.options();
     bopts.timeQuantization = quant;
     BatchSim bsim(design, bopts);
     bsim.attachMetrics(sim.metricsRegistry());
     bsim.attachProfiler(profiler);
-    const StimulusFn tripleStimulus = [&](std::size_t d) {
-      return plan.stimulus(d);
+    const StimulusFn laneStimulus = [&](std::size_t p) {
+      return plan.stimulus(order[p]);
     };
     stream(bsim, "batch",
            [&](BatchSim& worker, std::size_t a, std::size_t lanes) {
              std::vector<TraceStimulus> group;
              try {
-               group = runLaneGroup(worker, tripleStimulus, a, lanes);
+               group = runLaneGroup(worker, laneStimulus, a, lanes);
              } catch (...) {
                detail::rethrowAsWorkerError(
-                   std::current_exception(), begin + plan.first[a], [&] {
-                     return describeTraces(a / BatchSim::kLanes, "batch");
-                   });
+                   std::current_exception(), begin + lowestFirst(a, lanes),
+                   [&] { return describeTriples(a, lanes, "batch"); });
              }
+             std::size_t failAt = n;
+             std::exception_ptr failure;
              for (std::uint32_t l = 0; l < lanes; ++l) {
-               onTrace(plan.first[a + l], [&] {
-                 checkDecode(sbox, worker.outputValues(l), group[l],
-                             begin + plan.first[a + l]);
-               });
-               std::copy_n(worker.laneTrace(l), numSamples,
-                           samplesOf(a + l));
+               const std::uint32_t d = order[a + l];
+               std::copy_n(worker.laneTrace(l), numSamples, samplesOf(d));
+               try {
+                 onTrace(plan.first[d], [&] {
+                   checkDecode(sbox, worker.outputValues(l), group[l],
+                               begin + plan.first[d]);
+                 });
+               } catch (const WorkerError&) {
+                 if (plan.first[d] < failAt) {
+                   failAt = plan.first[d];
+                   failure = std::current_exception();
+                 }
+               }
              }
+             if (failure) std::rethrow_exception(failure);
            });
     return;
   }
@@ -520,7 +610,8 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
   // checks the decode against trace i and returns the samples.
   const auto scalarFill = [&](const auto& simulate) {
     return [&, simulate](auto& worker, std::size_t a, std::size_t count) {
-      for (std::size_t d = a; d < a + count; ++d) {
+      for (std::size_t p = a; p < a + count; ++p) {
+        const std::uint32_t d = order[p];
         onTrace(plan.first[d], [&] {
           const TraceStimulus s = plan.stimulus(d);
           worker.settle(s.init);

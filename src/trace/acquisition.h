@@ -47,37 +47,64 @@
 //      step every engine runs — so every trace is bit-identical to
 //      simulating it on its own.
 //
-// Noiseless samples of a triple used again later stay in a store for the
-// rest of the call (at 2048 traces per class: 4085 rows of numSamples
-// doubles for RSM/RSM-ROM, about 500 for GLUT/ISW, 16 for LUT/OPT); the
-// others wait in the pool's reorder slots. The engines' counters
-// (sim.*.runs, power.traces_sampled, ...) and a profiler therefore count
-// simulations; "acquire.traces_total" counts traces and
-// "acquire.distinct_total" the simulated stimuli.
+// The engines' counters (sim.*.runs, power.traces_sampled, ...) and a
+// profiler therefore count simulations; "acquire.traces_total" counts
+// traces and "acquire.distinct_total" the simulated stimuli.
+//
+// ## Lane groups and windows
 //
 // Worker 0 runs the prototype engine, the others clones of it (sharing the
 // netlist and DelayModel, so process jitter is shared, not re-rolled).
 // Workers claim items — a 64-lane group of distinct triples on the batch
 // engine, a block of them on the scalar engines — from the pool of
-// trace/sharded_pool.h, which delivers them in order; delivering an item
-// hands the consumer (a TraceSink, or the TraceSet being filled) every
-// trace before the next item's first triple, in trace-index order, so a
-// streaming fold equals a fold over the TraceSet.
+// trace/sharded_pool.h. The triples, in first-occurrence order, are cut
+// into windows of whole items, each holding at most W = 64 *
+// detail::reorderWindow(workers) single-use triples (1024 at 4 workers).
+// A triple used again does not count: it keeps a store row for the whole
+// call (at 2048 traces per class 4085 rows of numSamples doubles for
+// RSM/RSM-ROM, about 500 for GLUT/ISW, 16 for LUT/OPT), so RSM-ROM's 4095
+// triples at that budget form one window.
+//
+// On the batch engine a window of at least W triples — every window but
+// the call's last — is sorted by final encoding, then settle encoding
+// (sortByFinalEncoding), before it is cut into lane groups: lanes that end
+// in the same state share the batch engine's waves, which cuts RSM-ROM's
+// waves 2.8x at that budget. Each lane is independent of the lanes that
+// share its group, so the traces stay bit-identical (quantized runs stay
+// thread-count invariant). A shorter window — a 128-trace adaptive batch,
+// the tail of a long call — keeps first-occurrence order: with few groups
+// per worker, sorted groups have uneven costs and the costliest sets the
+// wall time. The scalar engines never sort.
+//
+// Delivery hands the consumer (a TraceSink, or the TraceSet being filled)
+// the traces in trace-index order, so a streaming fold equals a fold over
+// the TraceSet: an unsorted window's item delivers every trace before the
+// next item's first triple; a sorted window's traces go once its last
+// group is done. Workers may run the items of the two oldest undelivered
+// windows, so they wait at a window boundary only while two windows are
+// undelivered, and single-use samples need at most 2 * W rows (1.6 MB at
+// 4 workers and 100 samples), double-buffered by window.
 //
 // ## Failure semantics
 //
 // A failure (decode mismatch, SimDiverged, an exception from the
 // TraceSink, ...) is a WorkerError (trace/sharded_pool.h) indexed by the
 // lowest trace it affects, with the original exception nested: a failing
-// triple is named by its first trace, class/plaintext and style; a lane
-// group failing as a whole by the trace range its delivery covers. Every
-// earlier trace is delivered first, then the remaining workers stop and
-// the error is rethrown. The lowest failing index wins, whatever the
-// thread timing. A stimulus that cannot be derived fails the call in the
-// plan pass, before any trace is delivered.
+// triple is named by its first trace, class/plaintext and style — among a
+// lane group's failing lanes the one with the lowest first trace, not the
+// first in lane order; a lane group failing as a whole (a lane tripping
+// the watchdog) by the lowest first trace of its triples. Every earlier
+// trace is delivered first — in a sorted window that needs the window's
+// other groups to finish — then the remaining workers stop and the error
+// is rethrown. The lowest failing index wins, whatever the thread timing.
+// A stimulus that cannot be derived fails the call in the plan pass,
+// before any trace is delivered. A progress sink that returns false stops
+// delivery between items' worth of traces, also inside a sorted window.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "obs/progress.h"
@@ -235,10 +262,35 @@ TraceStimulus classStimulus(const MaskedSbox& sbox, std::uint64_t seed,
 /// (outputValues(l), laneTrace(l)); returns the lanes' stimuli. A lane
 /// tripping the watchdog propagates SimDiverged. This is acquire()'s
 /// batch-engine body, and the fault campaign runs eligible faults
-/// through it.
+/// through it; both call it with `stimulus` reading a lane order.
 std::vector<TraceStimulus> runLaneGroup(BatchSim& sim,
                                         const StimulusFn& stimulus,
                                         std::size_t base, std::size_t lanes);
+
+/// Sorts ids[0, count) — stimuli about to be cut into lane groups — by
+/// final encoding, then settle encoding, then id, so lanes that end in the
+/// same state share a group and hence the batch engine's waves.
+/// `encodingsOf(id)` returns {init, fin}, `width` values each. The sort runs
+/// on a packed key: one bit per value (its low bit), fin's first value
+/// most significant, then init's; designs of more than 32 inputs sort by
+/// the first 64 of those bits, then by id. Only the grouping depends on the
+/// order: each lane's trace is the same in any group.
+template <typename EncodingsOf>
+void sortByFinalEncoding(std::uint32_t* ids, std::size_t count,
+                         std::size_t width, const EncodingsOf& encodingsOf) {
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed(count);
+  const std::size_t bits = std::min<std::size_t>(2 * width, 64);
+  for (std::size_t k = 0; k < count; ++k) {
+    const auto [init, fin] = encodingsOf(ids[k]);
+    std::uint64_t key = 0;
+    for (std::size_t b = 0; b < bits; ++b) {
+      key = key << 1 | ((b < width ? fin[b] : init[b - width]) & 1u);
+    }
+    keyed[k] = {key, ids[k]};
+  }
+  std::sort(keyed.begin(), keyed.end());
+  for (std::size_t k = 0; k < count; ++k) ids[k] = keyed[k].second;
+}
 
 /// Consumer of traces: called once per trace in trace-index order, on one
 /// thread at a time; `samples` (numSamples values) is valid for the call.

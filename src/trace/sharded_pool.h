@@ -8,8 +8,10 @@
 // whichever worker finishes the lowest undelivered item delivers it and
 // every finished item after it. A consumer of deliveries therefore sees the
 // same sequence at every thread count, as long as item i depends only on i.
-// Items finished early wait in a reorder buffer bounded by a window of a
-// few items per worker; a worker that would start past it waits.
+// Items finished early wait in a reorder buffer. A claim horizon bounds it:
+// by default a sliding window of a few items per worker past the lowest
+// undelivered item (orderedFor), or any horizon the caller derives from
+// that item (orderedForHorizon); a worker that would start past it waits.
 //
 // Failure semantics ("fail-safe acquisition"):
 //   * the first item (or delivery) that throws stops all claiming, so
@@ -141,28 +143,32 @@ template <typename Describe>
 
 /// Runs body(w, i) for every i in [0, n) on `threads` workers and
 /// deliver(i) for each finished item in index order. Item i starts only
-/// once i < (lowest undelivered) + `window`, so results fit in `window`
-/// slots (slot i % window). `describe(i)` names a failing item; `progress`
-/// (stepped by `deliver`) may abort; `spanLabel` names per-worker spans.
-template <typename Body, typename Deliver, typename Describe>
-void orderedFor(std::size_t n, std::uint32_t threads, std::size_t window,
-                const Body& body, const Deliver& deliver,
-                const Describe& describe,
-                obs::ProgressMeter* progress = nullptr,
-                const char* spanLabel = nullptr) {
+/// once i < horizon(d), d the lowest undelivered item. The horizon must not
+/// fall as d grows, must exceed d, and may run at most `slots` items past
+/// d, so results fit in `slots` slots (slot i % slots). `describe(i)` names
+/// a failing item; `progress` (stepped by `deliver`) may abort; `spanLabel`
+/// names per-worker spans.
+template <typename Horizon, typename Body, typename Deliver,
+          typename Describe>
+void orderedForHorizon(std::size_t n, std::uint32_t threads,
+                       std::size_t slots, const Horizon& horizon,
+                       const Body& body, const Deliver& deliver,
+                       const Describe& describe,
+                       obs::ProgressMeter* progress = nullptr,
+                       const char* spanLabel = nullptr) {
   if (n == 0) return;
   threads = static_cast<std::uint32_t>(std::clamp<std::size_t>(threads, 1, n));
-  window = std::max<std::size_t>(window, 1);
+  slots = std::max<std::size_t>(slots, 1);
   const auto aborted = [&] {
     return progress != nullptr && progress->abortRequested();
   };
 
   // Guarded by mu: the claim and delivery cursors, a finished flag per
-  // window slot, the delivery token and the lowest failure (n = none).
+  // slot, the delivery token and the lowest failure (n = none).
   std::mutex mu;
   std::condition_variable moved;
   std::size_t nextClaim = 0, nextDeliver = 0, failIndex = n;
-  std::vector<char> finished(window, 0);
+  std::vector<char> finished(slots, 0);
   bool delivering = false;
   std::exception_ptr failError;
   const auto fail = [&](std::size_t i, std::exception_ptr e) {
@@ -184,14 +190,14 @@ void orderedFor(std::size_t n, std::uint32_t threads, std::size_t window,
     std::unique_lock<std::mutex> lk(mu);
     while (nextClaim < n && failIndex == n && !aborted()) {
       // Every item below i was claimed earlier, so the next one to deliver
-      // is running and the window moves on. Items past a failure are
-      // skipped, and so are items still outside the window after an abort,
+      // is running and the horizon moves on. Items past a failure are
+      // skipped, and so are items still past the horizon after an abort,
       // so the items an aborted run finished are a prefix.
       const std::size_t i = nextClaim++;
       moved.wait(lk, [&] {
-        return i < nextDeliver + window || i > failIndex || aborted();
+        return i < horizon(nextDeliver) || i > failIndex || aborted();
       });
-      if (i > failIndex || i >= nextDeliver + window) break;
+      if (i > failIndex || i >= horizon(nextDeliver)) break;
       std::exception_ptr error;
       lk.unlock();
       try {
@@ -204,11 +210,11 @@ void orderedFor(std::size_t n, std::uint32_t threads, std::size_t window,
         fail(i, std::move(error));
         break;
       }
-      finished[i % window] = 1;
+      finished[i % slots] = 1;
       if (delivering || i != nextDeliver) continue;
       // Deliver the finished run from here on; a failed item ends it.
       delivering = true;
-      while (nextDeliver < failIndex && finished[nextDeliver % window] &&
+      while (nextDeliver < failIndex && finished[nextDeliver % slots] &&
              !aborted()) {
         const std::size_t d = nextDeliver;
         lk.unlock();
@@ -222,7 +228,7 @@ void orderedFor(std::size_t n, std::uint32_t threads, std::size_t window,
           fail(d, std::move(error));
           break;
         }
-        finished[d % window] = 0;
+        finished[d % slots] = 0;
         ++nextDeliver;
         moved.notify_all();
       }
@@ -251,6 +257,20 @@ void orderedFor(std::size_t n, std::uint32_t threads, std::size_t window,
     throw obs::ProgressAborted(spanLabel ? spanLabel : "sharded work",
                                progress->done(), progress->total());
   }
+}
+
+/// orderedForHorizon with a sliding window: item i starts only once
+/// i < (lowest undelivered) + `window`, so results fit in `window` slots.
+template <typename Body, typename Deliver, typename Describe>
+void orderedFor(std::size_t n, std::uint32_t threads, std::size_t window,
+                const Body& body, const Deliver& deliver,
+                const Describe& describe,
+                obs::ProgressMeter* progress = nullptr,
+                const char* spanLabel = nullptr) {
+  window = std::max<std::size_t>(window, 1);
+  orderedForHorizon(
+      n, threads, window, [window](std::size_t d) { return d + window; },
+      body, deliver, describe, progress, spanLabel);
 }
 
 /// orderedFor for items that store their own results: `progress` is

@@ -1,8 +1,23 @@
 #include "trace/trace_set.h"
 
 #include <stdexcept>
+#include <utility>
 
 namespace lpa {
+
+TraceSet::TraceSet(std::uint32_t numSamples, std::vector<std::uint8_t> labels,
+                   std::vector<double> samples, std::uint32_t numClasses)
+    : numSamples_(numSamples),
+      numClasses_(numClasses),
+      labels_(std::move(labels)),
+      samples_(std::move(samples)) {
+  if (samples_.size() != labels_.size() * numSamples_) {
+    throw std::invalid_argument("trace length mismatch");
+  }
+  for (std::uint8_t cls : labels_) {
+    if (cls >= numClasses_) throw std::invalid_argument("class out of range");
+  }
+}
 
 void TraceSet::add(std::uint8_t cls, std::vector<double> trace) {
   if (trace.size() != numSamples_) {

@@ -13,6 +13,12 @@ class TraceSet {
   TraceSet(std::uint32_t numSamples, std::uint32_t numClasses = 16)
       : numSamples_(numSamples), numClasses_(numClasses) {}
 
+  /// Adopts labels.size() traces: `labels` and their row-major `samples`
+  /// (numSamples each). Throws std::invalid_argument on a size mismatch or
+  /// a label out of range.
+  TraceSet(std::uint32_t numSamples, std::vector<std::uint8_t> labels,
+           std::vector<double> samples, std::uint32_t numClasses = 16);
+
   void add(std::uint8_t cls, std::vector<double> trace);
   /// Appends one trace of numSamples() samples read from `samples`.
   void add(std::uint8_t cls, const double* samples);

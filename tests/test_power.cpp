@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
+#include <stdexcept>
 
 #include "netlist/builder.h"
 #include "sim/event_sim.h"
@@ -126,6 +128,34 @@ TEST(PowerModel, PulseWidthRobustness) {
     if (prev >= 0.0) EXPECT_NEAR(e, prev, 0.35 * prev);
     prev = e;
   }
+}
+
+TEST(PowerModel, RejectsDegenerateOptions) {
+  // A zero sample period would make the bin index floor(t / dt) undefined,
+  // a zero pulse width 0/0 NaN traces, and a NaN sigma reaches the noise
+  // distribution: the constructor refuses all of them.
+  NetId i1, i2;
+  const Netlist nl = inverterPair(&i1, &i2);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (double bad : {0.0, -20.0, kNan, kInf}) {
+    SCOPED_TRACE(bad);
+    PowerOptions period;
+    period.samplePeriodPs = bad;
+    EXPECT_THROW(PowerModel(nl, period), std::invalid_argument);
+    PowerOptions width;
+    width.pulseWidthPs = bad;
+    EXPECT_THROW(PowerModel(nl, width), std::invalid_argument);
+  }
+  for (double bad : {-0.5, kNan, kInf}) {
+    SCOPED_TRACE(bad);
+    PowerOptions noise;
+    noise.noiseSigma = bad;
+    EXPECT_THROW(PowerModel(nl, noise), std::invalid_argument);
+  }
+  PowerOptions quiet;
+  quiet.noiseSigma = 0.0;  // the default: no noise
+  EXPECT_NO_THROW(PowerModel(nl, quiet));
 }
 
 TEST(PowerModel, EndToEndTraceHasActivityOnlyAfterStimulus) {
