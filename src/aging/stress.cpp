@@ -29,6 +29,18 @@ void StressAccumulator::addTransitions(
   ++cycles_;
 }
 
+void StressAccumulator::merge(const StressAccumulator& other) {
+  if (other.highCount_.size() != highCount_.size()) {
+    throw std::invalid_argument("net count mismatch");
+  }
+  for (std::size_t i = 0; i < highCount_.size(); ++i) {
+    highCount_[i] += other.highCount_[i];
+    toggleCount_[i] += other.toggleCount_[i];
+  }
+  states_ += other.states_;
+  cycles_ += other.cycles_;
+}
+
 StressProfile StressAccumulator::finalize() const {
   StressProfile p;
   p.dutyHigh.assign(highCount_.size(), 0.5);

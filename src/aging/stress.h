@@ -29,6 +29,10 @@ class StressAccumulator {
   /// Accounts the transitions of one evaluation cycle.
   void addTransitions(const std::vector<Transition>& transitions);
 
+  /// Adds the counts of `other` (same net count). Counts are integers, so
+  /// accumulators merged in any order finalize to the same profile.
+  void merge(const StressAccumulator& other);
+
   /// Number of settled states seen so far.
   std::uint64_t states() const { return states_; }
 

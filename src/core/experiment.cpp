@@ -3,6 +3,7 @@
 #include "obs/metrics.h"
 #include "obs/trace_span.h"
 #include "trace/prng.h"
+#include "trace/sharded_pool.h"
 
 namespace lpa {
 
@@ -22,26 +23,59 @@ const StressProfile& SboxExperiment::stressProfile() {
   if (!stress_) {
     obs::Span span("stress.profile (" + std::string(sbox_->name()) + ", " +
                    std::to_string(cfg_.stressCycles) + " cycles)");
-    StressAccumulator acc(sbox_->netlist().numGates());
-    Prng rng(cfg_.stressSeed);
-    EventSim sim(sbox_->netlist(), delays_, cfg_.sim);
-    if (cfg_.observe) sim.attachMetrics(&obs::MetricsRegistry::global());
+    const Netlist& nl = sbox_->netlist();
+    const std::size_t cycles = cfg_.stressCycles;
     // Representative field operation: random texts with fresh masks each
     // cycle; duty comes from the settled states, toggles from the events.
-    std::vector<std::uint8_t> prev = sbox_->encode(rng.nibble(), rng);
-    sim.settle(prev);
-    for (std::uint32_t c = 0; c < cfg_.stressCycles; ++c) {
-      const std::vector<std::uint8_t> next = sbox_->encode(rng.nibble(), rng);
-      const std::vector<Transition> tr = sim.run(next);
-      acc.addTransitions(tr);
-      // Record the settled state of this cycle.
-      std::vector<std::uint8_t> state(sbox_->netlist().numGates());
-      for (NetId i = 0; i < sbox_->netlist().numGates(); ++i) {
-        state[i] = sim.value(i);
-      }
-      acc.addSettledState(state);
+    // The encodings are drawn first, in the order one chained simulator
+    // consumes them. Cycle c settles on enc[c] and runs enc[c + 1]: run()
+    // ends in the settled state of its inputs, so that is the chain's
+    // cycle c, and blocks of cycles can run on separate clones.
+    Prng rng(cfg_.stressSeed);
+    std::vector<std::vector<std::uint8_t>> enc;
+    enc.reserve(cycles + 1);
+    for (std::size_t c = 0; c <= cycles; ++c) {
+      enc.push_back(sbox_->encode(rng.nibble(), rng));
     }
-    stress_ = std::make_unique<StressProfile>(acc.finalize());
+    EventSim sim(nl, delays_, cfg_.sim);
+    if (cfg_.observe) sim.attachMetrics(&obs::MetricsRegistry::global());
+    const std::uint32_t threads =
+        resolveWorkerThreads(cfg_.acquisition.numThreads, cycles);
+    const std::size_t window = detail::reorderWindow(threads);
+    const std::size_t block =
+        std::max<std::size_t>(1, (cycles + window - 1) / window);
+    std::vector<EventSim> clones;
+    while (clones.size() + 1 < threads) clones.push_back(sim.clone());
+    // Per worker; the counts are integers, so the merge order is free.
+    std::vector<StressAccumulator> acc(threads,
+                                       StressAccumulator(nl.numGates()));
+    const auto describe = [&](std::size_t c) {
+      return "stress cycle " + std::to_string(c) + " (style " +
+             std::string(sbox_->name()) + ")";
+    };
+    detail::shardedFor(
+        (cycles + block - 1) / block, threads,
+        [&](std::uint32_t w, std::size_t b) {
+          EventSim& worker = w == 0 ? sim : clones[w - 1];
+          std::vector<std::uint8_t> state(nl.numGates());
+          const std::size_t end = std::min(cycles, b * block + block);
+          for (std::size_t c = b * block; c < end; ++c) {
+            try {
+              worker.settle(enc[c]);
+              acc[w].addTransitions(worker.run(enc[c + 1]));
+              for (NetId i = 0; i < nl.numGates(); ++i) {
+                state[i] = worker.value(i);
+              }
+              acc[w].addSettledState(state);
+            } catch (...) {
+              detail::rethrowAsWorkerError(std::current_exception(), c,
+                                           [&] { return describe(c); });
+            }
+          }
+        },
+        [&](std::size_t b) { return describe(b * block); });
+    for (std::size_t w = 1; w < acc.size(); ++w) acc[0].merge(acc[w]);
+    stress_ = std::make_unique<StressProfile>(acc[0].finalize());
   }
   return *stress_;
 }

@@ -59,6 +59,10 @@ class SboxExperiment {
   const ExperimentConfig& config() const { return cfg_; }
 
   /// Field-stress profile (random operation), computed once and cached.
+  /// Runs on `acquisition.numThreads` workers; the profile is bit-identical
+  /// for every thread count, and equal to one simulator running the
+  /// `stressCycles` + 1 encodings of `stressSeed` in turn. A failing cycle
+  /// throws a WorkerError naming it, with the original exception nested.
   const StressProfile& stressProfile();
 
   /// Collects the paper's 1024-trace balanced dataset with the device aged

@@ -1,6 +1,7 @@
 #include "sim/batch_sim.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
@@ -85,25 +86,20 @@ BatchSim::BatchSim(const CompiledDesign& design, const SimOptions& options)
   }
   // Calendar tuning from the lowering: bucket width tracks the smallest
   // gate delay (so consecutive wavefronts usually land in distinct
-  // buckets) and the bucket array is pre-sized to the worst-case combina-
-  // tional horizon maxDelayPs x numLevels. Pure performance knobs — the
-  // pop order is width-independent.
+  // buckets) and the ring spans the largest ("Calendar ring").
   const double w =
       design.minDelayPs > 0.0
           ? std::clamp(design.minDelayPs * 0.5, 0.125, 8.0)
           : 0.5;
   invBucketWidth_ = 1.0 / w;
-  const double horizonPs = design.maxDelayPs * design.numLevels;
-  std::size_t horizonBuckets = std::min(
-      static_cast<std::size_t>(horizonPs * invBucketWidth_) + 2, kMaxBuckets);
+  double invWidth = invBucketWidth_;
 
   quantized_ = options.timeQuantization == TimeQuantization::SampleGrid;
   if (quantized_) {
     // Quantized-grid eligibility (DESIGN.md §14). The bucket index IS the
-    // grid step, so the calendar must hold the worst-case step horizon:
-    // every gate hop advances at most floor(maxDelayPs / dt) + 1 steps
-    // (ceil-exclusive rounding) and any path crosses at most numLevels
-    // hops from the step-0 input commits. The bound also keeps step below
+    // grid step: every gate hop advances at most floor(maxDelayPs / dt) + 1
+    // steps (ceil-exclusive rounding) and any path crosses at most
+    // numLevels hops from the step-0 input commits, which keeps step below
     // 2^20 and level below 2^20, the packed key's field widths.
     if (design.samplePeriodPs <= 0.0) {
       throw std::invalid_argument(
@@ -112,20 +108,18 @@ BatchSim::BatchSim(const CompiledDesign& design, const SimOptions& options)
     }
     quantPs_ = design.samplePeriodPs;
     invQuantPs_ = 1.0 / quantPs_;
+    invWidth = invQuantPs_;
     const std::size_t stepsPerLevel =
         static_cast<std::size_t>(design.maxDelayPs * invQuantPs_) + 1;
-    const std::size_t horizonSteps =
-        std::size_t(design.numLevels) * stepsPerLevel + 2;
-    if (horizonSteps >= kMaxBuckets) {
+    if (std::size_t(design.numLevels) * stepsPerLevel + 2 >= kMaxBuckets) {
       throw std::invalid_argument(
           "BatchSim: combinational depth exceeds the quantized-grid step "
           "horizon; use the exact engines for this design");
     }
-    horizonBuckets = horizonSteps;
   }
-  buckets_.resize(horizonBuckets);
-  bucketHead_.assign(horizonBuckets, 0);
-  bucketSorted_.assign(horizonBuckets, 0);
+  ring_.resize(std::bit_ceil(
+      static_cast<std::size_t>(design.maxDelayPs * invWidth) + 3));
+  ringMask_ = ring_.size() - 1;
 
   const std::size_t n = design.numGates;
   stateW_.assign(n, 0);
@@ -171,12 +165,11 @@ void BatchSim::reset() {
 }
 
 void BatchSim::scrubQueue() {
-  for (std::uint32_t b : dirtyBuckets_) {
-    buckets_[b].clear();
-    bucketHead_[b] = 0;
-    bucketSorted_[b] = 0;
+  for (Slot& slot : ring_) {
+    slot.waves.clear();
+    slot.head = 0;
+    slot.sorted = false;
   }
-  dirtyBuckets_.clear();
   bucketCursor_ = 0;
   eventsInQueue_ = 0;
 }
@@ -277,10 +270,8 @@ void BatchSim::profFlush() {
 
 std::uint64_t BatchSim::arenaBytes() const {
   std::uint64_t bytes = 0;
-  for (const auto& b : buckets_) bytes += b.capacity() * sizeof(QueueEvent);
-  bytes += bucketHead_.capacity() * sizeof(std::uint32_t);
-  bytes += bucketSorted_.capacity();
-  bytes += dirtyBuckets_.capacity() * sizeof(std::uint32_t);
+  bytes += ring_.capacity() * sizeof(Slot);
+  for (const Slot& s : ring_) bytes += s.waves.capacity() * sizeof(QueueEvent);
   bytes += (stateW_.capacity() + pendMask_.capacity() +
             pendValueW_.capacity() + pendPushId_.capacity() +
             inputWords_.capacity()) *
@@ -432,21 +423,15 @@ std::vector<std::uint8_t> BatchSim::outputValues(std::uint32_t lane) const {
   return out;
 }
 
-std::uint32_t BatchSim::queuePush(std::size_t idx, const QueueEvent& e) {
-  if (idx >= buckets_.size()) {
-    const std::size_t grow = std::max(idx + 1, buckets_.size() * 2);
-    buckets_.resize(std::min(grow, kMaxBuckets));
-    bucketHead_.resize(buckets_.size(), 0);
-    bucketSorted_.resize(buckets_.size(), 0);
-  }
-  std::vector<QueueEvent>& b = buckets_[idx];
-  if (b.empty()) dirtyBuckets_.push_back(static_cast<std::uint32_t>(idx));
+std::uint32_t BatchSim::queuePush(std::size_t bucket, const QueueEvent& e) {
+  Slot& slot = ring_[bucket & ringMask_];
+  std::vector<QueueEvent>& b = slot.waves;
   b.push_back(e);
   std::size_t j = b.size() - 1;
-  if (bucketSorted_[idx]) {
+  if (slot.sorted) {
     // Rare: an arrival into the bucket currently being drained. Sorted
-    // insert into the unpopped tail (entries before bucketHead_ stay put).
-    const std::size_t head = bucketHead_[idx];
+    // insert into the unpopped tail (entries before the head stay put).
+    const std::size_t head = slot.head;
     const unsigned __int128 ord = orderBits(&e);
     while (j > head && ord < orderBits(&b[j - 1])) {
       b[j] = b[j - 1];
@@ -460,26 +445,26 @@ std::uint32_t BatchSim::queuePush(std::size_t idx, const QueueEvent& e) {
 
 BatchSim::QueueEvent BatchSim::queuePop() {
   // Caller guarantees eventsInQueue_ > 0; cursor is monotone (arrivals
-  // satisfy eta >= now). Exhausted buckets are scrubbed as the cursor
-  // leaves them — same protocol as CompiledSim::queuePop.
+  // satisfy eta >= now). An exhausted slot is scrubbed as the cursor
+  // leaves it, so it is empty when a later bucket maps to it.
   for (;;) {
-    std::vector<QueueEvent>& b = buckets_[bucketCursor_];
-    std::uint32_t& head = bucketHead_[bucketCursor_];
-    if (head < b.size()) {
-      if (!bucketSorted_[bucketCursor_]) {
+    Slot& slot = ring_[bucketCursor_ & ringMask_];
+    std::vector<QueueEvent>& b = slot.waves;
+    if (slot.head < b.size()) {
+      if (!slot.sorted) {
         std::sort(b.begin(), b.end(),
                   [](const QueueEvent& a, const QueueEvent& c) {
                     return orderBits(&a) < orderBits(&c);
                   });
-        bucketSorted_[bucketCursor_] = 1;
+        slot.sorted = true;
       }
       --eventsInQueue_;
-      return b[head++];
+      return b[slot.head++];
     }
-    if (head != 0) {
+    if (slot.head != 0) {
       b.clear();
-      head = 0;
-      bucketSorted_[bucketCursor_] = 0;
+      slot.head = 0;
+      slot.sorted = false;
     }
     ++bucketCursor_;
   }
@@ -496,9 +481,9 @@ void BatchSim::runCore(
   }
   packLaneInputs(d, laneInputs, inputWords_);
 
-  dirtyBuckets_.clear();
-  bucketCursor_ = 0;
-  eventsInQueue_ = 0;
+  // A run leaves its drained bucket in the ring, and a watchdog trip or a
+  // throwing sink leaves pending waves too; each run starts by emptying it.
+  scrubQueue();
   // Push ids only order waves *within* one run (the queue is empty and
   // every pending slot clear at quiescence), so rebasing per run keeps the
   // counter far inside the 39 packed bits.
@@ -655,17 +640,14 @@ void BatchSim::runCore(
       bucket = static_cast<std::size_t>(eta * invQuantPs_) + 1;
       if (bucket <= nowStep) bucket = nowStep + 1;
       if (bucket >= kMaxBuckets) {
-        // Unreachable by the ctor horizon check; a breach would corrupt the
-        // step<->bucket identity, so fail loudly instead of folding into an
-        // open-ended last bucket the way the exact calendar does.
-        scrubQueue();
+        // Unreachable by the ctor horizon check; a breach would overflow
+        // the packed key's 20-bit step, so fail loudly.
         throw std::logic_error(
             "BatchSim: quantized step beyond the calendar capacity");
       }
       tBits = timeToBits(static_cast<double>(bucket) * quantPs_);
     } else {
-      bucket = std::min(static_cast<std::size_t>(eta * invBucketWidth_),
-                        kMaxBuckets - 1);  // open-ended last bucket
+      bucket = static_cast<std::size_t>(eta * invBucketWidth_);
       tBits = timeToBits(eta);
     }
 
@@ -678,11 +660,11 @@ void BatchSim::runCore(
     // pending identity that the pop-side liveness check compares: the
     // step (quantized) or the wave's push id (exact).
     OpenWave& open = openWave[gateId];
+    Slot& slot = ring_[bucket & ringMask_];
     std::uint64_t waveId;
-    if (open.epoch == runEpoch_ && open.bucket == bucket &&
-        !bucketSorted_[bucket] &&
-        (quant || keepsLaneOrder(buckets_[bucket], open.idx, tBits, pushM))) {
-      QueueEvent& w = buckets_[bucket][open.idx];
+    if (open.epoch == runEpoch_ && open.bucket == bucket && !slot.sorted &&
+        (quant || keepsLaneOrder(slot.waves, open.idx, tBits, pushM))) {
+      QueueEvent& w = slot.waves[open.idx];
       w.mask |= pushM;
       w.value = (w.value & ~pushM) | pushV;
       waveId = quant ? bucket : w.key >> 25;
@@ -692,7 +674,7 @@ void BatchSim::runCore(
           quant ? (std::uint64_t(levelArr[gateId]) << 44) |
                       (std::uint64_t(gateId) << 20) | waveId
                 : (waveId << 25) | (std::uint64_t(gateId) << 1);
-      open = OpenWave{runEpoch_, static_cast<std::uint32_t>(bucket),
+      open = OpenWave{runEpoch_, bucket,
                       queuePush(bucket, QueueEvent{key, tBits, pushM, pushV})};
     }
     if (!transport) {
@@ -707,11 +689,10 @@ void BatchSim::runCore(
 
   // Diverging exit: one lane's watchdog fired while processing wave lanes
   // in ascending order (the lowest tripping lane wins). Mirrors the scalar
-  // engines: scrub, record, throw with that lane's scalar payload. The
+  // engines: record, throw with that lane's scalar payload. The
   // other lanes stopped mid-flight — only the diverged lane's stats are
   // contractually meaningful afterwards.
   const auto diverge = [&](int lane, double eTime) {
-    scrubQueue();
     divergedLane_ = lane;
     recordRun();
     throw SimDiverged(poppedL_[static_cast<std::size_t>(lane)], eTime);
@@ -875,11 +856,6 @@ void BatchSim::runCore(
     for (std::uint32_t idx = foOff[eNet]; idx < foOff[eNet + 1]; ++idx) {
       scheduleGate(foEdge[idx], eTime, eStep, commitM);
     }
-  }
-  if (bucketCursor_ < buckets_.size() && bucketHead_[bucketCursor_] != 0) {
-    buckets_[bucketCursor_].clear();
-    bucketHead_[bucketCursor_] = 0;
-    bucketSorted_[bucketCursor_] = 0;
   }
   recordRun();
 }

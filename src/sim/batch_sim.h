@@ -18,10 +18,10 @@
 // and the pulse-deposition arithmetic consume exact times), so the grid
 // idea is used only where it is harmless — the calendar queue's bucket
 // index orders events without ever rounding their committed times, and
-// the CompiledDesign levelization (numLevels, min/maxDelayPs) sizes the
-// calendar's bucket width and horizon. Glitch semantics are untouched:
-// arrival-time races reproduce lane-by-lane exactly as in the scalar
-// engines.
+// the design's delay extrema (CompiledDesign::min/maxDelayPs) size the
+// calendar's bucket width and ring ("Calendar ring" below). Glitch
+// semantics are untouched: arrival-time races reproduce lane-by-lane
+// exactly as in the scalar engines.
 //
 // ## Quantized-grid mode (SimOptions::timeQuantization == SampleGrid)
 //
@@ -64,6 +64,22 @@
 //     filtering, then the commit with the reference partial-swing weight
 //     expressions per lane — after an armed watchdog has walked its lanes
 //     in ascending order with the reference pop/budget accounting.
+//
+// ## Calendar ring
+//
+// The queue is a calendar of time buckets (width: half the smallest gate
+// delay) drained front to back by a monotone cursor. A bucket is sorted
+// by (timeBits, key) when the cursor first drains it, and a push into the
+// draining bucket is inserted in order, so bucketing never reorders
+// waves. A push lands at most one gate delay after the popped wave: in
+// the cursor's bucket or one of the floor(maxDelayPs / width) + 1 after
+// it. The calendar is therefore a ring of floor(maxDelayPs / width) + 3
+// slots (one of slack for rounding) rounded up to a power of two, bucket
+// b in slot b mod the ring size, and a slot is scrubbed as the cursor
+// leaves it. It grows with maxDelayPs, not with logic depth: RSM-ROM (137
+// levels) needs 16 slots where a calendar over its combinational horizon
+// maxDelayPs x numLevels kept 1197 buckets. Quantized mode runs the same
+// ring over grid steps (width = samplePeriodPs).
 //
 // ## Ordering (why no tie-break waiver is needed)
 //
@@ -146,7 +162,7 @@
 // groups of a trace budget need no special casing. Quantized mode
 // additionally requires a configured sample grid (samplePeriodPs > 0) and
 // a step horizon numLevels x (floor(maxDelayPs / samplePeriodPs) + 1) + 2
-// inside the calendar capacity; the constructor throws
+// below 2^20, the packed key's step field; the constructor throws
 // std::invalid_argument otherwise. Instrumentation lands in "sim.batch.*"
 // (and the shared "power.*") instruments in both modes; "sim.batch.waves"
 // counts queue pops, so events_processed / waves is the number of
@@ -168,11 +184,13 @@ class BatchSim {
   static constexpr std::uint32_t kLanes = 64;
 
   /// `design` must outlive the sim and stay unmodified while any clone is
-  /// running (the CompiledSim sharing contract). Throws
+  /// running (the CompiledSim sharing contract); the calendar ring is
+  /// sized from its maxDelayPs here, so refresh() it before, not after,
+  /// constructing the sim. Throws
   /// std::invalid_argument for designs beyond the packed-event net
   /// capacity (2^24 gates), and — under SampleGrid quantization — for
   /// designs without a configured sample grid or whose combinational step
-  /// horizon exceeds the calendar capacity (see "Eligibility").
+  /// horizon reaches 2^20 steps (see "Eligibility").
   BatchSim(const CompiledDesign& design, const SimOptions& options);
 
   /// Cheap copy for worker pools: shares the design tables and the metrics
@@ -290,25 +308,21 @@ class BatchSim {
     std::uint64_t value;
   };
 
-  /// Monotone calendar queue over (time, pushId), structurally identical
-  /// to CompiledSim's (see sim/compiled_sim.h for the full invariants):
-  /// unsorted O(1) pushes, lazy per-bucket sort at first drain, sorted
-  /// insert into the draining bucket's unpopped tail, eager scrub as the
-  /// cursor leaves a bucket. The bucket width and the pre-sized horizon
-  /// are derived from the design's delay extrema and level count
-  /// (CompiledDesign::minDelayPs / maxDelayPs / numLevels) instead of a
-  /// fixed constant — bucketing only groups events, it never reorders
-  /// them, so the width is a pure tuning knob.
+  /// Quantized steps must stay below this bound: the packed key holds the
+  /// step in 20 bits (the constructor's horizon check). The exact calendar
+  /// has no such bound — its ring indexes absolute buckets modulo its size
+  /// ("Calendar ring").
   static constexpr std::size_t kMaxBuckets = std::size_t(1) << 20;
 
   template <typename CommitSink>
   void runCore(const std::vector<std::vector<std::uint8_t>>& laneInputs,
                CommitSink&& commit);
   void recordRun();
-  /// Appends `e` to calendar bucket `idx` (sorted insert if that bucket
-  /// is draining) and returns its index there.
-  std::uint32_t queuePush(std::size_t idx, const QueueEvent& e);
+  /// Appends `e` to absolute calendar bucket `bucket` (sorted insert if
+  /// that bucket is draining) and returns its index in the bucket's slot.
+  std::uint32_t queuePush(std::size_t bucket, const QueueEvent& e);
   QueueEvent queuePop();
+  /// Empties every ring slot and rewinds the cursor to bucket 0.
   void scrubQueue();
 
   const CompiledDesign* design_;
@@ -321,12 +335,13 @@ class BatchSim {
   double invQuantPs_ = 0.0;  ///< 1 / quantPs_
   /// Per net: the last wave pushed on it, the only one a later push may
   /// join (see "Wave merging"). Valid only while `epoch` equals runEpoch_;
-  /// (bucket, idx) locate the wave in the calendar, and stay valid while
-  /// that bucket has not started draining, because until then pushes only
-  /// append to it.
+  /// (bucket, idx) locate the wave in the calendar — `bucket` is absolute,
+  /// so a slot reused by a later bucket never matches — and stay valid
+  /// while that bucket has not started draining, because until then
+  /// pushes only append to it.
   struct OpenWave {
     std::uint64_t epoch;
-    std::uint32_t bucket;
+    std::uint64_t bucket;
     std::uint32_t idx;
   };
   std::vector<OpenWave> openWave_;
@@ -360,11 +375,16 @@ class BatchSim {
   std::vector<std::uint64_t> inputWords_;  ///< packed stimulus per input
   std::vector<std::uint32_t> changedNets_;
   std::vector<std::uint64_t> changedMasks_;
-  std::vector<std::vector<QueueEvent>> buckets_;
-  std::vector<std::uint32_t> bucketHead_;
-  std::vector<std::uint8_t> bucketSorted_;
-  std::vector<std::uint32_t> dirtyBuckets_;
-  std::size_t bucketCursor_ = 0;
+  /// One ring slot: its bucket's waves, pop head, and whether the cursor
+  /// has started draining it.
+  struct Slot {
+    std::vector<QueueEvent> waves;
+    std::uint32_t head = 0;
+    bool sorted = false;
+  };
+  std::vector<Slot> ring_;  ///< absolute bucket b in slot b & ringMask_
+  std::size_t ringMask_ = 0;
+  std::size_t bucketCursor_ = 0;  ///< absolute bucket being drained
   std::size_t eventsInQueue_ = 0;
   std::uint64_t pushCounter_ = 0;
 

@@ -91,8 +91,8 @@ CompiledDesign::CompiledDesign(const Netlist& nl, const DelayModel& delays,
   // Levelization: fanins always precede their consumers (topological
   // creation order), so one index-order pass suffices. Source gates sit at
   // level 0, so the longest combinational path crosses at most numLevels
-  // gate hops — the bound both the exact calendar horizon and the
-  // quantized-grid step horizon (BatchSim ctor, DESIGN.md §14) rest on.
+  // gate hops — the bound the quantized-grid step horizon (BatchSim ctor,
+  // DESIGN.md §14) rests on.
   level.assign(numGates, 0);
   numLevels = 0;
   for (NetId id = 0; id < numGates; ++id) {

@@ -88,11 +88,11 @@ struct CompiledDesign {
   /// Topological level per gate: 0 for source gates (inputs/constants),
   /// otherwise 1 + max(level of fanins). Well-defined because netlists are
   /// built in topological creation order (net index == gate index, fanins
-  /// precede their consumers). The batch engine (sim/batch_sim.h) uses the
-  /// level count to size its calendar-queue horizon, and the quantized-grid
-  /// mode (DESIGN.md §14) additionally orders the merged waves inside one
-  /// sample-grid step by (level, net) — the levelized sweep that makes the
-  /// in-step pop order deterministic and data-flow consistent.
+  /// precede their consumers). The batch engine's quantized-grid mode
+  /// (sim/batch_sim.h, DESIGN.md §14) bounds its step horizon by the level
+  /// count, and orders the merged waves inside one sample-grid step by
+  /// (level, net) — the levelized sweep that makes the in-step pop order
+  /// deterministic and data-flow consistent.
   std::vector<std::uint32_t> level;
   std::uint32_t numLevels = 0;  ///< max(level) + 1 (0 for an empty netlist)
 
@@ -101,8 +101,7 @@ struct CompiledDesign {
   std::vector<double> energyFf;  ///< PowerModel::effectiveCapFf per gate
   /// Min/max of delayPs over non-source gates (0 when there are none);
   /// refresh() keeps them in step with aging. The batch engine derives its
-  /// calendar bucket width (min) and pre-sized horizon (max x numLevels)
-  /// from these.
+  /// calendar bucket width (min) and ring size (max) from these.
   double minDelayPs = 0.0;
   double maxDelayPs = 0.0;
 

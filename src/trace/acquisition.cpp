@@ -375,9 +375,11 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
     }
   };
 
-  // Windows and work items. Items are 64-lane groups on the batch engine,
-  // and on the scalar engines blocks sized to give each worker a few. The
-  // triples, in first-occurrence order, are cut into windows of whole items
+  // Windows and work items. On the batch engine items are lane groups of
+  // ceil(m / workers) triples, at most 64, so a call of fewer than 64
+  // triples per worker still gives every worker one; on the scalar engines
+  // they are blocks sized to give each worker a few. The triples, in
+  // first-occurrence order, are cut into windows of whole items
   // holding at most `windowRows` single-use triples each (a triple used
   // again keeps a store row for the whole call, so it does not count); only
   // the last window may end in a partial item. On the batch engine a window
@@ -390,15 +392,12 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
     return (count + per - 1) / per;
   };
   const bool batch = engine == SimEngine::Batch;
-  const std::uint32_t threads = resolveWorkerThreads(
-      numThreads, batch ? itemsOf(m, BatchSim::kLanes) : m);
+  const std::uint32_t threads = resolveWorkerThreads(numThreads, m);
   const std::size_t windowRows =
       detail::reorderWindow(threads) * BatchSim::kLanes;
-  const std::size_t itemTriples =
-      batch ? BatchSim::kLanes
-            : std::clamp<std::size_t>(
-                  itemsOf(m, detail::reorderWindow(threads)), 1,
-                  BatchSim::kLanes);
+  const std::size_t itemTriples = std::clamp<std::size_t>(
+      itemsOf(m, batch ? threads : detail::reorderWindow(threads)), 1,
+      BatchSim::kLanes);
   std::vector<std::uint32_t> order(m);
   std::iota(order.begin(), order.end(), 0u);
   std::vector<std::size_t> cut;          // per item, then m

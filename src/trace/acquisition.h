@@ -55,9 +55,13 @@
 //
 // Worker 0 runs the prototype engine, the others clones of it (sharing the
 // netlist and DelayModel, so process jitter is shared, not re-rolled).
-// Workers claim items — a 64-lane group of distinct triples on the batch
+// Workers claim items — a lane group of distinct triples on the batch
 // engine, a block of them on the scalar engines — from the pool of
-// trace/sharded_pool.h. The triples, in first-occurrence order, are cut
+// trace/sharded_pool.h. A call of m distinct triples runs on min(workers,
+// m) workers, and its lane groups hold ceil(m / workers) triples, at most
+// 64: a call too short to give every worker a 64-lane group (a 128-trace
+// adaptive batch) still gives each one a group, and any longer call runs
+// 64-lane groups. The triples, in first-occurrence order, are cut
 // into windows of whole items, each holding at most W = 64 *
 // detail::reorderWindow(workers) single-use triples (1024 at 4 workers).
 // A triple used again does not count: it keeps a store row for the whole

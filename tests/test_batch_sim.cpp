@@ -25,6 +25,7 @@
 #include "fault_fixtures.h"
 #include "netlist/builder.h"
 #include "obs/metrics.h"
+#include "obs/profiler.h"
 #include "sim/compiled_sim.h"
 #include "trace/acquisition.h"
 #include "trace/prng.h"
@@ -116,16 +117,18 @@ std::vector<std::uint64_t> seeds(const std::vector<LaneStimulus>& st) {
   return v;
 }
 
-/// Drives a batch of `lanes` stimuli through BatchSim (recorded + fused)
-/// and asserts every lane bit-identical to a private EventSim and
-/// CompiledSim run of the same stimuli: settled nets, transitions,
-/// outputs, per-lane stats, and fused traces.
-void expectLaneIdentity(const MaskedSbox& sbox, const DelayModel& dm,
-                        const PowerModel& pm, const SimOptions& opts,
-                        std::uint64_t seed, std::size_t lanes) {
+/// Drives a batch of `lanes` stimuli of `sbox` through BatchSim on `nl`
+/// (sbox's netlist or an overlay of it; recorded + fused) and asserts
+/// every lane bit-identical to a private EventSim and CompiledSim run of
+/// the same stimuli: settled nets, transitions, outputs, per-lane stats,
+/// and fused traces.
+void expectLaneIdentity(const MaskedSbox& sbox, const Netlist& nl,
+                        const DelayModel& dm, const PowerModel& pm,
+                        const SimOptions& opts, std::uint64_t seed,
+                        std::size_t lanes) {
   SCOPED_TRACE(std::string(sbox.name()) + " lanes=" +
                std::to_string(lanes));
-  const CompiledDesign design(sbox.netlist(), dm, pm);
+  const CompiledDesign design(nl, dm, pm);
   BatchSim bat(design, opts);
 
   Prng rng(seed);
@@ -137,9 +140,9 @@ void expectLaneIdentity(const MaskedSbox& sbox, const DelayModel& dm,
   for (std::size_t l = 0; l < lanes; ++l) {
     SCOPED_TRACE("lane " + std::to_string(l));
     const std::uint32_t lane = static_cast<std::uint32_t>(l);
-    EventSim ref(sbox.netlist(), dm, opts);
+    EventSim ref(nl, dm, opts);
     ref.settle(st[l].init);
-    for (NetId n = 0; n < sbox.netlist().numGates(); ++n) {
+    for (NetId n = 0; n < nl.numGates(); ++n) {
       ASSERT_EQ(ref.value(n), bat.value(n, lane)) << "settled net " << n;
     }
   }
@@ -149,7 +152,7 @@ void expectLaneIdentity(const MaskedSbox& sbox, const DelayModel& dm,
   for (std::size_t l = 0; l < lanes; ++l) {
     SCOPED_TRACE("lane " + std::to_string(l));
     const std::uint32_t lane = static_cast<std::uint32_t>(l);
-    EventSim ref(sbox.netlist(), dm, opts);
+    EventSim ref(nl, dm, opts);
     CompiledSim cmp(design, opts);
     ref.settle(st[l].init);
     cmp.settle(st[l].init);
@@ -170,7 +173,7 @@ void expectLaneIdentity(const MaskedSbox& sbox, const DelayModel& dm,
   fused.runFused(fins(st), seeds(st));
   for (std::size_t l = 0; l < lanes; ++l) {
     SCOPED_TRACE("fused lane " + std::to_string(l));
-    EventSim ref(sbox.netlist(), dm, opts);
+    EventSim ref(nl, dm, opts);
     ref.settle(st[l].init);
     const auto expected = pm.sample(ref.run(st[l].fin), st[l].noiseSeed);
     const double* got = fused.laneTrace(static_cast<std::uint32_t>(l));
@@ -178,6 +181,12 @@ void expectLaneIdentity(const MaskedSbox& sbox, const DelayModel& dm,
       ASSERT_EQ(got[s], expected[s]) << "sample " << s;
     }
   }
+}
+
+void expectLaneIdentity(const MaskedSbox& sbox, const DelayModel& dm,
+                        const PowerModel& pm, const SimOptions& opts,
+                        std::uint64_t seed, std::size_t lanes) {
+  expectLaneIdentity(sbox, sbox.netlist(), dm, pm, opts, seed, lanes);
 }
 
 TEST(BatchSim, BitIdenticalAcrossStylesKindsAgesAndLaneCounts) {
@@ -482,6 +491,69 @@ TEST(BatchSim, GroupAfterDivergenceMatchesAFreshInstance) {
                                 fresh.laneTrace(l) + design.numSamples);
     EXPECT_EQ(a, b);
   }
+}
+
+TEST(BatchSim, RingCalendarWrapsBitIdentically) {
+  // The calendar is a ring spanning one largest gate delay (batch_sim.h,
+  // "Calendar ring"). RSM-ROM's depth-136 delay lines carry its events
+  // across many ring lengths, and a DelayInflation overlay makes one
+  // gate's events land far past the others'.
+  for (SboxStyle style : {SboxStyle::RsmRom, SboxStyle::Glut}) {
+    const auto sbox = makeSbox(style);
+    const DelayModel dm(sbox->netlist());
+    const PowerModel pm(sbox->netlist());
+    const FaultedDesign inflated =
+        FaultInjector(sbox->netlist(), dm)
+            .apply(FaultSpec{FaultKind::DelayInflation,
+                             fixtures::midGate(sbox->netlist()), 8.0});
+    for (DelayKind kind : {DelayKind::Inertial, DelayKind::Transport}) {
+      SimOptions opts;
+      opts.kind = kind;
+      if (style == SboxStyle::RsmRom) {
+        const CompiledDesign design(sbox->netlist(), dm, pm);
+        BatchSim sim(design, opts);
+        Prng rng(0x121);
+        const auto st = drawStimuli(*sbox, BatchSim::kLanes, rng);
+        sim.settle(inits(st));
+        sim.run(fins(st));
+        double last = 0.0;
+        for (std::uint32_t l = 0; l < BatchSim::kLanes; ++l) {
+          for (const Transition& t : sim.laneTransitions(l)) {
+            last = std::max(last, t.timePs);
+          }
+        }
+        EXPECT_GT(last, 20 * design.maxDelayPs);
+        expectLaneIdentity(*sbox, dm, pm, opts, 0x121, BatchSim::kLanes);
+      }
+      SCOPED_TRACE("delay x8 on net " +
+                   std::to_string(fixtures::midGate(sbox->netlist())));
+      expectLaneIdentity(*sbox, inflated.netlist, inflated.delays, pm, opts,
+                         0x122, BatchSim::kLanes);
+    }
+  }
+}
+
+TEST(BatchSim, RingCalendarKeepsTheArenaSmall) {
+  // A calendar sized to RSM-ROM's combinational horizon held 1197 buckets,
+  // each keeping its capacity: 2.5 MB after this one run, about 5 MB over
+  // a Fig. 7 cell. The ring holds 16; what is left is mostly the
+  // per-(net, lane) commit times.
+  const ExperimentConfig fig7;
+  const auto sbox = makeSbox(SboxStyle::RsmRom);
+  const DelayModel dm(sbox->netlist(), fig7.delay);
+  const PowerModel pm(sbox->netlist(), fig7.power);
+  const CompiledDesign design(sbox->netlist(), dm, pm);
+  obs::Profiler prof;
+  BatchSim sim(design, fig7.sim);
+  sim.attachProfiler(&prof);
+  Prng rng(0xA7E4A);
+  const auto st = drawStimuli(*sbox, BatchSim::kLanes, rng);
+  sim.settle(inits(st));
+  sim.runFused(fins(st), seeds(st));
+  const obs::Json report = prof.toJson();
+  const obs::Json* arena = report.find("arenas")->find("batch");
+  ASSERT_NE(arena, nullptr);
+  EXPECT_LE(arena->asNumber(), 1.5 * 1024 * 1024);
 }
 
 TEST(BatchSim, RejectsBadLaneConfigurations) {

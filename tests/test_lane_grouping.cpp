@@ -1,8 +1,9 @@
 // Lane-grouping suite.
 //
 // On the batch engine an acquisition call cuts its distinct stimuli, in
-// first-occurrence order, into windows of whole 64-lane groups, and runs a
-// long enough window's lanes sorted by final encoding
+// first-occurrence order, into windows of whole lane groups — 64 lanes, or
+// one group per worker in a call too short to give each worker 64 — and
+// runs a long enough window's lanes sorted by final encoding
 // (trace/acquisition.h, "Lane groups"). These tests pin down what the
 // sort must not change — every trace, on every engine, thread count and
 // slicing — what it is for — fewer waves where lanes end in the same
@@ -75,11 +76,11 @@ std::vector<Distinct> distinctStimuli(const MaskedSbox& sbox,
   return out;
 }
 
-/// The batch engine's lane groups of a call with these distinct stimuli
-/// on `numThreads` workers, as trace/acquisition.h documents them: windows
-/// of whole groups holding at most reorderWindow(workers) * 64 single-use
-/// stimuli, each window of at least that many stimuli sorted by final
-/// encoding.
+/// The batch engine's lane groups of a call with these m distinct stimuli
+/// on `numThreads` workers, as trace/acquisition.h documents them: groups
+/// of ceil(m / workers) lanes, at most 64, in windows of whole groups
+/// holding at most reorderWindow(workers) * 64 single-use stimuli, each
+/// window of at least that many stimuli sorted by final encoding.
 struct Grouping {
   std::vector<std::vector<std::uint32_t>> groups;  ///< stimulus ids by lane
   std::vector<std::size_t> window;                 ///< per group
@@ -90,10 +91,10 @@ Grouping laneGroups(const std::vector<Distinct>& triples,
                     std::uint32_t numThreads) {
   constexpr std::size_t kLanes = BatchSim::kLanes;
   const std::size_t m = triples.size();
-  const std::size_t windowRows =
-      detail::reorderWindow(
-          resolveWorkerThreads(numThreads, (m + kLanes - 1) / kLanes)) *
-      kLanes;
+  const std::uint32_t workers = resolveWorkerThreads(numThreads, m);
+  const std::size_t windowRows = detail::reorderWindow(workers) * kLanes;
+  const std::size_t lanes =
+      std::clamp<std::size_t>((m + workers - 1) / workers, 1, kLanes);
   std::vector<std::uint32_t> order(m);
   std::iota(order.begin(), order.end(), 0u);
   Grouping g;
@@ -101,7 +102,7 @@ Grouping laneGroups(const std::vector<Distinct>& triples,
     for (std::size_t fresh = 0; b < m && fresh < windowRows; ++b) {
       if (triples[b].uses == 1) ++fresh;
     }
-    if (b < m) b = a + (b - a) / kLanes * kLanes;
+    if (b < m) b = a + (b - a) / lanes * lanes;
     g.sorted.push_back(b - a >= windowRows);
     if (g.sorted.back()) {
       sortByFinalEncoding(&order[a], b - a, triples[0].s.init.size(),
@@ -110,9 +111,9 @@ Grouping laneGroups(const std::vector<Distinct>& triples,
                                              triples[d].s.fin.data()};
                           });
     }
-    for (std::size_t p = a; p < b; p += kLanes) {
+    for (std::size_t p = a; p < b; p += lanes) {
       g.groups.emplace_back(order.begin() + p,
-                            order.begin() + std::min(b, p + kLanes));
+                            order.begin() + std::min(b, p + lanes));
       g.window.push_back(g.sorted.size() - 1);
     }
   }
@@ -132,18 +133,19 @@ struct Fig7Models {
   SimOptions sim = ExperimentConfig().sim;
 };
 
-/// sim.batch.waves of an index-order BatchSim loop: consecutive 64-lane
-/// groups of `triples` in first-occurrence order.
+/// sim.batch.waves of an index-order BatchSim loop: consecutive groups of
+/// `lanes` of `triples` in first-occurrence order.
 std::uint64_t indexOrderWaves(const Fig7Models& f,
-                              const std::vector<Distinct>& triples) {
+                              const std::vector<Distinct>& triples,
+                              std::size_t lanes = BatchSim::kLanes) {
   const CompiledDesign design(f.sbox->netlist(), f.delays, f.power);
   obs::MetricsRegistry reg;
   BatchSim sim(design, f.sim);
   sim.attachMetrics(&reg);
-  for (std::size_t g = 0; g < triples.size(); g += BatchSim::kLanes) {
+  for (std::size_t g = 0; g < triples.size(); g += lanes) {
     runLaneGroup(
         sim, [&](std::size_t d) { return triples[d].s; }, g,
-        std::min<std::size_t>(BatchSim::kLanes, triples.size() - g));
+        std::min(lanes, triples.size() - g));
   }
   return reg.counter("sim.batch.waves").value();
 }
@@ -253,11 +255,18 @@ TEST(LaneGrouping, SortingCutsRsmRomWavesAndLeavesTiAndShortCallsAlone) {
     EXPECT_GE(grouped * 100, index * 99) << grouped << " vs " << index;
   }
   {
-    // A 128-trace call is one short window in first-occurrence order.
+    // A 128-trace call is one short window in first-occurrence order, cut
+    // into ceil(m / workers)-lane groups so that each worker runs one; on
+    // one worker that is the 64-lane loop.
     cfg.tracesPerClass = 8;
     const Fig7Models f(SboxStyle::RsmRom);
+    const std::vector<Distinct> triples = distinctStimuli(*f.sbox, cfg);
+    ASSERT_GT(triples.size(), BatchSim::kLanes);
+    ASSERT_LT(triples.size(), 4 * BatchSim::kLanes);
     EXPECT_EQ(acquisitionWaves(f, cfg),
-              indexOrderWaves(f, distinctStimuli(*f.sbox, cfg)));
+              indexOrderWaves(f, triples, (triples.size() + 3) / 4));
+    cfg.numThreads = 1;
+    EXPECT_EQ(acquisitionWaves(f, cfg), indexOrderWaves(f, triples));
   }
 }
 
