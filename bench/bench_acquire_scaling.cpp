@@ -29,7 +29,7 @@
 // *under* concurrent scraping), and a scrape-on/off A/B with the scraper
 // paced at a realistic 10ms cadence pins the overhead
 // (telemetry_overhead_pct <= 5%) and bit-identity
-// (telemetry_bit_identical) — the CI telemetry-smoke job gates both.
+// (telemetry_bit_identical) — the CI obs-smoke job gates both.
 //
 // Usage: bench_acquire_scaling [tracesPerClass] [--json p] [--trace p]
 //        [--progress] [--profile] [--heartbeat p] [--listen[=port]]
@@ -225,7 +225,7 @@ int main(int argc, char** argv) {
   // scraper polls /metrics vs while it is parked. The server handlers
   // only read relaxed-atomic snapshots, so the digests must match
   // bit-for-bit and the scraped side must stay within a few percent
-  // (the CI telemetry-smoke job gates <= 5%). The scraper is paced at a
+  // (the CI obs-smoke job gates <= 5%). The scraper is paced at a
   // realistic 10ms cadence here (100 scrapes/sec — still ~100x faster
   // than a real Prometheus interval): the overhead budget is about what
   // a monitoring client costs the pipeline, not about an unthrottled
@@ -385,7 +385,7 @@ int main(int argc, char** argv) {
   // Profiler A/B (only under --profile): same batch acquisition with the
   // cost-attribution profiler attached vs detached. Pure-sink contract:
   // digests must match bit-for-bit and the attached run stays within a few
-  // percent (the CI profiling-smoke job gates <= 5%). Runs on a throwaway
+  // percent (the CI obs-smoke job gates <= 5%). Runs on a throwaway
   // Profiler so the scope's profile block keeps describing the main run.
   if (scope.profiler() != nullptr) {
     std::printf("\nprofiler overhead (attached vs detached, batch engine):\n");

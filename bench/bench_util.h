@@ -12,18 +12,20 @@
 //   --profile          attach the cost-attribution profiler (obs/profiler.h)
 //                      and per-phase hardware counters; the report gains a
 //                      "profile" block (tools/lpa_profile.py renders it)
-//   --heartbeat <path> keep a rate-limited live-status JSON file updated
-//                      (lpa-heartbeat/2, atomic rename; survives crashes as
-//                      the last written state)
+//   --heartbeat <path> keep a rate-limited file rendering of the run's
+//                      live status (lpa-heartbeat/2, atomic rename; survives
+//                      crashes as the last written state)
 //   --listen[=port]    start the embedded telemetry server (DESIGN.md §15):
-//                      GET /metrics (Prometheus), /healthz, /status (live
-//                      heartbeat), /events (journal tail), /progress (SSE).
-//                      Default port 0 = kernel-assigned ephemeral; the bound
-//                      address is printed on stderr. Loopback only.
+//                      GET /metrics (Prometheus), /healthz, /events (journal
+//                      tail), and /status and /progress (SSE), which render
+//                      the same heartbeat document. Default port 0 =
+//                      kernel-assigned ephemeral; the bound address is
+//                      printed on stderr. Loopback only.
 //   --journal <path>   flush the structured event journal
 //                      (lpa-event-journal/1 JSONL) at scope exit
-//   --linger <sec>     keep the telemetry server up this long after the run
-//                      finishes, so scrapers can collect the final state
+//   --linger <sec>     keep the telemetry server up this long (0..86400 s)
+//                      after the run finishes, so scrapers can collect the
+//                      final state
 
 #include <algorithm>
 #include <chrono>
@@ -116,8 +118,9 @@ struct BenchArgs {
 /// pass through in `positional`. Both `--flag value` and `--flag=value`
 /// spellings are accepted in any position relative to positionals — an
 /// `=`-form flag used to fall through into `positional`, where a bench's
-/// count argument would then silently std::atoi it to 0. Exits with a
-/// usage message on a flag that is missing its value.
+/// count argument would then silently std::atoi it to 0. Exits with
+/// status 2 and a usage message on a flag that is missing its value, a
+/// --listen port outside 0..65535 or a --linger outside 0..86400 s.
 inline BenchArgs parseBenchArgs(int argc, char** argv) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
@@ -129,6 +132,20 @@ inline BenchArgs parseBenchArgs(int argc, char** argv) {
         std::exit(2);
       }
       return argv[++i];
+    };
+    // A finite number of seconds in [0, 86400]: garbage must not silently
+    // become 0, and inf/1e300 must not reach sleep_for, whose conversion
+    // to integer ticks would overflow.
+    const auto lingerSeconds = [&](const std::string& text) {
+      char* end = nullptr;
+      const double v = std::strtod(text.c_str(), &end);
+      if (text.empty() || end != text.c_str() + text.size() ||
+          !(v >= 0.0 && v <= 86400.0)) {
+        std::fprintf(stderr, "%s: bad --linger seconds \"%s\" (0..86400)\n",
+                     argv[0], text.c_str());
+        std::exit(2);
+      }
+      return v;
     };
     if (a == "--json") {
       args.jsonPath = value("--json");
@@ -168,9 +185,9 @@ inline BenchArgs parseBenchArgs(int argc, char** argv) {
     } else if (a.rfind("--journal=", 0) == 0) {
       args.journalPath = a.substr(10);
     } else if (a == "--linger") {
-      args.lingerSec = std::strtod(value("--linger").c_str(), nullptr);
+      args.lingerSec = lingerSeconds(value("--linger"));
     } else if (a.rfind("--linger=", 0) == 0) {
-      args.lingerSec = std::strtod(a.substr(9).c_str(), nullptr);
+      args.lingerSec = lingerSeconds(a.substr(9));
     } else {
       args.positional.push_back(a);
     }
@@ -213,8 +230,9 @@ inline bool takeFlag(BenchArgs& args, const std::string& flag) {
 
 /// One bench run's observability scope: owns the RunReport, enables the
 /// Chrome trace collector when requested, owns the cost-attribution
-/// profiler + per-phase hardware counters under --profile and the
-/// heartbeat file under --heartbeat, and on destruction snapshots the
+/// profiler + per-phase hardware counters under --profile, the heartbeat
+/// (the run's live status) under --heartbeat or --listen and the telemetry
+/// server that renders it under --listen, and on destruction snapshots the
 /// global metrics registry (and the profile) into the report and writes
 /// report/trace files. IO failures are printed to stderr, never thrown (a
 /// bench's results on stdout should survive an unwritable report path).
@@ -232,7 +250,7 @@ class RunScope {
       hw_->start();
     }
     // --listen implies a heartbeat (memory-only unless --heartbeat also
-    // gave a path): the server's /status endpoint serves its payloads.
+    // gave a path): the server's /status and /progress render it.
     if (!args_.heartbeatPath.empty() || args_.listen) {
       heartbeat_ =
           std::make_unique<obs::Heartbeat>(args_.heartbeatPath, name);
@@ -241,6 +259,7 @@ class RunScope {
       obs::TelemetryServerOptions opt;
       opt.port = args_.listenPort;
       opt.runName = name;
+      opt.heartbeat = heartbeat_.get();
       server_ = std::make_unique<obs::TelemetryServer>(opt);
       try {
         server_->start();
@@ -248,9 +267,6 @@ class RunScope {
                      "telemetry: listening on http://127.0.0.1:%u/ "
                      "(/metrics /healthz /status /events /progress)\n",
                      static_cast<unsigned>(server_->port()));
-        obs::TelemetryServer* srv = server_.get();
-        heartbeat_->setOnWrite(
-            [srv](const std::string& payload) { srv->updateStatus(payload); });
       } catch (const std::exception& e) {
         std::fprintf(stderr, "telemetry server failed: %s\n", e.what());
         server_.reset();
@@ -315,8 +331,9 @@ class RunScope {
       std::this_thread::sleep_for(
           std::chrono::duration<double>(args_.lingerSec));
     }
-    if (heartbeat_) heartbeat_->setOnWrite(nullptr);
-    server_.reset();  // graceful stop before the heartbeat goes away
+    // Graceful stop (it sends the final SSE frame) before the heartbeat
+    // goes away.
+    server_.reset();
   }
 
   RunScope(const RunScope&) = delete;
@@ -329,8 +346,8 @@ class RunScope {
   /// fixed port via port()), nullptr otherwise.
   obs::TelemetryServer* telemetry() { return server_.get(); }
 
-  /// The heartbeat publishing /status (present under --heartbeat and
-  /// --listen), nullptr otherwise.
+  /// The run's live status, rendered by the heartbeat file, /status and
+  /// /progress (present under --heartbeat and --listen), nullptr otherwise.
   obs::Heartbeat* heartbeat() { return heartbeat_.get(); }
 
   /// The cost-attribution profiler under --profile, nullptr otherwise.
@@ -340,21 +357,16 @@ class RunScope {
   obs::Profiler* profiler() { return profiler_.get(); }
 
   /// Progress sink for AcquisitionConfig/FaultCampaignConfig: a live
-  /// stderr line under --progress, empty otherwise; with --heartbeat the
-  /// sink additionally mirrors every update into the heartbeat file
-  /// (rate-limited there, so chaining is cheap).
+  /// stderr line under --progress, empty otherwise; with --heartbeat or
+  /// --listen the sink additionally beats the heartbeat (its file writes
+  /// are rate-limited, so chaining is cheap).
   obs::ProgressFn progressSink() {
     obs::ProgressFn inner =
         args_.progress ? obs::stderrProgressLine() : obs::ProgressFn();
-    if (!heartbeat_ && !server_) return inner;
+    if (!heartbeat_) return inner;
     obs::Heartbeat* hb = heartbeat_.get();
-    obs::TelemetryServer* srv = server_.get();
-    return [inner, hb, srv](const obs::ProgressUpdate& u) {
-      if (hb) {
-        hb->beat(std::string(u.label), u.done, u.total, u.ratePerSec,
-                 u.etaSec);
-      }
-      if (srv) srv->publishProgress(u);  // SSE /progress (coalesced there)
+    return [inner, hb](const obs::ProgressUpdate& u) {
+      hb->beat(std::string(u.label), u.done, u.total, u.ratePerSec, u.etaSec);
       return inner ? inner(u) : true;
     };
   }

@@ -11,7 +11,7 @@
 // trace/leakage digests are bit-identical with the profiler attached or
 // detached (enforced by tests/test_profiler.cpp across all three engines).
 //
-// Overhead discipline (the CI profiling-smoke job gates attachment at
+// Overhead discipline (the CI obs-smoke job gates attachment at
 // ≤5%): engines never touch the shared atomics from their hot loops.
 // Each engine keeps per-run *local* plain tallies and flushes once per
 // run from recordRun(). The scalar engines tally every event exactly.

@@ -115,12 +115,8 @@ std::string RunReport::validate(const Json& j) {
     return "";
   };
   if (auto e = str("schema"); !e.empty()) return e;
-  const std::string& schema = j.find("schema")->asString();
-  if (schema != schemaId() && schema != previousSchemaId() &&
-      schema != schema2Id() && schema != legacySchemaId()) {
-    return "schema is none of " + std::string(schemaId()) + ", " +
-           std::string(previousSchemaId()) + ", " +
-           std::string(schema2Id()) + ", " + std::string(legacySchemaId());
+  if (j.find("schema")->asString() != schemaId()) {
+    return "schema is not " + std::string(schemaId());
   }
   if (auto e = str("name"); !e.empty()) return e;
   if (j.find("name")->asString().empty()) return "name is empty";
@@ -146,9 +142,7 @@ std::string RunReport::validate(const Json& j) {
     if (!v.isNumber()) return "metrics.counters." + k + " is not a number";
   }
   // Histogram entries export their full bucket layout (obs/metrics.h):
-  // each bucket is {"le": number | "inf", "count": n >= 0}. Checked for
-  // every era — the exporter has always written buckets; only the
-  // validator used to look away.
+  // each bucket is {"le": number | "inf", "count": n >= 0}.
   for (const auto& [k, v] : j.find("metrics")->find("histograms")->items()) {
     const std::string at = "metrics.histograms." + k;
     if (!v.isObject()) return at + " is not an object";
@@ -193,126 +187,119 @@ std::string RunReport::validate(const Json& j) {
     }
   }
 
-  // /2 and /3 require the statistics block; its typed keys are validated
-  // when present (the block is otherwise open for run-specific detail like
-  // the dashboard's per-style matrix).
-  if (schema != std::string(legacySchemaId())) {
-    const Json* stats = j.find("statistics");
-    if (!stats) return "missing key: statistics";
-    if (!stats->isObject()) return "statistics is not an object";
-    for (const char* key : {"traces_total", "min_class_count", "batches",
-                            "total_ci_halfwidth", "total_ci_rel",
-                            "ci_confidence"}) {
-      const Json* v = stats->find(key);
-      if (!v) continue;
-      if (!v->isNumber() || v->asNumber() < 0.0) {
-        return std::string("statistics.") + key +
-               " is not a non-negative number";
-      }
-    }
-    if (const Json* v = stats->find("stop_reason");
-        v && !v->isString()) {
-      return "statistics.stop_reason is not a string";
-    }
-    if (const Json* v = stats->find("adaptive"); v && !v->isBool()) {
-      return "statistics.adaptive is not a bool";
+  // The statistics block's typed keys are validated when present (the
+  // block is otherwise open for run-specific detail like the dashboard's
+  // per-style matrix).
+  const Json* stats = j.find("statistics");
+  if (!stats) return "missing key: statistics";
+  if (!stats->isObject()) return "statistics is not an object";
+  for (const char* key : {"traces_total", "min_class_count", "batches",
+                          "total_ci_halfwidth", "total_ci_rel",
+                          "ci_confidence"}) {
+    const Json* v = stats->find(key);
+    if (!v) continue;
+    if (!v->isNumber() || v->asNumber() < 0.0) {
+      return std::string("statistics.") + key +
+             " is not a non-negative number";
     }
   }
+  if (const Json* v = stats->find("stop_reason");
+      v && !v->isString()) {
+    return "statistics.stop_reason is not a string";
+  }
+  if (const Json* v = stats->find("adaptive"); v && !v->isBool()) {
+    return "statistics.adaptive is not a bool";
+  }
 
-  // /3+ requires the resilience block (empty for a plain run); typed keys
-  // are validated when present so a malformed durable-run summary is
-  // rejected rather than silently mis-read by the dashboard or gate.
-  if (schema == std::string(schemaId()) ||
-      schema == std::string(previousSchemaId())) {
-    const Json* res = j.find("resilience");
-    if (!res) return "missing key: resilience";
-    if (!res->isObject()) return "resilience is not an object";
-    for (const char* key : {"truncated", "resumed", "quarantined"}) {
-      if (const Json* v = res->find(key); v && !v->isBool()) {
-        return std::string("resilience.") + key + " is not a bool";
+  // The resilience block is empty for a plain run; typed keys are
+  // validated when present so a malformed durable-run summary is rejected
+  // rather than silently mis-read by the dashboard or gate.
+  const Json* res = j.find("resilience");
+  if (!res) return "missing key: resilience";
+  if (!res->isObject()) return "resilience is not an object";
+  for (const char* key : {"truncated", "resumed", "quarantined"}) {
+    if (const Json* v = res->find(key); v && !v->isBool()) {
+      return std::string("resilience.") + key + " is not a bool";
+    }
+  }
+  for (const char* key : {"groups_total", "groups_completed",
+                          "group_traces", "retries", "spot_checks"}) {
+    if (const Json* v = res->find(key);
+        v && (!v->isNumber() || v->asNumber() < 0.0)) {
+      return std::string("resilience.") + key +
+             " is not a non-negative number";
+    }
+  }
+  if (const Json* v = res->find("stop_reason"); v && !v->isString()) {
+    return "resilience.stop_reason is not a string";
+  }
+  if (const Json* v = res->find("checkpoint_lineage")) {
+    if (!v->isArray()) return "resilience.checkpoint_lineage is not an array";
+    for (std::size_t i = 0; i < v->size(); ++i) {
+      if (!v->at(i).isString()) {
+        return "resilience.checkpoint_lineage[" + std::to_string(i) +
+               "] is not a string";
       }
     }
-    for (const char* key : {"groups_total", "groups_completed",
-                            "group_traces", "retries", "spot_checks"}) {
-      if (const Json* v = res->find(key);
-          v && (!v->isNumber() || v->asNumber() < 0.0)) {
-        return std::string("resilience.") + key +
-               " is not a non-negative number";
+  }
+  if (const Json* v = res->find("quarantine_events")) {
+    if (!v->isArray()) return "resilience.quarantine_events is not an array";
+    for (std::size_t i = 0; i < v->size(); ++i) {
+      const Json& ev = v->at(i);
+      const std::string at =
+          "resilience.quarantine_events[" + std::to_string(i) + "]";
+      if (!ev.isObject()) return at + " is not an object";
+      const Json* group = ev.find("group");
+      if (!group || !group->isNumber() || group->asNumber() < 0.0) {
+        return at + ".group is not a non-negative number";
       }
-    }
-    if (const Json* v = res->find("stop_reason"); v && !v->isString()) {
-      return "resilience.stop_reason is not a string";
-    }
-    if (const Json* v = res->find("checkpoint_lineage")) {
-      if (!v->isArray()) return "resilience.checkpoint_lineage is not an array";
-      for (std::size_t i = 0; i < v->size(); ++i) {
-        if (!v->at(i).isString()) {
-          return "resilience.checkpoint_lineage[" + std::to_string(i) +
-                 "] is not a string";
-        }
-      }
-    }
-    if (const Json* v = res->find("quarantine_events")) {
-      if (!v->isArray()) return "resilience.quarantine_events is not an array";
-      for (std::size_t i = 0; i < v->size(); ++i) {
-        const Json& ev = v->at(i);
-        const std::string at =
-            "resilience.quarantine_events[" + std::to_string(i) + "]";
-        if (!ev.isObject()) return at + " is not an object";
-        const Json* group = ev.find("group");
-        if (!group || !group->isNumber() || group->asNumber() < 0.0) {
-          return at + ".group is not a non-negative number";
-        }
-        const Json* reason = ev.find("reason");
-        if (!reason || !reason->isString() || reason->asString().empty()) {
-          return at + ".reason missing or empty";
-        }
+      const Json* reason = ev.find("reason");
+      if (!reason || !reason->isString() || reason->asString().empty()) {
+        return at + ".reason missing or empty";
       }
     }
   }
 
-  // /4 requires the profile block (empty for an unprofiled run); typed
-  // keys are validated when present so a malformed cost-attribution
-  // profile fails loudly instead of rendering as an empty HTML report.
-  if (schema == std::string(schemaId())) {
-    const Json* prof = j.find("profile");
-    if (!prof) return "missing key: profile";
-    if (!prof->isObject()) return "profile is not an object";
-    if (const Json* v = prof->find("schema"); v && !v->isString()) {
-      return "profile.schema is not a string";
+  // The profile block is empty for an unprofiled run; typed keys are
+  // validated when present so a malformed cost-attribution profile fails
+  // loudly instead of rendering as an empty HTML report.
+  const Json* prof = j.find("profile");
+  if (!prof) return "missing key: profile";
+  if (!prof->isObject()) return "profile is not an object";
+  if (const Json* v = prof->find("schema"); v && !v->isString()) {
+    return "profile.schema is not a string";
+  }
+  for (const char* key : {"runs"}) {
+    if (const Json* v = prof->find(key);
+        v && (!v->isNumber() || v->asNumber() < 0.0)) {
+      return std::string("profile.") + key +
+             " is not a non-negative number";
     }
-    for (const char* key : {"runs"}) {
-      if (const Json* v = prof->find(key);
+  }
+  if (const Json* nets = prof->find("nets")) {
+    if (!nets->isObject()) return "profile.nets is not an object";
+    if (const Json* rows = nets->find("rows")) {
+      if (!rows->isArray()) return "profile.nets.rows is not an array";
+      for (std::size_t i = 0; i < rows->size(); ++i) {
+        if (!rows->at(i).isObject()) {
+          return "profile.nets.rows[" + std::to_string(i) +
+                 "] is not an object";
+        }
+      }
+    }
+  }
+  if (const Json* occ = prof->find("lane_occupancy")) {
+    if (!occ->isObject()) return "profile.lane_occupancy is not an object";
+    for (const char* key : {"waves", "mean_popped", "mean_committed"}) {
+      if (const Json* v = occ->find(key);
           v && (!v->isNumber() || v->asNumber() < 0.0)) {
-        return std::string("profile.") + key +
+        return std::string("profile.lane_occupancy.") + key +
                " is not a non-negative number";
       }
     }
-    if (const Json* nets = prof->find("nets")) {
-      if (!nets->isObject()) return "profile.nets is not an object";
-      if (const Json* rows = nets->find("rows")) {
-        if (!rows->isArray()) return "profile.nets.rows is not an array";
-        for (std::size_t i = 0; i < rows->size(); ++i) {
-          if (!rows->at(i).isObject()) {
-            return "profile.nets.rows[" + std::to_string(i) +
-                   "] is not an object";
-          }
-        }
-      }
-    }
-    if (const Json* occ = prof->find("lane_occupancy")) {
-      if (!occ->isObject()) return "profile.lane_occupancy is not an object";
-      for (const char* key : {"waves", "mean_popped", "mean_committed"}) {
-        if (const Json* v = occ->find(key);
-            v && (!v->isNumber() || v->asNumber() < 0.0)) {
-          return std::string("profile.lane_occupancy.") + key +
-                 " is not a non-negative number";
-        }
-      }
-    }
-    if (const Json* hw = prof->find("hw_counters"); hw && !hw->isArray()) {
-      return "profile.hw_counters is not an array";
-    }
+  }
+  if (const Json* hw = prof->find("hw_counters"); hw && !hw->isArray()) {
+    return "profile.hw_counters is not an array";
   }
   return "";
 }

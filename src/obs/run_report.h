@@ -6,7 +6,7 @@
 // populates from real runs instead of hand-copied numbers.
 //
 // Schema "lpa-run-report/4" (validated by RunReport::validate and the CI
-// smoke job):
+// obs-smoke job):
 //
 //   {
 //     "schema": "lpa-run-report/4",
@@ -19,26 +19,30 @@
 //     "metrics": { "counters": {...}, "gauges": {...},
 //                  "histograms": {...} },
 //     "leakage": { "<key>": number, ... },
-//     "statistics": { ... },                 // /2+: statistical summary
-//     "resilience": { ... },                 // /3+: durable-run summary
-//     "profile": { ... },                    // /4: cost-attribution profile
+//     "statistics": { ... },                 // statistical summary
+//     "resilience": { ... },                 // durable-run summary
+//     "profile": { ... },                    // cost-attribution profile
 //     "determinism_digest": "<digest as %.17g string or free-form>"
 //   }
+//
+// /4 is the only version validate() and the tools/ readers accept: every
+// producer is in this repository, and each has written /4 since the
+// profile block was added.
 //
 // Each `metrics.histograms` entry carries the full bucket layout — every
 // bucket's upper bound (`le`: number or "inf") and count, alongside the
 // count/sum/quantile summary — so downstream tools can re-aggregate
 // distributions instead of trusting three pre-picked percentiles.
-// validate() type-checks the buckets for every schema era.
+// validate() type-checks the buckets.
 //
-// The /2 `statistics` block is an open object for statistical metadata of
+// The `statistics` block is an open object for statistical metadata of
 // the run (stats/report.h fills it from a LeakageEstimate): trace counts
 // (`traces_total`, `min_class_count`), CI half-widths
 // (`total_ci_halfwidth`, `total_ci_rel`, ...), and the adaptive-stop reason
 // (`stop_reason`: "fixed" | "ci-target" | "max-traces"). Typed keys are
 // validated when present.
 //
-// The /3 `resilience` block records a durable run's fate (jobs/resilient.h
+// The `resilience` block records a durable run's fate (jobs/resilient.h
 // fills it from a ResilienceInfo): `truncated` / `resumed` / `quarantined`
 // flags, `groups_total` / `groups_completed` / `retries` / `spot_checks`
 // counts, `stop_reason` ("completed" | "ci-target" | "max-traces" |
@@ -46,20 +50,17 @@
 // and `checkpoint_lineage` (array of "g<k>/<n>:<digest>" strings). Typed
 // keys are validated when present; a plain run leaves the block empty.
 //
-// The /4 `profile` block is the cost-attribution profile of the run
+// The `profile` block is the cost-attribution profile of the run
 // (obs/profiler.h's Profiler::toJson fills it): per-net top-K tallies,
 // batch lane-occupancy histograms, the calendar-queue depth timeline,
 // per-phase hardware counters (perf_event_open or rusage fallback) and
 // arena byte samples. An unprofiled run leaves the block empty. Typed
 // keys are validated when present.
-// validate() accepts /1 (none of the blocks), /2 (statistics only), /3
-// (+ resilience) and /4 documents, so readers handle reports from every
-// era.
 //
 // ## Run ledger (schema "lpa-run-ledger/1")
 //
 // `appendTo()` appends the report to a JSONL ledger — one compact line
-//   {"schema": "lpa-run-ledger/1", "report": { <lpa-run-report/3> }}
+//   {"schema": "lpa-run-ledger/1", "report": { <lpa-run-report/4> }}
 // per run — which tools/lpa_dashboard.py renders and tools/leakage_gate.py
 // gates against the golden ordering. Appends are fsync'd before close
 // (obs/fsio.h), so a crash can tear at most the trailing line, which the
@@ -96,16 +97,16 @@ class RunReport {
   void setDigest(double digest);
   void setDigest(std::string digest) { digest_ = std::move(digest); }
   void setMetrics(const MetricsSnapshot& snapshot);
-  /// Sets one key of the /2 `statistics` block.
+  /// Sets one key of the `statistics` block.
   void setStatistic(const std::string& key, Json value);
   /// Replaces the whole `statistics` block (must be an object).
   void setStatistics(Json block);
-  /// Sets one key of the /3 `resilience` block.
+  /// Sets one key of the `resilience` block.
   void setResilienceField(const std::string& key, Json value);
   /// Replaces the whole `resilience` block (must be an object;
   /// jobs/resilient.h's fillResilience builds it from a ResilienceInfo).
   void setResilience(Json block);
-  /// Replaces the whole /4 `profile` block (must be an object;
+  /// Replaces the whole `profile` block (must be an object;
   /// obs/profiler.h's Profiler::toJson builds it).
   void setProfile(Json block);
 
@@ -120,15 +121,8 @@ class RunReport {
   void appendTo(const std::string& path) const;
 
   static const char* schemaId() { return "lpa-run-report/4"; }
-  /// The /3 schema (resilience, no profile), still accepted by validate().
-  static const char* previousSchemaId() { return "lpa-run-report/3"; }
-  /// The /2 schema (statistics only), still accepted by validate().
-  static const char* schema2Id() { return "lpa-run-report/2"; }
-  /// The original schema (no statistics), still accepted by validate().
-  static const char* legacySchemaId() { return "lpa-run-report/1"; }
   static const char* ledgerSchemaId() { return "lpa-run-ledger/1"; }
-  /// "" when `j` conforms to the schema (/1, /2, /3 or /4), otherwise the
-  /// first violation.
+  /// "" when `j` conforms to the /4 schema, otherwise the first violation.
   static std::string validate(const Json& j);
   /// "" when `j` is a conforming ledger line (wrapper schema + embedded
   /// report), otherwise the first violation.

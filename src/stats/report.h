@@ -1,7 +1,7 @@
 #pragma once
 // Bridges streaming statistics into run reports (obs/run_report.h).
 //
-// `fillStatistics` renders a LeakageEstimate into the lpa-run-report/2
+// `fillStatistics` renders a LeakageEstimate into the run report's
 // `statistics` block so every bench/example that computes an interval
 // estimate publishes it the same way, and the dashboard / leakage gate read
 // one shape. Unresolved (+inf) half-widths are omitted rather than

@@ -96,6 +96,35 @@ TEST(ParseBenchArgsDeath, MalformedCountExitsInsteadOfSilentZero) {
               ::testing::ExitedWithCode(2), "expected a count");
 }
 
+TEST(ParseBenchArgs, LingerTakesFiniteSecondsInBothSpellings) {
+  EXPECT_EQ(parse({"--linger", "2.5"}).lingerSec, 2.5);
+  EXPECT_EQ(parse({"--linger=0"}).lingerSec, 0.0);
+  EXPECT_EQ(parse({"--linger=86400"}).lingerSec, 86400.0);
+}
+
+TEST(ParseBenchArgsDeath, BadLingerExitsInsteadOfSleepingWrong) {
+  // inf and 1e300 would overflow sleep_for's conversion to integer ticks.
+  for (const char* bad : {"abc", "-1", "inf", "1e300", "", "5s"}) {
+    EXPECT_EXIT(parse({"--linger", bad}), ::testing::ExitedWithCode(2),
+                "bad --linger seconds")
+        << bad;
+  }
+  EXPECT_EXIT(parse({"--linger=inf"}), ::testing::ExitedWithCode(2),
+              "bad --linger seconds");
+  EXPECT_EXIT(parse({"--linger=86401"}), ::testing::ExitedWithCode(2),
+              "bad --linger seconds");
+}
+
+TEST(ParseBenchArgsDeath, BadListenPortExits) {
+  EXPECT_EQ(parse({"--listen=9187"}).listenPort, 9187);
+  for (const char* bad : {"--listen=65536", "--listen=abc", "--listen=",
+                          "--listen=-1"}) {
+    EXPECT_EXIT(parse({bad}), ::testing::ExitedWithCode(2),
+                "bad --listen port")
+        << bad;
+  }
+}
+
 }  // namespace
 }  // namespace lpa
 

@@ -247,39 +247,31 @@ TEST(RunReport, StatisticsBlockRoundTrips) {
   EXPECT_THROW(report.setStatistics(obs::Json(1.0)), std::invalid_argument);
 }
 
-TEST(RunReport, ValidateAcceptsLegacySchemaAndRejectsUnknown) {
-  obs::Json j = makeReport().toJson();
+TEST(RunReport, ValidateRejectsRetiredAndUnknownSchemas) {
+  const obs::Json j = makeReport().toJson();
+  ASSERT_EQ(obs::RunReport::validate(j), "");
 
-  // A /1 document (no statistics block) must still validate.
-  obs::Json legacy = obs::Json::object();
-  for (const char* key : {"name", "git", "timestamp_unix", "seed", "params",
-                          "phases", "metrics", "leakage",
-                          "determinism_digest"}) {
-    legacy[key] = *j.find(key);
+  // /4 is the only accepted version: a document labelled with a retired
+  // version (/1-/3) or a future one (/5) is rejected even when its body
+  // is a complete /4 document.
+  for (const char* schema : {"lpa-run-report/1", "lpa-run-report/2",
+                             "lpa-run-report/3", "lpa-run-report/5"}) {
+    obs::Json other = j;
+    other["schema"] = obs::Json(schema);
+    EXPECT_NE(obs::RunReport::validate(other), "") << schema;
   }
-  legacy["schema"] = obs::Json(obs::RunReport::legacySchemaId());
-  EXPECT_EQ(obs::RunReport::validate(legacy), "");
 
-  // A /2 document (statistics, no resilience block) must still validate.
-  obs::Json v2 = obs::Json::object();
-  for (const char* key : {"name", "git", "timestamp_unix", "seed", "params",
-                          "phases", "metrics", "leakage", "statistics",
-                          "determinism_digest"}) {
-    v2[key] = *j.find(key);
+  // Every block is required: a document shaped like an older version
+  // (no profile; no resilience; no statistics) is rejected as /4.
+  obs::Json shaped = j;
+  for (const char* block : {"profile", "resilience", "statistics"}) {
+    obs::Json without = obs::Json::object();
+    for (const auto& [k, v] : shaped.items()) {
+      if (k != block) without[k] = v;
+    }
+    shaped = without;
+    EXPECT_NE(obs::RunReport::validate(shaped), "") << "without " << block;
   }
-  v2["schema"] = obs::Json(obs::RunReport::schema2Id());
-  EXPECT_EQ(obs::RunReport::validate(v2), "");
-
-  // A /3 document (resilience, no profile block) must still validate.
-  obs::Json v3 = v2;
-  v3["resilience"] = *j.find("resilience");
-  v3["schema"] = obs::Json(obs::RunReport::previousSchemaId());
-  EXPECT_EQ(obs::RunReport::validate(v3), "");
-
-  // Unknown future schema: rejected.
-  obs::Json future = j;
-  future["schema"] = obs::Json("lpa-run-report/5");
-  EXPECT_NE(obs::RunReport::validate(future), "");
 }
 
 TEST(RunReport, ValidateRejectsMalformedResilience) {

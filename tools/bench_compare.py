@@ -5,8 +5,9 @@ Compares the current benchmark outputs against the checked-in baseline
 (BENCH_baseline.json) and exits non-zero on a regression. Two kinds of
 inputs are understood, auto-detected per file:
 
-  * lpa run reports     ("schema": "lpa-run-report/1" through /4) — written
-    by the bench binaries with --json (e.g. bench_acquire_scaling).
+  * lpa run reports     ("schema": "lpa-run-report/4", the only version
+    read) — written by the bench binaries with --json (e.g.
+    bench_acquire_scaling).
   * google-benchmark    ({"benchmarks": [...]}) — written by bench_perf
     with --benchmark_out=<file> --benchmark_out_format=json.
 
@@ -50,8 +51,7 @@ import json
 import sys
 
 BASELINE_SCHEMA = "lpa-bench-baseline/1"
-RUN_REPORT_SCHEMAS = ("lpa-run-report/1", "lpa-run-report/2",
-                      "lpa-run-report/3", "lpa-run-report/4")
+RUN_REPORT_SCHEMA = "lpa-run-report/4"
 
 # Run-report params pinned (must equal the baseline before digests are
 # comparable), contract booleans, ratio params, and throughput params.
@@ -69,7 +69,7 @@ def load_inputs(paths):
     for path in paths:
         with open(path) as f:
             data = json.load(f)
-        if data.get("schema") in RUN_REPORT_SCHEMAS:
+        if data.get("schema") == RUN_REPORT_SCHEMA:
             name = data.get("name")
             if not name:
                 sys.exit(f"{path}: run report has no 'name' field; "
@@ -80,7 +80,8 @@ def load_inputs(paths):
                 if bm.get("run_type", "iteration") == "iteration":
                     gbench[bm["name"]] = float(bm["real_time"])
         else:
-            sys.exit(f"{path}: neither a run report nor google-benchmark JSON")
+            sys.exit(f"{path}: neither a {RUN_REPORT_SCHEMA} run report nor "
+                     "google-benchmark JSON")
     return reports, gbench
 
 

@@ -48,8 +48,7 @@ import sys
 
 GOLDEN_SCHEMA = "lpa-leakage-golden/1"
 LEDGER_SCHEMA = "lpa-run-ledger/1"
-REPORT_SCHEMAS = ("lpa-run-report/1", "lpa-run-report/2",
-                  "lpa-run-report/3", "lpa-run-report/4")
+REPORT_SCHEMA = "lpa-run-report/4"
 FIG7_BENCH = "bench_fig7_total_leakage"
 
 
@@ -85,8 +84,11 @@ def load_matrix_report(path):
             if entry.get("schema") == LEDGER_SCHEMA:
                 candidates.append(entry.get("report", {}))
     for report in reversed(candidates):
-        if (report.get("schema") in REPORT_SCHEMAS
-                and report.get("name") == FIG7_BENCH
+        if report.get("schema") != REPORT_SCHEMA:
+            print(f"warning: {path}: {report.get('schema')!r} report "
+                  f"skipped (reads {REPORT_SCHEMA} only)", file=sys.stderr)
+            continue
+        if (report.get("name") == FIG7_BENCH
                 and (report.get("statistics", {}) or {}).get("matrix")):
             return report
     sys.exit(f"{path}: no {FIG7_BENCH} report with a statistics.matrix found")

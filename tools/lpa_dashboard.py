@@ -16,15 +16,11 @@ Sections:
      line per (report, param), so throughput regressions are visible at a
      glance before the hard gate (tools/bench_compare.py) trips.
 
-With `--live <url>` the dashboard additionally polls a running bench's
-telemetry server (started with `--listen`; DESIGN.md §15) and prepends a
-live section — heartbeat status, progress, key counters, and the newest
-journal events — with an HTML meta-refresh so a browser left open tracks
-the run. Ledger files are optional in live mode.
+Reads lpa-run-report/4 entries only; other report versions are skipped
+with a warning. A running bench is watched with tools/lpa_watch.py.
 
 Usage:
   tools/lpa_dashboard.py ledger.jsonl [more.jsonl ...] --out dashboard.html
-  tools/lpa_dashboard.py --live http://127.0.0.1:9187 --refresh 5
 """
 
 import argparse
@@ -33,11 +29,8 @@ import html
 import json
 import sys
 
-import lpa_watch  # shared /metrics parser + endpoint fetch (stdlib-only)
-
 LEDGER_SCHEMA = "lpa-run-ledger/1"
-REPORT_SCHEMAS = ("lpa-run-report/1", "lpa-run-report/2",
-                  "lpa-run-report/3", "lpa-run-report/4")
+REPORT_SCHEMA = "lpa-run-report/4"
 
 # Paper ordering of the styles (Fig. 7, most to least leaky) — used for a
 # stable x-axis; styles absent from the matrix are simply skipped.
@@ -71,7 +64,7 @@ def load_ledger(paths):
                       file=sys.stderr)
                 continue
             report = entry.get("report", {})
-            if report.get("schema") not in REPORT_SCHEMAS:
+            if report.get("schema") != REPORT_SCHEMA:
                 print(f"warning: {path}:{ln}: unknown report schema "
                       f"{report.get('schema')!r}; skipped", file=sys.stderr)
                 continue
@@ -292,95 +285,8 @@ def perf_section(reports):
                       "traces/s")
 
 
-# ----------------------------------------------------------------- live mode
-
-def live_status_block(hb):
-    """HTML for one heartbeat dict (lpa-heartbeat/1 or /2)."""
-    schema = hb.get("schema")
-    warn = ("" if schema in lpa_watch.HEARTBEAT_SCHEMAS else
-            f'<p class="meta">unrecognized heartbeat schema {esc(schema)}</p>')
-    done = hb.get("done", 0) or 0
-    total = hb.get("total", 0) or 0
-    pct = 100.0 * done / total if total else 0.0
-    status = hb.get("status", "?")
-    extra = []
-    if hb.get("stop_reason") and status != "running":
-        extra.append(f"stopped: <b>{esc(hb['stop_reason'])}</b>")
-    if hb.get("lineage_id"):
-        extra.append(f"lineage <code>{esc(hb['lineage_id'])}</code>")
-    eta = hb.get("eta_sec", -1)
-    eta_txt = f"{eta:.0f}s" if isinstance(eta, (int, float)) and eta >= 0 \
-        else "unknown"
-    return warn + (
-        f"<p><b>{esc(hb.get('name', '?'))}</b> (pid {esc(hb.get('pid', '?'))})"
-        f" — status <b>{esc(status)}</b>, phase {esc(hb.get('phase', '?'))}"
-        f"{' · ' + ' · '.join(extra) if extra else ''}</p>"
-        f'<div class="bar"><div class="fill" style="width:{pct:.1f}%"></div>'
-        f"</div>"
-        f'<p class="meta">{done}/{total} ({pct:.1f}%) · '
-        f"{hb.get('rate_per_sec', 0.0):.1f}/s · eta {eta_txt} · "
-        f"elapsed {hb.get('elapsed_sec', 0.0):.1f}s</p>")
-
-
-def live_section(base):
-    """Fetches /status + /metrics + /events from a telemetry server and
-    renders the live block; degrades per-endpoint on errors."""
-    parts = []
-    code, health = lpa_watch.fetch(base + "/healthz")
-    if code == 0:
-        return (f"<p>No telemetry server at <code>{esc(base)}</code> "
-                "(connection refused) — the run may have finished.</p>")
-    code, status = lpa_watch.fetch(base + "/status")
-    if code == 200:
-        try:
-            parts.append(live_status_block(json.loads(status)))
-        except json.JSONDecodeError:
-            parts.append("<p>/status returned malformed JSON.</p>")
-    else:
-        parts.append("<p>No heartbeat yet.</p>")
-
-    code, metrics = lpa_watch.fetch(base + "/metrics")
-    if code == 200:
-        problems = lpa_watch.validate_exposition(metrics)
-        if problems:
-            parts.append(f"<p>/metrics INVALID: {esc(problems[0])}</p>")
-        else:
-            samples, _ = lpa_watch.parse_prometheus(metrics)
-            rows = [
-                f"<tr><td><code>{esc(k)}</code></td><td>{v:g}</td></tr>"
-                for k, v in sorted(samples.items())
-                if "{" not in k and not k.endswith(
-                    ("_sum", "_count", "_p50", "_p95", "_p99"))
-            ]
-            parts.append("<table><tr><th>metric</th><th>value</th></tr>"
-                         + "\n".join(rows[:16]) + "</table>")
-
-    code, events = lpa_watch.fetch(base + "/events?n=12")
-    if code == 200 and events.strip():
-        rows = []
-        for raw in events.splitlines():
-            try:
-                ev = json.loads(raw)
-            except json.JSONDecodeError:
-                continue
-            if ev.get("schema") != lpa_watch.JOURNAL_SCHEMA:
-                continue
-            fields = " ".join(f"{k}={v}"
-                              for k, v in ev.get("fields", {}).items())
-            rows.append(f"<tr><td>{ev.get('t_mono_sec', 0.0):.3f}s</td>"
-                        f"<td>{esc(ev.get('level', '?'))}</td>"
-                        f"<td>{esc(ev.get('kind', '?'))}</td>"
-                        f"<td><code>{esc(fields)}</code></td></tr>")
-        if rows:
-            parts.append("<h3>Recent events</h3><table>"
-                         "<tr><th>t</th><th>level</th><th>kind</th>"
-                         "<th>fields</th></tr>" + "\n".join(rows)
-                         + "</table>")
-    return "\n".join(parts)
-
-
 PAGE = """<!DOCTYPE html>
-<html lang="en"><head><meta charset="utf-8">{refresh}
+<html lang="en"><head><meta charset="utf-8">
 <title>LPA run ledger</title>
 <style>
  body {{ font-family: sans-serif; margin: 2em auto; max-width: 980px;
@@ -391,14 +297,10 @@ PAGE = """<!DOCTYPE html>
  th {{ background: #f4f4f4; }}
  code {{ font-size: 12px; }}
  .meta {{ color: #777; font-size: 13px; }}
- .bar {{ background: #eee; border: 1px solid #ccc; height: 14px;
-         max-width: 480px; }}
- .fill {{ background: #e6550d; height: 100%; }}
 </style></head><body>
 <h1>Leakage-power-analysis run ledger</h1>
 <p class="meta">{nruns} run(s) · generated {now} ·
 schema {ledger_schema} · Bahrami et al., DATE 2022 reproduction</p>
-{live}
 <h2>Fig. 7 — total leakage with confidence intervals</h2>
 {fig7}
 <h2>Convergence-gated acquisition</h2>
@@ -417,31 +319,14 @@ schema {ledger_schema} · Bahrami et al., DATE 2022 reproduction</p>
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("ledgers", nargs="*", help="ledger JSONL file(s)")
+    ap.add_argument("ledgers", nargs="+", help="ledger JSONL file(s)")
     ap.add_argument("--out", default="dashboard.html",
                     help="output HTML path (default: dashboard.html)")
-    ap.add_argument("--live", metavar="URL",
-                    help="telemetry server base URL of a running bench "
-                         "(e.g. http://127.0.0.1:9187); adds a live section")
-    ap.add_argument("--refresh", type=float, default=5.0,
-                    help="meta-refresh seconds in live mode (default: 5)")
     args = ap.parse_args()
-    if not args.ledgers and not args.live:
-        ap.error("need ledger file(s), --live URL, or both")
 
-    reports = load_ledger(args.ledgers) if args.ledgers else []
-    if args.ledgers and not reports:
+    reports = load_ledger(args.ledgers)
+    if not reports:
         sys.exit("no valid ledger entries found")
-
-    live = ""
-    refresh = ""
-    if args.live:
-        base = args.live.rstrip("/")
-        live = (f'<h2>Live run — <code>{esc(base)}</code></h2>\n'
-                + live_section(base))
-        if args.refresh > 0:
-            refresh = (f'\n<meta http-equiv="refresh" '
-                       f'content="{args.refresh:g}">')
 
     fig7_report, matrix = latest_fig7(reports)
     if matrix:
@@ -457,8 +342,6 @@ def main():
         nruns=len(reports),
         now=fmt_time(datetime.datetime.now(datetime.timezone.utc).timestamp()),
         ledger_schema=LEDGER_SCHEMA,
-        refresh=refresh,
-        live=live,
         fig7=fig7,
         adaptive=adaptive_section(reports),
         perf=perf_section(reports),

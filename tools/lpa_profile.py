@@ -30,7 +30,7 @@ import html
 import json
 import sys
 
-REPORT_SCHEMAS = ("lpa-run-report/4",)
+REPORT_SCHEMA = "lpa-run-report/4"
 PROFILE_SCHEMA = "lpa-profile/1"
 
 
@@ -38,13 +38,13 @@ def validate_profile(report):
     """Structural check of a run report's profile block.
 
     Returns a list of human-readable problem strings (empty = valid).
-    Shared by tools/test_profile_tools.py and the CI profiling-smoke job,
+    Shared by tools/test_profile_tools.py and the CI obs-smoke job,
     so the gate and the renderer agree on what "well-formed" means.
     """
     errors = []
-    if report.get("schema") not in REPORT_SCHEMAS:
-        errors.append(f"report schema {report.get('schema')!r} is not one of "
-                      f"{REPORT_SCHEMAS}")
+    if report.get("schema") != REPORT_SCHEMA:
+        errors.append(f"report schema {report.get('schema')!r} is not "
+                      f"{REPORT_SCHEMA}")
     profile = report.get("profile")
     if not isinstance(profile, dict):
         return errors + ["missing or non-object 'profile' block "

@@ -6,16 +6,17 @@ status block per refresh: the /status heartbeat (phase, progress bar, rate,
 ETA, stop reason, resume lineage), a curated selection of /metrics counters,
 and the newest /events journal lines.
 
-The Prometheus parser/validator here is also the CI contract: the
-telemetry-smoke job and the `telemetry_tools_selftest` tier-1 test feed
-/metrics documents through validate_exposition(), so a formatting regression
-in src/obs/exposition.cpp fails fast instead of silently breaking scrapers.
+The Prometheus parser/validator here is also the CI contract: the CI
+obs-smoke job and the `telemetry_tools_selftest` tier-1 test feed /metrics
+documents through validate_exposition(), so a formatting regression in
+src/obs/exposition.cpp fails fast instead of silently breaking scrapers.
 
 Usage:
   tools/lpa_watch.py --url http://127.0.0.1:9187 [--interval 2] [--once]
 
-Accepts heartbeat schemas lpa-heartbeat/1 and /2 (the /2 fields are shown
-when present) and journal schema lpa-event-journal/1.
+This is the repository's one live viewer. It recognises heartbeat schema
+lpa-heartbeat/2 (the only version the runs write; anything else renders
+with a warning) and journal schema lpa-event-journal/1.
 """
 
 import argparse
@@ -25,7 +26,7 @@ import time
 import urllib.error
 import urllib.request
 
-HEARTBEAT_SCHEMAS = ("lpa-heartbeat/1", "lpa-heartbeat/2")
+HEARTBEAT_SCHEMA = "lpa-heartbeat/2"
 JOURNAL_SCHEMA = "lpa-event-journal/1"
 
 
@@ -165,10 +166,10 @@ def fmt_eta(eta):
 
 
 def render_status(hb):
-    """Renders a heartbeat dict (/1 or /2) as terminal lines."""
+    """Renders a heartbeat dict as terminal lines."""
     lines = []
     schema = hb.get("schema", "?")
-    if schema not in HEARTBEAT_SCHEMAS:
+    if schema != HEARTBEAT_SCHEMA:
         lines.append(f"  (unrecognized heartbeat schema {schema!r})")
     status = hb.get("status", "?")
     done = hb.get("done", 0) or 0
@@ -180,7 +181,6 @@ def render_status(hb):
                  f"  {hb.get('rate_per_sec', 0.0):.1f}/s"
                  f"  eta {fmt_eta(hb.get('eta_sec'))}"
                  f"  elapsed {hb.get('elapsed_sec', 0.0):.1f}s")
-    # /2 fields — shown when present and meaningful.
     if hb.get("stop_reason") and status != "running":
         lines.append(f"  stop    {hb['stop_reason']}")
     if hb.get("lineage_id"):

@@ -23,7 +23,7 @@ import bench_compare  # noqa: E402
 
 def report(params, name="bench_acquire_scaling", digest="abc123"):
     return {
-        "schema": "lpa-run-report/2",
+        "schema": "lpa-run-report/4",
         "name": name,
         "determinism_digest": digest,
         "params": params,
@@ -177,9 +177,10 @@ class LoadInputs(unittest.TestCase):
         finally:
             os.unlink(path)
 
-    def test_schema3_report_with_resilience_block_loads(self):
-        # Reports from the durable-acquisition era (lpa-run-report/3 with a
-        # resilience block) must flow through the gate like /2 reports.
+    def test_schema3_report_is_refused(self):
+        # /4 is the only report version the gate reads: a retired
+        # lpa-run-report/3 document (even one with a resilience block)
+        # stops the gate with a message naming the expected version.
         r3 = report(FULL_PARAMS)
         r3["schema"] = "lpa-run-report/3"
         r3["resilience"] = {"truncated": False, "resumed": True,
@@ -188,10 +189,9 @@ class LoadInputs(unittest.TestCase):
             path = os.path.join(d, "r3.json")
             with open(path, "w") as f:
                 json.dump(r3, f)
-            reports, _ = bench_compare.load_inputs([path])
-        self.assertIn("bench_acquire_scaling", reports)
-        gate, _ = run(baseline_for(FULL_PARAMS), FULL_PARAMS)
-        self.assertEqual(gate.failures, [])
+            with self.assertRaises(SystemExit) as ctx:
+                bench_compare.load_inputs([path])
+        self.assertIn("lpa-run-report/4", str(ctx.exception))
 
     def test_gbench_and_report_split(self):
         gb = {"benchmarks": [

@@ -7,7 +7,7 @@ available (tests/CMakeLists.txt). Focus: the crash-safety contract of the
 run ledger — appends are fsync'd (obs/fsio.h), so a crash can tear at most
 the trailing JSONL line, and both readers must keep the intact prefix with
 a warning instead of failing or silently dropping good runs. Plus: both
-readers accept every run-report schema era (/1, /2, /3).
+readers read lpa-run-report/4 and skip every other version with a warning.
 """
 
 import io
@@ -24,7 +24,7 @@ import lpa_dashboard  # noqa: E402
 
 
 def fig7_report(schema="lpa-run-report/4"):
-    report = {
+    return {
         "schema": schema,
         "name": "bench_fig7_total_leakage",
         "git": "test",
@@ -39,21 +39,18 @@ def fig7_report(schema="lpa-run-report/4"):
                 {"style": "GLUT", "months": 0.0, "total": 20.0},
             ],
         },
-    }
-    if schema in ("lpa-run-report/3", "lpa-run-report/4"):
-        report["resilience"] = {
+        "resilience": {
             "truncated": False,
             "resumed": True,
             "stop_reason": "completed",
-        }
-    if schema == "lpa-run-report/4":
-        report["profile"] = {
+        },
+        "profile": {
             "schema": "lpa-profile/1",
             "runs": 32,
             "lane_occupancy": {"waves": 100, "mean_popped": 6.5,
                                "mean_committed": 0.7},
-        }
-    return report
+        },
+    }
 
 
 def ledger_line(report):
@@ -156,19 +153,33 @@ class OrderingOnlyGate(unittest.TestCase):
         self.assertTrue(any("B missing" in f for f in failures))
 
 
-class SchemaEras(unittest.TestCase):
-    def test_both_readers_accept_every_schema_era(self):
+class SchemaVersions(unittest.TestCase):
+    def test_both_readers_read_v4_and_skip_retired_versions(self):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "ledger.jsonl")
+            with open(path, "w") as f:
+                f.write(ledger_line(fig7_report()) + "\n")
+            reports = lpa_dashboard.load_ledger([path])
+            gate_report = leakage_gate.load_matrix_report(path)
+        self.assertEqual(len(reports), 1)
+        self.assertEqual(gate_report["schema"], "lpa-run-report/4")
+
         for schema in ("lpa-run-report/1", "lpa-run-report/2",
-                       "lpa-run-report/3", "lpa-run-report/4"):
+                       "lpa-run-report/3"):
             with tempfile.TemporaryDirectory() as d:
                 path = os.path.join(d, "ledger.jsonl")
                 with open(path, "w") as f:
                     f.write(ledger_line(fig7_report(schema)) + "\n")
-                with redirect_stderr(io.StringIO()):
+                with redirect_stderr(io.StringIO()) as dash_err:
                     reports = lpa_dashboard.load_ledger([path])
-                    gate_report = leakage_gate.load_matrix_report(path)
-            self.assertEqual(len(reports), 1, schema)
-            self.assertEqual(gate_report["schema"], schema)
+                with redirect_stderr(io.StringIO()) as gate_err:
+                    with self.assertRaises(SystemExit):
+                        leakage_gate.load_matrix_report(path)
+            self.assertEqual(reports, [], schema)
+            self.assertIn("warning", dash_err.getvalue(), schema)
+            self.assertIn(schema, dash_err.getvalue())
+            self.assertIn("warning", gate_err.getvalue(), schema)
+            self.assertIn(schema, gate_err.getvalue())
 
     def test_unknown_schema_is_skipped_with_warning(self):
         with tempfile.TemporaryDirectory() as d:

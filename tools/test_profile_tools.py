@@ -3,7 +3,7 @@
 
 Stdlib-only; registered as a tier-1 ctest when a Python interpreter is
 available (tests/CMakeLists.txt). Focus: the validate_profile() contract
-the CI profiling-smoke job gates on (a well-formed lpa-run-report/4
+the CI obs-smoke job gates on (a well-formed lpa-run-report/4
 "profile" block), and that render() produces a self-contained HTML page
 with every section present from a synthetic report — no C++ build needed.
 """

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Tests for tools/lpa_watch.py's Prometheus exposition parser/validator and
-renderers — the contract the CI telemetry-smoke job gates /metrics on."""
+renderers — the contract the CI smoke job gates /metrics on."""
 
 import unittest
 
@@ -111,13 +111,15 @@ class Renderers(unittest.TestCase):
         self.assertIn("abc123", text)
         self.assertIn("512/1024 (50.0%)", text)
 
-    def test_render_status_v1_accepted_without_warning(self):
+    def test_render_status_v1_warns(self):
+        # /2 is the only heartbeat version the runs write: a retired /1
+        # document still renders, under a warning.
         hb = {"schema": "lpa-heartbeat/1", "name": "run", "pid": 7,
               "status": "running", "phase": "acquire", "done": 1,
               "total": 4, "rate_per_sec": 1.0, "eta_sec": 3.0,
               "elapsed_sec": 1.0}
         text = "\n".join(lpa_watch.render_status(hb))
-        self.assertNotIn("unrecognized", text)
+        self.assertIn("unrecognized heartbeat schema 'lpa-heartbeat/1'", text)
         self.assertIn("running", text)
 
     def test_render_status_unknown_schema_warns(self):
