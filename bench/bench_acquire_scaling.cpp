@@ -6,21 +6,20 @@
 // (the determinism contract of trace/acquisition.h). A final A/B section
 // measures the overhead of the attached metrics (observe on vs off) and
 // re-checks bit-identity across the two modes (the zero-perturbation
-// contract of obs/metrics.h).
+// contract of obs/metrics.h). Every bit-identity check compares
+// DigestAccumulator values (FNV-1a over the exact bit patterns of labels
+// and samples), so one flipped bit in one sample fails it.
 //
-// An engine A/B/C/D section cross-times the reference, compiled, exact
-// batch, and quantized-grid batch engines at one thread: the first three
-// must stay bit-identical; the quantized side (DESIGN.md §14) is checked
-// for repeat-run determinism and reported as batch_quant_speedup, the
-// ratio the CI perf gate pins.
+// An engine A/B/C section cross-times the reference, compiled and batch
+// engines at one thread; all three must stay bit-identical.
 //
 // Under --profile the run additionally attaches the cost-attribution
 // profiler (obs/profiler.h): the report's "profile" block then carries the
 // per-net top-K, the batch engine's lane-occupancy histograms (mean popped/
-// committed lanes per wave — the machine-readable form of the PR 6 lane-
-// utilization analysis) and per-phase hardware counters, and the bench
-// runs a profiler-on/off A/B that pins the attachment overhead (<= 5%) and
-// bit-identity (profile_overhead_pct / profile_bit_identical params).
+// committed lanes per wave, DESIGN.md §13) and per-phase hardware
+// counters, and the bench runs a profiler-on/off A/B that pins the
+// attachment overhead (<= 5%) and bit-identity (profile_overhead_pct /
+// profile_bit_identical params).
 //
 // Under --listen the run additionally proves the telemetry plane's
 // zero-perturbation claim end to end: a scraper thread hammers the
@@ -50,18 +49,6 @@
 #include "bench_util.h"
 
 namespace {
-
-/// Order-sensitive digest of a trace set (labels + samples).
-double digest(const lpa::TraceSet& ts) {
-  double d = 0.0;
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    d += static_cast<double>(ts.label(i)) * static_cast<double>(i + 1);
-    for (std::uint32_t s = 0; s < ts.numSamples(); ++s) {
-      d += ts.trace(i)[s] * static_cast<double>((i + s) % 97 + 1);
-    }
-  }
-  return d;
-}
 
 /// Minimal loopback HTTP GET (the scraper side of the --listen proof);
 /// returns the raw response, "" on any failure.
@@ -157,7 +144,7 @@ int main(int argc, char** argv) {
   std::printf("%8s %12s %12s %10s %12s\n", "threads", "seconds",
               "traces/sec", "speedup", "bit-ident");
   double baseline = 0.0;
-  double refDigest = 0.0;
+  std::uint64_t refDigest = 0;
   bool allIdentical = true;
   const double n = 16.0 * tracesPerClass;
   for (std::uint32_t t : counts) {
@@ -168,12 +155,12 @@ int main(int argc, char** argv) {
       obs::PhaseTimer phase(report, "acquire t=" + std::to_string(t));
       secs = bench::bestOf(3, [&] { ts = exp.acquireAt(0.0); });
     }
-    const double dig = digest(ts);
+    bench::DigestAccumulator acc;
+    acc.addTraceSet(ts);
+    const std::uint64_t dig = acc.value();
     if (t == 1) {
       baseline = secs;
       refDigest = dig;
-      bench::DigestAccumulator acc;
-      acc.addTraceSet(ts);
       report.setDigest(acc.hex());
     }
     const bool same = dig == refDigest;
@@ -202,15 +189,15 @@ int main(int argc, char** argv) {
   // Interleave the repetitions (on/off pairs, min of each side) so CPU
   // frequency / cache drift cannot bias one side of the comparison.
   double secsOn = 1e300, secsOff = 1e300;
-  double digOn = 0.0, digOff = 0.0;
+  std::uint64_t digOn = 0, digOff = 0;
   {
     obs::PhaseTimer phase(report, "ab.overhead");
     for (int rep = 0; rep < 7; ++rep) {
       TraceSet ts(1);
       secsOn = std::min(secsOn, bench::bestOf(1, [&] { ts = abOn.acquireAt(0.0); }));
-      digOn = digest(ts);
+      digOn = jobs::digestOfTraceSet(ts);
       secsOff = std::min(secsOff, bench::bestOf(1, [&] { ts = abOff.acquireAt(0.0); }));
-      digOff = digest(ts);
+      digOff = jobs::digestOfTraceSet(ts);
     }
   }
   const double overheadPct = (secsOn / secsOff - 1.0) * 100.0;
@@ -239,7 +226,7 @@ int main(int argc, char** argv) {
     SboxExperiment telOn = makeAb(true);
     SboxExperiment telOff = makeAb(true);
     double secsTOn = 1e300, secsTOff = 1e300;
-    double digTOn = 0.0, digTOff = 0.0;
+    std::uint64_t digTOn = 0, digTOff = 0;
     {
       obs::PhaseTimer phase(report, "ab.telemetry");
       for (int rep = 0; rep < 7; ++rep) {
@@ -247,11 +234,11 @@ int main(int argc, char** argv) {
         scrapeActive.store(true);
         secsTOn = std::min(secsTOn,
                            bench::bestOf(1, [&] { ts = telOn.acquireAt(0.0); }));
-        digTOn = digest(ts);
+        digTOn = jobs::digestOfTraceSet(ts);
         scrapeActive.store(false);
         secsTOff = std::min(
             secsTOff, bench::bestOf(1, [&] { ts = telOff.acquireAt(0.0); }));
-        digTOff = digest(ts);
+        digTOff = jobs::digestOfTraceSet(ts);
       }
     }
     const double telOverheadPct = (secsTOn / secsTOff - 1.0) * 100.0;
@@ -286,20 +273,20 @@ int main(int argc, char** argv) {
   SboxExperiment engCmp = makeEngine(SimEngine::Compiled);
   SboxExperiment engBat = makeEngine(SimEngine::Batch);
   double secsRef = 1e300, secsCmp = 1e300, secsBat = 1e300;
-  double digRef = 0.0, digCmp = 0.0, digBat = 0.0;
+  std::uint64_t digRef = 0, digCmp = 0, digBat = 0;
   {
     obs::PhaseTimer phase(report, "ab.engine");
     for (int rep = 0; rep < 5; ++rep) {
       TraceSet ts(1);
       secsRef = std::min(secsRef,
                          bench::bestOf(1, [&] { ts = engRef.acquireAt(0.0); }));
-      digRef = digest(ts);
+      digRef = jobs::digestOfTraceSet(ts);
       secsCmp = std::min(secsCmp,
                          bench::bestOf(1, [&] { ts = engCmp.acquireAt(0.0); }));
-      digCmp = digest(ts);
+      digCmp = jobs::digestOfTraceSet(ts);
       secsBat = std::min(secsBat,
                          bench::bestOf(1, [&] { ts = engBat.acquireAt(0.0); }));
-      digBat = digest(ts);
+      digBat = jobs::digestOfTraceSet(ts);
     }
   }
   const double engineSpeedup = secsRef / secsCmp;
@@ -319,69 +306,6 @@ int main(int argc, char** argv) {
   report.setParam("batch_speedup", batchSpeedup);
   report.setParam("engine_bit_identical", obs::Json(engIdentical));
 
-  // Engine D: the quantized-grid batch mode (DESIGN.md §14) vs the exact
-  // batch engine, one thread, opt-in SampleGrid quantization. Quantized
-  // traces are leakage-equivalent, not bit-identical, so the on-the-fly
-  // check is repeat-run determinism (the same digest every repetition) —
-  // the exact engines' digest above is untouched by construction. Both
-  // sides are re-measured interleaved so frequency drift cannot bias the
-  // ratio; batch_quant_speedup is the machine-independent ratio the CI
-  // perf gate pins.
-  std::printf("\nengine D (quantized-grid batch vs exact batch, 1 thread):\n");
-  auto makeQuant = [&] {
-    ExperimentConfig qcfg;
-    qcfg.acquisition.tracesPerClass = tracesPerClass;
-    qcfg.acquisition.numThreads = 1;
-    qcfg.acquisition.engine = SimEngine::Batch;
-    qcfg.acquisition.timeQuantization = TimeQuantization::SampleGrid;
-    return SboxExperiment(SboxStyle::Glut, qcfg);
-  };
-  SboxExperiment engQnt = makeQuant();
-  double secsBatAb = 1e300, secsQnt = 1e300;
-  double digQnt = 0.0;
-  bool quantDeterministic = true;
-  {
-    obs::PhaseTimer phase(report, "ab.quantized");
-    for (int rep = 0; rep < 5; ++rep) {
-      TraceSet ts(1);
-      secsBatAb = std::min(secsBatAb,
-                           bench::bestOf(1, [&] { ts = engBat.acquireAt(0.0); }));
-      secsQnt = std::min(secsQnt,
-                         bench::bestOf(1, [&] { ts = engQnt.acquireAt(0.0); }));
-      const double d = digest(ts);
-      if (rep == 0) digQnt = d;
-      quantDeterministic = quantDeterministic && d == digQnt;
-    }
-  }
-  allIdentical = allIdentical && quantDeterministic;
-  const double quantSpeedup = secsBatAb / secsQnt;
-  std::printf(
-      "  exact batch %.4fs (%.0f traces/sec), quantized %.4fs (%.0f "
-      "traces/sec, %.2fx over exact batch, %.2fx over reference),\n"
-      "  repeat-deterministic %s\n",
-      secsBatAb, n / secsBatAb, secsQnt, n / secsQnt, quantSpeedup,
-      secsRef / secsQnt, quantDeterministic ? "yes" : "NO");
-  report.setParam("traces_per_sec_batch_quant", n / secsQnt);
-  report.setParam("batch_quant_speedup", quantSpeedup);
-  report.setParam("quant_deterministic", obs::Json(quantDeterministic));
-  if (scope.profiler() != nullptr) {
-    // Quantized lane-occupancy census next to the exact one below, on a
-    // throwaway profiler so the scope's profile block keeps describing
-    // the main (exact) run.
-    obs::Profiler qp;
-    SboxExperiment qprof = makeQuant();
-    qprof.attachProfiler(&qp);
-    qprof.acquireAt(0.0);
-    std::printf(
-        "  quantized lane occupancy: %.2f popped, %.2f committed of 64 "
-        "lanes/wave (%llu waves)\n",
-        qp.meanPoppedLanes(), qp.meanCommittedLanes(),
-        static_cast<unsigned long long>(qp.waves()));
-    report.setParam("batch_quant_mean_popped_lanes", qp.meanPoppedLanes());
-    report.setParam("batch_quant_mean_committed_lanes",
-                    qp.meanCommittedLanes());
-  }
-
   // Profiler A/B (only under --profile): same batch acquisition with the
   // cost-attribution profiler attached vs detached. Pure-sink contract:
   // digests must match bit-for-bit and the attached run stays within a few
@@ -394,17 +318,17 @@ int main(int argc, char** argv) {
     SboxExperiment profOff = makeEngine(SimEngine::Batch);
     profOn.attachProfiler(&abProfiler);
     double secsPOn = 1e300, secsPOff = 1e300;
-    double digPOn = 0.0, digPOff = 0.0;
+    std::uint64_t digPOn = 0, digPOff = 0;
     {
       obs::PhaseTimer phase(report, "ab.profiler");
       for (int rep = 0; rep < 7; ++rep) {
         TraceSet ts(1);
         secsPOn = std::min(secsPOn,
                            bench::bestOf(1, [&] { ts = profOn.acquireAt(0.0); }));
-        digPOn = digest(ts);
+        digPOn = jobs::digestOfTraceSet(ts);
         secsPOff = std::min(
             secsPOff, bench::bestOf(1, [&] { ts = profOff.acquireAt(0.0); }));
-        digPOff = digest(ts);
+        digPOff = jobs::digestOfTraceSet(ts);
       }
     }
     const double profOverheadPct = (secsPOn / secsPOff - 1.0) * 100.0;
@@ -416,9 +340,10 @@ int main(int argc, char** argv) {
     report.setParam("profile_overhead_pct", profOverheadPct);
     report.setParam("profile_bit_identical", obs::Json(profIdentical));
 
-    // Lane occupancy, machine-readable: the PR 6 analysis found the batch
-    // engine pops ~6.5 and commits ~1.4 of 64 lanes per wave on this
-    // workload; these params let CI re-check that finding on every run.
+    // Lane occupancy, machine-readable: at 64/class the batch engine pops
+    // 1.47-1.50 of 64 lanes per wave on this workload, and commits every
+    // one of them (no-ops are dropped at push without a watchdog); CI's
+    // obs-smoke job re-checks both on every run.
     const obs::Profiler& p = *scope.profiler();
     std::printf(
         "  lane occupancy: %.2f popped, %.2f committed of 64 lanes/wave "

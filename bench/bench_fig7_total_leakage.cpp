@@ -6,12 +6,6 @@
 // (src/stats + src/analysis/ordering.h).
 //
 // Usage: bench_fig7_total_leakage [tracesPerClass] [--json p] [--ledger p]
-//        [--quantized]
-//
-// --quantized serves the whole matrix through the quantized-grid batch
-// engine (DESIGN.md §14): leakage-equivalent, not bit-identical — the
-// nightly quantized-qualification job gates its ledger ordering-only
-// against LEAKAGE_golden.json (tools/leakage_gate.py --ordering-only).
 //
 // The statistics block of the run report carries the full style x age
 // matrix with half-widths; tools/lpa_dashboard.py renders it as the Fig. 7
@@ -23,12 +17,11 @@
 
 int main(int argc, char** argv) {
   using namespace lpa;
-  bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
-  const bool quantized = bench::takeFlag(args, "--quantized");
-  bench::RunScope scope("bench_fig7_total_leakage", std::move(args));
+  bench::RunScope scope("bench_fig7_total_leakage",
+                        bench::parseBenchArgs(argc, argv));
   bench::header(
       "Total leakage power, fresh and aged, single-bit vs multi-bit",
-      quantized ? "Fig. 7, quantized-grid batch engine" : "Fig. 7");
+      "Fig. 7");
 
   const std::uint32_t tracesPerClass = bench::positionalCount(
       scope.args(), 0, 64, "tracesPerClass");
@@ -36,15 +29,9 @@ int main(int argc, char** argv) {
   ExperimentConfig cfg;
   cfg.acquisition.tracesPerClass = tracesPerClass;
   cfg.acquisition.progress = scope.progressSink();
-  if (quantized) {
-    cfg.acquisition.engine = SimEngine::Batch;
-    cfg.acquisition.timeQuantization = TimeQuantization::SampleGrid;
-  }
   scope.report().setSeed(cfg.acquisition.seed);
   scope.report().setParam("traces_per_class",
                           static_cast<double>(tracesPerClass));
-  scope.report().setParam("time_quantization",
-                          std::string(quantized ? "sample-grid" : "exact"));
 
   std::printf("%-16s %6s %14s %12s %14s %14s %10s\n", "impl", "months",
               "total", "+-95% CI", "multi-bit", "single-bit", "1bit/total");

@@ -214,20 +214,6 @@ inline std::uint32_t positionalCount(const BenchArgs& args, std::size_t idx,
   return static_cast<std::uint32_t>(v);
 }
 
-/// Consumes a bench-specific boolean `--flag` from the positionals (flags
-/// parseBenchArgs does not recognize ride through in `positional`);
-/// returns true when it was present. Consuming keeps positionalCount's
-/// strict index-based parsing intact for the remaining arguments.
-inline bool takeFlag(BenchArgs& args, const std::string& flag) {
-  for (auto it = args.positional.begin(); it != args.positional.end(); ++it) {
-    if (*it == flag) {
-      args.positional.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
 /// One bench run's observability scope: owns the RunReport, enables the
 /// Chrome trace collector when requested, owns the cost-attribution
 /// profiler + per-phase hardware counters under --profile, the heartbeat

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "jobs/trace_digest.h"
 #include "obs/fsio.h"
 #include "stats/serial.h"
 
@@ -15,15 +16,6 @@ void putBytes(std::vector<std::uint8_t>& out, const void* data,
   const std::size_t at = out.size();
   out.resize(at + n);
   std::memcpy(out.data() + at, data, n);
-}
-
-std::uint64_t fnvOf(const std::uint8_t* data, std::size_t n) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 0x100000001B3ULL;
-  }
-  return h;
 }
 
 std::optional<Checkpoint> fail(std::string* whyNot, const char* reason) {
@@ -56,7 +48,7 @@ void saveCheckpoint(const std::string& path, const Checkpoint& cp) {
   }
   stats::serial::putU64(buf, cp.streamState.size());
   putBytes(buf, cp.streamState.data(), cp.streamState.size());
-  stats::serial::putU64(buf, fnvOf(buf.data(), buf.size()));
+  stats::serial::putU64(buf, digestOfBytes(buf.data(), buf.size()));
 
   obs::atomicWriteFile(
       path, std::string(reinterpret_cast<const char*>(buf.data()),
@@ -100,7 +92,7 @@ std::optional<Checkpoint> loadCheckpoint(const std::string& path,
       return fail(whyNot, "file too short");
     }
   }
-  if (fnvOf(buf.data(), body) != storedSum) {
+  if (digestOfBytes(buf.data(), body) != storedSum) {
     return fail(whyNot, "checksum mismatch (torn or corrupt file)");
   }
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <exception>
 #include <stdexcept>
 
@@ -21,39 +19,6 @@
 namespace lpa::jobs {
 
 namespace {
-
-void fnvU64(std::uint64_t& h, std::uint64_t v) {
-  for (int b = 0; b < 64; b += 8) {
-    h ^= (v >> b) & 0xFF;
-    h *= 0x100000001B3ULL;
-  }
-}
-
-void fnvF64(std::uint64_t& h, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  fnvU64(h, bits);
-}
-
-std::string hexOf(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-/// FNV-1a over a lineage entry string: the flow-event id linking the
-/// checkpoint-write in one process to the resume-adoption in the next.
-/// Both sides hash the same "g<k>/<n>:<digest>" text, so the ids match
-/// across restarts with no shared state beyond the checkpoint itself.
-std::uint64_t fnvOfString(const std::string& s) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
 
 /// Best-effort message of the exception behind `eptr`, for journal fields.
 std::string describeError(std::exception_ptr eptr) {
@@ -93,47 +58,41 @@ std::uint64_t acquisitionFingerprint(const MaskedSbox& sbox,
                                      const PowerModel& power,
                                      const AcquisitionConfig& cfg,
                                      const JobConfig& job) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  fnvU64(h, netlistDigest(sbox.netlist()));
-  fnvU64(h, static_cast<std::uint64_t>(sbox.style()));
-  fnvU64(h, cfg.seed);
-  fnvU64(h, cfg.tracesPerClass);
-  fnvU64(h, cfg.initialValue);
+  DigestAccumulator h;
+  h.addU64(netlistDigest(sbox.netlist()));
+  h.addU64(static_cast<std::uint64_t>(sbox.style()));
+  h.addU64(cfg.seed);
+  h.addU64(cfg.tracesPerClass);
+  h.addU64(cfg.initialValue);
   // The physical model as the engines lower it (CompiledDesign): delay kind
   // and swing weighting, every gate's delay (load, jitter, aging, delay
   // faults), the power options and every gate's aged pulse energy.
-  fnvU64(h, static_cast<std::uint64_t>(sim.options().kind));
-  fnvF64(h, sim.options().fullSwingFactor);
-  for (double d : sim.delayModel().delays()) fnvF64(h, d);
+  h.addU64(static_cast<std::uint64_t>(sim.options().kind));
+  h.add(sim.options().fullSwingFactor);
+  for (double d : sim.delayModel().delays()) h.add(d);
   const PowerOptions& po = power.options();
-  fnvF64(h, po.samplePeriodPs);
-  fnvU64(h, po.numSamples);
-  fnvF64(h, po.pulseWidthPs);
-  fnvF64(h, po.inputCapFf);
-  fnvF64(h, po.outputLoadFf);
-  fnvF64(h, po.noiseSigma);
+  h.add(po.samplePeriodPs);
+  h.addU64(po.numSamples);
+  h.add(po.pulseWidthPs);
+  h.add(po.inputCapFf);
+  h.add(po.outputLoadFf);
+  h.add(po.noiseSigma);
   for (std::size_t g = 0; g < power.numGates(); ++g) {
-    fnvF64(h, power.effectiveCapFf(static_cast<NetId>(g)));
+    h.add(power.effectiveCapFf(static_cast<NetId>(g)));
   }
-  // Quantized-grid traces are not bit-compatible with exact-mode traces, so
-  // their checkpoints must not cross-adopt.
-  if (cfg.timeQuantization != TimeQuantization::Exact) {
-    fnvU64(h, 0x71756E7467726964ULL);  // "quntgrid"
-    fnvU64(h, static_cast<std::uint64_t>(cfg.timeQuantization));
-  }
-  fnvU64(h, cfg.adaptive ? 1 : 0);
+  h.addU64(cfg.adaptive ? 1 : 0);
   if (cfg.adaptive) {
-    fnvU64(h, cfg.batchSize);
-    fnvU64(h, cfg.maxTraces != 0 ? cfg.maxTraces
-                                 : 16ULL * cfg.tracesPerClass);
-    fnvF64(h, cfg.targetCiRel);
+    h.addU64(cfg.batchSize);
+    h.addU64(cfg.maxTraces != 0 ? cfg.maxTraces
+                                : 16ULL * cfg.tracesPerClass);
+    h.add(cfg.targetCiRel);
   } else {
-    fnvU64(h, job.groupTraces);
+    h.addU64(job.groupTraces);
   }
-  fnvU64(h, static_cast<std::uint64_t>(job.statsOpt.mode));
-  fnvU64(h, job.statsOpt.numFolds);
-  fnvF64(h, job.statsOpt.confidence);
-  return h;
+  h.addU64(static_cast<std::uint64_t>(job.statsOpt.mode));
+  h.addU64(job.statsOpt.numFolds);
+  h.add(job.statsOpt.confidence);
+  return h.value();
 }
 
 ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
@@ -242,7 +201,9 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
           if (!info.lineage.empty()) {
             obs::TraceCollector& tc = obs::TraceCollector::global();
             tc.recordFlow("checkpoint-resume", tc.nowUs(),
-                          fnvOfString(info.lineage.back()), /*start=*/false);
+                          digestOfBytes(info.lineage.back().data(),
+                                        info.lineage.back().size()),
+                          /*start=*/false);
           }
         }
       }
@@ -282,15 +243,6 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
   std::atomic<bool> deadlineTripped{false};
 
   SimEngine engine = cfg.engine;
-  // Quantized-grid runs (DESIGN.md §14) have no exact-engine oracle: their
-  // traces legitimately differ from what Reference would collect, so both
-  // quarantine demotion and the Reference spot-check would corrupt the run
-  // (mixed-mode bits / guaranteed false mismatch). Divergences escalate
-  // through the retry/trap budget instead, and spot-checks become
-  // same-engine self-consistency re-runs (a mismatch there is real
-  // nondeterminism and aborts the run — there is no safe engine to fall
-  // back to).
-  const bool quantized = cfg.timeQuantization != TimeQuantization::Exact;
   std::uint32_t divergences = 0;
   const std::uint32_t spotEvery = job.spotCheckEveryGroups;
   const std::uint64_t spotOffset =
@@ -299,7 +251,7 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
           : 0;
 
   const auto quarantine = [&](std::uint64_t g, const char* reason) {
-    if (quantized || engine == SimEngine::Reference) return;
+    if (engine == SimEngine::Reference) return;
     engine = SimEngine::Reference;
     info.quarantined = true;
     info.events.push_back({g, reason});
@@ -429,15 +381,19 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
     cp.groupsTotal = groupsTotal;
     cp.completedGroups = info.groupsCompleted;
     cp.groupDigests = groupDigests;
+    DigestAccumulator committed;
+    committed.addTraceSet(res.traces);
     info.lineage.push_back("g" + std::to_string(info.groupsCompleted) + "/" +
                            std::to_string(groupsTotal) + ":" +
-                           hexOf(digestOfTraceSet(res.traces)));
+                           committed.hex());
     // Flow start: a future process resuming from this checkpoint emits the
     // matching finish (it re-hashes this very lineage entry).
     {
       obs::TraceCollector& tc = obs::TraceCollector::global();
       tc.recordFlow("checkpoint-resume", tc.nowUs(),
-                    fnvOfString(info.lineage.back()), /*start=*/true);
+                    digestOfBytes(info.lineage.back().data(),
+                                  info.lineage.back().size()),
+                    /*start=*/true);
     }
     cp.lineage = info.lineage;
     cp.traces = res.traces;
@@ -498,7 +454,7 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
       ++info.spotChecks;
       reg.counter("jobs.spot_checks").add(1);
       DigestAccumulator again;
-      runGroup(g, quantized ? ranWith : SimEngine::Reference,
+      runGroup(g, SimEngine::Reference,
                [&](std::uint8_t label, const double* samples) {
                  again.addTrace(label, samples, numSamples);
                },
@@ -506,15 +462,6 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
       if (again.value() == digestOfRange(res.traces, begin, end)) {
         obs::EventJournal::global().info(
             "spot-check", {{"group", std::to_string(g)}, {"result", "ok"}});
-      } else if (quantized) {
-        obs::EventJournal::global().error(
-            "spot-check", {{"group", std::to_string(g)},
-                           {"result", "self-consistency-mismatch"}});
-        throw std::runtime_error(
-            "resilientAcquire: quantized-grid spot-check mismatch on group " +
-            std::to_string(g) + " (style " + std::string(sbox.name()) +
-            "): the batch engine is nondeterministic; aborting (quantized "
-            "runs have no exact-engine fallback)");
       } else {
         quarantine(g, "spot-check-mismatch");
         if (!acquireGroup(g)) {

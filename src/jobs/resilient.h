@@ -48,15 +48,6 @@
 // SimDiverged demotes the run to the Reference engine and records a
 // QuarantineEvent. All of it lands in the run report's /3 `resilience`
 // block via fillResilience().
-//
-// Quantized-grid runs (cfg.timeQuantization == SampleGrid, DESIGN.md §14)
-// adapt both guards: their traces legitimately differ from the exact
-// engines', so there is no Reference oracle and no safe demotion target.
-// Spot-checks become same-engine self-consistency re-runs (a digest
-// mismatch is real nondeterminism and aborts the run with
-// std::runtime_error), quarantine never demotes, and the checkpoint
-// fingerprint folds an extra quantization tag so quantized and exact
-// checkpoints can never cross-adopt.
 
 #include <cstdint>
 #include <functional>
@@ -165,9 +156,10 @@ struct ResilientResult {
 /// lower (simulator kind and swing factor, gate delays, power options,
 /// aged pulse energies — so jitter, aging and delay faults count).
 /// Engine, thread count, deadline, cadence and retry knobs are excluded
-/// by design (see the resume invariant above); time quantization IS
-/// folded (only when non-Exact) because quantized traces are not
-/// bit-compatible with exact ones.
+/// by design (see the resume invariant above). Folded by
+/// DigestAccumulator (jobs/trace_digest.h); tests/test_resilience.cpp pins
+/// the value of one fixed and one adaptive config, because any change to
+/// it stops every existing checkpoint from resuming.
 std::uint64_t acquisitionFingerprint(const MaskedSbox& sbox,
                                      const EventSim& sim,
                                      const PowerModel& power,

@@ -1,8 +1,10 @@
 #pragma once
 // Order-sensitive FNV-1a determinism digests over trace data — the single
-// digest definition shared by the benches (bench/bench_util.h aliases this
-// class), the checkpoint/resume layer (jobs/checkpoint.h, group commit
-// digests), and the engine-quarantine spot-check (jobs/resilient.h).
+// FNV-1a of src/jobs, shared by the benches (bench/bench_util.h aliases
+// this class), the checkpoint/resume layer (jobs/checkpoint.h: group
+// commit digests and the file checksum), the acquisition fingerprint, the
+// checkpoint lineage's flow ids and the engine-quarantine spot-check
+// (jobs/resilient.h).
 //
 // The digest folds the exact IEEE-754 bit patterns of doubles, so equal
 // digests <=> bit-identical traces: it is the currency of every
@@ -34,6 +36,14 @@ class DigestAccumulator {
   void addU64(std::uint64_t bits) {
     for (int b = 0; b < 64; b += 8) {
       hash_ ^= (bits >> b) & 0xFF;
+      hash_ *= 0x100000001B3ULL;
+    }
+  }
+  /// Folds `n` bytes in memory order.
+  void addBytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      hash_ ^= p[i];
       hash_ *= 0x100000001B3ULL;
     }
   }
@@ -75,6 +85,13 @@ inline std::uint64_t digestOfRange(const TraceSet& ts, std::size_t begin,
 
 inline std::uint64_t digestOfTraceSet(const TraceSet& ts) {
   return digestOfRange(ts, 0, ts.size());
+}
+
+/// Digest of `n` bytes (the checkpoint file checksum, lineage flow ids).
+inline std::uint64_t digestOfBytes(const void* data, std::size_t n) {
+  DigestAccumulator d;
+  d.addBytes(data, n);
+  return d.value();
 }
 
 }  // namespace lpa::jobs

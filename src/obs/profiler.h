@@ -1,10 +1,11 @@
 #pragma once
 // Opt-in cost-attribution profiler for the simulation engines (DESIGN.md
 // §13). Answers "which nets, gates, and sim-time windows dominate event
-// traffic?" — the data the quantized-grid and JIT roadmap items need, and
-// the machine-readable form of PR 6's hand-collected lane-occupancy
-// analysis (exact census: 6.51/64 lanes popped, 0.68/64 committed per
-// wave on the GLUT workload, zero-commit waves included).
+// traffic?", and measures the batch engine's lane occupancy. Census on
+// the GLUT workload of `bench_acquire_scaling 64 --profile` (Release, 25
+// runs): 1.47-1.50 of 64 lanes popped per wave, zero-commit waves
+// included, and as many committed: with transport delays and no watchdog
+// the engine drops no-ops at push, so every popped lane commits.
 //
 // Contract: zero perturbation. A Profiler is a pure sink — it never feeds
 // a value back into simulation, never touches a PRNG stream, and all

@@ -92,33 +92,8 @@ BatchSim::BatchSim(const CompiledDesign& design, const SimOptions& options)
           ? std::clamp(design.minDelayPs * 0.5, 0.125, 8.0)
           : 0.5;
   invBucketWidth_ = 1.0 / w;
-  double invWidth = invBucketWidth_;
-
-  quantized_ = options.timeQuantization == TimeQuantization::SampleGrid;
-  if (quantized_) {
-    // Quantized-grid eligibility (DESIGN.md §14). The bucket index IS the
-    // grid step: every gate hop advances at most floor(maxDelayPs / dt) + 1
-    // steps (ceil-exclusive rounding) and any path crosses at most
-    // numLevels hops from the step-0 input commits, which keeps step below
-    // 2^20 and level below 2^20, the packed key's field widths.
-    if (design.samplePeriodPs <= 0.0) {
-      throw std::invalid_argument(
-          "BatchSim: sample-grid quantization requires a configured power "
-          "sample grid (samplePeriodPs > 0)");
-    }
-    quantPs_ = design.samplePeriodPs;
-    invQuantPs_ = 1.0 / quantPs_;
-    invWidth = invQuantPs_;
-    const std::size_t stepsPerLevel =
-        static_cast<std::size_t>(design.maxDelayPs * invQuantPs_) + 1;
-    if (std::size_t(design.numLevels) * stepsPerLevel + 2 >= kMaxBuckets) {
-      throw std::invalid_argument(
-          "BatchSim: combinational depth exceeds the quantized-grid step "
-          "horizon; use the exact engines for this design");
-    }
-  }
   ring_.resize(std::bit_ceil(
-      static_cast<std::size_t>(design.maxDelayPs * invWidth) + 3));
+      static_cast<std::size_t>(design.maxDelayPs * invBucketWidth_) + 3));
   ringMask_ = ring_.size() - 1;
 
   const std::size_t n = design.numGates;
@@ -528,7 +503,7 @@ void BatchSim::runCore(
   // transport no-ops are dropped at push instead of being queued.
   const bool watchdogArmed = opts_.maxEvents != 0 || opts_.maxTimePs > 0.0;
   const bool transport = opts_.kind == DelayKind::Transport;
-  const bool suppressNoOps = transport && !watchdogArmed && !quantized_;
+  const bool suppressNoOps = transport && !watchdogArmed;
   if (suppressNoOps) {
     std::copy(stateW_.begin(), stateW_.end(), lastSchedW_.begin());
   }
@@ -545,13 +520,11 @@ void BatchSim::runCore(
   const std::uint32_t* foOff = d.fanoutOffsets.data();
   const std::uint32_t* foEdge = d.fanoutEdges.data();
   const double* delayArr = d.delayPs.data();
-  const std::uint32_t* levelArr = d.level.data();
   std::uint64_t* stateW = stateW_.data();
   std::uint64_t* lastSchedW = lastSchedW_.data();
   double* lastCommitPs = lastCommitPs_.data();
   CommitLanes* commitLanes = commitLanes_.data();
   OpenWave* openWave = openWave_.data();
-  const bool quant = quantized_;  // loop-invariant mode select
 
   // Exact merge test for a push of lanes `pushM` at `tBits` into the open
   // wave b[idx] of an undrained bucket: same time, disjoint lanes, and no
@@ -571,11 +544,9 @@ void BatchSim::runCore(
   // over all lanes at once, then splits the triggering lane set `trig`
   // into the reference algorithm's branch sets with word ops. At most one
   // wave is pushed or joined per call, covering every lane that scalar
-  // semantics would have pushed for. `nowStep` is the trigger's grid step,
-  // consumed only by the quantized push stage (0 for the step-0 input
-  // commits).
+  // semantics would have pushed for.
   const auto scheduleGate = [&](std::uint32_t gateId, double now,
-                                std::size_t nowStep, std::uint64_t trig) {
+                                std::uint64_t trig) {
     if (isSourceGate(static_cast<GateType>(typeArr[gateId]))) return;
     const std::uint64_t nvW =
         evalTable64(faninArr + std::size_t(gateId) * kMaxFanin,
@@ -587,11 +558,9 @@ void BatchSim::runCore(
       // Transport delay: every triggered lane gets an independent
       // in-flight wavefront. A net's delay is fixed and `now` never falls,
       // so its events pop in push order and one that repeats the lane's
-      // last scheduled value could never commit. Exact mode without a
-      // watchdog drops it here; with one it is queued and cancelled at
-      // pop, so a trip lands on the reference's event. Quantized mode
-      // queues it too: its (net, step) waves take the last evaluation's
-      // value, which this argument does not cover.
+      // last scheduled value could never commit. Without a watchdog it is
+      // dropped here; with one it is queued and cancelled at pop, so a
+      // trip lands on the reference's event.
       pushM = trig;
       if (suppressNoOps) {
         pushM &= nvW ^ lastSchedW[gateId];
@@ -626,54 +595,25 @@ void BatchSim::runCore(
           static_cast<std::uint32_t>(popcount64(pushM));
     }
 
-    // Target bucket and wave time. Exact: the arrival time itself, in the
-    // calendar bucket it falls into. Quantized: ceil-exclusive to the NEXT
-    // grid boundary, step(eta) = floor(eta / dt) + 1 — strictly advancing,
-    // so chains of sub-period delays still move time forward and a commit
-    // can never trigger arrivals into its own (draining) step; the bucket
-    // index IS the step. The clamp is pure FP defense: eta > nowStep * dt
-    // numerically guarantees floor >= nowStep for physical delays, but a
-    // rounding surprise must not move time backwards.
-    std::size_t bucket;
-    std::uint64_t tBits;
-    if (quant) {
-      bucket = static_cast<std::size_t>(eta * invQuantPs_) + 1;
-      if (bucket <= nowStep) bucket = nowStep + 1;
-      if (bucket >= kMaxBuckets) {
-        // Unreachable by the ctor horizon check; a breach would overflow
-        // the packed key's 20-bit step, so fail loudly.
-        throw std::logic_error(
-            "BatchSim: quantized step beyond the calendar capacity");
-      }
-      tBits = timeToBits(static_cast<double>(bucket) * quantPs_);
-    } else {
-      bucket = static_cast<std::size_t>(eta * invBucketWidth_);
-      tBits = timeToBits(eta);
-    }
-
-    // Join the net's open wave, or push a new one. Quantized waves are
-    // unique per (net, step): OR the lanes in, last evaluation wins on the
-    // values (the sample period's settled value — sub-period glitches
-    // collapse by design); the wave's bucket is strictly future, so its
-    // stored index can't have been drained or shifted. Exact waves join
-    // only under keepsLaneOrder. Either way the wave id is the inertial
-    // pending identity that the pop-side liveness check compares: the
-    // step (quantized) or the wave's push id (exact).
+    // The wave keeps the exact arrival time, in the calendar bucket it
+    // falls into. It joins the net's open wave only under keepsLaneOrder,
+    // else it is pushed with a fresh push id. Either way the wave's push
+    // id is the inertial pending identity that the pop-side liveness check
+    // compares.
+    const std::size_t bucket = static_cast<std::size_t>(eta * invBucketWidth_);
+    const std::uint64_t tBits = timeToBits(eta);
     OpenWave& open = openWave[gateId];
     Slot& slot = ring_[bucket & ringMask_];
     std::uint64_t waveId;
     if (open.epoch == runEpoch_ && open.bucket == bucket && !slot.sorted &&
-        (quant || keepsLaneOrder(slot.waves, open.idx, tBits, pushM))) {
+        keepsLaneOrder(slot.waves, open.idx, tBits, pushM)) {
       QueueEvent& w = slot.waves[open.idx];
       w.mask |= pushM;
       w.value = (w.value & ~pushM) | pushV;
-      waveId = quant ? bucket : w.key >> 25;
+      waveId = w.key >> 25;
     } else {
-      waveId = quant ? bucket : ++pushCounter_;
-      const std::uint64_t key =
-          quant ? (std::uint64_t(levelArr[gateId]) << 44) |
-                      (std::uint64_t(gateId) << 20) | waveId
-                : (waveId << 25) | (std::uint64_t(gateId) << 1);
+      waveId = ++pushCounter_;
+      const std::uint64_t key = (waveId << 25) | (std::uint64_t(gateId) << 1);
       open = OpenWave{runEpoch_, bucket,
                       queuePush(bucket, QueueEvent{key, tBits, pushM, pushV})};
     }
@@ -735,7 +675,7 @@ void BatchSim::runCore(
     const std::uint32_t net = changedNets_[c];
     const std::uint64_t cm = changedMasks_[c];
     for (std::uint32_t e = foOff[net]; e < foOff[net + 1]; ++e) {
-      scheduleGate(foEdge[e], 0.0, 0, cm);
+      scheduleGate(foEdge[e], 0.0, cm);
     }
   }
 
@@ -743,16 +683,10 @@ void BatchSim::runCore(
     const QueueEvent e = queuePop();
     ++waves_;
     const double eTime = bitsToTime(e.timeBits);
-    // Exact keys pack (pushId << 25) | (net << 1); quantized keys pack
-    // (level << 44) | (net << 20) | step, where the step doubles as the
-    // inertial pending-wave identity (see scheduleGate).
+    // Keys pack (pushId << 25) | (net << 1).
     const std::uint32_t eNet =
-        quant ? static_cast<std::uint32_t>((e.key >> 20) & 0xFFFFFFu)
-              : static_cast<std::uint32_t>(e.key >> 1) & 0xFFFFFFu;
-    const std::size_t eStep =
-        quant ? static_cast<std::size_t>(e.key & 0xFFFFFu) : 0;
-    const std::uint64_t ePushId =
-        quant ? static_cast<std::uint64_t>(eStep) : (e.key >> 25);
+        static_cast<std::uint32_t>(e.key >> 1) & 0xFFFFFFu;
+    const std::uint64_t ePushId = e.key >> 25;
 
     if (prof) {
       ++profWaves_;
@@ -854,7 +788,7 @@ void BatchSim::runCore(
           static_cast<std::uint32_t>(popcount64(commitM));
     }
     for (std::uint32_t idx = foOff[eNet]; idx < foOff[eNet + 1]; ++idx) {
-      scheduleGate(foEdge[idx], eTime, eStep, commitM);
+      scheduleGate(foEdge[idx], eTime, commitM);
     }
   }
   recordRun();

@@ -12,44 +12,16 @@
 //
 // ## Lane-masked event waves
 //
-// In the default Exact mode event times stay continuous: a literal grid
-// quantization would break the engines' bit-identity contract (arrival
-// times are jittered per-gate delays, and both the partial-swing weight
-// and the pulse-deposition arithmetic consume exact times), so the grid
-// idea is used only where it is harmless — the calendar queue's bucket
-// index orders events without ever rounding their committed times, and
-// the design's delay extrema (CompiledDesign::min/maxDelayPs) size the
-// calendar's bucket width and ring ("Calendar ring" below). Glitch
-// semantics are untouched: arrival-time races reproduce lane-by-lane
-// exactly as in the scalar engines.
-//
-// ## Quantized-grid mode (SimOptions::timeQuantization == SampleGrid)
-//
-// The opt-in throughput mode (DESIGN.md §14) trades exact continuous-time
-// ordering for occupancy: every arrival time rounds UP to the next sample-
-// grid boundary, step(eta) = floor(eta / samplePeriodPs) + 1, and all
-// events landing on one (net, step) merge into a single wave (masks OR,
-// last evaluation wins on the values — the settled value of that sample
-// period; sub-sample glitches collapse, which the paper's 50 GS/s
-// instrument could never see anyway). Waves inside one step pop in
-// (level, net) order — a levelized sweep; the calendar bucket index IS the
-// step, and commit times are exact multiples of samplePeriodPs.
-//
-// Why this is sound without any same-step fixpoint iteration: rounding is
-// strictly advancing (every gate hop moves time forward by at least one
-// full step), so a commit at step s can only trigger arrivals at steps
-// > s — there are no same-step cascades, and a wave is never merged into
-// after its bucket starts draining. Crucially, a lane's own committed
-// steps and values never depend on which other lanes share its waves, so
-// per-lane independence — and with it thread-count invariance, slice
-// concatenation (checkpoint/resume), and seed determinism — survives
-// quantization structurally. What does NOT survive is bit-identity with
-// the exact engines: quantized traces are leakage-equivalent (same Fig. 7
-// magnitudes and class ordering, gated against LEAKAGE_golden.json), not
-// bit-equal. The four-way differential fuzzer (tests/engine_fuzz.h)
-// qualifies the mode: settled states bit-equal the exact engines, commit
-// times are grid-aligned and strictly advancing per (net, lane), and the
-// transport-mode total deposited energy never exceeds the exact run's.
+// Event times stay continuous: rounding them onto a grid would break the
+// engines' bit-identity contract (arrival times are jittered per-gate
+// delays, and both the partial-swing weight and the pulse-deposition
+// arithmetic consume exact times) and would merge the arrival-time races
+// that are the glitch leakage under study (DESIGN.md §14). A grid is used
+// only where it is harmless — the calendar queue's bucket index orders
+// events without ever rounding their committed times, and the design's
+// delay extrema (CompiledDesign::min/maxDelayPs) size the calendar's
+// bucket width and ring ("Calendar ring" below). Arrival-time races
+// reproduce lane-by-lane exactly as in the scalar engines.
 //
 // Each queue entry is one "wave": a (time, net, lane-mask, lane-values)
 // tuple covering every lane that scheduled that net at that time, in one
@@ -78,8 +50,7 @@
 // b in slot b mod the ring size, and a slot is scrubbed as the cursor
 // leaves it. It grows with maxDelayPs, not with logic depth: RSM-ROM (137
 // levels) needs 16 slots where a calendar over its combinational horizon
-// maxDelayPs x numLevels kept 1197 buckets. Quantized mode runs the same
-// ring over grid steps (width = samplePeriodPs).
+// maxDelayPs x numLevels kept 1197 buckets.
 //
 // ## Ordering (why no tie-break waiver is needed)
 //
@@ -100,7 +71,7 @@
 // Lanes split into separate pushes often schedule the same net at the
 // same time again in a later call. A push of lanes P to (t, g) therefore
 // joins W, the last wave pushed on g in this run (the per-net open-wave
-// table, shared with quantized mode), when all four of these hold:
+// table), when all four of these hold:
 //   1. W has the same time bits t;
 //   2. W's lanes are disjoint from P;
 //   3. W's bucket has not started draining (so W's slot is stable);
@@ -120,7 +91,7 @@
 //
 // With transport delays a net's delay is fixed and time never falls, so a
 // net's events pop in push order, and an event that repeats the lane's
-// last scheduled value could never commit. Without a watchdog, exact mode
+// last scheduled value could never commit. Without a watchdog, the engine
 // drops such lanes at push (lastSchedW_, copied from the settled state at
 // run start); an armed watchdog queues them, so a trip lands on the same
 // event as in the reference.
@@ -134,11 +105,10 @@
 //     net's fanout edges — each is exactly one reference event, queued or
 //     suppressed (source gates take no fanin);
 //   * inertial: one per push of the lane, fresh or joined.
-// Quantized mode derives them the same way, so there eventsProcessed
-// counts triggers, not per-lane wave memberships. BatchSim tracks no
-// per-lane queue depth: laneStats().peakQueueDepth stays 0.
+// BatchSim tracks no per-lane queue depth: laneStats().peakQueueDepth
+// stays 0.
 //
-// ## Bit-identity contract (Exact mode)
+// ## Bit-identity contract
 //
 // For every lane l < activeLanes(), BatchSim is bit-identical to an
 // EventSim/CompiledSim fed lane l's stimuli on the same design:
@@ -159,14 +129,10 @@
 // fault overlays included, except a forward bridge — matching power model,
 // < 2^24 gates; CompiledDesign and acquisition's resolveEngine enforce
 // this); any active lane count 1..64 is supported, so partial trailing
-// groups of a trace budget need no special casing. Quantized mode
-// additionally requires a configured sample grid (samplePeriodPs > 0) and
-// a step horizon numLevels x (floor(maxDelayPs / samplePeriodPs) + 1) + 2
-// below 2^20, the packed key's step field; the constructor throws
-// std::invalid_argument otherwise. Instrumentation lands in "sim.batch.*"
-// (and the shared "power.*") instruments in both modes; "sim.batch.waves"
-// counts queue pops, so events_processed / waves is the number of
-// reference events one wave stands for.
+// groups of a trace budget need no special casing. Instrumentation lands
+// in "sim.batch.*" (and the shared "power.*") instruments;
+// "sim.batch.waves" counts queue pops, so events_processed / waves is the
+// number of reference events one wave stands for.
 
 #include <array>
 #include <cstdint>
@@ -186,11 +152,8 @@ class BatchSim {
   /// `design` must outlive the sim and stay unmodified while any clone is
   /// running (the CompiledSim sharing contract); the calendar ring is
   /// sized from its maxDelayPs here, so refresh() it before, not after,
-  /// constructing the sim. Throws
-  /// std::invalid_argument for designs beyond the packed-event net
-  /// capacity (2^24 gates), and — under SampleGrid quantization — for
-  /// designs without a configured sample grid or whose combinational step
-  /// horizon reaches 2^20 steps (see "Eligibility").
+  /// constructing the sim. Throws std::invalid_argument for designs
+  /// beyond the packed-event net capacity (2^24 gates).
   BatchSim(const CompiledDesign& design, const SimOptions& options);
 
   /// Cheap copy for worker pools: shares the design tables and the metrics
@@ -289,12 +252,6 @@ class BatchSim {
   /// (see "Ordering" and "Wave merging" above). `mask` is the covered-lane
   /// set; `value` holds the scheduled lane values on the mask bits.
   ///
-  /// Quantized mode repacks `key` as (level << 44) | (net << 20) | step:
-  /// (net, step) is unique per wave (the merge rule), so sorts are tie-free
-  /// and the in-step pop order is the deterministic levelized (level, net)
-  /// sweep. `timeBits` holds step * samplePeriodPs, keeping the same
-  /// 128-bit pop comparison valid across both modes.
-  ///
   /// Field order is load-bearing for the queue: `key` in the low quadword
   /// and `timeBits` in the high quadword make the first 16 bytes, read as
   /// one little-endian unsigned 128-bit integer, equal to
@@ -307,12 +264,6 @@ class BatchSim {
     std::uint64_t mask;
     std::uint64_t value;
   };
-
-  /// Quantized steps must stay below this bound: the packed key holds the
-  /// step in 20 bits (the constructor's horizon check). The exact calendar
-  /// has no such bound — its ring indexes absolute buckets modulo its size
-  /// ("Calendar ring").
-  static constexpr std::size_t kMaxBuckets = std::size_t(1) << 20;
 
   template <typename CommitSink>
   void runCore(const std::vector<std::vector<std::uint8_t>>& laneInputs,
@@ -328,11 +279,6 @@ class BatchSim {
   const CompiledDesign* design_;
   SimOptions opts_;
   double invBucketWidth_ = 2.0;
-  // Quantized-grid mode (timeQuantization == SampleGrid; see the header
-  // doc).
-  bool quantized_ = false;
-  double quantPs_ = 0.0;     ///< sample period (step width), ps
-  double invQuantPs_ = 0.0;  ///< 1 / quantPs_
   /// Per net: the last wave pushed on it, the only one a later push may
   /// join (see "Wave merging"). Valid only while `epoch` equals runEpoch_;
   /// (bucket, idx) locate the wave in the calendar — `bucket` is absolute,

@@ -88,12 +88,9 @@ CompiledDesign::CompiledDesign(const Netlist& nl, const DelayModel& delays,
   }
   outputNets.assign(nl.outputs().begin(), nl.outputs().end());
 
-  // Levelization: fanins always precede their consumers (topological
-  // creation order), so one index-order pass suffices. Source gates sit at
-  // level 0, so the longest combinational path crosses at most numLevels
-  // gate hops — the bound the quantized-grid step horizon (BatchSim ctor,
-  // DESIGN.md §14) rests on.
-  level.assign(numGates, 0);
+  // Logic depth: fanins always precede their consumers (topological
+  // creation order), so one index-order pass suffices.
+  std::vector<std::uint32_t> level(numGates, 0);
   numLevels = 0;
   for (NetId id = 0; id < numGates; ++id) {
     const Gate& g = nl.gate(id);

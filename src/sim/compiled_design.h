@@ -50,7 +50,7 @@ struct CompiledDesign {
   /// Builds every table. `delays` and `power` must be built for `nl`;
   /// throws std::invalid_argument on a size mismatch and on a netlist that
   /// is not index-ordered (Netlist::isIndexOrdered — a forward bridge
-  /// overlay; the flat settle pass and the levelization below rely on
+  /// overlay; the flat settle pass and the logic-depth pass below rely on
   /// fanins preceding their gates). Every other fault overlay lowers like
   /// a fresh design: a stuck input gets inputLive = 0, a stuck gate a
   /// constant truth table, a bit-flip the complemented one, and a delay
@@ -84,17 +84,12 @@ struct CompiledDesign {
   std::vector<std::uint8_t> inputLive;
   std::vector<std::uint32_t> outputNets;     ///< primary outputs, outputs() order
 
-  // -- levelization (batch-engine lowering) --------------------------------
-  /// Topological level per gate: 0 for source gates (inputs/constants),
-  /// otherwise 1 + max(level of fanins). Well-defined because netlists are
-  /// built in topological creation order (net index == gate index, fanins
-  /// precede their consumers). The batch engine's quantized-grid mode
-  /// (sim/batch_sim.h, DESIGN.md §14) bounds its step horizon by the level
-  /// count, and orders the merged waves inside one sample-grid step by
-  /// (level, net) — the levelized sweep that makes the in-step pop order
-  /// deterministic and data-flow consistent.
-  std::vector<std::uint32_t> level;
-  std::uint32_t numLevels = 0;  ///< max(level) + 1 (0 for an empty netlist)
+  // -- logic depth --------------------------------------------------------
+  /// A source gate (input/constant) sits at level 0, any other gate at 1 +
+  /// its deepest fanin's level; numLevels is the largest level + 1 (0 for
+  /// an empty netlist). The batch engine's profiler sizes its sim-time
+  /// timeline from it.
+  std::uint32_t numLevels = 0;
 
   // -- dynamic model snapshot (refresh() re-fills) ------------------------
   std::vector<double> delayPs;   ///< DelayModel::delayPs per gate

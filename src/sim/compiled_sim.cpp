@@ -50,11 +50,6 @@ CompiledSim::CompiledSim(const CompiledDesign& design,
         "CompiledSim: design exceeds the packed-event net capacity (2^24 "
         "gates); use the reference EventSim engine");
   }
-  if (options.timeQuantization != TimeQuantization::Exact) {
-    throw std::invalid_argument(
-        "CompiledSim: sample-grid time quantization is a batch-engine mode "
-        "(BatchSim); the scalar engines are exact by contract");
-  }
   state_.assign(design.numGates, 0);
   pendSeq_.assign(design.numGates, 0);
   pendValue_.assign(design.numGates, 0);

@@ -44,11 +44,6 @@ EventSim::EventSim(const Netlist& nl, const DelayModel& delays, DelayKind kind)
 EventSim::EventSim(const Netlist& nl, const DelayModel& delays,
                    const SimOptions& options)
     : nl_(&nl), delays_(&delays), opts_(options) {
-  if (options.timeQuantization != TimeQuantization::Exact) {
-    throw std::invalid_argument(
-        "EventSim: sample-grid time quantization is a batch-engine mode "
-        "(BatchSim); the scalar engines are exact by contract");
-  }
   fanout_.resize(nl.numGates());
   for (NetId id = 0; id < nl.numGates(); ++id) {
     const Gate& g = nl.gate(id);

@@ -71,21 +71,6 @@ enum class DelayKind {
   Transport,  ///< every scheduled change propagates (ablation mode)
 };
 
-/// Event-time resolution of the simulation engines (DESIGN.md §14).
-enum class TimeQuantization : std::uint8_t {
-  /// Exact continuous event times — the cross-engine bit-identity
-  /// contract, and the only mode the scalar engines accept (default).
-  Exact,
-  /// Opt-in batch-engine throughput mode: every arrival time rounds up to
-  /// the next 50 GS/s sample-grid boundary and all events landing on one
-  /// (net, grid step) merge into a single wave, swept in levelized order.
-  /// Deliberately NOT bit-identical with Exact — sub-sample glitches
-  /// collapse and commit times snap to the grid; the results are
-  /// leakage-equivalent under the §14 commit-ordering waiver. Only
-  /// BatchSim implements it; EventSim/CompiledSim constructors throw.
-  SampleGrid,
-};
-
 struct SimOptions {
   DelayKind kind = DelayKind::Inertial;
   /// A pulse narrower than `fullSwingFactor * gateDelay` only partially
@@ -102,9 +87,6 @@ struct SimOptions {
   /// Watchdog on simulated time: an event scheduled past this horizon (ps)
   /// throws SimDiverged (0 = unlimited).
   double maxTimePs = 0.0;
-  /// Event-time resolution (see TimeQuantization above). SampleGrid is a
-  /// batch-only opt-in; the scalar engines reject it at construction.
-  TimeQuantization timeQuantization = TimeQuantization::Exact;
 };
 
 class EventSim {

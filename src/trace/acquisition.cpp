@@ -63,31 +63,6 @@ SimEngine resolveEngine(SimEngine requested, const EventSim& sim,
                                         : SimEngine::Compiled;
 }
 
-/// Resolves the quantized-grid opt-in (DESIGN.md §14) against the
-/// *requested* engine: SampleGrid is honored only with an explicitly
-/// forced Batch engine. Auto deliberately ignores it — Auto-served runs
-/// must keep the exact engines' pinned determinism digest — and forcing a
-/// scalar engine together with SampleGrid is a contradiction (the scalar
-/// engines are exact by contract), reported here rather than as a
-/// confusing constructor throw deep inside a worker.
-TimeQuantization resolveQuantization(SimEngine requested,
-                                     TimeQuantization quantization) {
-  if (quantization == TimeQuantization::Exact) return quantization;
-  switch (requested) {
-    case SimEngine::Batch:
-      return quantization;
-    case SimEngine::Auto:
-      return TimeQuantization::Exact;  // Auto never selects quantized mode
-    case SimEngine::Reference:
-    case SimEngine::Compiled:
-      break;
-  }
-  throw std::invalid_argument(
-      "acquisition: sample-grid time quantization requires the batch "
-      "engine (engine = SimEngine::Batch); the scalar engines are exact "
-      "by contract");
-}
-
 /// Journals the end of an acquisition block: "acquire-finish" on normal
 /// exit, "acquire-abort" when unwinding (worker failure, cooperative
 /// abort), so the /events tail shows how every acquisition ended.
@@ -348,7 +323,7 @@ Plan makePlan(const Protocol& protocol, std::size_t begin, std::size_t end,
 void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
                   const PowerModel& power, const Protocol& protocol,
                   std::size_t begin, std::size_t end, SimEngine requested,
-                  TimeQuantization quantization, std::uint32_t numThreads,
+                  std::uint32_t numThreads,
                   const obs::ProgressFn& progress, obs::Profiler* profiler,
                   const TraceSink& sink) {
   const std::size_t n = end - begin;
@@ -360,7 +335,6 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
                              numThreads, style);
   const std::size_t m = plan.distinct();
   const SimEngine engine = resolveEngine(requested, sim, power, m);
-  const TimeQuantization quant = resolveQuantization(requested, quantization);
   // Runs fn(), naming slice-local trace t in any failure.
   const auto onTrace = [&](std::size_t t, const auto& fn) {
     try {
@@ -556,18 +530,12 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
     // Bit-parallel path: each lane runs one triple's stimulus, and no lane
     // depends on the lanes that share its group, so the traces are
     // bit-identical to the scalar engines' however triples fall into
-    // groups. Under the quantized-grid opt-in (only ever reached with a
-    // forced Batch engine) lanes stay independent, so the quantized result
-    // stays deterministic in seed, thread-count invariant and
-    // slice-concatenation safe — just not bit-identical to the exact
-    // engines. A group that fails as a whole (a lane tripping the
+    // groups. A group that fails as a whole (a lane tripping the
     // watchdog) loses the traces of all its triples and is named by the
     // lowest of their first traces; a decode mismatch by the lowest first
     // trace among the failing lanes.
     const CompiledDesign design(sim.netlist(), sim.delayModel(), power);
-    SimOptions bopts = sim.options();
-    bopts.timeQuantization = quant;
-    BatchSim bsim(design, bopts);
+    BatchSim bsim(design, sim.options());
     bsim.attachMetrics(sim.metricsRegistry());
     bsim.attachProfiler(profiler);
     const StimulusFn laneStimulus = [&](std::size_t p) {
@@ -687,8 +655,7 @@ void acquireRange(const MaskedSbox& sbox, EventSim& sim,
                           },
                           "acquire", "class", "acquire"};
   acquireSlice(sbox, sim, power, protocol, begin, end, cfg.engine,
-               cfg.timeQuantization, cfg.numThreads, cfg.progress,
-               cfg.profiler, sink);
+               cfg.numThreads, cfg.progress, cfg.profiler, sink);
 }
 
 void acquire(const MaskedSbox& sbox, EventSim& sim, const PowerModel& power,
@@ -715,8 +682,7 @@ TraceSet acquireRange(const MaskedSbox& sbox, EventSim& sim,
 TraceSet acquireKeyed(const MaskedSbox& sbox, EventSim& sim,
                       const PowerModel& power, std::uint8_t key,
                       std::uint32_t numTraces, std::uint64_t seed,
-                      std::uint32_t numThreads, SimEngine engine,
-                      TimeQuantization quantization) {
+                      std::uint32_t numThreads, SimEngine engine) {
   // The plaintext is the first draw of the trace's stream, then the fixed
   // protocol's draws with initial value 0 and final value plain ^ key.
   const Protocol protocol{[&](std::size_t i) {
@@ -734,7 +700,7 @@ TraceSet acquireKeyed(const MaskedSbox& sbox, EventSim& sim,
                           "keyed", "plaintext", "acquire-keyed"};
   return collect(power, numTraces, [&](const TraceSink& s) {
     acquireSlice(sbox, sim, power, protocol, 0, numTraces, engine,
-                 quantization, numThreads, obs::ProgressFn(), nullptr, s);
+                 numThreads, obs::ProgressFn(), nullptr, s);
   });
 }
 

@@ -74,11 +74,11 @@
 // (sortByFinalEncoding), before it is cut into lane groups: lanes that end
 // in the same state share the batch engine's waves, which cuts RSM-ROM's
 // waves 2.8x at that budget. Each lane is independent of the lanes that
-// share its group, so the traces stay bit-identical (quantized runs stay
-// thread-count invariant). A shorter window — a 128-trace adaptive batch,
-// the tail of a long call — keeps first-occurrence order: with few groups
-// per worker, sorted groups have uneven costs and the costliest sets the
-// wall time. The scalar engines never sort.
+// share its group, so the traces stay bit-identical. A shorter window — a
+// 128-trace adaptive batch, the tail of a long call — keeps
+// first-occurrence order: with few groups per worker, sorted groups have
+// uneven costs and the costliest sets the wall time. The scalar engines
+// never sort.
 //
 // Delivery hands the consumer (a TraceSink, or the TraceSet being filled)
 // the traces in trace-index order, so a streaming fold equals a fold over
@@ -142,14 +142,6 @@ class BatchSim;
 /// for A/B benchmarking and CI digest cross-checks. Forcing `Compiled` or
 /// `Batch` on an ineligible design throws std::invalid_argument (a forced
 /// `Batch` below the lane width is fine — partial groups are supported).
-///
-/// Quantized-grid opt-in (DESIGN.md §14): setting
-/// `AcquisitionConfig::timeQuantization = TimeQuantization::SampleGrid`
-/// takes effect ONLY together with an explicitly forced `Batch` engine.
-/// `Auto` deliberately ignores it and serves exact engines — the pinned
-/// determinism digest must never change under Auto — and forcing
-/// `Reference` or `Compiled` with SampleGrid throws std::invalid_argument
-/// (the scalar engines are exact by contract).
 enum class SimEngine : std::uint8_t {
   Auto,       ///< fastest eligible engine, reference otherwise
   Compiled,   ///< require the compiled fast path (throws if ineligible)
@@ -177,14 +169,6 @@ struct AcquisitionConfig {
   /// Engine selection; any choice yields bit-identical results (see
   /// SimEngine).
   SimEngine engine = SimEngine::Auto;
-  /// Quantized-grid opt-in (DESIGN.md §14): honored only when `engine ==
-  /// SimEngine::Batch` is forced explicitly; `Auto` ignores it (and keeps
-  /// the exact determinism digest), `Reference`/`Compiled` + SampleGrid
-  /// throws. Quantized results are deterministic in `seed`, thread-count
-  /// invariant and slice-concatenation safe (per-lane independence, see
-  /// sim/batch_sim.h), but NOT bit-identical to the exact engines —
-  /// leakage-equivalent only, gated against LEAKAGE_golden.json.
-  TimeQuantization timeQuantization = TimeQuantization::Exact;
   /// Optional cost-attribution profiler (obs/profiler.h): the engine
   /// serving the run (including internally constructed compiled/batch
   /// engines and their worker clones) attaches to it and flushes per-run
@@ -341,15 +325,10 @@ void acquireRange(const MaskedSbox& sbox, EventSim& sim,
 /// the same engine bodies as acquire(), decode check included: a netlist
 /// that does not compute kPresentSbox[plain ^ key] fails with a
 /// WorkerError.
-/// `quantization` follows the AcquisitionConfig::timeQuantization rules:
-/// honored only with an explicitly forced Batch engine, ignored by Auto,
-/// throws with a forced scalar engine.
 TraceSet acquireKeyed(const MaskedSbox& sbox, EventSim& sim,
                       const PowerModel& power, std::uint8_t key,
                       std::uint32_t numTraces, std::uint64_t seed = 1,
                       std::uint32_t numThreads = 0,
-                      SimEngine engine = SimEngine::Auto,
-                      TimeQuantization quantization =
-                          TimeQuantization::Exact);
+                      SimEngine engine = SimEngine::Auto);
 
 }  // namespace lpa

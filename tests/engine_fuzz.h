@@ -1,5 +1,5 @@
 #pragma once
-// Shared harness of the four-way differential engine fuzzer
+// Shared harness of the three-way differential engine fuzzer
 // (tests/test_engine_fuzz.cpp — tier1 smoke budget — and
 // tests/test_engine_fuzz_deep.cpp — the nightly slow campaign).
 //
@@ -22,22 +22,9 @@
 // run. Any mismatch fails the test with the case seed in the scope trace,
 // so a failure reproduces with  LPA_FUZZ_SEED=<master> LPA_FUZZ_CASES=...
 // (case seeds are deriveStreamSeed(master, i), independent of the budget).
-//
-// A fourth pass re-runs every non-watchdog case under the quantized-grid
-// batch mode (SimOptions::timeQuantization == SampleGrid, DESIGN.md §14).
-// Quantized results are leakage-equivalent, not bit-identical, so this
-// pass checks the quantized contract instead of bit-identity: the run
-// converges where the exact engines did and settles every net to the
-// exact final state; every committed transition sits on a positive grid
-// step with per-(net, lane) commit times advancing by at least one sample
-// period; the last commit on a net carries its final value; a fused
-// quantized run reproduces PowerModel::sample of the recorded quantized
-// transitions bit-for-bit; and a second recorded run plus a clone() are
-// bit-identical to the first (seed determinism).
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -303,96 +290,6 @@ inline void runFuzzCase(std::uint64_t caseSeed) {
       for (std::size_t s = 0; s < expected.size(); ++s) {
         ASSERT_EQ(got[s], expected[s]) << "sample " << s;
       }
-    }
-  }
-
-  // Quantized-grid pass: contract checks rather than bit-identity (see the
-  // header comment). Skipped for watchdog cases — the quantized event
-  // stream is legitimately shorter, so divergence points don't line up.
-  if (!watchdog) {
-    SimOptions qopts = sopts;
-    qopts.timeQuantization = TimeQuantization::SampleGrid;
-    const double dt = design.samplePeriodPs;
-
-    BatchSim quant(design, qopts);
-    quant.settle(v0);
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-      SCOPED_TRACE("quantized settled lane " + std::to_string(l));
-      EventSim ref(nl, dm, sopts);
-      ref.settle(v0[l]);
-      for (NetId n = 0; n < nl.numGates(); ++n) {
-        ASSERT_EQ(ref.value(n), quant.value(n, l)) << "net " << n;
-      }
-    }
-    ASSERT_NO_THROW(quant.run(v1))
-        << "quantized run diverged where the exact engines converged";
-
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-      SCOPED_TRACE("quantized lane " + std::to_string(l));
-      EventSim ref(nl, dm, sopts);
-      ref.settle(v0[l]);
-      ref.run(v1[l]);
-      for (NetId n = 0; n < nl.numGates(); ++n) {
-        ASSERT_EQ(ref.value(n), quant.value(n, l))
-            << "final state of net " << n;
-      }
-      EXPECT_EQ(ref.outputValues(), quant.outputValues(l));
-
-      std::vector<double> lastTimePs(nl.numGates(), 0.0);
-      std::vector<std::uint8_t> lastValue(nl.numGates(), 0);
-      std::vector<std::uint8_t> seen(nl.numGates(), 0);
-      for (const Transition& t : quant.laneTransitions(l)) {
-        // Step 0 is the input application itself (committed directly at
-        // t = 0, exactly like the exact engines); queue commits start at
-        // step 1.
-        const double steps = std::round(t.timePs / dt);
-        ASSERT_GE(steps, 0.0) << "commit before the stimulus";
-        ASSERT_EQ(steps * dt, t.timePs) << "commit time off the sample grid";
-        if (seen[t.net]) {
-          ASSERT_GE(t.timePs, lastTimePs[t.net] + dt)
-              << "two commits on net " << t.net
-              << " within one sample period";
-          ASSERT_NE(t.newValue, lastValue[t.net])
-              << "no-change commit on net " << t.net;
-        }
-        seen[t.net] = 1;
-        lastTimePs[t.net] = t.timePs;
-        lastValue[t.net] = t.newValue;
-      }
-      for (NetId n = 0; n < nl.numGates(); ++n) {
-        if (seen[n]) {
-          ASSERT_EQ(lastValue[n], quant.value(n, l))
-              << "last commit on net " << n
-              << " disagrees with its final state";
-        }
-      }
-    }
-
-    // A fused quantized run must reproduce PowerModel::sample of the
-    // recorded quantized transitions, and a repeat plus a clone() must be
-    // bit-identical to the first run (seed determinism).
-    BatchSim fusedQ(design, qopts);
-    fusedQ.settle(v0);
-    fusedQ.runFused(v1, noiseSeeds);
-    BatchSim again(design, qopts);
-    BatchSim cloned = again.clone();
-    again.settle(v0);
-    again.run(v1);
-    cloned.settle(v0);
-    cloned.run(v1);
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-      SCOPED_TRACE("quantized determinism lane " + std::to_string(l));
-      const std::vector<double> expected =
-          pm.sample(quant.laneTransitions(l), noiseSeeds[l]);
-      const double* got = fusedQ.laneTrace(l);
-      for (std::size_t s = 0; s < expected.size(); ++s) {
-        ASSERT_EQ(got[s], expected[s]) << "sample " << s;
-      }
-      expectSameTransitionsFuzz(quant.laneTransitions(l),
-                                again.laneTransitions(l));
-      expectSameTransitionsFuzz(quant.laneTransitions(l),
-                                cloned.laneTransitions(l));
-      EXPECT_EQ(quant.outputValues(l), again.outputValues(l));
     }
   }
 }

@@ -1,4 +1,4 @@
-// Nightly (slow tier) campaign of the four-way differential engine
+// Nightly (slow tier) campaign of the three-way differential engine
 // fuzzer: >= 520 seeded cases, zero tolerated mismatches. Uses a different
 // default master seed than the tier-1 smoke run so the two tiers explore
 // disjoint case populations; both honor LPA_FUZZ_SEED / LPA_FUZZ_CASES for
@@ -9,7 +9,7 @@
 namespace lpa {
 namespace {
 
-TEST(EngineFuzzDeep, FourWayDifferentialCampaign) {
+TEST(EngineFuzzDeep, ThreeWayDifferentialCampaign) {
   fuzz::runFuzzCampaign(/*defaultSeed=*/0xDEE95EED2026ULL,
                         /*defaultCases=*/520);
 }

@@ -209,24 +209,6 @@ TEST(LaneGrouping, SortedWindowsKeepEveryTraceBitIdentical) {
   }
 }
 
-TEST(LaneGrouping, QuantizedLanesStayThreadInvariantUnderSorting) {
-  // Quantized lanes stay independent too: 1 and 4 workers sort different
-  // windows, and the traces agree.
-  AcquisitionConfig cfg;
-  cfg.tracesPerClass = 160;
-  cfg.engine = SimEngine::Batch;
-  cfg.timeQuantization = TimeQuantization::SampleGrid;
-  const auto sbox = makeSbox(SboxStyle::Glut);
-  const DelayModel dm(sbox->netlist());
-  const PowerModel pm(sbox->netlist());
-  cfg.numThreads = 1;
-  EventSim one(sbox->netlist(), dm);
-  const TraceSet serial = acquire(*sbox, one, pm, cfg);
-  cfg.numThreads = 4;
-  EventSim four(sbox->netlist(), dm);
-  expectIdentical(serial, acquire(*sbox, four, pm, cfg));
-}
-
 TEST(LaneGrouping, SortingCutsRsmRomWavesAndLeavesTiAndShortCallsAlone) {
   // At the Fig. 7 operating point on 4 workers, against a BatchSim loop
   // over the same distinct stimuli in first-occurrence order.

@@ -99,7 +99,9 @@ TEST(ProfilerZeroPerturbation, EngineChoiceDoesNotLeakIntoOtherEngines) {
 // one popped-lanes bin and one committed-lanes bin (the 0-commit bin
 // included), and the flush scales bins and wave count by the same stride —
 // so the histograms must still sum exactly to the reported wave count, and
-// the means must stay inside the lane range.
+// the means must stay inside the lane range. On the transport default
+// without a watchdog the batch engine drops no-ops at push, so every
+// popped lane commits and the two means are equal.
 TEST(ProfilerOccupancy, HistogramsSumToWavesUnderRunStride) {
   obs::Profiler profiler;
   // 16/class = 256 traces = 4 lane groups: multiple batch runs, so the
@@ -108,11 +110,9 @@ TEST(ProfilerOccupancy, HistogramsSumToWavesUnderRunStride) {
   ASSERT_GT(profiler.waves(), 0u);
 
   const double popped = profiler.meanPoppedLanes();
-  const double committed = profiler.meanCommittedLanes();
   EXPECT_GT(popped, 0.0);
   EXPECT_LE(popped, 64.0);
-  EXPECT_GE(committed, 0.0);
-  EXPECT_LE(committed, popped);
+  EXPECT_EQ(profiler.meanCommittedLanes(), popped);
 
   const obs::Json j = profiler.toJson();
   const obs::Json* occ = j.find("lane_occupancy");
@@ -141,6 +141,25 @@ TEST(ProfilerOccupancy, HistogramsSumToWavesUnderRunStride) {
   EXPECT_GT(tl->find("window_ps")->asNumber(), 0.0);
   ASSERT_NE(tl->find("windows"), nullptr);
   EXPECT_GT(tl->find("windows")->elements().size(), 0u);
+}
+
+// An armed watchdog that never trips keeps the traces (the engines'
+// contract) but queues the transport no-ops and cancels them at pop, so
+// fewer lanes commit than pop.
+TEST(ProfilerOccupancy, ArmedWatchdogCommitsFewerLanesThanItPops) {
+  ExperimentConfig cfg;
+  cfg.acquisition.tracesPerClass = 16;
+  cfg.acquisition.numThreads = 1;
+  cfg.acquisition.engine = SimEngine::Batch;
+  cfg.sim.maxEvents = std::uint64_t(1) << 40;
+  SboxExperiment exp(SboxStyle::Glut, cfg);
+  obs::Profiler profiler;
+  exp.attachProfiler(&profiler);
+  expectBitIdentical(acquireWith(SimEngine::Batch, 1, nullptr, 16),
+                     exp.acquireAt(0.0));
+  ASSERT_GT(profiler.waves(), 0u);
+  EXPECT_GT(profiler.meanCommittedLanes(), 0.0);
+  EXPECT_LT(profiler.meanCommittedLanes(), profiler.meanPoppedLanes());
 }
 
 TEST(HwCountersTest, ForcedRusageFallback) {

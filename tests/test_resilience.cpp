@@ -385,6 +385,33 @@ TEST(ResilientAcquire, FingerprintExcludesEngineAndThreads) {
             jobs::acquisitionFingerprint(exp.sbox(), sim, power, a, job2));
 }
 
+// A checkpoint is adopted only under an equal fingerprint, so any change
+// to what acquisitionFingerprint folds, or how, stops every existing
+// checkpoint from resuming: these values must not move.
+TEST(ResilientAcquire, FingerprintValuesArePinned) {
+  const auto fingerprintOf = [](SboxStyle style, const ExperimentConfig& ecfg,
+                                const jobs::JobConfig& job) {
+    SboxExperiment exp(style, ecfg);
+    const Netlist& nl = exp.sbox().netlist();
+    const DelayModel delays(nl, ecfg.delay);
+    const PowerModel power(nl, ecfg.power);
+    const EventSim sim(nl, delays, ecfg.sim);
+    return jobs::acquisitionFingerprint(exp.sbox(), sim, power,
+                                        ecfg.acquisition, job);
+  };
+  jobs::JobConfig fixedJob;
+  fixedJob.groupTraces = 48;
+  EXPECT_EQ(fingerprintOf(SboxStyle::Opt, smallConfig(), fixedJob),
+            0x6848eb99e9d5d108ULL);
+
+  ExperimentConfig adaptive = rsmAdaptiveConfig(0.2);
+  adaptive.acquisition.adaptive = true;
+  jobs::JobConfig adaptiveJob;
+  adaptiveJob.statsOpt = kFourFolds;
+  EXPECT_EQ(fingerprintOf(SboxStyle::Rsm, adaptive, adaptiveJob),
+            0x56245a04c3e49cd3ULL);
+}
+
 TEST(ResilientAcquire, DeadlineReturnsValidatedPartialReport) {
   ExperimentConfig ecfg = smallConfig();
   ecfg.acquisition.tracesPerClass = 32;  // 512 traces, 4 groups of 128

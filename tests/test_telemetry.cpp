@@ -205,21 +205,13 @@ TEST(Exposition, DebugRegistrationRejectsBadNames) {
 // Every metric the engines, the profiler, and the fault campaign register
 // must pass the lint — i.e. survive Prometheus name-mapping unambiguously.
 TEST(Exposition, AllEngineMetricNamesLintClean) {
-  // Touch every registration site: the three exact engines + quantized
-  // batch, the profiler, and a tiny fault campaign.
+  // Touch every registration site: the three engines, the profiler, and a
+  // tiny fault campaign.
   for (SimEngine engine : {SimEngine::Reference, SimEngine::Compiled,
                            SimEngine::Batch}) {
     ExperimentConfig cfg;
     cfg.acquisition.tracesPerClass = 2;
     cfg.acquisition.engine = engine;
-    SboxExperiment exp(SboxStyle::Glut, cfg);
-    exp.acquireAt(0.0);
-  }
-  {
-    ExperimentConfig cfg;
-    cfg.acquisition.tracesPerClass = 2;
-    cfg.acquisition.engine = SimEngine::Batch;
-    cfg.acquisition.timeQuantization = TimeQuantization::SampleGrid;
     SboxExperiment exp(SboxStyle::Glut, cfg);
     exp.acquireAt(0.0);
   }

@@ -22,7 +22,7 @@ Three classes of checks, strongest first:
        - pinned config params (style, traces_per_class) must equal the
          baseline, so a digest is never compared across configs.
   2. Ratio floors — always enforced: params listed under "min_ratio"
-     (e.g. compiled_speedup, batch_quant_speedup) must meet the recorded
+     (e.g. compiled_speedup, batch_speedup) must meet the recorded
      floor. Ratios of two timings on the same machine are portable across
      runners. A floor whose key the candidate report never measured is a
      configuration error (stale bench binary / wrong report), reported by
@@ -56,9 +56,8 @@ RUN_REPORT_SCHEMA = "lpa-run-report/4"
 # Run-report params pinned (must equal the baseline before digests are
 # comparable), contract booleans, ratio params, and throughput params.
 PINNED_PARAMS = ("style", "traces_per_class")
-BOOL_PARAMS = ("obs_bit_identical", "engine_bit_identical",
-               "quant_deterministic")
-RATIO_PARAMS = ("compiled_speedup", "batch_speedup", "batch_quant_speedup")
+BOOL_PARAMS = ("obs_bit_identical", "engine_bit_identical")
+RATIO_PARAMS = ("compiled_speedup", "batch_speedup")
 RATIO_FLOOR_FRACTION = 0.75  # floor recorded by --update: 75% of measured
 THROUGHPUT_PREFIX = "traces_per_sec"
 

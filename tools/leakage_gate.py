@@ -19,24 +19,9 @@ Cells where either side has no resolved CI fall back to an exact-total
 comparison (the acquisition is deterministic in the seed, so at the pinned
 config the totals must be bit-stable).
 
-With --ordering-only the cell-interval section is skipped and the
-ordering check is relaxed from the exact ranking to the *golden-resolved*
-pairs: for every pair of styles whose golden 95% intervals are disjoint,
-the current totals must keep that pair's order. This is the mode for
-quantized-grid runs (bench_fig7_total_leakage --quantized, DESIGN.md
-§14): quantization legitimately collapses sub-sample glitch power, so
-absolute magnitudes shift — the unprotected styles' essentially
-zero-width CIs can never overlap, and near-tied masked schemes (whose
-adjacent CIs overlap by an order of magnitude at the golden config) may
-legitimately swap — while every statistically meaningful separation of
-the paper's Fig. 7 must survive.
-
 Usage:
   # gate (CI):
   tools/leakage_gate.py --golden LEAKAGE_golden.json ledger.jsonl
-
-  # quantized-grid qualification (ordering must hold, magnitudes shift):
-  tools/leakage_gate.py --golden LEAKAGE_golden.json --ordering-only q.jsonl
 
   # refresh the golden after an accepted change ([leakage-reset] commits):
   tools/leakage_gate.py --golden LEAKAGE_golden.json --update report.json
@@ -133,7 +118,7 @@ def make_golden(report):
     return golden
 
 
-def run_gate(golden, report, ordering_only=False):
+def run_gate(golden, report):
     cells, config = matrix_cells(report)
     failures = []
 
@@ -149,49 +134,6 @@ def run_gate(golden, report, ordering_only=False):
           "matches golden" if not drift else f"drift: {drift}")
     if drift:
         return failures  # nothing else is comparable
-
-    if ordering_only:
-        # Quantized-grid qualification: the exact ranking over-constrains —
-        # adjacent masked schemes whose golden CIs overlap are statistical
-        # ties whose order is an artifact of the pinned seed, and
-        # quantization legitimately perturbs it. Gate every pair the golden
-        # resolves at 95% (disjoint intervals; a cell without a halfwidth
-        # is a zero-width interval) instead.
-        print("ordering (golden-resolved pairs; quantized magnitudes "
-              "legitimately shift):")
-        by_age = {}
-        for key, gcell in golden.get("cells", {}).items():
-            style, m_key = key.rsplit("@", 1)
-            by_age.setdefault(float(m_key), {})[style] = gcell
-        for m, gstyles in sorted(by_age.items()):
-            kept, resolved, flips = 0, 0, []
-            for a in sorted(gstyles):
-                for b in sorted(gstyles):
-                    if a >= b:
-                        continue
-                    ga, gb = gstyles[a], gstyles[b]
-                    a_hw = ga.get("ci_halfwidth", 0.0)
-                    b_hw = gb.get("ci_halfwidth", 0.0)
-                    if not (ga["total"] + a_hw < gb["total"] - b_hw
-                            or gb["total"] + b_hw < ga["total"] - a_hw):
-                        continue  # statistical tie: order not gated
-                    resolved += 1
-                    ca = cells.get((a, m))
-                    cb = cells.get((b, m))
-                    if ca is None or cb is None:
-                        flips.append(f"{a if ca is None else b} missing")
-                        continue
-                    golden_gt = ga["total"] > gb["total"]
-                    if (ca["total"] > cb["total"]) == golden_gt:
-                        kept += 1
-                    else:
-                        hi, lo = (a, b) if golden_gt else (b, a)
-                        flips.append(f"{hi} no longer > {lo}")
-            check(not flips, f"month {m:g}",
-                  f"{kept}/{resolved} resolved pairs preserved"
-                  + (f"; flipped: {', '.join(flips)}" if flips else ""))
-        print("cell intervals: skipped (--ordering-only)")
-        return failures
 
     print("ordering (total leakage, most leaky first):")
     for m_key, want in sorted(golden.get("ordering", {}).items(),
@@ -233,9 +175,6 @@ def main():
                     help="checked-in LEAKAGE_golden.json")
     ap.add_argument("--update", action="store_true",
                     help="rewrite the golden from the input instead of gating")
-    ap.add_argument("--ordering-only", action="store_true",
-                    help="gate config + ordering, skip cell intervals "
-                         "(quantized-grid qualification)")
     args = ap.parse_args()
 
     report = load_matrix_report(args.input)
@@ -255,7 +194,7 @@ def main():
     if golden.get("schema") != GOLDEN_SCHEMA:
         sys.exit(f"{args.golden}: expected schema {GOLDEN_SCHEMA}")
 
-    failures = run_gate(golden, report, ordering_only=args.ordering_only)
+    failures = run_gate(golden, report)
     if failures:
         print(f"\nFAILED: {len(failures)} leakage-gate violation(s):")
         for f_ in failures:

@@ -35,14 +35,11 @@ FULL_PARAMS = {
     "traces_per_class": 16,
     "obs_bit_identical": True,
     "engine_bit_identical": True,
-    "quant_deterministic": True,
     "compiled_speedup": 2.0,
     "batch_speedup": 10.0,
-    "batch_quant_speedup": 4.0,
     "traces_per_sec_reference": 15000.0,
     "traces_per_sec_compiled": 30000.0,
     "traces_per_sec_batch": 150000.0,
-    "traces_per_sec_batch_quant": 600000.0,
 }
 
 
@@ -70,7 +67,6 @@ class RatioFloors(unittest.TestCase):
         floors = base["reports"]["bench_acquire_scaling"]["min_ratio"]
         self.assertEqual(floors["compiled_speedup"], 1.5)  # 0.75 * 2.0
         self.assertEqual(floors["batch_speedup"], 7.5)  # 0.75 * 10.0
-        self.assertEqual(floors["batch_quant_speedup"], 3.0)  # 0.75 * 4.0
 
     def test_ratio_below_floor_fails(self):
         slow = dict(FULL_PARAMS, batch_speedup=5.0)
@@ -100,29 +96,24 @@ class RatioFloors(unittest.TestCase):
         self.assertEqual(gate.failures, [])
 
     def test_floored_key_missing_from_report_is_a_hard_error(self):
-        # The baseline gates batch_quant_speedup but the candidate report
-        # never measured it (stale bench binary). That used to degrade to
+        # The baseline gates batch_speedup but the candidate report never
+        # measured it (stale bench binary). That used to degrade to
         # float(params.get(key, 0.0)) and print as a bogus "0.00 (floor
-        # 3.00)" regression. It must instead be a hard configuration error
+        # 7.50)" regression. It must instead be a hard configuration error
         # naming the key — exit status 2, not 1 — and the bogus ratio
         # check must not run at all.
         stale = {k: v for k, v in FULL_PARAMS.items()
-                 if k not in ("batch_quant_speedup",
-                              "traces_per_sec_batch_quant",
-                              "quant_deterministic")}
+                 if k not in ("batch_speedup", "traces_per_sec_batch")}
         gate, out = run(baseline_for(FULL_PARAMS), stale)
-        msgs = [f for f in gate.hard_failures if "batch_quant_speedup" in f]
+        msgs = [f for f in gate.hard_failures if "batch_speedup" in f]
         self.assertEqual(len(msgs), 1)
         self.assertIn("do not contain this key", msgs[0])
-        self.assertNotIn("batch_quant_speedup: 0.00", out)
-        self.assertFalse(
-            any("batch_quant_speedup" in f for f in gate.failures))
+        self.assertNotIn("batch_speedup: 0.00", out)
+        self.assertFalse(any("batch_speedup" in f for f in gate.failures))
 
     def test_main_exits_2_on_missing_gated_key(self):
         stale = {k: v for k, v in FULL_PARAMS.items()
-                 if k not in ("batch_quant_speedup",
-                              "traces_per_sec_batch_quant",
-                              "quant_deterministic")}
+                 if k not in ("batch_speedup", "traces_per_sec_batch")}
         with tempfile.TemporaryDirectory() as d:
             base_path = os.path.join(d, "baseline.json")
             rep_path = os.path.join(d, "report.json")
@@ -139,7 +130,7 @@ class RatioFloors(unittest.TestCase):
             finally:
                 sys.argv = argv
         self.assertEqual(rc, 2)
-        self.assertIn("batch_quant_speedup", out.getvalue())
+        self.assertIn("batch_speedup", out.getvalue())
         self.assertIn("configuration error", out.getvalue())
 
 

@@ -96,63 +96,6 @@ class TornLedgerTail(unittest.TestCase):
                     leakage_gate.load_matrix_report(path)
 
 
-def matrix_report(cells, seed=1, traces_per_class=16):
-    return {
-        "schema": "lpa-run-report/4",
-        "name": "bench_fig7_total_leakage",
-        "seed": seed,
-        "params": {},
-        "statistics": {"traces_per_class": traces_per_class,
-                       "matrix": cells},
-    }
-
-
-class OrderingOnlyGate(unittest.TestCase):
-    """--ordering-only gates golden-resolved pairs, not the exact ranking:
-    statistical ties may swap under quantization, resolved separations may
-    not (leakage_gate.run_gate with ordering_only=True)."""
-
-    GOLDEN_CELLS = [
-        # A > B resolved ([99,101] vs [49,51]); B vs C is a statistical tie
-        # ([49,51] vs [19,79]); A > C resolved ([99,101] vs [19,79]).
-        {"style": "A", "months": 0.0, "total": 100.0, "ci_halfwidth": 1.0},
-        {"style": "B", "months": 0.0, "total": 50.0, "ci_halfwidth": 1.0},
-        {"style": "C", "months": 0.0, "total": 49.0, "ci_halfwidth": 30.0},
-    ]
-
-    def gate(self, totals):
-        golden = leakage_gate.make_golden(matrix_report(self.GOLDEN_CELLS))
-        current = matrix_report([
-            {"style": s, "months": 0.0, "total": t}
-            for s, t in totals.items()
-        ])
-        with redirect_stderr(io.StringIO()):
-            out = io.StringIO()
-            stdout, sys.stdout = sys.stdout, out
-            try:
-                failures = leakage_gate.run_gate(golden, current,
-                                                 ordering_only=True)
-            finally:
-                sys.stdout = stdout
-        return failures, out.getvalue()
-
-    def test_tie_swap_passes(self):
-        # C overtakes B — their golden intervals overlap, so the pair is
-        # not gated; both resolved pairs (A>B, A>C) still hold.
-        failures, out = self.gate({"A": 90.0, "B": 55.0, "C": 60.0})
-        self.assertEqual(failures, [])
-        self.assertIn("2/2 resolved pairs preserved", out)
-
-    def test_resolved_flip_fails_naming_the_pair(self):
-        failures, _ = self.gate({"A": 40.0, "B": 55.0, "C": 30.0})
-        self.assertEqual(len(failures), 1)
-        self.assertIn("A no longer > B", failures[0])
-
-    def test_missing_style_fails(self):
-        failures, _ = self.gate({"A": 90.0, "C": 30.0})
-        self.assertTrue(any("B missing" in f for f in failures))
-
-
 class SchemaVersions(unittest.TestCase):
     def test_both_readers_read_v4_and_skip_retired_versions(self):
         with tempfile.TemporaryDirectory() as d:
