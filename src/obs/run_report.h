@@ -113,7 +113,8 @@ class RunReport {
   Json toJson() const;
   /// Atomically replaces `path` with toJson() (write temp + fsync + rename,
   /// obs/fsio.h) so a crash mid-write can never leave a torn report that
-  /// poisons tools/bench_compare.py; throws std::runtime_error on failure.
+  /// poisons its readers (tools/, CI's obs-smoke checks); throws
+  /// std::runtime_error on failure.
   void writeTo(const std::string& path) const;
   /// Appends one compact `lpa-run-ledger/1` line wrapping this report to
   /// the JSONL ledger at `path` (created if absent), fsync'd before close

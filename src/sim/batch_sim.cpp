@@ -176,7 +176,7 @@ void BatchSim::attachMetrics(obs::MetricsRegistry* registry) {
 
 void BatchSim::attachProfiler(obs::Profiler* profiler) {
   profiler_ = profiler;
-  profRunCounter_ = 0;  // fresh attach: the next run is a profiled sample
+  profRunIndex_ = 0;  // fresh attach: the next run is a profiled sample
   profThisRun_ = false;
   if (!profiler) {
     profTally_ = {};
@@ -475,16 +475,17 @@ void BatchSim::runCore(
   // is tight enough that even a handful of unconditional tally
   // instructions per wave measure ~10-15% — far over the <=5% attachment
   // gate — so the batch engine profiles every kRunSampleStride-th *run*
-  // (the first one included) exactly and profFlush scales the tallies
-  // back to whole-workload estimates. A run-level stride keeps every
-  // histogram internally exact, costs literally zero instructions in the
-  // runs it skips (`prof` below is loop-invariant false), and the stride
-  // is coprime to the 16-class dataset cycle so samples rotate through
-  // the classes instead of aliasing onto a subset. Occupancy and timeline
-  // tallies are per-run locals zeroed by profFlush; wall-time by bucketed
-  // sampling over waves — see EventSim::run.
+  // by run index (setRunIndex; index 0 included) exactly and profFlush
+  // scales the tallies back to whole-workload estimates. A run-level
+  // stride keeps every histogram internally exact, costs literally zero
+  // instructions in the runs it skips (`prof` below is loop-invariant
+  // false), and the stride is coprime to the 16-class dataset cycle so
+  // samples rotate through the classes instead of aliasing onto a
+  // subset. Occupancy and timeline tallies are per-run locals zeroed by
+  // profFlush; wall-time by bucketed sampling over waves — see
+  // EventSim::run.
   profThisRun_ = profiler_ != nullptr &&
-                 (profRunCounter_++ % obs::Profiler::kRunSampleStride) == 0;
+                 (profRunIndex_++ % obs::Profiler::kRunSampleStride) == 0;
   const bool prof = profThisRun_;
   std::uint32_t profSampleLeft = obs::Profiler::kWallSampleEvery;
   std::chrono::steady_clock::time_point profLastSample;

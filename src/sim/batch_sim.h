@@ -239,6 +239,13 @@ class BatchSim {
   /// attachment. Pure sink — bit-identical attached or detached
   /// (tests/test_profiler.cpp).
   void attachProfiler(obs::Profiler* profiler);
+  /// Names the next run by its lane group's index among the caller's
+  /// groups; each run advances the index by one, and attachProfiler
+  /// resets it to 0. With a profiler attached, exactly the runs whose
+  /// index is a multiple of Profiler::kRunSampleStride are profiled, so a
+  /// caller that names its groups samples the same groups whichever
+  /// worker clone runs them.
+  void setRunIndex(std::uint64_t index) { profRunIndex_ = index; }
 
   const CompiledDesign& design() const { return *design_; }
   const SimOptions& options() const { return opts_; }
@@ -380,8 +387,8 @@ class BatchSim {
   void profFlush();
   std::uint64_t arenaBytes() const;
   obs::Profiler* profiler_ = nullptr;
-  std::uint64_t profRunCounter_ = 0;  ///< runs seen since attach
-  bool profThisRun_ = false;          ///< current run is a profiled sample
+  std::uint64_t profRunIndex_ = 0;  ///< next run's index (setRunIndex)
+  bool profThisRun_ = false;        ///< current run is a profiled sample
   double profWindowInvPs_ = 0.0;  ///< 1 / timeline window width
   std::vector<ProfNetTally> profTally_;
   std::array<std::uint64_t, 65> profPoppedBins_{};     // kOccupancyBins

@@ -543,6 +543,10 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
     };
     stream(bsim, "batch",
            [&](BatchSim& worker, std::size_t a, std::size_t lanes) {
+             // Every item but the last holds itemTriples triples, so this
+             // is the item's index: profiling samples the same groups
+             // whichever worker runs them.
+             if (profiler != nullptr) worker.setRunIndex(a / itemTriples);
              std::vector<TraceStimulus> group;
              try {
                group = runLaneGroup(worker, laneStimulus, a, lanes);

@@ -125,7 +125,9 @@ TEST(PowerModel, PulseWidthRobustness) {
     opts.pulseWidthPs = width;
     const PowerModel pm(nl, opts);
     const double e = total(pm.sample(tr));
-    if (prev >= 0.0) EXPECT_NEAR(e, prev, 0.35 * prev);
+    if (prev >= 0.0) {
+      EXPECT_NEAR(e, prev, 0.35 * prev);
+    }
     prev = e;
   }
 }

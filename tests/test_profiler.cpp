@@ -143,6 +143,24 @@ TEST(ProfilerOccupancy, HistogramsSumToWavesUnderRunStride) {
   EXPECT_GT(tl->find("windows")->elements().size(), 0u);
 }
 
+// Which batch runs are profiled is keyed on the lane group's index in the
+// call, not on which worker clone runs it: two identical 4-thread
+// acquisitions sample the same groups, so their wave counts and occupancy
+// histograms agree exactly.
+TEST(ProfilerOccupancy, SampledGroupsDoNotDependOnWorkerScheduling) {
+  obs::Profiler first, second;
+  // 64/class = 1024 traces = 16 lane groups over 4 workers.
+  acquireWith(SimEngine::Batch, 4, &first, 64);
+  acquireWith(SimEngine::Batch, 4, &second, 64);
+  ASSERT_GT(first.waves(), 0u);
+  EXPECT_EQ(first.waves(), second.waves());
+  const obs::Json a = *first.toJson().find("lane_occupancy");
+  const obs::Json b = *second.toJson().find("lane_occupancy");
+  for (const char* hist : {"popped_hist", "committed_hist"}) {
+    EXPECT_EQ(a.find(hist)->dump(), b.find(hist)->dump()) << hist;
+  }
+}
+
 // An armed watchdog that never trips keeps the traces (the engines'
 // contract) but queues the transport no-ops and cancels them at pop, so
 // fewer lanes commit than pop.
@@ -170,7 +188,9 @@ TEST(HwCountersTest, ForcedRusageFallback) {
   hw.start();
   // Some measurable work so the deltas are not all zero.
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += std::sqrt(static_cast<double>(i));
+  for (int i = 0; i < 100000; ++i) {
+    sink = sink + std::sqrt(static_cast<double>(i));
+  }
   const obs::HwSample sample = hw.stop();
   EXPECT_EQ(sample.source, "rusage");
   bool sawWall = false;

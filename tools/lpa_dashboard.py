@@ -13,8 +13,8 @@ Sections:
   3. Adaptive acquisition — trace savings of convergence-gated acquisition
      per run (bench_adaptive_acquire entries).
   4. Perf trends — every `traces_per_sec*` param across ledger history, one
-     line per (report, param), so throughput regressions are visible at a
-     glance before the hard gate (tools/bench_compare.py) trips.
+     line per (report, param), so a throughput step shows at a glance (the
+     CI perf gate, tools/bench_compare.py, floors engine ratios instead).
 
 Reads lpa-run-report/4 entries only; other report versions are skipped
 with a warning. A running bench is watched with tools/lpa_watch.py.
