@@ -15,7 +15,7 @@ double totalLeak(SboxStyle s, const ExperimentConfig& cfg,
                  obs::Profiler* profiler) {
   SboxExperiment exp(s, cfg);
   exp.attachProfiler(profiler);  // nullptr without --profile
-  return exp.analyzeAt(0.0, EstimatorMode::Debiased).totalLeakagePower();
+  return exp.estimateAt(0.0, EstimatorMode::Debiased).total;
 }
 
 std::uint64_t glitchCount(SboxStyle s, DelayKind kind) {

@@ -385,7 +385,7 @@ int main(int argc, char** argv) {
   }
 
   report.setLeakage("glut_fresh_total",
-                    SpectralAnalysis(exp.acquireAt(0.0), 0,
+                    SpectralAnalysis(exp.acquireAt(0.0),
                                      EstimatorMode::Debiased)
                         .totalLeakagePower());
 

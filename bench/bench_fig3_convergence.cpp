@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   // Track each nonzero coefficient at its own peak sample (found on the
   // full dataset), like reading Fig. 3's per-u curves.
   obs::PhaseTimer analyzePhase(scope.report(), "analyze");
-  const SpectralAnalysis full(traces);
+  const SpectralAnalysis full(traces, EstimatorMode::Raw);
   std::array<std::uint32_t, 16> peakSample{};
   for (std::uint32_t u = 1; u < 16; ++u) {
     double best = -1.0;
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   for (std::uint32_t u = 1; u < 16; ++u) std::printf(",a_%X", u);
   std::printf("\n");
   for (std::size_t n : {64, 128, 192, 256, 384, 512, 640, 768, 896, 1024}) {
-    const SpectralAnalysis sa(traces, n);
+    const SpectralAnalysis sa(traces, EstimatorMode::Raw, n);
     std::printf("%6zu", n);
     for (std::uint32_t u = 1; u < 16; ++u) {
       std::printf(",%.5f", sa.coefficient(u, peakSample[u]));
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
 
   // Shape check: estimates at 512 traces are already close to the
   // 1024-trace values (fast convergence, as the paper observes).
-  const SpectralAnalysis half(traces, 512);
+  const SpectralAnalysis half(traces, EstimatorMode::Raw, 512);
   double worst = 0.0;
   for (std::uint32_t u = 1; u < 16; ++u) {
     worst = std::max(worst, std::fabs(half.coefficient(u, peakSample[u]) -

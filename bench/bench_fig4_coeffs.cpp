@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   bench::DigestAccumulator acc;
   acc.addTraceSet(traces);
   scope.report().setDigest(acc.hex());
-  const SpectralAnalysis sa(traces);
+  const SpectralAnalysis sa(traces, EstimatorMode::Raw);
 
   std::printf("sample");
   for (std::uint32_t u = 1; u < 16; ++u) std::printf(",a_%X", u);

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
     obs::PhaseTimer phase(scope.report(), bench::styleName(s));
     SboxExperiment exp(s, cfg);
     exp.attachProfiler(scope.profiler());  // nullptr without --profile
-    const SpectralAnalysis sa = exp.analyzeAt(0.0, EstimatorMode::Debiased);
+    const SpectralAnalysis sa(exp.acquireAt(0.0), EstimatorMode::Debiased);
     names.push_back(bench::styleName(s));
     waves.push_back(sa.leakagePowerPerSample());
     totals.push_back(sa.totalLeakagePower());

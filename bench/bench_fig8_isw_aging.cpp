@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   for (double months : bench::figureAges()) {
     obs::PhaseTimer phase(scope.report(),
                           "month " + std::to_string(static_cast<int>(months)));
-    const SpectralAnalysis sa = exp.analyzeAt(months, EstimatorMode::Debiased);
+    const SpectralAnalysis sa(exp.acquireAt(months), EstimatorMode::Debiased);
     waves.push_back(sa.leakagePowerPerSample());
     totals.push_back(sa.totalLeakagePower());
     scope.report().setLeakage(

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     const PowerModel power(sbox->netlist(), cfg.power);
     EventSim sim(sbox->netlist(), delays, cfg.sim);
     const TraceSet traces = acquire(*sbox, sim, power, cfg.acquisition);
-    const SpectralAnalysis sa(traces, 0, EstimatorMode::Debiased);
+    const SpectralAnalysis sa(traces, EstimatorMode::Debiased);
     const NetlistStats stats = computeStats(sbox->netlist());
     std::printf("%6d %10d %10.1f %12d %14.2f %11.2f%%\n", d, d + 1,
                 stats.equivalentGates, sbox->randomBits(),

@@ -5,8 +5,8 @@
 //
 // Observability flags (every bench accepts them, see DESIGN.md §8/§10/§13):
 //   --json <path>      write a machine-readable run report (lpa-run-report/4)
-//   --ledger <path>    append the report to a JSONL run ledger
-//                      (lpa-run-ledger/1; tools/lpa_dashboard.py renders it)
+//   --ledger <path>    append the report to a JSONL run ledger, one
+//                      report per line (tools/lpa_dashboard.py renders it)
 //   --trace <path>     write a Chrome trace-event JSON (chrome://tracing)
 //   --progress         render a live progress line on stderr
 //   --profile          attach the cost-attribution profiler (obs/profiler.h)

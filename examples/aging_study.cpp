@@ -54,8 +54,8 @@ int main() {
     std::vector<double> leak;
     std::printf("%-16s", std::string(sboxStyleName(style)).c_str());
     for (double m : {0.0, 12.0, 24.0, 36.0, 48.0}) {
-      leak.push_back(
-          exp.analyzeAt(m, EstimatorMode::Debiased).totalLeakagePower());
+      leak.push_back(SpectralAnalysis(exp.acquireAt(m), EstimatorMode::Debiased)
+                         .totalLeakagePower());
       std::printf(" %11.1f", leak.back());
     }
     std::printf("\n");

@@ -21,8 +21,9 @@ int main() {
   ExperimentConfig cfg;
   cfg.acquisition.tracesPerClass = 256;
 
-  // 1. Interval estimates: the same debiased totals analyzeAt() gives,
-  //    plus a jackknife 95% CI from the streaming estimator.
+  // 1. Interval estimates: the debiased totals of SpectralAnalysis over
+  //    acquireAt()'s traces, plus a jackknife 95% CI from the streaming
+  //    estimator.
   std::printf("== 95%% confidence intervals, fresh devices ==\n");
   std::printf("%-16s %12s %14s %10s\n", "impl", "total", "+-95% CI", "rel");
   std::vector<StyleLeakage> measured;

@@ -21,7 +21,9 @@ void attack(SboxStyle style, std::uint8_t key, std::uint32_t numTraces) {
   const PowerModel power(sbox->netlist(), cfg.power);
   EventSim sim(sbox->netlist(), delays, cfg.sim);
 
-  const TraceSet traces = acquireKeyed(*sbox, sim, power, key, numTraces);
+  AcquisitionConfig acq;
+  acq.seed = 1;
+  const TraceSet traces = acquireKeyed(*sbox, sim, power, acq, key, numTraces);
   const CpaResult res = runCpa(traces);
 
   std::printf("--- CPA vs %s (%u traces, secret key nibble 0x%X) ---\n",

@@ -78,7 +78,7 @@ double measure(const Netlist& nl, std::uint64_t seed) {
       traces.add(cls, power.sample(tr));
     }
   }
-  const SpectralAnalysis sa(traces, 0, EstimatorMode::Debiased);
+  const SpectralAnalysis sa(traces, EstimatorMode::Debiased);
   return sa.totalLeakagePower();
 }
 

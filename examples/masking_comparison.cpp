@@ -28,9 +28,9 @@ int main() {
   for (SboxStyle style : allSboxStyles()) {
     SboxExperiment exp(style);
     const NetlistStats stats = computeStats(exp.sbox().netlist());
-    const SpectralAnalysis sa = exp.analyzeAt(0.0, EstimatorMode::Debiased);
-    rows.push_back({std::string(exp.sbox().name()), sa.totalLeakagePower(),
-                    sa.singleBitToTotalRatio(), stats.equivalentGates,
+    const auto e = exp.estimateAt(0.0, EstimatorMode::Debiased);
+    rows.push_back({std::string(exp.sbox().name()), e.total,
+                    e.singleBitRatio, stats.equivalentGates,
                     stats.delayLevels, exp.sbox().randomBits()});
   }
 

@@ -21,8 +21,8 @@ int main() {
   std::printf("random bits    : %d\n", experiment.sbox().randomBits());
 
   // Acquire the paper's 1024-trace dataset and decompose it.
-  const SpectralAnalysis analysis =
-      experiment.analyzeAt(/*months=*/0.0, EstimatorMode::Debiased);
+  const SpectralAnalysis analysis(experiment.acquireAt(/*months=*/0.0),
+                                  EstimatorMode::Debiased);
 
   std::printf("total leakage power        : %.2f\n",
               analysis.totalLeakagePower());

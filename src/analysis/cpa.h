@@ -32,7 +32,7 @@ struct CpaResult {
 };
 
 /// Runs CPA on traces whose labels are *plaintext* nibbles (see
-/// acquireKeyed).
+/// acquireKeyed(sbox, sim, power, cfg, key, numTraces)).
 CpaResult runCpa(const TraceSet& traces,
                  CpaModel model = CpaModel::HammingDistance);
 

@@ -103,12 +103,6 @@ TraceSet SboxExperiment::acquireAt(double months) {
   return acquire(*sbox_, sim_, power_, cfg_.acquisition);
 }
 
-SpectralAnalysis SboxExperiment::analyzeAt(double months,
-                                           EstimatorMode mode) {
-  const TraceSet traces = acquireAt(months);
-  return SpectralAnalysis(traces, 0, mode);
-}
-
 stats::AdaptiveResult SboxExperiment::adaptiveAcquireAt(
     double months, const stats::StreamingLeakage::Options& statsOpt) {
   // The resilient group loop with durability off: no checkpoint, one
@@ -149,10 +143,11 @@ stats::LeakageEstimate SboxExperiment::estimateAt(double months,
   stats::StreamingLeakage stream(power_.options().numSamples, opt);
   // Traces arrive in index order, so folding them as they come is
   // bit-identical to folding acquireAt()'s TraceSet; none is kept.
-  acquire(*sbox_, sim_, power_, cfg_.acquisition,
-          [&stream](std::uint8_t label, const double* samples) {
-            stream.addTrace(label, samples);
-          });
+  acquireRange(*sbox_, sim_, power_, cfg_.acquisition, 0,
+               16u * cfg_.acquisition.tracesPerClass,
+               [&stream](std::uint8_t label, const double* samples) {
+                 stream.addTrace(label, samples);
+               });
   return stream.estimate();
 }
 

@@ -74,11 +74,6 @@ class SboxExperiment {
   /// (lets benches sweep thread counts on one device instance).
   void setNumThreads(std::uint32_t n) { cfg_.acquisition.numThreads = n; }
 
-  /// Acquire + spectral decomposition in one step. `Debiased` subtracts the
-  /// mask-sampling noise floor (recommended for cross-style comparisons).
-  SpectralAnalysis analyzeAt(double months,
-                             EstimatorMode mode = EstimatorMode::Raw);
-
   /// Convergence-gated acquisition at `months` (stats/adaptive.h): batches
   /// of `acquisition.batchSize` traces until the total-leakage CI meets
   /// `acquisition.targetCiRel` or `acquisition.maxTraces` is reached.
@@ -99,8 +94,10 @@ class SboxExperiment {
                                            const jobs::JobConfig& job = {});
 
   /// Acquire + streaming interval estimate in one step — the estimate's
-  /// point values are bit-identical to analyzeAt(months, mode) aggregates.
-  /// Holds no traces: each one is folded as acquisition delivers it.
+  /// point values (total, single-bit, multi-bit, ratio) are bit-identical
+  /// to those of SpectralAnalysis(acquireAt(months), mode). Holds no
+  /// traces: each one is folded as acquisition delivers it. Per-sample
+  /// waves need the traces: build SpectralAnalysis over acquireAt().
   stats::LeakageEstimate estimateAt(
       double months, EstimatorMode mode = EstimatorMode::Debiased);
 
@@ -111,7 +108,7 @@ class SboxExperiment {
   /// this experiment drives: the acquisition config (served engine + its
   /// worker clones), the prototype EventSim, and the power model's
   /// reference sampling path. nullptr detaches from the layers this call
-  /// previously attached. Pure sink — acquireAt/analyzeAt results are
+  /// previously attached. Pure sink — acquireAt/estimateAt results are
   /// bit-identical with or without (tests/test_profiler.cpp).
   void attachProfiler(obs::Profiler* profiler);
 

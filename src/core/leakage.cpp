@@ -10,8 +10,8 @@
 
 namespace lpa {
 
-SpectralAnalysis::SpectralAnalysis(const TraceSet& traces, std::size_t firstN,
-                                   EstimatorMode mode)
+SpectralAnalysis::SpectralAnalysis(const TraceSet& traces, EstimatorMode mode,
+                                   std::size_t firstN)
     : numSamples_(traces.numSamples()), mode_(mode) {
   obs::Span span("wht.analysis (" + std::to_string(traces.size()) +
                  " traces)");

@@ -14,7 +14,10 @@
 // a_u^2 + noiseFloor where noiseFloor(T) = (1/16) sum_c Var_c(T)/N_c for
 // the orthonormal WHT. `EstimatorMode::Debiased` subtracts that floor
 // (clamped at zero), separating systematic leakage from mask-sampling
-// noise; `Raw` reproduces the paper's plain estimator.
+// noise; `Raw` reproduces the paper's plain estimator. SpectralAnalysis
+// takes its mode explicitly; every default mode elsewhere
+// (SboxExperiment::estimateAt, StreamingLeakage::Options,
+// FaultCampaignConfig) is Debiased.
 
 #include <array>
 #include <cstdint>
@@ -35,8 +38,8 @@ class SpectralAnalysis {
  public:
   /// Decomposes the class means of `traces` (16 classes). If `firstN` > 0,
   /// only the first `firstN` traces contribute (Fig. 3 convergence).
-  explicit SpectralAnalysis(const TraceSet& traces, std::size_t firstN = 0,
-                            EstimatorMode mode = EstimatorMode::Raw);
+  explicit SpectralAnalysis(const TraceSet& traces, EstimatorMode mode,
+                            std::size_t firstN = 0);
 
   /// Decomposes class-conditional moments accumulated in streaming fashion
   /// (16 classes). Bit-identical to the TraceSet constructor when the
@@ -44,7 +47,7 @@ class SpectralAnalysis {
   /// stats::StreamingLeakage turns running moments into leakage estimates
   /// without a TraceSet.
   explicit SpectralAnalysis(const stats::ClassCondAccumulator& acc,
-                            EstimatorMode mode = EstimatorMode::Raw);
+                            EstimatorMode mode);
 
   std::uint32_t numSamples() const { return numSamples_; }
   EstimatorMode mode() const { return mode_; }

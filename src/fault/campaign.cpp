@@ -99,7 +99,6 @@ FaultCampaignResult runFaultCampaign(const MaskedSbox& sbox,
     obs::Span span("campaign.baseline (" + std::string(sbox.name()) + ")");
     AcquisitionConfig acq;
     acq.tracesPerClass = cfg.tracesPerClass;
-    acq.initialValue = cfg.initialValue;
     acq.seed = cfg.seed;
     acq.numThreads = cfg.numThreads;
     acq.progress = cfg.progress;
@@ -107,7 +106,7 @@ FaultCampaignResult runFaultCampaign(const MaskedSbox& sbox,
     sim.attachMetrics(registry);
     result.baseline = acquire(sbox, sim, power, acq);
     if (cfg.analyzeLeakage) {
-      const SpectralAnalysis sa(result.baseline, 0, cfg.estimator);
+      const SpectralAnalysis sa(result.baseline, cfg.estimator);
       result.baselineTotalLeakage = sa.totalLeakagePower();
       result.baselineSingleBitLeakage = sa.totalSingleBitLeakage();
     }
@@ -184,8 +183,7 @@ FaultCampaignResult runFaultCampaign(const MaskedSbox& sbox,
     const std::size_t n = schedule.size();
     std::vector<TraceStimulus> stimuli(n);
     for (std::size_t i = 0; i < n; ++i) {
-      stimuli[i] =
-          classStimulus(sbox, faultSeed, cfg.initialValue, schedule[i], i);
+      stimuli[i] = classStimulus(sbox, faultSeed, schedule[i], i);
     }
     std::vector<std::uint8_t> labels(n);
     std::vector<double> samples(n * numSamples);
@@ -320,7 +318,7 @@ FaultCampaignResult runFaultCampaign(const MaskedSbox& sbox,
     outcome.diverged.add(report.counts.diverged);
     outcome.faultsRun.add(1);
     if (cfg.analyzeLeakage && traces.size() > 0) {
-      const SpectralAnalysis sa(traces, 0, cfg.estimator);
+      const SpectralAnalysis sa(traces, cfg.estimator);
       report.totalLeakage = sa.totalLeakagePower();
       report.singleBitLeakage = sa.totalSingleBitLeakage();
     }

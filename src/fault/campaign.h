@@ -87,7 +87,6 @@ struct FaultReport {
 struct FaultCampaignConfig {
   /// Traces per class *per fault* (and for the baseline acquisition).
   std::uint32_t tracesPerClass = 8;
-  std::uint8_t initialValue = 0x0;
   /// Defaults to the calibrated acquisition seed so an empty-fault-list
   /// campaign reproduces AcquisitionConfig{} bit-identically.
   std::uint64_t seed = 0xCAFE0003ULL;
@@ -126,7 +125,7 @@ struct FaultCampaignResult {
       : baseline(numSamples) {}
 
   /// Fault-free acquisition, bit-identical to acquire() with the same
-  /// (tracesPerClass, initialValue, seed, numThreads).
+  /// (tracesPerClass, seed, numThreads).
   TraceSet baseline;
   double baselineTotalLeakage = 0.0;
   double baselineSingleBitLeakage = 0.0;

@@ -63,7 +63,7 @@ std::uint64_t acquisitionFingerprint(const MaskedSbox& sbox,
   h.addU64(static_cast<std::uint64_t>(sbox.style()));
   h.addU64(cfg.seed);
   h.addU64(cfg.tracesPerClass);
-  h.addU64(cfg.initialValue);
+  h.addU64(kInitialValue);
   // The physical model as the engines lower it (CompiledDesign): delay kind
   // and swing weighting, every gate's delay (load, jitter, aging, delay
   // faults), the power options and every gate's aged pulse energy.
@@ -295,9 +295,10 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
       };
     }
     if (cfg.adaptive) {
+      // Batch g is a whole balanced run of its own substream.
       bcfg.tracesPerClass = static_cast<std::uint32_t>((end - begin) / 16);
       bcfg.seed = deriveStreamSeed(domainSeed, g);
-      acquire(sbox, sim, power, bcfg, sink);
+      acquireRange(sbox, sim, power, bcfg, 0, end - begin, sink);
     } else {
       acquireRange(sbox, sim, power, bcfg, begin, end, sink);
     }
@@ -331,7 +332,7 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
             const bool diverged = causedByDivergence(eptr);
             if (diverged) {
               ++divergences;
-              if (divergences >= job.quarantineAfterDivergences) {
+              if (divergences >= kQuarantineAfterDivergences) {
                 quarantine(g, "sim-diverged");
               }
             }
@@ -365,7 +366,8 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
     return true;
   };
 
-  std::uint64_t lastCheckpointed = g0;
+  // Writes a checkpoint after every committed group, so a stopped run has
+  // always checkpointed all of its work.
   const auto writeCheckpoint = [&] {
     if (job.checkpointPath.empty()) return;
     // Digest the groups committed since the last checkpoint.
@@ -399,7 +401,6 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
     cp.traces = res.traces;
     cp.streamState = stream.serialize();
     saveCheckpoint(job.checkpointPath, cp);
-    lastCheckpointed = info.groupsCompleted;
     reg.counter("jobs.checkpoints_written").add(1);
     obs::EventJournal::global().info(
         "checkpoint-commit", {{"groups", std::to_string(info.groupsCompleted)},
@@ -476,11 +477,7 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
     ++g;
     reg.counter("jobs.groups_committed").add(1);
 
-    if (!job.checkpointPath.empty() &&
-        (job.checkpointEveryGroups == 0 ||
-         committedThisRun % job.checkpointEveryGroups == 0)) {
-      writeCheckpoint();
-    }
+    writeCheckpoint();
 
     if (cfg.adaptive) {
       res.estimate = stream.estimate();
@@ -499,7 +496,6 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
       "resilient-stop", {{"reason", info.stopReason},
                          {"groups", std::to_string(info.groupsCompleted)},
                          {"of", std::to_string(groupsTotal)}});
-  if (info.groupsCompleted != lastCheckpointed) writeCheckpoint();
   if (stream.traces() > 0 && !cfg.adaptive) res.estimate = stream.estimate();
   res.history = monitor.history();
   reg.gauge("jobs.groups_completed")

@@ -44,10 +44,10 @@
 // and returns the committed prefix with `truncated` set instead of
 // throwing. Engine quarantine guards the fast engines: a
 // deterministic random sample of committed groups is re-run under
-// Reference and digest-compared (spot-check); a mismatch or repeated
-// SimDiverged demotes the run to the Reference engine and records a
-// QuarantineEvent. All of it lands in the run report's /3 `resilience`
-// block via fillResilience().
+// Reference and digest-compared (spot-check); a mismatch or
+// kQuarantineAfterDivergences SimDiverged failures demote the run to the
+// Reference engine and record a QuarantineEvent. All of it lands in the
+// run report's /3 `resilience` block via fillResilience().
 
 #include <cstdint>
 #include <functional>
@@ -71,6 +71,9 @@ namespace lpa::jobs {
 /// ~0 = schedule shuffle, ~1 = fault campaign, ~2 = adaptive batches,
 /// ~3 = quarantine spot-check.
 inline constexpr std::uint64_t kSpotCheckStream = ~3ULL;
+
+/// SimDiverged failures after which a run quarantines its fast engine.
+inline constexpr std::uint32_t kQuarantineAfterDivergences = 2;
 
 /// One engine-quarantine decision: which group triggered it and why
 /// ("spot-check-mismatch" or "sim-diverged").
@@ -103,18 +106,14 @@ struct JobConfig {
   std::string checkpointPath;
   /// Traces per commit group for fixed-schedule runs (adaptive runs group
   /// by batch: groupTraces := cfg.batchSize). Any positive count works —
-  /// slices need no class balance of their own.
+  /// slices need no class balance of their own. A checkpoint is written
+  /// after every committed group.
   std::uint32_t groupTraces = 256;
-  /// Checkpoint cadence: write after every k-th committed group (a final
-  /// checkpoint is always written when the run stops with new work).
-  std::uint32_t checkpointEveryGroups = 1;
   RetryPolicy retry;
   /// Spot-check cadence: re-run ~1/k of committed fast-engine groups
   /// under Reference and digest-compare (0 = off). Which residue of k is
   /// sampled derives from Prng(deriveStreamSeed(seed, kSpotCheckStream)).
   std::uint32_t spotCheckEveryGroups = 0;
-  /// Quarantine the fast engine after this many SimDiverged failures.
-  std::uint32_t quarantineAfterDivergences = 2;
   /// Graceful drain for tests/operators: stop (truncated, "drain") after
   /// committing this many groups IN THIS SESSION (0 = no limit).
   std::uint64_t stopAfterGroups = 0;
@@ -155,11 +154,13 @@ struct ResilientResult {
 /// style + protocol/estimator knobs + the physical model the engines
 /// lower (simulator kind and swing factor, gate delays, power options,
 /// aged pulse energies — so jitter, aging and delay faults count).
-/// Engine, thread count, deadline, cadence and retry knobs are excluded
-/// by design (see the resume invariant above). Folded by
-/// DigestAccumulator (jobs/trace_digest.h); tests/test_resilience.cpp pins
-/// the value of one fixed and one adaptive config, because any change to
-/// it stops every existing checkpoint from resuming.
+/// Engine, thread count, deadline, spot-check cadence and retry knobs are
+/// excluded by design (see the resume invariant above). The protocol's
+/// fixed kInitialValue is folded too, which keeps the pinned values.
+/// Folded by DigestAccumulator (jobs/trace_digest.h);
+/// tests/test_resilience.cpp pins the value of one fixed and one adaptive
+/// config, because any change to it stops every existing checkpoint from
+/// resuming.
 std::uint64_t acquisitionFingerprint(const MaskedSbox& sbox,
                                      const EventSim& sim,
                                      const PowerModel& power,

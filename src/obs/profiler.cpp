@@ -42,7 +42,10 @@ void Profiler::addNetTimeNs(std::uint32_t net, std::uint64_t ns) {
   nets_[net].timeNs.fetch_add(ns, std::memory_order_relaxed);
 }
 
-void Profiler::noteRun() { runs_.fetch_add(1, std::memory_order_relaxed); }
+void Profiler::noteRun(bool profiled) {
+  runs_.fetch_add(1, std::memory_order_relaxed);
+  if (profiled) profiledRuns_.fetch_add(1, std::memory_order_relaxed);
+}
 
 void Profiler::addOccupancy(const std::uint64_t* poppedBins,
                             const std::uint64_t* committedBins,
@@ -178,6 +181,7 @@ Json Profiler::toJson(std::size_t topK) const {
   Json j = Json::object();
   j["schema"] = schemaId();
   j["runs"] = Json(runs());
+  j["profiled_runs"] = Json(profiledRuns());
 
   std::lock_guard<std::mutex> lock(mu_);
   Json nets = Json::object();
@@ -215,9 +219,9 @@ Json Profiler::toJson(std::size_t topK) const {
   const std::uint64_t w = waves();
   Json occ = Json::object();
   occ["waves"] = Json(w);
-  // >1 means the batch engine profiled every N-th run and scaled the
-  // counts back up: the histograms and totals are estimates, not censuses
-  // (each sampled run is itself tallied exactly).
+  // >1 means the batch engine profiled every N-th lane group of a call:
+  // the counts cover the profiled_runs runs only (each of them tallied
+  // exactly), not a census.
   occ["run_sample_stride"] = Json(static_cast<std::uint64_t>(
       runStride_.load(std::memory_order_relaxed)));
   occ["mean_popped"] = Json(binMean(poppedBins_, kOccupancyBins, w));
@@ -278,6 +282,7 @@ void Profiler::reset() {
     c.timeNs.store(0, std::memory_order_relaxed);
   }
   runs_.store(0, std::memory_order_relaxed);
+  profiledRuns_.store(0, std::memory_order_relaxed);
   waves_.store(0, std::memory_order_relaxed);
   for (auto& b : poppedBins_) b.store(0, std::memory_order_relaxed);
   for (auto& b : committedBins_) b.store(0, std::memory_order_relaxed);

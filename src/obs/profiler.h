@@ -18,14 +18,17 @@
 // run from recordRun(). The scalar engines tally every event exactly.
 // The batch engine's pop loop is tight enough that even a few
 // unconditional tally instructions per wave measure ~10-15%, so it
-// profiles every kRunSampleStride-th run exactly — zero instructions in
-// the runs it skips — and scales the tallies back to whole-workload
-// estimates at flush (means, ratios and histogram shapes are stride-
-// invariant). Wall-time is attributed by bucketed sampling: every
-// kWallSampleEvery pops the engine reads the steady clock once and
-// charges the whole inter-sample interval to the net whose event is in
-// hand — standard sampling-profiler accounting, ~0.4% clock-read duty at
-// the default period.
+// profiles every kRunSampleStride-th lane group of a call exactly — zero
+// instructions in the runs it skips — and flushes those runs' tallies
+// unscaled. Every additive count (per-net tallies, waves, histogram bins,
+// timeline pops) therefore covers the `profiled_runs` runs only, out of
+// `runs`; means, ratios and histogram shapes estimate the whole workload.
+// (A call of G groups profiles ceil(G / kRunSampleStride) of them, so no
+// fixed factor scales its counts back exactly.) Wall-time is attributed
+// by bucketed sampling: every kWallSampleEvery pops the engine reads the
+// steady clock once and charges the whole inter-sample interval to the
+// net whose event is in hand — standard sampling-profiler accounting,
+// ~0.4% clock-read duty at the default period.
 //
 // Threading: the shared arrays are plain relaxed atomics, so any number
 // of worker clones may flush into one Profiler concurrently. Sizing
@@ -71,10 +74,11 @@ class Profiler {
   /// Engines read the steady clock once per this many pops and charge the
   /// interval to the current event's net.
   static constexpr std::uint32_t kWallSampleEvery = 256;
-  /// The batch engine profiles every this-many-th run (the first one
-  /// included) exactly and scales the tallies back at flush (see the
-  /// header comment). Coprime to the 16-class dataset cycle on purpose:
-  /// a power-of-two stride would alias onto a fixed subset of classes.
+  /// The batch engine profiles every this-many-th lane group of a call
+  /// (the first one included) exactly; its counts cover those runs only
+  /// (see the header comment). Coprime to the 16-class dataset cycle on
+  /// purpose: a power-of-two stride would alias onto a fixed subset of
+  /// classes.
   static constexpr std::uint32_t kRunSampleStride = 5;
   /// Engines sample arena byte counts once per this many runs.
   static constexpr std::uint32_t kArenaSampleEvery = 64;
@@ -113,7 +117,8 @@ class Profiler {
                     std::uint64_t filtered);
   void addNetPulses(std::uint32_t net, std::uint64_t pulses);
   void addNetTimeNs(std::uint32_t net, std::uint64_t ns);
-  void noteRun();
+  /// Counts one engine run; `profiled` when its tallies are flushed too.
+  void noteRun(bool profiled = true);
   /// Folds one run's lanes-per-wave histograms (kOccupancyBins entries
   /// each) plus the wave count into the shared tallies.
   void addOccupancy(const std::uint64_t* poppedBins,
@@ -130,6 +135,11 @@ class Profiler {
   // --- read side (for benches/tests; relaxed reads) ---
 
   std::uint64_t runs() const { return runs_.load(std::memory_order_relaxed); }
+  /// Runs whose tallies reached this profiler: the runs every additive
+  /// count covers.
+  std::uint64_t profiledRuns() const {
+    return profiledRuns_.load(std::memory_order_relaxed);
+  }
   std::uint64_t waves() const {
     return waves_.load(std::memory_order_relaxed);
   }
@@ -165,6 +175,7 @@ class Profiler {
   std::atomic<std::size_t> netCount_{0};
   std::vector<std::string> labels_;  // under mu_
   std::atomic<std::uint64_t> runs_{0};
+  std::atomic<std::uint64_t> profiledRuns_{0};
   std::atomic<std::uint64_t> waves_{0};
   std::atomic<std::uint64_t> poppedBins_[kOccupancyBins] = {};
   std::atomic<std::uint64_t> committedBins_[kOccupancyBins] = {};

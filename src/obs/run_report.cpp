@@ -100,10 +100,7 @@ void RunReport::writeTo(const std::string& path) const {
 }
 
 void RunReport::appendTo(const std::string& path) const {
-  Json line = Json::object();
-  line["schema"] = ledgerSchemaId();
-  line["report"] = toJson();
-  durableAppendLine(path, line.dump(-1) + "\n");
+  durableAppendLine(path, toJson().dump(-1) + "\n");
 }
 
 std::string RunReport::validate(const Json& j) {
@@ -269,7 +266,7 @@ std::string RunReport::validate(const Json& j) {
   if (const Json* v = prof->find("schema"); v && !v->isString()) {
     return "profile.schema is not a string";
   }
-  for (const char* key : {"runs"}) {
+  for (const char* key : {"runs", "profiled_runs"}) {
     if (const Json* v = prof->find(key);
         v && (!v->isNumber() || v->asNumber() < 0.0)) {
       return std::string("profile.") + key +
@@ -301,22 +298,6 @@ std::string RunReport::validate(const Json& j) {
   if (const Json* hw = prof->find("hw_counters"); hw && !hw->isArray()) {
     return "profile.hw_counters is not an array";
   }
-  return "";
-}
-
-std::string RunReport::validateLedgerLine(const Json& j) {
-  if (!j.isObject()) return "ledger line is not an object";
-  const Json* schema = j.find("schema");
-  if (!schema || !schema->isString()) {
-    return "ledger line missing schema string";
-  }
-  if (schema->asString() != ledgerSchemaId()) {
-    return "ledger schema is not " + std::string(ledgerSchemaId());
-  }
-  const Json* report = j.find("report");
-  if (!report) return "ledger line missing report";
-  const std::string err = validate(*report);
-  if (!err.empty()) return "ledger report: " + err;
   return "";
 }
 

@@ -57,12 +57,12 @@
 // arena byte samples. An unprofiled run leaves the block empty. Typed
 // keys are validated when present.
 //
-// ## Run ledger (schema "lpa-run-ledger/1")
+// ## Run ledger
 //
-// `appendTo()` appends the report to a JSONL ledger — one compact line
-//   {"schema": "lpa-run-ledger/1", "report": { <lpa-run-report/4> }}
-// per run — which tools/lpa_dashboard.py renders and tools/leakage_gate.py
-// gates against the golden ordering. Appends are fsync'd before close
+// `appendTo()` appends the report to a JSONL ledger — one compact
+// lpa-run-report/4 document per line, one line per run — which
+// tools/lpa_dashboard.py renders and tools/leakage_gate.py gates against
+// the golden ordering. Appends are fsync'd before close
 // (obs/fsio.h), so a crash can tear at most the trailing line, which the
 // tools skip with a warning.
 
@@ -116,18 +116,14 @@ class RunReport {
   /// poisons its readers (tools/, CI's obs-smoke checks); throws
   /// std::runtime_error on failure.
   void writeTo(const std::string& path) const;
-  /// Appends one compact `lpa-run-ledger/1` line wrapping this report to
-  /// the JSONL ledger at `path` (created if absent), fsync'd before close
-  /// so the append is durable on return; throws on IO failure.
+  /// Appends this report as one compact line to the JSONL ledger at
+  /// `path` (created if absent), fsync'd before close so the append is
+  /// durable on return; throws on IO failure.
   void appendTo(const std::string& path) const;
 
   static const char* schemaId() { return "lpa-run-report/4"; }
-  static const char* ledgerSchemaId() { return "lpa-run-ledger/1"; }
   /// "" when `j` conforms to the /4 schema, otherwise the first violation.
   static std::string validate(const Json& j);
-  /// "" when `j` is a conforming ledger line (wrapper schema + embedded
-  /// report), otherwise the first violation.
-  static std::string validateLedgerLine(const Json& j);
   /// The git describe string baked in at configure time ("unknown" outside
   /// a git checkout).
   static const char* gitDescribe();

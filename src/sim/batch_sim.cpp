@@ -201,12 +201,8 @@ void BatchSim::attachProfiler(obs::Profiler* profiler) {
 }
 
 void BatchSim::profFlush() {
-  // This run's tallies are exact, but only 1-in-kRunSampleStride runs are
-  // profiled; scale every additive count back up so the shared totals
-  // estimate the whole workload. Means, ratios and histogram shapes are
-  // unaffected by the uniform scale. depthMax is a true (sampled) maximum
-  // and stays unscaled.
-  constexpr std::uint64_t stride = obs::Profiler::kRunSampleStride;
+  // This run's tallies are exact and flush as they are: the profiler's
+  // counts cover its profiled runs (Profiler::profiledRuns).
   for (std::uint32_t net = 0; net < profTally_.size(); ++net) {
     ProfNetTally& t = profTally_[net];
     if ((t.scheduled | t.committed | t.cancelled | t.filtered | t.pulses) ==
@@ -214,22 +210,14 @@ void BatchSim::profFlush() {
         t.timeNs == 0) {
       continue;
     }
-    profiler_->addNetEvents(net, std::uint64_t(t.scheduled) * stride,
-                            std::uint64_t(t.committed) * stride,
-                            std::uint64_t(t.cancelled) * stride,
-                            std::uint64_t(t.filtered) * stride);
-    if (t.pulses != 0) {
-      profiler_->addNetPulses(net, std::uint64_t(t.pulses) * stride);
-    }
-    if (t.timeNs != 0) profiler_->addNetTimeNs(net, t.timeNs * stride);
+    profiler_->addNetEvents(net, t.scheduled, t.committed, t.cancelled,
+                            t.filtered);
+    if (t.pulses != 0) profiler_->addNetPulses(net, t.pulses);
+    if (t.timeNs != 0) profiler_->addNetTimeNs(net, t.timeNs);
     t = ProfNetTally{};
   }
-  for (auto& b : profPoppedBins_) b *= stride;
-  for (auto& b : profCommittedBins_) b *= stride;
-  for (auto& b : profTlPops_) b *= stride;
-  for (auto& b : profTlDepthSum_) b *= stride;
   profiler_->addOccupancy(profPoppedBins_.data(), profCommittedBins_.data(),
-                          profWaves_ * stride);
+                          profWaves_);
   profiler_->addTimeline(profTlPops_.data(), profTlDepthSum_.data(),
                          profTlDepthMax_.data());
   profPoppedBins_.fill(0);
@@ -305,7 +293,7 @@ void BatchSim::recordRun() {
     metrics_.watchdogMaxEventsUsed.recordMax(static_cast<double>(maxPopped));
   }
   if (profiler_) {
-    profiler_->noteRun();  // every run counts, sampled or not
+    profiler_->noteRun(profThisRun_);  // every run counts, sampled or not
     if (profThisRun_) profFlush();
   }
 }
@@ -476,7 +464,7 @@ void BatchSim::runCore(
   // instructions per wave measure ~10-15% — far over the <=5% attachment
   // gate — so the batch engine profiles every kRunSampleStride-th *run*
   // by run index (setRunIndex; index 0 included) exactly and profFlush
-  // scales the tallies back to whole-workload estimates. A run-level
+  // hands over those runs' tallies, unscaled. A run-level
   // stride keeps every histogram internally exact, costs literally zero
   // instructions in the runs it skips (`prof` below is loop-invariant
   // false), and the stride is coprime to the 16-class dataset cycle so

@@ -374,7 +374,8 @@ class BatchSim {
   // flush. Only every Profiler::kRunSampleStride-th run is profiled (the
   // hooks cost ~10-15% of the pop loop when they execute; the run-level
   // stride amortizes that under the ≤5% attachment gate while keeping
-  // each profiled run's tallies exact — profFlush scales them back up).
+  // each profiled run's tallies exact — profFlush hands them over
+  // unscaled, and the profiler counts the runs they cover).
   // The per-net tallies live in one interleaved 32-byte record so a
   // hot-loop hook touches a single cache line per net (five parallel
   // arrays measurably thrashed the batch engine's working set); flush

@@ -18,9 +18,9 @@
 //
 // `merge()` uses Chan's parallel combination rule. Merged moments are
 // algebraically exact but follow a different floating-point op order than
-// sequential folding, so merge is reserved for resampling (jackknife /
-// bootstrap fold recombination in stats/confidence.h) where no bit-identity
-// contract applies.
+// sequential folding, so merge is reserved for resampling (jackknife fold
+// recombination, stats/streaming_leakage.h) where no bit-identity contract
+// applies.
 
 #include <cstdint>
 #include <vector>

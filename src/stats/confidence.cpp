@@ -1,6 +1,5 @@
 #include "stats/confidence.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -88,27 +87,6 @@ AggregateCi jackknifeCi(const std::vector<double>& leaveOneOut,
   const double varJack =
       (static_cast<double>(k) - 1.0) / static_cast<double>(k) * ss;
   const double hw = normalCriticalValue(confidence) * std::sqrt(varJack);
-  return makeCi(fullEstimate, hw);
-}
-
-AggregateCi bootstrapPercentileCi(std::vector<double> replicates,
-                                  double fullEstimate, double confidence) {
-  if (replicates.size() < 2) {
-    AggregateCi ci;
-    ci.estimate = fullEstimate;
-    return ci;
-  }
-  std::sort(replicates.begin(), replicates.end());
-  const double alpha = (1.0 - confidence) / 2.0;
-  const auto quantile = [&](double q) {
-    // Linear interpolation between order statistics (type-7 quantile).
-    const double pos = q * static_cast<double>(replicates.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, replicates.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return replicates[lo] + frac * (replicates[hi] - replicates[lo]);
-  };
-  const double hw = (quantile(1.0 - alpha) - quantile(alpha)) / 2.0;
   return makeCi(fullEstimate, hw);
 }
 

@@ -1,10 +1,7 @@
 #pragma once
 // Confidence intervals and ordering-resolution tests for leakage estimates
-// (DESIGN.md §10).
-//
-// Resampling here is *deterministic*: bootstrap replicate b draws its fold
-// indices from `Prng(deriveStreamSeed(seed, b))`, so a CI depends only on
-// (estimates, seed, replicates) — never on thread count or wall clock —
+// (DESIGN.md §10). Intervals are delete-one-fold jackknifes: a CI depends
+// only on the fold estimates — never on thread count or wall clock —
 // matching the repo-wide determinism contract.
 
 #include <cstdint>
@@ -41,13 +38,6 @@ double normalCriticalValue(double confidence);
 /// least two leave-one-out values; fewer yields an unresolved interval.
 AggregateCi jackknifeCi(const std::vector<double>& leaveOneOut,
                         double fullEstimate, double confidence);
-
-/// Percentile bootstrap: `replicates` are the statistic over resampled
-/// fold sets; the interval is the central `confidence` mass of their
-/// empirical distribution, reported as a symmetric half-width
-/// (hi - lo) / 2 around the full estimate.
-AggregateCi bootstrapPercentileCi(std::vector<double> replicates,
-                                  double fullEstimate, double confidence);
 
 /// Outcome of a pairwise ordering test between two interval estimates.
 struct OrderingVerdict {

@@ -5,7 +5,6 @@
 
 #include "obs/metrics.h"
 #include "stats/serial.h"
-#include "trace/prng.h"
 
 namespace lpa::stats {
 
@@ -183,37 +182,6 @@ std::optional<StreamingLeakage> StreamingLeakage::deserialize(
     }
   }
   return s;
-}
-
-AggregateCi StreamingLeakage::bootstrapTotalCi(std::uint64_t seed,
-                                               std::uint32_t replicates) const {
-  const SpectralAnalysis full(all_, opt_.mode);
-  const double fullTotal = full.totalLeakagePower();
-
-  // Bootstrap needs every sampled fold multiset to yield a usable analysis;
-  // cheapest sufficient condition: every single fold already covers every
-  // class twice.
-  for (const ClassCondAccumulator& f : folds_) {
-    if (f.minClassCount() < 2) {
-      AggregateCi ci;
-      ci.estimate = fullTotal;
-      return ci;
-    }
-  }
-
-  std::vector<double> rep;
-  rep.reserve(replicates);
-  const std::uint32_t k = opt_.numFolds;
-  for (std::uint32_t b = 0; b < replicates; ++b) {
-    Prng rng(deriveStreamSeed(seed, b));
-    ClassCondAccumulator acc(all_.numSamples(), 16);
-    for (std::uint32_t j = 0; j < k; ++j) {
-      acc.merge(folds_[rng.below(k)]);
-    }
-    const SpectralAnalysis sa(acc, opt_.mode);
-    rep.push_back(sa.totalLeakagePower());
-  }
-  return bootstrapPercentileCi(std::move(rep), fullTotal, opt_.confidence);
 }
 
 }  // namespace lpa::stats

@@ -12,9 +12,7 @@
 //   * jackknife confidence intervals per aggregate and per WHT coefficient
 //     energy, from K delete-one-fold replicates (fold of trace i = insertion
 //     index i mod K, so fold membership is order-determined and
-//     thread-count invariant when traces are folded in index order);
-//   * deterministic percentile-bootstrap intervals over the folds, seeded
-//     through `deriveStreamSeed` substreams.
+//     thread-count invariant when traces are folded in index order).
 //
 // The fold accumulators are combined with Chan's rule (stats/accumulator.h);
 // only the *global* accumulator carries the bit-identity contract.
@@ -88,7 +86,7 @@ class StreamingLeakage {
   const ClassCondAccumulator& accumulator() const { return all_; }
 
   /// The batch spectral decomposition of everything folded so far —
-  /// bit-identical to `SpectralAnalysis(TraceSet, 0, mode)` on the same
+  /// bit-identical to `SpectralAnalysis(TraceSet, mode)` on the same
   /// traces in the same order.
   SpectralAnalysis analysis() const;
 
@@ -97,11 +95,6 @@ class StreamingLeakage {
   /// traces in every class, so early snapshots can never satisfy a
   /// convergence gate by accident.
   LeakageEstimate estimate() const;
-
-  /// Deterministic percentile bootstrap over the folds for the total
-  /// leakage; replicate b draws folds from Prng(deriveStreamSeed(seed, b)).
-  AggregateCi bootstrapTotalCi(std::uint64_t seed,
-                               std::uint32_t replicates = 200) const;
 
   /// Exact byte snapshot of the estimator (options, global accumulator,
   /// every fold, the insertion counter). Restoring it with deserialize()

@@ -98,13 +98,12 @@ std::vector<std::uint8_t> balancedClassSchedule(std::uint32_t tracesPerClass,
 }
 
 TraceStimulus classStimulus(const MaskedSbox& sbox, std::uint64_t seed,
-                            std::uint8_t initialValue, std::uint8_t cls,
-                            std::size_t i) {
+                            std::uint8_t cls, std::size_t i) {
   // All randomness of trace i — masks, gadget bits, noise seed — comes
   // from this stream and hence depends only on (seed, i).
   Prng rng(deriveStreamSeed(seed, i));
   TraceStimulus s;
-  s.init = sbox.encode(initialValue, rng);
+  s.init = sbox.encode(kInitialValue, rng);
   s.fin = sbox.encode(cls, rng);
   s.noiseSeed = rng.next() | 1ULL;
   s.label = cls;
@@ -312,8 +311,9 @@ Plan makePlan(const Protocol& protocol, std::size_t begin, std::size_t end,
   return plan;
 }
 
-/// Streams traces [begin, end) of `protocol` to `sink` in index order: the
-/// one engine-dispatch body behind acquire(), acquireRange() and
+/// Streams traces [begin, end) of `protocol` to `sink` in index order, on
+/// cfg's engine, threads, progress sink and profiler: the one
+/// engine-dispatch body behind acquire(), acquireRange() and
 /// acquireKeyed(). A plan pass derives every trace's stimulus; the pool
 /// then simulates each distinct (init, fin, expected) triple once, without
 /// noise, and delivery hands trace i its triple's samples plus its own
@@ -322,19 +322,22 @@ Plan makePlan(const Protocol& protocol, std::size_t begin, std::size_t end,
 /// is invisible in the result bits.
 void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
                   const PowerModel& power, const Protocol& protocol,
-                  std::size_t begin, std::size_t end, SimEngine requested,
-                  std::uint32_t numThreads,
-                  const obs::ProgressFn& progress, obs::Profiler* profiler,
-                  const TraceSink& sink) {
+                  const AcquisitionConfig& cfg, std::size_t begin,
+                  std::size_t end, const TraceSink& sink) {
+  if (cfg.adaptive) {
+    throw std::invalid_argument(
+        "acquisition: cfg.adaptive must be false (adaptive runs go batch by "
+        "batch through jobs::resilientAcquire)");
+  }
   const std::size_t n = end - begin;
   const std::uint32_t numSamples = power.options().numSamples;
   const double sigma = power.options().noiseSigma;
   const std::string style(sbox.name());
   const std::size_t width = sim.netlist().inputs().size();
   const Plan plan = makePlan(protocol, begin, end, width, sigma > 0.0,
-                             numThreads, style);
+                             cfg.numThreads, style);
   const std::size_t m = plan.distinct();
-  const SimEngine engine = resolveEngine(requested, sim, power, m);
+  const SimEngine engine = resolveEngine(cfg.engine, sim, power, m);
   // Runs fn(), naming slice-local trace t in any failure.
   const auto onTrace = [&](std::size_t t, const auto& fn) {
     try {
@@ -366,7 +369,7 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
     return (count + per - 1) / per;
   };
   const bool batch = engine == SimEngine::Batch;
-  const std::uint32_t threads = resolveWorkerThreads(numThreads, m);
+  const std::uint32_t threads = resolveWorkerThreads(cfg.numThreads, m);
   const std::size_t windowRows =
       detail::reorderWindow(threads) * BatchSim::kLanes;
   const std::size_t itemTriples = std::clamp<std::size_t>(
@@ -455,7 +458,7 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
                    std::to_string(n) + " traces, " + std::to_string(m) +
                    " distinct, " + std::to_string(threads) + " threads, " +
                    engineName + " engine)");
-    obs::ProgressMeter meter(protocol.spanLabel, n, progress);
+    obs::ProgressMeter meter(protocol.spanLabel, n, cfg.progress);
     obs::MetricsRegistry::global().counter("acquire.traces_total").add(n);
     obs::MetricsRegistry::global().counter("acquire.distinct_total").add(m);
     obs::EventJournal::global().info(
@@ -537,7 +540,7 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
     const CompiledDesign design(sim.netlist(), sim.delayModel(), power);
     BatchSim bsim(design, sim.options());
     bsim.attachMetrics(sim.metricsRegistry());
-    bsim.attachProfiler(profiler);
+    bsim.attachProfiler(cfg.profiler);
     const StimulusFn laneStimulus = [&](std::size_t p) {
       return plan.stimulus(order[p]);
     };
@@ -546,7 +549,7 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
              // Every item but the last holds itemTriples triples, so this
              // is the item's index: profiling samples the same groups
              // whichever worker runs them.
-             if (profiler != nullptr) worker.setRunIndex(a / itemTriples);
+             if (cfg.profiler != nullptr) worker.setRunIndex(a / itemTriples);
              std::vector<TraceStimulus> group;
              try {
                group = runLaneGroup(worker, laneStimulus, a, lanes);
@@ -599,7 +602,7 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
     const CompiledDesign design(sim.netlist(), sim.delayModel(), power);
     CompiledSim csim(design, sim.options());
     csim.attachMetrics(sim.metricsRegistry());
-    csim.attachProfiler(profiler);
+    csim.attachProfiler(cfg.profiler);
     stream(csim, "compiled",
            scalarFill([&](CompiledSim& worker, const TraceStimulus& s,
                           std::size_t i) -> const std::vector<double>& {
@@ -612,15 +615,25 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
 
   // Reference path: workers clone `sim`, so attaching here propagates to
   // every worker. Only attach when requested — a null re-attach would
-  // clobber an attachment the caller installed on the prototype.
-  if (profiler != nullptr) sim.attachProfiler(profiler);
-  stream(sim, "reference",
-         scalarFill([&](EventSim& worker, const TraceStimulus& s,
-                        std::size_t i) {
-           const std::vector<Transition> transitions = worker.run(s.fin);
-           checkDecode(sbox, worker.outputValues(), s, i);
-           return power.sample(transitions, 0);
-         }));
+  // clobber an attachment the caller installed on the prototype — and
+  // give `sim` its own attachment back on every exit: cfg.profiler need
+  // not outlive the call.
+  obs::Profiler* const callerProfiler = sim.profiler();
+  const bool swap = cfg.profiler != nullptr && cfg.profiler != callerProfiler;
+  if (swap) sim.attachProfiler(cfg.profiler);
+  try {
+    stream(sim, "reference",
+           scalarFill([&](EventSim& worker, const TraceStimulus& s,
+                          std::size_t i) {
+             const std::vector<Transition> transitions = worker.run(s.fin);
+             checkDecode(sbox, worker.outputValues(), s, i);
+             return power.sample(transitions, 0);
+           }));
+  } catch (...) {
+    if (swap) sim.attachProfiler(callerProfiler);
+    throw;
+  }
+  if (swap) sim.attachProfiler(callerProfiler);
 }
 
 /// A TraceSet of `n` reserved traces, filled by run(sink).
@@ -639,11 +652,6 @@ TraceSet collect(const PowerModel& power, std::size_t n, const Run& run) {
 void acquireRange(const MaskedSbox& sbox, EventSim& sim,
                   const PowerModel& power, const AcquisitionConfig& cfg,
                   std::size_t begin, std::size_t end, const TraceSink& sink) {
-  if (cfg.adaptive) {
-    throw std::invalid_argument(
-        "acquisition: cfg.adaptive must be false (adaptive runs go batch by "
-        "batch through jobs::resilientAcquire)");
-  }
   const std::size_t total = 16u * cfg.tracesPerClass;
   if (begin > end || end > total) {
     throw std::invalid_argument(
@@ -653,25 +661,16 @@ void acquireRange(const MaskedSbox& sbox, EventSim& sim,
   const std::vector<std::uint8_t> schedule =
       balancedClassSchedule(cfg.tracesPerClass, cfg.seed);
   const Protocol protocol{[&](std::size_t i) {
-                            return classStimulus(sbox, cfg.seed,
-                                                 cfg.initialValue,
-                                                 schedule[i], i);
+                            return classStimulus(sbox, cfg.seed, schedule[i],
+                                                 i);
                           },
                           "acquire", "class", "acquire"};
-  acquireSlice(sbox, sim, power, protocol, begin, end, cfg.engine,
-               cfg.numThreads, cfg.progress, cfg.profiler, sink);
-}
-
-void acquire(const MaskedSbox& sbox, EventSim& sim, const PowerModel& power,
-             const AcquisitionConfig& cfg, const TraceSink& sink) {
-  acquireRange(sbox, sim, power, cfg, 0, 16u * cfg.tracesPerClass, sink);
+  acquireSlice(sbox, sim, power, protocol, cfg, begin, end, sink);
 }
 
 TraceSet acquire(const MaskedSbox& sbox, EventSim& sim,
                  const PowerModel& power, const AcquisitionConfig& cfg) {
-  return collect(power, 16u * cfg.tracesPerClass, [&](const TraceSink& s) {
-    acquire(sbox, sim, power, cfg, s);
-  });
+  return acquireRange(sbox, sim, power, cfg, 0, 16u * cfg.tracesPerClass);
 }
 
 TraceSet acquireRange(const MaskedSbox& sbox, EventSim& sim,
@@ -684,18 +683,17 @@ TraceSet acquireRange(const MaskedSbox& sbox, EventSim& sim,
 }
 
 TraceSet acquireKeyed(const MaskedSbox& sbox, EventSim& sim,
-                      const PowerModel& power, std::uint8_t key,
-                      std::uint32_t numTraces, std::uint64_t seed,
-                      std::uint32_t numThreads, SimEngine engine) {
+                      const PowerModel& power, const AcquisitionConfig& cfg,
+                      std::uint8_t key, std::uint32_t numTraces) {
   // The plaintext is the first draw of the trace's stream, then the fixed
-  // protocol's draws with initial value 0 and final value plain ^ key.
+  // protocol's draws with final value plain ^ key.
   const Protocol protocol{[&](std::size_t i) {
-                            Prng rng(deriveStreamSeed(seed, i));
+                            Prng rng(deriveStreamSeed(cfg.seed, i));
                             TraceStimulus s;
                             s.label = rng.nibble();
                             const std::uint8_t x =
                                 static_cast<std::uint8_t>(s.label ^ key);
-                            s.init = sbox.encode(0, rng);
+                            s.init = sbox.encode(kInitialValue, rng);
                             s.fin = sbox.encode(x, rng);
                             s.noiseSeed = rng.next() | 1ULL;
                             s.expected = kPresentSbox[x];
@@ -703,8 +701,7 @@ TraceSet acquireKeyed(const MaskedSbox& sbox, EventSim& sim,
                           },
                           "keyed", "plaintext", "acquire-keyed"};
   return collect(power, numTraces, [&](const TraceSink& s) {
-    acquireSlice(sbox, sim, power, protocol, 0, numTraces, engine,
-                 numThreads, obs::ProgressFn(), nullptr, s);
+    acquireSlice(sbox, sim, power, protocol, cfg, 0, numTraces, s);
   });
 }
 

@@ -3,7 +3,8 @@
 //
 // Each trace:
 //   1. the circuit settles on a random encoding of the fixed constant
-//      (0000)b — class '0' (e.g. A_init ^ MI_init = 0 in GLUT);
+//      kInitialValue = (0000)b — class '0' (e.g. A_init ^ MI_init = 0 in
+//      GLUT);
 //   2. at t = 0 a random encoding of the final text t is applied;
 //   3. the supply current of the transition window is sampled
 //      (100 samples over 2 ns at 50 GS/s).
@@ -150,9 +151,12 @@ enum class SimEngine : std::uint8_t {
               ///< ineligible)
 };
 
+/// The fixed constant (0000)b every trace of the Fig. 5 protocol settles on
+/// before its final value is applied.
+inline constexpr std::uint8_t kInitialValue = 0x0;
+
 struct AcquisitionConfig {
   std::uint32_t tracesPerClass = 64;
-  std::uint8_t initialValue = 0x0;  ///< the fixed constant of the protocol
   /// Part of the calibrated operating point (DESIGN.md §5): the masked
   /// styles' finite-sample leakage estimates are mask-draw dependent, and
   /// this seed reproduces the paper's Fig. 7 ordering with the per-trace
@@ -180,9 +184,9 @@ struct AcquisitionConfig {
   // ## Convergence-gated (adaptive) acquisition
   //
   // Read by the group loop of the resilience layer (jobs/resilient.h),
-  // whose stop rule they set; acquire() and acquireRange() reject
-  // `adaptive`. An adaptive run collects batches of `batchSize` traces —
-  // batch b is a balanced mini-schedule run under the derived substream
+  // whose stop rule they set; acquire(), acquireRange() and acquireKeyed()
+  // reject `adaptive`. An adaptive run collects batches of `batchSize`
+  // traces — batch b is a balanced mini-schedule run under the substream
   // deriveStreamSeed(deriveStreamSeed(seed, kAdaptiveBatchStream), b), so
   // batch contents depend only on (seed, b, batchSize) — and stops as soon
   // as the relative half-width of the streaming total-leakage CI reaches
@@ -202,8 +206,8 @@ struct AcquisitionConfig {
   //
   // These knobs are honored by the resilience layer (jobs/resilient.h),
   // which runs acquisition group-by-group with checkpoint/resume; plain
-  // acquire() ignores them (it has no partial-result channel to return a
-  // truncated TraceSet through).
+  // acquire(), acquireRange() and acquireKeyed() ignore them (they have no
+  // partial-result channel to return a truncated TraceSet through).
 
   /// Wall-clock budget in milliseconds for a resilient run (0 = none).
   /// The deadline cancels cooperatively through the ProgressMeter abort
@@ -237,11 +241,10 @@ struct TraceStimulus {
 using StimulusFn = std::function<TraceStimulus(std::size_t)>;
 
 /// Trace `i` of acquire()'s fixed-class protocol under `seed`: settle on a
-/// random encoding of `initialValue`, then apply a random encoding of
-/// `cls`; labelled `cls`, expecting kPresentSbox[cls].
+/// random encoding of kInitialValue, then apply a random encoding of `cls`;
+/// labelled `cls`, expecting kPresentSbox[cls].
 TraceStimulus classStimulus(const MaskedSbox& sbox, std::uint64_t seed,
-                            std::uint8_t initialValue, std::uint8_t cls,
-                            std::size_t i);
+                            std::uint8_t cls, std::size_t i);
 
 /// Simulates traces [base, base + lanes) as one BatchSim lane group (lane
 /// l is trace base + l; 1 <= lanes <= BatchSim::kLanes): settles every lane
@@ -284,12 +287,6 @@ void sortByFinalEncoding(std::uint32_t* ids, std::size_t count,
 /// thread at a time; `samples` (numSamples values) is valid for the call.
 using TraceSink = std::function<void(std::uint8_t label, const double*)>;
 
-/// acquire() that hands each trace to `sink` instead of storing it, in the
-/// order acquire() would return them: the acquireRange() sink form over
-/// the whole run.
-void acquire(const MaskedSbox& sbox, EventSim& sim, const PowerModel& power,
-             const AcquisitionConfig& cfg, const TraceSink& sink);
-
 /// Collects a balanced, labelled trace set from `sbox` using the simulator
 /// and power model (both must be built for sbox.netlist()). `sim` is used
 /// as the prototype for per-worker clones (netlist, delay model, options,
@@ -313,22 +310,23 @@ TraceSet acquireRange(const MaskedSbox& sbox, EventSim& sim,
 
 /// acquireRange() that hands each trace to `sink` in index order instead
 /// of storing it — the one streaming entry point of the fixed-class
-/// protocol.
+/// protocol; [0, 16 * tracesPerClass) streams the whole run.
 void acquireRange(const MaskedSbox& sbox, EventSim& sim,
                   const PowerModel& power, const AcquisitionConfig& cfg,
                   std::size_t begin, std::size_t end, const TraceSink& sink);
 
-/// Variant for attack studies (CPA): the final value is `plain ^ key` with
-/// uniformly random `plain`; the trace label is the *plaintext* nibble.
-/// Follows the same determinism contract: trace i depends only on
-/// (seed, i), so results are invariant in `numThreads` (0 = auto). Runs
-/// the same engine bodies as acquire(), decode check included: a netlist
-/// that does not compute kPresentSbox[plain ^ key] fails with a
-/// WorkerError.
+/// Variant for attack studies (CPA): `numTraces` traces whose final value
+/// is `plain ^ key` with uniformly random `plain`; the trace label is the
+/// *plaintext* nibble. Trace i draws `plain` first from its stream
+/// Prng(deriveStreamSeed(cfg.seed, i)), then the fixed-class protocol's
+/// draws, so it depends only on (cfg.seed, i) and the result is invariant
+/// in cfg.numThreads and cfg.engine. cfg.progress ("acquire-keyed") and
+/// cfg.profiler are honoured as in acquire(); cfg.tracesPerClass is unused
+/// and cfg.adaptive must be false (std::invalid_argument). Runs the same
+/// engine bodies as acquire(), decode check included: a netlist that does
+/// not compute kPresentSbox[plain ^ key] fails with a WorkerError.
 TraceSet acquireKeyed(const MaskedSbox& sbox, EventSim& sim,
-                      const PowerModel& power, std::uint8_t key,
-                      std::uint32_t numTraces, std::uint64_t seed = 1,
-                      std::uint32_t numThreads = 0,
-                      SimEngine engine = SimEngine::Auto);
+                      const PowerModel& power, const AcquisitionConfig& cfg,
+                      std::uint8_t key, std::uint32_t numTraces);
 
 }  // namespace lpa

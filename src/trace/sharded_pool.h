@@ -71,18 +71,20 @@ class WorkerError : public std::runtime_error {
 struct RetryPolicy {
   std::uint32_t maxAttempts = 3;   ///< total tries (1 = no retry)
   std::uint64_t baseBackoffMs = 1; ///< sleep after the first failure
-  std::uint64_t maxBackoffMs = 100;
 };
 
+/// Cap of every retry backoff sleep.
+inline constexpr std::uint64_t kMaxBackoffMs = 100;
+
 /// Backoff before the attempt that follows failure number `attempt`
-/// (0-based): base * 2^attempt, capped at maxBackoffMs.
+/// (0-based): base * 2^attempt, capped at kMaxBackoffMs.
 inline std::uint64_t retryBackoffMs(const RetryPolicy& policy,
                                     std::uint32_t attempt) {
   std::uint64_t ms = policy.baseBackoffMs;
-  for (std::uint32_t k = 0; k < attempt && ms < policy.maxBackoffMs; ++k) {
+  for (std::uint32_t k = 0; k < attempt && ms < kMaxBackoffMs; ++k) {
     ms *= 2;
   }
-  return std::min(ms, policy.maxBackoffMs);
+  return std::min(ms, kMaxBackoffMs);
 }
 
 /// Runs fn(attempt) until it returns, retrying with bounded exponential

@@ -51,8 +51,7 @@ TraceSet perTraceOracle(const MaskedSbox& sbox, const DelayModel& dm,
       balancedClassSchedule(cfg.tracesPerClass, cfg.seed);
   TraceSet traces(pm.options().numSamples);
   for (std::size_t i = 0; i < schedule.size(); ++i) {
-    const TraceStimulus s =
-        classStimulus(sbox, cfg.seed, cfg.initialValue, schedule[i], i);
+    const TraceStimulus s = classStimulus(sbox, cfg.seed, schedule[i], i);
     sim.settle(s.init);
     traces.add(s.label, pm.sample(sim.run(s.fin), s.noiseSeed));
   }
@@ -69,8 +68,7 @@ std::size_t distinctStimuli(const MaskedSbox& sbox,
                       std::uint8_t>>
       triples;
   for (std::size_t i = 0; i < schedule.size(); ++i) {
-    TraceStimulus s =
-        classStimulus(sbox, cfg.seed, cfg.initialValue, schedule[i], i);
+    TraceStimulus s = classStimulus(sbox, cfg.seed, schedule[i], i);
     triples.emplace(std::move(s.init), std::move(s.fin), s.expected);
   }
   return triples.size();
@@ -149,8 +147,12 @@ TEST(AcquireDistinct, KeyedRepeatsGetTheirOwnNoise) {
       SCOPED_TRACE(engineName(engine) + ", threads " +
                    std::to_string(threads));
       EventSim sim(sbox->netlist(), dm);
-      expectIdentical(oracle, acquireKeyed(*sbox, sim, pm, kKey, kTraces,
-                                           kSeed, threads, engine));
+      AcquisitionConfig cfg;
+      cfg.seed = kSeed;
+      cfg.numThreads = threads;
+      cfg.engine = engine;
+      expectIdentical(oracle,
+                      acquireKeyed(*sbox, sim, pm, cfg, kKey, kTraces));
     }
   }
 }
@@ -212,10 +214,10 @@ TEST(AcquireDistinct, FailureLandsAtTheClassFirstTraceAfterEveryEarlierOne) {
       EventSim sim(sbox.netlist(), dm);
       TraceSet delivered(pm.options().numSamples);
       try {
-        acquire(sbox, sim, pm, cfg,
-                [&](std::uint8_t label, const double* samples) {
-                  delivered.add(label, samples);
-                });
+        acquireRange(sbox, sim, pm, cfg, 0, 16u * cfg.tracesPerClass,
+                     [&](std::uint8_t label, const double* samples) {
+                       delivered.add(label, samples);
+                     });
         ADD_FAILURE() << "a mis-decoded class must fail the acquisition";
       } catch (const WorkerError& e) {
         EXPECT_EQ(e.index(), failAt);

@@ -73,9 +73,11 @@ TEST(AcquireParallel, SpectralTotalsMatchToTheLastUlp) {
   AcquisitionConfig cfg;
   cfg.tracesPerClass = 4;
   cfg.numThreads = 1;
-  const SpectralAnalysis sa1(acquire(*sbox, sim, pm, cfg));
+  const SpectralAnalysis sa1(acquire(*sbox, sim, pm, cfg),
+                            EstimatorMode::Raw);
   cfg.numThreads = 4;
-  const SpectralAnalysis sa4(acquire(*sbox, sim, pm, cfg));
+  const SpectralAnalysis sa4(acquire(*sbox, sim, pm, cfg),
+                            EstimatorMode::Raw);
   // Identical inputs must give identical doubles, not merely close ones.
   EXPECT_EQ(sa1.totalLeakagePower(), sa4.totalLeakagePower());
   EXPECT_EQ(sa1.totalSingleBitLeakage(), sa4.totalSingleBitLeakage());
@@ -129,10 +131,13 @@ TEST(AcquireParallel, KeyedAcquisitionIsThreadInvariant) {
   const DelayModel dm(sbox->netlist());
   const PowerModel pm(sbox->netlist());
   EventSim sim(sbox->netlist(), dm);
-  const TraceSet one = acquireKeyed(*sbox, sim, pm, 0xB, 96, /*seed=*/9,
-                                    /*numThreads=*/1);
+  AcquisitionConfig cfg;
+  cfg.seed = 9;
+  cfg.numThreads = 1;
+  const TraceSet one = acquireKeyed(*sbox, sim, pm, cfg, 0xB, 96);
   for (std::uint32_t t : {2u, 4u}) {
-    const TraceSet many = acquireKeyed(*sbox, sim, pm, 0xB, 96, 9, t);
+    cfg.numThreads = t;
+    const TraceSet many = acquireKeyed(*sbox, sim, pm, cfg, 0xB, 96);
     expectIdentical(one, many);
   }
 }
@@ -148,8 +153,8 @@ TEST(AcquireParallel, ExperimentPipelineIsThreadInvariant) {
   cfg.acquisition.numThreads = 4;
   SboxExperiment par(SboxStyle::Ti, cfg);
   for (double months : {0.0, 24.0}) {
-    EXPECT_EQ(seq.analyzeAt(months).totalLeakagePower(),
-              par.analyzeAt(months).totalLeakagePower())
+    EXPECT_EQ(seq.estimateAt(months, EstimatorMode::Raw).total,
+              par.estimateAt(months, EstimatorMode::Raw).total)
         << "at " << months << " months";
   }
 }

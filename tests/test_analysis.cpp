@@ -11,6 +11,14 @@
 namespace lpa {
 namespace {
 
+/// The keyed protocol's configuration under seed 1 on `threads` workers.
+AcquisitionConfig keyedConfig(std::uint32_t threads = 0) {
+  AcquisitionConfig cfg;
+  cfg.seed = 1;
+  cfg.numThreads = threads;
+  return cfg;
+}
+
 TEST(Welch, AccumulatorMeanAndVariance) {
   WelchAccumulator acc(2);
   acc.add(std::vector<double>{1.0, 10.0});
@@ -66,7 +74,7 @@ TEST(Cpa, RecoversKeyFromUnprotectedSbox) {
   const DelayModel dm(sbox->netlist());
   const PowerModel pm(sbox->netlist());
   EventSim sim(sbox->netlist(), dm);
-  const TraceSet ts = acquireKeyed(*sbox, sim, pm, key, 512);
+  const TraceSet ts = acquireKeyed(*sbox, sim, pm, keyedConfig(), key, 512);
   const CpaResult res = runCpa(ts);
   EXPECT_EQ(res.bestGuess, key);
   EXPECT_EQ(res.rankOf(key), 0);
@@ -82,9 +90,8 @@ TEST(Cpa, KeyRecoveryUsesPerTraceSeedingAndIsThreadInvariant) {
   const DelayModel dm(sbox->netlist());
   const PowerModel pm(sbox->netlist());
   EventSim sim(sbox->netlist(), dm);
-  const TraceSet seq = acquireKeyed(*sbox, sim, pm, key, 512, /*seed=*/1,
-                                    /*numThreads=*/1);
-  const TraceSet par = acquireKeyed(*sbox, sim, pm, key, 512, 1, 4);
+  const TraceSet seq = acquireKeyed(*sbox, sim, pm, keyedConfig(1), key, 512);
+  const TraceSet par = acquireKeyed(*sbox, sim, pm, keyedConfig(4), key, 512);
   const CpaResult a = runCpa(seq);
   const CpaResult b = runCpa(par);
   EXPECT_EQ(a.bestGuess, key);
@@ -103,7 +110,7 @@ TEST(Cpa, MaskingDegradesTheAttack) {
     const DelayModel dm(sbox->netlist());
     const PowerModel pm(sbox->netlist());
     EventSim sim(sbox->netlist(), dm);
-    const TraceSet ts = acquireKeyed(*sbox, sim, pm, key, 384);
+    const TraceSet ts = acquireKeyed(*sbox, sim, pm, keyedConfig(), key, 384);
     return runCpa(ts);
   };
   const CpaResult unprotected = runOn(SboxStyle::Lut);
@@ -121,7 +128,7 @@ TEST(Cpa, SuccessRateIsMonotoneShaped) {
   const DelayModel dm(sbox->netlist());
   const PowerModel pm(sbox->netlist());
   EventSim sim(sbox->netlist(), dm);
-  const TraceSet ts = acquireKeyed(*sbox, sim, pm, key, 512);
+  const TraceSet ts = acquireKeyed(*sbox, sim, pm, keyedConfig(), key, 512);
   const auto rate = cpaSuccessRate(ts, key, {32, 128, 512});
   ASSERT_EQ(rate.size(), 3u);
   EXPECT_EQ(rate.back(), 1.0) << "with 512 traces the key must be first";

@@ -851,11 +851,14 @@ TEST(BatchAcquire, KeyedAcquisitionEnginesAgree) {
   const DelayModel dm(sbox->netlist());
   const PowerModel pm(sbox->netlist());
   EventSim sim(sbox->netlist(), dm);
-  const TraceSet ref = acquireKeyed(*sbox, sim, pm, /*key=*/0xB, 100,
-                                    /*seed=*/5, /*numThreads=*/1,
-                                    SimEngine::Reference);
-  const TraceSet bat = acquireKeyed(*sbox, sim, pm, 0xB, 100, 5, 2,
-                                    SimEngine::Batch);
+  AcquisitionConfig cfg;
+  cfg.seed = 5;
+  cfg.numThreads = 1;
+  cfg.engine = SimEngine::Reference;
+  const TraceSet ref = acquireKeyed(*sbox, sim, pm, cfg, /*key=*/0xB, 100);
+  cfg.numThreads = 2;
+  cfg.engine = SimEngine::Batch;
+  const TraceSet bat = acquireKeyed(*sbox, sim, pm, cfg, 0xB, 100);
   expectIdenticalTraceSets(ref, bat);
 }
 

@@ -322,11 +322,14 @@ TEST(AcquireEngine, KeyedAcquisitionEnginesAgree) {
   const DelayModel dm(sbox->netlist());
   const PowerModel pm(sbox->netlist());
   EventSim sim(sbox->netlist(), dm);
-  const TraceSet ref = acquireKeyed(*sbox, sim, pm, /*key=*/0xB, 48,
-                                    /*seed=*/5, /*numThreads=*/1,
-                                    SimEngine::Reference);
-  const TraceSet cmp = acquireKeyed(*sbox, sim, pm, 0xB, 48, 5, 2,
-                                    SimEngine::Compiled);
+  AcquisitionConfig cfg;
+  cfg.seed = 5;
+  cfg.numThreads = 1;
+  cfg.engine = SimEngine::Reference;
+  const TraceSet ref = acquireKeyed(*sbox, sim, pm, cfg, /*key=*/0xB, 48);
+  cfg.numThreads = 2;
+  cfg.engine = SimEngine::Compiled;
+  const TraceSet cmp = acquireKeyed(*sbox, sim, pm, cfg, 0xB, 48);
   expectIdenticalTraceSets(ref, cmp);
 }
 
@@ -487,9 +490,12 @@ TEST(FaultOverlayEngines, KeyedAcquisitionChecksTheDecodeOnEveryEngine) {
   for (SimEngine engine :
        {SimEngine::Reference, SimEngine::Compiled, SimEngine::Batch}) {
     EventSim sim(design.netlist, design.delays);
+    AcquisitionConfig cfg;
+    cfg.seed = 5;
+    cfg.numThreads = 2;
+    cfg.engine = engine;
     try {
-      (void)acquireKeyed(*sbox, sim, pm, /*key=*/0x3, 64, /*seed=*/5,
-                         /*numThreads=*/2, engine);
+      (void)acquireKeyed(*sbox, sim, pm, cfg, /*key=*/0x3, 64);
       ADD_FAILURE() << "keyed run on a corrupting fault must throw, engine "
                     << prefixOf(engine);
     } catch (const WorkerError& e) {

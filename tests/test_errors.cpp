@@ -250,10 +250,13 @@ TEST(AcquisitionErrors, SinkFailureNamesItsTrace) {
       EventSim sim(sbox->netlist(), dm);
       std::size_t delivered = 0;
       try {
-        acquire(*sbox, sim, power, cfg, [&](std::uint8_t, const double*) {
-          if (delivered == 100) throw std::runtime_error("sink full");
-          ++delivered;
-        });
+        acquireRange(*sbox, sim, power, cfg, 0, 16u * cfg.tracesPerClass,
+                     [&](std::uint8_t, const double*) {
+                       if (delivered == 100) {
+                         throw std::runtime_error("sink full");
+                       }
+                       ++delivered;
+                     });
         ADD_FAILURE() << "a throwing sink must fail the acquisition";
       } catch (const WorkerError& e) {
         EXPECT_EQ(e.index(), 100u);

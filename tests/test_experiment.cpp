@@ -21,8 +21,7 @@ class ExperimentStyleTest : public ::testing::TestWithParam<SboxStyle> {};
 
 TEST_P(ExperimentStyleTest, PipelineRunsAndLeakageIsFinite) {
   SboxExperiment exp(GetParam(), fastConfig());
-  const SpectralAnalysis sa = exp.analyzeAt(0.0);
-  const double leak = sa.totalLeakagePower();
+  const double leak = exp.estimateAt(0.0, EstimatorMode::Raw).total;
   EXPECT_TRUE(std::isfinite(leak));
   EXPECT_GE(leak, 0.0);
   EXPECT_GT(leak, 0.0) << "every real implementation leaks a little";
@@ -30,8 +29,8 @@ TEST_P(ExperimentStyleTest, PipelineRunsAndLeakageIsFinite) {
 
 TEST_P(ExperimentStyleTest, AgingReducesTotalLeakage) {
   SboxExperiment exp(GetParam(), fastConfig());
-  const double fresh = exp.analyzeAt(0.0).totalLeakagePower();
-  const double aged = exp.analyzeAt(48.0).totalLeakagePower();
+  const double fresh = exp.estimateAt(0.0, EstimatorMode::Raw).total;
+  const double aged = exp.estimateAt(48.0, EstimatorMode::Raw).total;
   EXPECT_LT(aged, fresh) << sboxStyleName(GetParam());
   EXPECT_GT(aged, 0.0);
 }
@@ -49,23 +48,24 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Experiment, UnprotectedLeaksMoreThanIsw) {
   SboxExperiment lut(SboxStyle::Lut, fastConfig());
   SboxExperiment isw(SboxStyle::Isw, fastConfig());
-  EXPECT_GT(lut.analyzeAt(0.0).totalLeakagePower(),
-            isw.analyzeAt(0.0).totalLeakagePower());
+  EXPECT_GT(lut.estimateAt(0.0, EstimatorMode::Raw).total,
+            isw.estimateAt(0.0, EstimatorMode::Raw).total);
 }
 
 TEST(Experiment, UnprotectedHasStrongSingleBitShare) {
   SboxExperiment lut(SboxStyle::Lut, fastConfig());
   SboxExperiment glut(SboxStyle::Glut, fastConfig());
-  const double rLut = lut.analyzeAt(0.0).singleBitToTotalRatio();
-  const double rGlut = glut.analyzeAt(0.0).singleBitToTotalRatio();
+  const double rLut = lut.estimateAt(0.0, EstimatorMode::Raw).singleBitRatio;
+  const double rGlut =
+      glut.estimateAt(0.0, EstimatorMode::Raw).singleBitRatio;
   EXPECT_GT(rLut, rGlut) << "masking must suppress single-bit leakage share";
 }
 
 TEST(Experiment, AnalysisIsReproducible) {
   SboxExperiment a(SboxStyle::Rsm, fastConfig());
   SboxExperiment b(SboxStyle::Rsm, fastConfig());
-  EXPECT_DOUBLE_EQ(a.analyzeAt(0.0).totalLeakagePower(),
-                   b.analyzeAt(0.0).totalLeakagePower());
+  EXPECT_DOUBLE_EQ(a.estimateAt(0.0, EstimatorMode::Raw).total,
+                   b.estimateAt(0.0, EstimatorMode::Raw).total);
 }
 
 TEST(Experiment, PaperFig7OrderingReproduced) {
@@ -77,7 +77,7 @@ TEST(Experiment, PaperFig7OrderingReproduced) {
   std::map<SboxStyle, double> leak;
   for (SboxStyle s : allSboxStyles()) {
     SboxExperiment exp(s);
-    leak[s] = exp.analyzeAt(0.0, EstimatorMode::Debiased).totalLeakagePower();
+    leak[s] = exp.estimateAt(0.0, EstimatorMode::Debiased).total;
   }
   EXPECT_GT(leak[SboxStyle::Lut], leak[SboxStyle::Opt]);
   EXPECT_GT(leak[SboxStyle::Opt], leak[SboxStyle::Ti]);
@@ -93,13 +93,12 @@ TEST(Experiment, UnprotectedDominatesSingleBitLeakageAbsolutely) {
   // masked implementation's.
   SboxExperiment lut(SboxStyle::Lut);
   const double unprotected1b =
-      lut.analyzeAt(0.0, EstimatorMode::Debiased).totalSingleBitLeakage();
+      lut.estimateAt(0.0, EstimatorMode::Debiased).singleBit;
   for (SboxStyle s : {SboxStyle::Glut, SboxStyle::Rsm, SboxStyle::RsmRom,
                       SboxStyle::Isw, SboxStyle::Ti}) {
     SboxExperiment exp(s);
     EXPECT_GT(unprotected1b,
-              3.0 * exp.analyzeAt(0.0, EstimatorMode::Debiased)
-                        .totalSingleBitLeakage())
+              3.0 * exp.estimateAt(0.0, EstimatorMode::Debiased).singleBit)
         << sboxStyleName(s);
   }
 }
@@ -110,8 +109,8 @@ TEST(Experiment, TransportAblationChangesLeakage) {
   SboxExperiment inertial(SboxStyle::Glut, cfg);
   cfg.sim.kind = DelayKind::Transport;
   SboxExperiment transport(SboxStyle::Glut, cfg);
-  const double li = inertial.analyzeAt(0.0).totalLeakagePower();
-  const double lt = transport.analyzeAt(0.0).totalLeakagePower();
+  const double li = inertial.estimateAt(0.0, EstimatorMode::Raw).total;
+  const double lt = transport.estimateAt(0.0, EstimatorMode::Raw).total;
   EXPECT_NE(li, lt) << "the delay model is a load-bearing modelling choice";
 }
 

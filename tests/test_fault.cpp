@@ -410,7 +410,7 @@ OracleFault oracleRun(const MaskedSbox& sbox, const FaultedDesign& design,
   OracleFault o{{}, 0, TraceSet(power.options().numSamples), {}};
   for (std::size_t i = 0; i < schedule.size(); ++i) {
     Prng rng(deriveStreamSeed(seed, i));
-    const auto init = sbox.encode(cfg.initialValue, rng);
+    const auto init = sbox.encode(kInitialValue, rng);
     const auto fin = sbox.encode(schedule[i], rng);
     const auto refOut = sbox.netlist().evaluateOutputs(fin);
     const std::uint64_t before = sim.stats().eventsProcessed;

@@ -65,8 +65,7 @@ std::vector<Distinct> distinctStimuli(const MaskedSbox& sbox,
       index;
   std::vector<Distinct> out;
   for (std::size_t i = 0; i < schedule.size(); ++i) {
-    TraceStimulus s =
-        classStimulus(sbox, cfg.seed, cfg.initialValue, schedule[i], i);
+    TraceStimulus s = classStimulus(sbox, cfg.seed, schedule[i], i);
     s.noiseSeed = 0;
     const auto [it, fresh] =
         index.emplace(std::tuple{s.init, s.fin, s.expected}, out.size());
@@ -156,7 +155,8 @@ std::uint64_t acquisitionWaves(const Fig7Models& f,
   obs::MetricsRegistry reg;
   EventSim sim(f.sbox->netlist(), f.delays, f.sim);
   sim.attachMetrics(&reg);
-  acquire(*f.sbox, sim, f.power, cfg, [](std::uint8_t, const double*) {});
+  acquireRange(*f.sbox, sim, f.power, cfg, 0, 16u * cfg.tracesPerClass,
+               [](std::uint8_t, const double*) {});
   return reg.counter("sim.batch.waves").value();
 }
 
@@ -322,10 +322,10 @@ void expectFailsAt(const MaskedSbox& sbox, const DelayModel& dm,
   EventSim sim(sbox.netlist(), dm, opts);
   TraceSet delivered(pm.options().numSamples);
   try {
-    acquire(sbox, sim, pm, cfg,
-            [&](std::uint8_t label, const double* samples) {
-              delivered.add(label, samples);
-            });
+    acquireRange(sbox, sim, pm, cfg, 0, 16u * cfg.tracesPerClass,
+                 [&](std::uint8_t label, const double* samples) {
+                   delivered.add(label, samples);
+                 });
     ADD_FAILURE() << "the acquisition must fail";
   } catch (const WorkerError& e) {
     EXPECT_EQ(e.index(), failAt) << e.what();

@@ -46,8 +46,7 @@ class LeakageOrderingTest : public ::testing::Test {
       std::map<SboxStyle, double> m;
       for (SboxStyle s : allSboxStyles()) {
         SboxExperiment exp(s, goldenConfig());
-        m[s] =
-            exp.analyzeAt(0.0, EstimatorMode::Debiased).totalLeakagePower();
+        m[s] = exp.estimateAt(0.0, EstimatorMode::Debiased).total;
       }
       return m;
     }();
@@ -59,7 +58,7 @@ class LeakageOrderingTest : public ::testing::Test {
       std::map<SboxStyle, double> m;
       for (SboxStyle s : allSboxStyles()) {
         SboxExperiment exp(s, goldenConfig());
-        m[s] = exp.analyzeAt(0.0, EstimatorMode::Raw).singleBitToTotalRatio();
+        m[s] = exp.estimateAt(0.0, EstimatorMode::Raw).singleBitRatio;
       }
       return m;
     }();
@@ -113,9 +112,9 @@ TEST_F(LeakageOrderingTest, OrderingIsThreadCountIndependent) {
   SboxExperiment isw(SboxStyle::Isw, cfg);
   SboxExperiment ti(SboxStyle::Ti, cfg);
   const auto& leak = debiasedTotals();
-  EXPECT_EQ(isw.analyzeAt(0.0, EstimatorMode::Debiased).totalLeakagePower(),
+  EXPECT_EQ(isw.estimateAt(0.0, EstimatorMode::Debiased).total,
             leak.at(SboxStyle::Isw));
-  EXPECT_EQ(ti.analyzeAt(0.0, EstimatorMode::Debiased).totalLeakagePower(),
+  EXPECT_EQ(ti.estimateAt(0.0, EstimatorMode::Debiased).total,
             leak.at(SboxStyle::Ti));
 }
 

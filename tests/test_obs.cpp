@@ -68,8 +68,8 @@ TEST(ObsZeroPerturbation, TracesBitIdenticalObserveOnOff) {
 TEST(ObsZeroPerturbation, LeakageBitIdenticalObserveOnOff) {
   const TraceSet off = acquireWith(false, 2, false, false);
   const TraceSet on = acquireWith(true, 2, true, true);
-  const SpectralAnalysis saOff(off, 0, EstimatorMode::Debiased);
-  const SpectralAnalysis saOn(on, 0, EstimatorMode::Debiased);
+  const SpectralAnalysis saOff(off, EstimatorMode::Debiased);
+  const SpectralAnalysis saOn(on, EstimatorMode::Debiased);
   EXPECT_EQ(saOff.totalLeakagePower(), saOn.totalLeakagePower());
   EXPECT_EQ(saOff.totalSingleBitLeakage(), saOn.totalSingleBitLeakage());
   for (std::uint32_t u = 1; u < 16; ++u) {
@@ -385,8 +385,8 @@ TEST(Progress, AbortMidStreamCountsDeliveredTraces) {
       cfg.progress = [](const obs::ProgressUpdate&) { return false; };
       std::uint64_t received = 0;
       try {
-        acquire(*sbox, sim, pm, cfg,
-                [&](std::uint8_t, const double*) { ++received; });
+        acquireRange(*sbox, sim, pm, cfg, 0, 16u * cfg.tracesPerClass,
+                     [&](std::uint8_t, const double*) { ++received; });
         FAIL() << "expected ProgressAborted";
       } catch (const obs::ProgressAborted& e) {
         EXPECT_EQ(e.total(), 256u);

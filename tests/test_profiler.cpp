@@ -97,9 +97,9 @@ TEST(ProfilerZeroPerturbation, EngineChoiceDoesNotLeakIntoOtherEngines) {
 
 // Run-stride sampling invariants: every sampled wave contributes exactly
 // one popped-lanes bin and one committed-lanes bin (the 0-commit bin
-// included), and the flush scales bins and wave count by the same stride —
-// so the histograms must still sum exactly to the reported wave count, and
-// the means must stay inside the lane range. On the transport default
+// included), and the flush hands bins and wave count over unscaled — so
+// the histograms must sum exactly to the reported wave count, and the
+// means must stay inside the lane range. On the transport default
 // without a watchdog the batch engine drops no-ops at push, so every
 // popped lane commits and the two means are equal.
 TEST(ProfilerOccupancy, HistogramsSumToWavesUnderRunStride) {
@@ -134,13 +134,71 @@ TEST(ProfilerOccupancy, HistogramsSumToWavesUnderRunStride) {
     EXPECT_EQ(sum, waves) << hist;
   }
 
-  // The timeline rides the same stride scaling; pops across windows can
+  // The timeline covers the same sampled runs; pops across windows can
   // exceed waves (several events pop per wave) but must be present.
   const obs::Json* tl = j.find("queue_depth_timeline");
   ASSERT_NE(tl, nullptr);
   EXPECT_GT(tl->find("window_ps")->asNumber(), 0.0);
   ASSERT_NE(tl->find("windows"), nullptr);
   EXPECT_GT(tl->find("windows")->elements().size(), 0u);
+}
+
+// A call of one lane group profiles that group and reports its tallies as
+// they are: the profile's wave count is the engine's own.
+TEST(ProfilerOccupancy, OneGroupCallReportsTheWavesItRan) {
+  const ExperimentConfig ecfg;
+  const auto sbox = makeSbox(SboxStyle::Glut);
+  const DelayModel delays(sbox->netlist(), ecfg.delay);
+  const PowerModel power(sbox->netlist(), ecfg.power);
+  EventSim sim(sbox->netlist(), delays, ecfg.sim);
+  obs::MetricsRegistry reg;
+  sim.attachMetrics(&reg);
+  obs::Profiler profiler;
+  AcquisitionConfig cfg;
+  cfg.tracesPerClass = 4;  // 64 traces: one lane group
+  cfg.numThreads = 1;
+  cfg.engine = SimEngine::Batch;
+  cfg.profiler = &profiler;
+  acquire(*sbox, sim, power, cfg);
+  const std::uint64_t waves = reg.counter("sim.batch.waves").value();
+  ASSERT_GT(waves, 0u);
+  EXPECT_EQ(profiler.waves(), waves);
+  EXPECT_EQ(profiler.runs(), 1u);
+  EXPECT_EQ(profiler.profiledRuns(), 1u);
+  const obs::Json j = profiler.toJson();
+  EXPECT_EQ(j.find("lane_occupancy")->find("waves")->asNumber(),
+            static_cast<double>(waves));
+  EXPECT_EQ(j.find("profiled_runs")->asNumber(), 1.0);
+}
+
+// A reference-engine call attaches cfg.profiler to the caller's EventSim
+// for that call only, so the profiler need not outlive it; an attachment
+// the caller made itself survives calls that name another profiler.
+TEST(ProfilerAttachment, ReferenceCallsHandTheSimulatorBack) {
+  const auto sbox = makeSbox(SboxStyle::Lut);
+  const DelayModel dm(sbox->netlist());
+  const PowerModel pm(sbox->netlist());
+  EventSim sim(sbox->netlist(), dm);
+  AcquisitionConfig cfg;
+  cfg.tracesPerClass = 1;
+  cfg.numThreads = 1;
+  cfg.engine = SimEngine::Reference;
+  {
+    obs::Profiler scoped;
+    cfg.profiler = &scoped;
+    acquire(*sbox, sim, pm, cfg);
+    EXPECT_GT(scoped.runs(), 0u);
+  }
+  EXPECT_EQ(sim.profiler(), nullptr);
+
+  obs::Profiler own;
+  obs::Profiler other;
+  sim.attachProfiler(&own);
+  cfg.profiler = &other;
+  acquireKeyed(*sbox, sim, pm, cfg, 0xB, 16);
+  EXPECT_GT(other.runs(), 0u);
+  EXPECT_EQ(sim.profiler(), &own);
+  sim.attachProfiler(nullptr);
 }
 
 // Which batch runs are profiled is keyed on the lane group's index in the

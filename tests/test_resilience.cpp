@@ -121,8 +121,9 @@ TEST(AcquireRange, SlicesConcatenateToFullAcquire) {
                std::invalid_argument);
   // Adaptive runs go through the resilient group loop, never acquire().
   EXPECT_THROW(acquire(exp.sbox(), sim, power, bad), std::invalid_argument);
-  EXPECT_THROW(acquire(exp.sbox(), sim, power, bad,
-                       [](std::uint8_t, const double*) {}),
+  EXPECT_THROW(acquireRange(exp.sbox(), sim, power, bad, 0,
+                            16u * bad.tracesPerClass,
+                            [](std::uint8_t, const double*) {}),
                std::invalid_argument);
 }
 
@@ -579,7 +580,7 @@ TEST(ResilientAcquire, RepeatedDivergenceQuarantinesEngine) {
   job.groupTraces = 32;
   job.retry.maxAttempts = 4;
   job.retry.baseBackoffMs = 0;
-  job.quarantineAfterDivergences = 2;
+  static_assert(jobs::kQuarantineAfterDivergences == 2);
   // A fast engine that reliably trips the watchdog: quarantine must kick
   // in after two divergences and finish the run under Reference.
   job.beforeGroupHook = [](std::uint64_t, std::uint32_t, SimEngine engine) {

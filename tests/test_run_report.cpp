@@ -375,20 +375,19 @@ TEST(RunReport, LedgerAppendAndValidate) {
   std::size_t lines = 0;
   while (std::getline(in, line)) {
     ++lines;
+    // Each line is one compact run report, nothing around it.
     const obs::Json entry = obs::Json::parse(line);
-    EXPECT_EQ(obs::RunReport::validateLedgerLine(entry), "");
-    EXPECT_EQ(entry.find("schema")->asString(),
-              obs::RunReport::ledgerSchemaId());
-    EXPECT_EQ(obs::RunReport::validate(*entry.find("report")), "");
+    EXPECT_EQ(obs::RunReport::validate(entry), "");
+    EXPECT_EQ(entry.find("schema")->asString(), obs::RunReport::schemaId());
+    EXPECT_EQ(entry.dump(-1), line);
   }
   EXPECT_EQ(lines, 2u);  // appendTo appends, never truncates
   std::remove(path.c_str());
 
-  obs::Json bad = obs::Json::object();
-  bad["schema"] = obs::Json("lpa-run-ledger/9");
-  bad["report"] = makeReport().toJson();
-  EXPECT_NE(obs::RunReport::validateLedgerLine(bad), "");
-  EXPECT_NE(obs::RunReport::validateLedgerLine(obs::Json::parse("{}")), "");
+  obs::Json bad = makeReport().toJson();
+  bad["schema"] = obs::Json("lpa-run-report/9");
+  EXPECT_NE(obs::RunReport::validate(bad), "");
+  EXPECT_NE(obs::RunReport::validate(obs::Json::parse("{}")), "");
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the statistics subsystem (src/stats, DESIGN.md §10): the
 // streaming moment accumulator and its bit-identity contract with the batch
-// SpectralAnalysis, confidence intervals (normal quantile, jackknife,
-// bootstrap), ordering resolution, and the convergence monitor.
+// SpectralAnalysis, confidence intervals (normal quantile, jackknife),
+// ordering resolution, and the convergence monitor.
 
 #include <gtest/gtest.h>
 
@@ -121,17 +121,6 @@ TEST(Confidence, JackknifeHandComputed) {
   EXPECT_EQ(one.halfWidth, kInf);
 }
 
-TEST(Confidence, BootstrapPercentileHandComputed) {
-  std::vector<double> rep;
-  for (int i = 1; i <= 100; ++i) rep.push_back(static_cast<double>(i));
-  // Type-7 quantiles of 1..100 at 90%: lo = 5.95, hi = 95.05.
-  const stats::AggregateCi ci =
-      stats::bootstrapPercentileCi(rep, 50.0, 0.90);
-  EXPECT_DOUBLE_EQ(ci.estimate, 50.0);
-  EXPECT_NEAR(ci.halfWidth, (95.05 - 5.95) / 2.0, 1e-9);
-  EXPECT_FALSE(stats::bootstrapPercentileCi({1.0}, 1.0, 0.9).resolved());
-}
-
 stats::AggregateCi ciOf(double est, double hw) {
   stats::AggregateCi ci;
   ci.estimate = est;
@@ -191,7 +180,7 @@ TEST(StreamingLeakage, MatchesBatchAnalysisOnAllStyles) {
 
     for (EstimatorMode mode :
          {EstimatorMode::Raw, EstimatorMode::Debiased}) {
-      const SpectralAnalysis batch(traces, /*firstN=*/0, mode);
+      const SpectralAnalysis batch(traces, mode);
       stats::StreamingLeakage stream(
           traces.numSamples(),
           stats::StreamingLeakage::Options{mode, 10, 0.95});
@@ -220,13 +209,23 @@ TEST(StreamingLeakage, MatchesBatchAnalysisOnAllStyles) {
   }
 }
 
-TEST(StreamingLeakage, EstimateAtMatchesAnalyzeAt) {
+// The point values estimateAt reports are those of SpectralAnalysis over
+// acquireAt's traces, bit for bit, in either mode.
+TEST(StreamingLeakage, EstimateAtMatchesSpectralAnalysis) {
   ExperimentConfig cfg;
   cfg.acquisition.tracesPerClass = 8;
   SboxExperiment exp(SboxStyle::Isw, cfg);
-  const double total =
-      exp.analyzeAt(0.0, EstimatorMode::Debiased).totalLeakagePower();
-  EXPECT_EQ(exp.estimateAt(0.0).total, total);
+  for (EstimatorMode mode : {EstimatorMode::Raw, EstimatorMode::Debiased}) {
+    const SpectralAnalysis batch(exp.acquireAt(0.0), mode);
+    const stats::LeakageEstimate est = exp.estimateAt(0.0, mode);
+    EXPECT_EQ(est.total, batch.totalLeakagePower());
+    EXPECT_EQ(est.singleBit, batch.totalSingleBitLeakage());
+    EXPECT_EQ(est.multiBit, batch.totalMultiBitLeakage());
+    EXPECT_EQ(est.singleBitRatio, batch.singleBitToTotalRatio());
+  }
+  EXPECT_EQ(exp.estimateAt(0.0).total,
+            SpectralAnalysis(exp.acquireAt(0.0), EstimatorMode::Debiased)
+                .totalLeakagePower());
 }
 
 TEST(StreamingLeakage, EstimateInvariantInThreadCount) {
@@ -261,33 +260,6 @@ TEST(StreamingLeakage, CiUnresolvedUntilFoldsCovered) {
   EXPECT_TRUE(est.totalCi.resolved());
   EXPECT_GE(est.totalCi.halfWidth, 0.0);
   EXPECT_EQ(est.minClassCount, 32u);
-}
-
-TEST(StreamingLeakage, BootstrapDeterministicInSeed) {
-  // Synthetic traces inserted class-major so the round-robin fold split
-  // gives every (fold, class) cell exactly two traces — the bootstrap's
-  // coverage precondition — with four folds (enough distinct resamples
-  // that different seeds give different intervals).
-  stats::StreamingLeakage stream(
-      4, stats::StreamingLeakage::Options{EstimatorMode::Debiased, 4, 0.95});
-  std::uint64_t state = 99;
-  for (std::uint32_t cls = 0; cls < 16; ++cls) {
-    for (int rep = 0; rep < 8; ++rep) {
-      double x[4];
-      for (double& v : x) {
-        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-        v = static_cast<double>(state >> 11) / 1.0e18;
-      }
-      stream.addTrace(static_cast<std::uint8_t>(cls), x);
-    }
-  }
-
-  const stats::AggregateCi a = stream.bootstrapTotalCi(42, 100);
-  const stats::AggregateCi b = stream.bootstrapTotalCi(42, 100);
-  EXPECT_EQ(a.halfWidth, b.halfWidth);
-  EXPECT_TRUE(a.resolved());
-  const stats::AggregateCi c = stream.bootstrapTotalCi(43, 100);
-  EXPECT_NE(a.halfWidth, c.halfWidth);
 }
 
 TEST(ConvergenceMonitor, GatesOnTargetAndFloor) {

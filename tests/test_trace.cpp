@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "obs/profiler.h"
+#include "obs/progress.h"
 #include "trace/prng.h"
 
 namespace lpa {
@@ -157,9 +162,68 @@ TEST(AcquireKeyed, LabelsArePlaintexts) {
   const DelayModel dm(sbox->netlist());
   const PowerModel pm(sbox->netlist());
   EventSim sim(sbox->netlist(), dm);
-  const TraceSet ts = acquireKeyed(*sbox, sim, pm, 0xB, 64);
+  AcquisitionConfig cfg;
+  cfg.seed = 1;
+  const TraceSet ts = acquireKeyed(*sbox, sim, pm, cfg, 0xB, 64);
   EXPECT_EQ(ts.size(), 64u);
   for (std::size_t i = 0; i < ts.size(); ++i) EXPECT_LT(ts.label(i), 16);
+}
+
+// The keyed protocol takes the acquisition config like every other one: it
+// reports progress, feeds a profiler, honours an abort and refuses an
+// adaptive config; neither observer changes a trace.
+TEST(AcquireKeyed, HonoursProgressProfilerAndAdaptiveFromConfig) {
+  const auto sbox = makeSbox(SboxStyle::Lut);
+  const DelayModel dm(sbox->netlist());
+  const PowerModel pm(sbox->netlist());
+  AcquisitionConfig plain;
+  plain.seed = 1;
+  plain.numThreads = 2;
+  EventSim plainSim(sbox->netlist(), dm);
+  const TraceSet expected = acquireKeyed(*sbox, plainSim, pm, plain, 0xB, 96);
+
+  for (SimEngine engine :
+       {SimEngine::Reference, SimEngine::Compiled, SimEngine::Batch}) {
+    SCOPED_TRACE("engine " + std::to_string(static_cast<int>(engine)));
+    AcquisitionConfig cfg = plain;
+    cfg.engine = engine;
+    std::uint64_t done = 0;
+    std::uint64_t total = 0;
+    std::string label;
+    cfg.progress = [&](const obs::ProgressUpdate& u) {
+      done = u.done;
+      total = u.total;
+      label = std::string(u.label);
+      return true;
+    };
+    obs::Profiler profiler;
+    cfg.profiler = &profiler;
+    EventSim sim(sbox->netlist(), dm);
+    const TraceSet ts = acquireKeyed(*sbox, sim, pm, cfg, 0xB, 96);
+    EXPECT_EQ(done, 96u);
+    EXPECT_EQ(total, 96u);
+    EXPECT_EQ(label, "acquire-keyed");
+    EXPECT_GT(profiler.runs(), 0u);
+    ASSERT_EQ(ts.size(), expected.size());
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      ASSERT_EQ(ts.label(i), expected.label(i)) << "trace " << i;
+      for (std::uint32_t s = 0; s < ts.numSamples(); ++s) {
+        ASSERT_EQ(ts.trace(i)[s], expected.trace(i)[s]) << "trace " << i;
+      }
+    }
+  }
+
+  AcquisitionConfig abort = plain;
+  abort.progress = [](const obs::ProgressUpdate&) { return false; };
+  EventSim abortSim(sbox->netlist(), dm);
+  EXPECT_THROW(acquireKeyed(*sbox, abortSim, pm, abort, 0xB, 96),
+               obs::ProgressAborted);
+
+  AcquisitionConfig adaptive = plain;
+  adaptive.adaptive = true;
+  EventSim adaptiveSim(sbox->netlist(), dm);
+  EXPECT_THROW(acquireKeyed(*sbox, adaptiveSim, pm, adaptive, 0xB, 96),
+               std::invalid_argument);
 }
 
 }  // namespace

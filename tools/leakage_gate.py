@@ -3,8 +3,9 @@
 
 Consumes the style x age leakage matrix that bench_fig7_total_leakage puts
 in its run report's `statistics` block (directly via --json, or the newest
-such entry of a lpa-run-ledger/1 JSONL), and compares it against the
-checked-in golden reference (LEAKAGE_golden.json). The gate fails when:
+such report of a run ledger: JSONL, one report per line), and compares it
+against the checked-in golden reference (LEAKAGE_golden.json). The gate
+fails when:
 
   * config drift — the run's (seed, traces_per_class) differ from the
     golden's: the comparison would be meaningless, fix the invocation;
@@ -32,7 +33,6 @@ import json
 import sys
 
 GOLDEN_SCHEMA = "lpa-leakage-golden/1"
-LEDGER_SCHEMA = "lpa-run-ledger/1"
 REPORT_SCHEMA = "lpa-run-report/4"
 FIG7_BENCH = "bench_fig7_total_leakage"
 
@@ -47,12 +47,9 @@ def load_matrix_report(path):
     except json.JSONDecodeError:
         whole = None
     if isinstance(whole, dict):
-        # A single --json run report (possibly pretty-printed), or one
-        # ledger line.
-        if whole.get("schema") == LEDGER_SCHEMA:
-            candidates.append(whole.get("report", {}))
-        else:
-            candidates.append(whole)
+        # A single --json run report (possibly pretty-printed), or a
+        # one-line ledger.
+        candidates.append(whole)
     else:
         # JSONL ledger: one entry per line. A crash can tear at most
         # the trailing line (appends are fsync'd, obs/fsio.h): warn and
@@ -61,13 +58,13 @@ def load_matrix_report(path):
             if not line.strip():
                 continue
             try:
-                entry = json.loads(line)
+                report = json.loads(line)
             except json.JSONDecodeError:
                 print(f"warning: {path}:{ln}: torn/undecodable ledger "
                       f"line skipped", file=sys.stderr)
                 continue
-            if entry.get("schema") == LEDGER_SCHEMA:
-                candidates.append(entry.get("report", {}))
+            if isinstance(report, dict):
+                candidates.append(report)
     for report in reversed(candidates):
         if report.get("schema") != REPORT_SCHEMA:
             print(f"warning: {path}: {report.get('schema')!r} report "

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Render the run ledger (lpa-run-ledger/1 JSONL) as a static HTML dashboard.
+"""Render the run ledger (JSONL, one run report per line) as a static HTML
+dashboard.
 
 Stdlib-only, no server: the output is a single self-contained HTML file with
 inline SVG charts, suitable for a CI artifact or `python3 -m http.server`.
@@ -29,7 +30,6 @@ import html
 import json
 import sys
 
-LEDGER_SCHEMA = "lpa-run-ledger/1"
 REPORT_SCHEMA = "lpa-run-report/4"
 
 # Paper ordering of the styles (Fig. 7, most to least leaky) — used for a
@@ -42,7 +42,7 @@ LINE_COLORS = ["#1f77b4", "#e6550d", "#2ca02c", "#9467bd", "#8c564b",
 
 
 def load_ledger(paths):
-    """Returns the embedded run reports of all ledger lines, in file order."""
+    """Returns the run reports of all ledger lines, in file order."""
     reports = []
     for path in paths:
         try:
@@ -55,15 +55,14 @@ def load_ledger(paths):
             if not line.strip():
                 continue
             try:
-                entry = json.loads(line)
+                report = json.loads(line)
             except json.JSONDecodeError as e:
                 print(f"warning: {path}:{ln}: bad JSON ({e})", file=sys.stderr)
                 continue
-            if entry.get("schema") != LEDGER_SCHEMA:
-                print(f"warning: {path}:{ln}: not {LEDGER_SCHEMA}; skipped",
+            if not isinstance(report, dict):
+                print(f"warning: {path}:{ln}: not a run report; skipped",
                       file=sys.stderr)
                 continue
-            report = entry.get("report", {})
             if report.get("schema") != REPORT_SCHEMA:
                 print(f"warning: {path}:{ln}: unknown report schema "
                       f"{report.get('schema')!r}; skipped", file=sys.stderr)
@@ -300,7 +299,7 @@ PAGE = """<!DOCTYPE html>
 </style></head><body>
 <h1>Leakage-power-analysis run ledger</h1>
 <p class="meta">{nruns} run(s) · generated {now} ·
-schema {ledger_schema} · Bahrami et al., DATE 2022 reproduction</p>
+schema {report_schema} · Bahrami et al., DATE 2022 reproduction</p>
 <h2>Fig. 7 — total leakage with confidence intervals</h2>
 {fig7}
 <h2>Convergence-gated acquisition</h2>
@@ -341,7 +340,7 @@ def main():
     page = PAGE.format(
         nruns=len(reports),
         now=fmt_time(datetime.datetime.now(datetime.timezone.utc).timestamp()),
-        ledger_schema=LEDGER_SCHEMA,
+        report_schema=REPORT_SCHEMA,
         fig7=fig7,
         adaptive=adaptive_section(reports),
         perf=perf_section(reports),

@@ -161,9 +161,10 @@ def topk_table(profile):
     return "\n".join(out)
 
 
-def occupancy_chart(occ):
+def occupancy_chart(profile):
     """Log-count bar chart of the popped/committed lanes-per-wave bins."""
     import math
+    occ = profile.get("lane_occupancy", {})
     hists = [("popped", occ.get("popped_hist", []), "#1f77b4"),
              ("committed", occ.get("committed_hist", []), "#e6550d")]
     width, height = 660, 240
@@ -200,12 +201,18 @@ def occupancy_chart(occ):
         out.append(f'<text x="{lx + 14}" y="21">{name}</text>')
         lx += 110
     out.append("</svg>")
+    # Under a stride > 1 the batch engine profiles every N-th lane group of
+    # a call and reports those runs' tallies unscaled: the counts cover the
+    # profiled runs only, the means estimate the whole workload.
+    coverage = ""
+    if "profiled_runs" in profile and "runs" in profile:
+        coverage = (f'; counts cover {fmt_count(profile["profiled_runs"])} '
+                    f'of {fmt_count(profile["runs"])} runs')
     meta = (f'<p class="meta">{fmt_count(occ.get("waves", 0))} waves · mean '
             f'{occ.get("mean_popped", 0):.2f} popped / '
             f'{occ.get("mean_committed", 0):.2f} committed of 64 lanes'
-            + (f' · run sample stride {occ["run_sample_stride"]:g} '
-               "(scaled estimates)" if occ.get("run_sample_stride", 1) > 1
-               else "") + "</p>")
+            + (f' · run sample stride {occ["run_sample_stride"]:g}{coverage}'
+               if occ.get("run_sample_stride", 1) > 1 else "") + "</p>")
     return occupancy_chart_svg_join(out, meta)
 
 
@@ -376,7 +383,7 @@ def render(report):
         now=now.strftime("%Y-%m-%d %H:%M:%SZ"),
         topk=esc(profile.get("nets", {}).get("top_k", "?")),
         topk_table=topk_table(profile),
-        occupancy=occupancy_chart(profile.get("lane_occupancy", {})),
+        occupancy=occupancy_chart(profile),
         timeline=timeline_chart(profile.get("queue_depth_timeline", {})),
         flame=flamegraph(flame_stacks(report)),
         hw=hw_table(profile),

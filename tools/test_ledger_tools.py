@@ -54,7 +54,8 @@ def fig7_report(schema="lpa-run-report/4"):
 
 
 def ledger_line(report):
-    return json.dumps({"schema": "lpa-run-ledger/1", "report": report})
+    """A ledger line is the compact run report itself."""
+    return json.dumps(report)
 
 
 class TornLedgerTail(unittest.TestCase):

@@ -37,6 +37,7 @@ def synthetic_report():
         "profile": {
             "schema": "lpa-profile/1",
             "runs": 40,
+            "profiled_runs": 8,
             "nets": {
                 "total_nets": 1690,
                 "active_nets": 1675,
@@ -142,6 +143,7 @@ class RenderHtml(unittest.TestCase):
     def test_sample_stride_is_surfaced(self):
         page = lpa_profile.render(synthetic_report())
         self.assertIn("run sample stride 5", page)
+        self.assertIn("counts cover 8 of 40 runs", page)
 
     def test_stride_one_reads_as_census(self):
         report = synthetic_report()
