@@ -1,22 +1,38 @@
 #include "jobs/checkpoint.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 
 #include "jobs/trace_digest.h"
 #include "obs/fsio.h"
-#include "stats/serial.h"
 
 namespace lpa::jobs {
 
 namespace {
 
-void putBytes(std::vector<std::uint8_t>& out, const void* data,
-              std::size_t n) {
-  const std::size_t at = out.size();
-  out.resize(at + n);
-  std::memcpy(out.data() + at, data, n);
+constexpr char kCheckpointMagic[8] = {'L', 'P', 'A', 'C', 'K', 'P', 'T', '2'};
+/// Magic, fingerprint, numSamples, groupTraces, checksum.
+constexpr std::uint64_t kHeaderBytes = sizeof(kCheckpointMagic) + 8 + 4 + 4 + 8;
+/// A record's count field and checksum.
+constexpr std::uint64_t kRecordFrameBytes = 4 + 8;
+
+/// Appends the host-order bytes of `n` values at `data`.
+template <typename T>
+void put(std::string& out, const T* data, std::size_t n = 1) {
+  out.append(reinterpret_cast<const char*>(data), n * sizeof(T));
 }
+
+/// Reads exactly `n` values into `data`; false on a short read.
+template <typename T>
+bool get(std::FILE* f, T* data, std::size_t n = 1) {
+  return std::fread(data, sizeof(T), n, f) == n;
+}
+
+struct FileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
 
 std::optional<Checkpoint> fail(std::string* whyNot, const char* reason) {
   if (whyNot) *whyNot = reason;
@@ -25,141 +41,119 @@ std::optional<Checkpoint> fail(std::string* whyNot, const char* reason) {
 
 }  // namespace
 
-void saveCheckpoint(const std::string& path, const Checkpoint& cp) {
-  std::vector<std::uint8_t> buf;
-  putBytes(buf, kCheckpointMagic, sizeof(kCheckpointMagic));
-  stats::serial::putU64(buf, cp.fingerprint);
-  stats::serial::putU64(buf, cp.seed);
-  stats::serial::putU32(buf, cp.numSamples);
-  stats::serial::putU32(buf, cp.groupTraces);
-  stats::serial::putU64(buf, cp.groupsTotal);
-  stats::serial::putU64(buf, cp.completedGroups);
-  stats::serial::putU64(buf, cp.groupDigests.size());
-  for (std::uint64_t d : cp.groupDigests) stats::serial::putU64(buf, d);
-  stats::serial::putU64(buf, cp.lineage.size());
-  for (const std::string& s : cp.lineage) {
-    stats::serial::putU64(buf, s.size());
-    putBytes(buf, s.data(), s.size());
-  }
-  stats::serial::putU64(buf, cp.traces.size());
-  for (std::size_t i = 0; i < cp.traces.size(); ++i) {
-    buf.push_back(cp.traces.label(i));
-    putBytes(buf, cp.traces.trace(i), cp.numSamples * sizeof(double));
-  }
-  stats::serial::putU64(buf, cp.streamState.size());
-  putBytes(buf, cp.streamState.data(), cp.streamState.size());
-  stats::serial::putU64(buf, digestOfBytes(buf.data(), buf.size()));
+void startCheckpoint(const std::string& path, const CheckpointHeader& header) {
+  std::string buf;
+  put(buf, kCheckpointMagic, sizeof(kCheckpointMagic));
+  put(buf, &header.fingerprint);
+  put(buf, &header.numSamples);
+  put(buf, &header.groupTraces);
+  const std::uint64_t sum = digestOfBytes(buf.data(), buf.size());
+  put(buf, &sum);
+  obs::atomicWriteFile(path, buf);
+}
 
-  obs::atomicWriteFile(
-      path, std::string(reinterpret_cast<const char*>(buf.data()),
-                        buf.size()));
+void appendCheckpoint(const std::string& path, const TraceSet& traces,
+                      std::size_t begin, std::size_t end) {
+  const auto count = static_cast<std::uint32_t>(end - begin);
+  const std::size_t values = std::size_t{count} * traces.numSamples();
+  std::string rec;
+  rec.reserve(kRecordFrameBytes + count + values * sizeof(double));
+  put(rec, &count);
+  for (std::size_t i = begin; i < end; ++i) {
+    rec.push_back(static_cast<char>(traces.label(i)));
+  }
+  put(rec, traces.trace(begin), values);
+  const std::uint64_t sum = digestOfBytes(rec.data(), rec.size());
+  put(rec, &sum);
+  obs::durableAppend(path, rec);
 }
 
 std::optional<Checkpoint> loadCheckpoint(const std::string& path,
                                          std::string* whyNot) {
   if (whyNot) whyNot->clear();
-  std::FILE* f = std::fopen(path.c_str(), "rb");
+  const std::unique_ptr<std::FILE, FileCloser> file(
+      std::fopen(path.c_str(), "rb"));
+  std::FILE* f = file.get();
   if (!f) return fail(whyNot, "no checkpoint file");
-  std::vector<std::uint8_t> buf;
-  {
-    std::uint8_t chunk[1 << 16];
-    std::size_t got;
-    while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-      buf.insert(buf.end(), chunk, chunk + got);
-    }
-    const bool readError = std::ferror(f) != 0;
-    std::fclose(f);
-    if (readError) return fail(whyNot, "read error");
+  // The file size bounds every record before it is allocated.
+  long size = -1;
+  if (std::fseek(f, 0, SEEK_END) == 0) size = std::ftell(f);
+  if (size < 0 || std::fseek(f, 0, SEEK_SET) != 0) {
+    return fail(whyNot, "read error");
   }
-
-  using stats::serial::getU32;
-  using stats::serial::getU64;
-  const std::size_t size = buf.size();
-  if (size < sizeof(kCheckpointMagic) + sizeof(std::uint64_t)) {
-    return fail(whyNot, "file too short");
-  }
-  if (std::memcmp(buf.data(), kCheckpointMagic, sizeof(kCheckpointMagic)) !=
-      0) {
-    return fail(whyNot, "bad magic");
-  }
-  // Whole-file checksum first: any torn tail or flipped byte fails here
-  // before we interpret a single length field.
-  const std::size_t body = size - sizeof(std::uint64_t);
-  std::uint64_t storedSum = 0;
-  {
-    std::size_t pos = body;
-    if (!getU64(buf.data(), size, pos, storedSum)) {
-      return fail(whyNot, "file too short");
-    }
-  }
-  if (digestOfBytes(buf.data(), body) != storedSum) {
-    return fail(whyNot, "checksum mismatch (torn or corrupt file)");
-  }
+  const auto fileBytes = static_cast<std::uint64_t>(size);
 
   Checkpoint cp;
-  std::size_t pos = sizeof(kCheckpointMagic);
-  std::uint64_t numDigests = 0, numLineage = 0, numTraces = 0,
-                streamLen = 0;
-  if (!getU64(buf.data(), body, pos, cp.fingerprint) ||
-      !getU64(buf.data(), body, pos, cp.seed) ||
-      !getU32(buf.data(), body, pos, cp.numSamples) ||
-      !getU32(buf.data(), body, pos, cp.groupTraces) ||
-      !getU64(buf.data(), body, pos, cp.groupsTotal) ||
-      !getU64(buf.data(), body, pos, cp.completedGroups) ||
-      !getU64(buf.data(), body, pos, numDigests)) {
+  CheckpointHeader& h = cp.header;
+  char magic[sizeof(kCheckpointMagic)] = {};
+  std::uint64_t sum = 0;
+  if (!get(f, magic, sizeof(magic)) || !get(f, &h.fingerprint) ||
+      !get(f, &h.numSamples) || !get(f, &h.groupTraces) || !get(f, &sum)) {
     return fail(whyNot, "truncated header");
   }
-  if (cp.numSamples == 0) return fail(whyNot, "zero samples per trace");
-  if (numDigests != cp.completedGroups ||
-      numDigests > (body - pos) / sizeof(std::uint64_t)) {
-    return fail(whyNot, "group-digest count inconsistent");
+  if (std::memcmp(magic, kCheckpointMagic, sizeof(magic)) != 0) {
+    return fail(whyNot, "bad magic");
   }
-  cp.groupDigests.resize(numDigests);
-  for (std::uint64_t i = 0; i < numDigests; ++i) {
-    if (!getU64(buf.data(), body, pos, cp.groupDigests[i])) {
-      return fail(whyNot, "truncated group digests");
+  DigestAccumulator headerSum;
+  headerSum.addBytes(magic, sizeof(magic));
+  headerSum.addBytes(&h.fingerprint, sizeof(h.fingerprint));
+  headerSum.addBytes(&h.numSamples, sizeof(h.numSamples));
+  headerSum.addBytes(&h.groupTraces, sizeof(h.groupTraces));
+  if (headerSum.value() != sum) {
+    return fail(whyNot, "header checksum mismatch");
+  }
+  if (h.numSamples == 0 || h.groupTraces == 0) {
+    return fail(whyNot, "empty group geometry");
+  }
+
+  // Records, until the file ends or one is torn or corrupt: that one and
+  // everything after it are not part of the committed prefix.
+  const std::uint64_t traceBytes = 1 + std::uint64_t{8} * h.numSamples;
+  std::vector<std::uint8_t> labels;
+  std::vector<double> samples;
+  std::uint64_t pos = kHeaderBytes;
+  const char* tail = "";
+  while (pos < fileBytes) {
+    std::uint32_t count = 0;
+    if (fileBytes - pos < kRecordFrameBytes || !get(f, &count)) {
+      tail = "torn record";
+      break;
     }
-  }
-  if (!getU64(buf.data(), body, pos, numLineage) ||
-      numLineage > body - pos) {
-    return fail(whyNot, "lineage count inconsistent");
-  }
-  cp.lineage.reserve(numLineage);
-  for (std::uint64_t i = 0; i < numLineage; ++i) {
-    std::uint64_t len = 0;
-    if (!getU64(buf.data(), body, pos, len) || len > body - pos) {
-      return fail(whyNot, "truncated lineage entry");
+    if (count == 0 || count > h.groupTraces ||
+        count > (fileBytes - pos - kRecordFrameBytes) / traceBytes) {
+      tail = "torn or corrupt record length";
+      break;
     }
-    cp.lineage.emplace_back(reinterpret_cast<const char*>(buf.data() + pos),
-                            len);
-    pos += len;
-  }
-  const std::size_t traceBytes =
-      1 + static_cast<std::size_t>(cp.numSamples) * sizeof(double);
-  if (!getU64(buf.data(), body, pos, numTraces) ||
-      numTraces > (body - pos) / traceBytes) {
-    return fail(whyNot, "trace count inconsistent");
-  }
-  cp.traces = TraceSet(cp.numSamples);
-  cp.traces.reserve(numTraces);
-  for (std::uint64_t i = 0; i < numTraces; ++i) {
-    const std::uint8_t label = buf[pos++];
-    if (label >= cp.traces.numClasses()) {
-      return fail(whyNot, "trace label out of range");
+    const std::size_t labelsAt = labels.size();
+    const std::size_t samplesAt = samples.size();
+    const std::size_t values = std::size_t{count} * h.numSamples;
+    labels.resize(labelsAt + count);
+    samples.resize(samplesAt + values);
+    bool ok = get(f, labels.data() + labelsAt, count) &&
+              get(f, samples.data() + samplesAt, values) && get(f, &sum);
+    if (ok) {
+      DigestAccumulator recordSum;
+      recordSum.addBytes(&count, sizeof(count));
+      recordSum.addBytes(labels.data() + labelsAt, count);
+      recordSum.addBytes(samples.data() + samplesAt, values * sizeof(double));
+      ok = recordSum.value() == sum &&
+           std::all_of(labels.begin() + static_cast<std::ptrdiff_t>(labelsAt),
+                       labels.end(), [&](std::uint8_t label) {
+                         return label < cp.traces.numClasses();
+                       });
     }
-    std::vector<double> samples(cp.numSamples);
-    std::memcpy(samples.data(), buf.data() + pos,
-                cp.numSamples * sizeof(double));
-    pos += cp.numSamples * sizeof(double);
-    cp.traces.add(label, std::move(samples));
+    if (!ok) {
+      labels.resize(labelsAt);
+      samples.resize(samplesAt);
+      tail = "torn or corrupt record";
+      break;
+    }
+    cp.recordTraces.push_back(count);
+    pos += kRecordFrameBytes + count * traceBytes;
   }
-  if (!getU64(buf.data(), body, pos, streamLen) ||
-      streamLen > body - pos) {
-    return fail(whyNot, "stream-state length inconsistent");
-  }
-  cp.streamState.assign(buf.data() + pos, buf.data() + pos + streamLen);
-  pos += streamLen;
-  if (pos != body) return fail(whyNot, "trailing bytes after payload");
+  cp.endBytes = pos;
+  cp.traces = TraceSet(h.numSamples, std::move(labels), std::move(samples));
+  if (whyNot) *whyNot = tail;
   return cp;
 }
 

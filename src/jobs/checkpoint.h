@@ -1,22 +1,33 @@
 #pragma once
-// Crash-safe acquisition checkpoints (DESIGN.md §12).
+// Append-only acquisition checkpoints (DESIGN.md §12).
 //
-// A checkpoint is a point-in-time snapshot of a resilient acquisition
-// (jobs/resilient.h) taken at a group boundary: the committed trace
-// prefix, the serialized streaming-estimator state, the per-group
-// digests, and a config fingerprint binding the file to one logical run
-// (netlist structure, seed, protocol knobs — NOT engine or thread count,
-// because resuming under a different engine or thread count must be
-// legal and bit-identical).
+// A checkpoint is the committed trace prefix of one resilient acquisition
+// (jobs/resilient.h), kept as an append-only log. A header binds the file
+// to one logical run through a config fingerprint (netlist structure,
+// seed, protocol knobs — NOT engine or thread count, because resuming
+// under a different engine or thread count must be legal and
+// bit-identical); each committed group then appends one record holding
+// its own traces. Nothing else is stored: the streaming estimator, the
+// checkpoint lineage and the group count are functions of the traces, so
+// a resumed run rebuilds them from the loaded prefix.
+//
+// ## Format `LPACKPT2`
+//
+//   header  magic[8] | fingerprint u64 | numSamples u32 | groupTraces u32
+//           | FNV-1a of those 24 bytes (u64)
+//   record  count u32 | count labels (u8) | count × numSamples samples
+//           (f64) | FNV-1a of the record's preceding bytes (u64)
 //
 // ## Crash model
 //
-// saveCheckpoint() goes through obs::atomicWriteFile (write temp + fsync
-// + rename), so at any kill point the path holds either the previous
-// complete checkpoint or the new one — never a torn mix. loadCheckpoint()
-// additionally verifies a whole-file FNV checksum and every size field
-// before allocating, so a corrupt or truncated file yields std::nullopt
-// (with a reason) instead of UB or an OOM from a garbage length.
+// startCheckpoint() writes the header through obs::atomicWriteFile, so the
+// path holds either the previous file or the new header, never a mix.
+// appendCheckpoint() appends one record and fsyncs it (obs::durableAppend),
+// so a kill can tear only the record being appended. loadCheckpoint()
+// bounds every length before it allocates and verifies every checksum: a
+// bad header loads as absent, and a torn or corrupt record ends the
+// committed prefix — the whole records before it load, and `endBytes`
+// tells the resuming run where to cut the file before it appends.
 //
 // The format is a same-machine artifact (host byte order), not an
 // interchange format: a checkpoint is consumed by the process lineage
@@ -31,44 +42,45 @@
 
 namespace lpa::jobs {
 
-/// On-disk magic: 8 bytes at offset 0.
-inline constexpr char kCheckpointMagic[8] = {'L', 'P', 'A', 'C',
-                                             'K', 'P', 'T', '1'};
-
-struct Checkpoint {
-  /// Binds the file to one logical run: acquisitionFingerprint()
-  /// (jobs/resilient.h) over netlist digest + protocol config. Loads
-  /// whose fingerprint differs are rejected by the resilient runner.
+/// What the header binds a checkpoint to.
+struct CheckpointHeader {
+  /// acquisitionFingerprint() (jobs/resilient.h) over netlist digest +
+  /// protocol config, which folds the seed and the group geometry too.
+  /// Loads whose fingerprint differs are rejected by the resilient runner.
   std::uint64_t fingerprint = 0;
-  std::uint64_t seed = 0;
   std::uint32_t numSamples = 0;
-  /// Traces per checkpoint group (fixed-schedule runs) or the adaptive
-  /// batch size (adaptive runs).
+  /// Traces per group (fixed-schedule runs) or the adaptive batch size;
+  /// no record holds more.
   std::uint32_t groupTraces = 0;
-  std::uint64_t groupsTotal = 0;
-  std::uint64_t completedGroups = 0;
-  /// FNV digest of each committed group's trace slice, in group order
-  /// (jobs/trace_digest.h). Verified against the reloaded traces on
-  /// resume, so silent corruption of the payload is caught even though
-  /// the checksum already covers it — the digests also feed the
-  /// checkpoint_lineage audit trail in the run report.
-  std::vector<std::uint64_t> groupDigests;
-  /// Human-auditable lineage: one "g<k>/<n>:<digest>" entry per
-  /// checkpoint written in this run's history (grows across resumes).
-  std::vector<std::string> lineage;
-  /// The committed trace prefix (completedGroups groups).
-  TraceSet traces{0};
-  /// stats::StreamingLeakage::serialize() state matching `traces`.
-  std::vector<std::uint8_t> streamState;
+
+  bool operator==(const CheckpointHeader&) const = default;
 };
 
-/// Atomically replaces `path` with the serialized checkpoint; throws
-/// std::runtime_error on IO failure.
-void saveCheckpoint(const std::string& path, const Checkpoint& cp);
+/// The committed prefix of a checkpoint file.
+struct Checkpoint {
+  CheckpointHeader header;
+  /// The traces of every whole record, in file order.
+  TraceSet traces{0};
+  /// Trace count of each whole record (one record per committed group).
+  std::vector<std::uint32_t> recordTraces;
+  /// Byte offset where the last whole record ends (the header's end when
+  /// there is none); a torn or corrupt tail starts here.
+  std::uint64_t endBytes = 0;
+};
 
-/// Loads and fully verifies `path`. Returns std::nullopt when the file is
-/// missing, torn, checksum-corrupt, or structurally invalid; if `whyNot`
-/// is non-null it receives the reason ("" on success).
+/// Atomically replaces `path` with a header and no records; throws
+/// std::runtime_error on IO failure.
+void startCheckpoint(const std::string& path, const CheckpointHeader& header);
+
+/// Appends traces [begin, end) of `traces` (begin < end) to `path` as one
+/// record and fsyncs it; throws std::runtime_error on IO failure.
+void appendCheckpoint(const std::string& path, const TraceSet& traces,
+                      std::size_t begin, std::size_t end);
+
+/// Loads the committed prefix of `path`. Returns std::nullopt when the
+/// file is missing or its header is short, corrupt or of another format;
+/// if `whyNot` is non-null it receives the reason ("" on success, or why
+/// the prefix ended early at a torn or corrupt record).
 std::optional<Checkpoint> loadCheckpoint(const std::string& path,
                                          std::string* whyNot = nullptr);
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <filesystem>
 #include <stdexcept>
 
 #include "jobs/checkpoint.h"
@@ -149,63 +150,60 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
   info.groupsTotal = groupsTotal;
   info.groupTraces = static_cast<std::uint32_t>(groupTraces);
   info.stopReason.clear();
-  std::vector<std::uint64_t> groupDigests;
 
-  // ---- Resume: load, verify, and adopt a matching checkpoint. A stale,
-  // torn, or foreign checkpoint is ignored (fresh start), never trusted.
+  // ---- Lineage: "g<k>/<n>:<digest of the first k groups>" per committed
+  // group, from one running digest of the committed traces. Only a
+  // checkpointed run keeps it.
+  const bool durable = !job.checkpointPath.empty();
+  DigestAccumulator committedDigest;
+  const auto extendLineage = [&](std::uint64_t g) {
+    const auto [begin, end] = groupSpan(g);
+    committedDigest.addRange(res.traces, begin, end);
+    info.lineage.push_back("g" + std::to_string(g + 1) + "/" +
+                           std::to_string(groupsTotal) + ":" +
+                           committedDigest.hex());
+  };
+
+  // ---- Resume: adopt the committed prefix of a matching checkpoint and
+  // rebuild the estimator and the lineage from its traces. A foreign
+  // checkpoint or a bad header is ignored (fresh start), never trusted.
   std::uint64_t g0 = 0;
-  if (!job.checkpointPath.empty()) {
-    std::string whyNot;
-    if (auto cp = loadCheckpoint(job.checkpointPath, &whyNot)) {
-      bool ok = cp->fingerprint == fingerprint && cp->seed == cfg.seed &&
-                cp->numSamples == numSamples &&
-                cp->groupTraces == groupTraces &&
-                cp->groupsTotal == groupsTotal &&
-                cp->completedGroups <= groupsTotal &&
-                cp->traces.size() ==
-                    std::min(cp->completedGroups * groupTraces, totalTraces);
-      for (std::uint64_t k = 0; ok && k < cp->completedGroups; ++k) {
-        const auto [b, e] = groupSpan(k);
-        if (digestOfRange(cp->traces, b, e) != cp->groupDigests[k]) {
-          ok = false;
-        }
-      }
-      std::optional<stats::StreamingLeakage> loaded;
-      if (ok) {
-        loaded = stats::StreamingLeakage::deserialize(
-            cp->streamState.data(), cp->streamState.size());
-        ok = loaded.has_value() && loaded->numSamples() == numSamples &&
-             loaded->traces() == cp->traces.size() &&
-             loaded->options().mode == job.statsOpt.mode &&
-             loaded->options().numFolds == job.statsOpt.numFolds &&
-             loaded->options().confidence == job.statsOpt.confidence;
-      }
-      if (ok) {
-        res.traces = std::move(cp->traces);
-        stream = std::move(*loaded);
-        groupDigests = std::move(cp->groupDigests);
-        info.lineage = std::move(cp->lineage);
-        g0 = cp->completedGroups;
-        info.resumed = g0 > 0;
-        if (info.resumed) {
-          reg.counter("jobs.resumes").add(1);
-          obs::EventJournal::global().info(
-              "checkpoint-resume",
-              {{"groups", std::to_string(g0)},
-               {"of", std::to_string(groupsTotal)},
-               {"lineage",
-                info.lineage.empty() ? std::string() : info.lineage.back()}});
-          // Flow finish: the matching start was emitted by the process
-          // that wrote this checkpoint (same lineage-entry hash), so the
-          // exported traces of both processes draw one resume arrow.
-          if (!info.lineage.empty()) {
-            obs::TraceCollector& tc = obs::TraceCollector::global();
-            tc.recordFlow("checkpoint-resume", tc.nowUs(),
-                          digestOfBytes(info.lineage.back().data(),
-                                        info.lineage.back().size()),
-                          /*start=*/false);
-          }
-        }
+  if (durable) {
+    const CheckpointHeader header{fingerprint, numSamples,
+                                  static_cast<std::uint32_t>(groupTraces)};
+    std::optional<Checkpoint> cp = loadCheckpoint(job.checkpointPath);
+    bool ok = cp && cp->header == header &&
+              cp->recordTraces.size() <= groupsTotal;
+    for (std::uint64_t k = 0; ok && k < cp->recordTraces.size(); ++k) {
+      const auto [begin, end] = groupSpan(k);
+      ok = cp->recordTraces[k] == end - begin;
+    }
+    if (!ok) {
+      startCheckpoint(job.checkpointPath, header);
+    } else {
+      // Cut a torn or corrupt tail before the first append; that append's
+      // fsync makes the cut durable, and a crash before it leaves a tail
+      // the next load drops again.
+      std::filesystem::resize_file(job.checkpointPath, cp->endBytes);
+      res.traces = std::move(cp->traces);
+      stream.addTraceSet(res.traces);
+      g0 = cp->recordTraces.size();
+      for (std::uint64_t k = 0; k < g0; ++k) extendLineage(k);
+      info.resumed = g0 > 0;
+      if (info.resumed) {
+        reg.counter("jobs.resumes").add(1);
+        obs::EventJournal::global().info(
+            "checkpoint-resume", {{"groups", std::to_string(g0)},
+                                  {"of", std::to_string(groupsTotal)},
+                                  {"lineage", info.lineage.back()}});
+        // Flow finish: the matching start was emitted by the process
+        // that wrote this checkpoint (same lineage-entry hash), so the
+        // exported traces of both processes draw one resume arrow.
+        obs::TraceCollector& tc = obs::TraceCollector::global();
+        tc.recordFlow("checkpoint-resume", tc.nowUs(),
+                      digestOfBytes(info.lineage.back().data(),
+                                    info.lineage.back().size()),
+                      /*start=*/false);
       }
     }
   }
@@ -366,41 +364,20 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
     return true;
   };
 
-  // Writes a checkpoint after every committed group, so a stopped run has
+  // Appends every committed group to the checkpoint, so a stopped run has
   // always checkpointed all of its work.
-  const auto writeCheckpoint = [&] {
-    if (job.checkpointPath.empty()) return;
-    // Digest the groups committed since the last checkpoint.
-    while (groupDigests.size() < info.groupsCompleted) {
-      const auto [b, e] = groupSpan(groupDigests.size());
-      groupDigests.push_back(digestOfRange(res.traces, b, e));
-    }
-    Checkpoint cp;
-    cp.fingerprint = fingerprint;
-    cp.seed = cfg.seed;
-    cp.numSamples = numSamples;
-    cp.groupTraces = static_cast<std::uint32_t>(groupTraces);
-    cp.groupsTotal = groupsTotal;
-    cp.completedGroups = info.groupsCompleted;
-    cp.groupDigests = groupDigests;
-    DigestAccumulator committed;
-    committed.addTraceSet(res.traces);
-    info.lineage.push_back("g" + std::to_string(info.groupsCompleted) + "/" +
-                           std::to_string(groupsTotal) + ":" +
-                           committed.hex());
+  const auto writeCheckpoint = [&](std::uint64_t g) {
+    if (!durable) return;
+    extendLineage(g);
     // Flow start: a future process resuming from this checkpoint emits the
-    // matching finish (it re-hashes this very lineage entry).
-    {
-      obs::TraceCollector& tc = obs::TraceCollector::global();
-      tc.recordFlow("checkpoint-resume", tc.nowUs(),
-                    digestOfBytes(info.lineage.back().data(),
-                                  info.lineage.back().size()),
-                    /*start=*/true);
-    }
-    cp.lineage = info.lineage;
-    cp.traces = res.traces;
-    cp.streamState = stream.serialize();
-    saveCheckpoint(job.checkpointPath, cp);
+    // matching finish (it re-derives this very lineage entry).
+    obs::TraceCollector& tc = obs::TraceCollector::global();
+    tc.recordFlow("checkpoint-resume", tc.nowUs(),
+                  digestOfBytes(info.lineage.back().data(),
+                                info.lineage.back().size()),
+                  /*start=*/true);
+    const auto [begin, end] = groupSpan(g);
+    appendCheckpoint(job.checkpointPath, res.traces, begin, end);
     reg.counter("jobs.checkpoints_written").add(1);
     obs::EventJournal::global().info(
         "checkpoint-commit", {{"groups", std::to_string(info.groupsCompleted)},
@@ -474,10 +451,9 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
 
     info.groupsCompleted = g + 1;
     ++committedThisRun;
-    ++g;
     reg.counter("jobs.groups_committed").add(1);
-
-    writeCheckpoint();
+    writeCheckpoint(g);
+    ++g;
 
     if (cfg.adaptive) {
       res.estimate = stream.estimate();

@@ -3,8 +3,8 @@
 // (DESIGN.md §12).
 //
 // `resilientAcquire` runs the ordinary acquisition protocol — fixed
-// schedule or convergence-gated — group by group, committing each group
-// to a crash-safe checkpoint (jobs/checkpoint.h), so a long campaign
+// schedule or convergence-gated — group by group, appending each committed
+// group to a crash-safe checkpoint (jobs/checkpoint.h), so a long campaign
 // survives SIGKILL, node preemption, and transient worker failures
 // without losing committed work or its determinism guarantees. It is the
 // one adaptive loop: convergence-gated acquisition is its stop rule
@@ -22,7 +22,8 @@
 // the estimator as the pool delivers them; a discarded group (failed
 // attempt, deadline, spot-check repair) is truncated away and the
 // estimator re-folded from the committed traces — bit-identical, as the
-// fold is a pure function of the traces in index order. Hence a resumed
+// fold is a pure function of the traces in index order. A resumed run
+// re-folds the checkpoint's traces the same way. Hence a resumed
 // run's final TraceSet, leakage estimate, and determinism digest are
 // bit-identical to the uninterrupted run's, for any interleaving of
 // kills, engines, and thread counts across sessions. The config
@@ -47,7 +48,7 @@
 // Reference and digest-compared (spot-check); a mismatch or
 // kQuarantineAfterDivergences SimDiverged failures demote the run to the
 // Reference engine and record a QuarantineEvent. All of it lands in the
-// run report's /3 `resilience` block via fillResilience().
+// run report's `resilience` block (lpa-run-report/4) via fillResilience().
 
 #include <cstdint>
 #include <functional>
@@ -82,7 +83,7 @@ struct QuarantineEvent {
   std::string reason;
 };
 
-/// The fate of one resilient run, rendered into the run report's /3
+/// The fate of one resilient run, rendered into the run report's
 /// `resilience` block by fillResilience().
 struct ResilienceInfo {
   bool resumed = false;      ///< started from a loaded checkpoint
@@ -94,7 +95,9 @@ struct ResilienceInfo {
   std::uint64_t retries = 0;     ///< retried group attempts (all causes)
   std::uint64_t spotChecks = 0;  ///< reference re-runs performed
   std::vector<QuarantineEvent> events;
-  /// "g<k>/<n>:<prefix digest>" per checkpoint written, across resumes.
+  /// "g<k>/<n>:<digest of the first k groups' traces>" per committed group
+  /// of a checkpointed run, resumed groups included (empty without a
+  /// checkpoint).
   std::vector<std::string> lineage;
   /// "completed" | "ci-target" | "max-traces" | "deadline" | "drain".
   std::string stopReason = "completed";
@@ -106,8 +109,8 @@ struct JobConfig {
   std::string checkpointPath;
   /// Traces per commit group for fixed-schedule runs (adaptive runs group
   /// by batch: groupTraces := cfg.batchSize). Any positive count works —
-  /// slices need no class balance of their own. A checkpoint is written
-  /// after every committed group.
+  /// slices need no class balance of their own. Every committed group is
+  /// appended to the checkpoint.
   std::uint32_t groupTraces = 256;
   RetryPolicy retry;
   /// Spot-check cadence: re-run ~1/k of committed fast-engine groups
@@ -179,7 +182,7 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
                                  const AcquisitionConfig& cfg,
                                  const JobConfig& job = {});
 
-/// The /3 `resilience` block for one run.
+/// The run report's `resilience` block for one run.
 obs::Json resilienceJson(const ResilienceInfo& info);
 
 /// resilienceJson + RunReport::setResilience in one call.

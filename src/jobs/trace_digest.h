@@ -1,9 +1,9 @@
 #pragma once
 // Order-sensitive FNV-1a determinism digests over trace data — the single
 // FNV-1a of src/jobs, shared by the benches (bench/bench_util.h aliases
-// this class), the checkpoint/resume layer (jobs/checkpoint.h: group
-// commit digests and the file checksum), the acquisition fingerprint, the
-// checkpoint lineage's flow ids and the engine-quarantine spot-check
+// this class), the checkpoint/resume layer (jobs/checkpoint.h: header and
+// record checksums), the acquisition fingerprint, the checkpoint lineage
+// and its flow ids and the engine-quarantine spot-check
 // (jobs/resilient.h).
 //
 // The digest folds the exact IEEE-754 bit patterns of doubles, so equal
@@ -74,8 +74,8 @@ class DigestAccumulator {
   std::uint64_t hash_ = 0xCBF29CE484222325ULL;  // FNV offset basis
 };
 
-/// Digest of traces [begin, end) of `ts` (a checkpoint group's commit
-/// digest).
+/// Digest of traces [begin, end) of `ts` (the spot-check compares a
+/// group's digest with its reference re-run's).
 inline std::uint64_t digestOfRange(const TraceSet& ts, std::size_t begin,
                                    std::size_t end) {
   DigestAccumulator d;
@@ -87,7 +87,8 @@ inline std::uint64_t digestOfTraceSet(const TraceSet& ts) {
   return digestOfRange(ts, 0, ts.size());
 }
 
-/// Digest of `n` bytes (the checkpoint file checksum, lineage flow ids).
+/// Digest of `n` bytes (checkpoint header and record checksums, lineage
+/// flow ids).
 inline std::uint64_t digestOfBytes(const void* data, std::size_t n) {
   DigestAccumulator d;
   d.addBytes(data, n);

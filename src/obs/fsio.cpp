@@ -41,14 +41,14 @@ void atomicWriteFile(const std::string& path, const std::string& data) {
   }
 }
 
-void durableAppendLine(const std::string& path, const std::string& data) {
+void durableAppend(const std::string& path, const std::string& data) {
   std::FILE* f = std::fopen(path.c_str(), "a");
   if (!f) {
-    throw std::runtime_error("durableAppendLine: cannot open " + path);
+    throw std::runtime_error("durableAppend: cannot open " + path);
   }
   const bool ok = writeAll(f, data);
   if (std::fclose(f) != 0 || !ok) {
-    throw std::runtime_error("durableAppendLine: short write to " + path);
+    throw std::runtime_error("durableAppend: short write to " + path);
   }
 }
 

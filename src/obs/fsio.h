@@ -12,11 +12,12 @@
 //     reader sees either the complete old content or the complete new
 //     content, never a mix. A crash mid-write leaves at most a stale
 //     "<path>.tmp.<pid>" behind.
-//   * durableAppendLine gives at-most-one-torn-tail appends for JSONL
-//     ledgers: the line is appended and fsync'd before close, so once the
-//     call returns the line survives power loss, and a crash mid-append
-//     can only tear the *last* line (which ledger readers skip with a
-//     warning — tools/lpa_dashboard.py, tools/leakage_gate.py).
+//   * durableAppend gives at-most-one-torn-tail appends, for JSONL ledger
+//     lines and binary checkpoint records alike: the bytes are appended
+//     and fsync'd before close, so once the call returns they survive
+//     power loss, and a crash mid-append can only tear the *last* append
+//     (which ledger readers skip with a warning — tools/lpa_dashboard.py,
+//     tools/leakage_gate.py — and checkpoint loads drop by its checksum).
 
 #include <string>
 
@@ -26,9 +27,9 @@ namespace lpa::obs {
 /// Throws std::runtime_error on IO failure; the target is left untouched.
 void atomicWriteFile(const std::string& path, const std::string& data);
 
-/// Appends `data` (the caller includes the trailing newline) to `path`,
+/// Appends `data` (a ledger line includes its trailing newline) to `path`,
 /// creating it if absent, and fsyncs before closing so the append is
 /// durable when the call returns. Throws std::runtime_error on IO failure.
-void durableAppendLine(const std::string& path, const std::string& data);
+void durableAppend(const std::string& path, const std::string& data);
 
 }  // namespace lpa::obs

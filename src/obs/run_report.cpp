@@ -100,7 +100,7 @@ void RunReport::writeTo(const std::string& path) const {
 }
 
 void RunReport::appendTo(const std::string& path) const {
-  durableAppendLine(path, toJson().dump(-1) + "\n");
+  durableAppend(path, toJson().dump(-1) + "\n");
 }
 
 std::string RunReport::validate(const Json& j) {

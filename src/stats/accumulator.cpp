@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "stats/serial.h"
-
 namespace lpa::stats {
 
 ClassCondAccumulator::ClassCondAccumulator(std::uint32_t numSamples,
@@ -95,45 +93,6 @@ double ClassCondAccumulator::variance(std::uint32_t cls,
   if (count_[cls] < 2) return 0.0;
   return m2_[static_cast<std::size_t>(cls) * numSamples_ + s] /
          static_cast<double>(count_[cls] - 1);
-}
-
-void ClassCondAccumulator::serialize(std::vector<std::uint8_t>& out) const {
-  serial::putU32(out, numSamples_);
-  serial::putU32(out, numClasses_);
-  for (std::uint64_t c : count_) serial::putU64(out, c);
-  for (double v : mean_) serial::putF64(out, v);
-  for (double v : m2_) serial::putF64(out, v);
-}
-
-bool ClassCondAccumulator::deserialize(const std::uint8_t* buf,
-                                       std::size_t size, std::size_t& pos) {
-  std::uint32_t numSamples = 0, numClasses = 0;
-  if (!serial::getU32(buf, size, pos, numSamples) ||
-      !serial::getU32(buf, size, pos, numClasses) || numClasses == 0) {
-    return false;
-  }
-  const std::size_t cells =
-      static_cast<std::size_t>(numClasses) * numSamples;
-  // Bound check up front so a torn buffer cannot balloon the allocations.
-  if (size - pos < numClasses * sizeof(std::uint64_t) +
-                       2 * cells * sizeof(double)) {
-    return false;
-  }
-  numSamples_ = numSamples;
-  numClasses_ = numClasses;
-  count_.assign(numClasses_, 0);
-  mean_.assign(cells, 0.0);
-  m2_.assign(cells, 0.0);
-  for (std::uint64_t& c : count_) {
-    if (!serial::getU64(buf, size, pos, c)) return false;
-  }
-  for (double& v : mean_) {
-    if (!serial::getF64(buf, size, pos, v)) return false;
-  }
-  for (double& v : m2_) {
-    if (!serial::getF64(buf, size, pos, v)) return false;
-  }
-  return true;
 }
 
 std::vector<double> ClassCondAccumulator::noiseFloorPerSample() const {

@@ -66,17 +66,6 @@ class ClassCondAccumulator {
   /// two traces contribute zero, exactly as the batch path computed it.
   std::vector<double> noiseFloorPerSample() const;
 
-  /// Appends the accumulator's exact state (shape, per-class counts, means,
-  /// M2) to `out` in host byte order. deserialize() restores it bit-exactly,
-  /// so a checkpointed estimator resumes on the identical floating-point
-  /// trajectory (jobs/checkpoint.h).
-  void serialize(std::vector<std::uint8_t>& out) const;
-
-  /// Reads state written by serialize() from buf[pos..size), advancing
-  /// `pos`. Returns false (leaving *this unspecified) on truncation.
-  bool deserialize(const std::uint8_t* buf, std::size_t size,
-                   std::size_t& pos);
-
  private:
   std::uint32_t numSamples_;
   std::uint32_t numClasses_;

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "obs/metrics.h"
-#include "stats/serial.h"
 
 namespace lpa::stats {
 
@@ -138,50 +137,6 @@ LeakageEstimate StreamingLeakage::estimate() const {
     }
   }
   return e;
-}
-
-std::vector<std::uint8_t> StreamingLeakage::serialize() const {
-  std::vector<std::uint8_t> out;
-  serial::putU32(out, static_cast<std::uint32_t>(opt_.mode));
-  serial::putU32(out, opt_.numFolds);
-  serial::putF64(out, opt_.confidence);
-  serial::putU64(out, next_);
-  all_.serialize(out);
-  for (const ClassCondAccumulator& f : folds_) f.serialize(out);
-  return out;
-}
-
-std::optional<StreamingLeakage> StreamingLeakage::deserialize(
-    const std::uint8_t* buf, std::size_t size) {
-  std::size_t pos = 0;
-  std::uint32_t mode = 0, numFolds = 0;
-  double confidence = 0.0;
-  std::uint64_t next = 0;
-  if (!serial::getU32(buf, size, pos, mode) || mode > 1 ||
-      !serial::getU32(buf, size, pos, numFolds) || numFolds < 2 ||
-      numFolds > (1u << 16) ||
-      !serial::getF64(buf, size, pos, confidence) ||
-      !(confidence > 0.0) || !(confidence < 1.0) ||
-      !serial::getU64(buf, size, pos, next)) {
-    return std::nullopt;
-  }
-  Options opt;
-  opt.mode = static_cast<EstimatorMode>(mode);
-  opt.numFolds = numFolds;
-  opt.confidence = confidence;
-  // Samples-per-trace is carried inside the accumulators themselves; build
-  // with a placeholder shape and overwrite every accumulator.
-  StreamingLeakage s(1, opt);
-  s.next_ = next;
-  if (!s.all_.deserialize(buf, size, pos)) return std::nullopt;
-  for (ClassCondAccumulator& f : s.folds_) {
-    if (!f.deserialize(buf, size, pos)) return std::nullopt;
-    if (f.numSamples() != s.all_.numSamples() ||
-        f.numClasses() != s.all_.numClasses()) {
-      return std::nullopt;
-    }
-  }
-  return s;
 }
 
 }  // namespace lpa::stats

@@ -19,7 +19,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/leakage.h"
@@ -95,17 +94,6 @@ class StreamingLeakage {
   /// traces in every class, so early snapshots can never satisfy a
   /// convergence gate by accident.
   LeakageEstimate estimate() const;
-
-  /// Exact byte snapshot of the estimator (options, global accumulator,
-  /// every fold, the insertion counter). Restoring it with deserialize()
-  /// and folding the remaining traces is bit-identical to never having
-  /// stopped — the resume invariant of jobs/checkpoint.h.
-  std::vector<std::uint8_t> serialize() const;
-
-  /// Rebuilds an estimator from serialize() bytes; std::nullopt on a torn
-  /// or malformed buffer.
-  static std::optional<StreamingLeakage> deserialize(
-      const std::uint8_t* buf, std::size_t size);
 
  private:
   /// Accumulator holding all folds except `skip` (numFolds_ for "none").

@@ -1,9 +1,9 @@
-// Tier-1 tests for the durability layer (jobs/): checkpoint file format,
-// estimator state serialization, acquireRange slicing, crash-safe
-// checkpoint/resume (including a real SIGKILL kill-harness), deadlines,
-// retry/escalation, engine quarantine, the rollback of the streamed fold,
-// and the pinned bits of adaptiveAcquireAt (the group loop in adaptive
-// mode).
+// Tier-1 tests for the durability layer (jobs/): the append-only
+// checkpoint format and its torn-tail contract, acquireRange slicing,
+// crash-safe checkpoint/resume (including a real SIGKILL kill-harness),
+// deadlines, retry/escalation, engine quarantine, the rollback of the
+// streamed fold, and the pinned bits of adaptiveAcquireAt (the group loop
+// in adaptive mode).
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,9 @@
 #include <cmath>
 #include <csignal>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "core/experiment.h"
@@ -129,47 +131,24 @@ TEST(AcquireRange, SlicesConcatenateToFullAcquire) {
 
 // ----------------------------------------------------------- checkpoints
 
-jobs::Checkpoint sampleCheckpoint() {
-  jobs::Checkpoint cp;
-  cp.fingerprint = 0xFEEDFACE12345678ULL;
-  cp.seed = 42;
-  cp.numSamples = 3;
-  cp.groupTraces = 2;
-  cp.groupsTotal = 5;
-  cp.completedGroups = 2;
-  cp.groupDigests = {11, 22};
-  cp.lineage = {"g1/5:aa", "g2/5:bb"};
-  cp.traces = TraceSet(3);
-  cp.traces.add(4, {1.0, 2.0, 3.0});
-  cp.traces.add(9, {0.5, -0.25, 1e-12});
-  cp.traces.add(0, {0.0, 0.0, 7.0});
-  cp.traces.add(15, {-1.0, 2.5, 3.5});
-  stats::StreamingLeakage stream(3, kFourFolds);
-  stream.addTraceSet(cp.traces);
-  cp.streamState = stream.serialize();
-  return cp;
+std::string readBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
 }
 
-TEST(Checkpoint, SaveLoadRoundTrips) {
-  const std::string path = tmpPath("lpa_ckpt_roundtrip.bin");
-  const jobs::Checkpoint cp = sampleCheckpoint();
-  jobs::saveCheckpoint(path, cp);
+void writeBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
 
-  std::string whyNot = "unset";
-  const auto back = jobs::loadCheckpoint(path, &whyNot);
-  ASSERT_TRUE(back.has_value()) << whyNot;
-  EXPECT_EQ(whyNot, "");
-  EXPECT_EQ(back->fingerprint, cp.fingerprint);
-  EXPECT_EQ(back->seed, cp.seed);
-  EXPECT_EQ(back->numSamples, cp.numSamples);
-  EXPECT_EQ(back->groupTraces, cp.groupTraces);
-  EXPECT_EQ(back->groupsTotal, cp.groupsTotal);
-  EXPECT_EQ(back->completedGroups, cp.completedGroups);
-  EXPECT_EQ(back->groupDigests, cp.groupDigests);
-  EXPECT_EQ(back->lineage, cp.lineage);
-  EXPECT_TRUE(traceSetsEqual(back->traces, cp.traces));
-  EXPECT_EQ(back->streamState, cp.streamState);
-  std::remove(path.c_str());
+// LPACKPT2 sizes: the header is magic, fingerprint, numSamples,
+// groupTraces and a checksum; a record of n traces is its count, n labels,
+// n traces of samples and a checksum.
+constexpr std::uint64_t kHeaderBytes = 8 + 8 + 4 + 4 + 8;
+std::uint64_t recordBytes(std::uint64_t n, std::uint64_t numSamples) {
+  return 4 + n * (1 + 8 * numSamples) + 8;
 }
 
 TEST(Checkpoint, MissingFileIsAbsent) {
@@ -179,76 +158,120 @@ TEST(Checkpoint, MissingFileIsAbsent) {
   EXPECT_EQ(whyNot, "no checkpoint file");
 }
 
-TEST(Checkpoint, TornAndCorruptFilesRejected) {
-  const std::string path = tmpPath("lpa_ckpt_torn.bin");
-  jobs::saveCheckpoint(path, sampleCheckpoint());
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    bytes = ss.str();
-  }
-  ASSERT_GT(bytes.size(), 32u);
+TEST(Checkpoint, TornOrCorruptRecordEndsTheCommittedPrefix) {
+  ExperimentConfig ecfg = smallConfig();
+  jobs::JobConfig job;
+  job.groupTraces = 32;  // 128 traces -> 4 groups
+  job.statsOpt = kFourFolds;
+  SboxExperiment cleanExp(SboxStyle::Opt, ecfg);
+  const jobs::ResilientResult clean = cleanExp.resilientAcquireAt(0.0, job);
 
-  // A torn tail (crash mid-write without the atomic rename) must load as
-  // "absent", never as a shorter run.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
-  }
-  std::string whyNot;
-  EXPECT_FALSE(jobs::loadCheckpoint(path, &whyNot));
-  EXPECT_NE(whyNot, "");
+  // Drain after three groups: the file is the header and three records,
+  // holding exactly the drained run's traces.
+  const std::string path = tmpPath("lpa_ckpt_torn.ckpt");
+  job.checkpointPath = path;
+  job.stopAfterGroups = 3;
+  SboxExperiment first(SboxStyle::Opt, ecfg);
+  const jobs::ResilientResult drained = first.resilientAcquireAt(0.0, job);
+  const std::uint32_t numSamples = drained.traces.numSamples();
+  const std::uint64_t record = recordBytes(32, numSamples);
+  const std::string bytes = readBytes(path);
+  ASSERT_EQ(bytes.size(), kHeaderBytes + 3 * record);
+  std::string whyNot = "unset";
+  const auto whole = jobs::loadCheckpoint(path, &whyNot);
+  ASSERT_TRUE(whole.has_value()) << whyNot;
+  EXPECT_EQ(whyNot, "");
+  EXPECT_EQ(whole->header.numSamples, numSamples);
+  EXPECT_EQ(whole->header.groupTraces, 32u);
+  EXPECT_EQ(whole->recordTraces, (std::vector<std::uint32_t>{32, 32, 32}));
+  EXPECT_EQ(whole->endBytes, bytes.size());
+  EXPECT_TRUE(traceSetsEqual(whole->traces, drained.traces));
 
-  // A single flipped payload byte fails the whole-file checksum.
-  std::string corrupt = bytes;
-  corrupt[bytes.size() / 2] ^= 0x40;
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
-  }
-  EXPECT_FALSE(jobs::loadCheckpoint(path, &whyNot));
-  EXPECT_NE(whyNot, "");
+  // A damaged file loads as the whole records before the damage, and the
+  // run resumes from them to the uninterrupted run's bits, cutting the
+  // damaged tail before it appends the rest.
+  const auto resumeFrom = [&](const char* what, const std::string& damaged,
+                              std::size_t wholeRecords) {
+    SCOPED_TRACE(what);
+    writeBytes(path, damaged);
+    std::string why;
+    const auto loaded = jobs::loadCheckpoint(path, &why);
+    ASSERT_TRUE(loaded.has_value()) << why;
+    EXPECT_NE(why, "");
+    EXPECT_EQ(loaded->recordTraces.size(), wholeRecords);
+    EXPECT_EQ(loaded->endBytes, kHeaderBytes + wholeRecords * record);
+    TraceSet prefix = drained.traces;
+    prefix.truncate(32 * wholeRecords);
+    EXPECT_TRUE(traceSetsEqual(loaded->traces, prefix));
 
-  // Garbage that keeps the magic but not the structure.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "LPACKPT1 this is not a checkpoint";
-  }
-  EXPECT_FALSE(jobs::loadCheckpoint(path, &whyNot));
+    jobs::JobConfig rest = job;
+    rest.stopAfterGroups = 0;
+    SboxExperiment second(SboxStyle::Opt, ecfg);
+    const jobs::ResilientResult res = second.resilientAcquireAt(0.0, rest);
+    EXPECT_TRUE(res.resilience.resumed);
+    EXPECT_EQ(res.resilience.groupsCompleted, 4u);
+    EXPECT_EQ(jobs::digestOfTraceSet(res.traces),
+              jobs::digestOfTraceSet(clean.traces));
+    EXPECT_EQ(res.estimate.total, clean.estimate.total);
+    EXPECT_EQ(res.estimate.totalCi.halfWidth, clean.estimate.totalCi.halfWidth);
+    EXPECT_EQ(res.estimate.singleBit, clean.estimate.singleBit);
+    EXPECT_EQ(std::filesystem::file_size(path), kHeaderBytes + 4 * record);
+  };
+  resumeFrom("cut inside the third record",
+             bytes.substr(0, kHeaderBytes + 2 * record + record / 2), 2);
+  std::string flipped = bytes;
+  flipped[kHeaderBytes + record + record / 2] ^= 0x40;
+  resumeFrom("byte flipped inside the second record", flipped, 1);
   std::remove(path.c_str());
 }
 
-// ----------------------------------------------------- estimator snapshot
+TEST(Checkpoint, BadHeaderLoadsAsAbsent) {
+  const std::string path = tmpPath("lpa_ckpt_header.ckpt");
+  const jobs::CheckpointHeader header{0xFEEDFACE12345678ULL, 3, 2};
+  jobs::startCheckpoint(path, header);
+  const std::string bytes = readBytes(path);
+  ASSERT_EQ(bytes.size(), kHeaderBytes);
+  std::string whyNot = "unset";
+  const auto empty = jobs::loadCheckpoint(path, &whyNot);
+  ASSERT_TRUE(empty.has_value()) << whyNot;
+  EXPECT_EQ(whyNot, "");
+  EXPECT_EQ(empty->header, header);
+  EXPECT_TRUE(empty->recordTraces.empty());
+  EXPECT_EQ(empty->traces.size(), 0u);
+  EXPECT_EQ(empty->endBytes, kHeaderBytes);
 
-TEST(StreamState, StreamingLeakageRoundTripContinuesBitIdentically) {
-  ExperimentConfig ecfg = smallConfig();
-  SboxExperiment exp(SboxStyle::Opt, ecfg);
-  const TraceSet traces = exp.acquireAt(0.0);
-  ASSERT_EQ(traces.size(), 128u);
-
-  // Fold half, snapshot, restore, fold the rest on both estimators.
-  stats::StreamingLeakage live(traces.numSamples(), kFourFolds);
-  for (std::size_t i = 0; i < 64; ++i) live.addTrace(traces.label(i), traces.trace(i));
-  const std::vector<std::uint8_t> snap = live.serialize();
-  auto restored = stats::StreamingLeakage::deserialize(snap.data(), snap.size());
-  ASSERT_TRUE(restored.has_value());
-  for (std::size_t i = 64; i < traces.size(); ++i) {
-    live.addTrace(traces.label(i), traces.trace(i));
-    restored->addTrace(traces.label(i), traces.trace(i));
+  std::string flipped = bytes;
+  flipped[12] ^= 0x01;  // a fingerprint byte: the header checksum fails
+  std::string oldFormat = bytes;
+  oldFormat[7] = '1';
+  const std::pair<const char*, std::string> bad[] = {
+      {"cut inside the header", bytes.substr(0, kHeaderBytes - 5)},
+      {"garbage after the magic", "LPACKPT2 this is not a checkpoint"},
+      {"flipped header byte", flipped},
+      {"LPACKPT1 file", oldFormat + std::string(64, '\0')},
+  };
+  for (const auto& [what, damaged] : bad) {
+    SCOPED_TRACE(what);
+    writeBytes(path, damaged);
+    EXPECT_FALSE(jobs::loadCheckpoint(path, &whyNot));
+    EXPECT_NE(whyNot, "");
   }
-  const stats::LeakageEstimate a = live.estimate();
-  const stats::LeakageEstimate b = restored->estimate();
-  EXPECT_EQ(a.total, b.total);
-  EXPECT_EQ(a.totalCi.halfWidth, b.totalCi.halfWidth);
-  EXPECT_EQ(a.singleBit, b.singleBit);
-  EXPECT_EQ(a.traces, b.traces);
 
-  // Torn snapshots are rejected, not misread.
-  EXPECT_FALSE(
-      stats::StreamingLeakage::deserialize(snap.data(), snap.size() - 1));
-  EXPECT_FALSE(stats::StreamingLeakage::deserialize(snap.data(), 4));
+  // A run over an absent-loading file starts fresh and rewrites it.
+  ExperimentConfig ecfg = smallConfig();
+  jobs::JobConfig job;
+  job.checkpointPath = path;
+  job.groupTraces = 32;
+  SboxExperiment exp(SboxStyle::Opt, ecfg);
+  const jobs::ResilientResult res = exp.resilientAcquireAt(0.0, job);
+  EXPECT_FALSE(res.resilience.resumed);
+  SboxExperiment plain(SboxStyle::Opt, ecfg);
+  EXPECT_EQ(jobs::digestOfTraceSet(res.traces),
+            jobs::digestOfTraceSet(plain.acquireAt(0.0)));
+  const auto rewritten = jobs::loadCheckpoint(path, &whyNot);
+  ASSERT_TRUE(rewritten.has_value()) << whyNot;
+  EXPECT_EQ(rewritten->recordTraces.size(), 4u);
+  std::remove(path.c_str());
 }
 
 // ------------------------------------------------------- resilient runner
@@ -284,6 +307,23 @@ TEST(ResilientAcquire, DrainStopAndResumeBitIdentical) {
   const std::uint64_t expected =
       jobs::digestOfTraceSet(plain.acquireAt(0.0));
 
+  // The uninterrupted checkpointed run: its estimate and lineage are what
+  // every drained-and-resumed run must end with.
+  jobs::JobConfig cleanJob;
+  cleanJob.checkpointPath = tmpPath("lpa_resume_clean.ckpt");
+  cleanJob.groupTraces = 32;
+  cleanJob.statsOpt = kFourFolds;
+  SboxExperiment cleanExp(SboxStyle::Opt, ecfg);
+  const jobs::ResilientResult clean =
+      cleanExp.resilientAcquireAt(0.0, cleanJob);
+  ASSERT_EQ(jobs::digestOfTraceSet(clean.traces), expected);
+  ASSERT_EQ(clean.resilience.lineage.size(), 4u);
+  jobs::DigestAccumulator all;
+  all.addTraceSet(clean.traces);
+  EXPECT_EQ(clean.resilience.lineage.back(), "g4/4:" + all.hex());
+  std::remove(cleanJob.checkpointPath.c_str());
+  const std::uint64_t record = recordBytes(32, clean.traces.numSamples());
+
   const SimEngine engines[] = {SimEngine::Reference, SimEngine::Compiled,
                                SimEngine::Batch};
   for (SimEngine firstEngine : engines) {
@@ -306,6 +346,13 @@ TEST(ResilientAcquire, DrainStopAndResumeBitIdentical) {
       EXPECT_EQ(half.resilience.stopReason, "drain");
       EXPECT_EQ(half.resilience.groupsCompleted, 2u);
       EXPECT_EQ(half.traces.size(), 64u);
+      // Each commit appended one record of its own group: after two
+      // commits the file is the header plus exactly two records.
+      const auto cp = jobs::loadCheckpoint(path);
+      ASSERT_TRUE(cp.has_value());
+      EXPECT_EQ(cp->recordTraces.size(), 2u);
+      EXPECT_EQ(cp->endBytes, kHeaderBytes + 2 * record);
+      EXPECT_EQ(std::filesystem::file_size(path), cp->endBytes);
 
       // Resume under a *different* engine and thread count: the result
       // must still be bit-identical to the uninterrupted run.
@@ -325,8 +372,14 @@ TEST(ResilientAcquire, DrainStopAndResumeBitIdentical) {
       EXPECT_EQ(jobs::digestOfTraceSet(full.traces), expected)
           << "engine " << static_cast<int>(firstEngine) << " threads "
           << threads;
-      // Lineage accumulated across both sessions.
-      EXPECT_GE(full.resilience.lineage.size(), 4u);
+      // The re-folded estimate and the re-derived lineage are the
+      // uninterrupted run's.
+      EXPECT_EQ(full.estimate.total, clean.estimate.total);
+      EXPECT_EQ(full.estimate.totalCi.halfWidth,
+                clean.estimate.totalCi.halfWidth);
+      EXPECT_EQ(full.estimate.singleBit, clean.estimate.singleBit);
+      EXPECT_EQ(full.resilience.lineage, clean.resilience.lineage);
+      EXPECT_EQ(std::filesystem::file_size(path), kHeaderBytes + 4 * record);
       std::remove(path.c_str());
     }
   }
@@ -762,6 +815,16 @@ TEST(KillHarness, SigkillMidRunResumesBitIdentically) {
   const std::uint64_t expected =
       jobs::digestOfTraceSet(plain.acquireAt(0.0));
 
+  // The uninterrupted checkpointed run, for the estimate and the lineage.
+  jobs::JobConfig cleanJob;
+  cleanJob.checkpointPath = tmpPath("lpa_kill_clean.ckpt");
+  cleanJob.groupTraces = 32;
+  SboxExperiment cleanExp(SboxStyle::Opt, ecfg);
+  const jobs::ResilientResult clean =
+      cleanExp.resilientAcquireAt(0.0, cleanJob);
+  ASSERT_EQ(clean.resilience.lineage.size(), 4u);
+  std::remove(cleanJob.checkpointPath.c_str());
+
   const SimEngine engines[] = {SimEngine::Reference, SimEngine::Compiled,
                                SimEngine::Batch};
   for (SimEngine engine : engines) {
@@ -801,21 +864,35 @@ TEST(KillHarness, SigkillMidRunResumesBitIdentically) {
           << " instead of dying by signal";
       ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
-      // Parent: resume from the orphaned checkpoint (any engine/threads)
-      // and verify bit-identity with the uninterrupted run.
-      jobs::JobConfig job;
-      job.checkpointPath = path;
-      job.groupTraces = 32;
-      ExperimentConfig cfg = ecfg;
-      cfg.acquisition.engine = engine;
-      cfg.acquisition.numThreads = threads;
-      SboxExperiment resumer(SboxStyle::Opt, cfg);
-      const jobs::ResilientResult res = resumer.resilientAcquireAt(0.0, job);
-      EXPECT_TRUE(res.resilience.resumed);
-      EXPECT_EQ(res.resilience.groupsCompleted, 4u);
-      EXPECT_EQ(jobs::digestOfTraceSet(res.traces), expected)
-          << "engine " << static_cast<int>(engine) << " threads " << threads;
-      std::remove(path.c_str());
+      // Parent: resume from the orphaned checkpoint, and from a copy whose
+      // last record is torn, and verify bit-identity with the
+      // uninterrupted run.
+      const std::string bytes = readBytes(path);
+      const std::string torn = path + ".torn";
+      writeBytes(torn, bytes.substr(0, bytes.size() - 7));
+      for (const std::string& from : {path, torn}) {
+        SCOPED_TRACE(from);
+        jobs::JobConfig job;
+        job.checkpointPath = from;
+        job.groupTraces = 32;
+        ExperimentConfig cfg = ecfg;
+        cfg.acquisition.engine = engine;
+        cfg.acquisition.numThreads = threads;
+        SboxExperiment resumer(SboxStyle::Opt, cfg);
+        const jobs::ResilientResult res =
+            resumer.resilientAcquireAt(0.0, job);
+        EXPECT_TRUE(res.resilience.resumed);
+        EXPECT_EQ(res.resilience.groupsCompleted, 4u);
+        EXPECT_EQ(jobs::digestOfTraceSet(res.traces), expected)
+            << "engine " << static_cast<int>(engine) << " threads "
+            << threads;
+        EXPECT_EQ(res.estimate.total, clean.estimate.total);
+        EXPECT_EQ(res.estimate.totalCi.halfWidth,
+                  clean.estimate.totalCi.halfWidth);
+        EXPECT_EQ(res.estimate.singleBit, clean.estimate.singleBit);
+        EXPECT_EQ(res.resilience.lineage, clean.resilience.lineage);
+        std::remove(from.c_str());
+      }
     }
   }
 }
