@@ -10,8 +10,8 @@
 // DigestAccumulator values (FNV-1a over the exact bit patterns of labels
 // and samples), so one flipped bit in one sample fails it.
 //
-// An engine A/B/C section cross-times the reference, compiled and batch
-// engines at one thread; all three must stay bit-identical.
+// An engine A/B section cross-times the reference engine against Auto (the
+// batch engine) at one thread; the two must stay bit-identical.
 //
 // Every A/B section runs interleaved rounds (interleave() below) and
 // reports the median over rounds of each round's time ratio, so one round
@@ -297,14 +297,13 @@ int main(int argc, char** argv) {
     report.setParam("telemetry_bit_identical", obs::Json(telIdentical));
   }
 
-  // Engine A/B/C: reference EventSim vs the compiled scalar fast path vs
-  // the bit-parallel batch engine (single thread, so each ratio is pure
-  // per-trace engine cost). The three digests must match bit-for-bit (the
-  // identity contracts of sim/compiled_sim.h and sim/batch_sim.h); CI's
-  // obs-smoke job checks engine_bit_identical. The speedups are reported
-  // only: the perf gate floors the same ratios for every style from one
-  // perfbench run (tools/bench_compare.py).
-  std::printf("\nengine A/B/C (reference vs compiled vs batch, 1 thread):\n");
+  // Engine A/B: reference EventSim vs Auto, which runs the bit-parallel
+  // batch engine (single thread, so the ratio is pure per-trace engine
+  // cost). The two digests must match bit-for-bit (the identity contract of
+  // sim/batch_sim.h); CI's obs-smoke job checks engine_bit_identical. The
+  // speedup is reported only: the perf gate floors the same ratio for
+  // every style from one perfbench run (tools/bench_compare.py).
+  std::printf("\nengine A/B (reference vs auto, 1 thread):\n");
   auto makeEngine = [&](SimEngine engine) {
     ExperimentConfig ecfg;
     ecfg.acquisition.tracesPerClass = tracesPerClass;
@@ -313,33 +312,25 @@ int main(int argc, char** argv) {
     return SboxExperiment(SboxStyle::Glut, ecfg);
   };
   SboxExperiment engRef = makeEngine(SimEngine::Reference);
-  SboxExperiment engCmp = makeEngine(SimEngine::Compiled);
-  SboxExperiment engBat = makeEngine(SimEngine::Batch);
+  SboxExperiment engBat = makeEngine(SimEngine::Auto);
   Interleaved eng;
   {
     obs::PhaseTimer phase(report, "ab.engine");
     eng = interleave(5, {[&] { return engRef.acquireAt(0.0); },
-                         [&] { return engCmp.acquireAt(0.0); },
                          [&] { return engBat.acquireAt(0.0); }});
   }
   const double secsRef = eng.seconds[0];
-  const double secsCmp = eng.seconds[1];
-  const double secsBat = eng.seconds[2];
-  const double engineSpeedup = 1.0 / eng.ratio[1];
-  const double batchSpeedup = 1.0 / eng.ratio[2];
-  const bool engIdentical =
-      eng.digest[0] == eng.digest[1] && eng.digest[0] == eng.digest[2];
+  const double secsBat = eng.seconds[1];
+  const double batchSpeedup = 1.0 / eng.ratio[1];
+  const bool engIdentical = eng.digest[0] == eng.digest[1];
   allIdentical = allIdentical && engIdentical;
   std::printf(
-      "  reference %.4fs (%.0f traces/sec), compiled %.4fs (%.0f "
-      "traces/sec, %.2fx),\n  batch %.4fs (%.0f traces/sec, %.2fx), "
-      "bit-ident %s\n",
-      secsRef, n / secsRef, secsCmp, n / secsCmp, engineSpeedup, secsBat,
-      n / secsBat, batchSpeedup, engIdentical ? "yes" : "NO");
+      "  reference %.4fs (%.0f traces/sec), batch %.4fs (%.0f traces/sec, "
+      "%.2fx), bit-ident %s\n",
+      secsRef, n / secsRef, secsBat, n / secsBat, batchSpeedup,
+      engIdentical ? "yes" : "NO");
   report.setParam("traces_per_sec_reference", n / secsRef);
-  report.setParam("traces_per_sec_compiled", n / secsCmp);
   report.setParam("traces_per_sec_batch", n / secsBat);
-  report.setParam("compiled_speedup", engineSpeedup);
   report.setParam("batch_speedup", batchSpeedup);
   report.setParam("engine_bit_identical", obs::Json(engIdentical));
 
@@ -351,8 +342,8 @@ int main(int argc, char** argv) {
   if (scope.profiler() != nullptr) {
     std::printf("\nprofiler overhead (attached vs detached, batch engine):\n");
     obs::Profiler abProfiler;
-    SboxExperiment profOn = makeEngine(SimEngine::Batch);
-    SboxExperiment profOff = makeEngine(SimEngine::Batch);
+    SboxExperiment profOn = makeEngine(SimEngine::Auto);
+    SboxExperiment profOff = makeEngine(SimEngine::Auto);
     profOn.attachProfiler(&abProfiler);
     Interleaved prof;
     {

@@ -106,7 +106,6 @@ int main(int argc, char** argv) {
   const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
   const std::uint64_t simEvents =
       snap.counterOr("sim.events_processed", 0) +
-      snap.counterOr("sim.compiled.events_processed", 0) +
       snap.counterOr("sim.batch.events_processed", 0);
   std::printf(
       "\ninstrumentation totals (obs::MetricsRegistry):\n"

@@ -10,7 +10,7 @@
 //   --checkpoint <path>        checkpoint file to write/resume from
 //   --traces-per-class <n>     schedule size knob (default 64 -> 1024)
 //   --group-traces <n>         traces per commit group (default 128)
-//   --engine <name>            reference | compiled | batch | auto
+//   --engine <name>            reference | auto
 //   --threads <n>              worker threads (0 = hardware concurrency)
 //   --deadline-ms <n>          wall-clock budget; partial result on expiry
 //   --stop-after-groups <n>    graceful drain after n committed groups
@@ -56,11 +56,8 @@ SboxStyle styleByName(const std::string& name) {
 
 SimEngine engineByName(const std::string& name) {
   if (name == "reference") return SimEngine::Reference;
-  if (name == "compiled") return SimEngine::Compiled;
-  if (name == "batch") return SimEngine::Batch;
   if (name == "auto") return SimEngine::Auto;
-  std::fprintf(stderr,
-               "unknown engine \"%s\" (reference|compiled|batch|auto)\n",
+  std::fprintf(stderr, "unknown engine \"%s\" (reference|auto)\n",
                name.c_str());
   std::exit(2);
 }

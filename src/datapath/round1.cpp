@@ -41,13 +41,14 @@ Round1Datapath::Round1Datapath(SboxStyle style)
   for (int n = 0; n < 16; ++n) {
     for (std::size_t i = 0; i < sboxInputWidth_; ++i) {
       nibbleIns[static_cast<std::size_t>(n)].push_back(nl_.addInput(
-          "n" + std::to_string(n) + "_" + core.inputName(i)));
+          std::string("n").append(std::to_string(n)) + "_" +
+          core.inputName(i)));
     }
   }
   std::vector<NetId> keyBits;
   keyBits.reserve(64);
   for (int b = 0; b < 64; ++b) {
-    keyBits.push_back(nl_.addInput("k" + std::to_string(b)));
+    keyBits.push_back(nl_.addInput(std::string("k").append(std::to_string(b))));
   }
 
   for (int n = 0; n < 16; ++n) {
@@ -62,7 +63,8 @@ Round1Datapath::Round1Datapath(SboxStyle style)
     const std::vector<NetId> outs = appendInstance(nl_, core, bindings);
     for (std::size_t o = 0; o < outs.size(); ++o) {
       nl_.markOutput(outs[o],
-                     "n" + std::to_string(n) + "_" + core.outputName(o));
+                     std::string("n").append(std::to_string(n)) + "_" +
+                         core.outputName(o));
     }
   }
 }

@@ -159,9 +159,12 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
   const auto extendLineage = [&](std::uint64_t g) {
     const auto [begin, end] = groupSpan(g);
     committedDigest.addRange(res.traces, begin, end);
-    info.lineage.push_back("g" + std::to_string(g + 1) + "/" +
-                           std::to_string(groupsTotal) + ":" +
-                           committedDigest.hex());
+    info.lineage.push_back(std::string("g")
+                               .append(std::to_string(g + 1))
+                               .append("/")
+                               .append(std::to_string(groupsTotal))
+                               .append(":")
+                               .append(committedDigest.hex()));
   };
 
   // ---- Resume: adopt the committed prefix of a matching checkpoint and

@@ -60,7 +60,9 @@ std::string toVerilog(const Netlist& nl, const std::string& moduleName) {
     v += "  output " + sanitize(nl.outputName(i)) + ";\n";
   }
 
-  auto wireName = [&](NetId id) { return "w" + std::to_string(id); };
+  auto wireName = [&](NetId id) {
+    return std::string("w").append(std::to_string(id));
+  };
 
   for (NetId id = 0; id < nl.numGates(); ++id) {
     if (nl.gate(id).type != GateType::Input) {

@@ -10,12 +10,13 @@
 // Contract: zero perturbation. A Profiler is a pure sink — it never feeds
 // a value back into simulation, never touches a PRNG stream, and all
 // trace/leakage digests are bit-identical with the profiler attached or
-// detached (enforced by tests/test_profiler.cpp across all three engines).
+// detached (enforced by tests/test_profiler.cpp on both acquisition
+// engines).
 //
 // Overhead discipline (the CI obs-smoke job gates attachment at
 // ≤5%): engines never touch the shared atomics from their hot loops.
 // Each engine keeps per-run *local* plain tallies and flushes once per
-// run from recordRun(). The scalar engines tally every event exactly.
+// run from recordRun(). The reference engine tallies every event exactly.
 // The batch engine's pop loop is tight enough that even a few
 // unconditional tally instructions per wave measure ~10-15%, so it
 // profiles every kRunSampleStride-th lane group of a call exactly — zero
@@ -44,7 +45,7 @@
 //       per wave, the 0-commit bin included) and a calendar-queue depth
 //       timeline bucketed by sim-time window;
 //   (c) per-phase hardware counters (obs/hw_counters.h feeds these);
-//   (d) arena byte counts for the compiled/batch reuse arenas, sampled
+//   (d) arena byte counts for the batch engine's reuse arenas, sampled
 //       every few hundred runs.
 //
 // toJson() renders the "lpa-profile/1" block that RunReport schema

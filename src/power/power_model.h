@@ -30,9 +30,9 @@ namespace power_detail {
 
 // The deposition arithmetic is factored into these inline helpers so the
 // reference path (PowerModel::sample over a Transition list) and the
-// compiled fast path (CompiledSim fusing deposition into the event-commit
-// step) execute the *same* floating-point expressions in the same order —
-// the foundation of the engines' bit-identity contract. Any change here
+// fused engines (BatchSim and CompiledSim depositing each pulse at its
+// event commit) execute the *same* floating-point expressions in the same
+// order — the foundation of the engines' bit-identity contract. Any change here
 // changes every determinism digest in the repo.
 
 /// Antiderivative of the unit-area triangle 1/h * (1 - |u|/h), u = t - c.
@@ -129,7 +129,7 @@ class PowerModel {
   const PowerOptions& options() const { return opts_; }
   double switchedCapFf(NetId gate) const { return capFf_[gate]; }
   /// Aged pulse energy of a gate: switched cap x aging amplitude factor.
-  /// This is the per-gate scalar the compiled fast path snapshots
+  /// This is the per-gate scalar the fused engines snapshot
   /// (sim/compiled_design.h).
   double effectiveCapFf(NetId gate) const {
     return capFf_[gate] * agingScale_[gate];

@@ -29,7 +29,9 @@ class GlutSbox final : public MaskedSbox {
   GlutSbox() {
     NetlistBuilder b;
     std::vector<NetId> a, mi, mo;
-    for (int i = 0; i < 4; ++i) a.push_back(b.input("a" + std::to_string(i)));
+    for (int i = 0; i < 4; ++i) {
+      a.push_back(b.input(std::string("a").append(std::to_string(i))));
+    }
     for (int i = 0; i < 4; ++i) {
       mi.push_back(b.input("mi" + std::to_string(i)));
     }
@@ -67,7 +69,7 @@ class GlutSbox final : public MaskedSbox {
                sBit ? moBar : moLit}));
         }
       }
-      b.output(b.orGate(terms), "y" + std::to_string(bit));
+      b.output(b.orGate(terms), std::string("y").append(std::to_string(bit)));
     }
     nl_ = b.take();
   }

@@ -31,12 +31,15 @@ class IswAnyOrderSbox final : public MaskedSbox {
     for (int j = 0; j < n; ++j) {
       for (int v = 0; v < 4; ++v) {
         share[static_cast<std::size_t>(j)].push_back(
-            b.input("s" + std::to_string(j) + "_" + std::to_string(v)));
+            b.input(std::string("s")
+                        .append(std::to_string(j))
+                        .append("_")
+                        .append(std::to_string(v))));
       }
     }
     std::vector<NetId> rpool;
     for (int i = 0; i < iswGadgetRandomBits(order); ++i) {
-      rpool.push_back(b.input("r" + std::to_string(i)));
+      rpool.push_back(b.input(std::string("r").append(std::to_string(i))));
     }
     std::size_t nextRandom = 0;
     auto freshR = [&]() { return rpool.at(nextRandom++); };
@@ -132,7 +135,10 @@ class IswAnyOrderSbox final : public MaskedSbox {
       const Shares& y = val[static_cast<std::size_t>(opt.outputs[k])];
       for (int j = 0; j < n; ++j) {
         b.output(y[static_cast<std::size_t>(j)],
-                 "y" + std::to_string(k) + "_" + std::to_string(j));
+                 std::string("y")
+                     .append(std::to_string(k))
+                     .append("_")
+                     .append(std::to_string(j)));
       }
     }
     nl_ = b.take();

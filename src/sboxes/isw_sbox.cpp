@@ -42,13 +42,15 @@ class IswSbox final : public MaskedSbox {
     NetlistBuilder b;
     // Primary inputs: mask share, masked-data share, gadget randomness.
     std::vector<NetId> m, am, r;
-    for (int i = 0; i < 4; ++i) m.push_back(b.input("m" + std::to_string(i)));
+    for (int i = 0; i < 4; ++i) {
+      m.push_back(b.input(std::string("m").append(std::to_string(i))));
+    }
     for (int i = 0; i < 4; ++i) {
       am.push_back(b.input("am" + std::to_string(i)));
     }
     numRandom_ = countNonlinear(opt);
     for (int i = 0; i < numRandom_; ++i) {
-      r.push_back(b.input("r" + std::to_string(i)));
+      r.push_back(b.input(std::string("r").append(std::to_string(i))));
     }
 
     std::vector<Shares> val(static_cast<std::size_t>(opt.numInputs) +
@@ -94,8 +96,8 @@ class IswSbox final : public MaskedSbox {
     }
     for (std::size_t k = 0; k < opt.outputs.size(); ++k) {
       const Shares y = val[static_cast<std::size_t>(opt.outputs[k])];
-      b.output(y.s0, "y" + std::to_string(k) + "_0");
-      b.output(y.s1, "y" + std::to_string(k) + "_1");
+      b.output(y.s0, std::string("y").append(std::to_string(k)) + "_0");
+      b.output(y.s1, std::string("y").append(std::to_string(k)) + "_1");
     }
     nl_ = b.take();
   }

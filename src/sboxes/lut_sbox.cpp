@@ -21,7 +21,9 @@ class LutSbox final : public MaskedSbox {
   LutSbox() {
     NetlistBuilder b;
     std::vector<NetId> x;
-    for (int i = 0; i < 4; ++i) x.push_back(b.input("x" + std::to_string(i)));
+    for (int i = 0; i < 4; ++i) {
+      x.push_back(b.input(std::string("x").append(std::to_string(i))));
+    }
     SharedComplements comp(b);
     const std::vector<std::uint8_t> lut(kPresentSbox.begin(),
                                         kPresentSbox.end());
@@ -29,7 +31,7 @@ class LutSbox final : public MaskedSbox {
       const TruthTable tt = TruthTable::fromLutBit(4, lut, bit);
       const std::vector<Cube> sop = minimizeQm(tt);
       const NetId y = mapSop(b, comp, x, sop);
-      b.output(y, "y" + std::to_string(bit));
+      b.output(y, std::string("y").append(std::to_string(bit)));
     }
     nl_ = b.take();
   }

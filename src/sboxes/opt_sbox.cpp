@@ -53,10 +53,14 @@ class OptSbox final : public MaskedSbox {
   OptSbox() {
     NetlistBuilder b;
     std::vector<NetId> x;
-    for (int i = 0; i < 4; ++i) x.push_back(b.input("x" + std::to_string(i)));
+    for (int i = 0; i < 4; ++i) {
+      x.push_back(b.input(std::string("x").append(std::to_string(i))));
+    }
     const std::vector<NetId> y = optPresentSboxSlp().emit(b, x);
-    for (int i = 0; i < 4; ++i) b.output(y[static_cast<std::size_t>(i)],
-                                         "y" + std::to_string(i));
+    for (int i = 0; i < 4; ++i) {
+      b.output(y[static_cast<std::size_t>(i)],
+               std::string("y").append(std::to_string(i)));
+    }
     nl_ = b.take();
   }
 

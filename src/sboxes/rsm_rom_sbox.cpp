@@ -43,7 +43,7 @@ class RsmRomSbox final : public MaskedSbox {
     NetlistBuilder b;
     std::vector<NetId> rawIns;
     for (int i = 0; i < 4; ++i) {
-      rawIns.push_back(b.input("a" + std::to_string(i)));
+      rawIns.push_back(b.input(std::string("a").append(std::to_string(i))));
     }
     for (int i = 0; i < 4; ++i) {
       rawIns.push_back(b.input("mi" + std::to_string(i)));
@@ -90,7 +90,8 @@ class RsmRomSbox final : public MaskedSbox {
           }
         }
       }
-      b.output(rippleOr(b, lines), "y" + std::to_string(bit));
+      b.output(rippleOr(b, lines),
+               std::string("y").append(std::to_string(bit)));
     }
     nl_ = b.take();
   }

@@ -32,7 +32,9 @@ class RsmSbox final : public MaskedSbox {
   RsmSbox() {
     NetlistBuilder b;
     std::vector<NetId> ins;
-    for (int i = 0; i < 4; ++i) ins.push_back(b.input("a" + std::to_string(i)));
+    for (int i = 0; i < 4; ++i) {
+      ins.push_back(b.input(std::string("a").append(std::to_string(i))));
+    }
     for (int i = 0; i < 4; ++i) {
       ins.push_back(b.input("mi" + std::to_string(i)));
     }
@@ -41,7 +43,8 @@ class RsmSbox final : public MaskedSbox {
       const TruthTable tt = TruthTable::fromFunction(
           8, [bit](std::uint32_t x) { return ((rsmTable(x) >> bit) & 1u) != 0; });
       const std::vector<Cube> sop = minimizeQm(tt);
-      b.output(mapSop(b, comp, ins, sop), "y" + std::to_string(bit));
+      b.output(mapSop(b, comp, ins, sop),
+               std::string("y").append(std::to_string(bit)));
     }
     nl_ = b.take();
   }

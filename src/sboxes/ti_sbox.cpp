@@ -51,7 +51,10 @@ class TiSbox final : public MaskedSbox {
     for (int j = 0; j < kShares; ++j) {
       for (int v = 0; v < 4; ++v) {
         share[static_cast<std::size_t>(j)][static_cast<std::size_t>(v)] =
-            b.input("s" + std::to_string(j) + "_" + std::to_string(v));
+            b.input(std::string("s")
+                        .append(std::to_string(j))
+                        .append("_")
+                        .append(std::to_string(v)));
       }
     }
 
@@ -98,7 +101,10 @@ class TiSbox final : public MaskedSbox {
       for (int i = 0; i < kShares; ++i) {
         const bool applyConst = constantTerm && i == 0;
         b.output(combine(b, terms[static_cast<std::size_t>(i)], applyConst),
-                 "y" + std::to_string(bit) + "_" + std::to_string(i));
+                 std::string("y")
+                     .append(std::to_string(bit))
+                     .append("_")
+                     .append(std::to_string(i)));
       }
     }
     nl_ = b.take();

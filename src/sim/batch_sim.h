@@ -111,7 +111,7 @@
 // ## Bit-identity contract
 //
 // For every lane l < activeLanes(), BatchSim is bit-identical to an
-// EventSim/CompiledSim fed lane l's stimuli on the same design:
+// EventSim (and a CompiledSim) fed lane l's stimuli on the same design:
 //   * identical committed values / outputs after settle()/run();
 //   * identical per-lane Transition lists (time, net, value, weight);
 //   * runFused() lane traces equal PowerModel::sample(run(...), seed);
@@ -125,11 +125,13 @@
 //
 // ## Eligibility
 //
-// Same design-level eligibility as CompiledSim (an index-ordered netlist —
-// fault overlays included, except a forward bridge — matching power model,
-// < 2^24 gates; CompiledDesign and acquisition's resolveEngine enforce
-// this); any active lane count 1..64 is supported, so partial trailing
-// groups of a trace budget need no special casing. Instrumentation lands
+// An index-ordered netlist — fault overlays included, except a forward
+// bridge — a matching power model and < 2^24 gates (CompiledDesign, the
+// constructor and acquisition's engine selection enforce this). Acquisition
+// under SimEngine::Auto runs every such design on this engine, at any call
+// size: any active lane count 1..64 is supported, so a call of fewer
+// distinct stimuli than lanes, and the partial trailing group of a longer
+// one, need no special casing. Instrumentation lands
 // in "sim.batch.*" (and the shared "power.*") instruments;
 // "sim.batch.waves" counts queue pops, so events_processed / waves is the
 // number of reference events one wave stands for.
@@ -150,7 +152,7 @@ class BatchSim {
   static constexpr std::uint32_t kLanes = 64;
 
   /// `design` must outlive the sim and stay unmodified while any clone is
-  /// running (the CompiledSim sharing contract); the calendar ring is
+  /// running (the EventSim sharing contract); the calendar ring is
   /// sized from its maxDelayPs here, so refresh() it before, not after,
   /// constructing the sim. Throws std::invalid_argument for designs
   /// beyond the packed-event net capacity (2^24 gates).

@@ -1,11 +1,8 @@
 #include "sim/compiled_sim.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
-
-#include "obs/profiler.h"
 
 namespace lpa {
 
@@ -57,15 +54,6 @@ CompiledSim::CompiledSim(const CompiledDesign& design,
   lastCommitPs_.assign(design.numGates, -1e30);
 }
 
-CompiledSim CompiledSim::clone() const {
-  // Shares the design tables and the metrics attachment (same registry
-  // cells, so per-worker clones aggregate into the parent's counters), but
-  // starts from fresh dynamic state and zeroed clone-local stats.
-  CompiledSim copy = *this;
-  copy.reset();
-  return copy;
-}
-
 void CompiledSim::reset() {
   std::fill(state_.begin(), state_.end(), 0);
   std::fill(pendActive_.begin(), pendActive_.end(), 0);
@@ -89,100 +77,6 @@ void CompiledSim::scrubQueue() {
   eventsInQueue_ = 0;
 }
 
-void CompiledSim::attachMetrics(obs::MetricsRegistry* registry) {
-  if (!registry) {
-    metrics_ = MetricHandles{};
-    return;
-  }
-  metrics_.runs = registry->counter("sim.compiled.runs");
-  metrics_.events = registry->counter("sim.compiled.events_processed");
-  metrics_.committed =
-      registry->counter("sim.compiled.transitions_committed");
-  metrics_.cancelled = registry->counter("sim.compiled.events_cancelled");
-  metrics_.inertialFiltered =
-      registry->counter("sim.compiled.glitches_inertial_filtered");
-  // The fused path replaces PowerModel::sample, so it feeds the *same*
-  // "power.*" cells — trace/pulse tallies stay engine-agnostic.
-  metrics_.tracesSampled = registry->counter("power.traces_sampled");
-  metrics_.pulsesDeposited = registry->counter("power.pulses_deposited");
-  metrics_.peakQueueDepth = registry->gauge("sim.compiled.peak_queue_depth");
-  metrics_.watchdogMaxEventsUsed =
-      registry->gauge("sim.compiled.watchdog_max_events_used");
-  metrics_.watchdogBudget = registry->gauge("sim.compiled.watchdog_budget");
-  if (opts_.maxEvents != 0) {
-    metrics_.watchdogBudget.set(static_cast<double>(opts_.maxEvents));
-  }
-}
-
-void CompiledSim::attachProfiler(obs::Profiler* profiler) {
-  profiler_ = profiler;
-  if (!profiler) {
-    profSched_ = {};
-    profComm_ = {};
-    profCanc_ = {};
-    profFilt_ = {};
-    profPulses_ = {};
-    profTimeNs_ = {};
-    profTouchedFlag_ = {};
-    profTouched_ = {};
-    return;
-  }
-  const CompiledDesign& d = *design_;
-  profiler->ensureNets(d.numGates);
-  for (std::uint32_t id = 0; id < d.numGates; ++id) {
-    profiler->noteNetLabel(
-        id, std::string(gateTypeName(static_cast<GateType>(d.type[id]))));
-  }
-  profSched_.assign(d.numGates, 0);
-  profComm_.assign(d.numGates, 0);
-  profCanc_.assign(d.numGates, 0);
-  profFilt_.assign(d.numGates, 0);
-  profPulses_.assign(d.numGates, 0);
-  profTimeNs_.assign(d.numGates, 0);
-  profTouchedFlag_.assign(d.numGates, 0);
-  profTouched_.clear();
-}
-
-void CompiledSim::profFlush() {
-  profiler_->noteRun();
-  for (const std::uint32_t net : profTouched_) {
-    profiler_->addNetEvents(net, profSched_[net], profComm_[net],
-                            profCanc_[net], profFilt_[net]);
-    if (profPulses_[net] != 0) {
-      profiler_->addNetPulses(net, profPulses_[net]);
-      profPulses_[net] = 0;
-    }
-    if (profTimeNs_[net] != 0) {
-      profiler_->addNetTimeNs(net, profTimeNs_[net]);
-      profTimeNs_[net] = 0;
-    }
-    profSched_[net] = 0;
-    profComm_[net] = 0;
-    profCanc_[net] = 0;
-    profFilt_[net] = 0;
-    profTouchedFlag_[net] = 0;
-  }
-  profTouched_.clear();
-  // Arena accounting is a full capacity sweep, so only sample it.
-  if ((stats_.runs & (obs::Profiler::kArenaSampleEvery - 1)) == 1) {
-    profiler_->recordArena("compiled", arenaBytes());
-  }
-}
-
-std::uint64_t CompiledSim::arenaBytes() const {
-  std::uint64_t bytes = 0;
-  for (const auto& b : buckets_) bytes += b.capacity() * sizeof(QueueEvent);
-  bytes += bucketHead_.capacity() * sizeof(std::uint32_t);
-  bytes += bucketSorted_.capacity();
-  bytes += dirtyBuckets_.capacity() * sizeof(std::uint32_t);
-  bytes += state_.capacity() + pendValue_.capacity() + pendActive_.capacity();
-  bytes += pendSeq_.capacity() * sizeof(std::uint64_t);
-  bytes += lastCommitPs_.capacity() * sizeof(double);
-  bytes += changedInputs_.capacity() * sizeof(std::uint32_t);
-  bytes += trace_.capacity() * sizeof(double);
-  return bytes;
-}
-
 void CompiledSim::recordRun(std::uint64_t popped, std::uint64_t committed,
                             std::uint64_t cancelled, std::uint64_t filtered,
                             std::uint64_t peakDepth) {
@@ -198,16 +92,6 @@ void CompiledSim::recordRun(std::uint64_t popped, std::uint64_t committed,
       stats_.watchdogMinHeadroom = headroom;
     }
   }
-  metrics_.runs.add(1);
-  metrics_.events.add(popped);
-  metrics_.committed.add(committed);
-  metrics_.cancelled.add(cancelled);
-  metrics_.inertialFiltered.add(filtered);
-  metrics_.peakQueueDepth.recordMax(static_cast<double>(peakDepth));
-  if (opts_.maxEvents != 0) {
-    metrics_.watchdogMaxEventsUsed.recordMax(static_cast<double>(popped));
-  }
-  if (profiler_) profFlush();
 }
 
 void CompiledSim::settle(const std::vector<std::uint8_t>& inputValues) {
@@ -330,13 +214,6 @@ void CompiledSim::runCore(const std::vector<std::uint8_t>& inputValues,
   std::uint64_t inertialFiltered = 0;
   std::uint64_t peakDepth = 0;
 
-  // Attribution profiling (opt-in, loop-invariant branch; wall-time by
-  // bucketed sampling — see EventSim::run).
-  const bool prof = profiler_ != nullptr;
-  std::uint32_t profSampleLeft = obs::Profiler::kWallSampleEvery;
-  std::chrono::steady_clock::time_point profLastSample;
-  if (prof) profLastSample = std::chrono::steady_clock::now();
-
   // Hot-table pointers hoisted out of the event loop.
   const std::uint8_t* typeArr = d.type.data();
   const std::uint32_t* faninArr = d.fanin.data();
@@ -360,10 +237,6 @@ void CompiledSim::runCore(const std::vector<std::uint8_t>& inputValues,
       // wavefront; no-op events are filtered at commit time.
       queuePush(eta, (++seqCounter_ << 25) | (std::uint64_t(gateId) << 1) |
                          nv);
-      if (prof) {
-        profTouch(gateId);
-        ++profSched_[gateId];
-      }
       return;
     }
 
@@ -374,20 +247,12 @@ void CompiledSim::runCore(const std::vector<std::uint8_t>& inputValues,
         // Input pulse shorter than the gate delay: swallow the glitch.
         pendActive_[gateId] = 0;
         ++inertialFiltered;
-        if (prof) {
-          profTouch(gateId);
-          ++profFilt_[gateId];
-        }
         return;
       }
       pendValue_[gateId] = nv;
       pendSeq_[gateId] = ++seqCounter_;
       queuePush(eta, (pendSeq_[gateId] << 25) |
                          (std::uint64_t(gateId) << 1) | nv);
-      if (prof) {
-        profTouch(gateId);
-        ++profSched_[gateId];
-      }
       return;
     }
     if (nv != state[gateId]) {
@@ -396,10 +261,6 @@ void CompiledSim::runCore(const std::vector<std::uint8_t>& inputValues,
       pendSeq_[gateId] = ++seqCounter_;
       queuePush(eta, (pendSeq_[gateId] << 25) |
                          (std::uint64_t(gateId) << 1) | nv);
-      if (prof) {
-        profTouch(gateId);
-        ++profSched_[gateId];
-      }
     }
   };
 
@@ -417,10 +278,6 @@ void CompiledSim::runCore(const std::vector<std::uint8_t>& inputValues,
       lastCommitPs_[net] = 0.0;
       commit(net, 0.0, nv, 1.0);
       ++committed;
-      if (prof) {
-        profTouch(net);
-        ++profComm_[net];
-      }
       changedInputs_.push_back(net);
     }
   }
@@ -449,33 +306,15 @@ void CompiledSim::runCore(const std::vector<std::uint8_t>& inputValues,
       recordRun(popped, committed, cancelled, inertialFiltered, peakDepth);
       throw SimDiverged(popped, eTime);
     }
-    if (prof && --profSampleLeft == 0) {
-      profSampleLeft = obs::Profiler::kWallSampleEvery;
-      const auto now = std::chrono::steady_clock::now();
-      profTouch(eNet);
-      profTimeNs_[eNet] += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              now - profLastSample)
-              .count());
-      profLastSample = now;
-    }
     if (opts_.kind == DelayKind::Inertial) {
       if (!pendActive_[eNet] || pendSeq_[eNet] != (e.key >> 25)) {
         ++cancelled;  // cancelled or superseded
-        if (prof) {
-          profTouch(eNet);
-          ++profCanc_[eNet];
-        }
         continue;
       }
       pendActive_[eNet] = 0;
     }
     if (state[eNet] == eValue) {
       ++cancelled;  // no-op wavefront (transport mode)
-      if (prof) {
-        profTouch(eNet);
-        ++profCanc_[eNet];
-      }
       continue;
     }
     state[eNet] = eValue;
@@ -489,10 +328,6 @@ void CompiledSim::runCore(const std::vector<std::uint8_t>& inputValues,
     lastCommitPs_[eNet] = eTime;
     commit(eNet, eTime, eValue, weight);
     ++committed;
-    if (prof) {
-      profTouch(eNet);
-      ++profComm_[eNet];
-    }
     for (std::uint32_t idx = foOff[eNet]; idx < foOff[eNet + 1]; ++idx) {
       scheduleGate(foEdge[idx], eTime);
     }
@@ -523,23 +358,13 @@ const std::vector<double>& CompiledSim::runFused(
   trace_.assign(d.numSamples, 0.0);
   const double dt = d.samplePeriodPs;
   const double halfW = d.pulseHalfWidthPs;
-  std::uint64_t deposited = 0;
   runCore(inputValues, [&](std::uint32_t net, double time, std::uint8_t,
                            double weight) {
-    const double energy = d.energyFf[net] * weight;
-    if (power_detail::depositPulse(trace_.data(), d.numSamples, dt, halfW,
-                                   time, energy)) {
-      ++deposited;  // pulse overlaps the sampling window
-      if (profiler_ != nullptr) {
-        profTouch(net);
-        ++profPulses_[net];
-      }
-    }
+    power_detail::depositPulse(trace_.data(), d.numSamples, dt, halfW, time,
+                               d.energyFf[net] * weight);
   });
   power_detail::addGaussianNoise(trace_.data(), d.numSamples, d.noiseSigma,
                                  noiseSeed);
-  metrics_.tracesSampled.add(1);
-  metrics_.pulsesDeposited.add(deposited);
   return trace_;
 }
 

@@ -1,9 +1,13 @@
 #pragma once
-// Compiled simulation fast path.
+// Compiled scalar engine.
 //
 // CompiledSim runs the exact event-driven algorithm of the reference
-// EventSim (sim/event_sim.h) over the flat tables of a CompiledDesign,
-// with three structural differences that change speed but not results:
+// EventSim (sim/event_sim.h) over the flat tables of a CompiledDesign, one
+// trace at a time. Acquisition does not use it: the batch engine
+// (sim/batch_sim.h) serves every eligible design. It is kept for the
+// repository benchmark's per-engine probe and as the third engine of the
+// differential tests. Three structural differences from the reference
+// change speed but not results:
 //
 //   1. All dynamic state lives in reusable per-instance arenas (a
 //      monotone calendar event queue, pending-event struct-of-arrays,
@@ -34,16 +38,14 @@
 // because (time, seq) is a strict total order (seq is unique) and any
 // correct min-queue realizes it; arrival times and all deposition
 // arithmetic reuse the very same inline helpers and expression shapes.
-// tests/test_compiled_sim.cpp enforces the contract across every
-// implementation style, delay kind, device age, and thread count.
-//
-// Instrumentation lands in "sim.compiled.*" (and the shared "power.*")
-// counters so runs reveal which engine served them.
+// tests/test_compiled_sim.cpp and the differential fuzzer
+// (tests/engine_fuzz.h) enforce the contract across every implementation
+// style, delay kind and device age. The engine keeps its tallies in
+// stats() only; it feeds no metrics registry and no profiler.
 
 #include <cstdint>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "sim/compiled_design.h"
 #include "sim/event_sim.h"
 
@@ -51,15 +53,11 @@ namespace lpa {
 
 class CompiledSim {
  public:
-  /// `design` must outlive the sim and stay unmodified while any clone is
-  /// running (it is read-only during simulation, so concurrent clones are
-  /// safe — the EventSim sharing contract). Throws std::invalid_argument
-  /// for designs beyond the packed-event net capacity (2^24 gates).
+  /// `design` must outlive the sim and stay unmodified while it runs (it
+  /// is read-only during simulation, so several sims may share it — the
+  /// EventSim sharing contract). Throws std::invalid_argument for designs
+  /// beyond the packed-event net capacity (2^24 gates).
   CompiledSim(const CompiledDesign& design, const SimOptions& options);
-
-  /// Cheap copy for worker pools: shares the design tables and the metrics
-  /// attachment, starts from fresh dynamic state and zeroed stats.
-  CompiledSim clone() const;
 
   /// Clears dynamic state as if freshly constructed (arenas keep their
   /// capacity — reset does not give memory back).
@@ -87,20 +85,8 @@ class CompiledSim {
   /// Values of the primary outputs in outputs() order.
   std::vector<std::uint8_t> outputValues() const;
 
-  /// Routes "sim.compiled.*" and "power.*" instruments into `registry`
-  /// (nullptr detaches). Clones inherit the attachment; the zero-
-  /// perturbation contract of obs/metrics.h applies.
-  void attachMetrics(obs::MetricsRegistry* registry);
-
-  /// Attaches a cost-attribution profiler (obs/profiler.h): per-net
-  /// tallies, fused-pulse attribution, sampled wall-time, and calendar-
-  /// arena byte samples flow into it, one flush per run. nullptr detaches;
-  /// clones inherit the attachment. Pure sink — bit-identical attached or
-  /// detached (tests/test_profiler.cpp).
-  void attachProfiler(obs::Profiler* profiler);
-
-  /// Clone-local cumulative instrumentation, field-for-field comparable
-  /// with EventSim::stats().
+  /// Cumulative instrumentation since construction or reset(),
+  /// field-for-field comparable with EventSim::stats().
   const SimStats& stats() const { return stats_; }
 
   const CompiledDesign& design() const { return *design_; }
@@ -169,28 +155,6 @@ class CompiledSim {
   std::uint64_t seqCounter_ = 0;
 
   SimStats stats_;
-  struct MetricHandles {
-    obs::Counter runs, events, committed, cancelled, inertialFiltered;
-    obs::Counter tracesSampled, pulsesDeposited;
-    obs::Gauge peakQueueDepth, watchdogMaxEventsUsed, watchdogBudget;
-  } metrics_;
-
-  // Cost-attribution profiling (obs/profiler.h): per-run local tallies +
-  // touched-net list, flushed by recordRun, touched slots zeroed on flush.
-  void profTouch(std::uint32_t net) {
-    if (!profTouchedFlag_[net]) {
-      profTouchedFlag_[net] = 1;
-      profTouched_.push_back(net);
-    }
-  }
-  void profFlush();
-  std::uint64_t arenaBytes() const;
-  obs::Profiler* profiler_ = nullptr;
-  std::vector<std::uint32_t> profSched_, profComm_, profCanc_, profFilt_,
-      profPulses_;
-  std::vector<std::uint64_t> profTimeNs_;
-  std::vector<std::uint8_t> profTouchedFlag_;
-  std::vector<std::uint32_t> profTouched_;
 };
 
 }  // namespace lpa

@@ -125,7 +125,7 @@ class EventSim {
   const DelayModel& delayModel() const { return *delays_; }
   const SimOptions& options() const { return opts_; }
   /// Registry attached via attachMetrics (nullptr when detached); the
-  /// compiled engine selected by acquire() inherits this attachment.
+  /// batch engine selected by acquire() inherits this attachment.
   obs::MetricsRegistry* metricsRegistry() const { return registry_; }
 
   /// Values of the primary outputs in outputs() order.

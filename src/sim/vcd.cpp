@@ -54,7 +54,8 @@ std::string toVcd(const Netlist& nl,
     ids[net] = id;
     auto it = names.find(net);
     const std::string name =
-        it != names.end() ? it->second : "w" + std::to_string(net);
+        it != names.end() ? it->second
+                          : std::string("w").append(std::to_string(net));
     v += "$var wire 1 " + id + " " + name + " $end\n";
   }
   v += "$upscope $end\n$enddefinitions $end\n#0\n$dumpvars\n";
@@ -68,7 +69,7 @@ std::string toVcd(const Netlist& nl,
   for (const Transition& t : transitions) {
     const long time = std::lround(t.timePs);
     if (time != lastTime) {
-      v += "#" + std::to_string(time) + "\n";
+      v.append("#").append(std::to_string(time)).append("\n");
       lastTime = time;
     }
     v += std::string(t.newValue ? "1" : "0") + ids[t.net] + "\n";

@@ -180,18 +180,27 @@ std::vector<NetId> Slp::emit(NetlistBuilder& b,
 std::string Slp::toString() const {
   std::string out;
   auto name = [&](int v) {
-    return v < numInputs ? "x" + std::to_string(v)
-                         : "t" + std::to_string(v - numInputs);
+    return v < numInputs
+               ? std::string("x").append(std::to_string(v))
+               : std::string("t").append(std::to_string(v - numInputs));
   };
   for (std::size_t s = 0; s < steps.size(); ++s) {
     const SlpStep& st = steps[s];
-    out += "t" + std::to_string(s) + " = " + opName(st.op) + " " +
-           name(st.a);
-    if (st.op != SlpOp::Not) out += " " + name(st.b);
+    out.append("t")
+        .append(std::to_string(s))
+        .append(" = ")
+        .append(opName(st.op))
+        .append(" ")
+        .append(name(st.a));
+    if (st.op != SlpOp::Not) out.append(" ").append(name(st.b));
     out += '\n';
   }
   for (std::size_t k = 0; k < outputs.size(); ++k) {
-    out += "y" + std::to_string(k) + " = " + name(outputs[k]) + '\n';
+    out.append("y")
+        .append(std::to_string(k))
+        .append(" = ")
+        .append(name(outputs[k]))
+        .append("\n");
   }
   return out;
 }

@@ -13,7 +13,6 @@
 #include "obs/metrics.h"
 #include "obs/trace_span.h"
 #include "sim/batch_sim.h"
-#include "sim/compiled_sim.h"
 #include "trace/sharded_pool.h"
 
 namespace lpa {
@@ -23,44 +22,17 @@ namespace {
 /// Stream index of the schedule shuffle; far outside any trace index.
 constexpr std::uint64_t kScheduleStream = ~0ULL;
 
-/// Resolves the requested engine against the design's eligibility for the
-/// flat-table fast paths (compiled and batch share the same design-level
-/// eligibility: an index-ordered netlist, which every fault overlay but a
-/// forward bridge keeps). Auto never throws: an ineligible design falls
-/// back to the reference engine, and below one full lane group the batch
-/// engine's clustering cannot pay off, so Auto serves small budgets with
-/// the compiled scalar path. Forcing Compiled or Batch on an ineligible
-/// design throws; a forced Batch below the lane width runs a partial group.
-SimEngine resolveEngine(SimEngine requested, const EventSim& sim,
-                        const PowerModel& power, std::size_t traceCount) {
-  const bool eligible = sim.netlist().isIndexOrdered() &&
-                        power.numGates() == sim.netlist().numGates() &&
-                        sim.netlist().numGates() < (std::size_t(1) << 24);
-  switch (requested) {
-    case SimEngine::Reference:
-      return SimEngine::Reference;
-    case SimEngine::Compiled:
-      if (!eligible) {
-        throw std::invalid_argument(
-            "acquisition: compiled engine requested but the design is "
-            "ineligible (a fanin rewired forward by a bridge overlay, or a "
-            "power model size mismatch)");
-      }
-      return SimEngine::Compiled;
-    case SimEngine::Batch:
-      if (!eligible) {
-        throw std::invalid_argument(
-            "acquisition: batch engine requested but the design is "
-            "ineligible (a fanin rewired forward by a bridge overlay, or a "
-            "power model size mismatch)");
-      }
-      return SimEngine::Batch;
-    case SimEngine::Auto:
-      break;
-  }
-  if (!eligible) return SimEngine::Reference;
-  return traceCount >= BatchSim::kLanes ? SimEngine::Batch
-                                        : SimEngine::Compiled;
+/// Whether the batch engine serves a call: under Auto, on every design the
+/// batch engine can lower — an index-ordered netlist (every fault overlay
+/// keeps it but a forward bridge), a power model built for it and fewer
+/// than 2^24 gates — at any call size. Every other design, and a call that
+/// asks for Reference, runs on the reference EventSim, so Auto never
+/// throws.
+bool resolveBatch(SimEngine requested, const EventSim& sim,
+                  const PowerModel& power) {
+  return requested == SimEngine::Auto && sim.netlist().isIndexOrdered() &&
+         power.numGates() == sim.netlist().numGates() &&
+         sim.netlist().numGates() < (std::size_t(1) << 24);
 }
 
 /// Journals the end of an acquisition block: "acquire-finish" on normal
@@ -140,7 +112,7 @@ struct Protocol {
   const char* spanLabel;  ///< span / journal / progress label
 };
 
-/// The functional sanity check every engine runs on every simulated
+/// The functional sanity check both engines run on every simulated
 /// stimulus: the netlist must produce the unmasked value it expects.
 void checkDecode(const MaskedSbox& sbox,
                  const std::vector<std::uint8_t>& outputs,
@@ -317,7 +289,7 @@ Plan makePlan(const Protocol& protocol, std::size_t begin, std::size_t end,
 /// acquireKeyed(). A plan pass derives every trace's stimulus; the pool
 /// then simulates each distinct (init, fin, expected) triple once, without
 /// noise, and delivery hands trace i its triple's samples plus its own
-/// noise — the last step every engine would have run — so the sequence is
+/// noise — the last step either engine would have run — so the sequence is
 /// bit-identical across engines and to simulating every trace, and slicing
 /// is invisible in the result bits.
 void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
@@ -337,7 +309,7 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
   const Plan plan = makePlan(protocol, begin, end, width, sigma > 0.0,
                              cfg.numThreads, style);
   const std::size_t m = plan.distinct();
-  const SimEngine engine = resolveEngine(cfg.engine, sim, power, m);
+  const bool batch = resolveBatch(cfg.engine, sim, power);
   // Runs fn(), naming slice-local trace t in any failure.
   const auto onTrace = [&](std::size_t t, const auto& fn) {
     try {
@@ -354,9 +326,9 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
 
   // Windows and work items. On the batch engine items are lane groups of
   // ceil(m / workers) triples, at most 64, so a call of fewer than 64
-  // triples per worker still gives every worker one; on the scalar engines
-  // they are blocks sized to give each worker a few. The triples, in
-  // first-occurrence order, are cut into windows of whole items
+  // triples per worker still gives every worker one; on the reference
+  // engine they are blocks sized to give each worker a few. The triples,
+  // in first-occurrence order, are cut into windows of whole items
   // holding at most `windowRows` single-use triples each (a triple used
   // again keeps a store row for the whole call, so it does not count); only
   // the last window may end in a partial item. On the batch engine a window
@@ -368,7 +340,6 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
   const auto itemsOf = [](std::size_t count, std::size_t per) {
     return (count + per - 1) / per;
   };
-  const bool batch = engine == SimEngine::Batch;
   const std::uint32_t threads = resolveWorkerThreads(cfg.numThreads, m);
   const std::size_t windowRows =
       detail::reorderWindow(threads) * BatchSim::kLanes;
@@ -532,7 +503,7 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
   if (batch) {
     // Bit-parallel path: each lane runs one triple's stimulus, and no lane
     // depends on the lanes that share its group, so the traces are
-    // bit-identical to the scalar engines' however triples fall into
+    // bit-identical to the reference engine's however triples fall into
     // groups. A group that fails as a whole (a lane tripping the
     // watchdog) loses the traces of all its triples and is named by the
     // lowest of their first traces; a decode mismatch by the lowest first
@@ -580,55 +551,33 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
     return;
   }
 
-  // Scalar engines: simulate(worker, s, i) runs stimulus s without noise,
-  // checks the decode against trace i and returns the samples.
-  const auto scalarFill = [&](const auto& simulate) {
-    return [&, simulate](auto& worker, std::size_t a, std::size_t count) {
-      for (std::size_t p = a; p < a + count; ++p) {
-        const std::uint32_t d = order[p];
-        onTrace(plan.first[d], [&] {
-          const TraceStimulus s = plan.stimulus(d);
-          worker.settle(s.init);
-          const auto& trace = simulate(worker, s, begin + plan.first[d]);
-          std::copy_n(trace.data(), numSamples, samplesOf(d));
-        });
-      }
-    };
-  };
-
-  if (engine == SimEngine::Compiled) {
-    // Fast path: fused deposition, no Transition list materialized;
-    // runFused(fin, 0) == power.sample(run(fin), 0) bit-for-bit.
-    const CompiledDesign design(sim.netlist(), sim.delayModel(), power);
-    CompiledSim csim(design, sim.options());
-    csim.attachMetrics(sim.metricsRegistry());
-    csim.attachProfiler(cfg.profiler);
-    stream(csim, "compiled",
-           scalarFill([&](CompiledSim& worker, const TraceStimulus& s,
-                          std::size_t i) -> const std::vector<double>& {
-             const std::vector<double>& trace = worker.runFused(s.fin, 0);
-             checkDecode(sbox, worker.outputValues(), s, i);
-             return trace;
-           }));
-    return;
-  }
-
-  // Reference path: workers clone `sim`, so attaching here propagates to
-  // every worker. Only attach when requested — a null re-attach would
-  // clobber an attachment the caller installed on the prototype — and
-  // give `sim` its own attachment back on every exit: cfg.profiler need
-  // not outlive the call.
+  // Reference path: triple d (never sorted, so at position d) runs settle
+  // + run without noise, its decode is checked against its first trace,
+  // and the power model samples the recorded transitions. Workers clone
+  // `sim`, so attaching here propagates to every worker. Only attach when
+  // requested — a null re-attach would clobber an attachment the caller
+  // installed on the prototype — and give `sim` its own attachment back on
+  // every exit: cfg.profiler need not outlive the call.
   obs::Profiler* const callerProfiler = sim.profiler();
   const bool swap = cfg.profiler != nullptr && cfg.profiler != callerProfiler;
   if (swap) sim.attachProfiler(cfg.profiler);
   try {
     stream(sim, "reference",
-           scalarFill([&](EventSim& worker, const TraceStimulus& s,
-                          std::size_t i) {
-             const std::vector<Transition> transitions = worker.run(s.fin);
-             checkDecode(sbox, worker.outputValues(), s, i);
-             return power.sample(transitions, 0);
-           }));
+           [&](EventSim& worker, std::size_t a, std::size_t count) {
+             for (std::size_t d = a; d < a + count; ++d) {
+               onTrace(plan.first[d], [&] {
+                 const TraceStimulus s = plan.stimulus(d);
+                 worker.settle(s.init);
+                 const std::vector<Transition> transitions =
+                     worker.run(s.fin);
+                 checkDecode(sbox, worker.outputValues(), s,
+                             begin + plan.first[d]);
+                 const std::vector<double> trace =
+                     power.sample(transitions, 0);
+                 std::copy_n(trace.data(), numSamples, samplesOf(d));
+               });
+             }
+           });
   } catch (...) {
     if (swap) sim.attachProfiler(callerProfiler);
     throw;

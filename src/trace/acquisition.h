@@ -48,16 +48,16 @@
 //      step every engine runs — so every trace is bit-identical to
 //      simulating it on its own.
 //
-// The engines' counters (sim.*.runs, power.traces_sampled, ...) and a
-// profiler therefore count simulations; "acquire.traces_total" counts
-// traces and "acquire.distinct_total" the simulated stimuli.
+// The engines' counters (sim.runs, sim.batch.runs, power.traces_sampled,
+// ...) and a profiler therefore count simulations; "acquire.traces_total"
+// counts traces and "acquire.distinct_total" the simulated stimuli.
 //
 // ## Lane groups and windows
 //
 // Worker 0 runs the prototype engine, the others clones of it (sharing the
 // netlist and DelayModel, so process jitter is shared, not re-rolled).
 // Workers claim items — a lane group of distinct triples on the batch
-// engine, a block of them on the scalar engines — from the pool of
+// engine, a block of them on the reference engine — from the pool of
 // trace/sharded_pool.h. A call of m distinct triples runs on min(workers,
 // m) workers, and its lane groups hold ceil(m / workers) triples, at most
 // 64: a call too short to give every worker a 64-lane group (a 128-trace
@@ -78,8 +78,8 @@
 // share its group, so the traces stay bit-identical. A shorter window — a
 // 128-trace adaptive batch, the tail of a long call — keeps
 // first-occurrence order: with few groups per worker, sorted groups have
-// uneven costs and the costliest sets the wall time. The scalar engines
-// never sort.
+// uneven costs and the costliest sets the wall time. The reference engine
+// never sorts.
 //
 // Delivery hands the consumer (a TraceSink, or the TraceSet being filled)
 // the traces in trace-index order, so a streaming fold equals a fold over
@@ -124,31 +124,24 @@ class BatchSim;
 
 /// Which simulation engine serves an acquisition.
 ///
-/// `Auto` (the default) picks the fastest eligible engine. Eligibility is
-/// purely a property of the design — an index-ordered netlist
-/// (Netlist::isIndexOrdered: every fault overlay keeps it except a bridge
-/// to a later net, which may close a loop) and a power model built for it
-/// (acquisition never needs the recorded transition list; power deposition
-/// is fused into the commit step). On an eligible design, Auto serves the
-/// run with the bit-parallel batch engine (sim/batch_sim.h, 64 traces per
-/// gate operation) when the call's distinct stimuli fill at least one lane
-/// group (BatchSim::kLanes), and with the compiled scalar fast path
-/// (sim/compiled_sim.h) below that — 64 LUT traces are 16 distinct
-/// stimuli, so they run compiled; an ineligible design falls back to
-/// the reference EventSim — Auto never throws. All three
-/// engines are bit-identical (same traces, same determinism digest, same
-/// per-trace event tallies; enforced by tests/test_compiled_sim.cpp,
+/// `Auto` (the default) serves every eligible design with the bit-parallel
+/// batch engine (sim/batch_sim.h, 64 traces per gate operation), at any
+/// call size — a call of fewer distinct stimuli than lanes runs partial
+/// lane groups — and every other design with the reference EventSim, so
+/// Auto never throws. Eligibility is purely a property of the design: an
+/// index-ordered netlist (Netlist::isIndexOrdered: every fault overlay
+/// keeps it except a bridge to a later net, which may close a loop), a
+/// power model built for it (acquisition never needs the recorded
+/// transition list; power deposition is fused into the commit step) and
+/// fewer than 2^24 gates. The two engines are bit-identical (same traces,
+/// same determinism digest, same per-trace event tallies; enforced by
 /// tests/test_batch_sim.cpp and the differential fuzzer), so `Auto` is
-/// safe everywhere; `Reference`, `Compiled` and `Batch` force one engine
-/// for A/B benchmarking and CI digest cross-checks. Forcing `Compiled` or
-/// `Batch` on an ineligible design throws std::invalid_argument (a forced
-/// `Batch` below the lane width is fine — partial groups are supported).
+/// safe everywhere; `Reference` forces the reference engine for A/B
+/// benchmarking, CI digest cross-checks and the resilience layer's
+/// spot-checks and quarantine.
 enum class SimEngine : std::uint8_t {
-  Auto,       ///< fastest eligible engine, reference otherwise
-  Compiled,   ///< require the compiled fast path (throws if ineligible)
+  Auto,       ///< batch on an eligible design, reference otherwise
   Reference,  ///< always the reference EventSim
-  Batch,      ///< require the bit-parallel batch engine (throws if
-              ///< ineligible)
 };
 
 /// The fixed constant (0000)b every trace of the Fig. 5 protocol settles on
@@ -174,8 +167,8 @@ struct AcquisitionConfig {
   /// SimEngine).
   SimEngine engine = SimEngine::Auto;
   /// Optional cost-attribution profiler (obs/profiler.h): the engine
-  /// serving the run (including internally constructed compiled/batch
-  /// engines and their worker clones) attaches to it and flushes per-run
+  /// serving the run (the batch engine acquisition builds, or the caller's
+  /// EventSim, and their worker clones) attaches to it and flushes per-run
   /// tallies. Pure sink — with or without a profiler the TraceSet is
   /// bit-identical. The profiler must outlive the acquisition and have
   /// nets pre-sized (engines call ensureNets before workers start).
@@ -290,7 +283,7 @@ using TraceSink = std::function<void(std::uint8_t label, const double*)>;
 /// Collects a balanced, labelled trace set from `sbox` using the simulator
 /// and power model (both must be built for sbox.netlist()). `sim` is used
 /// as the prototype for per-worker clones (netlist, delay model, options,
-/// metrics attachment — also when the compiled engine serves the run); its
+/// metrics attachment — also when the batch engine serves the run); its
 /// state after the call is unspecified. cfg.adaptive must be false.
 TraceSet acquire(const MaskedSbox& sbox, EventSim& sim,
                  const PowerModel& power,

@@ -65,7 +65,7 @@ inline Netlist randomNetlist(Prng& rng) {
   const std::uint32_t numInputs = 2 + rng.below(5);
   std::vector<NetId> nets;
   for (std::uint32_t i = 0; i < numInputs; ++i) {
-    nets.push_back(b.input("i" + std::to_string(i)));
+    nets.push_back(b.input(std::string("i").append(std::to_string(i))));
   }
 
   std::vector<std::uint32_t> fanout(nets.size(), 0);
@@ -115,7 +115,9 @@ inline Netlist randomNetlist(Prng& rng) {
   }
   std::uint32_t outIdx = 0;
   for (NetId n = 0; n < nets.size(); ++n) {
-    if (fanout[n] == 0) b.output(n, "o" + std::to_string(outIdx++));
+    if (fanout[n] == 0) {
+      b.output(n, std::string("o").append(std::to_string(outIdx++)));
+    }
   }
 
   Netlist nl = b.take();

@@ -74,21 +74,10 @@ std::size_t distinctStimuli(const MaskedSbox& sbox,
   return triples.size();
 }
 
-constexpr SimEngine kEngines[] = {SimEngine::Auto, SimEngine::Reference,
-                                  SimEngine::Compiled, SimEngine::Batch};
+constexpr SimEngine kEngines[] = {SimEngine::Auto, SimEngine::Reference};
 
 std::string engineName(SimEngine e) {
-  switch (e) {
-    case SimEngine::Auto:
-      return "auto";
-    case SimEngine::Reference:
-      return "reference";
-    case SimEngine::Compiled:
-      return "compiled";
-    case SimEngine::Batch:
-      return "batch";
-  }
-  return "?";
+  return e == SimEngine::Auto ? "auto" : "reference";
 }
 
 TEST(AcquireDistinct, RepeatsGetTheirOwnNoiseOnEveryEngine) {
@@ -252,9 +241,7 @@ TEST(AcquireDistinct, EnginesCountSimulationsAndAcquireCountsTraces) {
   obs::MetricsRegistry& global = obs::MetricsRegistry::global();
   obs::EventJournal& journal = obs::EventJournal::global();
   const std::pair<SimEngine, const char*> engines[] = {
-      {SimEngine::Reference, "sim."},
-      {SimEngine::Compiled, "sim.compiled."},
-      {SimEngine::Batch, "sim.batch."}};
+      {SimEngine::Reference, "sim."}, {SimEngine::Auto, "sim.batch."}};
   for (const auto& [engine, prefix] : engines) {
     SCOPED_TRACE(prefix);
     obs::MetricsRegistry reg;

@@ -191,8 +191,7 @@ TEST(AcquireParallel, StreamedEstimateMatchesFoldedAcquisition) {
   for (SboxStyle style : {SboxStyle::Glut, SboxStyle::RsmRom, SboxStyle::Ti}) {
     SboxExperiment reference(style, cfg);
     std::vector<std::pair<SimEngine, std::unique_ptr<SboxExperiment>>> runs;
-    for (SimEngine engine :
-         {SimEngine::Reference, SimEngine::Compiled, SimEngine::Batch}) {
+    for (SimEngine engine : {SimEngine::Reference, SimEngine::Auto}) {
       ExperimentConfig forced = cfg;
       forced.acquisition.engine = engine;
       runs.emplace_back(engine,

@@ -8,8 +8,8 @@
 // the contract down across every implementation style, both delay kinds,
 // fresh and aged devices, lane counts {1, 7, 64} plus a 200-trace grouped
 // sweep, the batch invariance properties (lane permutation, batch size),
-// and the acquisition engine-selection logic (Auto thresholds, fault
-// fallback, thread invariance). Mirrors tests/test_compiled_sim.cpp.
+// and acquisition on the batch engine (thread invariance, keyed runs).
+// tests/test_compiled_sim.cpp covers engine selection.
 
 #include "sim/batch_sim.h"
 
@@ -775,46 +775,6 @@ TEST(BatchMerge, TiWavesStayFewPerEvent) {
       << waves << " waves for " << events << " events";
 }
 
-TEST(BatchAcquire, AutoPicksBatchAtLaneWidthAndCompiledBelow) {
-  // Regression for the Auto selection rule, which counts the distinct
-  // stimuli of a call: below the lane width Auto falls back to the compiled
-  // engine (not throw, not batch); from one full lane group on, the batch
-  // engine serves the run. GLUT's 8 random bits make 32 and 64 traces all
-  // distinct, so both sides of the rule show there. LUT has no random bits:
-  // its 64 traces are 16 distinct stimuli, which the compiled engine runs
-  // once each. Engine counters in a private registry make the choice
-  // observable.
-  const auto acquireOn = [](SboxStyle style, std::uint32_t tracesPerClass,
-                            obs::MetricsRegistry& registry) {
-    const auto sbox = makeSbox(style);
-    const DelayModel dm(sbox->netlist());
-    const PowerModel pm(sbox->netlist());
-    EventSim sim(sbox->netlist(), dm);
-    sim.attachMetrics(&registry);
-    AcquisitionConfig cfg;
-    cfg.tracesPerClass = tracesPerClass;
-    cfg.numThreads = 1;
-    cfg.engine = SimEngine::Auto;
-    acquire(*sbox, sim, pm, cfg);
-  };
-
-  obs::MetricsRegistry below;
-  acquireOn(SboxStyle::Glut, 2, below);  // 32 traces < 64 lanes
-  EXPECT_EQ(below.counter("sim.batch.batches").value(), 0u);
-  EXPECT_EQ(below.counter("sim.compiled.runs").value(), 32u);
-
-  obs::MetricsRegistry full;
-  acquireOn(SboxStyle::Glut, 4, full);  // 64 traces = one full lane group
-  EXPECT_EQ(full.counter("sim.batch.batches").value(), 1u);
-  EXPECT_EQ(full.counter("sim.batch.runs").value(), 64u);
-  EXPECT_EQ(full.counter("sim.compiled.runs").value(), 0u);
-
-  obs::MetricsRegistry lut;
-  acquireOn(SboxStyle::Lut, 4, lut);  // 64 traces, 16 distinct stimuli
-  EXPECT_EQ(lut.counter("sim.batch.batches").value(), 0u);
-  EXPECT_EQ(lut.counter("sim.compiled.runs").value(), 16u);
-}
-
 TEST(BatchAcquire, ForcedEnginesAreBitIdenticalAcrossThreads) {
   const auto sbox = makeSbox(SboxStyle::Glut);
   const DelayModel dm(sbox->netlist());
@@ -829,25 +789,17 @@ TEST(BatchAcquire, ForcedEnginesAreBitIdenticalAcrossThreads) {
   cfg.engine = SimEngine::Reference;
   const TraceSet ref = acquire(*sbox, sim, pm, cfg);
 
+  cfg.engine = SimEngine::Auto;
   for (std::uint32_t threads : {1u, 2u, 0u}) {  // 0 = hardware concurrency
     cfg.numThreads = threads;
-    cfg.engine = SimEngine::Batch;
-    expectIdenticalTraceSets(ref, acquire(*sbox, sim, pm, cfg));
-    cfg.engine = SimEngine::Auto;
     expectIdenticalTraceSets(ref, acquire(*sbox, sim, pm, cfg));
   }
-
-  // A forced batch run below the lane width is a legal partial group.
-  cfg.tracesPerClass = 2;
-  cfg.numThreads = 1;
-  cfg.engine = SimEngine::Reference;
-  const TraceSet small = acquire(*sbox, sim, pm, cfg);
-  cfg.engine = SimEngine::Batch;
-  expectIdenticalTraceSets(small, acquire(*sbox, sim, pm, cfg));
 }
 
 TEST(BatchAcquire, KeyedAcquisitionEnginesAgree) {
-  const auto sbox = makeSbox(SboxStyle::Lut);
+  // GLUT's 100 keyed traces are (almost) all distinct, so two workers run
+  // them as two partial lane groups.
+  const auto sbox = makeSbox(SboxStyle::Glut);
   const DelayModel dm(sbox->netlist());
   const PowerModel pm(sbox->netlist());
   EventSim sim(sbox->netlist(), dm);
@@ -857,44 +809,9 @@ TEST(BatchAcquire, KeyedAcquisitionEnginesAgree) {
   cfg.engine = SimEngine::Reference;
   const TraceSet ref = acquireKeyed(*sbox, sim, pm, cfg, /*key=*/0xB, 100);
   cfg.numThreads = 2;
-  cfg.engine = SimEngine::Batch;
+  cfg.engine = SimEngine::Auto;
   const TraceSet bat = acquireKeyed(*sbox, sim, pm, cfg, 0xB, 100);
   expectIdenticalTraceSets(ref, bat);
-}
-
-TEST(BatchAcquire, FaultedDesignFallsBackAndForcedBatchThrows) {
-  const auto sbox = makeSbox(SboxStyle::Lut);
-  const DelayModel dm(sbox->netlist());
-  const FaultedDesign faulted = FaultInjector(sbox->netlist(), dm)
-                                    .apply(fixtures::acyclicForwardBridge(
-                                        sbox->netlist()));
-  const PowerModel pm(faulted.netlist);
-  EventSim sim(faulted.netlist, dm);
-
-  AcquisitionConfig cfg;
-  cfg.tracesPerClass = 4;  // 64 traces: Auto would pick Batch if eligible
-  cfg.numThreads = 1;
-
-  // Regression: Auto must *fall back* on a forward-bridged netlist, never
-  // throw — it reproduces the reference outcome exactly (a trace set, or
-  // a decode-mismatch worker error for a logic-corrupting fault).
-  const auto outcome = [&](SimEngine engine) {
-    cfg.engine = engine;
-    try {
-      return std::make_pair(std::string("ok"), acquire(*sbox, sim, pm, cfg));
-    } catch (const std::exception& e) {
-      return std::make_pair(std::string(e.what()), TraceSet(0));
-    }
-  };
-  const auto ref = outcome(SimEngine::Reference);
-  const auto aut = outcome(SimEngine::Auto);
-  EXPECT_EQ(ref.first, aut.first);
-  expectIdenticalTraceSets(ref.second, aut.second);
-
-  // Forcing the batch engine on a forward bridge is an immediate
-  // configuration error, before any worker runs.
-  cfg.engine = SimEngine::Batch;
-  EXPECT_THROW(acquire(*sbox, sim, pm, cfg), std::invalid_argument);
 }
 
 }  // namespace

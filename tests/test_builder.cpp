@@ -13,7 +13,7 @@ void checkReduction(GateType type, int width, int maxFanin) {
   NetlistBuilder b;
   std::vector<NetId> ins;
   for (int i = 0; i < width; ++i) {
-    ins.push_back(b.input("x" + std::to_string(i)));
+    ins.push_back(b.input(std::string("x").append(std::to_string(i))));
   }
   NetId out = kInvalidNet;
   switch (type) {

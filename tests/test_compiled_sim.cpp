@@ -1,12 +1,15 @@
-// Bit-identity suite for the compiled simulation fast path.
+// Bit-identity suite for the compiled scalar engine and acquisition's
+// engine selection.
 //
 // CompiledSim (sim/compiled_sim.h) promises results bit-identical to the
 // reference EventSim on the same design: same transitions, same settled
 // states, same fused traces, same instrumentation tallies, same divergence
 // behaviour. These tests pin the contract down across every implementation
-// style, both delay kinds, fresh and aged devices, fault overlays that keep
-// index order, and the acquisition engine-selection logic (Auto fallback
-// for forward bridges, forced-engine errors, thread invariance).
+// style, both delay kinds and fresh and aged devices. The acquisition
+// tests pin down engine selection: Auto runs the batch engine on every
+// eligible design at any call size, fault overlays that keep index order
+// included, falls back to the reference engine on a forward bridge, and
+// matches the reference bit for bit at every thread count.
 
 #include "sim/compiled_sim.h"
 
@@ -179,15 +182,10 @@ TEST(CompiledSim, CloneAndResetReuseArenasBitIdentically) {
   const auto init = sbox->encode(0, rng);
   const auto fin = sbox->encode(11, rng);
 
-  // Warm the arenas, then check a clone and a reset instance reproduce a
-  // fresh instance exactly (reused buckets must not leak prior events).
+  // Warm the arenas, then check a reset instance reproduces a fresh
+  // instance exactly (reused buckets must not leak prior events).
   a.settle(init);
   const auto first = a.run(fin);
-  CompiledSim b = a.clone();
-  EXPECT_EQ(b.stats().runs, 0u) << "clone starts with zeroed stats";
-  b.settle(init);
-  expectSameTransitions(first, b.run(fin));
-
   a.reset();
   EXPECT_EQ(a.stats().runs, 0u);
   a.settle(init);
@@ -297,23 +295,48 @@ TEST(CompiledDesign, RejectsForwardBridgeAndSizeMismatch) {
 }
 
 TEST(AcquireEngine, ForcedEnginesAreBitIdenticalAcrossThreads) {
-  const auto sbox = makeSbox(SboxStyle::Glut);
-  const DelayModel dm(sbox->netlist());
-  const PowerModel pm(sbox->netlist());
-  EventSim sim(sbox->netlist(), dm);
+  // Auto runs the batch engine on every eligible design at any call size.
+  // Every call here has fewer distinct stimuli than one lane group: every
+  // style at 1 and 3 traces per class, and LUT and OPT at 64 (1024 traces,
+  // 16 distinct stimuli). Each must equal the reference run bit for bit,
+  // and a private registry shows the batch engine ran and the reference
+  // engine did not.
+  std::vector<std::pair<SboxStyle, std::uint32_t>> calls;
+  for (SboxStyle style : allSboxStyles()) {
+    calls.emplace_back(style, 1);
+    calls.emplace_back(style, 3);
+  }
+  calls.emplace_back(SboxStyle::Lut, 64);
+  calls.emplace_back(SboxStyle::Opt, 64);
+  for (const auto& [style, tracesPerClass] : calls) {
+    const auto sbox = makeSbox(style);
+    const DelayModel dm(sbox->netlist());
+    const PowerModel pm(sbox->netlist());
+    AcquisitionConfig cfg;
+    cfg.tracesPerClass = tracesPerClass;
+    cfg.numThreads = 1;
+    cfg.engine = SimEngine::Reference;
+    EventSim refSim(sbox->netlist(), dm);
+    const TraceSet ref = acquire(*sbox, refSim, pm, cfg);
 
-  AcquisitionConfig cfg;
-  cfg.tracesPerClass = 2;
-  cfg.numThreads = 1;
-  cfg.engine = SimEngine::Reference;
-  const TraceSet ref = acquire(*sbox, sim, pm, cfg);
-
-  for (std::uint32_t threads : {1u, 2u, 0u}) {  // 0 = hardware concurrency
-    cfg.numThreads = threads;
-    cfg.engine = SimEngine::Compiled;
-    expectIdenticalTraceSets(ref, acquire(*sbox, sim, pm, cfg));
     cfg.engine = SimEngine::Auto;
-    expectIdenticalTraceSets(ref, acquire(*sbox, sim, pm, cfg));
+    for (std::uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(sbox->name()) + " at " +
+                   std::to_string(tracesPerClass) + "/class, " +
+                   std::to_string(threads) + " threads");
+      obs::MetricsRegistry reg;
+      EventSim sim(sbox->netlist(), dm);
+      sim.attachMetrics(&reg);
+      cfg.numThreads = threads;
+      expectIdenticalTraceSets(ref, acquire(*sbox, sim, pm, cfg));
+      const std::uint64_t batchRuns = reg.counter("sim.batch.runs").value();
+      EXPECT_GT(batchRuns, 0u);
+      EXPECT_LE(batchRuns, 16u * tracesPerClass);
+      if (tracesPerClass == 64) {
+        EXPECT_EQ(batchRuns, 16u);
+      }
+      EXPECT_EQ(reg.counter("sim.runs").value(), 0u);
+    }
   }
 }
 
@@ -328,9 +351,9 @@ TEST(AcquireEngine, KeyedAcquisitionEnginesAgree) {
   cfg.engine = SimEngine::Reference;
   const TraceSet ref = acquireKeyed(*sbox, sim, pm, cfg, /*key=*/0xB, 48);
   cfg.numThreads = 2;
-  cfg.engine = SimEngine::Compiled;
-  const TraceSet cmp = acquireKeyed(*sbox, sim, pm, cfg, 0xB, 48);
-  expectIdenticalTraceSets(ref, cmp);
+  cfg.engine = SimEngine::Auto;
+  const TraceSet fast = acquireKeyed(*sbox, sim, pm, cfg, 0xB, 48);
+  expectIdenticalTraceSets(ref, fast);
 }
 
 TEST(AcquireEngine, FaultedDesignFallsBackAndForcedCompiledThrows) {
@@ -361,16 +384,12 @@ TEST(AcquireEngine, FaultedDesignFallsBackAndForcedCompiledThrows) {
   const auto aut = outcome(SimEngine::Auto);
   EXPECT_EQ(ref.first, aut.first);
   expectIdenticalTraceSets(ref.second, aut.second);
-
-  // Forcing the compiled engine on a forward bridge is an immediate
-  // configuration error, before any worker runs.
-  cfg.engine = SimEngine::Compiled;
-  EXPECT_THROW(acquire(*sbox, sim, pm, cfg), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
-// Fault overlays on the fast engines: every overlay that keeps index order
-// runs on all three engines with bit-identical traces and tallies.
+// Fault overlays in acquisition: every overlay that keeps index order runs
+// on the batch engine under Auto, with traces and tallies bit-identical to
+// the reference engine's.
 
 /// Engine-summed event tallies of one acquisition, read from a private
 /// registry under the serving engine's counter prefix.
@@ -389,15 +408,9 @@ EngineTallies talliesOf(const obs::MetricsRegistry& reg,
           snap.counterOr(prefix + "glitches_inertial_filtered", 0)};
 }
 
+/// Counter prefix of the engine that serves `engine` on an eligible design.
 const char* prefixOf(SimEngine engine) {
-  switch (engine) {
-    case SimEngine::Compiled:
-      return "sim.compiled.";
-    case SimEngine::Batch:
-      return "sim.batch.";
-    default:
-      return "sim.";
-  }
+  return engine == SimEngine::Auto ? "sim.batch." : "sim.";
 }
 
 TEST(FaultOverlayEngines, IndexOrderedOverlaysBitIdenticalOnEveryEngine) {
@@ -430,13 +443,11 @@ TEST(FaultOverlayEngines, IndexOrderedOverlaysBitIdenticalOnEveryEngine) {
           tallies = talliesOf(reg, prefixOf(engine));
           return traces;
         };
-        EngineTallies ref{}, cmp{}, bat{};
+        EngineTallies ref{}, bat{};
         const TraceSet refTraces = run(SimEngine::Reference, ref);
         ASSERT_EQ(ref.runs, 64u) << what;
         SCOPED_TRACE(what);
-        expectIdenticalTraceSets(refTraces, run(SimEngine::Compiled, cmp));
-        expectIdenticalTraceSets(refTraces, run(SimEngine::Batch, bat));
-        EXPECT_TRUE(ref == cmp) << "compiled tallies";
+        expectIdenticalTraceSets(refTraces, run(SimEngine::Auto, bat));
         EXPECT_TRUE(ref == bat) << "batch tallies";
       }
     }
@@ -455,14 +466,8 @@ TEST(FaultOverlayEngines, ForwardBridgeRefusedByFastEnginesServedByReference) {
                std::invalid_argument);
 
   AcquisitionConfig cfg;
-  cfg.tracesPerClass = 4;  // Auto would pick Batch on an eligible design
+  cfg.tracesPerClass = 4;
   cfg.numThreads = 2;
-  for (SimEngine forced : {SimEngine::Compiled, SimEngine::Batch}) {
-    EventSim sim(design.netlist, design.delays);
-    cfg.engine = forced;
-    EXPECT_THROW(acquire(sbox, sim, pm, cfg), std::invalid_argument);
-  }
-
   const auto run = [&](SimEngine engine, obs::MetricsRegistry& reg) {
     EventSim sim(design.netlist, design.delays);
     sim.attachMetrics(&reg);
@@ -473,22 +478,20 @@ TEST(FaultOverlayEngines, ForwardBridgeRefusedByFastEnginesServedByReference) {
   const TraceSet ref = run(SimEngine::Reference, refReg);
   expectIdenticalTraceSets(ref, run(SimEngine::Auto, autoReg));
   EXPECT_EQ(talliesOf(autoReg, "sim.").runs, 64u);
-  EXPECT_EQ(talliesOf(autoReg, "sim.compiled.").runs, 0u);
   EXPECT_EQ(talliesOf(autoReg, "sim.batch.").runs, 0u);
   EXPECT_TRUE(talliesOf(refReg, "sim.") == talliesOf(autoReg, "sim."));
 }
 
 TEST(FaultOverlayEngines, KeyedAcquisitionChecksTheDecodeOnEveryEngine) {
   // A stuck input corrupts half of the S-box inputs, so some trace of a
-  // 64-trace keyed run decodes wrong on every engine.
+  // 64-trace keyed run decodes wrong on both engines.
   const auto sbox = makeSbox(SboxStyle::Lut);
   const DelayModel dm(sbox->netlist());
   const PowerModel pm(sbox->netlist());
   const FaultedDesign design = FaultInjector(sbox->netlist(), dm)
                                    .apply({FaultKind::StuckAt1,
                                            sbox->netlist().inputs().front()});
-  for (SimEngine engine :
-       {SimEngine::Reference, SimEngine::Compiled, SimEngine::Batch}) {
+  for (SimEngine engine : {SimEngine::Reference, SimEngine::Auto}) {
     EventSim sim(design.netlist, design.delays);
     AcquisitionConfig cfg;
     cfg.seed = 5;

@@ -160,8 +160,8 @@ class BrokenSbox final : public MaskedSbox {
   BrokenSbox() {
     NetlistBuilder b;
     for (int i = 0; i < 4; ++i) {
-      b.output(b.buf(b.input("x" + std::to_string(i))),
-               "y" + std::to_string(i));
+      b.output(b.buf(b.input(std::string("x").append(std::to_string(i)))),
+               std::string("y").append(std::to_string(i)));
     }
     nl_ = b.take();
   }
@@ -242,7 +242,7 @@ TEST(AcquisitionErrors, SinkFailureNamesItsTrace) {
   const PowerModel power(sbox->netlist());
   AcquisitionConfig cfg;
   cfg.tracesPerClass = 12;  // 192 traces: three lane groups
-  for (SimEngine engine : {SimEngine::Compiled, SimEngine::Batch}) {
+  for (SimEngine engine : {SimEngine::Reference, SimEngine::Auto}) {
     for (std::uint32_t threads : {1u, 2u, 4u}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
       cfg.engine = engine;

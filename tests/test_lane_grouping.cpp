@@ -193,18 +193,14 @@ TEST(LaneGrouping, SortedWindowsKeepEveryTraceBitIdentical) {
     };
 
     const TraceSet reference = run(SimEngine::Reference, 4, 0, n);
-    for (SimEngine engine : {SimEngine::Auto, SimEngine::Batch}) {
-      for (std::uint32_t threads : {1u, 4u}) {
-        SCOPED_TRACE(std::string(engine == SimEngine::Auto ? "auto"
-                                                           : "batch") +
-                     ", threads " + std::to_string(threads));
-        expectIdentical(reference, run(engine, threads, 0, n));
-      }
+    for (std::uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      expectIdentical(reference, run(SimEngine::Auto, threads, 0, n));
     }
     // Slices plan their own windows; their concatenation is the run.
-    TraceSet sliced = run(SimEngine::Batch, 4, 0, 1100);
-    sliced.append(run(SimEngine::Batch, 4, 1100, 1101));
-    sliced.append(run(SimEngine::Batch, 4, 1101, n));
+    TraceSet sliced = run(SimEngine::Auto, 4, 0, 1100);
+    sliced.append(run(SimEngine::Auto, 4, 1100, 1101));
+    sliced.append(run(SimEngine::Auto, 4, 1101, n));
     expectIdentical(reference, sliced);
   }
 }
@@ -213,7 +209,7 @@ TEST(LaneGrouping, SortingCutsRsmRomWavesAndLeavesTiAndShortCallsAlone) {
   // At the Fig. 7 operating point on 4 workers, against a BatchSim loop
   // over the same distinct stimuli in first-occurrence order.
   AcquisitionConfig cfg;
-  cfg.engine = SimEngine::Batch;
+  cfg.engine = SimEngine::Auto;
   cfg.numThreads = 4;
   {
     // RSM-ROM's INV delay lines keep lanes apart unless they end in the
@@ -345,7 +341,7 @@ TEST(LaneGrouping, DecodeMismatchLandsAtTheLowestFailingLaneOfItsWindow) {
   // and after a failing lane that sorts before it in its group.
   AcquisitionConfig cfg;
   cfg.tracesPerClass = 256;
-  cfg.engine = SimEngine::Batch;
+  cfg.engine = SimEngine::Auto;
   const auto plain = makeSbox(SboxStyle::Rsm);
   const DelayModel dm(plain->netlist());
   const PowerModel pm(plain->netlist());
@@ -405,7 +401,7 @@ TEST(LaneGrouping, WatchdogTripLandsAtTheLowestTraceOfItsGroup) {
   // first trace among its stimuli.
   AcquisitionConfig cfg;
   cfg.tracesPerClass = 256;
-  cfg.engine = SimEngine::Batch;
+  cfg.engine = SimEngine::Auto;
   const auto sbox = makeSbox(SboxStyle::Rsm);
   const DelayModel dm(sbox->netlist());
   const PowerModel pm(sbox->netlist());

@@ -326,13 +326,13 @@ TEST(Progress, RateLimitSuppressesIntermediateUpdates) {
 TEST(Progress, SinkReturningFalseAbortsAcquisition) {
   // Abort on the very first callback (the meter's first step always emits),
   // so the abort lands while most of the 64 traces are still pending. The
-  // scalar engines step the meter per trace; pin one so the test keeps its
-  // per-trace granularity now that Auto serves 64+ traces with the batch
-  // engine (whose coarser abort is covered by the test below).
+  // reference engine steps the meter per trace; pin it so the test keeps
+  // its per-trace granularity, since Auto serves every eligible call with
+  // the batch engine (whose coarser abort is covered by the test below).
   ExperimentConfig cfg;
   cfg.acquisition.tracesPerClass = 4;
   cfg.acquisition.numThreads = 2;
-  cfg.acquisition.engine = SimEngine::Compiled;
+  cfg.acquisition.engine = SimEngine::Reference;
   cfg.acquisition.progress = [](const obs::ProgressUpdate&) { return false; };
   SboxExperiment exp(SboxStyle::Glut, cfg);
   try {
@@ -353,7 +353,7 @@ TEST(Progress, SinkReturningFalseAbortsBatchAcquisition) {
   ExperimentConfig cfg;
   cfg.acquisition.tracesPerClass = 16;
   cfg.acquisition.numThreads = 1;
-  cfg.acquisition.engine = SimEngine::Batch;
+  cfg.acquisition.engine = SimEngine::Auto;
   cfg.acquisition.progress = [](const obs::ProgressUpdate&) { return false; };
   SboxExperiment exp(SboxStyle::Glut, cfg);
   try {
@@ -374,7 +374,7 @@ TEST(Progress, AbortMidStreamCountsDeliveredTraces) {
   const auto sbox = makeSbox(SboxStyle::Glut);
   const DelayModel dm(sbox->netlist());
   const PowerModel pm(sbox->netlist());
-  for (SimEngine engine : {SimEngine::Compiled, SimEngine::Batch}) {
+  for (SimEngine engine : {SimEngine::Reference, SimEngine::Auto}) {
     for (std::uint32_t threads : {2u, 4u}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
       EventSim sim(sbox->netlist(), dm);
@@ -393,7 +393,7 @@ TEST(Progress, AbortMidStreamCountsDeliveredTraces) {
         EXPECT_EQ(e.done(), received);
         EXPECT_GE(e.done(), 1u);
         EXPECT_LT(e.done(), e.total());
-        if (engine == SimEngine::Batch) {
+        if (engine == SimEngine::Auto) {
           EXPECT_EQ(e.done(), 64u);
         }
       }

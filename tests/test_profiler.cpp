@@ -1,6 +1,6 @@
 // Tests for the cost-attribution profiler (src/obs/profiler.h, DESIGN.md
 // §13) and its supporting plumbing: the zero-perturbation contract across
-// all three engines at multiple thread counts, lane-occupancy histogram
+// both acquisition engines at multiple thread counts, lane-occupancy histogram
 // invariants under run-stride sampling, the perf_event_open → rusage
 // fallback, heartbeat file schema, the /4 run-report profile block, Chrome
 // trace flow events, and EWMA throughput blending.
@@ -46,7 +46,7 @@ TraceSet acquireWith(SimEngine engine, std::uint32_t threads,
                      std::uint32_t tracesPerClass = 4) {
   ExperimentConfig cfg;
   // 4/class = 64 traces: one full batch-engine lane group, still fast for
-  // the scalar engines.
+  // the reference engine.
   cfg.acquisition.tracesPerClass = tracesPerClass;
   cfg.acquisition.numThreads = threads;
   cfg.acquisition.engine = engine;
@@ -63,8 +63,7 @@ TraceSet acquireWith(SimEngine engine, std::uint32_t threads,
 // acquired traces — while the profiler still has to come back non-empty,
 // so the test cannot pass vacuously with the hooks compiled out.
 TEST(ProfilerZeroPerturbation, TracesBitIdenticalAllEnginesAndThreads) {
-  for (SimEngine engine :
-       {SimEngine::Reference, SimEngine::Compiled, SimEngine::Batch}) {
+  for (SimEngine engine : {SimEngine::Reference, SimEngine::Auto}) {
     const TraceSet plain = acquireWith(engine, 1, nullptr);
     for (std::uint32_t threads : {1u, 2u}) {
       obs::Profiler profiler;
@@ -77,7 +76,7 @@ TEST(ProfilerZeroPerturbation, TracesBitIdenticalAllEnginesAndThreads) {
       EXPECT_GT(profiler.totalScheduled(), 0u)
           << "engine " << static_cast<int>(engine);
       EXPECT_GT(profiler.numNets(), 0u);
-      if (engine == SimEngine::Batch) {
+      if (engine == SimEngine::Auto) {
         EXPECT_GT(profiler.waves(), 0u);
       } else {
         EXPECT_GT(profiler.totalPulses(), 0u);
@@ -87,12 +86,12 @@ TEST(ProfilerZeroPerturbation, TracesBitIdenticalAllEnginesAndThreads) {
 }
 
 TEST(ProfilerZeroPerturbation, EngineChoiceDoesNotLeakIntoOtherEngines) {
-  // Reference vs profiled-batch vs profiled-compiled: the cross-engine
-  // determinism contract survives profiling (same traces from all three).
+  // Unprofiled reference vs profiled batch on one and two workers: the
+  // cross-engine determinism contract survives profiling.
   const TraceSet reference = acquireWith(SimEngine::Reference, 1, nullptr);
   obs::Profiler p1, p2;
-  expectBitIdentical(reference, acquireWith(SimEngine::Compiled, 2, &p1));
-  expectBitIdentical(reference, acquireWith(SimEngine::Batch, 1, &p2));
+  expectBitIdentical(reference, acquireWith(SimEngine::Auto, 2, &p1));
+  expectBitIdentical(reference, acquireWith(SimEngine::Auto, 1, &p2));
 }
 
 // Run-stride sampling invariants: every sampled wave contributes exactly
@@ -106,7 +105,7 @@ TEST(ProfilerOccupancy, HistogramsSumToWavesUnderRunStride) {
   obs::Profiler profiler;
   // 16/class = 256 traces = 4 lane groups: multiple batch runs, so the
   // stride counter actually skips runs.
-  acquireWith(SimEngine::Batch, 1, &profiler, 16);
+  acquireWith(SimEngine::Auto, 1, &profiler, 16);
   ASSERT_GT(profiler.waves(), 0u);
 
   const double popped = profiler.meanPoppedLanes();
@@ -157,7 +156,7 @@ TEST(ProfilerOccupancy, OneGroupCallReportsTheWavesItRan) {
   AcquisitionConfig cfg;
   cfg.tracesPerClass = 4;  // 64 traces: one lane group
   cfg.numThreads = 1;
-  cfg.engine = SimEngine::Batch;
+  cfg.engine = SimEngine::Auto;
   cfg.profiler = &profiler;
   acquire(*sbox, sim, power, cfg);
   const std::uint64_t waves = reg.counter("sim.batch.waves").value();
@@ -208,8 +207,8 @@ TEST(ProfilerAttachment, ReferenceCallsHandTheSimulatorBack) {
 TEST(ProfilerOccupancy, SampledGroupsDoNotDependOnWorkerScheduling) {
   obs::Profiler first, second;
   // 64/class = 1024 traces = 16 lane groups over 4 workers.
-  acquireWith(SimEngine::Batch, 4, &first, 64);
-  acquireWith(SimEngine::Batch, 4, &second, 64);
+  acquireWith(SimEngine::Auto, 4, &first, 64);
+  acquireWith(SimEngine::Auto, 4, &second, 64);
   ASSERT_GT(first.waves(), 0u);
   EXPECT_EQ(first.waves(), second.waves());
   const obs::Json a = *first.toJson().find("lane_occupancy");
@@ -226,12 +225,12 @@ TEST(ProfilerOccupancy, ArmedWatchdogCommitsFewerLanesThanItPops) {
   ExperimentConfig cfg;
   cfg.acquisition.tracesPerClass = 16;
   cfg.acquisition.numThreads = 1;
-  cfg.acquisition.engine = SimEngine::Batch;
+  cfg.acquisition.engine = SimEngine::Auto;
   cfg.sim.maxEvents = std::uint64_t(1) << 40;
   SboxExperiment exp(SboxStyle::Glut, cfg);
   obs::Profiler profiler;
   exp.attachProfiler(&profiler);
-  expectBitIdentical(acquireWith(SimEngine::Batch, 1, nullptr, 16),
+  expectBitIdentical(acquireWith(SimEngine::Auto, 1, nullptr, 16),
                      exp.acquireAt(0.0));
   ASSERT_GT(profiler.waves(), 0u);
   EXPECT_GT(profiler.meanCommittedLanes(), 0.0);

@@ -100,16 +100,15 @@ TEST(AcquireRange, SlicesConcatenateToFullAcquire) {
   const TraceSet full = acquireRange(exp.sbox(), sim, power, cfg, 0, 128);
   EXPECT_TRUE(traceSetsEqual(full, acquire(exp.sbox(), sim, power, cfg)));
 
-  // Re-acquire in three uneven slices, mixing engines per slice.
+  // Re-acquire in three uneven slices, mixing engines per slice (the
+  // one-trace slice is one partial lane group).
   AcquisitionConfig c1 = cfg;
   c1.engine = SimEngine::Reference;
   TraceSet got = acquireRange(exp.sbox(), sim, power, c1, 0, 50);
   AcquisitionConfig c2 = cfg;
-  c2.engine = SimEngine::Compiled;
+  c2.engine = SimEngine::Auto;
   got.append(acquireRange(exp.sbox(), sim, power, c2, 50, 51));
-  AcquisitionConfig c3 = cfg;
-  c3.engine = SimEngine::Batch;
-  got.append(acquireRange(exp.sbox(), sim, power, c3, 51, 128));
+  got.append(acquireRange(exp.sbox(), sim, power, c2, 51, 128));
 
   EXPECT_TRUE(traceSetsEqual(got, full));
   EXPECT_EQ(acquireRange(exp.sbox(), sim, power, cfg, 7, 7).size(), 0u);
@@ -324,8 +323,7 @@ TEST(ResilientAcquire, DrainStopAndResumeBitIdentical) {
   std::remove(cleanJob.checkpointPath.c_str());
   const std::uint64_t record = recordBytes(32, clean.traces.numSamples());
 
-  const SimEngine engines[] = {SimEngine::Reference, SimEngine::Compiled,
-                               SimEngine::Batch};
+  const SimEngine engines[] = {SimEngine::Reference, SimEngine::Auto};
   for (SimEngine firstEngine : engines) {
     for (std::uint32_t threads : {1u, 2u}) {
       const std::string path = tmpPath(
@@ -360,7 +358,7 @@ TEST(ResilientAcquire, DrainStopAndResumeBitIdentical) {
       rest.stopAfterGroups = 0;
       ExperimentConfig cfg2 = ecfg;
       cfg2.acquisition.engine = firstEngine == SimEngine::Reference
-                                    ? SimEngine::Compiled
+                                    ? SimEngine::Auto
                                     : SimEngine::Reference;
       cfg2.acquisition.numThreads = threads == 1 ? 2 : 1;
       SboxExperiment second(SboxStyle::Opt, cfg2);
@@ -422,7 +420,7 @@ TEST(ResilientAcquire, FingerprintExcludesEngineAndThreads) {
 
   AcquisitionConfig a = ecfg.acquisition;
   AcquisitionConfig b = a;
-  b.engine = SimEngine::Batch;
+  b.engine = SimEngine::Reference;
   b.numThreads = 7;
   b.deadlineMs = 1234;
   b.trapBudget = 1;
@@ -585,7 +583,7 @@ TEST(ResilientAcquire, SpotCheckMismatchQuarantinesAndRepairs) {
       jobs::digestOfTraceSet(plain.acquireAt(0.0));
 
   ExperimentConfig cfg = ecfg;
-  cfg.acquisition.engine = SimEngine::Compiled;
+  cfg.acquisition.engine = SimEngine::Auto;
   jobs::JobConfig job;
   job.groupTraces = 32;
   job.spotCheckEveryGroups = 1;  // sample every fast-engine group
@@ -628,7 +626,7 @@ TEST(ResilientAcquire, RepeatedDivergenceQuarantinesEngine) {
       jobs::digestOfTraceSet(plain.acquireAt(0.0));
 
   ExperimentConfig cfg = ecfg;
-  cfg.acquisition.engine = SimEngine::Compiled;
+  cfg.acquisition.engine = SimEngine::Auto;
   jobs::JobConfig job;
   job.groupTraces = 32;
   job.retry.maxAttempts = 4;
@@ -825,8 +823,7 @@ TEST(KillHarness, SigkillMidRunResumesBitIdentically) {
   ASSERT_EQ(clean.resilience.lineage.size(), 4u);
   std::remove(cleanJob.checkpointPath.c_str());
 
-  const SimEngine engines[] = {SimEngine::Reference, SimEngine::Compiled,
-                               SimEngine::Batch};
+  const SimEngine engines[] = {SimEngine::Reference, SimEngine::Auto};
   for (SimEngine engine : engines) {
     for (std::uint32_t threads : {1u, 2u}) {
       const std::string path = tmpPath(

@@ -56,8 +56,7 @@ const char* stopName(stats::AdaptiveStop stop) {
 }
 
 TEST(AdaptiveResilience, MatchesAdaptiveAcquireBitExactly) {
-  const SimEngine engines[] = {SimEngine::Reference, SimEngine::Compiled,
-                               SimEngine::Batch};
+  const SimEngine engines[] = {SimEngine::Reference, SimEngine::Auto};
   // 0.5 stops on the CI target after three 128-trace batches; every other
   // cell exhausts the budget — both stop paths must agree with and without
   // durability.
@@ -102,8 +101,7 @@ TEST(AdaptiveResilience, MatchesAdaptiveAcquireBitExactly) {
 }
 
 TEST(AdaptiveResilience, DrainAndResumeIsPrefixIdenticalContinuation) {
-  const SimEngine engines[] = {SimEngine::Reference, SimEngine::Compiled,
-                               SimEngine::Batch};
+  const SimEngine engines[] = {SimEngine::Reference, SimEngine::Auto};
   for (SimEngine engine : engines) {
     for (std::uint32_t threads : {1u, 0u}) {  // 0 = hardware concurrency
       ExperimentConfig cfg = adaptiveConfig(128, 1e-6);

@@ -55,10 +55,12 @@ TEST(Slp, EmitIntoNetlistMatchesEval) {
   const Slp& opt = optPresentSboxSlp();
   NetlistBuilder b;
   std::vector<NetId> ins;
-  for (int i = 0; i < 4; ++i) ins.push_back(b.input("x" + std::to_string(i)));
+  for (int i = 0; i < 4; ++i) {
+    ins.push_back(b.input(std::string("x").append(std::to_string(i))));
+  }
   const auto outs = opt.emit(b, ins);
   for (std::size_t k = 0; k < outs.size(); ++k) {
-    b.output(outs[k], "y" + std::to_string(k));
+    b.output(outs[k], std::string("y").append(std::to_string(k)));
   }
   const Netlist nl = b.take();
   for (std::uint32_t x = 0; x < 16; ++x) {

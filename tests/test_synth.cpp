@@ -153,7 +153,9 @@ TEST_P(MapperRandomTest, MappedSopMatchesTable) {
 
   NetlistBuilder b;
   std::vector<NetId> ins;
-  for (int i = 0; i < nv; ++i) ins.push_back(b.input("x" + std::to_string(i)));
+  for (int i = 0; i < nv; ++i) {
+    ins.push_back(b.input(std::string("x").append(std::to_string(i))));
+  }
   SharedComplements comp(b);
   b.output(mapSop(b, comp, ins, sop), "y");
   const Netlist nl = b.take();
@@ -173,11 +175,13 @@ INSTANTIATE_TEST_SUITE_P(RandomFunctions, MapperRandomTest,
 TEST(Decoder, AndDecoderIsOneHot) {
   NetlistBuilder b;
   std::vector<NetId> ins;
-  for (int i = 0; i < 4; ++i) ins.push_back(b.input("x" + std::to_string(i)));
+  for (int i = 0; i < 4; ++i) {
+    ins.push_back(b.input(std::string("x").append(std::to_string(i))));
+  }
   SharedComplements comp(b);
   const auto lines = buildAndDecoder(b, comp, ins);
   for (std::size_t j = 0; j < lines.size(); ++j) {
-    b.output(lines[j], "d" + std::to_string(j));
+    b.output(lines[j], std::string("d").append(std::to_string(j)));
   }
   const Netlist nl = b.take();
   for (std::uint32_t x = 0; x < 16; ++x) {
@@ -195,11 +199,13 @@ TEST(Decoder, AndDecoderIsOneHot) {
 TEST(Decoder, NorDecoderIsOneHotAndNorOnly) {
   NetlistBuilder b;
   std::vector<NetId> ins;
-  for (int i = 0; i < 4; ++i) ins.push_back(b.input("x" + std::to_string(i)));
+  for (int i = 0; i < 4; ++i) {
+    ins.push_back(b.input(std::string("x").append(std::to_string(i))));
+  }
   SharedComplements comp(b);
   const auto lines = buildNorDecoder(b, comp, ins);
   for (std::size_t j = 0; j < lines.size(); ++j) {
-    b.output(lines[j], "d" + std::to_string(j));
+    b.output(lines[j], std::string("d").append(std::to_string(j)));
   }
   const Netlist nl = b.take();
   for (const Gate& g : nl.gates()) {
@@ -226,7 +232,7 @@ TEST_P(NorRomOrTest, MatchesPlainOr) {
   NetlistBuilder b;
   std::vector<NetId> ins;
   for (int i = 0; i < width; ++i) {
-    ins.push_back(b.input("x" + std::to_string(i)));
+    ins.push_back(b.input(std::string("x").append(std::to_string(i))));
   }
   b.output(norRomOr(b, ins), "y");
   const Netlist nl = b.take();

@@ -205,10 +205,9 @@ TEST(Exposition, DebugRegistrationRejectsBadNames) {
 // Every metric the engines, the profiler, and the fault campaign register
 // must pass the lint — i.e. survive Prometheus name-mapping unambiguously.
 TEST(Exposition, AllEngineMetricNamesLintClean) {
-  // Touch every registration site: the three engines, the profiler, and a
-  // tiny fault campaign.
-  for (SimEngine engine : {SimEngine::Reference, SimEngine::Compiled,
-                           SimEngine::Batch}) {
+  // Touch every registration site: both acquisition engines, the
+  // profiler, and a tiny fault campaign.
+  for (SimEngine engine : {SimEngine::Reference, SimEngine::Auto}) {
     ExperimentConfig cfg;
     cfg.acquisition.tracesPerClass = 2;
     cfg.acquisition.engine = engine;
@@ -286,7 +285,8 @@ TEST(EventJournal, ConcurrentEmittersNeverBlockAndKeepSeqMonotone) {
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([&journal, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        journal.emit(obs::EventLevel::Info, "w" + std::to_string(t),
+        journal.emit(obs::EventLevel::Info,
+                     std::string("w").append(std::to_string(t)),
                      {{"i", std::to_string(i)}});
       }
     });

@@ -182,8 +182,7 @@ TEST(AcquireKeyed, HonoursProgressProfilerAndAdaptiveFromConfig) {
   EventSim plainSim(sbox->netlist(), dm);
   const TraceSet expected = acquireKeyed(*sbox, plainSim, pm, plain, 0xB, 96);
 
-  for (SimEngine engine :
-       {SimEngine::Reference, SimEngine::Compiled, SimEngine::Batch}) {
+  for (SimEngine engine : {SimEngine::Reference, SimEngine::Auto}) {
     SCOPED_TRACE("engine " + std::to_string(static_cast<int>(engine)));
     AcquisitionConfig cfg = plain;
     cfg.engine = engine;
