@@ -100,9 +100,10 @@ int main(int argc, char** argv) {
   // the same numbers the per-style rows aggregated, but read back from the
   // global registry the campaign runner counts into. Simulator events are
   // summed over the engines: faulted traces run on the batch engine unless
-  // they need the reference one. The fault-free baselines are acquisitions,
-  // which simulate each distinct stimulus once, so "traces sampled" counts
-  // their simulations, not their traces.
+  // they need the reference one. The fault-free baselines and the faulted
+  // runs are all acquisitions, which simulate each distinct stimulus once:
+  // "traces sampled" counts those simulations, and "traces acquired" every
+  // baseline and faulted trace.
   const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
   const std::uint64_t simEvents =
       snap.counterOr("sim.events_processed", 0) +
@@ -111,7 +112,8 @@ int main(int argc, char** argv) {
       "\ninstrumentation totals (obs::MetricsRegistry):\n"
       "  campaigns %llu, faults run %llu, sim events %llu, traces sampled "
       "%llu\n"
-      "  baseline traces acquired %llu from %llu distinct stimuli\n"
+      "  traces acquired %llu (baselines and faulted runs) from %llu "
+      "distinct stimuli\n"
       "  outcomes: %llu masked-out, %llu detected, %llu silent, %llu "
       "diverged\n",
       static_cast<unsigned long long>(snap.counterOr("fault.campaigns", 0)),

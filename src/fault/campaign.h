@@ -5,16 +5,10 @@
 // For every fault in the list, the campaign overlays the fault on a clone
 // of the design (fault/fault_spec.h), re-runs the acquisition protocol
 // under the simulator watchdog, and classifies the fault's observable
-// effect per trace against the fault-free zero-delay reference:
-//
-//   masked-out          — every primary-output share matches the reference
-//   detected-by-decode  — the unmasked decode differs from the reference
-//                         decode (a downstream integrity check would fire)
-//   silent-corruption   — output shares changed but the decode is still
-//                         right: the corruption hides inside the encoding
-//   diverged            — the watchdog budget fired (fault-induced
-//                         oscillation); the campaign records it and
-//                         continues with the next trace/fault
+// effect per trace against the fault-free zero-delay reference: masked-out,
+// detected-by-decode, silent-corruption or diverged (FaultDetection,
+// trace/acquisition.h). A diverged trace is recorded and left out of the
+// fault's traces and leakage; the campaign goes on with the next trace.
 //
 // Determinism contract (mirrors trace/acquisition.h): everything a faulted
 // trace consumes derives from (seed, faultIndex, traceIndex) via nested
@@ -22,21 +16,20 @@
 // worker-thread count, and with an empty fault list the baseline TraceSet
 // is bit-identical to plain acquire() with the same parameters.
 //
-// Engines: fault j runs acquire()'s per-trace protocol (classStimulus)
-// under its own seed. A fault whose overlay keeps the netlist index-
-// ordered (Netlist::isIndexOrdered — every kind but a bridge to a later
-// net) runs as 64-lane BatchSim groups through acquire()'s lane-group
-// function (runLaneGroup), with fused power deposition. A forward bridge,
-// and any lane group in which a lane trips the watchdog, re-runs trace by
-// trace on the reference EventSim. Every engine is bit-identical per
-// trace, so the reports, diverged counts and traces do not depend on
-// which engine served a trace.
+// Engines: fault j is one acquireClassified() call (trace/acquisition.h)
+// on an EventSim over the faulted design, on one worker, under its own
+// seed; the campaign shards the faults across its workers. The call runs
+// acquire()'s protocol, plan and engine choice: the batch engine for every
+// overlay that keeps the netlist index-ordered (Netlist::isIndexOrdered —
+// every kind but a bridge to a later net), the reference EventSim for a
+// forward bridge and for any lane group in which a lane trips the
+// watchdog. Every engine is bit-identical per trace, so the reports,
+// diverged counts and traces do not depend on which engine served a trace.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "core/leakage.h"
 #include "fault/fault_spec.h"
 #include "power/power_model.h"
 #include "sboxes/masked_sbox.h"
@@ -46,40 +39,17 @@
 
 namespace lpa {
 
-enum class FaultDetection : std::uint8_t {
-  MaskedOut,
-  DetectedByDecode,
-  SilentCorruption,
-  Diverged,
-};
-
-std::string_view faultDetectionName(FaultDetection d);
-
-struct FaultTraceCounts {
-  std::uint32_t maskedOut = 0;
-  std::uint32_t detectedByDecode = 0;
-  std::uint32_t silentCorruption = 0;
-  std::uint32_t diverged = 0;
-  std::uint32_t total() const {
-    return maskedOut + detectedByDecode + silentCorruption + diverged;
-  }
-};
-
 struct FaultReport {
   FaultSpec fault;
   std::string description;  ///< describeFault() of the spec
-  /// True once this fault's traces actually ran. A deadline-truncated
-  /// campaign (FaultCampaignConfig::deadlineMs) returns default-initialized
-  /// reports for the faults it never reached; this flag tells them apart.
-  bool completed = false;
   /// Worst observed effect over all traces of this fault
   /// (Diverged > SilentCorruption > DetectedByDecode > MaskedOut).
   FaultDetection classification = FaultDetection::MaskedOut;
   FaultTraceCounts counts;
   /// Largest event count a diverging run reached before the watchdog fired.
   std::uint64_t maxWatchdogEvents = 0;
-  /// WHT leakage of the completed (non-diverged) faulted traces, if
-  /// FaultCampaignConfig::analyzeLeakage; 0 when no trace completed.
+  /// Debiased WHT leakage of the completed (non-diverged) faulted traces,
+  /// if FaultCampaignConfig::analyzeLeakage; 0 when no trace completed.
   double totalLeakage = 0.0;
   double singleBitLeakage = 0.0;  ///< wH(u) == 1 energy (demasking leakage)
 };
@@ -99,9 +69,8 @@ struct FaultCampaignConfig {
   /// Per-run event budget: a fault-induced oscillation terminates with a
   /// SimDiverged classification instead of hanging the campaign.
   std::uint64_t maxEventsPerRun = 1u << 20;
-  bool analyzeLeakage = true;   ///< fill the per-fault WHT leakage fields
+  bool analyzeLeakage = true;   ///< fill the WHT leakage fields (Debiased)
   bool keepFaultTraces = false; ///< retain each fault's TraceSet
-  EstimatorMode estimator = EstimatorMode::Debiased;
   /// Route campaign instrumentation (sim.* counters of every faulted run,
   /// fault.outcome.* tallies) into obs::MetricsRegistry::global(). A pure
   /// sink — results are bit-identical either way (obs/metrics.h).
@@ -110,14 +79,6 @@ struct FaultCampaignConfig {
   /// fault (and forwarded to the baseline acquisition); returning false
   /// aborts the campaign cooperatively (throws obs::ProgressAborted).
   obs::ProgressFn progress;
-  /// Wall-clock budget in milliseconds for the fault loop (0 = none; the
-  /// baseline acquisition is not bounded — a partial campaign without a
-  /// baseline would be useless). On expiry the campaign cancels
-  /// cooperatively through the progress-abort path and returns the
-  /// completed prefix (faults are claimed in list order and every claimed
-  /// fault finishes) with `truncated` set instead of throwing; per-fault
-  /// FaultReport::completed flags say which reports are real.
-  std::uint64_t deadlineMs = 0;
 };
 
 struct FaultCampaignResult {
@@ -132,10 +93,7 @@ struct FaultCampaignResult {
   std::vector<FaultReport> reports;  ///< one per fault, in input order
   /// Per-fault trace sets when FaultCampaignConfig::keepFaultTraces.
   std::vector<TraceSet> faultTraces;
-  /// True when the deadline cut the fault loop short; `reports` then holds
-  /// default entries (completed == false) for the unreached faults.
-  bool truncated = false;
-  std::uint32_t faultsCompleted = 0;  ///< reports with completed == true
+  std::uint32_t faultsCompleted = 0;  ///< reports.size()
 };
 
 /// Mask/randomness-carrying primary inputs of an implementation, by the

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <exception>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -112,16 +113,12 @@ struct Protocol {
   const char* spanLabel;  ///< span / journal / progress label
 };
 
-/// The functional sanity check both engines run on every simulated
-/// stimulus: the netlist must produce the unmasked value it expects.
-void checkDecode(const MaskedSbox& sbox,
-                 const std::vector<std::uint8_t>& outputs,
-                 const TraceStimulus& s, std::size_t i) {
-  if (sbox.decode(outputs, s.fin) != s.expected) {
-    throw std::logic_error("acquisition: decode mismatch at trace " +
-                           std::to_string(i));
-  }
-}
+/// acquireSlice's classify policy: outcomes against `faultFree`, tallied
+/// into `result`.
+struct Classify {
+  const CompiledDesign& faultFree;
+  ClassifiedAcquisition& result;
+};
 
 /// Plan::row of a triple only one trace uses (its samples wait in its
 /// window's half of a double buffer, not in the store), and an empty slot
@@ -285,17 +282,19 @@ Plan makePlan(const Protocol& protocol, std::size_t begin, std::size_t end,
 
 /// Streams traces [begin, end) of `protocol` to `sink` in index order, on
 /// cfg's engine, threads, progress sink and profiler: the one
-/// engine-dispatch body behind acquire(), acquireRange() and
-/// acquireKeyed(). A plan pass derives every trace's stimulus; the pool
-/// then simulates each distinct (init, fin, expected) triple once, without
-/// noise, and delivery hands trace i its triple's samples plus its own
-/// noise — the last step either engine would have run — so the sequence is
-/// bit-identical across engines and to simulating every trace, and slicing
-/// is invisible in the result bits.
+/// engine-dispatch body behind every acquisition entry point, under the
+/// strict policy, or under the classify policy when `classify` is set. A
+/// plan pass derives every trace's stimulus; the pool then simulates each
+/// distinct (init, fin, expected) triple once, without noise, and delivery
+/// hands trace i its triple's samples plus its own noise — the last step
+/// either engine would have run — so the sequence is bit-identical across
+/// engines and to simulating every trace, and slicing is invisible in the
+/// result bits.
 void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
                   const PowerModel& power, const Protocol& protocol,
                   const AcquisitionConfig& cfg, std::size_t begin,
-                  std::size_t end, const TraceSink& sink) {
+                  std::size_t end, const TraceSink& sink,
+                  Classify* classify = nullptr) {
   if (cfg.adaptive) {
     throw std::invalid_argument(
         "acquisition: cfg.adaptive must be false (adaptive runs go batch by "
@@ -416,13 +415,63 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
            style + ", " + engineName + " engine)";
   };
 
-  // Runs the pool on `proto` (worker 0) and clones of it. fill(worker, a,
-  // count) simulates the triples at positions [a, a + count) into
-  // samplesOf(d); a failure throws the WorkerError of the lowest trace it
-  // loses. Delivery hands over chunk k — every trace before the first trace
-  // of triple cut[k + 1] — once chunk k's triples are done: with item k on
-  // an unsorted window, with the window's last item on a sorted one. A
-  // recorded failure among the delivered items stops delivery at its trace.
+  // Classify policy: per triple, its outcome and, if its run diverged, the
+  // events the run reached.
+  std::vector<FaultDetection> outcome(classify ? m : 0);
+  std::vector<std::uint64_t> tripEvents(classify ? m : 0);
+  // Both engines' check of triple d's outputs `out` (stimulus `s`). Strict:
+  // the netlist must produce the unmasked value it expects. Classify: the
+  // outcome against the fault-free outputs `ref`.
+  const auto check = [&](std::uint32_t d, const std::vector<std::uint8_t>& out,
+                         const TraceStimulus& s,
+                         const std::vector<std::uint8_t>& ref) {
+    if (!classify) {
+      if (sbox.decode(out, s.fin) == s.expected) return;
+      throw std::logic_error("acquisition: decode mismatch at trace " +
+                             std::to_string(begin + plan.first[d]));
+    }
+    outcome[d] = out == ref ? FaultDetection::MaskedOut
+                            : FaultDetection::DetectedByDecode;
+    try {
+      if (out != ref && sbox.decode(out, s.fin) == sbox.decode(ref, s.fin)) {
+        outcome[d] = FaultDetection::SilentCorruption;
+      }
+    } catch (const std::exception&) {
+      // decode refused the corrupted shares: detected
+    }
+  };
+  // Fault-free outputs of the triples at positions [a, a + count), for
+  // check(); empty under the strict policy.
+  const auto faultFreeOutputs = [&](std::size_t a, std::size_t count) {
+    std::vector<std::vector<std::uint8_t>> fins(count);
+    if (!classify) return fins;
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::uint8_t* key = plan.key(order[a + k]);
+      fins[k].assign(key + width, key + 2 * width);
+    }
+    return BatchSim::evaluateOutputs(classify->faultFree, fins);
+  };
+  // Counts one trace of triple d; false withholds it from the sink.
+  const auto tally = [&](std::uint32_t d) {
+    ClassifiedAcquisition& r = classify->result;
+    const FaultDetection o = outcome[d];
+    ++(o == FaultDetection::MaskedOut          ? r.counts.maskedOut
+       : o == FaultDetection::DetectedByDecode ? r.counts.detectedByDecode
+       : o == FaultDetection::SilentCorruption ? r.counts.silentCorruption
+                                               : r.counts.diverged);
+    if (o != FaultDetection::Diverged) return true;
+    r.maxWatchdogEvents = std::max(r.maxWatchdogEvents, tripEvents[d]);
+    return false;
+  };
+
+  // Runs the pool on `proto` (worker 0) and clones of it. fill(w, worker,
+  // a, count) simulates, on worker w, the triples at positions [a, a +
+  // count) into samplesOf(d); a failure throws the WorkerError of the
+  // lowest trace it loses. Delivery hands over chunk k — every trace before
+  // the first trace of triple cut[k + 1] — once chunk k's triples are done:
+  // with item k on an unsorted window, with the window's last item on a
+  // sorted one. A recorded failure among the delivered items stops delivery
+  // at its trace.
   const auto stream = [&](auto& proto, const char* engineName,
                           const auto& fill) {
     obs::Span span(std::string(protocol.spanLabel) + " (" +
@@ -455,7 +504,7 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
           failure[slot] = nullptr;
           failAt[slot] = n;
           try {
-            fill(w == 0 ? proto : clones[w - 1], cut[item],
+            fill(w, w == 0 ? proto : clones[w - 1], cut[item],
                  cut[item + 1] - cut[item]);
           } catch (const WorkerError& e) {
             failure[slot] = std::current_exception();
@@ -479,6 +528,10 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
             const std::size_t last =
                 std::min<std::size_t>(plan.first[cut[k + 1]], stop);
             for (std::size_t t = plan.first[cut[k]]; t < last; ++t) {
+              if (classify && !tally(plan.id[t])) {
+                meter.step();
+                continue;
+              }
               const double* samples = samplesOf(plan.id[t]);
               if (sigma > 0.0) {
                 std::copy_n(samples, numSamples, noisy.data());
@@ -500,14 +553,44 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
     meter.finish();
   };
 
+  // Runs the triples at positions [a, a + count) one by one on `worker`,
+  // the reference engine: settle + run without noise, the policy's check of
+  // the outputs, and the power model's samples of the recorded transitions.
+  // Under the classify policy a watchdog trip is the triple's outcome.
+  const auto runReference = [&](EventSim& worker, std::size_t a,
+                                std::size_t count) {
+    const auto ref = faultFreeOutputs(a, count);
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::uint32_t d = order[a + k];
+      onTrace(plan.first[d], [&] {
+        const TraceStimulus s = plan.stimulus(d);
+        std::vector<Transition> transitions;
+        try {
+          worker.settle(s.init);
+          transitions = worker.run(s.fin);
+        } catch (const SimDiverged& e) {
+          if (!classify) throw;
+          outcome[d] = FaultDetection::Diverged;
+          tripEvents[d] = e.eventsProcessed();
+          return;
+        }
+        check(d, worker.outputValues(), s, ref[k]);
+        const std::vector<double> trace = power.sample(transitions, 0);
+        std::copy_n(trace.data(), numSamples, samplesOf(d));
+      });
+    }
+  };
+
   if (batch) {
     // Bit-parallel path: each lane runs one triple's stimulus, and no lane
     // depends on the lanes that share its group, so the traces are
     // bit-identical to the reference engine's however triples fall into
-    // groups. A group that fails as a whole (a lane tripping the
-    // watchdog) loses the traces of all its triples and is named by the
-    // lowest of their first traces; a decode mismatch by the lowest first
-    // trace among the failing lanes.
+    // groups. Under the strict policy a group that fails as a whole (a
+    // lane tripping the watchdog) loses the traces of all its triples and
+    // is named by the lowest of their first traces, and a decode mismatch
+    // by the lowest first trace among the failing lanes. Under the
+    // classify policy a tripping group re-runs on the worker's reference
+    // clone of `sim`, made on its first trip.
     const CompiledDesign design(sim.netlist(), sim.delayModel(), power);
     BatchSim bsim(design, sim.options());
     bsim.attachMetrics(sim.metricsRegistry());
@@ -515,20 +598,33 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
     const StimulusFn laneStimulus = [&](std::size_t p) {
       return plan.stimulus(order[p]);
     };
+    std::vector<std::optional<EventSim>> fallback(classify ? threads : 0);
     stream(bsim, "batch",
-           [&](BatchSim& worker, std::size_t a, std::size_t lanes) {
+           [&](std::uint32_t w, BatchSim& worker, std::size_t a,
+               std::size_t lanes) {
              // Every item but the last holds itemTriples triples, so this
              // is the item's index: profiling samples the same groups
              // whichever worker runs them.
              if (cfg.profiler != nullptr) worker.setRunIndex(a / itemTriples);
-             std::vector<TraceStimulus> group;
-             try {
-               group = runLaneGroup(worker, laneStimulus, a, lanes);
-             } catch (...) {
+             const auto groupFailed = [&] {
                detail::rethrowAsWorkerError(
                    std::current_exception(), begin + lowestFirst(a, lanes),
                    [&] { return describeTriples(a, lanes, "batch"); });
+             };
+             std::vector<TraceStimulus> group;
+             try {
+               group = runLaneGroup(worker, laneStimulus, a, lanes);
+             } catch (const SimDiverged&) {
+               if (!classify) groupFailed();
+             } catch (...) {
+               groupFailed();
              }
+             if (group.empty()) {  // a lane tripped; classify policy
+               if (!fallback[w]) fallback[w].emplace(sim.clone());
+               runReference(*fallback[w], a, lanes);
+               return;
+             }
+             const auto ref = faultFreeOutputs(a, lanes);
              std::size_t failAt = n;
              std::exception_ptr failure;
              for (std::uint32_t l = 0; l < lanes; ++l) {
@@ -536,8 +632,7 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
                std::copy_n(worker.laneTrace(l), numSamples, samplesOf(d));
                try {
                  onTrace(plan.first[d], [&] {
-                   checkDecode(sbox, worker.outputValues(l), group[l],
-                               begin + plan.first[d]);
+                   check(d, worker.outputValues(l), group[l], ref[l]);
                  });
                } catch (const WorkerError&) {
                  if (plan.first[d] < failAt) {
@@ -551,33 +646,19 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
     return;
   }
 
-  // Reference path: triple d (never sorted, so at position d) runs settle
-  // + run without noise, its decode is checked against its first trace,
-  // and the power model samples the recorded transitions. Workers clone
-  // `sim`, so attaching here propagates to every worker. Only attach when
-  // requested — a null re-attach would clobber an attachment the caller
-  // installed on the prototype — and give `sim` its own attachment back on
-  // every exit: cfg.profiler need not outlive the call.
+  // Reference path: triples are never sorted, so triple d is at position
+  // d. Workers clone `sim`, so attaching here propagates to every worker.
+  // Only attach when requested — a null re-attach would clobber an
+  // attachment the caller installed on the prototype — and give `sim` its
+  // own attachment back on every exit: cfg.profiler need not outlive the
+  // call.
   obs::Profiler* const callerProfiler = sim.profiler();
   const bool swap = cfg.profiler != nullptr && cfg.profiler != callerProfiler;
   if (swap) sim.attachProfiler(cfg.profiler);
   try {
     stream(sim, "reference",
-           [&](EventSim& worker, std::size_t a, std::size_t count) {
-             for (std::size_t d = a; d < a + count; ++d) {
-               onTrace(plan.first[d], [&] {
-                 const TraceStimulus s = plan.stimulus(d);
-                 worker.settle(s.init);
-                 const std::vector<Transition> transitions =
-                     worker.run(s.fin);
-                 checkDecode(sbox, worker.outputValues(), s,
-                             begin + plan.first[d]);
-                 const std::vector<double> trace =
-                     power.sample(transitions, 0);
-                 std::copy_n(trace.data(), numSamples, samplesOf(d));
-               });
-             }
-           });
+           [&](std::uint32_t, EventSim& worker, std::size_t a,
+               std::size_t count) { runReference(worker, a, count); });
   } catch (...) {
     if (swap) sim.attachProfiler(callerProfiler);
     throw;
@@ -596,6 +677,17 @@ TraceSet collect(const PowerModel& power, std::size_t n, const Run& run) {
   return traces;
 }
 
+/// acquire()'s fixed-class protocol for `cfg`, named `noun` and `label`.
+Protocol classProtocol(const MaskedSbox& sbox, const AcquisitionConfig& cfg,
+                       const char* noun, const char* label) {
+  return {[&sbox, seed = cfg.seed,
+           schedule = balancedClassSchedule(cfg.tracesPerClass, cfg.seed)](
+              std::size_t i) {
+            return classStimulus(sbox, seed, schedule[i], i);
+          },
+          noun, "class", label};
+}
+
 }  // namespace
 
 void acquireRange(const MaskedSbox& sbox, EventSim& sim,
@@ -607,14 +699,9 @@ void acquireRange(const MaskedSbox& sbox, EventSim& sim,
         "acquireRange: invalid slice [" + std::to_string(begin) + ", " +
         std::to_string(end) + ") of " + std::to_string(total) + " traces");
   }
-  const std::vector<std::uint8_t> schedule =
-      balancedClassSchedule(cfg.tracesPerClass, cfg.seed);
-  const Protocol protocol{[&](std::size_t i) {
-                            return classStimulus(sbox, cfg.seed, schedule[i],
-                                                 i);
-                          },
-                          "acquire", "class", "acquire"};
-  acquireSlice(sbox, sim, power, protocol, cfg, begin, end, sink);
+  acquireSlice(sbox, sim, power,
+               classProtocol(sbox, cfg, "acquire", "acquire"), cfg, begin,
+               end, sink);
 }
 
 TraceSet acquire(const MaskedSbox& sbox, EventSim& sim,
@@ -652,6 +739,19 @@ TraceSet acquireKeyed(const MaskedSbox& sbox, EventSim& sim,
   return collect(power, numTraces, [&](const TraceSink& s) {
     acquireSlice(sbox, sim, power, protocol, cfg, 0, numTraces, s);
   });
+}
+
+ClassifiedAcquisition acquireClassified(const MaskedSbox& sbox,
+                                        const CompiledDesign& faultFree,
+                                        EventSim& sim, const PowerModel& power,
+                                        const AcquisitionConfig& cfg,
+                                        const TraceSink& sink) {
+  ClassifiedAcquisition result;
+  Classify classify{faultFree, result};
+  acquireSlice(sbox, sim, power,
+               classProtocol(sbox, cfg, "classified", "acquire-classified"),
+               cfg, 0, 16u * cfg.tracesPerClass, sink, &classify);
+  return result;
 }
 
 }  // namespace lpa

@@ -92,7 +92,8 @@
 //
 // ## Failure semantics
 //
-// A failure (decode mismatch, SimDiverged, an exception from the
+// Under the strict policy of acquire(), acquireRange() and acquireKeyed(),
+// a failure (decode mismatch, SimDiverged, an exception from the
 // TraceSink, ...) is a WorkerError (trace/sharded_pool.h) indexed by the
 // lowest trace it affects, with the original exception nested: a failing
 // triple is named by its first trace, class/plaintext and style — among a
@@ -105,6 +106,25 @@
 // A stimulus that cannot be derived fails the call in the plan pass,
 // before any trace is delivered. A progress sink that returns false stops
 // delivery between items' worth of traces, also inside a sorted window.
+//
+// ## The classify policy (faulted designs)
+//
+// acquireClassified() runs the fixed-class protocol on a faulted design
+// (fault/fault_spec.h) through the same plan, pool, windows and engines; it
+// differs only where a simulated stimulus ends. Instead of the decode
+// check, each distinct triple's outputs are judged (FaultDetection) against
+// the fault-free design's zero-delay outputs for its final encoding,
+// computed a lane group or reference block at a time with
+// BatchSim::evaluateOutputs. A watchdog trip is an outcome, not a failure:
+// the triple counts as diverged, with the events its run reached. On the
+// batch engine a lane group in which a lane trips re-runs triple by triple
+// on a reference clone of the caller's EventSim (with that EventSim's own
+// attachments, not cfg.profiler), so its other lanes are still judged and
+// sampled. Every trace counts its triple's outcome, and a
+// diverged trace is withheld from the sink, which sees the others in index
+// order. Neither a decode mismatch nor a watchdog trip fails the call;
+// anything else (a stimulus that cannot be derived, a sink exception, an
+// abort) fails it as above.
 
 #include <algorithm>
 #include <cstdint>
@@ -121,6 +141,7 @@
 namespace lpa {
 
 class BatchSim;
+class CompiledDesign;
 
 /// Which simulation engine serves an acquisition.
 ///
@@ -214,8 +235,7 @@ struct AcquisitionConfig {
 
 /// The Fig. 5 protocol's balanced, shuffled 16-class schedule: 16 *
 /// tracesPerClass entries, shuffled by the dedicated schedule stream of
-/// `seed`. Exposed so other trace consumers (the fault campaign) reuse the
-/// exact protocol.
+/// `seed`. Exposed so tests and benchmarks can rebuild a run trace by trace.
 std::vector<std::uint8_t> balancedClassSchedule(std::uint32_t tracesPerClass,
                                                 std::uint64_t seed);
 
@@ -244,16 +264,17 @@ TraceStimulus classStimulus(const MaskedSbox& sbox, std::uint64_t seed,
 /// on its stimulus' `init`, then runs its `fin` with fused deposition and
 /// its noise seed. Lane l's outputs and trace are then read from `sim`
 /// (outputValues(l), laneTrace(l)); returns the lanes' stimuli. A lane
-/// tripping the watchdog propagates SimDiverged. This is acquire()'s
-/// batch-engine body, and the fault campaign runs eligible faults
-/// through it; both call it with `stimulus` reading a lane order.
+/// tripping the watchdog propagates SimDiverged. This is the batch-engine
+/// body of every acquisition, strict or classified, which calls it with
+/// `stimulus` reading a lane order.
 std::vector<TraceStimulus> runLaneGroup(BatchSim& sim,
                                         const StimulusFn& stimulus,
                                         std::size_t base, std::size_t lanes);
 
-/// Sorts ids[0, count) — stimuli about to be cut into lane groups — by
-/// final encoding, then settle encoding, then id, so lanes that end in the
-/// same state share a group and hence the batch engine's waves.
+/// Sorts ids[0, count) — an acquisition window's stimuli, about to be cut
+/// into lane groups — by final encoding, then settle encoding, then id, so
+/// lanes that end in the same state share a group and hence the batch
+/// engine's waves.
 /// `encodingsOf(id)` returns {init, fin}, `width` values each. The sort runs
 /// on a packed key: one bit per value (its low bit), fin's first value
 /// most significant, then init's; designs of more than 32 inputs sort by
@@ -321,5 +342,51 @@ void acquireRange(const MaskedSbox& sbox, EventSim& sim,
 TraceSet acquireKeyed(const MaskedSbox& sbox, EventSim& sim,
                       const PowerModel& power, const AcquisitionConfig& cfg,
                       std::uint8_t key, std::uint32_t numTraces);
+
+/// How a classified trace's run ended, against the fault-free design.
+enum class FaultDetection : std::uint8_t {
+  /// Every primary-output share matches the fault-free one.
+  MaskedOut,
+  /// The unmasked decode differs from the fault-free decode, or refuses the
+  /// shares: a downstream integrity check would fire.
+  DetectedByDecode,
+  /// Output shares changed but the decode is still right: the corruption
+  /// hides inside the encoding.
+  SilentCorruption,
+  /// The watchdog budget fired (fault-induced oscillation).
+  Diverged,
+};
+
+/// Traces per outcome.
+struct FaultTraceCounts {
+  std::uint32_t maskedOut = 0;
+  std::uint32_t detectedByDecode = 0;
+  std::uint32_t silentCorruption = 0;
+  std::uint32_t diverged = 0;
+  std::uint32_t total() const {
+    return maskedOut + detectedByDecode + silentCorruption + diverged;
+  }
+};
+
+/// What acquireClassified() observed.
+struct ClassifiedAcquisition {
+  FaultTraceCounts counts;
+  /// Largest event count a diverging run reached before the watchdog fired.
+  std::uint64_t maxWatchdogEvents = 0;
+};
+
+/// Runs acquire()'s fixed-class run for `cfg` on `sim`, built for a faulted
+/// variant of sbox.netlist(), under the classify policy: every trace is
+/// counted by its outcome against `faultFree` (sbox.netlist() lowered with
+/// `power`), and every trace that did not diverge goes to `sink` in index
+/// order, bit-identical to simulating it alone on `sim`'s design. Engine,
+/// threads, progress ("acquire-classified") and profiler come from `cfg` as
+/// in acquire(), and the result is invariant in all four. cfg.adaptive
+/// must be false (std::invalid_argument).
+ClassifiedAcquisition acquireClassified(const MaskedSbox& sbox,
+                                        const CompiledDesign& faultFree,
+                                        EventSim& sim, const PowerModel& power,
+                                        const AcquisitionConfig& cfg,
+                                        const TraceSink& sink);
 
 }  // namespace lpa

@@ -6,7 +6,8 @@
 // down what that must not change: every trace equals a per-trace
 // simulation with its own noise seed, a failure lands at the lowest trace
 // it affects after every earlier trace was delivered, and the counters
-// tell simulations from traces.
+// tell simulations from traces. The classify policy, which runs faulted
+// designs through the same plan, must stream the same traces.
 
 #include "trace/acquisition.h"
 
@@ -23,6 +24,7 @@
 #include "crypto/present.h"
 #include "obs/event_journal.h"
 #include "obs/metrics.h"
+#include "sim/compiled_design.h"
 #include "trace/prng.h"
 #include "trace/sharded_pool.h"
 
@@ -276,6 +278,46 @@ TEST(AcquireDistinct, EnginesCountSimulationsAndAcquireCountsTraces) {
       EXPECT_EQ(fields["distinct"], std::to_string(distinct));
     }
     EXPECT_EQ(starts, 1);
+  }
+}
+
+TEST(AcquireClassified, UnfaultedDesignIsMaskedOutAndStreamsAcquireTraces) {
+  // Run on the fault-free design itself, the classify policy must count
+  // every trace masked-out and stream exactly acquire()'s traces, noise
+  // included. At 20 traces per class GLUT's 320 mostly distinct stimuli
+  // fill a sorted window on one batch worker; RSM repeats stimuli.
+  PowerOptions po;
+  po.noiseSigma = 0.5;
+  AcquisitionConfig cfg;
+  cfg.tracesPerClass = 20;
+  for (SboxStyle style : {SboxStyle::Glut, SboxStyle::Rsm}) {
+    const auto sbox = makeSbox(style);
+    SCOPED_TRACE(std::string(sbox->name()));
+    const DelayModel dm(sbox->netlist());
+    const PowerModel pm(sbox->netlist(), po);
+    const CompiledDesign faultFree(sbox->netlist(), dm, pm);
+    EventSim plain(sbox->netlist(), dm);
+    const TraceSet expected = acquire(*sbox, plain, pm, cfg);
+    for (SimEngine engine : kEngines) {
+      for (std::uint32_t threads : {1u, 4u}) {
+        SCOPED_TRACE(engineName(engine) + ", threads " +
+                     std::to_string(threads));
+        AcquisitionConfig run = cfg;
+        run.engine = engine;
+        run.numThreads = threads;
+        EventSim sim(sbox->netlist(), dm);
+        TraceSet got(po.numSamples);
+        const ClassifiedAcquisition res = acquireClassified(
+            *sbox, faultFree, sim, pm, run,
+            [&](std::uint8_t label, const double* samples) {
+              got.add(label, samples);
+            });
+        EXPECT_EQ(res.counts.maskedOut, 16u * cfg.tracesPerClass);
+        EXPECT_EQ(res.counts.total(), res.counts.maskedOut);
+        EXPECT_EQ(res.maxWatchdogEvents, 0u);
+        expectIdentical(expected, got);
+      }
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 
 #include "core/experiment.h"
@@ -14,7 +15,9 @@
 #include "fault_fixtures.h"
 #include "netlist/builder.h"
 #include "netlist/validate.h"
+#include "obs/event_journal.h"
 #include "sboxes/encoding.h"
+#include "sim/compiled_design.h"
 #include "trace/acquisition.h"
 
 namespace lpa {
@@ -382,6 +385,56 @@ TEST(FaultCampaign, OscillatingFaultIsClassifiedDivergedAndTerminates) {
   EXPECT_GT(rep.maxWatchdogEvents, cfg.maxEventsPerRun);
 }
 
+TEST(FaultCampaign, JournalsOneWatchdogTripPerDivergedFault) {
+  // The oscillating bridge diverges on half its traces, the slowed output
+  // buffer on none: the campaign journals one watchdog-trip for the
+  // bridge, not one per trace, and each fault's call journals its own
+  // acquire-start, as every acquisition does.
+  const RingSbox sbox;
+  const DelayModel dm(sbox.netlist(), noJitter());
+  const PowerModel power(sbox.netlist());
+  FaultSpec bridge;
+  bridge.kind = FaultKind::Bridge;
+  bridge.net = sbox.feed();
+  bridge.pin = 0;
+  bridge.bridgeTo = sbox.fb();
+  const std::vector<FaultSpec> faults = {
+      {FaultKind::DelayInflation, sbox.netlist().outputs().back(), 4.0, 0,
+       kInvalidNet},
+      bridge};
+
+  FaultCampaignConfig cfg;
+  cfg.tracesPerClass = 2;
+  cfg.maxEventsPerRun = 5000;
+  cfg.analyzeLeakage = false;
+  obs::EventJournal& journal = obs::EventJournal::global();
+  const std::uint64_t before = journal.emitted();
+  const FaultCampaignResult res =
+      runFaultCampaign(sbox, dm, power, faults, cfg);
+  ASSERT_EQ(res.reports[0].counts.diverged, 0u);
+  ASSERT_GT(res.reports[1].counts.diverged, 0u);
+
+  std::vector<std::map<std::string, std::string>> trips;
+  int classifiedStarts = 0;
+  for (const obs::JournalEvent& ev :
+       journal.tail(journal.emitted() - before)) {
+    std::map<std::string, std::string> fields(ev.fields.begin(),
+                                              ev.fields.end());
+    if (ev.kind == "watchdog-trip") trips.push_back(fields);
+    if (ev.kind == "acquire-start" &&
+        fields["label"] == "acquire-classified") {
+      ++classifiedStarts;
+    }
+  }
+  EXPECT_EQ(classifiedStarts, 2);
+  ASSERT_EQ(trips.size(), 1u);
+  EXPECT_EQ(trips[0]["fault"], "1");
+  EXPECT_EQ(trips[0]["diverged"],
+            std::to_string(res.reports[1].counts.diverged));
+  EXPECT_EQ(trips[0]["max_events"],
+            std::to_string(res.reports[1].maxWatchdogEvents));
+}
+
 // ---------------------------------------------------------------------------
 // Campaign vs a per-trace reference oracle. The campaign runs index-ordered
 // faults on the batch engine and falls back to EventSim for forward
@@ -582,6 +635,112 @@ TEST(FaultCampaign, WatchdogTripsInALaneGroupFallBackToReference) {
   EXPECT_LT(tripped.counts.diverged, 80u);
   EXPECT_GT(tripped.maxWatchdogEvents, cfg.maxEventsPerRun);
   expectCampaignMatchesOracle(sbox, dm, power, faults, cfg);
+}
+
+TEST(FaultCampaign, ClassifiedTripsAreThreadAndEngineInvariant) {
+  // The loud fault's 16 distinct stimuli, half of which trip: at 4 workers
+  // each batch worker re-runs its tripping group on its own reference
+  // clone. Counts, the largest event count and the traces must not depend
+  // on the workers or the engine.
+  const GatedChainSbox sbox;
+  const DelayModel dm(sbox.netlist());
+  const PowerModel power(sbox.netlist());
+  const FaultedDesign loud = FaultInjector(sbox.netlist(), dm)
+                                 .apply({FaultKind::StuckAt1, sbox.en(), 0.0,
+                                         0, kInvalidNet});
+  const CompiledDesign faultFree(sbox.netlist(), dm, power);
+  FaultCampaignConfig cfg;
+  cfg.tracesPerClass = 12;
+  cfg.sim = ExperimentConfig().sim;
+  const OracleFault quiet = oracleRun(
+      sbox, FaultedDesign{sbox.netlist(), dm}, power, cfg, cfg.seed);
+  SimOptions opts = cfg.sim;
+  opts.maxEvents = *std::max_element(quiet.eventsPerTrace.begin(),
+                                     quiet.eventsPerTrace.end()) +
+                   16;
+
+  AcquisitionConfig acq;
+  acq.tracesPerClass = cfg.tracesPerClass;
+  ClassifiedAcquisition first;
+  TraceSet firstTraces(power.options().numSamples);
+  for (SimEngine engine : {SimEngine::Auto, SimEngine::Reference}) {
+    for (std::uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(engine == SimEngine::Auto ? "auto, "
+                                                         : "reference, ") +
+                   std::to_string(threads) + " threads");
+      acq.engine = engine;
+      acq.numThreads = threads;
+      EventSim sim(loud.netlist, loud.delays, opts);
+      TraceSet traces(power.options().numSamples);
+      const ClassifiedAcquisition run = acquireClassified(
+          sbox, faultFree, sim, power, acq,
+          [&](std::uint8_t label, const double* samples) {
+            traces.add(label, samples);
+          });
+      EXPECT_GT(run.counts.diverged, 0u);
+      EXPECT_EQ(traces.size(), run.counts.total() - run.counts.diverged);
+      if (engine == SimEngine::Auto && threads == 1) {
+        first = run;
+        firstTraces = traces;
+        continue;
+      }
+      EXPECT_EQ(run.counts.maskedOut, first.counts.maskedOut);
+      EXPECT_EQ(run.counts.detectedByDecode, first.counts.detectedByDecode);
+      EXPECT_EQ(run.counts.silentCorruption, first.counts.silentCorruption);
+      EXPECT_EQ(run.counts.diverged, first.counts.diverged);
+      EXPECT_EQ(run.maxWatchdogEvents, first.maxWatchdogEvents);
+      EXPECT_TRUE(sameTraceSet(traces, firstTraces));
+    }
+  }
+}
+
+TEST(FaultCampaign, TripsInsideSortedWindowsMatchTheOracle) {
+  // GLUT at 20 traces per class has 320 nearly distinct stimuli, so a
+  // one-worker call sorts its first 256 by final encoding before cutting
+  // lane groups. A budget at the median fault-free run trips about half of
+  // them, inside sorted groups: the fallback must judge and sample every
+  // stimulus at its own traces.
+  const auto sbox = makeSbox(SboxStyle::Glut);
+  const DelayModel dm(sbox->netlist());
+  const PowerModel power(sbox->netlist());
+  const CompiledDesign faultFree(sbox->netlist(), dm, power);
+  const FaultSpec stuck = stuckAtFaults(maskWireNets(*sbox))[0];
+  const FaultedDesign design = FaultInjector(sbox->netlist(), dm).apply(stuck);
+  FaultCampaignConfig cfg;
+  cfg.tracesPerClass = 20;
+  cfg.sim = ExperimentConfig().sim;
+  std::vector<std::uint64_t> events =
+      oracleRun(*sbox, FaultedDesign{sbox->netlist(), dm}, power, cfg,
+                cfg.seed)
+          .eventsPerTrace;
+  std::nth_element(events.begin(), events.begin() + events.size() / 2,
+                   events.end());
+  cfg.maxEventsPerRun = events[events.size() / 2];
+  const OracleFault oracle = oracleRun(*sbox, design, power, cfg, cfg.seed);
+  ASSERT_GT(oracle.counts.diverged, 16u);
+  ASSERT_LT(oracle.counts.diverged, 16u * cfg.tracesPerClass - 16u);
+
+  SimOptions opts = cfg.sim;
+  opts.maxEvents = cfg.maxEventsPerRun;
+  AcquisitionConfig acq;
+  acq.tracesPerClass = cfg.tracesPerClass;
+  for (std::uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    acq.numThreads = threads;
+    EventSim sim(design.netlist, design.delays, opts);
+    TraceSet traces(power.options().numSamples);
+    const ClassifiedAcquisition run = acquireClassified(
+        *sbox, faultFree, sim, power, acq,
+        [&](std::uint8_t label, const double* samples) {
+          traces.add(label, samples);
+        });
+    EXPECT_EQ(run.counts.maskedOut, oracle.counts.maskedOut);
+    EXPECT_EQ(run.counts.detectedByDecode, oracle.counts.detectedByDecode);
+    EXPECT_EQ(run.counts.silentCorruption, oracle.counts.silentCorruption);
+    EXPECT_EQ(run.counts.diverged, oracle.counts.diverged);
+    EXPECT_EQ(run.maxWatchdogEvents, oracle.maxWatchdogEvents);
+    EXPECT_TRUE(sameTraceSet(traces, oracle.traces));
+  }
 }
 
 TEST(FaultCampaign, MaskWireHeuristicMatchesDeclaredRandomness) {
