@@ -14,8 +14,9 @@
 //   --threads <n>              worker threads (0 = hardware concurrency)
 //   --deadline-ms <n>          wall-clock budget; partial result on expiry
 //   --stop-after-groups <n>    graceful drain after n committed groups
-//   --kill-after-groups <n>    raise(SIGKILL) when group n starts (chaos
-//                              harness: groups 0..n-1 are already durable)
+//   --kill-after-groups <n>    raise(SIGKILL) when the run reaches group n
+//                              (chaos harness: groups 0..n-1 are already
+//                              committed and durable)
 //   --adaptive                 convergence-gated run (batch = group)
 //   plus the shared observability flags (--json/--ledger/--progress).
 //
@@ -140,8 +141,9 @@ int main(int argc, char** argv) {
   if (enginePresent) cfg.acquisition.engine = engineByName(engineName);
 
   // Chaos knob: die by SIGKILL — not exit(), not abort(), nothing that
-  // runs destructors — the moment the given group starts. Everything
-  // committed before it must survive in the checkpoint.
+  // runs destructors — the moment the run reaches the given group, after
+  // every earlier group is committed. Everything committed before it must
+  // survive in the checkpoint.
   const std::uint64_t killAfter =
       takeCount(rest, "--kill-after-groups", ~0ULL);
   if (killAfter != ~0ULL) {

@@ -79,8 +79,9 @@ class SboxExperiment {
   /// `acquisition.targetCiRel` or `acquisition.maxTraces` is reached.
   /// Returns the traces together with the final interval estimate and the
   /// per-batch convergence history. Runs resilientAcquireAt's group loop
-  /// with durability off: no checkpoint, no retry, no spot-checks, and
-  /// `acquisition.deadlineMs` ignored.
+  /// with durability off (no checkpoint, no retry, no spot-checks,
+  /// `acquisition.deadlineMs` ignored): one acquisition call streams the
+  /// batch-major protocol (acquireBatches) and ends when the rule fires.
   stats::AdaptiveResult adaptiveAcquireAt(
       double months, const stats::StreamingLeakage::Options& statsOpt = {});
 

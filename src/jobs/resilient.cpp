@@ -1,11 +1,11 @@
 #include "jobs/resilient.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <exception>
 #include <filesystem>
 #include <stdexcept>
+#include <thread>
 
 #include "jobs/checkpoint.h"
 #include "jobs/trace_digest.h"
@@ -13,7 +13,6 @@
 #include "obs/event_journal.h"
 #include "obs/metrics.h"
 #include "obs/trace_span.h"
-#include "stats/adaptive.h"
 #include "stats/convergence.h"
 #include "trace/prng.h"
 
@@ -21,30 +20,20 @@ namespace lpa::jobs {
 
 namespace {
 
-/// Best-effort message of the exception behind `eptr`, for journal fields.
-std::string describeError(std::exception_ptr eptr) {
+/// True when `eptr` is a T or wraps one through any depth of nesting (the
+/// sharded pool rethrows worker failures as WorkerError with the original
+/// nested).
+template <typename T>
+bool causedBy(std::exception_ptr eptr) {
   try {
     std::rethrow_exception(eptr);
-  } catch (const std::exception& e) {
-    return e.what();
-  } catch (...) {
-    return "unknown error";
-  }
-}
-
-/// True when `eptr` is a SimDiverged or wraps one through any depth of
-/// nesting (the sharded pool rethrows worker failures as WorkerError with
-/// the original nested).
-bool causedByDivergence(std::exception_ptr eptr) {
-  try {
-    std::rethrow_exception(eptr);
-  } catch (const SimDiverged&) {
+  } catch (const T&) {
     return true;
   } catch (const std::exception& e) {
     try {
       std::rethrow_if_nested(e);
     } catch (...) {
-      return causedByDivergence(std::current_exception());
+      return causedBy<T>(std::current_exception());
     }
     return false;
   } catch (...) {
@@ -101,36 +90,21 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
                                  const AcquisitionConfig& cfg,
                                  const JobConfig& job) {
   const std::uint32_t numSamples = power.options().numSamples;
-  std::uint64_t totalTraces = 0;
-  std::uint64_t groupTraces = 0;
-  std::uint64_t domainSeed = 0;
+  std::uint64_t totalTraces = 16ULL * cfg.tracesPerClass;
+  std::uint64_t groupTraces = job.groupTraces;
   if (cfg.adaptive) {
-    if (cfg.batchSize == 0 || cfg.batchSize % 16 != 0) {
-      throw std::invalid_argument(
-          "resilientAcquire: batchSize must be a positive multiple of 16");
-    }
-    totalTraces =
-        cfg.maxTraces != 0 ? cfg.maxTraces : 16ULL * cfg.tracesPerClass;
-    if (totalTraces == 0 || totalTraces % 16 != 0) {
-      throw std::invalid_argument(
-          "resilientAcquire: maxTraces must be a positive multiple of 16");
-    }
+    totalTraces = batchMajorTraces(cfg);
+    groupTraces = cfg.batchSize;
     if (!(cfg.targetCiRel > 0.0)) {
       throw std::invalid_argument(
           "resilientAcquire: targetCiRel must be > 0");
     }
-    groupTraces = cfg.batchSize;
-    domainSeed = deriveStreamSeed(cfg.seed, stats::kAdaptiveBatchStream);
-  } else {
-    if (job.groupTraces == 0) {
-      throw std::invalid_argument(
-          "resilientAcquire: groupTraces must be positive");
-    }
-    totalTraces = 16ULL * cfg.tracesPerClass;
-    groupTraces = job.groupTraces;
+  } else if (groupTraces == 0) {
+    throw std::invalid_argument(
+        "resilientAcquire: groupTraces must be positive");
   }
   const std::uint64_t groupsTotal =
-      totalTraces == 0 ? 0 : (totalTraces + groupTraces - 1) / groupTraces;
+      (totalTraces + groupTraces - 1) / groupTraces;
   const auto groupSpan = [&](std::uint64_t g) {
     const std::uint64_t begin = g * groupTraces;
     return std::pair<std::uint64_t, std::uint64_t>(
@@ -212,15 +186,9 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
   }
   res.traces.reserve(totalTraces);
 
-  // ---- Streaming: each group's traces reach the result and the estimator
-  // as the pool delivers them. keepTraces(n) rolls a discarded group back:
-  // it truncates to the first n traces and re-folds the estimator from
-  // them — bit-identical, since the fold is a pure function of the traces
-  // in index order.
-  const TraceSink commit = [&](std::uint8_t label, const double* samples) {
-    res.traces.add(label, samples);
-    stream.addTrace(label, samples);
-  };
+  // ---- Rollback: keepTraces(n) drops a discarded group — it truncates to
+  // the first n traces and re-folds the estimator from them, bit-identical,
+  // since the fold is a pure function of the traces in index order.
   const auto keepTraces = [&](std::size_t n) {
     res.traces.truncate(n);
     stream = stats::StreamingLeakage(numSamples, job.statsOpt);
@@ -241,7 +209,6 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
     return cfg.deadlineMs > 0 &&
            elapsedMs() >= static_cast<double>(cfg.deadlineMs);
   };
-  std::atomic<bool> deadlineTripped{false};
 
   SimEngine engine = cfg.engine;
   std::uint32_t divergences = 0;
@@ -262,130 +229,19 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
         {{"group", std::to_string(g)}, {"reason", reason}});
   };
 
-  /// Streams group g under `eng` into `sink`: a plain acquireRange slice
-  /// (fixed) or one adaptive batch under its derived substream — identical
-  /// bits to what the uninterrupted run collects at those indices. With
-  /// `report`, progress is re-reported against the whole run and the
-  /// deadline can trip mid-group.
-  const auto runGroup = [&](std::uint64_t g, SimEngine eng,
-                            const TraceSink& sink, bool report) {
-    AcquisitionConfig bcfg = cfg;
-    bcfg.adaptive = false;
-    bcfg.engine = eng;
-    bcfg.progress = {};
-    const auto [begin, end] = groupSpan(g);
-    if (report && (cfg.progress || cfg.deadlineMs > 0)) {
-      bcfg.progress = [&, base = begin](const obs::ProgressUpdate& u) {
-        if (outOfTime()) {
-          deadlineTripped.store(true, std::memory_order_relaxed);
-          return false;
-        }
-        if (!cfg.progress) return true;
-        obs::ProgressUpdate o;
-        o.label = "resilient-acquire";
-        o.done = base + u.done;
-        o.total = totalTraces;
-        o.elapsedSec = elapsedMs() / 1e3;
-        o.ratePerSec = o.elapsedSec > 0.0
-                           ? static_cast<double>(o.done) / o.elapsedSec
-                           : 0.0;
-        o.etaSec = o.done > 0 ? o.elapsedSec / static_cast<double>(o.done) *
-                                    static_cast<double>(o.total - o.done)
-                              : -1.0;
-        return cfg.progress(o);
-      };
-    }
+  /// Streams traces [begin, end) of the run under `eng`, `worker` the clone
+  /// prototype, into `sink` with one acquisition call.
+  const auto acquireSpan = [&](EventSim& worker, std::uint64_t begin,
+                               std::uint64_t end, SimEngine eng,
+                               const TraceSink& sink) {
+    AcquisitionConfig call = cfg;
+    call.engine = eng;
+    call.progress = {};
     if (cfg.adaptive) {
-      // Batch g is a whole balanced run of its own substream.
-      bcfg.tracesPerClass = static_cast<std::uint32_t>((end - begin) / 16);
-      bcfg.seed = deriveStreamSeed(domainSeed, g);
-      acquireRange(sbox, sim, power, bcfg, 0, end - begin, sink);
+      acquireBatches(sbox, worker, power, call, begin, end, sink);
     } else {
-      acquireRange(sbox, sim, power, bcfg, begin, end, sink);
+      acquireRange(sbox, worker, power, call, begin, end, sink);
     }
-  };
-
-  /// Streams group g into the result under the current engine, retrying
-  /// transient failures (each attempt first rolls back the traces a failed
-  /// one streamed). Returns false when the deadline tripped mid-group; the
-  /// partial group is rolled back.
-  SimEngine ranWith = engine;
-  const auto acquireGroup = [&](std::uint64_t g) -> bool {
-    const std::size_t begin = groupSpan(g).first;
-    deadlineTripped.store(false, std::memory_order_relaxed);
-    try {
-      retryWithBackoff(
-          job.retry,
-          [&](std::uint32_t attempt) {
-            if (res.traces.size() > begin) keepTraces(begin);
-            ranWith = engine;
-            if (job.beforeGroupHook) job.beforeGroupHook(g, attempt, engine);
-            runGroup(g, engine, commit, /*report=*/true);
-          },
-          [&](std::uint32_t attempt, std::exception_ptr eptr) {
-            // Aborts — user or deadline — are not failures; never retry.
-            try {
-              std::rethrow_exception(eptr);
-            } catch (const obs::ProgressAborted&) {
-              return false;
-            } catch (...) {
-            }
-            const bool diverged = causedByDivergence(eptr);
-            if (diverged) {
-              ++divergences;
-              if (divergences >= kQuarantineAfterDivergences) {
-                quarantine(g, "sim-diverged");
-              }
-            }
-            // The last attempt escalates; it is not a retry.
-            if (attempt + 1 >= job.retry.maxAttempts) return false;
-            ++info.retries;
-            reg.counter("jobs.retries").add(1);
-            obs::EventJournal::global().warn(
-                "group-retry",
-                {{"group", std::to_string(g)},
-                 {"retries", std::to_string(info.retries)},
-                 {"diverged", diverged ? "true" : "false"},
-                 {"error", describeError(eptr)}});
-            return info.retries <= cfg.trapBudget;
-          });
-    } catch (const obs::ProgressAborted& e) {
-      if (deadlineTripped.load(std::memory_order_relaxed)) {
-        keepTraces(begin);
-        return false;
-      }
-      // A user abort propagates, denominated in the overall run.
-      throw obs::ProgressAborted("resilient-acquire", begin + e.done(),
-                                 totalTraces);
-    } catch (const std::exception& e) {
-      std::throw_with_nested(WorkerError(
-          static_cast<std::size_t>(g),
-          "resilient group " + std::to_string(g) + "/" +
-              std::to_string(groupsTotal) + " (style " +
-              std::string(sbox.name()) + "): " + e.what()));
-    }
-    return true;
-  };
-
-  // Appends every committed group to the checkpoint, so a stopped run has
-  // always checkpointed all of its work.
-  const auto writeCheckpoint = [&](std::uint64_t g) {
-    if (!durable) return;
-    extendLineage(g);
-    // Flow start: a future process resuming from this checkpoint emits the
-    // matching finish (it re-derives this very lineage entry).
-    obs::TraceCollector& tc = obs::TraceCollector::global();
-    tc.recordFlow("checkpoint-resume", tc.nowUs(),
-                  digestOfBytes(info.lineage.back().data(),
-                                info.lineage.back().size()),
-                  /*start=*/true);
-    const auto [begin, end] = groupSpan(g);
-    appendCheckpoint(job.checkpointPath, res.traces, begin, end);
-    reg.counter("jobs.checkpoints_written").add(1);
-    obs::EventJournal::global().info(
-        "checkpoint-commit", {{"groups", std::to_string(info.groupsCompleted)},
-                              {"of", std::to_string(groupsTotal)},
-                              {"lineage", info.lineage.back()}});
   };
 
   const auto stopEarly = [&](const char* reason) {
@@ -395,76 +251,183 @@ ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
         "run-truncated", {{"reason", reason},
                           {"groups", std::to_string(info.groupsCompleted)}});
   };
+  // Stops the run before its next group at the drain count or the deadline.
+  const auto drainOrDeadline = [&] {
+    if (job.stopAfterGroups > 0 && committedThisRun >= job.stopAfterGroups) {
+      stopEarly("drain");
+    } else if (outOfTime()) {
+      stopEarly("deadline");
+    }
+    return !info.stopReason.empty();
+  };
 
   info.groupsCompleted = g0;
   stats::ConvergenceMonitor monitor({cfg.targetCiRel, /*minTraces=*/0});
-  bool stopped = false;
   if (cfg.adaptive && g0 > 0) {
     // Re-derive the stop decision the uninterrupted run took after the
     // last committed batch — a resumed converged run adds no group.
     res.estimate = stream.estimate();
     monitor.observe(res.estimate);
-    if (monitor.converged()) {
-      info.stopReason = "ci-target";
-      stopped = true;
-    }
+    if (monitor.converged()) info.stopReason = "ci-target";
   }
 
-  std::uint64_t g = g0;
-  while (!stopped && g < groupsTotal) {
-    if (job.stopAfterGroups > 0 && committedThisRun >= job.stopAfterGroups) {
-      stopEarly("drain");
-      break;
-    }
-    if (outOfTime() || !acquireGroup(g)) {
-      stopEarly("deadline");
-      break;
-    }
-    const auto [begin, end] = groupSpan(g);
-    if (job.perturbHook) {
-      job.perturbHook(res.traces, begin, ranWith);
-      keepTraces(res.traces.size());
-    }
+  // ---- One call per attempt: each streams every uncommitted group, and
+  // its sink (on the delivering thread) cuts the stream into groups and
+  // commits each at its last trace. The sink ends a call early by throwing
+  // EndCall; the call then unwinds like a failed one, and its partial group
+  // is dropped.
+  struct EndCall {};
+  std::uint64_t g = g0;       // the first uncommitted group
+  std::uint32_t attempt = 0;  // failed calls that began at group g
+  std::exception_ptr escape;  // rethrown once the call has unwound
 
-    // Online spot-check: re-run a deterministic sample of fast-engine
-    // groups under Reference, digesting the re-run as it streams; a
-    // mismatch quarantines the fast engine and re-acquires the group
-    // under Reference.
-    if (spotEvery > 0 && ranWith != SimEngine::Reference &&
-        g % spotEvery == spotOffset) {
-      ++info.spotChecks;
-      reg.counter("jobs.spot_checks").add(1);
-      DigestAccumulator again;
-      runGroup(g, SimEngine::Reference,
-               [&](std::uint8_t label, const double* samples) {
-                 again.addTrace(label, samples, numSamples);
-               },
-               /*report=*/false);
-      if (again.value() == digestOfRange(res.traces, begin, end)) {
+  // Progress against the whole run and the deadline, read at each group's
+  // first and last trace and at most every 0.1 s between. False ends the
+  // call: the deadline passed, or the user's sink asked to abort.
+  const bool reporting = cfg.progress || cfg.deadlineMs > 0;
+  auto lastReport = std::chrono::steady_clock::now();
+  const auto report = [&](std::uint64_t done) {
+    lastReport = std::chrono::steady_clock::now();
+    if (outOfTime()) {
+      stopEarly("deadline");
+      return false;
+    }
+    if (!cfg.progress) return true;
+    const double sec = elapsedMs() / 1e3;
+    const double rate = sec > 0.0 ? static_cast<double>(done) / sec : 0.0;
+    if (cfg.progress({.label = "resilient-acquire",
+                      .done = done,
+                      .total = totalTraces,
+                      .elapsedSec = sec,
+                      .etaSec = sec / static_cast<double>(done) *
+                                static_cast<double>(totalTraces - done),
+                      .ratePerSec = rate})) {
+      return true;
+    }
+    escape = std::make_exception_ptr(
+        obs::ProgressAborted("resilient-acquire", done, totalTraces));
+    return false;
+  };
+
+  // Commits group g, whose last trace just arrived: perturbHook, the
+  // spot-check, the checkpoint append with its lineage and journal entry,
+  // then the estimate and the stop rule. False ends the call: a stop before
+  // the run's end, a spot-check mismatch (the run, quarantined, re-acquires
+  // group g under Reference in a new call), or a failed commit step, which
+  // escapes the run unretried.
+  const auto commitGroup = [&]() -> bool {
+    const auto [begin, end] = groupSpan(g);
+    try {
+      if (job.perturbHook) {
+        job.perturbHook(res.traces, begin, engine);
+        keepTraces(res.traces.size());
+      }
+      // Online spot-check: re-run a deterministic sample of fast-engine
+      // groups under Reference, digesting the re-run as it streams — on a
+      // clone of `sim`, which the running call may be using.
+      if (spotEvery > 0 && engine != SimEngine::Reference &&
+          g % spotEvery == spotOffset) {
+        ++info.spotChecks;
+        reg.counter("jobs.spot_checks").add(1);
+        DigestAccumulator again;
+        EventSim checker = sim.clone();
+        acquireSpan(checker, begin, end, SimEngine::Reference,
+                    [&](std::uint8_t label, const double* samples) {
+                      again.addTrace(label, samples, numSamples);
+                    });
+        if (again.value() != digestOfRange(res.traces, begin, end)) {
+          quarantine(g, "spot-check-mismatch");
+          return false;
+        }
         obs::EventJournal::global().info(
             "spot-check", {{"group", std::to_string(g)}, {"result", "ok"}});
-      } else {
-        quarantine(g, "spot-check-mismatch");
-        if (!acquireGroup(g)) {
-          stopEarly("deadline");
-          break;
-        }
       }
+      info.groupsCompleted = g + 1;
+      ++committedThisRun;
+      attempt = 0;
+      reg.counter("jobs.groups_committed").add(1);
+      // Append every committed group, so a stopped run has always
+      // checkpointed all of its work.
+      if (durable) {
+        extendLineage(g);
+        // Flow start: a future process resuming from this checkpoint emits
+        // the matching finish (it re-derives this very lineage entry).
+        obs::TraceCollector& tc = obs::TraceCollector::global();
+        tc.recordFlow("checkpoint-resume", tc.nowUs(),
+                      digestOfBytes(info.lineage.back().data(),
+                                    info.lineage.back().size()),
+                      /*start=*/true);
+        appendCheckpoint(job.checkpointPath, res.traces, begin, end);
+        reg.counter("jobs.checkpoints_written").add(1);
+        obs::EventJournal::global().info(
+            "checkpoint-commit",
+            {{"groups", std::to_string(info.groupsCompleted)},
+             {"of", std::to_string(groupsTotal)},
+             {"lineage", info.lineage.back()}});
+      }
+    } catch (...) {
+      escape = std::current_exception();
+      return false;
     }
-
-    info.groupsCompleted = g + 1;
-    ++committedThisRun;
-    reg.counter("jobs.groups_committed").add(1);
-    writeCheckpoint(g);
-    ++g;
-
     if (cfg.adaptive) {
       res.estimate = stream.estimate();
       monitor.observe(res.estimate);
-      if (monitor.converged()) {
-        info.stopReason = "ci-target";
-        stopped = true;
+      if (monitor.converged()) info.stopReason = "ci-target";
+    }
+    return ++g == groupsTotal ||
+           (info.stopReason.empty() && !drainOrDeadline());
+  };
+
+  const TraceSink sink = [&](std::uint8_t label, const double* samples) {
+    const auto [begin, end] = groupSpan(g);
+    const std::uint64_t t = res.traces.size();
+    if (t == begin && job.beforeGroupHook) {
+      job.beforeGroupHook(g, attempt, engine);
+    }
+    res.traces.add(label, samples);
+    stream.addTrace(label, samples);
+    if ((reporting &&
+         (t == begin || t + 1 == end ||
+          std::chrono::steady_clock::now() - lastReport >=
+              std::chrono::milliseconds(100)) &&
+         !report(t + 1)) ||
+        (t + 1 == end && !commitGroup())) {
+      throw EndCall{};
+    }
+  };
+
+  while (info.stopReason.empty() && g < groupsTotal && !drainOrDeadline()) {
+    try {
+      acquireSpan(sim, groupSpan(g).first, totalTraces, engine, sink);
+    } catch (const std::exception& e) {
+      if (res.traces.size() > g * groupTraces) keepTraces(g * groupTraces);
+      if (escape) std::rethrow_exception(escape);
+      // The sink ended the call: a stop, or a repair under Reference.
+      if (causedBy<EndCall>(std::current_exception())) continue;
+      const bool diverged = causedBy<SimDiverged>(std::current_exception());
+      if (diverged && ++divergences >= kQuarantineAfterDivergences) {
+        quarantine(g, "sim-diverged");
       }
+      // The last attempt escalates; it is not a retry.
+      const bool retry = attempt + 1 < job.retry.maxAttempts;
+      if (retry) {
+        ++info.retries;
+        reg.counter("jobs.retries").add(1);
+        obs::EventJournal::global().warn(
+            "group-retry", {{"group", std::to_string(g)},
+                            {"retries", std::to_string(info.retries)},
+                            {"diverged", diverged ? "true" : "false"},
+                            {"error", e.what()}});
+      }
+      if (!retry || info.retries > cfg.trapBudget) {
+        std::throw_with_nested(WorkerError(
+            static_cast<std::size_t>(g),
+            "resilient group " + std::to_string(g) + "/" +
+                std::to_string(groupsTotal) + " (style " +
+                std::string(sbox.name()) + "): " + e.what()));
+      }
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(retryBackoffMs(job.retry, attempt++)));
     }
   }
 

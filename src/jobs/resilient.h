@@ -3,49 +3,47 @@
 // (DESIGN.md §12).
 //
 // `resilientAcquire` runs the ordinary acquisition protocol — fixed
-// schedule or convergence-gated — group by group, appending each committed
-// group to a crash-safe checkpoint (jobs/checkpoint.h), so a long campaign
-// survives SIGKILL, node preemption, and transient worker failures
-// without losing committed work or its determinism guarantees. It is the
-// one adaptive loop: convergence-gated acquisition is its stop rule
-// (cfg.adaptive), and SboxExperiment::adaptiveAcquireAt is this loop run
-// with durability off.
+// schedule or convergence-gated (cfg.adaptive; SboxExperiment::
+// adaptiveAcquireAt is this loop with durability off) — and commits it
+// group by group, appending each committed group to a crash-safe
+// checkpoint (jobs/checkpoint.h), so a long campaign survives SIGKILL,
+// preemption and transient worker failures without losing committed work
+// or its determinism guarantees.
 //
 // ## Resume invariant
 //
-// Group g of a fixed run is the schedule slice
-// [g*groupTraces, ...) collected by acquireRange(); group g of an
-// adaptive run is batch g under the adaptive substream
-// deriveStreamSeed(deriveStreamSeed(seed, kAdaptiveBatchStream), g) — in
-// both cases a pure function of (seed, g), never of wall clock, engine,
-// thread count, or earlier groups. A group's traces reach the result and
-// the estimator as the pool delivers them; a discarded group (failed
-// attempt, deadline, spot-check repair) is truncated away and the
-// estimator re-folded from the committed traces — bit-identical, as the
-// fold is a pure function of the traces in index order. A resumed run
-// re-folds the checkpoint's traces the same way. Hence a resumed
-// run's final TraceSet, leakage estimate, and determinism digest are
-// bit-identical to the uninterrupted run's, for any interleaving of
-// kills, engines, and thread counts across sessions. The config
-// fingerprint stored in the checkpoint deliberately EXCLUDES engine and
-// thread count — resuming a Batch-engine run under Reference on a single
-// thread is legal and bit-identical; it INCLUDES everything that
-// determines result bits (netlist structure, seed, protocol knobs, the
-// delay and power model the engines lower — device age included — and
-// estimator options).
+// Group g covers traces [g*groupTraces, ...) of the run — of the fixed
+// schedule (acquireRange) or of the batch-major protocol (acquireBatches;
+// groupTraces := cfg.batchSize) — a pure function of (seed, g), never of
+// wall clock, engine, thread count or how the run was cut into calls.
+// Each attempt streams every uncommitted group through one acquisition
+// call, whose sink commits each group at its last trace, in group order on
+// one thread. A call that ends early drops its partial group: the result
+// is truncated to the committed traces and the estimator re-folded from
+// them, bit-identical, as the fold is a pure function of the traces in
+// index order; a resumed run re-folds the checkpoint's traces the same
+// way. Hence a resumed run's final TraceSet, estimate and digest are
+// bit-identical to the uninterrupted run's, for any interleaving of kills,
+// engines and thread counts across sessions. The checkpoint's fingerprint
+// EXCLUDES engine and thread count and INCLUDES everything that determines
+// result bits (netlist structure, seed, protocol knobs, the delay and power
+// model the engines lower — device age included — and estimator options).
 //
 // ## Failure handling
 //
-// Transient per-group failures retry with bounded exponential backoff
-// (RetryPolicy, trace/sharded_pool.h); a retried group re-derives the
-// same substreams so a retry is invisible in the result bits. Budget
-// exhaustion (cfg.trapBudget, or retry.maxAttempts for one group)
-// escalates as a WorkerError naming the group. A deadline
-// (cfg.deadlineMs) cancels cooperatively through the progress-abort path
-// and returns the committed prefix with `truncated` set instead of
-// throwing. Engine quarantine guards the fast engines: a
-// deterministic random sample of committed groups is re-run under
-// Reference and digest-compared (spot-check); a mismatch or
+// A failure inside a call (a worker, a hook, the user's progress sink)
+// fails the attempt at the first uncommitted group g: the committed prefix
+// stands, and after a bounded exponential backoff (RetryPolicy,
+// trace/sharded_pool.h) a new call starts at g, re-deriving the same
+// substreams, so a retry is invisible in the result bits. Budget
+// exhaustion (cfg.trapBudget, or retry.maxAttempts failed calls at one
+// group) escalates as a WorkerError naming the group; a failed commit step
+// (checkpoint append, spot-check re-run) escapes unretried. A stop is no
+// failure: the stop rule, the drain count and the deadline (cfg.deadlineMs,
+// read at group boundaries and as progress is reported) end the call and
+// return the committed prefix. Engine quarantine: a deterministic random
+// sample of fast-engine groups is re-run under Reference and
+// digest-compared before it commits (spot-check); a mismatch or
 // kQuarantineAfterDivergences SimDiverged failures demote the run to the
 // Reference engine and record a QuarantineEvent. All of it lands in the
 // run report's `resilience` block (lpa-run-report/4) via fillResilience().
@@ -125,8 +123,9 @@ struct JobConfig {
 
   // ## Test hooks (all default-empty; pure observers unless they throw)
 
-  /// Called before every group attempt — kill harnesses SIGKILL here,
-  /// fault-injection tests throw from here.
+  /// Called when a call reaches group g, after every earlier group is
+  /// committed; `attempt` counts the failed calls that began at g. Kill
+  /// harnesses SIGKILL here, fault-injection tests throw from here.
   std::function<void(std::uint64_t group, std::uint32_t attempt,
                      SimEngine engine)>
       beforeGroupHook;
@@ -176,7 +175,8 @@ std::uint64_t acquisitionFingerprint(const MaskedSbox& sbox,
 /// std::invalid_argument on a malformed config, WorkerError on
 /// retry-budget exhaustion and obs::ProgressAborted on a user abort; a
 /// deadline or drain stop returns normally with resilience.truncated set.
-/// cfg.progress sees "resilient-acquire" against the whole run's budget.
+/// cfg.progress sees "resilient-acquire" against the whole run's budget at
+/// each group's first and last trace, and at most every 0.1 s between.
 ResilientResult resilientAcquire(const MaskedSbox& sbox, EventSim& sim,
                                  const PowerModel& power,
                                  const AcquisitionConfig& cfg,

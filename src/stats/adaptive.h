@@ -9,7 +9,11 @@
 // the total-leakage confidence interval meets the target — typically well
 // before the fixed-count budget on styles whose estimate converges
 // quickly. SboxExperiment::adaptiveAcquireAt runs that loop with
-// durability off and returns an AdaptiveResult.
+// durability off and returns an AdaptiveResult. The loop streams the whole
+// run through one acquisition call (acquireBatches, trace/acquisition.h)
+// and ends it when the rule fires, so work the engines simulated past the
+// stop is discarded and never delivered: traces, estimate and history
+// hold exactly the batches before the stop.
 //
 // ## Determinism contract
 //
@@ -33,13 +37,13 @@
 
 #include "stats/convergence.h"
 #include "stats/streaming_leakage.h"
+#include "trace/acquisition.h"
 #include "trace/trace_set.h"
 
 namespace lpa::stats {
 
-/// Stream index of the adaptive batch-seed domain; far outside any trace
-/// index, distinct from the schedule (~0) and fault-campaign (~1) domains.
-inline constexpr std::uint64_t kAdaptiveBatchStream = ~2ULL;
+/// Stream index of the adaptive batch-seed domain (trace/acquisition.h).
+using lpa::kAdaptiveBatchStream;
 
 enum class AdaptiveStop : std::uint8_t {
   CiTarget,   ///< the CI target was met before the budget ran out

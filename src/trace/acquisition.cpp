@@ -297,8 +297,8 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
                   Classify* classify = nullptr) {
   if (cfg.adaptive) {
     throw std::invalid_argument(
-        "acquisition: cfg.adaptive must be false (adaptive runs go batch by "
-        "batch through jobs::resilientAcquire)");
+        "acquisition: cfg.adaptive must be false (adaptive runs stream "
+        "acquireBatches through jobs::resilientAcquire)");
   }
   const std::size_t n = end - begin;
   const std::uint32_t numSamples = power.options().numSamples;
@@ -702,6 +702,46 @@ void acquireRange(const MaskedSbox& sbox, EventSim& sim,
   acquireSlice(sbox, sim, power,
                classProtocol(sbox, cfg, "acquire", "acquire"), cfg, begin,
                end, sink);
+}
+
+std::uint64_t batchMajorTraces(const AcquisitionConfig& cfg) {
+  const std::uint64_t total =
+      cfg.maxTraces != 0 ? cfg.maxTraces : 16ULL * cfg.tracesPerClass;
+  if (cfg.batchSize == 0 || cfg.batchSize % 16 != 0 || total == 0 ||
+      total % 16 != 0) {
+    throw std::invalid_argument(
+        "acquisition: batchSize and maxTraces must be positive multiples of "
+        "16");
+  }
+  return total;
+}
+
+void acquireBatches(const MaskedSbox& sbox, EventSim& sim,
+                    const PowerModel& power, const AcquisitionConfig& cfg,
+                    std::size_t begin, std::size_t end, const TraceSink& sink) {
+  const std::uint64_t total = batchMajorTraces(cfg);
+  if (begin > end || end > total) {
+    throw std::invalid_argument("acquireBatches: invalid slice");
+  }
+  // The stimuli of every batch the slice reaches, each from `call` set to
+  // the batch's seed and size (acquireSlice reads neither).
+  const std::size_t size = cfg.batchSize;
+  AcquisitionConfig call = cfg;
+  call.adaptive = false;
+  std::vector<StimulusFn> batches;
+  for (std::size_t g = begin / size; g * size < end; ++g) {
+    call.seed = deriveStreamSeed(
+        deriveStreamSeed(cfg.seed, kAdaptiveBatchStream), g);
+    call.tracesPerClass = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(size, total - g * size) / 16);
+    batches.push_back(classProtocol(sbox, call, "", "").stimulus);
+  }
+  acquireSlice(sbox, sim, power,
+               {[&](std::size_t i) {
+                  return batches[i / size - begin / size](i % size);
+                },
+                "adaptive", "class", "acquire-batches"},
+               call, begin, end, sink);
 }
 
 TraceSet acquire(const MaskedSbox& sbox, EventSim& sim,

@@ -61,7 +61,7 @@
 // trace/sharded_pool.h. A call of m distinct triples runs on min(workers,
 // m) workers, and its lane groups hold ceil(m / workers) triples, at most
 // 64: a call too short to give every worker a 64-lane group (a 128-trace
-// adaptive batch) still gives each one a group, and any longer call runs
+// spot-check) still gives each one a group, and any longer call runs
 // 64-lane groups. The triples, in first-occurrence order, are cut
 // into windows of whole items, each holding at most W = 64 *
 // detail::reorderWindow(workers) single-use triples (1024 at 4 workers).
@@ -76,10 +76,9 @@
 // in the same state share the batch engine's waves, which cuts RSM-ROM's
 // waves 2.8x at that budget. Each lane is independent of the lanes that
 // share its group, so the traces stay bit-identical. A shorter window — a
-// 128-trace adaptive batch, the tail of a long call — keeps
-// first-occurrence order: with few groups per worker, sorted groups have
-// uneven costs and the costliest sets the wall time. The reference engine
-// never sorts.
+// short call, the tail of a long one — keeps first-occurrence order: with
+// few groups per worker, sorted groups have uneven costs and the costliest
+// sets the wall time. The reference engine never sorts.
 //
 // Delivery hands the consumer (a TraceSink, or the TraceSet being filled)
 // the traces in trace-index order, so a streaming fold equals a fold over
@@ -92,17 +91,17 @@
 //
 // ## Failure semantics
 //
-// Under the strict policy of acquire(), acquireRange() and acquireKeyed(),
-// a failure (decode mismatch, SimDiverged, an exception from the
-// TraceSink, ...) is a WorkerError (trace/sharded_pool.h) indexed by the
-// lowest trace it affects, with the original exception nested: a failing
-// triple is named by its first trace, class/plaintext and style — among a
-// lane group's failing lanes the one with the lowest first trace, not the
-// first in lane order; a lane group failing as a whole (a lane tripping
-// the watchdog) by the lowest first trace of its triples. Every earlier
-// trace is delivered first — in a sorted window that needs the window's
-// other groups to finish — then the remaining workers stop and the error
-// is rethrown. The lowest failing index wins, whatever the thread timing.
+// Under the strict policy of acquire(), acquireRange(), acquireBatches()
+// and acquireKeyed(), a failure (decode mismatch, SimDiverged, an exception
+// from the TraceSink, ...) is a WorkerError (trace/sharded_pool.h) indexed
+// by the lowest trace it affects, with the original exception nested: a
+// failing triple is named by its first trace, class/plaintext and style —
+// among a lane group's failing lanes the one with the lowest first trace,
+// not the first in lane order; a lane group failing as a whole (a lane
+// tripping the watchdog) by the lowest first trace of its triples. Every
+// earlier trace is delivered first — in a sorted window that needs the
+// window's other groups to finish — then the remaining workers stop and the
+// error is rethrown. The lowest failing index wins, whatever the timing.
 // A stimulus that cannot be derived fails the call in the plan pass,
 // before any trace is delivered. A progress sink that returns false stops
 // delivery between items' worth of traces, also inside a sorted window.
@@ -197,14 +196,11 @@ struct AcquisitionConfig {
 
   // ## Convergence-gated (adaptive) acquisition
   //
-  // Read by the group loop of the resilience layer (jobs/resilient.h),
-  // whose stop rule they set; acquire(), acquireRange() and acquireKeyed()
-  // reject `adaptive`. An adaptive run collects batches of `batchSize`
-  // traces — batch b is a balanced mini-schedule run under the substream
-  // deriveStreamSeed(deriveStreamSeed(seed, kAdaptiveBatchStream), b), so
-  // batch contents depend only on (seed, b, batchSize) — and stops as soon
-  // as the relative half-width of the streaming total-leakage CI reaches
-  // `targetCiRel`, or at `maxTraces`. `tracesPerClass` only serves as the
+  // Read by the group loop of the resilience layer (jobs/resilient.h): an
+  // adaptive run streams acquireBatches()'s batch-major protocol and stops
+  // as soon as the relative half-width of the streaming total-leakage CI
+  // reaches `targetCiRel`, or at `maxTraces`; acquire(), acquireRange() and
+  // acquireKeyed() reject `adaptive`. `tracesPerClass` only serves as the
   // default for maxTraces.
   bool adaptive = false;
   /// Stop once halfWidth(total-leakage CI) / total <= this.
@@ -219,14 +215,14 @@ struct AcquisitionConfig {
   // ## Durable (deadline-bounded, retrying) acquisition
   //
   // These knobs are honored by the resilience layer (jobs/resilient.h),
-  // which runs acquisition group-by-group with checkpoint/resume; plain
+  // which commits acquisition group by group with checkpoint/resume; plain
   // acquire(), acquireRange() and acquireKeyed() ignore them (they have no
   // partial-result channel to return a truncated TraceSet through).
 
   /// Wall-clock budget in milliseconds for a resilient run (0 = none).
-  /// The deadline cancels cooperatively through the ProgressMeter abort
-  /// path; the run returns the committed prefix with `truncated` set in
-  /// its ResilienceInfo instead of throwing.
+  /// The run reads it at group boundaries and as it reports progress; on
+  /// expiry it returns the committed prefix with `truncated` set in its
+  /// ResilienceInfo instead of throwing.
   std::uint64_t deadlineMs = 0;
   /// Total retried group attempts a resilient run tolerates before the
   /// per-group failure escalates as a structured WorkerError.
@@ -328,6 +324,28 @@ TraceSet acquireRange(const MaskedSbox& sbox, EventSim& sim,
 void acquireRange(const MaskedSbox& sbox, EventSim& sim,
                   const PowerModel& power, const AcquisitionConfig& cfg,
                   std::size_t begin, std::size_t end, const TraceSink& sink);
+
+/// Stream index of the adaptive batch-seed domain, far outside any trace
+/// index (~0 = schedule shuffle, ~1 = fault campaign).
+inline constexpr std::uint64_t kAdaptiveBatchStream = ~2ULL;
+
+/// Trace count of the batch-major run `cfg` describes: cfg.maxTraces, or
+/// 16 * tracesPerClass when that is 0. Throws std::invalid_argument unless
+/// cfg.batchSize and the count are positive multiples of 16.
+std::uint64_t batchMajorTraces(const AcquisitionConfig& cfg);
+
+/// The batch-major protocol of convergence-gated runs: trace i is trace
+/// i % batchSize of batch g = i / batchSize, a balanced acquire() run of
+/// its own size (the last batch may be shorter) under seed
+/// deriveStreamSeed(deriveStreamSeed(cfg.seed, kAdaptiveBatchStream), g).
+/// Streams traces [begin, end) of the batchMajorTraces(cfg)-trace run to
+/// `sink` as acquireRange() does (a bad slice throws
+/// std::invalid_argument): bit-identical to per-batch calls, whatever the
+/// engine, threads or slicing. Reads cfg.batchSize and cfg.maxTraces
+/// whether or not cfg.adaptive is set; progress: "acquire-batches".
+void acquireBatches(const MaskedSbox& sbox, EventSim& sim,
+                    const PowerModel& power, const AcquisitionConfig& cfg,
+                    std::size_t begin, std::size_t end, const TraceSink& sink);
 
 /// Variant for attack studies (CPA): `numTraces` traces whose final value
 /// is `plain ^ key` with uniformly random `plain`; the trace label is the

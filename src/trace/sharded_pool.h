@@ -33,7 +33,6 @@
 // finished item computed is never altered (zero-perturbation).
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -64,10 +63,11 @@ class WorkerError : public std::runtime_error {
 };
 
 /// Bounded-exponential-backoff policy for retrying transient worker
-/// failures (the resilience layer wraps whole checkpoint groups in it).
-/// Attempt k sleeps retryBackoffMs(policy, k) before the next try; the
-/// sleep is pure scheduling — the retried work re-derives the same
-/// per-item substreams, so a retry is bit-identical to a clean first run.
+/// failures (the resilience layer retries a failed acquisition call from
+/// its first uncommitted group). Failure k (0-based) of a group sleeps
+/// retryBackoffMs(policy, k) before the next try; the sleep is pure
+/// scheduling — the retried work re-derives the same per-item substreams,
+/// so a retry is bit-identical to a clean first run.
 struct RetryPolicy {
   std::uint32_t maxAttempts = 3;   ///< total tries (1 = no retry)
   std::uint64_t baseBackoffMs = 1; ///< sleep after the first failure
@@ -85,27 +85,6 @@ inline std::uint64_t retryBackoffMs(const RetryPolicy& policy,
     ms *= 2;
   }
   return std::min(ms, kMaxBackoffMs);
-}
-
-/// Runs fn(attempt) until it returns, retrying with bounded exponential
-/// backoff. On each failure `onFailure(attempt, eptr)` is consulted FIRST
-/// (so bookkeeping — retry counters, quarantine decisions — happens even
-/// for the final attempt): returning false makes the failure escalate
-/// immediately (non-transient); returning true retries until
-/// policy.maxAttempts is exhausted, then the last exception propagates.
-template <typename Fn, typename OnFailure>
-auto retryWithBackoff(const RetryPolicy& policy, const Fn& fn,
-                      const OnFailure& onFailure) -> decltype(fn(0u)) {
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    try {
-      return fn(attempt);
-    } catch (...) {
-      const bool retryable = onFailure(attempt, std::current_exception());
-      if (!retryable || attempt + 1 >= policy.maxAttempts) throw;
-    }
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(retryBackoffMs(policy, attempt)));
-  }
 }
 
 /// Resolves a worker-count request against the amount of work:

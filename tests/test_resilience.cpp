@@ -1,15 +1,16 @@
 // Tier-1 tests for the durability layer (jobs/): the append-only
-// checkpoint format and its torn-tail contract, acquireRange slicing,
-// crash-safe checkpoint/resume (including a real SIGKILL kill-harness),
-// deadlines, retry/escalation, engine quarantine, the rollback of the
-// streamed fold, and the pinned bits of adaptiveAcquireAt (the group loop
-// in adaptive mode).
+// checkpoint format and its torn-tail contract, acquireRange and
+// acquireBatches slicing, crash-safe checkpoint/resume (including a real
+// SIGKILL kill-harness), deadlines, retry/escalation, engine quarantine,
+// the rollback of the streamed fold, one acquisition call per attempt, and
+// the pinned bits of adaptiveAcquireAt (the group loop in adaptive mode).
 
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <csignal>
 #include <cstring>
@@ -22,6 +23,7 @@
 #include "jobs/checkpoint.h"
 #include "jobs/resilient.h"
 #include "jobs/trace_digest.h"
+#include "obs/event_journal.h"
 #include "obs/run_report.h"
 #include "stats/adaptive.h"
 #include "stats/report.h"
@@ -126,6 +128,98 @@ TEST(AcquireRange, SlicesConcatenateToFullAcquire) {
                             16u * bad.tracesPerClass,
                             [](std::uint8_t, const double*) {}),
                std::invalid_argument);
+}
+
+/// The traces acquireBatches streams for [begin, end) of `cfg`'s run.
+TraceSet batchSlice(const MaskedSbox& sbox, EventSim& sim,
+                    const PowerModel& power, const AcquisitionConfig& cfg,
+                    std::size_t begin, std::size_t end) {
+  TraceSet got(power.options().numSamples);
+  acquireBatches(sbox, sim, power, cfg, begin, end,
+                 [&](std::uint8_t label, const double* samples) {
+                   got.add(label, samples);
+                 });
+  return got;
+}
+
+TEST(AcquireBatches, SlicesMatchPerBatchAcquireRange) {
+  // Trace i of the batch-major protocol is trace i % batchSize of batch
+  // i / batchSize's own balanced run under its substream. One call may
+  // start and end inside batches, span many (400 RSM traces fill sorted
+  // windows on one batch worker) and end in a short batch (80 = 32 + 32 +
+  // 16; 400 = 8 * 48 + 16).
+  struct Run {
+    std::uint32_t batchSize;
+    std::uint64_t maxTraces;
+    std::vector<std::pair<std::size_t, std::size_t>> slices;
+  };
+  const Run runs[] = {
+      {32, 80, {{0, 80}, {5, 70}, {64, 80}, {40, 41}, {7, 7}}},
+      {48, 400, {{0, 400}, {5, 390}, {384, 400}, {200, 201}}},
+  };
+  ExperimentConfig ecfg;
+  SboxExperiment exp(SboxStyle::Rsm, ecfg);
+  const Netlist& nl = exp.sbox().netlist();
+  const DelayModel delays(nl, ecfg.delay);
+  const PowerModel power(nl, ecfg.power);
+  EventSim sim(nl, delays, ecfg.sim);
+  for (const Run& run : runs) {
+    SCOPED_TRACE("batch " + std::to_string(run.batchSize));
+    AcquisitionConfig cfg = ecfg.acquisition;
+    cfg.adaptive = true;
+    cfg.batchSize = run.batchSize;
+    cfg.maxTraces = run.maxTraces;
+    ASSERT_EQ(batchMajorTraces(cfg), run.maxTraces);
+
+    // The oracle: one acquireRange call per batch, on Reference.
+    TraceSet expected(power.options().numSamples);
+    const std::uint64_t domain =
+        deriveStreamSeed(cfg.seed, kAdaptiveBatchStream);
+    for (std::uint64_t g = 0; g * run.batchSize < run.maxTraces; ++g) {
+      AcquisitionConfig one = ecfg.acquisition;
+      one.engine = SimEngine::Reference;
+      one.numThreads = 1;
+      one.seed = deriveStreamSeed(domain, g);
+      one.tracesPerClass = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(run.batchSize,
+                                  run.maxTraces - g * run.batchSize) /
+          16);
+      expected.append(acquireRange(exp.sbox(), sim, power, one, 0,
+                                   16u * one.tracesPerClass));
+    }
+    ASSERT_EQ(expected.size(), run.maxTraces);
+
+    for (SimEngine engine : {SimEngine::Auto, SimEngine::Reference}) {
+      for (std::uint32_t threads : {1u, 4u}) {
+        cfg.engine = engine;
+        cfg.numThreads = threads;
+        for (const auto& [begin, end] : run.slices) {
+          SCOPED_TRACE("engine " + std::to_string(static_cast<int>(engine)) +
+                       " threads " + std::to_string(threads) + " slice [" +
+                       std::to_string(begin) + ", " + std::to_string(end) +
+                       ")");
+          const TraceSet got =
+              batchSlice(exp.sbox(), sim, power, cfg, begin, end);
+          ASSERT_EQ(got.size(), end - begin);
+          EXPECT_EQ(jobs::digestOfTraceSet(got),
+                    jobs::digestOfRange(expected, begin, end));
+        }
+      }
+    }
+    EXPECT_THROW(batchSlice(exp.sbox(), sim, power, cfg, 10, 9),
+                 std::invalid_argument);
+    EXPECT_THROW(batchSlice(exp.sbox(), sim, power, cfg, 0,
+                            run.maxTraces + 1),
+                 std::invalid_argument);
+  }
+  AcquisitionConfig bad = ecfg.acquisition;
+  bad.batchSize = 40;  // not a multiple of 16
+  EXPECT_THROW(batchMajorTraces(bad), std::invalid_argument);
+  bad.batchSize = 32;
+  bad.maxTraces = 72;
+  EXPECT_THROW(batchMajorTraces(bad), std::invalid_argument);
+  bad.maxTraces = 0;  // 16 * tracesPerClass
+  EXPECT_EQ(batchMajorTraces(bad), 16u * bad.tracesPerClass);
 }
 
 // ----------------------------------------------------------- checkpoints
@@ -803,6 +897,98 @@ TEST(ResilientAcquire, AdaptiveAcquireAtBitsArePinned) {
     EXPECT_EQ(res.traces.size(), 128u * pin.batches);
     EXPECT_EQ(res.history.size(), pin.batches);
   }
+}
+
+/// The kinds of the journal events emitted while run() ran.
+template <typename Run>
+std::vector<std::string> journalKindsDuring(const Run& run) {
+  obs::EventJournal& journal = obs::EventJournal::global();
+  const std::uint64_t before = journal.emitted();
+  run();
+  std::vector<std::string> kinds;
+  for (const obs::JournalEvent& ev :
+       journal.tail(journal.emitted() - before)) {
+    kinds.push_back(ev.kind);
+  }
+  return kinds;
+}
+
+std::size_t countOf(const std::vector<std::string>& kinds,
+                    const std::string& kind) {
+  return static_cast<std::size_t>(std::count(kinds.begin(), kinds.end(), kind));
+}
+
+TEST(ResilientAcquire, OneAcquisitionCallPerAttempt) {
+  // Each attempt streams every uncommitted group through one acquisition
+  // call, which journals one acquire-start. A stop — by the rule, the
+  // budget or the drain count — is not a failure: no retry, no
+  // group-retry.
+  jobs::JobConfig fixedJob;
+  fixedJob.groupTraces = 32;  // 4 groups
+  fixedJob.statsOpt = kFourFolds;
+  jobs::ResilientResult fixed;
+  std::vector<std::string> kinds = journalKindsDuring([&] {
+    SboxExperiment exp(SboxStyle::Opt, smallConfig());
+    fixed = exp.resilientAcquireAt(0.0, fixedJob);
+  });
+  EXPECT_EQ(countOf(kinds, "acquire-start"), 1u);
+  EXPECT_EQ(fixed.resilience.groupsCompleted, 4u);
+  EXPECT_EQ(fixed.resilience.stopReason, "completed");
+
+  jobs::JobConfig drained = fixedJob;
+  drained.stopAfterGroups = 2;
+  kinds = journalKindsDuring([&] {
+    SboxExperiment exp(SboxStyle::Opt, smallConfig());
+    const jobs::ResilientResult res = exp.resilientAcquireAt(0.0, drained);
+    EXPECT_EQ(res.resilience.stopReason, "drain");
+    EXPECT_EQ(res.resilience.retries, 0u);
+    EXPECT_EQ(res.traces.size(), 64u);
+  });
+  EXPECT_EQ(countOf(kinds, "acquire-start"), 1u);
+  EXPECT_EQ(countOf(kinds, "group-retry"), 0u);
+
+  // Adaptive: 0.5 stops at the CI target after 3 of 4 batches, 1e-6 at
+  // the budget.
+  for (const double target : {0.5, 1e-6}) {
+    for (std::uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE("target " + std::to_string(target) + " threads " +
+                   std::to_string(threads));
+      ExperimentConfig cfg = rsmAdaptiveConfig(target);
+      cfg.acquisition.numThreads = threads;
+      kinds = journalKindsDuring([&] {
+        SboxExperiment exp(SboxStyle::Rsm, cfg);
+        const stats::AdaptiveResult res =
+            exp.adaptiveAcquireAt(0.0, kFourFolds);
+        EXPECT_EQ(res.stop, target == 0.5 ? stats::AdaptiveStop::CiTarget
+                                          : stats::AdaptiveStop::MaxTraces);
+        EXPECT_EQ(res.batches, target == 0.5 ? 3u : 4u);
+      });
+      EXPECT_EQ(countOf(kinds, "acquire-start"), 1u);
+      EXPECT_EQ(countOf(kinds, "group-retry"), 0u);
+      EXPECT_EQ(countOf(kinds, "resilient-stop"), 1u);
+    }
+  }
+
+  // One transient failure at group 1: a second call resumes from it, and
+  // the run's bits are the clean run's.
+  jobs::JobConfig flaky = fixedJob;
+  flaky.retry.baseBackoffMs = 0;
+  flaky.beforeGroupHook = [](std::uint64_t group, std::uint32_t attempt,
+                             SimEngine) {
+    if (group == 1 && attempt == 0) throw std::runtime_error("transient");
+  };
+  jobs::ResilientResult retried;
+  kinds = journalKindsDuring([&] {
+    SboxExperiment exp(SboxStyle::Opt, smallConfig());
+    retried = exp.resilientAcquireAt(0.0, flaky);
+  });
+  EXPECT_EQ(countOf(kinds, "acquire-start"), 2u);
+  EXPECT_EQ(countOf(kinds, "group-retry"), 1u);
+  EXPECT_EQ(retried.resilience.retries, 1u);
+  EXPECT_TRUE(traceSetsEqual(retried.traces, fixed.traces));
+  EXPECT_EQ(bitsOf(retried.estimate.total), bitsOf(fixed.estimate.total));
+  EXPECT_EQ(bitsOf(retried.estimate.totalCi.halfWidth),
+            bitsOf(fixed.estimate.totalCi.halfWidth));
 }
 
 // ------------------------------------------------------- SIGKILL harness
