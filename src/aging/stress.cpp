@@ -29,6 +29,21 @@ void StressAccumulator::addTransitions(
   ++cycles_;
 }
 
+void StressAccumulator::addCycles(std::uint64_t cycles,
+                                  const std::vector<std::uint64_t>& high,
+                                  const std::vector<std::uint64_t>& toggles) {
+  if (high.size() != highCount_.size() ||
+      toggles.size() != toggleCount_.size()) {
+    throw std::invalid_argument("net count mismatch");
+  }
+  for (std::size_t i = 0; i < highCount_.size(); ++i) {
+    highCount_[i] += high[i];
+    toggleCount_[i] += toggles[i];
+  }
+  states_ += cycles;
+  cycles_ += cycles;
+}
+
 void StressAccumulator::merge(const StressAccumulator& other) {
   if (other.highCount_.size() != highCount_.size()) {
     throw std::invalid_argument("net count mismatch");

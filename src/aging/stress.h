@@ -5,7 +5,9 @@
 // time its output sits high (BTI stress duty for the PMOS network; the
 // complement stresses the NMOS network) and how often it toggles per clock
 // cycle (HCI). Profiles are accumulated from representative operation:
-// settled states contribute duty, event logs contribute toggle counts.
+// settled states contribute duty, event logs contribute toggle counts —
+// one cycle at a time, or as per-net totals over many cycles (a lane
+// group of the batch engine, core/experiment.h).
 
 #include <cstdint>
 #include <vector>
@@ -28,6 +30,12 @@ class StressAccumulator {
 
   /// Accounts the transitions of one evaluation cycle.
   void addTransitions(const std::vector<Transition>& transitions);
+
+  /// Accounts `cycles` cycles at once from per-net totals over them: net i
+  /// settled high in high[i] of their states and committed toggles[i]
+  /// transitions. Equal to the per-cycle calls, since counts are integers.
+  void addCycles(std::uint64_t cycles, const std::vector<std::uint64_t>& high,
+                 const std::vector<std::uint64_t>& toggles);
 
   /// Adds the counts of `other` (same net count). Counts are integers, so
   /// accumulators merged in any order finalize to the same profile.

@@ -1,7 +1,12 @@
 #include "core/experiment.h"
 
+#include <bit>
+#include <optional>
+
 #include "obs/metrics.h"
 #include "obs/trace_span.h"
+#include "sim/batch_sim.h"
+#include "sim/compiled_design.h"
 #include "trace/prng.h"
 #include "trace/sharded_pool.h"
 
@@ -30,50 +35,85 @@ const StressProfile& SboxExperiment::stressProfile() {
     // The encodings are drawn first, in the order one chained simulator
     // consumes them. Cycle c settles on enc[c] and runs enc[c + 1]: run()
     // ends in the settled state of its inputs, so that is the chain's
-    // cycle c, and blocks of cycles can run on separate clones.
+    // cycle c, and the cycles are independent of each other. Lane l of
+    // lane group g runs cycle 64 g + l on the batch engine.
     Prng rng(cfg_.stressSeed);
     std::vector<std::vector<std::uint8_t>> enc;
     enc.reserve(cycles + 1);
     for (std::size_t c = 0; c <= cycles; ++c) {
       enc.push_back(sbox_->encode(rng.nibble(), rng));
     }
-    EventSim sim(nl, delays_, cfg_.sim);
+    const std::size_t lanesPerGroup = BatchSim::kLanes;
+    const std::size_t groups = (cycles + lanesPerGroup - 1) / lanesPerGroup;
+    const CompiledDesign design(nl, delays_, power_);
+    BatchSim sim(design, cfg_.sim);
     if (cfg_.observe) sim.attachMetrics(&obs::MetricsRegistry::global());
     const std::uint32_t threads =
-        resolveWorkerThreads(cfg_.acquisition.numThreads, cycles);
-    const std::size_t window = detail::reorderWindow(threads);
-    const std::size_t block =
-        std::max<std::size_t>(1, (cycles + window - 1) / window);
-    std::vector<EventSim> clones;
+        resolveWorkerThreads(cfg_.acquisition.numThreads, groups);
+    std::vector<BatchSim> clones;
     while (clones.size() + 1 < threads) clones.push_back(sim.clone());
-    // Per worker; the counts are integers, so the merge order is free.
+    // Per worker; the counts are integers, so the merge order is free. A
+    // group whose watchdog fires re-runs its cycles one by one on the
+    // worker's reference EventSim, made on its first trip, which names
+    // the first failing cycle.
     std::vector<StressAccumulator> acc(threads,
                                        StressAccumulator(nl.numGates()));
+    std::vector<std::optional<EventSim>> reference(threads);
     const auto describe = [&](std::size_t c) {
       return "stress cycle " + std::to_string(c) + " (style " +
              std::string(sbox_->name()) + ")";
     };
+    const auto runReference = [&](std::uint32_t w, std::size_t first,
+                                  std::size_t last) {
+      if (!reference[w]) {
+        reference[w].emplace(nl, delays_, cfg_.sim);
+        if (cfg_.observe) {
+          reference[w]->attachMetrics(&obs::MetricsRegistry::global());
+        }
+      }
+      EventSim& ref = *reference[w];
+      std::vector<std::uint8_t> state(nl.numGates());
+      for (std::size_t c = first; c < last; ++c) {
+        try {
+          ref.settle(enc[c]);
+          acc[w].addTransitions(ref.run(enc[c + 1]));
+          for (NetId i = 0; i < nl.numGates(); ++i) state[i] = ref.value(i);
+          acc[w].addSettledState(state);
+        } catch (...) {
+          detail::rethrowAsWorkerError(std::current_exception(), c,
+                                       [&] { return describe(c); });
+        }
+      }
+    };
     detail::shardedFor(
-        (cycles + block - 1) / block, threads,
-        [&](std::uint32_t w, std::size_t b) {
-          EventSim& worker = w == 0 ? sim : clones[w - 1];
-          std::vector<std::uint8_t> state(nl.numGates());
-          const std::size_t end = std::min(cycles, b * block + block);
-          for (std::size_t c = b * block; c < end; ++c) {
-            try {
-              worker.settle(enc[c]);
-              acc[w].addTransitions(worker.run(enc[c + 1]));
-              for (NetId i = 0; i < nl.numGates(); ++i) {
-                state[i] = worker.value(i);
-              }
-              acc[w].addSettledState(state);
-            } catch (...) {
-              detail::rethrowAsWorkerError(std::current_exception(), c,
-                                           [&] { return describe(c); });
-            }
+        groups, threads,
+        [&](std::uint32_t w, std::size_t g) {
+          BatchSim& worker = w == 0 ? sim : clones[w - 1];
+          const std::size_t first = g * lanesPerGroup;
+          const std::size_t last = std::min(cycles, first + lanesPerGroup);
+          const std::vector<std::vector<std::uint8_t>> settled(
+              enc.begin() + first, enc.begin() + last);
+          const std::vector<std::vector<std::uint8_t>> applied(
+              enc.begin() + first + 1, enc.begin() + last + 1);
+          std::vector<std::uint64_t> toggles(nl.numGates(), 0);
+          try {
+            worker.settle(settled);
+            worker.runCounting(applied, toggles);
+          } catch (const SimDiverged&) {
+            runReference(w, first, last);
+            return;
+          } catch (...) {
+            detail::rethrowAsWorkerError(std::current_exception(), first,
+                                         [&] { return describe(first); });
           }
+          std::vector<std::uint64_t> high(nl.numGates());
+          for (NetId i = 0; i < nl.numGates(); ++i) {
+            high[i] = static_cast<std::uint64_t>(
+                std::popcount(worker.laneValues(i)));
+          }
+          acc[w].addCycles(last - first, high, toggles);
         },
-        [&](std::size_t b) { return describe(b * block); });
+        [&](std::size_t g) { return describe(g * lanesPerGroup); });
     for (std::size_t w = 1; w < acc.size(); ++w) acc[0].merge(acc[w]);
     stress_ = std::make_unique<StressProfile>(acc[0].finalize());
   }

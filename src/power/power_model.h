@@ -36,8 +36,13 @@ namespace power_detail {
 // changes every determinism digest in the repo.
 
 /// Antiderivative of the unit-area triangle 1/h * (1 - |u|/h), u = t - c.
+/// Outside the pulse it returns exactly 0 or 1 without the arithmetic:
+/// those are the values the formula yields at u = -h and u = h, because
+/// u / h is then exactly -1 or 1 and q exactly 0.5 ((2h) h = 2 (h h) in
+/// binary floating point, for any h whose square is a normal double).
 inline double triangleKernelCdf(double u, double halfW) {
-  u = std::clamp(u, -halfW, halfW);
+  if (u <= -halfW) return 0.0;
+  if (u >= halfW) return 1.0;
   const double q = u * u / (2.0 * halfW * halfW);
   return 0.5 + (u <= 0.0 ? u / halfW + q : u / halfW - q);
 }
@@ -57,14 +62,32 @@ inline bool pulseBinRange(std::uint32_t numSamples, double dt, double halfW,
   return k0 <= k1;
 }
 
-/// Overlap fraction of the pulse over sample bin k. The lanes of a batch
-/// commit share the commit time and hence this value; only the energy
+/// Most bins a pulse can overlap (pulseBinRange's k1 - k0 + 1): its width
+/// spans 2 halfW / dt bins, so it touches at most floor of that + 2; one
+/// more absorbs the rounding of the two bin indices. The batch engine
+/// sizes its per-wave fraction scratch with this.
+inline std::size_t maxPulseBins(std::uint32_t numSamples, double dt,
+                                double halfW) {
+  return std::min<std::size_t>(
+      numSamples, static_cast<std::size_t>(2.0 * halfW / dt) + 3);
+}
+
+/// Calls fn(k, frac) for k = k0..k1 in order, frac being the pulse's
+/// overlap fraction over sample bin k: CDF(hi) - CDF(lo) at the bin's
+/// boundaries, boundary b at b * dt - timePs. Neighbouring bins share a
+/// boundary, so K bins cost K + 1 CDF evaluations. The lanes of a batch
+/// commit share the commit time and hence every fraction; only the energy
 /// scalar differs per lane — which is why the helper takes no energy.
-inline double pulseBinFraction(double dt, double halfW, double timePs,
-                               int k) {
-  const double lo = k * dt - timePs;
-  const double hi = (k + 1) * dt - timePs;
-  return triangleKernelCdf(hi, halfW) - triangleKernelCdf(lo, halfW);
+template <typename Fn>
+inline void forEachPulseBin(double dt, double halfW, double timePs, int k0,
+                            int k1, Fn&& fn) {
+  if (k0 > k1) return;
+  double lo = triangleKernelCdf(k0 * dt - timePs, halfW);
+  for (int k = k0; k <= k1; ++k) {
+    const double hi = triangleKernelCdf((k + 1) * dt - timePs, halfW);
+    fn(k, hi - lo);
+    lo = hi;
+  }
 }
 
 /// Exact integration of one triangular current pulse (centre `timePs`,
@@ -77,10 +100,9 @@ inline bool depositPulse(double* trace, std::uint32_t numSamples, double dt,
   int k0 = 0;
   int k1 = -1;
   const bool overlaps = pulseBinRange(numSamples, dt, halfW, timePs, k0, k1);
-  for (int k = k0; k <= k1; ++k) {
-    const double frac = pulseBinFraction(dt, halfW, timePs, k);
+  forEachPulseBin(dt, halfW, timePs, k0, k1, [&](int k, double frac) {
     if (frac > 0.0) trace[static_cast<std::size_t>(k)] += energy * frac;
-  }
+  });
   return overlaps;
 }
 

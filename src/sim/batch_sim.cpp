@@ -71,8 +71,15 @@ inline unsigned __int128 orderBits(const void* event) {
   return k;
 }
 
+/// Lanes set in a word. Inline bit arithmetic rather than
+/// __builtin_popcountll: without -mpopcnt (baseline x86-64) that builtin
+/// is a libgcc call, and the fused sink and the profiler hooks count lanes
+/// once or more per wave.
 inline unsigned popcount64(std::uint64_t w) {
-  return static_cast<unsigned>(__builtin_popcountll(w));
+  w -= (w >> 1) & 0x5555555555555555ULL;
+  w = (w & 0x3333333333333333ULL) + ((w >> 2) & 0x3333333333333333ULL);
+  w = (w + (w >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  return static_cast<unsigned>((w * 0x0101010101010101ULL) >> 56);
 }
 
 }  // namespace
@@ -114,13 +121,19 @@ BatchSim::BatchSim(const CompiledDesign& design, const SimOptions& options)
   // Open-wave table: epoch 0 never matches a live run (runEpoch_ starts
   // its first run at 1), so no per-run clearing is needed.
   openWave_.assign(n, OpenWave{0, 0, 0});
+  const std::size_t bins = power_detail::maxPulseBins(
+      design.numSamples, design.samplePeriodPs, design.pulseHalfWidthPs);
+  binRow_.assign(bins, nullptr);
+  binFrac_.assign(bins, 0.0);
 }
 
 BatchSim BatchSim::clone() const {
   // Shares the design tables and the metrics attachment (same registry
-  // cells), starts from fresh dynamic state and zeroed lane stats.
+  // cells), starts from fresh dynamic state and zeroed lane stats; the
+  // per-net profile tallies pending here stay here.
   BatchSim copy = *this;
   copy.reset();
+  std::fill(copy.profTally_.begin(), copy.profTally_.end(), ProfNetTally{});
   return copy;
 }
 
@@ -175,6 +188,7 @@ void BatchSim::attachMetrics(obs::MetricsRegistry* registry) {
 }
 
 void BatchSim::attachProfiler(obs::Profiler* profiler) {
+  flushProfile();
   profiler_ = profiler;
   profRunIndex_ = 0;  // fresh attach: the next run is a profiled sample
   profThisRun_ = false;
@@ -200,9 +214,10 @@ void BatchSim::attachProfiler(obs::Profiler* profiler) {
   profTally_.assign(d.numGates, ProfNetTally{});
 }
 
-void BatchSim::profFlush() {
-  // This run's tallies are exact and flush as they are: the profiler's
-  // counts cover its profiled runs (Profiler::profiledRuns).
+void BatchSim::flushProfile() {
+  // The tallies are exact and flush as they are: the profiler's counts
+  // cover its profiled runs (Profiler::profiledRuns).
+  if (profiler_ == nullptr) return;
   for (std::uint32_t net = 0; net < profTally_.size(); ++net) {
     ProfNetTally& t = profTally_[net];
     if ((t.scheduled | t.committed | t.cancelled | t.filtered | t.pulses) ==
@@ -216,6 +231,9 @@ void BatchSim::profFlush() {
     if (t.timeNs != 0) profiler_->addNetTimeNs(net, t.timeNs);
     t = ProfNetTally{};
   }
+}
+
+void BatchSim::profFlush() {
   profiler_->addOccupancy(profPoppedBins_.data(), profCommittedBins_.data(),
                           profWaves_);
   profiler_->addTimeline(profTlPops_.data(), profTlDepthSum_.data(),
@@ -245,7 +263,9 @@ std::uint64_t BatchSim::arenaBytes() const {
   bytes += openWave_.capacity() * sizeof(OpenWave);
   bytes += changedNets_.capacity() * sizeof(std::uint32_t);
   bytes += changedMasks_.capacity() * sizeof(std::uint64_t);
-  bytes += (grid_.capacity() + laneTraces_.capacity()) * sizeof(double);
+  bytes += (grid_.capacity() + laneTraces_.capacity() + binFrac_.capacity()) *
+           sizeof(double);
+  bytes += binRow_.capacity() * sizeof(double*);
   return bytes;
 }
 
@@ -433,10 +453,10 @@ BatchSim::QueueEvent BatchSim::queuePop() {
   }
 }
 
-template <typename CommitSink>
+template <typename WaveSink, typename LaneSink>
 void BatchSim::runCore(
     const std::vector<std::vector<std::uint8_t>>& laneInputs,
-    CommitSink&& commit) {
+    WaveSink&& onWave, LaneSink&& onLane) {
   const CompiledDesign& d = *design_;
   if (laneInputs.size() != activeLanes_) {
     throw std::invalid_argument(
@@ -646,14 +666,14 @@ void BatchSim::runCore(
     cl.mask |= cm;
     double* lc = lastCommitPs + std::size_t(net) * kLanes;
     const std::uint64_t events = countFanout * (foOff[net + 1] - foOff[net]);
+    onWave(net, 0.0, cm);
     for (std::uint64_t m = cm; m != 0; m &= m - 1) {
       const std::size_t l = static_cast<std::size_t>(ctz64(m));
       lc[l] = 0.0;
-      weightL_[l] = 1.0;
       ++inputCommitsL_[l];
       poppedL_[l] += events;
+      onLane(l, net, 0.0, static_cast<std::uint8_t>((nvW >> l) & 1u), 1.0);
     }
-    commit(net, 0.0, cm, nvW);
     if (prof) {
       profTally_[net].committed += static_cast<std::uint32_t>(popcount64(cm));
     }
@@ -759,6 +779,7 @@ void BatchSim::runCore(
     cl.mask |= commitM;
     double* lc = lastCommitPs + std::size_t(eNet) * kLanes;
     const std::uint64_t events = countFanout * (foOff[eNet + 1] - foOff[eNet]);
+    onWave(eNet, eTime, commitM);
     for (std::uint64_t m = commitM; m != 0; m &= m - 1) {
       const std::size_t l = static_cast<std::size_t>(ctz64(m));
       double weight = 1.0;
@@ -767,11 +788,11 @@ void BatchSim::runCore(
         if (gap < swingPs) weight = gap / swingPs;
       }
       lc[l] = eTime;
-      weightL_[l] = weight;
       ++committedL_[l];
       poppedL_[l] += events;
+      onLane(l, eNet, eTime, static_cast<std::uint8_t>((e.value >> l) & 1u),
+             weight);
     }
-    commit(eNet, eTime, commitM, e.value);
     if (prof) {
       profTally_[eNet].committed +=
           static_cast<std::uint32_t>(popcount64(commitM));
@@ -785,15 +806,26 @@ void BatchSim::runCore(
 
 void BatchSim::run(const std::vector<std::vector<std::uint8_t>>& laneInputs) {
   for (std::uint32_t l = 0; l < activeLanes_; ++l) laneLog_[l].clear();
-  runCore(laneInputs, [&](std::uint32_t net, double time,
-                          std::uint64_t commitM, std::uint64_t valueW) {
-    for (std::uint64_t m = commitM; m != 0; m &= m - 1) {
-      const std::size_t l = static_cast<std::size_t>(ctz64(m));
-      laneLog_[l].push_back(Transition{
-          time, net, static_cast<std::uint8_t>((valueW >> l) & 1u),
-          weightL_[l]});
-    }
-  });
+  runCore(
+      laneInputs, [](std::uint32_t, double, std::uint64_t) {},
+      [&](std::size_t l, std::uint32_t net, double time, std::uint8_t value,
+          double weight) {
+        laneLog_[l].push_back(Transition{time, net, value, weight});
+      });
+}
+
+void BatchSim::runCounting(
+    const std::vector<std::vector<std::uint8_t>>& laneInputs,
+    std::vector<std::uint64_t>& toggles) {
+  if (toggles.size() != design_->numGates) {
+    throw std::invalid_argument("BatchSim: one toggle count per net required");
+  }
+  runCore(
+      laneInputs,
+      [&](std::uint32_t net, double, std::uint64_t commitM) {
+        toggles[net] += popcount64(commitM);
+      },
+      [](std::size_t, std::uint32_t, double, std::uint8_t, double) {});
 }
 
 void BatchSim::runFused(
@@ -804,44 +836,55 @@ void BatchSim::runFused(
     throw std::invalid_argument(
         "BatchSim: one noise seed per lane required");
   }
-  // Deposition runs sample-major (all lanes of one bin contiguous) so the
-  // per-commit inner loop touches one cache line per bin; lane traces are
-  // transposed out afterwards. Per lane and bin, the accumulation order is
-  // the lane's commit order — the scalar engines' order — and the FP
-  // expressions are the shared power_detail helpers, so each lane's trace
-  // is bit-identical to PowerModel::sample over that lane's run.
+  // Deposition runs sample-major (all lanes of one bin contiguous), so the
+  // lanes of a wave depositing into one bin share its cache lines; lane
+  // traces are transposed out afterwards. Each wave computes its
+  // pulse's bin fractions once (power_detail::forEachPulseBin, the helper
+  // depositPulse runs), keeping the bins with a positive fraction, and
+  // each committed lane then adds its energy times every kept fraction.
+  // Per lane and bin, the accumulation order is the lane's commit order —
+  // the scalar engines' order — and the FP expressions are the shared
+  // power_detail ones, so each lane's trace is bit-identical to
+  // PowerModel::sample over that lane's run.
   grid_.assign(std::size_t(d.numSamples) * kLanes, 0.0);
   laneTraces_.resize(std::size_t(d.numSamples) * kLanes);
   const double dt = d.samplePeriodPs;
   const double halfW = d.pulseHalfWidthPs;
   std::uint64_t deposited = 0;
-  runCore(laneInputs, [&](std::uint32_t net, double time,
-                          std::uint64_t commitM, std::uint64_t) {
-    int k0 = 0;
-    int k1 = -1;
-    if (power_detail::pulseBinRange(d.numSamples, dt, halfW, time, k0, k1)) {
-      deposited += popcount64(commitM);  // pulse overlaps the window
-      if (profThisRun_) {
-        profTally_[net].pulses +=
-            static_cast<std::uint32_t>(popcount64(commitM));
-      }
-    }
-    const double e0 = d.energyFf[net];
-    for (std::uint64_t m = commitM; m != 0; m &= m - 1) {
-      const std::size_t l = static_cast<std::size_t>(ctz64(m));
-      energyL_[l] = e0 * weightL_[l];
-    }
-    for (int k = k0; k <= k1; ++k) {
-      const double frac = power_detail::pulseBinFraction(dt, halfW, time, k);
-      if (frac > 0.0) {
-        double* row = grid_.data() + std::size_t(k) * kLanes;
-        for (std::uint64_t m = commitM; m != 0; m &= m - 1) {
-          const std::size_t l = static_cast<std::size_t>(ctz64(m));
-          row[l] += energyL_[l] * frac;
+  double e0 = 0.0;
+  std::size_t bins = 0;
+  runCore(
+      laneInputs,
+      [&](std::uint32_t net, double time, std::uint64_t commitM) {
+        e0 = d.energyFf[net];
+        bins = 0;
+        int k0 = 0;
+        int k1 = -1;
+        if (!power_detail::pulseBinRange(d.numSamples, dt, halfW, time, k0,
+                                         k1)) {
+          return;
         }
-      }
-    }
-  });
+        deposited += popcount64(commitM);  // pulse overlaps the window
+        if (profThisRun_) {
+          profTally_[net].pulses +=
+              static_cast<std::uint32_t>(popcount64(commitM));
+        }
+        power_detail::forEachPulseBin(
+            dt, halfW, time, k0, k1, [&](int k, double frac) {
+              if (frac > 0.0) {
+                binRow_[bins] = grid_.data() + std::size_t(k) * kLanes;
+                binFrac_[bins] = frac;
+                ++bins;
+              }
+            });
+      },
+      [&](std::size_t l, std::uint32_t, double, std::uint8_t,
+          double weight) {
+        const double energy = e0 * weight;
+        for (std::size_t b = 0; b < bins; ++b) {
+          binRow_[b][l] += energy * binFrac_[b];
+        }
+      });
   for (std::uint32_t l = 0; l < activeLanes_; ++l) {
     double* out = laneTraces_.data() + std::size_t(l) * d.numSamples;
     for (std::uint32_t k = 0; k < d.numSamples; ++k) {

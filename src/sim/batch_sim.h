@@ -108,6 +108,20 @@
 // BatchSim tracks no per-lane queue depth: laneStats().peakQueueDepth
 // stays 0.
 //
+// ## Commit pass
+//
+// A committed wave is handed to the run mode's sink once, and then each
+// committed lane is visited once, in ascending lane order: one loop
+// computes the lane's partial-swing weight, stores its last-commit time,
+// bumps its tallies and does the sink's per-lane work — runFused adds the
+// lane's energy times each covered bin's fraction, run() appends the
+// Transition, runCounting() has none (it counts lanes per wave). runFused
+// computes the pulse's bin fractions once per wave, before the lane loop,
+// from the K + 1 boundaries of its K bins
+// (power_detail::forEachPulseBin), and keeps only the bins with a
+// positive fraction. Each (lane, bin) slot still accumulates in the
+// lane's commit order, with the scalar engines' expressions.
+//
 // ## Bit-identity contract
 //
 // For every lane l < activeLanes(), BatchSim is bit-identical to an
@@ -115,6 +129,8 @@
 //   * identical committed values / outputs after settle()/run();
 //   * identical per-lane Transition lists (time, net, value, weight);
 //   * runFused() lane traces equal PowerModel::sample(run(...), seed);
+//   * runCounting() counts, per net, the transitions of every lane's
+//     log;
 //   * identical per-lane SimStats tallies (laneStats()), every field but
 //     peakQueueDepth;
 //   * identical SimDiverged payload for the diverged lane (divergedLane());
@@ -185,6 +201,13 @@ class BatchSim {
   void runFused(const std::vector<std::vector<std::uint8_t>>& laneInputs,
                 const std::vector<std::uint64_t>& noiseSeeds);
 
+  /// Toggle-count mode: simulates all lanes to quiescence like run() and
+  /// adds to toggles[net] (numGates entries) the number of transitions
+  /// the lanes committed on each net — the per-net counts of the lanes'
+  /// transition logs, without the logs.
+  void runCounting(const std::vector<std::vector<std::uint8_t>>& laneInputs,
+                   std::vector<std::uint64_t>& toggles);
+
   /// Zero-delay outputs of 1..kLanes input vectors at once: element l is
   /// `design`'s primary outputs (outputs() order) for laneInputs[l]. This
   /// is settle()'s word-parallel pass without an engine's arenas —
@@ -200,6 +223,11 @@ class BatchSim {
   /// Current committed value of a net in one lane.
   std::uint8_t value(NetId net, std::uint32_t lane) const {
     return static_cast<std::uint8_t>((stateW_[net] >> lane) & 1u);
+  }
+
+  /// Committed values of a net in every active lane: bit l is lane l's.
+  std::uint64_t laneValues(NetId net) const {
+    return stateW_[net] & activeMask_;
   }
 
   /// Values of lane `lane`'s primary outputs in outputs() order.
@@ -233,14 +261,21 @@ class BatchSim {
   /// zero-perturbation contract of obs/metrics.h applies.
   void attachMetrics(obs::MetricsRegistry* registry);
 
-  /// Attaches a cost-attribution profiler (obs/profiler.h): per-net lane-
-  /// summed tallies, lane-occupancy histograms (popped/committed lanes per
-  /// wave, 0-commit waves included), the calendar-depth timeline bucketed
-  /// by sim-time window, fused-pulse attribution, and arena byte samples
-  /// flow into it, one flush per run. nullptr detaches; clones inherit the
-  /// attachment. Pure sink — bit-identical attached or detached
+  /// Attaches a cost-attribution profiler (obs/profiler.h): lane-occupancy
+  /// histograms (popped/committed lanes per wave, 0-commit waves
+  /// included), the calendar-depth timeline bucketed by sim-time window
+  /// and arena byte samples flow into it once per profiled run; per-net
+  /// lane-summed tallies and fused-pulse attribution collect across runs
+  /// until flushProfile(). nullptr detaches (pending tallies go to the old
+  /// profiler first); clones inherit the attachment with nothing pending.
+  /// Pure sink — bit-identical attached or detached
   /// (tests/test_profiler.cpp).
   void attachProfiler(obs::Profiler* profiler);
+  /// Hands the per-net tallies collected since the last flush to the
+  /// attached profiler. Acquisition calls it once per worker at the end
+  /// of each call: the per-net atomic adds then cost once per call, not
+  /// once per profiled run.
+  void flushProfile();
   /// Names the next run by its lane group's index among the caller's
   /// groups; each run advances the index by one, and attachProfiler
   /// resets it to 0. With a profiler attached, exactly the runs whose
@@ -274,9 +309,12 @@ class BatchSim {
     std::uint64_t value;
   };
 
-  template <typename CommitSink>
+  /// Simulates the lanes to quiescence. Per committed wave it calls
+  /// onWave(net, time, commitM), then onLane(l, net, time, value, weight)
+  /// for each committed lane in ascending order ("Commit pass").
+  template <typename WaveSink, typename LaneSink>
   void runCore(const std::vector<std::vector<std::uint8_t>>& laneInputs,
-               CommitSink&& commit);
+               WaveSink&& onWave, LaneSink&& onLane);
   void recordRun();
   /// Appends `e` to absolute calendar bucket `bucket` (sorted insert if
   /// that bucket is draining) and returns its index in the bucket's slot.
@@ -344,15 +382,17 @@ class BatchSim {
   std::uint64_t pushCounter_ = 0;
 
   // Per-lane run tallies (zeroed per run; the per-lane twins of the scalar
-  // engines' local counters, see "Derived tallies") and scratch shared
-  // between pop and sink.
+  // engines' local counters, see "Derived tallies").
   std::array<std::uint64_t, kLanes> poppedL_{};
   std::array<std::uint64_t, kLanes> committedL_{};    ///< popped commits
   std::array<std::uint64_t, kLanes> inputCommitsL_{}; ///< t = 0 commits
   std::array<std::uint64_t, kLanes> filteredL_{};
   std::uint64_t waves_ = 0;  ///< queue pops of the current run
-  std::array<double, kLanes> weightL_{};  ///< commit weights, sink scratch
-  std::array<double, kLanes> energyL_{};  ///< deposition scratch
+  /// runFused's per-wave deposition scratch: the grid row and fraction of
+  /// each bin the committing pulse covers with a positive fraction, sized
+  /// once by power_detail::maxPulseBins.
+  std::vector<double*> binRow_;
+  std::vector<double> binFrac_;
 
   std::uint32_t activeLanes_ = 0;
   std::uint64_t activeMask_ = 0;
@@ -370,18 +410,19 @@ class BatchSim {
     obs::Gauge watchdogMaxEventsUsed, watchdogBudget;
   } metrics_;
 
-  // Cost-attribution profiling (obs/profiler.h): per-run local tallies —
-  // per-net lane-summed counters, lanes-per-wave occupancy bins, and the
-  // sim-time queue-depth timeline — flushed by recordRun and zeroed on
-  // flush. Only every Profiler::kRunSampleStride-th run is profiled (the
-  // hooks cost ~10-15% of the pop loop when they execute; the run-level
-  // stride amortizes that under the ≤5% attachment gate while keeping
-  // each profiled run's tallies exact — profFlush hands them over
-  // unscaled, and the profiler counts the runs they cover).
-  // The per-net tallies live in one interleaved 32-byte record so a
+  // Cost-attribution profiling (obs/profiler.h). Only every
+  // Profiler::kRunSampleStride-th run is profiled (the hooks cost ~10-15%
+  // of the pop loop when they execute; the run-level stride amortizes
+  // that under the ≤5% attachment gate while keeping each profiled run's
+  // tallies exact — they are handed over unscaled, and the profiler
+  // counts the runs they cover). The lanes-per-wave occupancy bins and
+  // the sim-time queue-depth timeline are per-run locals that profFlush
+  // hands over and zeroes at the end of each profiled run. The per-net
+  // lane-summed counters collect across runs until flushProfile(), whose
+  // scan of every net with its atomic adds would otherwise cost once per
+  // profiled run. They live in one interleaved 32-byte record so a
   // hot-loop hook touches a single cache line per net (five parallel
-  // arrays measurably thrashed the batch engine's working set); flush
-  // scans all nets, which is trivial next to a run's wave count.
+  // arrays measurably thrashed the batch engine's working set).
   struct ProfNetTally {
     std::uint32_t scheduled, committed, cancelled, filtered, pulses;
     std::uint32_t pad_;

@@ -1,5 +1,6 @@
 #include "stats/accumulator.h"
 
+#include <cstring>
 #include <stdexcept>
 
 namespace lpa::stats {
@@ -25,7 +26,25 @@ void ClassCondAccumulator::addTrace(std::uint8_t cls, const double* x) {
   const double k = static_cast<double>(count_[cls]);
   double* mean = mean_.data() + static_cast<std::size_t>(cls) * numSamples_;
   double* m2 = m2_.data() + static_cast<std::size_t>(cls) * numSamples_;
-  for (std::uint32_t s = 0; s < numSamples_; ++s) {
+  // Two samples per operation (SSE2 on baseline x86-64), then a scalar
+  // tail. Elementwise -, /, + and * round each lane exactly like the
+  // scalar expressions (no reassociation, no contraction into FMA at the
+  // build's flags), so every sample gets the same IEEE operations.
+  typedef double Pair __attribute__((vector_size(16)));
+  const Pair kk = {k, k};
+  std::uint32_t s = 0;
+  for (; s + 2 <= numSamples_; s += 2) {
+    Pair xs, ms, m2s;
+    std::memcpy(&xs, x + s, sizeof(Pair));
+    std::memcpy(&ms, mean + s, sizeof(Pair));
+    std::memcpy(&m2s, m2 + s, sizeof(Pair));
+    const Pair delta = xs - ms;
+    ms += delta / kk;
+    m2s += delta * (xs - ms);
+    std::memcpy(mean + s, &ms, sizeof(Pair));
+    std::memcpy(m2 + s, &m2s, sizeof(Pair));
+  }
+  for (; s < numSamples_; ++s) {
     const double delta = x[s] - mean[s];
     mean[s] += delta / k;
     m2[s] += delta * (x[s] - mean[s]);

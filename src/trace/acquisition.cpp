@@ -7,6 +7,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "crypto/present.h"
@@ -103,6 +104,21 @@ std::vector<TraceStimulus> runLaneGroup(BatchSim& sim,
 }
 
 namespace {
+
+/// Hands each batch worker's per-net profile tallies to the profiler once,
+/// when the call ends, however it ends (BatchSim::flushProfile); the
+/// reference engine flushes its own per run.
+template <typename Engine>
+struct FlushProfilesAtExit {
+  Engine& proto;
+  std::vector<Engine>& clones;
+  ~FlushProfilesAtExit() {
+    if constexpr (std::is_same_v<Engine, BatchSim>) {
+      proto.flushProfile();
+      for (Engine& clone : clones) clone.flushProfile();
+    }
+  }
+};
 
 /// One acquisition protocol: how trace i is stimulated, and how its traces
 /// are named in failures, spans, the journal and progress.
@@ -489,9 +505,11 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
                           {"engine", engineName}});
     JournalAcquireScope journalScope{protocol.spanLabel};
 
-    std::vector<std::remove_reference_t<decltype(proto)>> clones;
+    using Engine = std::remove_reference_t<decltype(proto)>;
+    std::vector<Engine> clones;
     clones.reserve(threads - 1);
     while (clones.size() + 1 < threads) clones.push_back(proto.clone());
+    const FlushProfilesAtExit<Engine> flushProfiles{proto, clones};
     // Per slot: the failure of its item, if any, and the slice-local trace
     // it lands at (n = none).
     std::vector<std::exception_ptr> failure(slots);

@@ -7,8 +7,9 @@
 // (built through NetlistBuilder and accepted by validateOrThrow, so the
 // generator can only produce netlists the library itself considers legal),
 // random delay/sim/power options covering both delay kinds, partial-swing
-// weighting on and off, aged and fresh devices, an occasional tight event
-// watchdog, and a random lane count in [1, 64]. The same per-lane stimuli
+// weighting on and off, pulses of 15-100 ps (1-6 sample bins), aged and
+// fresh devices, an occasional tight event watchdog, and a random lane
+// count in [1, 64]. The same per-lane stimuli
 // are then driven through all three engines —
 //
 //   EventSim      (reference, sim/event_sim.h)
@@ -170,6 +171,10 @@ inline void runFuzzCase(std::uint64_t caseSeed) {
 
   PowerOptions popts;
   if (rng.below(4) == 0) popts.noiseSigma = 0.02;
+  // Pulses over 1-6 of the 20 ps bins: every shape of the shared-boundary
+  // fraction loop (power_detail::forEachPulseBin).
+  const double widthChoices[] = {15.0, 30.0, 60.0, 100.0};
+  popts.pulseWidthPs = widthChoices[rng.below(4)];
   PowerModel pm(nl, popts);
 
   // Aged device in a quarter of the cases: non-uniform per-gate slowdown

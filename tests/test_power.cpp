@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <vector>
 
 #include "netlist/builder.h"
 #include "sim/event_sim.h"
@@ -129,6 +133,117 @@ TEST(PowerModel, PulseWidthRobustness) {
       EXPECT_NEAR(e, prev, 0.35 * prev);
     }
     prev = e;
+  }
+}
+
+// The per-bin deposition expressions the shared-boundary fractions
+// replaced, kept as their oracle: two clamped CDF evaluations per bin.
+double clampedKernelCdf(double u, double halfW) {
+  u = std::clamp(u, -halfW, halfW);
+  const double q = u * u / (2.0 * halfW * halfW);
+  return 0.5 + (u <= 0.0 ? u / halfW + q : u / halfW - q);
+}
+
+double perBinFraction(double dt, double halfW, double timePs, int k) {
+  const double lo = k * dt - timePs;
+  const double hi = (k + 1) * dt - timePs;
+  return clampedKernelCdf(hi, halfW) - clampedKernelCdf(lo, halfW);
+}
+
+bool sameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Pulse centres that stress the bin arithmetic over a window of
+/// `numSamples` bins: fine steps across bins at both ends and in the
+/// middle, every bin edge, every centre that puts a bin edge at u = -halfW
+/// or u = +halfW (and its neighbouring doubles), and fine steps across
+/// 0 and numSamples * dt.
+std::vector<double> stressCentres(double dt, double halfW,
+                                  std::uint32_t numSamples) {
+  std::vector<double> t;
+  const double end = numSamples * dt;
+  for (int k : {-1, 0, 1, static_cast<int>(numSamples) / 2,
+                static_cast<int>(numSamples) - 1,
+                static_cast<int>(numSamples)}) {
+    for (int j = 0; j <= 64; ++j) t.push_back(k * dt + j * dt / 64.0);
+  }
+  for (int b = -2; b <= static_cast<int>(numSamples) + 2; ++b) {
+    for (double c : {b * dt, b * dt - halfW, b * dt + halfW}) {
+      t.push_back(c);
+      t.push_back(std::nextafter(c, -1e9));
+      t.push_back(std::nextafter(c, 1e9));
+    }
+  }
+  for (double edge : {0.0, end}) {
+    for (int j = -64; j <= 64; ++j) {
+      t.push_back(edge + j * (halfW + dt) / 64.0);
+    }
+  }
+  return t;
+}
+
+TEST(PowerDeposition, SharedBoundaryFractionsMatchThePerBinExpression) {
+  for (double dt : {10.0, 20.0}) {
+    for (double width : {15.0, 30.0, 60.0, 100.0}) {
+      const double halfW = width * 0.5;
+      const std::uint32_t numSamples = 100;
+      const std::size_t maxBins =
+          power_detail::maxPulseBins(numSamples, dt, halfW);
+      SCOPED_TRACE("dt " + std::to_string(dt) + ", width " +
+                   std::to_string(width));
+      EXPECT_GE(maxBins, static_cast<std::size_t>(std::ceil(width / dt)) + 1);
+      for (double t : stressCentres(dt, halfW, numSamples)) {
+        int k0 = 0;
+        int k1 = -1;
+        const bool overlaps =
+            power_detail::pulseBinRange(numSamples, dt, halfW, t, k0, k1);
+        EXPECT_EQ(overlaps, k0 <= k1);
+        if (overlaps) {
+          ASSERT_LE(static_cast<std::size_t>(k1 - k0 + 1), maxBins) << t;
+        }
+        int next = k0;
+        power_detail::forEachPulseBin(
+            dt, halfW, t, k0, k1, [&](int k, double frac) {
+              ASSERT_EQ(k, next++);
+              const double want = perBinFraction(dt, halfW, t, k);
+              ASSERT_TRUE(sameBits(want, frac))
+                  << "centre " << t << " bin " << k << ": " << want
+                  << " vs " << frac;
+            });
+        EXPECT_EQ(next, std::max(k0, k1 + 1));
+
+        // The whole deposit, against the per-bin loop.
+        std::vector<double> got(numSamples, 0.25), want(numSamples, 0.25);
+        const double energy = 3.7;
+        EXPECT_EQ(power_detail::depositPulse(got.data(), numSamples, dt,
+                                             halfW, t, energy),
+                  overlaps);
+        for (int k = k0; k <= k1; ++k) {
+          const double frac = perBinFraction(dt, halfW, t, k);
+          if (frac > 0.0) want[static_cast<std::size_t>(k)] += energy * frac;
+        }
+        for (std::uint32_t k = 0; k < numSamples; ++k) {
+          ASSERT_TRUE(sameBits(want[k], got[k])) << "centre " << t;
+        }
+      }
+    }
+  }
+}
+
+TEST(PowerDeposition, KernelCdfIsExactlyZeroAndOneOutsideThePulse) {
+  // The early returns give what the clamped formula gives at u = -halfW
+  // and u = +halfW, and inside the pulse the formula is unchanged.
+  for (double width : {15.0, 30.0, 60.0, 100.0, 0.3, 7.1, 1e3}) {
+    const double h = width * 0.5;
+    EXPECT_TRUE(sameBits(clampedKernelCdf(-h, h), 0.0)) << width;
+    EXPECT_TRUE(sameBits(clampedKernelCdf(h, h), 1.0)) << width;
+    for (double u : {-2.0 * h, -h, std::nextafter(-h, 0.0), -0.5 * h, 0.0,
+                     0.25 * h, std::nextafter(h, 0.0), h, 3.0 * h}) {
+      EXPECT_TRUE(sameBits(clampedKernelCdf(u, h),
+                           power_detail::triangleKernelCdf(u, h)))
+          << "width " << width << ", u " << u;
+    }
   }
 }
 

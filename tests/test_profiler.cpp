@@ -211,6 +211,11 @@ TEST(ProfilerOccupancy, SampledGroupsDoNotDependOnWorkerScheduling) {
   acquireWith(SimEngine::Auto, 4, &second, 64);
   ASSERT_GT(first.waves(), 0u);
   EXPECT_EQ(first.waves(), second.waves());
+  // Per-net tallies reach the profiler once per worker at the call's end;
+  // the totals are the same whichever worker ran which group.
+  EXPECT_GT(first.totalScheduled(), 0u);
+  EXPECT_EQ(first.totalScheduled(), second.totalScheduled());
+  EXPECT_EQ(first.totalPulses(), second.totalPulses());
   const obs::Json a = *first.toJson().find("lane_occupancy");
   const obs::Json b = *second.toJson().find("lane_occupancy");
   for (const char* hist : {"popped_hist", "committed_hist"}) {

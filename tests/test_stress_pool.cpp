@@ -2,10 +2,11 @@
 //
 // SboxExperiment::stressProfile runs its cycles on acquisition.numThreads
 // workers: it draws every encoding first, then runs cycle c as settle on
-// encoding c and run on encoding c + 1, in blocks on EventSim clones, and
-// merges per-worker StressAccumulators (core/experiment.h). These tests
-// pin the result to the chained loop it replaces — one simulator running
-// every encoding in turn — bit for bit, and check how a failing cycle is
+// encoding c and run on encoding c + 1, as lane c mod 64 of lane group
+// c / 64 on the batch engine, and merges per-worker StressAccumulators
+// (core/experiment.h). These tests pin the result to the chained loop it
+// replaces — one simulator running every encoding in turn — bit for bit,
+// check which engine runs the cycles, and check how a failing cycle is
 // reported.
 
 #include <gtest/gtest.h>
@@ -17,6 +18,8 @@
 
 #include "aging/stress.h"
 #include "core/experiment.h"
+#include "obs/metrics.h"
+#include "sim/batch_sim.h"
 #include "trace/prng.h"
 #include "trace/sharded_pool.h"
 
@@ -86,6 +89,26 @@ TEST(StressProfilePool, TransportMatchesTheChainedLoop) {
 
 TEST(StressProfilePool, InertialMatchesTheChainedLoop) {
   expectPooledEqualsChain(DelayKind::Inertial);
+}
+
+TEST(StressProfilePool, CyclesRunAsBatchEngineLanes) {
+  // Every cycle is one batch-engine lane; the reference engine runs none.
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  for (SboxStyle style : {SboxStyle::Glut, SboxStyle::RsmRom}) {
+    ExperimentConfig cfg;
+    cfg.stressCycles = 512;
+    cfg.acquisition.numThreads = 4;
+    SboxExperiment exp(style, cfg);
+    const std::uint64_t batchRuns = reg.counter("sim.batch.runs").value();
+    const std::uint64_t batches = reg.counter("sim.batch.batches").value();
+    const std::uint64_t runs = reg.counter("sim.runs").value();
+    exp.stressProfile();
+    EXPECT_EQ(reg.counter("sim.batch.runs").value() - batchRuns,
+              cfg.stressCycles);
+    EXPECT_EQ(reg.counter("sim.batch.batches").value() - batches,
+              cfg.stressCycles / BatchSim::kLanes);
+    EXPECT_EQ(reg.counter("sim.runs").value() - runs, 0u);
+  }
 }
 
 TEST(StressProfilePool, FailingCycleIsNamedByTheWorkerError) {
