@@ -54,10 +54,7 @@ class SpectralAnalysis {
 
   /// a_u(T); u in 0..15, T in 0..numSamples-1.
   double coefficient(std::uint32_t u, std::uint32_t t) const {
-    return coeff_[u][t];
-  }
-  const std::vector<double>& coefficientWave(std::uint32_t u) const {
-    return coeff_[u];
+    return coeff_[static_cast<std::size_t>(u) * numSamples_ + t];
   }
 
   /// Squared-coefficient energy of source u at sample t; debiased if the
@@ -69,7 +66,7 @@ class SpectralAnalysis {
     return noiseFloor_;
   }
 
-  /// LeakagePower(T) = sum_{u != 0} energy(u, T).
+  /// LeakagePower(T) = sum_{u != 0} energy(u, T), summed in u order.
   std::vector<double> leakagePowerPerSample() const;
 
   /// Same, restricted to single-bit (wH(u) == 1) or multi-bit (wH(u) >= 2)
@@ -77,9 +74,14 @@ class SpectralAnalysis {
   std::vector<double> singleBitLeakagePerSample() const;
   std::vector<double> multiBitLeakagePerSample() const;
 
-  double totalLeakagePower() const;
-  double totalSingleBitLeakage() const;
-  double totalMultiBitLeakage() const;
+  /// Sums over T of the three waves above, in T order.
+  double totalLeakagePower() const { return total_; }
+  double totalSingleBitLeakage() const { return singleBit_; }
+  double totalMultiBitLeakage() const { return multiBit_; }
+
+  /// Per-source total energy sum_T energy(u, T), summed in T order; u in
+  /// 1..15 (u = 0, the DC term, reads 0).
+  double totalSourceEnergy(std::uint32_t u) const { return sourceTotal_[u]; }
 
   /// Ratio of single-bit leakage to the total (the paper's ~14% unprotected
   /// vs ~0.5% protected observation).
@@ -87,11 +89,19 @@ class SpectralAnalysis {
 
  private:
   void initFromAccumulator(const stats::ClassCondAccumulator& acc);
-  std::vector<double> sumOverU(int minWeight, int maxWeight) const;
+  void sumEnergies();
   std::uint32_t numSamples_;
   EstimatorMode mode_;
-  std::array<std::vector<double>, 16> coeff_;
+  std::vector<double> coeff_;       ///< [u][T], row-major
   std::vector<double> noiseFloor_;  ///< per sample, already divided by N_c
+  // Waves and totals, computed once at construction (sumEnergies).
+  std::vector<double> leakageWave_;
+  std::vector<double> singleBitWave_;
+  std::vector<double> multiBitWave_;
+  std::array<double, 16> sourceTotal_{};
+  double total_ = 0.0;
+  double singleBit_ = 0.0;
+  double multiBit_ = 0.0;
 };
 
 }  // namespace lpa

@@ -18,9 +18,12 @@
 //
 // `merge()` uses Chan's parallel combination rule. Merged moments are
 // algebraically exact but follow a different floating-point op order than
-// sequential folding, so merge is reserved for resampling (jackknife fold
-// recombination, stats/streaming_leakage.h) where no bit-identity contract
-// applies.
+// sequential folding. Its bits are pinned all the same: the jackknife
+// replicates (stats/streaming_leakage.h) merge their folds left to right
+// in fold order, every CI half-width rests on those merges, and the
+// pinned estimate digests fix each half-width. So merge's per-sample
+// operations, and the merge order of the leave-one-out replicates, are
+// part of the contract.
 
 #include <cstdint>
 #include <vector>
@@ -43,7 +46,8 @@ class ClassCondAccumulator {
   void addTraceSet(const TraceSet& traces, std::size_t firstN = 0);
 
   /// Chan's parallel combine: afterwards *this holds the moments of the
-  /// union of both accumulators' traces. Shapes must match.
+  /// union of both accumulators' traces. Shapes must match. Two samples per
+  /// operation with the scalar expressions' IEEE operations per sample.
   void merge(const ClassCondAccumulator& other);
 
   std::uint32_t numSamples() const { return numSamples_; }
@@ -54,8 +58,10 @@ class ClassCondAccumulator {
   /// Smallest per-class count (0 if any class has no trace yet).
   std::uint64_t minClassCount() const;
 
-  double mean(std::uint32_t cls, std::uint32_t s) const {
-    return mean_[cls * numSamples_ + s];
+  /// Running mean of class `cls` at sample `s`. A class's samples are
+  /// contiguous: &mean(cls, 0) starts its numSamples() means.
+  const double& mean(std::uint32_t cls, std::uint32_t s) const {
+    return mean_[static_cast<std::size_t>(cls) * numSamples_ + s];
   }
   /// Unbiased per-class variance at sample `s`; 0 while count(cls) < 2.
   double variance(std::uint32_t cls, std::uint32_t s) const;

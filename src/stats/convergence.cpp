@@ -20,10 +20,17 @@ void ConvergenceMonitor::observe(const LeakageEstimate& e) {
   p.ciRel = e.totalCi.relHalfWidth;
   history_.push_back(p);
 
-  auto& reg = obs::MetricsRegistry::global();
-  reg.gauge("stats.ci_rel").set(p.ciRel);
-  reg.gauge("stats.ci_half_width").set(p.ciHalfWidth);
-  reg.gauge("stats.total_leakage").set(p.total);
+  // Resolved once: every registry lookup takes the registry's mutex.
+  struct Gauges {
+    obs::Gauge ciRel, ciHalfWidth, total;
+  };
+  static const Gauges gauges{
+      obs::MetricsRegistry::global().gauge("stats.ci_rel"),
+      obs::MetricsRegistry::global().gauge("stats.ci_half_width"),
+      obs::MetricsRegistry::global().gauge("stats.total_leakage")};
+  gauges.ciRel.set(p.ciRel);
+  gauges.ciHalfWidth.set(p.ciHalfWidth);
+  gauges.total.set(p.total);
 }
 
 bool ConvergenceMonitor::converged() const {

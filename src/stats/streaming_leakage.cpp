@@ -42,44 +42,11 @@ SpectralAnalysis StreamingLeakage::analysis() const {
   return SpectralAnalysis(all_, opt_.mode);
 }
 
-ClassCondAccumulator StreamingLeakage::mergedExcept(std::uint32_t skip) const {
-  ClassCondAccumulator acc(all_.numSamples(), 16);
-  for (std::uint32_t k = 0; k < opt_.numFolds; ++k) {
-    if (k == skip) continue;
-    acc.merge(folds_[k]);
-  }
-  return acc;
-}
-
-namespace {
-
-struct AggregateStats {
-  double total = 0.0;
-  double singleBit = 0.0;
-  double multiBit = 0.0;
-  std::array<double, 16> coeffEnergy{};
-};
-
-AggregateStats aggregates(const SpectralAnalysis& sa) {
-  AggregateStats out;
-  for (std::uint32_t u = 1; u < 16; ++u) {
-    double e = 0.0;
-    for (std::uint32_t t = 0; t < sa.numSamples(); ++t) e += sa.energy(u, t);
-    out.coeffEnergy[u] = e;
-    out.total += e;
-    if (std::popcount(u) == 1) {
-      out.singleBit += e;
-    } else {
-      out.multiBit += e;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 LeakageEstimate StreamingLeakage::estimate() const {
-  obs::MetricsRegistry::global().counter("stats.estimates").add(1);
+  // Resolved once: every registry lookup takes the registry's mutex.
+  static const obs::Counter estimates =
+      obs::MetricsRegistry::global().counter("stats.estimates");
+  estimates.add(1);
 
   LeakageEstimate e;
   e.traces = all_.totalCount();
@@ -94,47 +61,71 @@ LeakageEstimate StreamingLeakage::estimate() const {
   e.singleBit = full.totalSingleBitLeakage();
   e.multiBit = full.totalMultiBitLeakage();
   e.singleBitRatio = full.singleBitToTotalRatio();
-  const AggregateStats fullAgg = aggregates(full);
 
   // Delete-one-fold replicates. CIs only become finite once every replicate
   // has >= 2 traces in every class (so its debiased floor is defined).
+  //
+  // Replicate k merges folds 0..k-1 and then k+1..K-1, left to right, into
+  // an empty accumulator. Its first part is the running prefix: replicate
+  // k continues from a copy of it (replicate 0 from empty, and the last
+  // replicate is the prefix itself), and the prefix then takes fold k.
+  // Both accumulators are locals, so estimate() stays safe to call
+  // concurrently. A replicate's aggregates sum its per-source totals over
+  // u in u order.
+  const std::uint32_t numFolds = opt_.numFolds;
   std::vector<double> totalRep, singleRep, multiRep;
   std::array<std::vector<double>, 16> coeffRep;
+  totalRep.reserve(numFolds);
+  singleRep.reserve(numFolds);
+  multiRep.reserve(numFolds);
+  for (std::uint32_t u = 1; u < 16; ++u) coeffRep[u].reserve(numFolds);
+  ClassCondAccumulator prefix(all_.numSamples(), 16);
+  ClassCondAccumulator loo(all_.numSamples(), 16);
   bool allValid = true;
-  for (std::uint32_t k = 0; k < opt_.numFolds; ++k) {
-    const ClassCondAccumulator loo = mergedExcept(k);
-    if (loo.minClassCount() < 2) {
-      allValid = false;
-      break;
+  for (std::uint32_t k = 0; k < numFolds; ++k) {
+    for (std::uint32_t c = 0; c < 16; ++c) {
+      if (all_.count(c) - folds_[k].count(c) < 2) allValid = false;
     }
-    const SpectralAnalysis sa(loo, opt_.mode);
-    const AggregateStats agg = aggregates(sa);
-    totalRep.push_back(agg.total);
-    singleRep.push_back(agg.singleBit);
-    multiRep.push_back(agg.multiBit);
+    if (!allValid) break;
+    const bool last = k + 1 == numFolds;
+    if (!last) {
+      if (k > 0) loo = prefix;
+      for (std::uint32_t j = k + 1; j < numFolds; ++j) loo.merge(folds_[j]);
+    }
+    const SpectralAnalysis sa(last ? prefix : loo, opt_.mode);
+    double total = 0.0, singleBit = 0.0, multiBit = 0.0;
     for (std::uint32_t u = 1; u < 16; ++u) {
-      coeffRep[u].push_back(agg.coeffEnergy[u]);
+      const double energy = sa.totalSourceEnergy(u);
+      coeffRep[u].push_back(energy);
+      total += energy;
+      if (std::popcount(u) == 1) {
+        singleBit += energy;
+      } else {
+        multiBit += energy;
+      }
     }
+    totalRep.push_back(total);
+    singleRep.push_back(singleBit);
+    multiRep.push_back(multiBit);
+    if (!last) prefix.merge(folds_[k]);
   }
 
   if (allValid) {
     e.totalCi = jackknifeCi(totalRep, e.total, opt_.confidence);
     e.singleBitCi = jackknifeCi(singleRep, e.singleBit, opt_.confidence);
     e.multiBitCi = jackknifeCi(multiRep, e.multiBit, opt_.confidence);
-    for (std::uint32_t u = 1; u < 16; ++u) {
-      const AggregateCi ci =
-          jackknifeCi(coeffRep[u], fullAgg.coeffEnergy[u], opt_.confidence);
-      e.coefficients[u].energy = ci.estimate;
-      e.coefficients[u].halfWidth = ci.halfWidth;
-    }
   } else {
     e.totalCi.estimate = e.total;
     e.singleBitCi.estimate = e.singleBit;
     e.multiBitCi.estimate = e.multiBit;
-    for (std::uint32_t u = 1; u < 16; ++u) {
-      e.coefficients[u].energy = fullAgg.coeffEnergy[u];
-      e.coefficients[u].halfWidth = std::numeric_limits<double>::infinity();
-    }
+  }
+  for (std::uint32_t u = 1; u < 16; ++u) {
+    e.coefficients[u].energy = full.totalSourceEnergy(u);
+    e.coefficients[u].halfWidth =
+        allValid ? jackknifeCi(coeffRep[u], e.coefficients[u].energy,
+                               opt_.confidence)
+                       .halfWidth
+                 : std::numeric_limits<double>::infinity();
   }
   return e;
 }

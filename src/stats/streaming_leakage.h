@@ -14,8 +14,14 @@
 //     index i mod K, so fold membership is order-determined and
 //     thread-count invariant when traces are folded in index order).
 //
-// The fold accumulators are combined with Chan's rule (stats/accumulator.h);
-// only the *global* accumulator carries the bit-identity contract.
+// The fold accumulators are combined with Chan's rule (stats/accumulator.h).
+// The global accumulator carries the bit-identity contract with the batch
+// path; the leave-one-out merge order carries one too. Replicate k merges
+// folds 0..k-1 and then k+1..K-1, left to right, into an empty accumulator
+// (estimate() shares the running prefix of folds 0..k-1 between
+// replicates, which performs exactly those merges). Each replicate's
+// aggregates sum its per-source totals over u in u order. Every CI
+// half-width follows from those operations, and perfbench pins them.
 
 #include <array>
 #include <cstdint>
@@ -96,9 +102,6 @@ class StreamingLeakage {
   LeakageEstimate estimate() const;
 
  private:
-  /// Accumulator holding all folds except `skip` (numFolds_ for "none").
-  ClassCondAccumulator mergedExcept(std::uint32_t skip) const;
-
   Options opt_;
   ClassCondAccumulator all_;
   std::vector<ClassCondAccumulator> folds_;

@@ -5,8 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <string>
 
+#include "core/wht.h"
+#include "stats/accumulator.h"
 #include "trace/prng.h"
 
 namespace lpa {
@@ -118,6 +125,100 @@ TEST(Leakage, RequiresSixteenClasses) {
   TraceSet ts(10, 8);
   EXPECT_THROW(SpectralAnalysis sa(ts, EstimatorMode::Raw),
                std::invalid_argument);
+}
+
+bool sameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// The whole-wave transform and the totals cached at construction, against
+// per-sample scalar loops, bit for bit: each sample's coefficients against
+// whtCoefficients16 of its class means (itself against fwht and the
+// division by 4), the per-source totals against a sum over T of
+// energy(u, T), and the three waves and totals against sums over u in u
+// order at each T and then over T in T order. At 1, 3 and 101 samples, so
+// the paired and scalar-tail paths are both covered, with one class of a
+// single trace and one of none.
+TEST(SpectralAnalysis, WholeWaveSpectrumAndTotalsMatchThePerSampleLoops) {
+  for (std::uint32_t numSamples : {1u, 3u, 101u}) {
+    stats::ClassCondAccumulator acc(numSamples);
+    Prng rng(0x5EC7 + numSamples);
+    std::vector<double> x(numSamples);
+    bool sawOne = false;
+    for (int i = 0; i < 500; ++i) {
+      const std::uint8_t cls = rng.nibble();
+      if (cls == 13) continue;
+      if (cls == 12 && sawOne) continue;
+      sawOne = sawOne || cls == 12;
+      for (std::uint32_t s = 0; s < numSamples; ++s) {
+        const double u = static_cast<double>(rng.next() >> 11) * 0x1p-53;
+        x[s] = 0.3 * std::popcount((cls * (s + 5u)) & 0xFu) +
+               u * (s % 4 == 0 ? 8.0 : 0.01);
+      }
+      acc.addTrace(cls, x.data());
+    }
+    for (EstimatorMode mode : {EstimatorMode::Raw, EstimatorMode::Debiased}) {
+      SCOPED_TRACE(std::to_string(numSamples) + " samples, " +
+                   (mode == EstimatorMode::Raw ? "Raw" : "Debiased"));
+      const SpectralAnalysis sa(acc, mode);
+      const std::vector<double> floor =
+          mode == EstimatorMode::Debiased
+              ? acc.noiseFloorPerSample()
+              : std::vector<double>(numSamples, 0.0);
+      std::vector<std::array<double, 16>> energy(numSamples);
+      for (std::uint32_t t = 0; t < numSamples; ++t) {
+        std::array<double, 16> f{};
+        for (std::uint32_t c = 0; c < 16; ++c) f[c] = acc.mean(c, t);
+        const std::array<double, 16> a = whtCoefficients16(f);
+        std::vector<double> butterfly(f.begin(), f.end());
+        fwht(butterfly);
+        for (std::uint32_t u = 0; u < 16; ++u) {
+          ASSERT_TRUE(sameBits(butterfly[u] / 4.0, a[u]))
+              << "u " << u << " t " << t;
+          ASSERT_TRUE(sameBits(a[u], sa.coefficient(u, t)))
+              << "u " << u << " t " << t;
+          const double raw = a[u] * a[u];
+          energy[t][u] = mode == EstimatorMode::Raw
+                             ? raw
+                             : std::max(0.0, raw - floor[t]);
+          ASSERT_TRUE(sameBits(energy[t][u], sa.energy(u, t)))
+              << "u " << u << " t " << t;
+        }
+      }
+      for (std::uint32_t u = 1; u < 16; ++u) {
+        double source = 0.0;
+        for (std::uint32_t t = 0; t < numSamples; ++t) source += energy[t][u];
+        EXPECT_TRUE(sameBits(source, sa.totalSourceEnergy(u))) << "u " << u;
+      }
+      EXPECT_EQ(sa.totalSourceEnergy(0), 0.0);
+      const auto sumOverU = [&](int minWeight, int maxWeight) {
+        std::vector<double> wave(numSamples, 0.0);
+        for (std::uint32_t u = 1; u < 16; ++u) {
+          const int w = std::popcount(u);
+          if (w < minWeight || w > maxWeight) continue;
+          for (std::uint32_t t = 0; t < numSamples; ++t) {
+            wave[t] += energy[t][u];
+          }
+        }
+        return wave;
+      };
+      const auto sum = [](const std::vector<double>& wave) {
+        double total = 0.0;
+        for (double v : wave) total += v;
+        return total;
+      };
+      EXPECT_EQ(sumOverU(1, 4), sa.leakagePowerPerSample());
+      EXPECT_EQ(sumOverU(1, 1), sa.singleBitLeakagePerSample());
+      EXPECT_EQ(sumOverU(2, 4), sa.multiBitLeakagePerSample());
+      const double total = sum(sumOverU(1, 4));
+      const double single = sum(sumOverU(1, 1));
+      EXPECT_TRUE(sameBits(total, sa.totalLeakagePower()));
+      EXPECT_TRUE(sameBits(single, sa.totalSingleBitLeakage()));
+      EXPECT_TRUE(sameBits(sum(sumOverU(2, 4)), sa.totalMultiBitLeakage()));
+      EXPECT_TRUE(sameBits(total > 0.0 ? single / total : 0.0,
+                           sa.singleBitToTotalRatio()));
+    }
+  }
 }
 
 }  // namespace
