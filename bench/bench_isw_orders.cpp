@@ -23,11 +23,11 @@ int main(int argc, char** argv) {
     const auto sbox = makeIswSboxOfOrder(d);
     ExperimentConfig cfg;
     cfg.acquisition.progress = scope.progressSink();
-    cfg.acquisition.profiler = scope.profiler();  // nullptr without --profile
     scope.report().setSeed(cfg.acquisition.seed);
     const DelayModel delays(sbox->netlist(), cfg.delay);
     const PowerModel power(sbox->netlist(), cfg.power);
     EventSim sim(sbox->netlist(), delays, cfg.sim);
+    sim.attachProfiler(scope.profiler());  // nullptr without --profile
     const TraceSet traces = acquire(*sbox, sim, power, cfg.acquisition);
     const SpectralAnalysis sa(traces, EstimatorMode::Debiased);
     const NetlistStats stats = computeStats(sbox->netlist());

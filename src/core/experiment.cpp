@@ -170,7 +170,6 @@ jobs::ResilientResult SboxExperiment::resilientAcquireAt(
 }
 
 void SboxExperiment::attachProfiler(obs::Profiler* profiler) {
-  cfg_.acquisition.profiler = profiler;
   sim_.attachProfiler(profiler);
   power_.attachProfiler(profiler);
 }

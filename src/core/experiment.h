@@ -106,11 +106,11 @@ class SboxExperiment {
   AgingFactors agingFactorsAt(double months);
 
   /// Attaches a cost-attribution profiler (obs/profiler.h) to every layer
-  /// this experiment drives: the acquisition config (served engine + its
-  /// worker clones), the prototype EventSim, and the power model's
-  /// reference sampling path. nullptr detaches from the layers this call
-  /// previously attached. Pure sink — acquireAt/estimateAt results are
-  /// bit-identical with or without (tests/test_profiler.cpp).
+  /// this experiment drives: the prototype EventSim, whose attachment
+  /// reaches whichever engine serves an acquisition and its worker clones,
+  /// and the power model's reference sampling path. nullptr detaches both.
+  /// Pure sink — acquireAt/estimateAt results are bit-identical with or
+  /// without (tests/test_profiler.cpp).
   void attachProfiler(obs::Profiler* profiler);
 
  private:

@@ -17,8 +17,8 @@ bool isNameChar(char c) {
 }
 
 /// %.17g round-trips every double; integral values (the common case for
-/// counters and bucket counts) render without a decimal point or exponent
-/// so the document stays pleasant to read and trivially parseable.
+/// gauges) render without a decimal point or exponent so the document
+/// stays pleasant to read and trivially parseable.
 std::string num(double v) {
   if (std::isfinite(v) && v == static_cast<double>(static_cast<long long>(v)) &&
       std::fabs(v) < 9.007199254740992e15) {
@@ -94,36 +94,6 @@ std::string renderPrometheus(const MetricsSnapshot& snap,
     if (name.empty()) continue;
     out += "# TYPE " + name + " gauge\n";
     out += name + " " + num(value) + "\n";
-  }
-  for (const auto& [rawName, h] : snap.histograms) {
-    const std::string name = family(rawName);
-    if (name.empty()) continue;
-    out += "# TYPE " + name + " histogram\n";
-    // Snapshot buckets are per-bucket counts over log2 bounds; Prometheus
-    // buckets are cumulative and must end with le="+Inf" == _count.
-    std::uint64_t cum = 0;
-    bool sawInf = false;
-    for (const auto& [bound, count] : h.buckets) {
-      cum += count;
-      if (std::isinf(bound)) {
-        sawInf = true;
-        out += name + "_bucket{le=\"+Inf\"} " + num(cum) + "\n";
-      } else {
-        out += name + "_bucket{le=\"" + num(bound) + "\"} " + num(cum) + "\n";
-      }
-    }
-    if (!sawInf) {
-      out += name + "_bucket{le=\"+Inf\"} " + num(h.count) + "\n";
-    }
-    out += name + "_sum " + num(h.sum) + "\n";
-    out += name + "_count " + num(h.count) + "\n";
-    for (const auto& [suffix, q] :
-         {std::pair<const char*, double>{"_p50", h.p50()},
-          {"_p95", h.p95()},
-          {"_p99", h.p99()}}) {
-      out += "# TYPE " + name + suffix + " gauge\n";
-      out += name + suffix + " " + num(q) + "\n";
-    }
   }
   return out;
 }

@@ -12,8 +12,8 @@
 // "lpa_" and maps '.' and '-' to '_' ("sim.batch.runs" ->
 // "lpa_sim_batch_runs"). lintMetricName() checks that a registry name
 // survives this mapping unambiguously: only [a-zA-Z0-9_:.-], not empty,
-// not starting with a digit or separator. MetricsRegistry::counter/gauge/
-// histogram call it on first registration in debug builds (NDEBUG unset)
+// not starting with a digit or separator. MetricsRegistry::counter/gauge
+// call it on first registration in debug builds (NDEBUG unset)
 // and throw std::invalid_argument on a violation, so a bad name fails the
 // tier-1 suite instead of surfacing as an unscrapable endpoint in
 // production (tests/test_telemetry.cpp lints every name the engines, the
@@ -23,10 +23,6 @@
 //
 //   * counter  -> `# TYPE lpa_x counter`  + one sample line
 //   * gauge    -> `# TYPE lpa_x gauge`    + one sample line
-//   * histogram-> `# TYPE lpa_x histogram` + cumulative `lpa_x_bucket
-//     {le="..."}` lines (log2 bounds, closed by le="+Inf"), `lpa_x_sum`,
-//     `lpa_x_count`, and three derived gauges `lpa_x_p50/_p95/_p99`
-//     (the registry's clamped-interpolation quantiles, obs/metrics.h).
 //
 // Output is deterministic: snapshots are name-sorted and doubles render
 // with %.17g (integers without an exponent), so two identical snapshots

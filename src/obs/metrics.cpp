@@ -1,8 +1,5 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
-#include <cmath>
-
 #ifndef NDEBUG
 #include <stdexcept>
 
@@ -31,63 +28,12 @@ void lintRegistrationName(std::string_view name) {
 
 }  // namespace
 
-namespace detail {
-
-int histogramBucket(double v) {
-  if (!(v > 0.0)) return 0;
-  int exp = 0;
-  std::frexp(v, &exp);  // v = m * 2^exp with m in [0.5, 1)
-  const int idx = exp + HistogramCell::kBucketBias;
-  return std::clamp(idx, 0, HistogramCell::kBuckets - 1);
-}
-
-namespace {
-
-void atomicRecordMax(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-void atomicRecordMin(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-}  // namespace detail
-
 void Gauge::recordMax(double v) const {
-  if constexpr (kObsCompiledIn) {
-    if (cell_) detail::atomicRecordMax(cell_->value, v);
-  } else {
-    (void)v;
-  }
-}
-
-void Gauge::recordMin(double v) const {
-  if constexpr (kObsCompiledIn) {
-    if (cell_) detail::atomicRecordMin(cell_->value, v);
-  } else {
-    (void)v;
-  }
-}
-
-void Histogram::record(double v) const {
-  if constexpr (!kObsCompiledIn) {
-    (void)v;
-    return;
-  }
   if (!cell_) return;
-  cell_->count.fetch_add(1, std::memory_order_relaxed);
-  cell_->sum.fetch_add(v, std::memory_order_relaxed);
-  detail::atomicRecordMin(cell_->minValue, v);
-  detail::atomicRecordMax(cell_->maxValue, v);
-  cell_->buckets[detail::histogramBucket(v)].fetch_add(
-      1, std::memory_order_relaxed);
+  double cur = cell_->value.load(std::memory_order_relaxed);
+  while (v > cur && !cell_->value.compare_exchange_weak(
+                        cur, v, std::memory_order_relaxed)) {
+  }
 }
 
 Counter MetricsRegistry::counter(std::string_view name) {
@@ -112,17 +58,6 @@ Gauge MetricsRegistry::gauge(std::string_view name) {
   return Gauge(it->second);
 }
 
-Histogram MetricsRegistry::histogram(std::string_view name) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    lintRegistrationName(name);
-    histogramCells_.emplace_back();
-    it = histograms_.emplace(std::string(name), &histogramCells_.back()).first;
-  }
-  return Histogram(it->second);
-}
-
 MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lk(mu_);
   MetricsSnapshot snap;
@@ -136,44 +71,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     snap.gauges.emplace_back(name,
                              cell->value.load(std::memory_order_relaxed));
   }
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [name, cell] : histograms_) {
-    HistogramSnapshot h;
-    h.count = cell->count.load(std::memory_order_relaxed);
-    h.sum = cell->sum.load(std::memory_order_relaxed);
-    h.min = h.count ? cell->minValue.load(std::memory_order_relaxed) : 0.0;
-    h.max = h.count ? cell->maxValue.load(std::memory_order_relaxed) : 0.0;
-    for (int b = 0; b < detail::HistogramCell::kBuckets; ++b) {
-      const std::uint64_t c = cell->buckets[b].load(std::memory_order_relaxed);
-      if (c == 0) continue;
-      const double bound =
-          b == detail::HistogramCell::kBuckets - 1
-              ? std::numeric_limits<double>::infinity()
-              : std::ldexp(1.0, b - detail::HistogramCell::kBucketBias);
-      h.buckets.emplace_back(bound, c);
-    }
-    snap.histograms.emplace_back(name, std::move(h));
-  }
   return snap;
-}
-
-void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (auto& cell : counterCells_) {
-    cell.value.store(0, std::memory_order_relaxed);
-  }
-  for (auto& cell : gaugeCells_) {
-    cell.value.store(0.0, std::memory_order_relaxed);
-  }
-  for (auto& cell : histogramCells_) {
-    cell.count.store(0, std::memory_order_relaxed);
-    cell.sum.store(0.0, std::memory_order_relaxed);
-    cell.minValue.store(std::numeric_limits<double>::infinity(),
-                        std::memory_order_relaxed);
-    cell.maxValue.store(-std::numeric_limits<double>::infinity(),
-                        std::memory_order_relaxed);
-    for (auto& b : cell.buckets) b.store(0, std::memory_order_relaxed);
-  }
 }
 
 MetricsRegistry& MetricsRegistry::global() {
@@ -181,58 +79,9 @@ MetricsRegistry& MetricsRegistry::global() {
   return registry;
 }
 
-double HistogramSnapshot::quantile(double q) const {
-  if (count == 0) return 0.0;
-  if (q <= 0.0) return min;
-  if (q >= 1.0) return max;
-  const double target = q * static_cast<double>(count);
-  const double firstFiniteBound =
-      std::ldexp(1.0, -detail::HistogramCell::kBucketBias);
-  const double lastFiniteBound =
-      std::ldexp(1.0, detail::HistogramCell::kBuckets - 2 -
-                          detail::HistogramCell::kBucketBias);
-  std::uint64_t cum = 0;
-  for (const auto& [bound, c] : buckets) {
-    if (static_cast<double>(cum + c) < target) {
-      cum += c;
-      continue;
-    }
-    // Samples of a bucket are assumed uniform over (lo, bound]; bucket 0
-    // (bound 2^-20) also holds zeros/negatives, the +inf bucket everything
-    // above the last finite bound. Clamping to [min, max] keeps the
-    // estimate inside the observed range.
-    double lo;
-    double hi;
-    if (std::isinf(bound)) {
-      lo = lastFiniteBound;
-      hi = max;
-    } else if (bound == firstFiniteBound) {
-      lo = 0.0;
-      hi = bound;
-    } else {
-      lo = bound / 2.0;
-      hi = bound;
-    }
-    lo = std::max(lo, min);
-    hi = std::min(hi, max);
-    if (hi < lo) hi = lo;
-    const double frac =
-        (target - static_cast<double>(cum)) / static_cast<double>(c);
-    return lo + frac * (hi - lo);
-  }
-  return max;
-}
-
 std::uint64_t MetricsSnapshot::counterOr(std::string_view name,
                                          std::uint64_t fallback) const {
   for (const auto& [n, v] : counters) {
-    if (n == name) return v;
-  }
-  return fallback;
-}
-
-double MetricsSnapshot::gaugeOr(std::string_view name, double fallback) const {
-  for (const auto& [n, v] : gauges) {
     if (n == name) return v;
   }
   return fallback;
@@ -244,27 +93,7 @@ Json MetricsSnapshot::toJson() const {
   for (const auto& [name, v] : counters) c[name] = Json(v);
   Json& g = (j["gauges"] = Json::object());
   for (const auto& [name, v] : gauges) g[name] = Json(v);
-  Json& h = (j["histograms"] = Json::object());
-  for (const auto& [name, hs] : histograms) {
-    Json entry = Json::object();
-    entry["count"] = Json(hs.count);
-    entry["sum"] = Json(hs.sum);
-    entry["min"] = Json(hs.min);
-    entry["max"] = Json(hs.max);
-    entry["mean"] = Json(hs.mean());
-    entry["p50"] = Json(hs.p50());
-    entry["p95"] = Json(hs.p95());
-    entry["p99"] = Json(hs.p99());
-    Json buckets = Json::array();
-    for (const auto& [bound, cnt] : hs.buckets) {
-      Json b = Json::object();
-      b["le"] = std::isinf(bound) ? Json("inf") : Json(bound);
-      b["count"] = Json(cnt);
-      buckets.push_back(std::move(b));
-    }
-    entry["buckets"] = std::move(buckets);
-    h[name] = std::move(entry);
-  }
+  j["histograms"] = Json::object();
   return j;
 }
 

@@ -1,6 +1,6 @@
 #pragma once
-// Thread-safe metrics registry: named counters, gauges, and histograms with
-// cheap relaxed-atomic updates on hot paths and a consistent snapshot API.
+// Thread-safe metrics registry: named counters and gauges with cheap
+// relaxed-atomic updates on hot paths and a consistent snapshot API.
 //
 // ## Zero-perturbation contract
 //
@@ -8,13 +8,12 @@
 // therefore (a) never consume PRNG streams, (b) never synchronize beyond a
 // relaxed atomic (no ordering the simulation could observe), and (c) are
 // pure sinks: no simulation code path reads a metric back. With metrics
-// attached or detached — or the whole layer compiled out via
-// LPA_OBS_DISABLED — traces and leakage values are bit-identical, which
-// tests/test_obs.cpp enforces.
+// attached or detached, traces and leakage values are bit-identical,
+// which tests/test_obs.cpp enforces.
 //
 // ## Handles and cells
 //
-// `counter()/gauge()/histogram()` get-or-create an instrument under a mutex
+// `counter()/gauge()` get-or-create an instrument under a mutex
 // (registration is rare) and return a trivially-copyable *handle* wrapping a
 // pointer to the instrument's storage cell. Updating through a handle is
 // lock-free. A default-constructed (null) handle is a no-op sink, which is
@@ -28,7 +27,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
@@ -38,12 +36,6 @@
 #include "obs/json.h"
 
 namespace lpa::obs {
-
-#if defined(LPA_OBS_DISABLED)
-inline constexpr bool kObsCompiledIn = false;
-#else
-inline constexpr bool kObsCompiledIn = true;
-#endif
 
 namespace detail {
 
@@ -57,24 +49,6 @@ struct alignas(kCacheLineBytes) GaugeCell {
   std::atomic<double> value{0.0};
 };
 
-/// Log2-bucketed histogram: bucket i counts samples with upper bound
-/// 2^(i - kBucketBias); the last bucket is +inf. Sum/min/max are tracked
-/// exactly (CAS loops), bucket counts with relaxed adds.
-struct alignas(kCacheLineBytes) HistogramCell {
-  static constexpr int kBuckets = 64;
-  static constexpr int kBucketBias = 20;  // first finite bound 2^-20
-
-  std::atomic<std::uint64_t> count{0};
-  std::atomic<double> sum{0.0};
-  // +/-inf sentinels make the CAS min/max race-free for the first sample;
-  // snapshot() reports 0 while count == 0.
-  std::atomic<double> minValue{std::numeric_limits<double>::infinity()};
-  std::atomic<double> maxValue{-std::numeric_limits<double>::infinity()};
-  std::atomic<std::uint64_t> buckets[kBuckets]{};
-};
-
-int histogramBucket(double v);
-
 }  // namespace detail
 
 /// Monotonic counter handle. Null handle (default-constructed) is a no-op.
@@ -83,11 +57,7 @@ class Counter {
   Counter() = default;
 
   void add(std::uint64_t n) const {
-    if constexpr (kObsCompiledIn) {
-      if (cell_) cell_->value.fetch_add(n, std::memory_order_relaxed);
-    } else {
-      (void)n;
-    }
+    if (cell_) cell_->value.fetch_add(n, std::memory_order_relaxed);
   }
   void increment() const { add(1); }
   std::uint64_t value() const {
@@ -101,22 +71,16 @@ class Counter {
   detail::CounterCell* cell_ = nullptr;
 };
 
-/// Last-value gauge with monotone max/min helpers. Null handle = no-op.
+/// Last-value gauge with a monotone max helper. Null handle = no-op.
 class Gauge {
  public:
   Gauge() = default;
 
   void set(double v) const {
-    if constexpr (kObsCompiledIn) {
-      if (cell_) cell_->value.store(v, std::memory_order_relaxed);
-    } else {
-      (void)v;
-    }
+    if (cell_) cell_->value.store(v, std::memory_order_relaxed);
   }
   /// Raises the gauge to `v` if larger (for peak-depth style metrics).
   void recordMax(double v) const;
-  /// Lowers the gauge to `v` if smaller (for headroom style metrics).
-  void recordMin(double v) const;
   double value() const {
     return cell_ ? cell_->value.load(std::memory_order_relaxed) : 0.0;
   }
@@ -128,51 +92,14 @@ class Gauge {
   detail::GaugeCell* cell_ = nullptr;
 };
 
-/// Distribution sink (log2 buckets + exact count/sum/min/max).
-class Histogram {
- public:
-  Histogram() = default;
-  void record(double v) const;
-  std::uint64_t count() const {
-    return cell_ ? cell_->count.load(std::memory_order_relaxed) : 0;
-  }
-  explicit operator bool() const { return cell_ != nullptr; }
-
- private:
-  friend class MetricsRegistry;
-  explicit Histogram(detail::HistogramCell* c) : cell_(c) {}
-  detail::HistogramCell* cell_ = nullptr;
-};
-
-struct HistogramSnapshot {
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  /// Non-empty log2 buckets as (upper bound, count); +inf bound rendered
-  /// as the JSON string "inf".
-  std::vector<std::pair<double, std::uint64_t>> buckets;
-
-  double mean() const { return count ? sum / static_cast<double>(count) : 0.0; }
-
-  /// Approximate quantile (q in [0, 1]) reconstructed from the log2
-  /// buckets: linear interpolation inside the containing bucket, clamped to
-  /// the exactly-tracked [min, max]. Bucket resolution bounds the error to
-  /// a factor of 2 of the true order statistic. 0 while empty.
-  double quantile(double q) const;
-  double p50() const { return quantile(0.50); }
-  double p95() const { return quantile(0.95); }
-  double p99() const { return quantile(0.99); }
-};
-
 /// Point-in-time copy of every instrument, sorted by name.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
-  std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
 
   std::uint64_t counterOr(std::string_view name, std::uint64_t fallback) const;
-  double gaugeOr(std::string_view name, double fallback) const;
+  /// {"counters": {...}, "gauges": {...}, "histograms": {}}: the empty
+  /// histograms object keeps lpa-run-report/4's metrics layout.
   Json toJson() const;
 };
 
@@ -187,13 +114,8 @@ class MetricsRegistry {
   /// name from many threads yields handles onto one shared instrument.
   Counter counter(std::string_view name);
   Gauge gauge(std::string_view name);
-  Histogram histogram(std::string_view name);
 
   MetricsSnapshot snapshot() const;
-
-  /// Zeroes every instrument (registrations and handles stay valid).
-  /// Benches call this between configurations to scope their report.
-  void reset();
 
   /// The process-wide default registry most components attach to.
   static MetricsRegistry& global();
@@ -204,10 +126,8 @@ class MetricsRegistry {
   // deque-adjacent cells occupy distinct lines.
   std::deque<detail::CounterCell> counterCells_;
   std::deque<detail::GaugeCell> gaugeCells_;
-  std::deque<detail::HistogramCell> histogramCells_;
   std::map<std::string, detail::CounterCell*, std::less<>> counters_;
   std::map<std::string, detail::GaugeCell*, std::less<>> gauges_;
-  std::map<std::string, detail::HistogramCell*, std::less<>> histograms_;
 };
 
 }  // namespace lpa::obs

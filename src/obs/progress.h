@@ -84,7 +84,6 @@ class ProgressMeter {
   bool abortRequested() const {
     return abort_.load(std::memory_order_relaxed);
   }
-  void requestAbort() { abort_.store(true, std::memory_order_relaxed); }
 
   std::uint64_t done() const { return done_.load(std::memory_order_relaxed); }
   std::uint64_t total() const { return total_; }

@@ -53,10 +53,6 @@ void RunReport::setStatistics(Json block) {
   statistics_ = std::move(block);
 }
 
-void RunReport::setResilienceField(const std::string& key, Json value) {
-  resilience_[key] = std::move(value);
-}
-
 void RunReport::setResilience(Json block) {
   if (!block.isObject()) {
     throw std::invalid_argument(
@@ -95,12 +91,28 @@ Json RunReport::toJson() const {
   return j;
 }
 
+namespace {
+
+/// The report's document, refused on its first schema violation so that no
+/// invalid document reaches a file or a ledger.
+Json validDocument(const RunReport& report) {
+  Json j = report.toJson();
+  if (const std::string violation = RunReport::validate(j);
+      !violation.empty()) {
+    throw std::runtime_error("run report \"" + report.name() +
+                             "\" is not valid: " + violation);
+  }
+  return j;
+}
+
+}  // namespace
+
 void RunReport::writeTo(const std::string& path) const {
-  atomicWriteFile(path, toJson().dump(1) + "\n");
+  atomicWriteFile(path, validDocument(*this).dump(1) + "\n");
 }
 
 void RunReport::appendTo(const std::string& path) const {
-  durableAppend(path, toJson().dump(-1) + "\n");
+  durableAppend(path, validDocument(*this).dump(-1) + "\n");
 }
 
 std::string RunReport::validate(const Json& j) {
@@ -137,29 +149,6 @@ std::string RunReport::validate(const Json& j) {
   }
   for (const auto& [k, v] : j.find("metrics")->find("counters")->items()) {
     if (!v.isNumber()) return "metrics.counters." + k + " is not a number";
-  }
-  // Histogram entries export their full bucket layout (obs/metrics.h):
-  // each bucket is {"le": number | "inf", "count": n >= 0}.
-  for (const auto& [k, v] : j.find("metrics")->find("histograms")->items()) {
-    const std::string at = "metrics.histograms." + k;
-    if (!v.isObject()) return at + " is not an object";
-    const Json* buckets = v.find("buckets");
-    if (!buckets) return at + ".buckets missing";
-    if (!buckets->isArray()) return at + ".buckets is not an array";
-    for (std::size_t i = 0; i < buckets->size(); ++i) {
-      const Json& b = buckets->at(i);
-      const std::string bat = at + ".buckets[" + std::to_string(i) + "]";
-      if (!b.isObject()) return bat + " is not an object";
-      const Json* le = b.find("le");
-      if (!le || (!le->isNumber() &&
-                  !(le->isString() && le->asString() == "inf"))) {
-        return bat + ".le is not a number or \"inf\"";
-      }
-      const Json* count = b.find("count");
-      if (!count || !count->isNumber() || count->asNumber() < 0.0) {
-        return bat + ".count is not a non-negative number";
-      }
-    }
   }
   for (const auto& [k, v] : j.find("leakage")->items()) {
     if (!v.isNumber()) return "leakage." + k + " is not a number";

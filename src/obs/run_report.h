@@ -5,8 +5,8 @@
 // scale leave auditable artifacts and the perf trajectory (BENCH_*.json)
 // populates from real runs instead of hand-copied numbers.
 //
-// Schema "lpa-run-report/4" (validated by RunReport::validate and the CI
-// obs-smoke job):
+// Schema "lpa-run-report/4" (validated by RunReport::validate, which
+// writeTo() and appendTo() run before they write):
 //
 //   {
 //     "schema": "lpa-run-report/4",
@@ -17,7 +17,7 @@
 //     "params": { "<key>": number|string|bool, ... },
 //     "phases": [ {"name": str, "wall_ms": num, "cpu_ms": num}, ... ],
 //     "metrics": { "counters": {...}, "gauges": {...},
-//                  "histograms": {...} },
+//                  "histograms": {} },
 //     "leakage": { "<key>": number, ... },
 //     "statistics": { ... },                 // statistical summary
 //     "resilience": { ... },                 // durable-run summary
@@ -29,11 +29,9 @@
 // producer is in this repository, and each has written /4 since the
 // profile block was added.
 //
-// Each `metrics.histograms` entry carries the full bucket layout — every
-// bucket's upper bound (`le`: number or "inf") and count, alongside the
-// count/sum/quantile summary — so downstream tools can re-aggregate
-// distributions instead of trusting three pre-picked percentiles.
-// validate() type-checks the buckets.
+// The registry holds counters and gauges only (obs/metrics.h), so
+// `metrics.histograms` is always an empty object. validate() still
+// requires it, so /4 documents keep their layout until /5 drops the key.
 //
 // The `statistics` block is an open object for statistical metadata of
 // the run (stats/report.h fills it from a LeakageEstimate): trace counts
@@ -101,8 +99,6 @@ class RunReport {
   void setStatistic(const std::string& key, Json value);
   /// Replaces the whole `statistics` block (must be an object).
   void setStatistics(Json block);
-  /// Sets one key of the `resilience` block.
-  void setResilienceField(const std::string& key, Json value);
   /// Replaces the whole `resilience` block (must be an object;
   /// jobs/resilient.h's fillResilience builds it from a ResilienceInfo).
   void setResilience(Json block);
@@ -113,12 +109,14 @@ class RunReport {
   Json toJson() const;
   /// Atomically replaces `path` with toJson() (write temp + fsync + rename,
   /// obs/fsio.h) so a crash mid-write can never leave a torn report that
-  /// poisons its readers (tools/, CI's obs-smoke checks); throws
-  /// std::runtime_error on failure.
+  /// poisons its readers (tools/, CI's obs-smoke checks). Throws
+  /// std::runtime_error, and writes nothing, when toJson() fails
+  /// validate(); throws std::runtime_error on IO failure.
   void writeTo(const std::string& path) const;
   /// Appends this report as one compact line to the JSONL ledger at
   /// `path` (created if absent), fsync'd before close so the append is
-  /// durable on return; throws on IO failure.
+  /// durable on return. Throws std::runtime_error, and appends nothing,
+  /// when toJson() fails validate(); throws on IO failure.
   void appendTo(const std::string& path) const;
 
   static const char* schemaId() { return "lpa-run-report/4"; }

@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "obs/metrics.h"  // kObsCompiledIn
-
 namespace lpa::obs {
 
 double TraceCollector::nowUs() const {
@@ -130,11 +128,6 @@ TraceCollector& TraceCollector::global() {
 }
 
 Span::Span(std::string name, TraceCollector* collector) {
-  if constexpr (!kObsCompiledIn) {
-    (void)name;
-    (void)collector;
-    return;
-  }
   if (!collector || !collector->enabled()) return;
   collector_ = collector;
   name_ = std::move(name);

@@ -142,11 +142,11 @@ class EventSim {
   /// Attaches a cost-attribution profiler (obs/profiler.h): per-net
   /// scheduled/committed/cancelled/filtered tallies plus sampled wall-time
   /// flow into it, one flush per run (never per event). nullptr detaches.
-  /// Clones inherit the attachment like attachMetrics. Acquisition serves
-  /// AcquisitionConfig::profiler to the engine it picks, and gives a
-  /// prototype it attached for a reference-engine call its own attachment
-  /// back when the call ends. The profiler is a pure sink — results are
-  /// bit-identical attached or detached (tests/test_profiler.cpp).
+  /// Clones inherit the attachment like attachMetrics, and acquisition
+  /// hands it to the batch engine it builds, so a profiler attached to the
+  /// prototype sees every engine that serves the call. The profiler is a
+  /// pure sink — results are bit-identical attached or detached
+  /// (tests/test_profiler.cpp).
   void attachProfiler(obs::Profiler* profiler);
   /// Profiler attached via attachProfiler (nullptr when detached).
   obs::Profiler* profiler() const { return profiler_; }

@@ -35,12 +35,15 @@ void ClassCondAccumulator::addTrace(std::uint8_t cls, const double* x) {
   }
   ++count_[cls];
   const double k = static_cast<double>(count_[cls]);
-  double* mean = mean_.data() + static_cast<std::size_t>(cls) * numSamples_;
-  double* m2 = m2_.data() + static_cast<std::size_t>(cls) * numSamples_;
+  // The sample count in a local, as in merge: the memcpy stores below may
+  // alias any member, so a member bound would be reloaded every pair.
+  const std::uint32_t n = numSamples_;
+  double* mean = mean_.data() + static_cast<std::size_t>(cls) * n;
+  double* m2 = m2_.data() + static_cast<std::size_t>(cls) * n;
   // Two samples per operation, then a scalar tail.
   const Pair kk = {k, k};
   std::uint32_t s = 0;
-  for (; s + 2 <= numSamples_; s += 2) {
+  for (; s + 2 <= n; s += 2) {
     Pair xs, ms, m2s;
     std::memcpy(&xs, x + s, sizeof(Pair));
     std::memcpy(&ms, mean + s, sizeof(Pair));
@@ -51,7 +54,7 @@ void ClassCondAccumulator::addTrace(std::uint8_t cls, const double* x) {
     std::memcpy(mean + s, &ms, sizeof(Pair));
     std::memcpy(m2 + s, &m2s, sizeof(Pair));
   }
-  for (; s < numSamples_; ++s) {
+  for (; s < n; ++s) {
     const double delta = x[s] - mean[s];
     mean[s] += delta / k;
     m2[s] += delta * (x[s] - mean[s]);

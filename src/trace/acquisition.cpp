@@ -297,15 +297,15 @@ Plan makePlan(const Protocol& protocol, std::size_t begin, std::size_t end,
 }
 
 /// Streams traces [begin, end) of `protocol` to `sink` in index order, on
-/// cfg's engine, threads, progress sink and profiler: the one
-/// engine-dispatch body behind every acquisition entry point, under the
-/// strict policy, or under the classify policy when `classify` is set. A
-/// plan pass derives every trace's stimulus; the pool then simulates each
-/// distinct (init, fin, expected) triple once, without noise, and delivery
-/// hands trace i its triple's samples plus its own noise — the last step
-/// either engine would have run — so the sequence is bit-identical across
-/// engines and to simulating every trace, and slicing is invisible in the
-/// result bits.
+/// cfg's engine, threads and progress sink, with `sim`'s metrics registry
+/// and profiler: the one engine-dispatch body behind every acquisition
+/// entry point, under the strict policy, or under the classify policy
+/// when `classify` is set. A plan pass derives every trace's stimulus; the
+/// pool then simulates each distinct (init, fin, expected) triple once,
+/// without noise, and delivery hands trace i its triple's samples plus its
+/// own noise — the last step either engine would have run — so the
+/// sequence is bit-identical across engines and to simulating every trace,
+/// and slicing is invisible in the result bits.
 void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
                   const PowerModel& power, const Protocol& protocol,
                   const AcquisitionConfig& cfg, std::size_t begin,
@@ -612,7 +612,7 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
     const CompiledDesign design(sim.netlist(), sim.delayModel(), power);
     BatchSim bsim(design, sim.options());
     bsim.attachMetrics(sim.metricsRegistry());
-    bsim.attachProfiler(cfg.profiler);
+    bsim.attachProfiler(sim.profiler());
     const StimulusFn laneStimulus = [&](std::size_t p) {
       return plan.stimulus(order[p]);
     };
@@ -623,7 +623,7 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
              // Every item but the last holds itemTriples triples, so this
              // is the item's index: profiling samples the same groups
              // whichever worker runs them.
-             if (cfg.profiler != nullptr) worker.setRunIndex(a / itemTriples);
+             if (sim.profiler()) worker.setRunIndex(a / itemTriples);
              const auto groupFailed = [&] {
                detail::rethrowAsWorkerError(
                    std::current_exception(), begin + lowestFirst(a, lanes),
@@ -665,23 +665,10 @@ void acquireSlice(const MaskedSbox& sbox, EventSim& sim,
   }
 
   // Reference path: triples are never sorted, so triple d is at position
-  // d. Workers clone `sim`, so attaching here propagates to every worker.
-  // Only attach when requested — a null re-attach would clobber an
-  // attachment the caller installed on the prototype — and give `sim` its
-  // own attachment back on every exit: cfg.profiler need not outlive the
-  // call.
-  obs::Profiler* const callerProfiler = sim.profiler();
-  const bool swap = cfg.profiler != nullptr && cfg.profiler != callerProfiler;
-  if (swap) sim.attachProfiler(cfg.profiler);
-  try {
-    stream(sim, "reference",
-           [&](std::uint32_t, EventSim& worker, std::size_t a,
-               std::size_t count) { runReference(worker, a, count); });
-  } catch (...) {
-    if (swap) sim.attachProfiler(callerProfiler);
-    throw;
-  }
-  if (swap) sim.attachProfiler(callerProfiler);
+  // d. Workers are `sim` and its clones, with its attachments.
+  stream(sim, "reference",
+         [&](std::uint32_t, EventSim& worker, std::size_t a,
+             std::size_t count) { runReference(worker, a, count); });
 }
 
 /// A TraceSet of `n` reserved traces, filled by run(sink).

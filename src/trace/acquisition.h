@@ -117,9 +117,8 @@
 // BatchSim::evaluateOutputs. A watchdog trip is an outcome, not a failure:
 // the triple counts as diverged, with the events its run reached. On the
 // batch engine a lane group in which a lane trips re-runs triple by triple
-// on a reference clone of the caller's EventSim (with that EventSim's own
-// attachments, not cfg.profiler), so its other lanes are still judged and
-// sampled. Every trace counts its triple's outcome, and a
+// on a reference clone of the caller's EventSim, so its other lanes are
+// still judged and sampled. Every trace counts its triple's outcome, and a
 // diverged trace is withheld from the sink, which sees the others in index
 // order. Neither a decode mismatch nor a watchdog trip fails the call;
 // anything else (a stimulus that cannot be derived, a sink exception, an
@@ -186,13 +185,6 @@ struct AcquisitionConfig {
   /// Engine selection; any choice yields bit-identical results (see
   /// SimEngine).
   SimEngine engine = SimEngine::Auto;
-  /// Optional cost-attribution profiler (obs/profiler.h): the engine
-  /// serving the run (the batch engine acquisition builds, or the caller's
-  /// EventSim, and their worker clones) attaches to it and flushes per-run
-  /// tallies. Pure sink — with or without a profiler the TraceSet is
-  /// bit-identical. The profiler must outlive the acquisition and have
-  /// nets pre-sized (engines call ensureNets before workers start).
-  obs::Profiler* profiler = nullptr;
 
   // ## Convergence-gated (adaptive) acquisition
   //
@@ -300,8 +292,9 @@ using TraceSink = std::function<void(std::uint8_t label, const double*)>;
 /// Collects a balanced, labelled trace set from `sbox` using the simulator
 /// and power model (both must be built for sbox.netlist()). `sim` is used
 /// as the prototype for per-worker clones (netlist, delay model, options,
-/// metrics attachment — also when the batch engine serves the run); its
-/// state after the call is unspecified. cfg.adaptive must be false.
+/// metrics and profiler attachments — also when the batch engine serves
+/// the run); its state after the call is unspecified. cfg.adaptive must
+/// be false.
 TraceSet acquire(const MaskedSbox& sbox, EventSim& sim,
                  const PowerModel& power,
                  const AcquisitionConfig& cfg = {});
@@ -352,8 +345,8 @@ void acquireBatches(const MaskedSbox& sbox, EventSim& sim,
 /// *plaintext* nibble. Trace i draws `plain` first from its stream
 /// Prng(deriveStreamSeed(cfg.seed, i)), then the fixed-class protocol's
 /// draws, so it depends only on (cfg.seed, i) and the result is invariant
-/// in cfg.numThreads and cfg.engine. cfg.progress ("acquire-keyed") and
-/// cfg.profiler are honoured as in acquire(); cfg.tracesPerClass is unused
+/// in cfg.numThreads and cfg.engine. cfg.progress ("acquire-keyed") is
+/// honoured as in acquire(); cfg.tracesPerClass is unused
 /// and cfg.adaptive must be false (std::invalid_argument). Runs the same
 /// engine bodies as acquire(), decode check included: a netlist that does
 /// not compute kPresentSbox[plain ^ key] fails with a WorkerError.
@@ -398,8 +391,8 @@ struct ClassifiedAcquisition {
 /// counted by its outcome against `faultFree` (sbox.netlist() lowered with
 /// `power`), and every trace that did not diverge goes to `sink` in index
 /// order, bit-identical to simulating it alone on `sim`'s design. Engine,
-/// threads, progress ("acquire-classified") and profiler come from `cfg` as
-/// in acquire(), and the result is invariant in all four. cfg.adaptive
+/// threads and progress ("acquire-classified") come from `cfg` as in
+/// acquire(), and the result is invariant in all three. cfg.adaptive
 /// must be false (std::invalid_argument).
 ClassifiedAcquisition acquireClassified(const MaskedSbox& sbox,
                                         const CompiledDesign& faultFree,

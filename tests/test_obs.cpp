@@ -122,40 +122,29 @@ TEST(MetricsRegistry, CountersGaugesHistogramsBasics) {
   EXPECT_EQ(g.value(), 2.5);
   g.recordMax(7.0);
   EXPECT_EQ(g.value(), 7.0);
-  g.recordMin(-1.0);
-  EXPECT_EQ(g.value(), -1.0);
 
-  obs::Histogram h = reg.histogram("h");
-  h.record(1.0);
-  h.record(4.0);
-  h.record(0.25);
+  // The snapshot carries counters and gauges; its JSON keeps the empty
+  // histograms object of the run-report layout.
   const obs::MetricsSnapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  const obs::HistogramSnapshot& hs = snap.histograms[0].second;
-  EXPECT_EQ(hs.count, 3u);
-  EXPECT_EQ(hs.sum, 5.25);
-  EXPECT_EQ(hs.min, 0.25);
-  EXPECT_EQ(hs.max, 4.0);
-  EXPECT_EQ(hs.mean(), 1.75);
-
-  reg.reset();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(reg.snapshot().histograms[0].second.count, 0u);
-  EXPECT_EQ(reg.snapshot().histograms[0].second.min, 0.0);
+  EXPECT_EQ(snap.counterOr("c", 0), 4u);
+  ASSERT_EQ(snap.gauges.size(), 1u);
+  EXPECT_EQ(snap.gauges[0].second, 7.0);
+  const obs::Json j = snap.toJson();
+  ASSERT_NE(j.find("histograms"), nullptr);
+  EXPECT_TRUE(j.find("histograms")->isObject());
+  EXPECT_EQ(j.find("histograms")->size(), 0u);
 }
 
 TEST(MetricsRegistry, NullHandlesAreNoOps) {
   obs::Counter c;
   obs::Gauge g;
-  obs::Histogram h;
   c.add(5);
   g.set(1.0);
   g.recordMax(2.0);
-  h.record(3.0);
   EXPECT_EQ(c.value(), 0u);
   EXPECT_EQ(g.value(), 0.0);
-  EXPECT_EQ(h.count(), 0u);
   EXPECT_FALSE(static_cast<bool>(c));
+  EXPECT_FALSE(static_cast<bool>(g));
 }
 
 TEST(MetricsRegistry, ConcurrentRegistrationAndIncrement) {
@@ -169,22 +158,17 @@ TEST(MetricsRegistry, ConcurrentRegistrationAndIncrement) {
       // hammers the shared cells.
       obs::Counter c = reg.counter("shared.counter");
       obs::Gauge g = reg.gauge("shared.peak");
-      obs::Histogram h = reg.histogram("shared.hist");
       for (int i = 0; i < kIters; ++i) {
         c.add(1);
         g.recordMax(static_cast<double>(i));
-        h.record(1.0);
       }
     });
   }
   for (std::thread& t : pool) t.join();
   const obs::MetricsSnapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counterOr("shared.counter", 0), kThreads * kIters);
-  EXPECT_EQ(snap.gaugeOr("shared.peak", -1.0), kIters - 1.0);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].second.count,
-            static_cast<std::uint64_t>(kThreads) * kIters);
-  EXPECT_EQ(snap.histograms[0].second.sum, kThreads * kIters * 1.0);
+  ASSERT_EQ(snap.gauges.size(), 1u);
+  EXPECT_EQ(snap.gauges[0].second, kIters - 1.0);
 }
 
 TEST(EventSimMetrics, CountersMatchLocalStatsAndClonesAggregate) {
@@ -206,7 +190,7 @@ TEST(EventSimMetrics, CountersMatchLocalStatsAndClonesAggregate) {
             direct.eventsProcessed);
   EXPECT_EQ(snap.counterOr("sim.transitions_committed", 0),
             direct.committedTransitions);
-  EXPECT_GT(snap.gaugeOr("sim.peak_queue_depth", 0.0), 0.0);
+  EXPECT_GT(reg.gauge("sim.peak_queue_depth").value(), 0.0);
 
   // Clones inherit the attachment and fold into the SAME registry cells:
   // the aggregate keeps growing, the clone's local stats start at zero.
@@ -444,50 +428,6 @@ TEST(Progress, RateAndEtaDerivedFromThroughput) {
   EXPECT_GT(last.ratePerSec, 0.0);
   EXPECT_GE(last.elapsedSec, 0.0);
   EXPECT_EQ(last.etaSec, 0.0);
-}
-
-TEST(HistogramSnapshot, QuantilesFromLog2Buckets) {
-  obs::MetricsRegistry reg;
-  obs::Histogram h = reg.histogram("h");
-  // 100 samples uniform on (0, 100]: the log2-bucket reconstruction must
-  // land within a factor of 2 of the true order statistic, clamped to the
-  // exact [min, max].
-  for (int i = 1; i <= 100; ++i) h.record(static_cast<double>(i));
-  const obs::HistogramSnapshot hs = reg.snapshot().histograms[0].second;
-
-  EXPECT_EQ(hs.quantile(0.0), 1.0);    // clamps to exact min
-  EXPECT_EQ(hs.quantile(1.0), 100.0);  // clamps to exact max
-  const double p50 = hs.p50();
-  EXPECT_GE(p50, 25.0);
-  EXPECT_LE(p50, 100.0);
-  const double p95 = hs.p95();
-  EXPECT_GE(p95, 64.0);  // true value 95, bucket floor 64
-  EXPECT_LE(p95, 100.0);
-  EXPECT_LE(hs.p50(), hs.p95());
-  EXPECT_LE(hs.p95(), hs.p99());
-
-  // Degenerate cases: empty -> 0; single value -> that value everywhere.
-  obs::MetricsRegistry reg2;
-  EXPECT_EQ(obs::HistogramSnapshot{}.p99(), 0.0);
-  obs::Histogram one = reg2.histogram("one");
-  one.record(3.5);
-  const obs::HistogramSnapshot os = reg2.snapshot().histograms[0].second;
-  EXPECT_EQ(os.p50(), 3.5);
-  EXPECT_EQ(os.p99(), 3.5);
-}
-
-TEST(HistogramSnapshot, QuantilesInJsonSnapshot) {
-  obs::MetricsRegistry reg;
-  obs::Histogram h = reg.histogram("lat");
-  for (int i = 0; i < 32; ++i) h.record(1.0 + i);
-  const obs::Json j = reg.snapshot().toJson();
-  const obs::Json* entry = j.find("histograms")->find("lat");
-  ASSERT_NE(entry, nullptr);
-  for (const char* q : {"p50", "p95", "p99"}) {
-    const obs::Json* v = entry->find(q);
-    ASSERT_NE(v, nullptr) << q;
-    EXPECT_GT(v->asNumber(), 0.0);
-  }
 }
 
 }  // namespace

@@ -17,12 +17,15 @@
 #include <string>
 
 #include "core/experiment.h"
+#include "fault/campaign.h"
+#include "fault/fault_spec.h"
 #include "obs/heartbeat.h"
 #include "obs/hw_counters.h"
 #include "obs/profiler.h"
 #include "obs/progress.h"
 #include "obs/run_report.h"
 #include "obs/trace_span.h"
+#include "sim/compiled_design.h"
 #include "trace/acquisition.h"
 
 namespace lpa {
@@ -51,7 +54,7 @@ TraceSet acquireWith(SimEngine engine, std::uint32_t threads,
   cfg.acquisition.numThreads = threads;
   cfg.acquisition.engine = engine;
   SboxExperiment exp(SboxStyle::Glut, cfg);
-  // The experiment-level attach wires every layer: the acquisition config
+  // The experiment-level attach wires every layer: the prototype EventSim
   // (served engine + worker clones) and the power model's reference
   // sampling path, which tallies the pulses for the EventSim engine.
   if (profiler != nullptr) exp.attachProfiler(profiler);
@@ -61,7 +64,7 @@ TraceSet acquireWith(SimEngine engine, std::uint32_t threads,
 // The tentpole contract: a Profiler is a pure sink. Attaching one to any
 // engine at any worker-thread count must not flip a single bit of the
 // acquired traces — while the profiler still has to come back non-empty,
-// so the test cannot pass vacuously with the hooks compiled out.
+// so the test cannot pass vacuously with the hooks detached.
 TEST(ProfilerZeroPerturbation, TracesBitIdenticalAllEnginesAndThreads) {
   for (SimEngine engine : {SimEngine::Reference, SimEngine::Auto}) {
     const TraceSet plain = acquireWith(engine, 1, nullptr);
@@ -153,11 +156,11 @@ TEST(ProfilerOccupancy, OneGroupCallReportsTheWavesItRan) {
   obs::MetricsRegistry reg;
   sim.attachMetrics(&reg);
   obs::Profiler profiler;
+  sim.attachProfiler(&profiler);
   AcquisitionConfig cfg;
   cfg.tracesPerClass = 4;  // 64 traces: one lane group
   cfg.numThreads = 1;
   cfg.engine = SimEngine::Auto;
-  cfg.profiler = &profiler;
   acquire(*sbox, sim, power, cfg);
   const std::uint64_t waves = reg.counter("sim.batch.waves").value();
   ASSERT_GT(waves, 0u);
@@ -170,34 +173,64 @@ TEST(ProfilerOccupancy, OneGroupCallReportsTheWavesItRan) {
   EXPECT_EQ(j.find("profiled_runs")->asNumber(), 1.0);
 }
 
-// A reference-engine call attaches cfg.profiler to the caller's EventSim
-// for that call only, so the profiler need not outlive it; an attachment
-// the caller made itself survives calls that name another profiler.
-TEST(ProfilerAttachment, ReferenceCallsHandTheSimulatorBack) {
-  const auto sbox = makeSbox(SboxStyle::Lut);
+/// A simulator with its own metrics registry and profiler attached.
+struct AttachedSim {
+  AttachedSim(const Netlist& nl, const DelayModel& dm, SimOptions opts = {})
+      : sim(nl, dm, opts) {
+    sim.attachMetrics(&reg);
+    sim.attachProfiler(&profiler);
+  }
+  std::uint64_t count(const char* name) { return reg.counter(name).value(); }
+
+  obs::MetricsRegistry reg;
+  obs::Profiler profiler;
+  EventSim sim;
+};
+
+// A profiler attached to the prototype EventSim alone reaches every engine
+// that serves a call, as its metrics registry does: the batch engine
+// acquisition builds, the reference workers cloned from the prototype, and
+// the reference clones a classified call re-runs a lane group on when one
+// of its lanes trips the watchdog.
+TEST(ProfilerAttachment, SimulatorAttachmentReachesEveryEngine) {
+  const auto sbox = makeSbox(SboxStyle::Glut);
   const DelayModel dm(sbox->netlist());
   const PowerModel pm(sbox->netlist());
-  EventSim sim(sbox->netlist(), dm);
   AcquisitionConfig cfg;
-  cfg.tracesPerClass = 1;
+  cfg.tracesPerClass = 4;  // 64 traces: one lane group on one worker
   cfg.numThreads = 1;
-  cfg.engine = SimEngine::Reference;
-  {
-    obs::Profiler scoped;
-    cfg.profiler = &scoped;
-    acquire(*sbox, sim, pm, cfg);
-    EXPECT_GT(scoped.runs(), 0u);
-  }
-  EXPECT_EQ(sim.profiler(), nullptr);
 
-  obs::Profiler own;
-  obs::Profiler other;
-  sim.attachProfiler(&own);
-  cfg.profiler = &other;
-  acquireKeyed(*sbox, sim, pm, cfg, 0xB, 16);
-  EXPECT_GT(other.runs(), 0u);
-  EXPECT_EQ(sim.profiler(), &own);
-  sim.attachProfiler(nullptr);
+  AttachedSim batch(sbox->netlist(), dm);
+  acquire(*sbox, batch.sim, pm, cfg);
+  ASSERT_GT(batch.count("sim.batch.waves"), 0u);
+  EXPECT_EQ(batch.profiler.waves(), batch.count("sim.batch.waves"));
+  EXPECT_EQ(batch.profiler.runs(), batch.count("sim.batch.batches"));
+
+  AcquisitionConfig twoReferenceWorkers = cfg;
+  twoReferenceWorkers.engine = SimEngine::Reference;
+  twoReferenceWorkers.numThreads = 2;
+  AttachedSim reference(sbox->netlist(), dm);
+  acquire(*sbox, reference.sim, pm, twoReferenceWorkers);
+  ASSERT_GT(reference.count("sim.runs"), 0u);
+  EXPECT_EQ(reference.profiler.runs(), reference.count("sim.runs"));
+
+  // A mask-wire stuck-at under a watchdog budget at the fault-free mean
+  // run: the lane group trips and re-runs on a reference clone.
+  SimOptions budget;
+  budget.maxEvents = reference.count("sim.events_processed") /
+                     reference.count("sim.runs");
+  const FaultSpec stuck = stuckAtFaults(maskWireNets(*sbox))[0];
+  const FaultedDesign design = FaultInjector(sbox->netlist(), dm).apply(stuck);
+  const CompiledDesign faultFree(sbox->netlist(), dm, pm);
+  AttachedSim classified(design.netlist, design.delays, budget);
+  const ClassifiedAcquisition run =
+      acquireClassified(*sbox, faultFree, classified.sim, pm, cfg,
+                        [](std::uint8_t, const double*) {});
+  ASSERT_GT(run.counts.diverged, 0u);
+  ASSERT_GT(classified.count("sim.batch.batches"), 0u);
+  ASSERT_GT(classified.count("sim.runs"), 0u);
+  EXPECT_EQ(classified.profiler.runs(), classified.count("sim.batch.batches") +
+                                            classified.count("sim.runs"));
 }
 
 // Which batch runs are profiled is keyed on the lane group's index in the

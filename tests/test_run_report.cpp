@@ -100,7 +100,6 @@ obs::RunReport makeReport() {
   obs::MetricsRegistry reg;
   reg.counter("sim.runs").add(1024);
   reg.gauge("sim.peak_queue_depth").set(37.0);
-  reg.histogram("lat").record(2.0);
   report.setMetrics(reg.snapshot());
   return report;
 }
@@ -132,47 +131,6 @@ TEST(RunReport, SchemaRoundTripsAndValidates) {
   EXPECT_EQ(back, j);
 }
 
-TEST(RunReport, HistogramBucketsExportedAndValidated) {
-  // The exporter writes every bucket's upper bound + count alongside the
-  // quantile summary, so downstream tools can re-aggregate distributions;
-  // validate() type-checks that layout for every schema era.
-  const obs::Json j = makeReport().toJson();
-  const obs::Json* hist = j.find("metrics")->find("histograms")->find("lat");
-  ASSERT_NE(hist, nullptr);
-  const obs::Json* buckets = hist->find("buckets");
-  ASSERT_NE(buckets, nullptr);
-  ASSERT_GT(buckets->size(), 0u);
-  double total = 0.0;
-  for (const obs::Json& b : buckets->elements()) {
-    const obs::Json* le = b.find("le");
-    ASSERT_NE(le, nullptr);
-    EXPECT_TRUE(le->isNumber() ||
-                (le->isString() && le->asString() == "inf"));
-    total += b.find("count")->asNumber();
-  }
-  EXPECT_EQ(total, hist->find("count")->asNumber());  // one sample recorded
-
-  obs::Json missingBuckets = j;
-  missingBuckets["metrics"]["histograms"]["lat"] = obs::Json::object();
-  EXPECT_NE(obs::RunReport::validate(missingBuckets), "");
-
-  obs::Json badBucket = buckets->at(0);
-  badBucket["le"] = obs::Json("not-inf");
-  obs::Json badLe = j;
-  obs::Json badLeBuckets = obs::Json::array();
-  badLeBuckets.push_back(badBucket);
-  badLe["metrics"]["histograms"]["lat"]["buckets"] = badLeBuckets;
-  EXPECT_NE(obs::RunReport::validate(badLe), "");
-
-  obs::Json negBucket = buckets->at(0);
-  negBucket["count"] = obs::Json(-1.0);
-  obs::Json negCount = j;
-  obs::Json negBuckets = obs::Json::array();
-  negBuckets.push_back(negBucket);
-  negCount["metrics"]["histograms"]["lat"]["buckets"] = negBuckets;
-  EXPECT_NE(obs::RunReport::validate(negCount), "");
-}
-
 TEST(RunReport, ValidateRejectsNonConformingDocuments) {
   EXPECT_NE(obs::RunReport::validate(obs::Json::parse("[]")), "");
   EXPECT_NE(obs::RunReport::validate(obs::Json::parse("{}")), "");
@@ -199,6 +157,14 @@ TEST(RunReport, ValidateRejectsNonConformingDocuments) {
   obs::Json badLeak = j;
   badLeak["leakage"]["total"] = obs::Json("not a number");
   EXPECT_NE(obs::RunReport::validate(badLeak), "");
+
+  // /4 keeps metrics.histograms, empty, until /5 drops it.
+  obs::Json noHistograms = j;
+  obs::Json metrics = obs::Json::object();
+  metrics["counters"] = *j.find("metrics")->find("counters");
+  metrics["gauges"] = *j.find("metrics")->find("gauges");
+  noHistograms["metrics"] = metrics;
+  EXPECT_NE(obs::RunReport::validate(noHistograms), "");
 }
 
 TEST(RunReport, WritesFileThatParsesBack) {
@@ -222,6 +188,31 @@ TEST(RunReport, WritesFileThatParsesBack) {
 TEST(RunReport, WriteToUnwritablePathThrows) {
   EXPECT_THROW(makeReport().writeTo("/nonexistent-dir/x/y/report.json"),
                std::runtime_error);
+}
+
+// writeTo and appendTo validate the document before they touch the disk:
+// a report that fails validate() (here, an empty name) throws and leaves
+// neither a file nor a ledger line.
+TEST(RunReport, WriteRefusesAnInvalidDocument) {
+  const obs::RunReport unnamed("");
+  ASSERT_NE(obs::RunReport::validate(unnamed.toJson()), "");
+  const std::string path = ::testing::TempDir() + "lpa_invalid_report.json";
+  const std::string ledger = ::testing::TempDir() + "lpa_invalid.jsonl";
+  std::remove(path.c_str());
+  std::remove(ledger.c_str());
+
+  EXPECT_THROW(unnamed.writeTo(path), std::runtime_error);
+  EXPECT_FALSE(std::ifstream(path).good());
+  EXPECT_THROW(unnamed.appendTo(ledger), std::runtime_error);
+  EXPECT_FALSE(std::ifstream(ledger).good());
+
+  makeReport().appendTo(ledger);
+  EXPECT_THROW(unnamed.appendTo(ledger), std::runtime_error);
+  std::ifstream in(ledger);
+  std::size_t lines = 0;
+  for (std::string line; std::getline(in, line);) ++lines;
+  EXPECT_EQ(lines, 1u);
+  std::remove(ledger.c_str());
 }
 
 TEST(RunReport, StatisticsBlockRoundTrips) {

@@ -162,34 +162,6 @@ TEST(Exposition, GoldenCounterGaugeDocument) {
             "lpa_jobs_depth 2.5\n");
 }
 
-TEST(Exposition, HistogramRendersCumulativeBucketsAndQuantiles) {
-  obs::MetricsRegistry reg;
-  obs::Histogram h = reg.histogram("acquire.ms");
-  h.record(0.75);
-  h.record(1.5);
-  h.record(1.5);
-  h.record(100.0);
-  const std::string doc = obs::renderPrometheus(reg.snapshot());
-  EXPECT_NE(doc.find("# TYPE lpa_acquire_ms histogram\n"), std::string::npos);
-  // Buckets are cumulative: 0.75 -> le=1 (1), 1.5 x2 -> le=2 (3),
-  // 100 -> le=128 (4); the +Inf closer equals _count.
-  EXPECT_NE(doc.find("lpa_acquire_ms_bucket{le=\"1\"} 1\n"),
-            std::string::npos);
-  EXPECT_NE(doc.find("lpa_acquire_ms_bucket{le=\"2\"} 3\n"),
-            std::string::npos);
-  EXPECT_NE(doc.find("lpa_acquire_ms_bucket{le=\"128\"} 4\n"),
-            std::string::npos);
-  EXPECT_NE(doc.find("lpa_acquire_ms_bucket{le=\"+Inf\"} 4\n"),
-            std::string::npos);
-  EXPECT_NE(doc.find("lpa_acquire_ms_sum 103.75\n"), std::string::npos);
-  EXPECT_NE(doc.find("lpa_acquire_ms_count 4\n"), std::string::npos);
-  EXPECT_NE(doc.find("# TYPE lpa_acquire_ms_p50 gauge\n"), std::string::npos);
-  EXPECT_NE(doc.find("lpa_acquire_ms_p95 "), std::string::npos);
-  EXPECT_NE(doc.find("lpa_acquire_ms_p99 "), std::string::npos);
-  // Deterministic: identical snapshot -> byte-identical document.
-  EXPECT_EQ(doc, obs::renderPrometheus(reg.snapshot()));
-}
-
 #ifndef NDEBUG
 // Debug builds must reject unrenderable names at registration, so a bad
 // name is a tier-1 failure rather than a silently unscrapable endpoint.
@@ -197,7 +169,7 @@ TEST(Exposition, DebugRegistrationRejectsBadNames) {
   obs::MetricsRegistry reg;
   EXPECT_THROW(reg.counter("bad name"), std::invalid_argument);
   EXPECT_THROW(reg.gauge(""), std::invalid_argument);
-  EXPECT_THROW(reg.histogram("7bad"), std::invalid_argument);
+  EXPECT_THROW(reg.counter("7bad"), std::invalid_argument);
   EXPECT_NO_THROW(reg.counter("good.name"));
 }
 #endif
@@ -243,7 +215,6 @@ TEST(Exposition, AllEngineMetricNamesLintClean) {
   };
   lintAll(snap.counters);
   lintAll(snap.gauges);
-  lintAll(snap.histograms);
 }
 
 // ---------------------------------------------------------------------------

@@ -170,8 +170,9 @@ TEST(AcquireKeyed, LabelsArePlaintexts) {
 }
 
 // The keyed protocol takes the acquisition config like every other one: it
-// reports progress, feeds a profiler, honours an abort and refuses an
-// adaptive config; neither observer changes a trace.
+// reports progress, honours an abort and refuses an adaptive config, and
+// it feeds a profiler attached to its simulator; neither observer changes
+// a trace.
 TEST(AcquireKeyed, HonoursProgressProfilerAndAdaptiveFromConfig) {
   const auto sbox = makeSbox(SboxStyle::Lut);
   const DelayModel dm(sbox->netlist());
@@ -196,8 +197,8 @@ TEST(AcquireKeyed, HonoursProgressProfilerAndAdaptiveFromConfig) {
       return true;
     };
     obs::Profiler profiler;
-    cfg.profiler = &profiler;
     EventSim sim(sbox->netlist(), dm);
+    sim.attachProfiler(&profiler);
     const TraceSet ts = acquireKeyed(*sbox, sim, pm, cfg, 0xB, 96);
     EXPECT_EQ(done, 96u);
     EXPECT_EQ(total, 96u);

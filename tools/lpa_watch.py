@@ -74,24 +74,14 @@ def _name_valid(name):
     return all(c.isalnum() or c in "_:" for c in name)
 
 
-def _family_of(sample_name):
-    """The metric family a sample belongs to (strips labels + well-known
-    suffixes like _bucket/_sum/_count)."""
-    name = sample_name.split("{", 1)[0]
-    for suffix in ("_bucket", "_sum", "_count"):
-        if name.endswith(suffix):
-            return name[: -len(suffix)]
-    return name
-
-
 def validate_exposition(text):
     """Returns a list of violations ("" problems) for a /metrics document.
 
-    Checks the subset of the exposition format the repo relies on: every
-    sample name is a valid exposition name, every non-quantile sample has a
-    TYPE declaration, histogram buckets are cumulative and end with a +Inf
-    bucket equal to _count, and counters/gauges are finite numbers. An empty
-    list means the document parses and holds the contract.
+    Checks the subset of the exposition format the repo relies on (the
+    registry renders counters and gauges only): every family is declared
+    as a counter or a gauge under a valid name, every sample has a valid
+    name and a TYPE declaration, and no value is NaN. An empty list means
+    the document parses and holds the contract.
     """
     problems = []
     try:
@@ -102,38 +92,19 @@ def validate_exposition(text):
         problems.append("document has no samples")
 
     for declared, kind in types.items():
-        if kind not in ("counter", "gauge", "histogram"):
+        if kind not in ("counter", "gauge"):
             problems.append(f"{declared}: unknown TYPE {kind!r}")
         if not _name_valid(declared):
             problems.append(f"{declared}: invalid family name")
 
-    hist_buckets = {}  # family -> list of (le, value) in document order
     for sample, value in samples.items():
         bare = sample.split("{", 1)[0]
         if not _name_valid(bare):
             problems.append(f"{sample}: invalid sample name")
         if value != value:  # NaN
             problems.append(f"{sample}: NaN value")
-        family = _family_of(sample)
-        if family not in types and bare not in types:
+        if bare not in types:
             problems.append(f"{sample}: no TYPE declaration")
-        if "_bucket{" in sample and 'le="' in sample:
-            le = sample.split('le="', 1)[1].split('"', 1)[0]
-            hist_buckets.setdefault(family, []).append((le, value))
-
-    for family, buckets in hist_buckets.items():
-        if types.get(family) != "histogram":
-            problems.append(f"{family}: buckets without histogram TYPE")
-        values = [v for _, v in buckets]
-        if values != sorted(values):
-            problems.append(f"{family}: bucket counts are not cumulative")
-        if not buckets or buckets[-1][0] != "+Inf":
-            problems.append(f"{family}: last bucket is not le=\"+Inf\"")
-        else:
-            count = samples.get(f"{family}_count")
-            if count is not None and buckets[-1][1] != count:
-                problems.append(
-                    f"{family}: +Inf bucket {buckets[-1][1]} != _count {count}")
     return problems
 
 
@@ -190,14 +161,9 @@ def render_status(hb):
 
 def render_metrics(samples, limit=8):
     """Picks the most informative counters/gauges for the terminal block."""
-    interesting = [
-        (name, value) for name, value in sorted(samples.items())
-        if "{" not in name and not name.endswith(("_sum", "_count"))
-        and not any(name.endswith(s) for s in ("_p50", "_p95", "_p99"))
-    ]
     # Prefer acquisition/jobs families: they narrate run progress.
-    interesting.sort(key=lambda kv: (not kv[0].startswith(
-        ("lpa_acquire", "lpa_jobs", "lpa_sim")), kv[0]))
+    interesting = sorted(samples.items(), key=lambda kv: (
+        not kv[0].startswith(("lpa_acquire", "lpa_jobs", "lpa_sim")), kv[0]))
     lines = []
     for name, value in interesting[:limit]:
         rendered = f"{value:.6g}" if value != int(value) else str(int(value))
